@@ -214,6 +214,43 @@ int main() {
               raw_bytes / std::max(1e-9, encode_s) / 1e6);
   json.emplace_back("quant8_encode_bytes_per_sec",
                     raw_bytes / std::max(1e-9, encode_s));
+
+  // The same measurement for the lossless FsdLz wire, both directions (raw
+  // row bytes per wall second).
+  int64_t lz_raw_bytes = 0;
+  std::vector<core::EncodeResult> lz_encoded;
+  const auto lz_start = std::chrono::steady_clock::now();
+  for (int it = 0; it < encode_iters; ++it) {
+    lz_encoded.push_back(core::EncodeRows(workload.input, ids, 224 * 1024,
+                                          core::LosslessCodec(true)));
+    for (const auto& chunk : lz_encoded.back().chunks) {
+      lz_raw_bytes += chunk.raw_bytes;
+    }
+  }
+  const double lz_encode_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - lz_start)
+                                 .count();
+  size_t active_rows = 0;
+  for (const auto& [id, vec] : workload.input) active_rows += !vec.empty();
+  const auto lz_decode_start = std::chrono::steady_clock::now();
+  for (const core::EncodeResult& encoded : lz_encoded) {
+    linalg::ActivationMap decoded;
+    for (const auto& chunk : encoded.chunks) {
+      FSD_CHECK(core::DecodeRows(chunk.wire, &decoded).ok());
+    }
+    FSD_CHECK_EQ(decoded.size(), active_rows);
+  }
+  const double lz_decode_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    lz_decode_start)
+          .count();
+  std::printf("lossless-lz throughput: encode %.1f MB/s, decode %.1f MB/s\n",
+              lz_raw_bytes / std::max(1e-9, lz_encode_s) / 1e6,
+              lz_raw_bytes / std::max(1e-9, lz_decode_s) / 1e6);
+  json.emplace_back("lz_encode_bytes_per_sec",
+                    lz_raw_bytes / std::max(1e-9, lz_encode_s));
+  json.emplace_back("lz_decode_bytes_per_sec",
+                    lz_raw_bytes / std::max(1e-9, lz_decode_s));
   bench::WriteBenchJson("data_plane", json);
   return 0;
 }

@@ -77,6 +77,27 @@ class BitReader {
     return bit;
   }
 
+  /// Buffers up to `count` bits (count <= 57) without consuming any, as far
+  /// as the stream holds them; returns how many bits are buffered.
+  int Fill(int count) {
+    while (filled_ < count && pos_ < size_) {
+      acc_ |= static_cast<uint64_t>(data_[pos_++]) << filled_;
+      filled_ += 8;
+    }
+    return filled_;
+  }
+
+  /// The next `count` buffered bits, LSB-first (requires Fill(count)).
+  uint32_t Peek(int count) const {
+    return static_cast<uint32_t>(acc_ & ((1ull << count) - 1));
+  }
+
+  /// Drops `count` buffered bits (requires count <= buffered bits).
+  void Consume(int count) {
+    acc_ >>= count;
+    filled_ -= count;
+  }
+
   /// Number of whole bytes consumed so far (including buffered bits).
   size_t bytes_consumed() const { return pos_; }
 

@@ -1,5 +1,5 @@
-// CRC-32 (IEEE 802.3 polynomial), table-driven; used to detect payload
-// corruption end-to-end across the simulated communication channels.
+// CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven; used to detect
+// payload corruption end-to-end across the simulated communication channels.
 #ifndef FSD_CODEC_CRC32_H_
 #define FSD_CODEC_CRC32_H_
 

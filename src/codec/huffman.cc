@@ -1,40 +1,10 @@
 #include "codec/huffman.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.h"
 
 namespace fsd::codec {
-namespace {
-
-struct Node {
-  uint64_t freq;
-  int index;  // < num_symbols: leaf; otherwise internal node id
-  int left = -1;
-  int right = -1;
-};
-
-// Computes unbounded Huffman depths via the standard two-queue method.
-void ComputeDepths(const std::vector<Node>& nodes, int root, int depth,
-                   std::vector<uint8_t>* depths, int num_symbols) {
-  // Iterative DFS to avoid recursion limits on degenerate trees.
-  std::vector<std::pair<int, int>> stack{{root, depth}};
-  while (!stack.empty()) {
-    auto [idx, d] = stack.back();
-    stack.pop_back();
-    const Node& n = nodes[idx];
-    if (n.left < 0) {
-      FSD_CHECK_LT(n.index, num_symbols);
-      (*depths)[n.index] = static_cast<uint8_t>(d);
-    } else {
-      stack.push_back({n.left, d + 1});
-      stack.push_back({n.right, d + 1});
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<uint8_t> BuildCodeLengths(const std::vector<uint64_t>& freqs,
                                       int max_len) {
@@ -50,28 +20,44 @@ std::vector<uint8_t> BuildCodeLengths(const std::vector<uint64_t>& freqs,
     return lengths;
   }
 
-  // Standard Huffman construction with a min-heap.
-  std::vector<Node> nodes;
-  nodes.reserve(used.size() * 2);
-  auto cmp = [&nodes](int a, int b) {
-    if (nodes[a].freq != nodes[b].freq) return nodes[a].freq > nodes[b].freq;
-    return a > b;  // deterministic tie-break
+  // Two-queue Huffman construction. Node ids: leaves 0..m-1 in symbol
+  // order, merged nodes m.. in creation order. Leaves sorted by (freq, id)
+  // and the FIFO of merged nodes (whose freqs never decrease and whose ids
+  // always grow) pop in exactly the (freq, id) order a min-heap over all
+  // nodes would, so the tree — and every code length — is the heap's.
+  const int m = static_cast<int>(used.size());
+  std::vector<uint64_t> freq(2 * m - 1);
+  std::vector<int> parent(2 * m - 1, -1);
+  for (int i = 0; i < m; ++i) freq[i] = freqs[used[i]];
+  std::vector<int> leaves(m);
+  for (int i = 0; i < m; ++i) leaves[i] = i;
+  std::sort(leaves.begin(), leaves.end(), [&freq](int a, int b) {
+    return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
+  });
+  int next_leaf = 0;
+  int next_merged = m;  // merged nodes form the FIFO [next_merged, next_id)
+  int next_id = m;
+  auto pop_min = [&]() {
+    const bool merged_empty = next_merged == next_id;
+    if (next_leaf < m &&
+        (merged_empty || freq[leaves[next_leaf]] <= freq[next_merged])) {
+      return leaves[next_leaf++];  // on a tie the leaf's lower id wins
+    }
+    return next_merged++;
   };
-  std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
-  for (int s : used) {
-    nodes.push_back({freqs[s], s});
-    heap.push(static_cast<int>(nodes.size()) - 1);
+  while (next_id < 2 * m - 1) {
+    const int a = pop_min();
+    const int b = pop_min();
+    freq[next_id] = freq[a] + freq[b];
+    parent[a] = parent[b] = next_id;
+    ++next_id;
   }
-  while (heap.size() > 1) {
-    int a = heap.top();
-    heap.pop();
-    int b = heap.top();
-    heap.pop();
-    nodes.push_back({nodes[a].freq + nodes[b].freq,
-                     static_cast<int>(nodes.size()), a, b});
-    heap.push(static_cast<int>(nodes.size()) - 1);
+  // Parents always have larger ids, so one descending pass sets depths.
+  std::vector<uint8_t> depth(2 * m - 1, 0);
+  for (int id = 2 * m - 3; id >= 0; --id) {
+    depth[id] = static_cast<uint8_t>(depth[parent[id]] + 1);
   }
-  ComputeDepths(nodes, heap.top(), 0, &lengths, n);
+  for (int i = 0; i < m; ++i) lengths[used[i]] = depth[i];
 
   // Enforce the length limit by demoting over-long codes and rebalancing
   // (heuristic used by zlib: push overflow down onto shorter codes while
@@ -188,10 +174,28 @@ Result<HuffmanDecoder> HuffmanDecoder::Build(
   if (total > 0 && kraft > (1ull << kMaxCodeLen)) {
     return Status::InvalidArgument("over-subscribed huffman code");
   }
+  // The code is prefix-free, so each short codeword owns every table
+  // window whose low `l` bits are its bits in stream (LSB-first) order.
+  for (int l = 1; l <= kTableBits; ++l) {
+    for (int k = 0; k < dec.count_[l]; ++k) {
+      const int symbol = dec.sorted_symbols_[dec.first_index_[l] + k];
+      if (symbol > 0xFFFF) continue;  // outside TableEntry: bit loop
+      uint32_t code = dec.first_code_[l] + static_cast<uint32_t>(k);
+      uint32_t reversed = 0;
+      for (int b = 0; b < l; ++b) {
+        reversed = (reversed << 1) | (code & 1u);
+        code >>= 1;
+      }
+      for (uint32_t w = reversed; w < dec.table_.size(); w += 1u << l) {
+        dec.table_[w] = {static_cast<uint16_t>(symbol),
+                         static_cast<uint8_t>(l)};
+      }
+    }
+  }
   return dec;
 }
 
-Result<int> HuffmanDecoder::Decode(BitReader* reader) const {
+Result<int> HuffmanDecoder::DecodeSlow(BitReader* reader) const {
   uint32_t code = 0;
   for (int len = 1; len <= kMaxCodeLen; ++len) {
     FSD_ASSIGN_OR_RETURN(int bit, reader->ReadBit());

@@ -1,7 +1,9 @@
 #include "codec/lz.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -52,22 +54,50 @@ constexpr Bucket kDistBuckets[kNumDist] = {
     {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
 };
 
+/// Index of the last bucket whose base is <= value (bases ascend).
+int BucketOf(const Bucket* buckets, int count, int value) {
+  int i = count - 1;
+  while (i > 0 && buckets[i].base > value) --i;
+  return i;
+}
+
+/// Bucket lookup tables. Every distance-bucket base above 256 is one more
+/// than a multiple of 128, so (dist - 1) >> 7 resolves those exactly.
+struct BucketTables {
+  uint8_t length[kMaxMatch + 1];
+  uint8_t dist_near[257];              // dist in [1, 256]
+  uint8_t dist_far[kWindowSize >> 7];  // by (dist - 1) >> 7, dist > 256
+};
+
+const BucketTables& Buckets() {
+  static const BucketTables tables = [] {
+    BucketTables t{};
+    for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+      t.length[len] = static_cast<uint8_t>(
+          BucketOf(kLengthBuckets, kNumLengthBuckets, len));
+    }
+    for (int dist = 1; dist <= 256; ++dist) {
+      t.dist_near[dist] =
+          static_cast<uint8_t>(BucketOf(kDistBuckets, kNumDist, dist));
+    }
+    for (int hi = 2; hi < static_cast<int>(kWindowSize >> 7); ++hi) {
+      t.dist_far[hi] = static_cast<uint8_t>(
+          BucketOf(kDistBuckets, kNumDist, (hi << 7) + 1));
+    }
+    return t;
+  }();
+  return tables;
+}
+
 int FindLengthBucket(int length) {
   FSD_CHECK(length >= kMinMatch && length <= kMaxMatch);
-  for (int i = kNumLengthBuckets - 1; i >= 0; --i) {
-    if (kLengthBuckets[i].base <= length) return i;
-  }
-  FSD_CHECK(false);
-  return -1;
+  return Buckets().length[length];
 }
 
 int FindDistBucket(int dist) {
   FSD_CHECK(dist >= 1 && dist <= static_cast<int>(kWindowSize));
-  for (int i = kNumDist - 1; i >= 0; --i) {
-    if (kDistBuckets[i].base <= dist) return i;
-  }
-  FSD_CHECK(false);
-  return -1;
+  return dist <= 256 ? Buckets().dist_near[dist]
+                     : Buckets().dist_far[(dist - 1) >> 7];
 }
 
 struct Token {
@@ -77,27 +107,72 @@ struct Token {
   int distance;      // when is_match
 };
 
+constexpr size_t kHashSize = 1u << 15;
+
 uint32_t HashAt(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
   return (v * 2654435761u) >> 17;  // 15-bit hash
 }
 
+/// Length of the common prefix of `a` and `b`, capped at `max_len`;
+/// compares eight bytes at a time.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    const uint64_t diff = x ^ y;
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Per-thread hash-chain state, reused across calls so a chunk never pays
+/// for zeroing a fresh 128 KiB head table. Entries hold `epoch + position`;
+/// each call starts a fresh epoch above every value stored before, so
+/// stale entries read as empty. `prev` is a window-sized ring: a chain only
+/// follows positions inside the window, whose slots are still their own.
+/// Both tables are fixed-size, so the scratch stays at 256 KiB per thread.
+struct ChainScratch {
+  std::vector<uint32_t> head = std::vector<uint32_t>(kHashSize, 0);
+  std::vector<uint32_t> prev = std::vector<uint32_t>(kWindowSize, 0);
+  uint32_t epoch = 1;
+};
+
 // Greedy LZ77 tokenizer with hash chains.
 std::vector<Token> Tokenize(const Bytes& input, const LzOptions& options) {
   std::vector<Token> tokens;
   const size_t n = input.size();
   tokens.reserve(n / 3);
-  constexpr size_t kHashSize = 1u << 15;
-  std::vector<int32_t> head(kHashSize, -1);
-  std::vector<int32_t> prev(n, -1);
+  thread_local ChainScratch scratch;
+  FSD_CHECK_LT(n, size_t{1} << 31);
+  if (n >= std::numeric_limits<uint32_t>::max() - scratch.epoch) {
+    std::fill(scratch.head.begin(), scratch.head.end(), 0u);
+    scratch.epoch = 1;
+  }
+  const uint32_t epoch = scratch.epoch;
+  scratch.epoch += static_cast<uint32_t>(n);
+  uint32_t* head = scratch.head.data();
+  uint32_t* prev = scratch.prev.data();
+  constexpr size_t kRingMask = kWindowSize - 1;
   const uint8_t* data = input.data();
 
   auto insert_position = [&](size_t j) {
     if (j + kMinMatch > n) return;
     const uint32_t h = HashAt(data + j);
-    prev[j] = head[h];
-    head[h] = static_cast<int32_t>(j);
+    prev[j & kRingMask] = head[h];
+    head[h] = epoch + static_cast<uint32_t>(j);
   };
 
   size_t i = 0;
@@ -105,23 +180,26 @@ std::vector<Token> Tokenize(const Bytes& input, const LzOptions& options) {
     int best_len = 0;
     int best_dist = 0;
     if (i + kMinMatch <= n) {
-      const uint32_t h = HashAt(data + i);
-      int32_t cand = head[h];
+      const size_t max_len = std::min<size_t>(kMaxMatch, n - i);
+      const uint32_t window_floor =
+          epoch + static_cast<uint32_t>(i > kWindowSize ? i - kWindowSize : 0);
+      uint32_t entry = head[HashAt(data + i)];
       int probes = options.max_chain_probes;
-      const size_t window_floor = (i > kWindowSize) ? i - kWindowSize : 0;
-      while (cand >= 0 && static_cast<size_t>(cand) >= window_floor &&
-             probes-- > 0) {
-        const size_t max_len = std::min<size_t>(kMaxMatch, n - i);
-        size_t len = 0;
+      while (entry >= window_floor && probes-- > 0) {
+        const size_t cand = entry - epoch;
         const uint8_t* a = data + cand;
         const uint8_t* b = data + i;
-        while (len < max_len && a[len] == b[len]) ++len;
-        if (static_cast<int>(len) > best_len) {
-          best_len = static_cast<int>(len);
-          best_dist = static_cast<int>(i - cand);
-          if (best_len >= kMaxMatch) break;
+        // A candidate that differs at best_len cannot beat the best match.
+        if (static_cast<size_t>(best_len) < max_len &&
+            a[best_len] == b[best_len]) {
+          const size_t len = MatchLength(a, b, max_len);
+          if (static_cast<int>(len) > best_len) {
+            best_len = static_cast<int>(len);
+            best_dist = static_cast<int>(i - cand);
+            if (best_len >= kMaxMatch) break;
+          }
         }
-        cand = prev[cand];
+        entry = prev[cand & kRingMask];
       }
     }
     if (best_len >= kMinMatch) {
@@ -233,7 +311,11 @@ Bytes LzCompress(const Bytes& input, const LzOptions& options) {
 }
 
 Result<Bytes> LzDecompress(const Bytes& input) {
-  ByteReader reader(input);
+  return LzDecompress(input.data(), input.size());
+}
+
+Result<Bytes> LzDecompress(const uint8_t* data, size_t size) {
+  ByteReader reader(data, size);
   FSD_ASSIGN_OR_RETURN(uint8_t m0, reader.Read<uint8_t>());
   FSD_ASSIGN_OR_RETURN(uint8_t m1, reader.Read<uint8_t>());
   FSD_ASSIGN_OR_RETURN(uint8_t version, reader.Read<uint8_t>());
@@ -256,8 +338,13 @@ Result<Bytes> LzDecompress(const Bytes& input) {
                          HuffmanDecoder::Build(lit_lengths));
     FSD_ASSIGN_OR_RETURN(HuffmanDecoder dist_dec,
                          HuffmanDecoder::Build(dist_lengths));
-    BitReader bits(input.data() + reader.position(),
-                   input.size() - reader.position());
+    const size_t payload_bytes = reader.remaining();
+    // Every token costs at least one bit and yields at most kMaxMatch
+    // bytes; a larger size field is hostile, so refuse it before reserving.
+    if (raw_size > static_cast<uint64_t>(kMaxMatch) * 8 * payload_bytes) {
+      return Status::DataLoss("FsdLz size exceeds what the payload encodes");
+    }
+    BitReader bits(data + reader.position(), payload_bytes);
     out.reserve(raw_size);
     while (true) {
       FSD_ASSIGN_OR_RETURN(int sym, lit_dec.Decode(&bits));
@@ -280,9 +367,19 @@ Result<Bytes> LzDecompress(const Bytes& input) {
       if (dist <= 0 || static_cast<size_t>(dist) > out.size()) {
         return Status::DataLoss("bad match distance");
       }
-      size_t src = out.size() - static_cast<size_t>(dist);
-      for (int j = 0; j < length; ++j) out.push_back(out[src + j]);
-      if (out.size() > raw_size) return Status::DataLoss("overlong stream");
+      if (static_cast<uint64_t>(length) > raw_size - std::min<uint64_t>(
+                                                       raw_size, out.size())) {
+        return Status::DataLoss("overlong stream");
+      }
+      const size_t start = out.size();
+      out.resize(start + static_cast<size_t>(length));
+      uint8_t* dst = out.data() + start;
+      const uint8_t* src = dst - dist;
+      if (dist >= length) {
+        std::memcpy(dst, src, static_cast<size_t>(length));
+      } else {
+        for (int j = 0; j < length; ++j) dst[j] = src[j];  // overlapping run
+      }
     }
   } else {
     return Status::DataLoss("unknown FsdLz method");

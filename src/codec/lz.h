@@ -40,6 +40,8 @@ Bytes LzCompress(const Bytes& input, const LzOptions& options = {});
 
 /// Decompresses an FsdLz container, verifying the CRC.
 Result<Bytes> LzDecompress(const Bytes& input);
+/// Same, over a byte span (lets callers decode a container in place).
+Result<Bytes> LzDecompress(const uint8_t* data, size_t size);
 
 /// Parses only the header and returns the uncompressed size.
 Result<uint64_t> LzUncompressedSize(const Bytes& input);

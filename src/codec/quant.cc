@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "codec/bitstream.h"
 #include "codec/crc32.h"
@@ -145,6 +146,10 @@ Result<std::vector<float>> QuantDecompress(const Bytes& data) {
     return Status::DataLoss("bad FQ scale");
   }
 
+  // A hostile count would overflow the packed size below.
+  if (count > std::numeric_limits<uint64_t>::max() / kQuantMaxBits) {
+    return Status::DataLoss("FQ count overflows");
+  }
   const size_t packed_bytes = PackedBytes(count, bits);
   Bytes packed;
   if (method == kMethodStored) {
@@ -153,8 +158,11 @@ Result<std::vector<float>> QuantDecompress(const Bytes& data) {
     FSD_ASSIGN_OR_RETURN(std::vector<uint8_t> lengths,
                          ReadNibbleLengths(&reader, 256));
     FSD_ASSIGN_OR_RETURN(HuffmanDecoder dec, HuffmanDecoder::Build(lengths));
-    BitReader bits_in(data.data() + reader.position(),
-                      data.size() - reader.position());
+    // Every packed byte decodes from at least one bit.
+    if (packed_bytes > 8 * reader.remaining()) {
+      return Status::DataLoss("FQ count exceeds what the payload encodes");
+    }
+    BitReader bits_in(data.data() + reader.position(), reader.remaining());
     packed.reserve(packed_bytes);
     for (size_t i = 0; i < packed_bytes; ++i) {
       FSD_ASSIGN_OR_RETURN(int sym, dec.Decode(&bits_in));

@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <span>
 
 #include "codec/quant.h"
 #include "codec/varint.h"
@@ -49,30 +50,39 @@ void WrapLossless(const Bytes& raw, bool compress,
   }
 }
 
-/// Inverse of WrapLossless over a byte span.
-Result<Bytes> UnwrapLossless(const uint8_t* data, size_t size) {
+/// Inverse of WrapLossless over a byte span. An uncompressed payload is
+/// returned in place; a compressed one is decompressed into `*storage`.
+Result<std::span<const uint8_t>> UnwrapLossless(const uint8_t* data,
+                                                size_t size, Bytes* storage) {
   if (size == 0) return Status::DataLoss("empty row payload");
   const uint8_t tag = data[0];
   if (tag == kCompressedTag) {
-    Bytes inner(data + 1, data + size);
-    return codec::LzDecompress(inner);
+    FSD_ASSIGN_OR_RETURN(*storage, codec::LzDecompress(data + 1, size - 1));
+    return std::span<const uint8_t>(*storage);
   }
-  if (tag == kUncompressedTag) return Bytes(data + 1, data + size);
+  if (tag == kUncompressedTag) {
+    return std::span<const uint8_t>(data + 1, size - 1);
+  }
   return Status::DataLoss("unknown row payload tag");
 }
 
 /// Parses decoded structure+values payloads into `out`. When `values` is
 /// non-null the rows' values come from it sequentially (quantized mode);
 /// otherwise they follow each row's indices inline (lossless mode).
-Status ParseRows(const Bytes& payload, const std::vector<float>* values,
-                 linalg::ActivationMap* out) {
-  ByteReader reader(payload);
+Status ParseRows(std::span<const uint8_t> payload,
+                 const std::vector<float>* values, linalg::ActivationMap* out) {
+  ByteReader reader(payload.data(), payload.size());
   FSD_ASSIGN_OR_RETURN(uint64_t count, codec::GetVarint64(&reader));
   size_t next_value = 0;
   for (uint64_t r = 0; r < count; ++r) {
     FSD_ASSIGN_OR_RETURN(uint64_t row_id, codec::GetVarint64(&reader));
     FSD_ASSIGN_OR_RETURN(uint64_t nnz, codec::GetVarint64(&reader));
     FSD_ASSIGN_OR_RETURN(uint64_t dim, codec::GetVarint64(&reader));
+    // Each index delta takes at least one byte, which bounds a hostile
+    // nnz before it sizes an allocation.
+    if (nnz > reader.remaining()) {
+      return Status::DataLoss("row nnz exceeds payload");
+    }
     linalg::SparseVector row;
     row.dim = static_cast<int32_t>(dim);
     row.idx.reserve(nnz);
@@ -279,15 +289,18 @@ Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out) {
     if (structure_len > wire.size() - pos) {
       return Status::DataLoss("quantized structure overruns chunk");
     }
-    FSD_ASSIGN_OR_RETURN(Bytes structure,
-                         UnwrapLossless(wire.data() + pos, structure_len));
+    Bytes storage;
+    FSD_ASSIGN_OR_RETURN(
+        std::span<const uint8_t> structure,
+        UnwrapLossless(wire.data() + pos, structure_len, &storage));
     const Bytes fq(wire.begin() + pos + structure_len, wire.end());
     FSD_ASSIGN_OR_RETURN(std::vector<float> values,
                          codec::QuantDecompress(fq));
     return ParseRows(structure, &values, out);
   }
-  FSD_ASSIGN_OR_RETURN(Bytes payload,
-                       UnwrapLossless(wire.data(), wire.size()));
+  Bytes storage;
+  FSD_ASSIGN_OR_RETURN(std::span<const uint8_t> payload,
+                       UnwrapLossless(wire.data(), wire.size(), &storage));
   return ParseRows(payload, nullptr, out);
 }
 

@@ -413,12 +413,22 @@ void Simulation::Offload(SimTime duration, std::function<void()> fn) {
     ++offload_calls_;
     offload_virtual_s_ += duration;
   }
+  // Solo window: no other event can dispatch before this process's wake
+  // (tested before the wake is pushed; an event tied at now+duration
+  // dispatches first by sequence number), so there is nothing for the
+  // closure to overlap. Run it inline at the resume point, as the inline
+  // tier does. The test reads only virtual state, so the solo set is the
+  // same for every pool size.
+  const bool solo =
+      fn != nullptr &&
+      (events_.empty() || events_.front().time > now_ + duration);
+  if (solo) ++offload_solo_;
   // Uniform virtual-time path for every pool size: the completion event is
   // an ordinary wake at now+duration, scheduled BEFORE the yield, so event
   // (time, seq) order cannot depend on compute_threads. Only where the
   // closure physically executes differs — unobservable under the Offload
   // determinism contract (the submitter is blocked throughout).
-  const bool pooled = fn != nullptr && tuning_.compute_threads > 0;
+  const bool pooled = !solo && fn != nullptr && tuning_.compute_threads > 0;
   if (pooled) {
     EnsureOffloadPool();
     {
@@ -430,21 +440,44 @@ void Simulation::Offload(SimTime duration, std::function<void()> fn) {
   ScheduleWake(p, duration, /*is_timeout=*/false, /*epoch=*/0);
   YieldToScheduler(p);  // throws ProcessKilled at teardown — before acquire
   if (pooled) {
-    // Join the closure. Usually a no-op: the pool had the whole virtual
+    // Help-first join: a job no pool thread has claimed yet runs right here
+    // instead of leaving this thread asleep on work nobody started. Only a
+    // claimed job is waited for, and the pool had the whole virtual
     // window's worth of wall time to finish it.
-    p->offload_sem.acquire();
+    if (std::function<void()> mine = ReclaimOffloadJob(p)) {
+      mine();
+    } else {
+      p->offload_sem.acquire();
+    }
   } else if (fn != nullptr) {
-    fn();  // inline tier: run at the resume point, after the window
+    fn();  // inline tier or solo window: run at the resume point
   }
+}
+
+std::function<void()> Simulation::ReclaimOffloadJob(const Process* p) {
+  OffloadPool* pool = offload_pool_.get();
+  std::lock_guard<std::mutex> lock(pool->mutex);
+  const auto it =
+      std::find_if(pool->queue.begin(), pool->queue.end(),
+                   [p](const OffloadJob& job) {
+                     return job.done == &p->offload_sem;
+                   });
+  if (it == pool->queue.end()) return nullptr;
+  std::function<void()> fn = std::move(it->fn);
+  pool->queue.erase(it);
+  ++pool->reclaimed;
+  return fn;
 }
 
 OffloadStats Simulation::offload_stats() const {
   OffloadStats stats;
   stats.calls = offload_calls_;
   stats.virtual_s = offload_virtual_s_;
+  stats.solo = offload_solo_;
   if (offload_pool_ != nullptr) {
     std::lock_guard<std::mutex> lock(offload_pool_->mutex);
     stats.pool_runs = offload_pool_->runs;
+    stats.reclaimed = offload_pool_->reclaimed;
     stats.pool_busy_wall_s = offload_pool_->busy_wall_s;
   }
   return stats;
@@ -479,15 +512,20 @@ void Simulation::OffloadWorkerMain() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    // Publish completion to the parked submitter first, then retire the
-    // job; the semaphore release carries the happens-before edge for the
-    // closure's writes.
+    // Count the run first, so a submitter resumed by the release below
+    // already sees it in offload_stats(). Then publish completion (the
+    // semaphore release carries the happens-before edge for the closure's
+    // writes) and only then retire the job: the teardown drain waits for
+    // active == 0 before any submitter's semaphore can be freed.
+    {
+      std::lock_guard<std::mutex> lock(pool->mutex);
+      ++pool->runs;
+      pool->busy_wall_s += busy;
+    }
     job.done->release();
     {
       std::lock_guard<std::mutex> lock(pool->mutex);
       --pool->active;
-      ++pool->runs;
-      pool->busy_wall_s += busy;
     }
     pool->idle_cv.notify_all();
   }

@@ -92,11 +92,15 @@ struct SimTuning {
   /// lacks fiber support (FSD_SIM_HAS_FIBERS == 0: sanitizers, non-Linux).
   bool use_fibers = true;
   /// Real threads for Simulation::Offload closures. 0 runs every closure
-  /// inline on the scheduler thread (today's behaviour); N overlaps
-  /// closures from distinct processes across N host cores. Like the other
-  /// knobs this must never change observable simulation behaviour — the
-  /// closure's virtual cost is charged analytically either way, so event
-  /// order, outputs and ledgers are byte-identical for every value.
+  /// inline on the scheduler thread; N overlaps closures from distinct
+  /// processes across N host cores. A closure whose virtual window holds no
+  /// other event (a "solo" window) still runs inline, since nothing could
+  /// overlap it, and a submitter that resumes before any pool thread
+  /// claimed its closure takes it back and runs it itself (a help-first
+  /// join) rather than sleeping on it. Like the other knobs this must never
+  /// change observable simulation behaviour — the closure's virtual cost is
+  /// charged analytically either way, so event order, outputs and ledgers
+  /// are byte-identical for every value.
   int compute_threads = 0;
 
   static SimTuning Legacy() {
@@ -142,13 +146,17 @@ class ProcessHandle {
 };
 
 /// Counters for the compute-offload layer (see Simulation::Offload).
-/// `calls`/`virtual_s` are virtual-time facts and byte-identical across
-/// every `compute_threads` value; `pool_runs`/`pool_busy_wall_s` describe
-/// the real thread pool and are wall-clock (zero when compute_threads==0).
+/// `calls`/`virtual_s`/`solo` are virtual-time facts and byte-identical
+/// across every `compute_threads` value; `pool_runs`/`reclaimed`/
+/// `pool_busy_wall_s` depend on wall-clock timing (all zero when
+/// compute_threads == 0). With a pool, every closure of a completed run is
+/// counted exactly once: pool_runs + reclaimed + solo == calls.
 struct OffloadStats {
   uint64_t calls = 0;           ///< Offload() invocations carrying a closure
   double virtual_s = 0.0;       ///< total virtual seconds charged for them
+  uint64_t solo = 0;            ///< closures whose window held no other event
   uint64_t pool_runs = 0;       ///< closures actually run on pool threads
+  uint64_t reclaimed = 0;       ///< queued closures the join took back
   double pool_busy_wall_s = 0.0;  ///< wall seconds pool threads spent busy
 };
 
@@ -201,9 +209,11 @@ class Simulation {
   /// Runs `fn` while this process's virtual time advances by `duration`:
   /// the process yields, other events dispatch inside the virtual window
   /// [now, now+duration], and the process resumes at now+duration with
-  /// `fn`'s side effects complete. With tuning().compute_threads == 0 the
-  /// closure runs inline at the resume point; with N > 0 it runs on a real
-  /// pool thread while the scheduler keeps dispatching — byte-identical
+  /// `fn`'s side effects complete. With tuning().compute_threads == 0, or
+  /// when no other event falls inside the window, the closure runs inline
+  /// at the resume point; otherwise it is queued for a real pool thread
+  /// while the scheduler keeps dispatching, and the resuming process runs
+  /// it itself if no pool thread has claimed it yet — byte-identical
   /// virtual behaviour, better wall-clock.
   ///
   /// Determinism contract for `fn`: it may touch state owned by the
@@ -315,6 +325,7 @@ class Simulation {
     bool shutdown = false;
     // Wall-clock pool counters (under mutex; see OffloadStats).
     uint64_t runs = 0;
+    uint64_t reclaimed = 0;
     double busy_wall_s = 0.0;
   };
 
@@ -366,6 +377,9 @@ class Simulation {
   void EnsureOffloadPool();
   /// Pool-thread main loop: pop job, run closure, release its semaphore.
   void OffloadWorkerMain();
+  /// Help-first join: removes `p`'s job from the pool queue if no pool
+  /// thread has claimed it and returns its closure (null when claimed).
+  std::function<void()> ReclaimOffloadJob(const Process* p);
   /// Teardown: discard queued jobs, wait out in-flight closures, join the
   /// pool. Must complete before any process stack (which closures may
   /// reference) is unwound or freed.
@@ -409,6 +423,7 @@ class Simulation {
   /// scheduler-thread-owned virtual counters.
   std::unique_ptr<OffloadPool> offload_pool_;
   uint64_t offload_calls_ = 0;
+  uint64_t offload_solo_ = 0;
   double offload_virtual_s_ = 0.0;
 };
 

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "codec/quant.h"
+#include "codec/varint.h"
 #include "common/rng.h"
 #include "core/serialization.h"
 
@@ -124,6 +125,21 @@ TEST(Serialization, DecodeRejectsCorruption) {
   EXPECT_FALSE(DecodeRows(wire, &decoded).ok());
   EXPECT_FALSE(DecodeRows(Bytes{}, &decoded).ok());
   EXPECT_FALSE(DecodeRows(Bytes{9, 9, 9}, &decoded).ok());
+}
+
+TEST(Serialization, DecodeRejectsHostileRowNnz) {
+  // An uncompressed payload claiming one row with nnz = 2^60: the field
+  // must fail as DataLoss before it sizes the row's index vector.
+  Bytes wire = {0};  // uncompressed lossless tag
+  codec::PutVarint64(&wire, 1);           // row count
+  codec::PutVarint64(&wire, 7);           // row id
+  codec::PutVarint64(&wire, 1ull << 60);  // nnz
+  codec::PutVarint64(&wire, 1024);        // dim
+  for (int i = 0; i < 16; ++i) wire.push_back(0);
+  linalg::ActivationMap decoded;
+  const Status status = DecodeRows(wire, &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(Serialization, EstimateRowBytesMonotonic) {

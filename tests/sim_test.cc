@@ -309,21 +309,138 @@ TEST(Simulation, OffloadFromSchedulerContextRunsInline) {
 }
 
 TEST(Simulation, OffloadStatsCountCallsAndPoolRuns) {
-  for (const int pool : {0, 3}) {
+  // Processes 0 and 1 offload in lockstep (each window holds the other's
+  // events); processes 2 and 3 start alone at t=100 and t=200, so their
+  // windows are solo. Where a pooled closure runs (pool thread or reclaimed
+  // by its submitter) depends on wall-clock timing, but the solo set is
+  // virtual and every closure is counted exactly once.
+  for (const int pool : {0, 1, 3}) {
     SimTuning tuning;
     tuning.compute_threads = pool;
     Simulation sim(tuning);
     for (int p = 0; p < 4; ++p) {
-      sim.AddProcess("p", [&]() {
-        for (int i = 0; i < 3; ++i) sim.Offload(0.5, []() {});
-      });
+      sim.AddProcess(
+          "p", [&]() {
+            for (int i = 0; i < 3; ++i) sim.Offload(0.5, []() {});
+          },
+          p < 2 ? 0.0 : 100.0 * (p - 1));
     }
     sim.Run();
     const OffloadStats stats = sim.offload_stats();
     EXPECT_EQ(stats.calls, 12u) << "pool=" << pool;
     EXPECT_DOUBLE_EQ(stats.virtual_s, 6.0) << "pool=" << pool;
-    EXPECT_EQ(stats.pool_runs, pool == 0 ? 0u : 12u) << "pool=" << pool;
+    EXPECT_EQ(stats.solo, 6u) << "pool=" << pool;
+    if (pool == 0) {
+      EXPECT_EQ(stats.pool_runs, 0u);
+      EXPECT_EQ(stats.reclaimed, 0u);
+    } else {
+      EXPECT_EQ(stats.pool_runs + stats.reclaimed + stats.solo, stats.calls)
+          << "pool=" << pool;
+    }
   }
+}
+
+TEST(Simulation, LoneProcessNeverTouchesThePool) {
+  // No other event ever falls inside a lone process's window, so every
+  // closure runs inline and the pool is never even started.
+  SimTuning tuning;
+  tuning.compute_threads = 3;
+  Simulation sim(tuning);
+  int ran = 0;
+  sim.AddProcess("lone", [&]() {
+    for (int i = 0; i < 5; ++i) {
+      sim.Offload(0.25, [&]() { ++ran; });
+      EXPECT_EQ(ran, i + 1);
+    }
+  });
+  sim.Run();
+  const OffloadStats stats = sim.offload_stats();
+  EXPECT_EQ(stats.calls, 5u);
+  EXPECT_EQ(stats.solo, 5u);
+  EXPECT_EQ(stats.pool_runs, 0u);
+  EXPECT_EQ(stats.reclaimed, 0u);
+}
+
+TEST(Simulation, ReclaimedClosureRunsOnceBeforeItsSubmitterResumes) {
+  // The only pool thread is pinned by a's closure until b has resumed, so
+  // b's queued closure can only run by being reclaimed at b's join, on b's
+  // own thread. (A join that slept on it would stall until a's bounded
+  // wait expires and then fail the checks below.)
+  SimTuning tuning;
+  tuning.compute_threads = 1;
+  Simulation sim(tuning);
+  std::atomic<bool> b_resumed{false};
+  bool a_saw_b_resume = false;
+  int b_runs = 0;
+  std::thread::id b_body_thread;
+  std::thread::id b_closure_thread;
+  sim.AddProcess("a", [&]() {
+    sim.Offload(10.0, [&]() {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!b_resumed.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      a_saw_b_resume = b_resumed.load();
+    });
+  });
+  sim.AddProcess("b", [&]() {
+    b_body_thread = std::this_thread::get_id();
+    sim.Offload(1.0, [&]() {
+      ++b_runs;
+      b_closure_thread = std::this_thread::get_id();
+    });
+    EXPECT_EQ(b_runs, 1);
+    EXPECT_EQ(sim.Now(), 1.0);
+    b_resumed = true;
+  });
+  sim.ScheduleCallback(0.5, []() {});  // keeps b's window from being solo
+  sim.Run();
+  EXPECT_EQ(b_runs, 1);
+  EXPECT_EQ(b_closure_thread, b_body_thread);
+  EXPECT_TRUE(a_saw_b_resume);
+  const OffloadStats stats = sim.offload_stats();
+  EXPECT_EQ(stats.calls, 2u);
+  EXPECT_EQ(stats.solo, 0u);
+  EXPECT_GE(stats.reclaimed, 1u);
+  EXPECT_EQ(stats.pool_runs + stats.reclaimed, 2u);
+}
+
+TEST(Simulation, TeardownDiscardsQueuedJobWithoutRunningIt) {
+  // a's closure pins the only pool thread until b's queued closure is
+  // destroyed, which only the teardown drain does: b's closure must be
+  // discarded, never run, and neither submitter may hang the teardown.
+  struct SetOnDestroy {
+    std::atomic<bool>* flag;
+    ~SetOnDestroy() { flag->store(true); }
+  };
+  std::atomic<bool> b_discarded{false};
+  std::atomic<bool> b_ran{false};
+  {
+    SimTuning tuning;
+    tuning.compute_threads = 1;
+    Simulation sim(tuning);
+    sim.AddProcess("a", [&]() {
+      sim.Offload(10.0, [&]() {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!b_discarded.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+    });
+    sim.AddProcess("b", [&]() {
+      sim.Offload(20.0, [&b_ran, guard = std::make_shared<SetOnDestroy>(
+                                     &b_discarded)]() {
+        b_ran = true;
+      });
+    });
+    sim.Run(/*until=*/1.0);  // neither wake (t=10, t=20) fires
+    EXPECT_FALSE(b_discarded.load());
+  }
+  EXPECT_TRUE(b_discarded.load());
+  EXPECT_FALSE(b_ran.load());
 }
 
 TEST(Simulation, OffloadByteIdenticalAcrossPoolSizes) {
