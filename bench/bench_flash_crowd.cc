@@ -23,6 +23,12 @@
 //  - workload-level cost reconciliation in BOTH modes: summed per-query
 //    comm predictions (plus the pre-warm loop's mirrored GET/transfer
 //    charges, which belong to no query) match the ledger to < 0.1%
+//
+// It also reports the wall-clock rate of the peer-share chunk path, the
+// sender's EncodeShareChunk and the receiver's ShareChunkMatches, as the
+// gated share_chunk_{encode,verify}_bytes_per_sec keys.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -31,6 +37,7 @@
 #include "common/strings.h"
 #include "core/cost_model.h"
 #include "core/serving.h"
+#include "core/share_distributor.h"
 
 using namespace fsd;
 using bench::ScaleConfig;
@@ -116,6 +123,68 @@ ModeResult RunMode(const bench::Workload& workload,
   return result;
 }
 
+struct ShareChunkRates {
+  double encode_bytes_per_sec = 0.0;
+  double verify_bytes_per_sec = 0.0;
+};
+
+/// Host rate of the peer-share chunk path over partition 0's share, cut
+/// into peer-transfer chunks (at most 8 of them, so the pre-encoded copy
+/// the verify side needs stays small at any scale). Each side repeats
+/// whole sweeps for at least `min_s` of wall time.
+ShareChunkRates MeasureShareChunks(const model::SparseDnn& dnn,
+                                   const part::ModelPartition& partition,
+                                   double min_s) {
+  using core::ShareDistributor;
+  const std::string family = "flash-crowd";
+  const uint64_t chunk_bytes = ShareDistributor::Options{}.peer_chunk_bytes;
+  const uint64_t share =
+      std::min(partition.WeightShareBytes(dnn, 0), 8 * chunk_bytes);
+  const uint64_t total = ShareDistributor::ChunkCount(share, chunk_bytes);
+  const auto payload = [&](uint64_t seq) {
+    return std::min(chunk_bytes, share - seq * chunk_bytes);
+  };
+  const auto rate = [min_s](auto sweep) {
+    const auto start = std::chrono::steady_clock::now();
+    double bytes = 0.0;
+    double elapsed = 0.0;
+    do {
+      bytes += sweep();
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    } while (elapsed < min_s);
+    return bytes / elapsed;
+  };
+
+  ShareChunkRates rates;
+  rates.encode_bytes_per_sec = rate([&]() {
+    double bytes = 0.0;
+    for (uint64_t seq = 0; seq < total; ++seq) {
+      bytes += static_cast<double>(
+          ShareDistributor::EncodeShareChunk(family, 0, 0, seq, total,
+                                             payload(seq))
+              .size());
+    }
+    return bytes;
+  });
+  std::vector<Bytes> chunks;
+  for (uint64_t seq = 0; seq < total; ++seq) {
+    chunks.push_back(ShareDistributor::EncodeShareChunk(family, 0, 0, seq,
+                                                        total, payload(seq)));
+  }
+  rates.verify_bytes_per_sec = rate([&]() {
+    double bytes = 0.0;
+    for (uint64_t seq = 0; seq < total; ++seq) {
+      FSD_CHECK(ShareDistributor::ShareChunkMatches(chunks[seq], family, 0, 0,
+                                                    seq, total, payload(seq)));
+      bytes += static_cast<double>(chunks[seq].size());
+    }
+    return bytes;
+  });
+  return rates;
+}
+
 }  // namespace
 
 int main() {
@@ -191,6 +260,12 @@ int main() {
       100.0 * rel_err_fast, 100.0 * rel_err_base);
   std::printf("outputs %s\n", identical ? "IDENTICAL" : "MISMATCH");
 
+  const ShareChunkRates share_rates =
+      MeasureShareChunks(workload.dnn, partition, scale.tiny ? 0.1 : 0.5);
+  std::printf("share chunks: encode %.1f MB/s, verify %.1f MB/s\n",
+              share_rates.encode_bytes_per_sec / 1e6,
+              share_rates.verify_bytes_per_sec / 1e6);
+
   bench::WriteBenchJson(
       "flash_crowd",
       {{"baseline_p50_latency_s", base.p50_s},
@@ -209,7 +284,11 @@ int main() {
        {"fast_prewarm_budget_spent", fast.prewarm_spent},
        {"fast_cost_per_query", fast.cost_per_query},
        {"comm_prediction_rel_err_fast", rel_err_fast},
-       {"comm_prediction_rel_err_base", rel_err_base}});
+       {"comm_prediction_rel_err_base", rel_err_base},
+       {"share_chunk_encode_bytes_per_sec",
+        share_rates.encode_bytes_per_sec},
+       {"share_chunk_verify_bytes_per_sec",
+        share_rates.verify_bytes_per_sec}});
 
   // The acceptance claims, asserted. Tiny smoke runs the full code path
   // (peer transfers, pre-warm loop, reconciliation) but its 1024-wide

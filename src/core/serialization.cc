@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 
 #include "codec/quant.h"
@@ -17,6 +18,9 @@ constexpr uint8_t kCompressedTag = 1;
 /// never negotiable — while the values block carries the bounded-error
 /// quantized floats.
 constexpr uint8_t kQuantizedTag = 2;
+
+constexpr uint64_t kInt32Max =
+    static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
 
 /// Encodes one row's structure: id, nnz, dim, delta-coded indices.
 void EncodeRowStructure(int32_t row_id, const linalg::SparseVector& row,
@@ -78,6 +82,11 @@ Status ParseRows(std::span<const uint8_t> payload,
     FSD_ASSIGN_OR_RETURN(uint64_t row_id, codec::GetVarint64(&reader));
     FSD_ASSIGN_OR_RETURN(uint64_t nnz, codec::GetVarint64(&reader));
     FSD_ASSIGN_OR_RETURN(uint64_t dim, codec::GetVarint64(&reader));
+    // Row ids and dims are int32_t in memory; a wider value must not be
+    // truncated into a negative id or dim.
+    if (row_id > kInt32Max || dim > kInt32Max) {
+      return Status::DataLoss("row id or dim exceeds int32");
+    }
     // Each index delta takes at least one byte, which bounds a hostile
     // nnz before it sizes an allocation.
     if (nnz > reader.remaining()) {

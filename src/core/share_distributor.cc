@@ -1,6 +1,8 @@
 #include "core/share_distributor.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
 
 #include "common/strings.h"
@@ -8,6 +10,13 @@
 
 namespace fsd::core {
 namespace {
+
+// The chunk wire format is little-endian (AppendRaw's convention); the
+// word-at-a-time pattern writes below rely on it.
+static_assert(std::endian::native == std::endian::little);
+
+/// Header of a share chunk: seq, total, payload size.
+constexpr uint64_t kShareChunkHeaderBytes = 3 * sizeof(uint64_t);
 
 /// splitmix64 step: drives the deterministic chunk payload pattern.
 uint64_t Mix64(uint64_t x) {
@@ -48,18 +57,54 @@ Bytes ShareDistributor::EncodeShareChunk(const std::string& family,
                                          uint64_t version, uint64_t seq,
                                          uint64_t total,
                                          uint64_t payload_bytes) {
-  Bytes out;
-  out.reserve(3 * sizeof(uint64_t) + payload_bytes);
-  AppendRaw(&out, seq);
-  AppendRaw(&out, total);
-  AppendRaw(&out, payload_bytes);
+  Bytes out(kShareChunkHeaderBytes + payload_bytes);
+  uint8_t* p = out.data();
+  const uint64_t header[3] = {seq, total, payload_bytes};
+  std::memcpy(p, header, kShareChunkHeaderBytes);
+  p += kShareChunkHeaderBytes;
+  // Payload byte i is byte (i % 8) of the (i / 8 + 1)-th Mix64 step, low
+  // byte first: one memcpy per word, and a ragged tail takes the low bytes
+  // of one more word.
   uint64_t state = ChunkSeed(family, partition_id, version, seq);
-  uint64_t word = 0;
-  for (uint64_t i = 0; i < payload_bytes; ++i) {
-    if (i % 8 == 0) word = state = Mix64(state);
-    out.push_back(static_cast<uint8_t>(word >> ((i % 8) * 8)));
+  const uint64_t words = payload_bytes / 8;
+  for (uint64_t w = 0; w < words; ++w, p += 8) {
+    state = Mix64(state);
+    std::memcpy(p, &state, 8);
+  }
+  if (const uint64_t tail = payload_bytes % 8; tail != 0) {
+    state = Mix64(state);
+    std::memcpy(p, &state, tail);
   }
   return out;
+}
+
+bool ShareDistributor::ShareChunkMatches(const Bytes& chunk,
+                                         const std::string& family,
+                                         int32_t partition_id,
+                                         uint64_t version, uint64_t seq,
+                                         uint64_t total,
+                                         uint64_t payload_bytes) {
+  if (payload_bytes > chunk.size() ||
+      chunk.size() - payload_bytes != kShareChunkHeaderBytes) {
+    return false;
+  }
+  const uint8_t* p = chunk.data();
+  const uint64_t header[3] = {seq, total, payload_bytes};
+  if (std::memcmp(p, header, kShareChunkHeaderBytes) != 0) return false;
+  p += kShareChunkHeaderBytes;
+  uint64_t state = ChunkSeed(family, partition_id, version, seq);
+  const uint64_t words = payload_bytes / 8;
+  for (uint64_t w = 0; w < words; ++w, p += 8) {
+    state = Mix64(state);
+    uint64_t got;
+    std::memcpy(&got, p, 8);
+    if (got != state) return false;
+  }
+  if (const uint64_t tail = payload_bytes % 8; tail != 0) {
+    state = Mix64(state);
+    return std::memcmp(p, &state, tail) == 0;
+  }
+  return true;
 }
 
 ShareDistributor::ShareDistributor(cloud::CloudEnv* cloud, Options options)
@@ -344,10 +389,11 @@ bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
         session_, inbox, cloud::kMaxValuesPerInboxPop, options_.pop_wait_s);
     if (!popped.ok() || !ctx->CheckDeadline().ok()) return false;
     for (const Bytes& chunk : *popped) {
-      const Bytes expected = EncodeShareChunk(
-          key.family, key.partition_id, key.version, received, total,
-          PayloadFor(share_bytes, chunk_bytes, received));
-      if (chunk != expected) return false;  // corrupted / foreign delivery
+      if (!ShareChunkMatches(chunk, key.family, key.partition_id,
+                             key.version, received, total,
+                             PayloadFor(share_bytes, chunk_bytes, received))) {
+        return false;  // corrupted / foreign delivery
+      }
       ++received;
     }
   }
@@ -395,10 +441,11 @@ bool ShareDistributor::TransferRelay(cloud::FaasContext* ctx,
     if (!popped.ok() || !ctx->CheckDeadline().ok()) return false;
     for (const Bytes& chunk : *popped) {
       metrics->share_relay_bytes += static_cast<int64_t>(chunk.size());
-      const Bytes expected = EncodeShareChunk(
-          key.family, key.partition_id, key.version, received, total,
-          PayloadFor(share_bytes, chunk_bytes, received));
-      if (chunk != expected) return false;
+      if (!ShareChunkMatches(chunk, key.family, key.partition_id,
+                             key.version, received, total,
+                             PayloadFor(share_bytes, chunk_bytes, received))) {
+        return false;
+      }
       ++received;
     }
   }

@@ -154,6 +154,15 @@ class ShareDistributor {
                                 uint64_t seq, uint64_t total,
                                 uint64_t payload_bytes);
 
+  /// True iff `chunk` is byte-identical to EncodeShareChunk with the same
+  /// arguments. Checks the size and header, then regenerates the pattern
+  /// word by word and compares it in place, without building the expected
+  /// copy. Both receive loops verify every delivered chunk with it.
+  static bool ShareChunkMatches(const Bytes& chunk, const std::string& family,
+                                int32_t partition_id, uint64_t version,
+                                uint64_t seq, uint64_t total,
+                                uint64_t payload_bytes);
+
   /// Chunk count for a share of `share_bytes` at `chunk_bytes` granularity
   /// (>= 1; the sizing shared by the transfer loop and the cost docs).
   static uint64_t ChunkCount(uint64_t share_bytes, uint64_t chunk_bytes);

@@ -214,6 +214,7 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
   }
 
   double prev_layer_macs = 0.0;
+  std::vector<const linalg::SparseVector*> table;
   for (int32_t k = 0; k < layers; ++k) {
     if (state->abort) return Status::Unavailable("run aborted by a peer");
     const double layer_start = ctx->sim()->Now();
@@ -271,16 +272,12 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     }
 
     // --- full multiply + activation over owned rows (bit-identical to the
-    // serial reference: one pass in CSR order over local + received) ---
-    const linalg::ActivationMap* local = &x;
-    const linalg::ActivationMap* remote = &received;
-    const linalg::RowProvider provider =
-        [local, remote](int32_t row) -> const linalg::SparseVector* {
-      auto it = local->find(row);
-      if (it != local->end()) return &it->second;
-      auto jt = remote->find(row);
-      if (jt != remote->end()) return &jt->second;
-      return nullptr;
+    // serial reference: one pass in CSR order over local + received). The
+    // kernel reads its input rows from a table indexed by weight column.
+    FSD_RETURN_IF_ERROR(BuildRowTable(x, received, dnn.weights[k].cols(),
+                                      batch, &table));
+    const linalg::RowProvider provider = [&table](int32_t col) {
+      return table[col];
     };
     // Price the multiply BEFORE running it (the MAC count is determined by
     // the inputs alone), then run the kernel itself under that virtual
@@ -345,6 +342,28 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
 }
 
 }  // namespace
+
+Status BuildRowTable(const linalg::ActivationMap& local,
+                     const linalg::ActivationMap& received, int32_t cols,
+                     int32_t batch,
+                     std::vector<const linalg::SparseVector*>* table) {
+  for (const auto& [row, vec] : received) {
+    if (row < 0 || row >= cols) {
+      return Status::DataLoss(
+          StrFormat("received row %d outside [0, %d)", row, cols));
+    }
+    if (vec.dim != batch) {
+      return Status::DataLoss(StrFormat(
+          "received row %d has dim %d, batch is %d", row, vec.dim, batch));
+    }
+  }
+  table->assign(static_cast<size_t>(std::max(cols, 0)), nullptr);
+  for (const auto& [row, vec] : received) (*table)[row] = &vec;
+  for (const auto& [row, vec] : local) {
+    if (row >= 0 && row < cols) (*table)[row] = &vec;
+  }
+  return Status::OK();
+}
 
 Bytes EncodeWorkerPayload(uint64_t run_id, int32_t worker_id) {
   Bytes out;

@@ -123,6 +123,18 @@ struct WorkerPayload {
   int32_t worker_id = 0;
 };
 
+/// Fills `table` with one layer's input rows indexed by weight column:
+/// slot c points at the row for column c, or is null for an inactive row.
+/// Received rows go in first and local rows second, so a local row wins.
+/// Every received row is checked before anything is written: a row id
+/// outside [0, cols) or a dim other than `batch` returns DataLoss and
+/// leaves `table` untouched. Local rows outside [0, cols) are never read
+/// by the kernel and are skipped.
+Status BuildRowTable(const linalg::ActivationMap& local,
+                     const linalg::ActivationMap& received, int32_t cols,
+                     int32_t batch,
+                     std::vector<const linalg::SparseVector*>* table);
+
 Bytes EncodeWorkerPayload(uint64_t run_id, int32_t worker_id);
 Result<WorkerPayload> DecodeWorkerPayload(const Bytes& payload);
 

@@ -4,6 +4,7 @@
 
 #include "cloud/cloud.h"
 #include "core/runtime.h"
+#include "core/worker.h"
 #include "model/input_gen.h"
 #include "model/reference.h"
 
@@ -403,6 +404,50 @@ TEST(EndToEnd, MetricsAccountingIsConsistent) {
   auto ref = model::ReferenceInference(w.dnn, w.input, &stats);
   ASSERT_TRUE(ref.ok());
   EXPECT_NEAR(t.compute_macs, stats.total_macs, stats.total_macs * 1e-9);
+}
+
+// --- the worker's per-layer row table (the kernel's input rows) ---
+
+linalg::SparseVector RowOfDim(int32_t dim, int32_t at) {
+  linalg::SparseVector row;
+  row.dim = dim;
+  row.idx = {at};
+  row.val = {1.0f};
+  return row;
+}
+
+TEST(RowTable, LocalRowsWinOverReceivedRows) {
+  linalg::ActivationMap local, received;
+  local[1] = RowOfDim(4, 0);
+  local[3] = RowOfDim(4, 1);
+  received[2] = RowOfDim(4, 2);
+  received[3] = RowOfDim(4, 3);  // shadowed by the local row 3
+  std::vector<const linalg::SparseVector*> table;
+  ASSERT_TRUE(BuildRowTable(local, received, 5, 4, &table).ok());
+  const std::vector<const linalg::SparseVector*> want = {
+      nullptr, &local[1], &received[2], &local[3], nullptr};
+  EXPECT_EQ(table, want);
+}
+
+TEST(RowTable, HostileReceivedRowsFailAsDataLossAndWriteNothing) {
+  const linalg::SparseVector sentinel = RowOfDim(4, 0);
+  const linalg::ActivationMap local = {{0, RowOfDim(4, 1)}};
+  const std::vector<std::pair<int32_t, int32_t>> hostile = {
+      {5, 4},   // row id == cols
+      {-1, 4},  // negative row id
+      {2, 3},   // dim other than the batch width
+      {2, 8},
+  };
+  for (const auto& [row_id, dim] : hostile) {
+    SCOPED_TRACE(testing::Message() << "row " << row_id << " dim " << dim);
+    linalg::ActivationMap received = {{1, RowOfDim(4, 2)}};
+    received[row_id] = RowOfDim(dim, 0);
+    std::vector<const linalg::SparseVector*> table = {&sentinel, nullptr};
+    const Status status = BuildRowTable(local, received, 5, 4, &table);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_EQ(table, (std::vector<const linalg::SparseVector*>{&sentinel,
+                                                               nullptr}));
+  }
 }
 
 }  // namespace

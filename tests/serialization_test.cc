@@ -142,6 +142,57 @@ TEST(Serialization, DecodeRejectsHostileRowNnz) {
   EXPECT_TRUE(decoded.empty());
 }
 
+/// An uncompressed payload of one row with the given raw fields and one
+/// index (delta `delta`, value 1.0f) when `nnz` is 1.
+Bytes OneRowWire(uint64_t row_id, uint64_t nnz, uint64_t dim,
+                 uint64_t delta) {
+  Bytes wire = {0};  // uncompressed lossless tag
+  codec::PutVarint64(&wire, 1);  // row count
+  codec::PutVarint64(&wire, row_id);
+  codec::PutVarint64(&wire, nnz);
+  codec::PutVarint64(&wire, dim);
+  if (nnz == 1) {
+    codec::PutVarint64(&wire, delta);
+    AppendRaw(&wire, 1.0f);
+  }
+  return wire;
+}
+
+TEST(Serialization, DecodeRejectsRowFieldsAboveInt32) {
+  constexpr uint64_t kTwo31 = 1ull << 31;
+  struct Case {
+    const char* name;
+    uint64_t row_id, nnz, dim, delta;
+  };
+  const Case hostile[] = {
+      // Would truncate to INT32_MIN.
+      {"row_id 2^31", kTwo31, 1, 8, 0},
+      // Would truncate to row 5 and overwrite it.
+      {"row_id 2^32+5", (1ull << 32) + 5, 1, 8, 0},
+      // Index 2^31 passes `idx < dim` in 64 bits, then both the dim and
+      // the index would go negative.
+      {"dim 2^31+4", 7, 1, kTwo31 + 4, kTwo31},
+      // Would truncate to dim 8 while keeping index 9.
+      {"dim 2^32+8", 7, 1, (1ull << 32) + 8, 9},
+  };
+  for (const Case& c : hostile) {
+    linalg::ActivationMap decoded;
+    const Status status =
+        DecodeRows(OneRowWire(c.row_id, c.nnz, c.dim, c.delta), &decoded);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << c.name;
+    EXPECT_TRUE(decoded.empty()) << c.name;
+  }
+  // INT32_MAX itself is representable and decodes.
+  constexpr uint64_t kMax = 0x7fffffffull;
+  linalg::ActivationMap decoded;
+  ASSERT_TRUE(DecodeRows(OneRowWire(kMax, 1, kMax, kMax - 1), &decoded).ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  const linalg::SparseVector& row = decoded.begin()->second;
+  EXPECT_EQ(decoded.begin()->first, 0x7fffffff);
+  EXPECT_EQ(row.dim, 0x7fffffff);
+  EXPECT_EQ(row.idx, std::vector<int32_t>{0x7ffffffe});
+}
+
 TEST(Serialization, EstimateRowBytesMonotonic) {
   EXPECT_LT(EstimateRowBytes(1), EstimateRowBytes(100));
   EXPECT_GE(EstimateRowBytes(0), 1u);

@@ -35,6 +35,93 @@ TEST(ShareDistributor, ChunkEncodingIsDeterministic) {
   EXPECT_NE(a, ShareDistributor::EncodeShareChunk("fam", 2, 8, 1, 3, 4096));
 }
 
+/// FNV-1a over a chunk's bytes; independent of the encoder under test.
+uint64_t ChunkDigest(const Bytes& chunk) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t byte : chunk) h = (h ^ byte) * 0x100000001b3ull;
+  return h;
+}
+
+struct GoldenChunk {
+  uint64_t payload_bytes;
+  uint64_t digest;
+};
+
+// Digests of the byte-at-a-time encoder that the word-at-a-time one
+// replaced, for chunk 2 of 9 of ("fam@golden", partition 3, version 5).
+// The chunk seed hashes the family with std::hash, so the digests hold
+// for libstdc++.
+constexpr GoldenChunk kGoldenChunks[] = {
+    {0, 0xf8142ac700a3a18eull},
+    {1, 0xc1504583aaa5f5d3ull},
+    {7, 0xd56ee191a45c0bd3ull},
+    {8, 0xc7e6c31a027a0a5bull},
+    {4095, 0x6ba9608482761f96ull},
+    {128 * 1024, 0xb028b9f6b4951bc8ull},
+    {4 * 1024 * 1024, 0xc9abfc5d520dedd3ull},
+};
+
+Bytes GoldenChunkBytes(uint64_t payload_bytes) {
+  return ShareDistributor::EncodeShareChunk("fam@golden", 3, 5, /*seq=*/2,
+                                            /*total=*/9, payload_bytes);
+}
+
+bool GoldenChunkMatches(const Bytes& chunk, uint64_t payload_bytes,
+                        uint64_t seq = 2, uint64_t total = 9) {
+  return ShareDistributor::ShareChunkMatches(chunk, "fam@golden", 3, 5, seq,
+                                             total, payload_bytes);
+}
+
+TEST(ShareDistributor, ChunkEncodingMatchesGoldenDigests) {
+  for (const GoldenChunk& golden : kGoldenChunks) {
+    SCOPED_TRACE(golden.payload_bytes);
+    const Bytes chunk = GoldenChunkBytes(golden.payload_bytes);
+    EXPECT_EQ(chunk.size(), 24 + golden.payload_bytes);
+    EXPECT_EQ(ChunkDigest(chunk), golden.digest);
+    EXPECT_TRUE(GoldenChunkMatches(chunk, golden.payload_bytes));
+  }
+}
+
+TEST(ShareDistributor, ChunkMatchRejectsEveryDamagedDelivery) {
+  for (const GoldenChunk& golden : kGoldenChunks) {
+    SCOPED_TRACE(golden.payload_bytes);
+    const uint64_t payload = golden.payload_bytes;
+    const Bytes chunk = GoldenChunkBytes(payload);
+
+    // One flipped byte in each header word, the first payload byte, the
+    // middle of the payload and the last byte (the ragged tail when the
+    // payload is not a multiple of 8).
+    std::vector<size_t> flips = {0, 8, 16};
+    if (payload > 0) {
+      flips.push_back(24);
+      flips.push_back(24 + payload / 2);
+      flips.push_back(chunk.size() - 1);
+    }
+    for (size_t at : flips) {
+      Bytes damaged = chunk;
+      damaged[at] ^= 0x01;
+      EXPECT_FALSE(GoldenChunkMatches(damaged, payload)) << "flip at " << at;
+    }
+
+    Bytes shorter = chunk;
+    shorter.pop_back();
+    EXPECT_FALSE(GoldenChunkMatches(shorter, payload));
+    Bytes longer = chunk;
+    longer.push_back(0);
+    EXPECT_FALSE(GoldenChunkMatches(longer, payload));
+
+    EXPECT_FALSE(GoldenChunkMatches(chunk, payload, /*seq=*/3));
+    EXPECT_FALSE(GoldenChunkMatches(chunk, payload, 2, /*total=*/10));
+    EXPECT_FALSE(GoldenChunkMatches(chunk, payload + 1));
+    if (payload > 0) {
+      EXPECT_FALSE(GoldenChunkMatches(chunk, payload - 1));
+    }
+  }
+  // A header-only delivery checked against an absurd payload size must not
+  // wrap the size check.
+  EXPECT_FALSE(GoldenChunkMatches(GoldenChunkBytes(0), ~0ull));
+}
+
 // Forced punch failure: the transfer must fall back to the KV relay and
 // still deliver every chunk byte-identically (the receiver verifies each
 // chunk against EncodeShareChunk; a corrupt delivery would degrade to
