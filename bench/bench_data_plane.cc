@@ -9,6 +9,9 @@
 //   - the cost model's prediction-from-metrics reconciles against the
 //     billing ledger to <0.1% for every codec, quantized included
 //   - per-chunk quantization error stays within codec::QuantRelErrorBound
+//
+// Wall-clock keys (gated, smaller is worse): the quantized and FsdLz codec
+// throughputs, and spmm_macs_per_sec for LayerForward over the partitions.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -251,6 +254,55 @@ int main() {
                     lz_raw_bytes / std::max(1e-9, lz_encode_s));
   json.emplace_back("lz_decode_bytes_per_sec",
                     lz_raw_bytes / std::max(1e-9, lz_decode_s));
+
+  // Wall-clock spmm throughput: LayerForward over this workload's layers
+  // and partitions, fed from per-layer row tables as the workers feed it —
+  // the gated spmm_macs_per_sec key (smaller is worse). The first sweep's
+  // partition outputs must reassemble the reference layer exactly.
+  std::vector<linalg::ActivationMap> layer_inputs = {workload.input};
+  FSD_CHECK(model::ReferenceInference(
+                workload.dnn, workload.input, nullptr,
+                [&](int32_t, const linalg::ActivationMap& x) {
+                  layer_inputs.push_back(x);
+                })
+                .ok());
+  const size_t spmm_layers = std::min(
+      static_cast<size_t>(workload.dnn.layers()), layer_inputs.size() - 1);
+  std::vector<std::vector<const linalg::SparseVector*>> tables(spmm_layers);
+  for (size_t k = 0; k < spmm_layers; ++k) {
+    tables[k].assign(static_cast<size_t>(workload.dnn.weights[k].cols()),
+                     nullptr);
+    for (const auto& [id, row] : layer_inputs[k]) tables[k][id] = &row;
+  }
+  const double spmm_min_s = scale.tiny ? 0.25 : 1.0;
+  double spmm_macs = 0.0;
+  double spmm_s = 0.0;
+  const auto spmm_start = std::chrono::steady_clock::now();
+  for (int sweep = 0; spmm_s < spmm_min_s; ++sweep) {
+    for (size_t k = 0; k < spmm_layers; ++k) {
+      const std::vector<const linalg::SparseVector*>& table = tables[k];
+      const linalg::RowProvider provider = [&table](int32_t col) {
+        return table[col];
+      };
+      linalg::ActivationMap merged;
+      for (int32_t m = 0; m < partition.num_parts; ++m) {
+        linalg::LayerForwardStats stats;
+        linalg::ActivationMap out = linalg::LayerForward(
+            workload.dnn.weights[k], partition.owned_rows[m], provider,
+            workload.dnn.config.bias, workload.dnn.config.relu_cap,
+            workload.batch, &stats);
+        spmm_macs += stats.macs;
+        if (sweep == 0) merged.merge(out);
+      }
+      if (sweep == 0) FSD_CHECK(merged == layer_inputs[k + 1]);
+    }
+    spmm_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           spmm_start)
+                 .count();
+  }
+  std::printf("spmm throughput (%s kernel): %.1f M MAC/s\n",
+              linalg::LayerForwardKernelName(), spmm_macs / spmm_s / 1e6);
+  json.emplace_back("spmm_macs_per_sec", spmm_macs / spmm_s);
   bench::WriteBenchJson("data_plane", json);
   return 0;
 }

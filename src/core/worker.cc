@@ -1,6 +1,7 @@
 #include "core/worker.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "codec/varint.h"
 #include "common/logging.h"
@@ -377,6 +378,11 @@ Result<WorkerPayload> DecodeWorkerPayload(const Bytes& payload) {
   WorkerPayload decoded;
   FSD_ASSIGN_OR_RETURN(decoded.run_id, codec::GetVarint64(&reader));
   FSD_ASSIGN_OR_RETURN(uint64_t id, codec::GetVarint64(&reader));
+  // A wider id must not be truncated into one that passes RunFsiWorker's
+  // range check (2^32 + 1 would otherwise decode as worker 1).
+  if (id > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::DataLoss("worker id exceeds int32");
+  }
   decoded.worker_id = static_cast<int32_t>(id);
   return decoded;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <vector>
 
 #if FSD_LINALG_HAS_SIMD
@@ -13,64 +14,52 @@ namespace {
 
 std::atomic<ForwardKernel> g_kernel{ForwardKernel::kAuto};
 
-/// Scatter-accumulates one input row into the batch accumulator and records
-/// first-touched positions. The two passes are split so the multiply-add
-/// stream is branch-free (the compiler can keep it in registers / vector
-/// units) while the touched-tracking pass carries the branches.
-///
-/// Positions within one input row are distinct (idx is strictly increasing),
-/// so each acc slot receives at most one add per call — any vectorization
-/// across j preserves the exact per-slot FP accumulation order.
-using AccumulateFn = void (*)(const SparseVector& x, float weight, float* acc,
-                              uint32_t* stamp, uint32_t epoch,
-                              std::vector<int32_t>& touched);
+/// Lanes per tile: one bit of a uint64_t touched mask per lane.
+constexpr int32_t kTileLanes = 64;
+/// Slice widths round up to a multiple of this (one __m256 of floats).
+constexpr int32_t kLaneBlock = 8;
 
-void AccumulatePortable(const SparseVector& x, float weight, float* acc,
-                        uint32_t* stamp, uint32_t epoch,
-                        std::vector<int32_t>& touched) {
-  const int32_t* idx = x.idx.data();
-  const float* val = x.val.data();
-  const size_t n = x.idx.size();
-  for (size_t j = 0; j < n; ++j) acc[idx[j]] += weight * val[j];
-  for (size_t j = 0; j < n; ++j) {
-    const int32_t pos = idx[j];
-    if (stamp[pos] != epoch) {
-      stamp[pos] = epoch;
-      touched.push_back(pos);
-    }
+/// The kernel's view of a weight matrix: `size` output rows, where local
+/// row l walks CSR row `rows[l]` (or l) and emits global id `ids[l]` (or
+/// l). Plain pointers keep the hot loop a plain loop: GCC will not inline
+/// an avx2 lane loop through a default-target lambda.
+struct RowSource {
+  size_t size = 0;
+  int32_t cols = 0;
+  const int32_t* ids = nullptr;
+  const int32_t* rows = nullptr;
+  const int64_t* row_ptr = nullptr;
+  const int32_t* col_idx = nullptr;
+  const float* values = nullptr;
+
+  int32_t GlobalId(size_t local) const {
+    return ids != nullptr ? ids[local] : static_cast<int32_t>(local);
   }
-}
+  size_t CsrRow(size_t local) const {
+    return rows != nullptr ? static_cast<size_t>(rows[local]) : local;
+  }
+};
+
+/// Lane loops: acc[0..width) += w * x[0..width), an explicit multiply then
+/// add (never FMA), so every lane rounds exactly as `acc += w * x` does.
+struct PortableLanes {
+  static void Axpy(float w, const float* x, float* acc, int32_t width) {
+    for (int32_t i = 0; i < width; ++i) acc[i] += w * x[i];
+  }
+};
 
 #if FSD_LINALG_HAS_SIMD
-__attribute__((target("avx2"))) void AccumulateAvx2(
-    const SparseVector& x, float weight, float* acc, uint32_t* stamp,
-    uint32_t epoch, std::vector<int32_t>& touched) {
-  const int32_t* idx = x.idx.data();
-  const float* val = x.val.data();
-  const size_t n = x.idx.size();
-  size_t j = 0;
-  // Contiguous index runs (dense rows, and the dense segments blob-shaped
-  // inputs produce) take the packed path: 8 independent slots per op.
-  // Explicit mul-then-add — never _mm256_fmadd_ps — keeps every slot's
-  // value bit-identical to the scalar `acc[p] += weight * val[j]`.
-  if (n >= 8 && static_cast<size_t>(idx[n - 1] - idx[0]) + 1 == n) {
-    float* dst = acc + idx[0];
-    const __m256 w = _mm256_set1_ps(weight);
-    for (; j + 8 <= n; j += 8) {
-      const __m256 v = _mm256_loadu_ps(val + j);
-      const __m256 a = _mm256_loadu_ps(dst + j);
-      _mm256_storeu_ps(dst + j, _mm256_add_ps(a, _mm256_mul_ps(w, v)));
+struct Avx2Lanes {
+  __attribute__((target("avx2"))) static void Axpy(
+      float w, const float* x, float* acc, int32_t width) {
+    const __m256 wv = _mm256_set1_ps(w);
+    for (int32_t i = 0; i < width; i += kLaneBlock) {
+      const __m256 a = _mm256_loadu_ps(acc + i);
+      const __m256 v = _mm256_loadu_ps(x + i);
+      _mm256_storeu_ps(acc + i, _mm256_add_ps(a, _mm256_mul_ps(wv, v)));
     }
   }
-  for (; j < n; ++j) acc[idx[j]] += weight * val[j];
-  for (size_t k = 0; k < n; ++k) {
-    const int32_t pos = idx[k];
-    if (stamp[pos] != epoch) {
-      stamp[pos] = epoch;
-      touched.push_back(pos);
-    }
-  }
-}
+};
 
 bool Avx2Supported() {
   static const bool supported = __builtin_cpu_supports("avx2");
@@ -78,37 +67,69 @@ bool Avx2Supported() {
 }
 #endif  // FSD_LINALG_HAS_SIMD
 
-AccumulateFn ResolveAccumulate() {
+bool UseAvx2() {
 #if FSD_LINALG_HAS_SIMD
-  const ForwardKernel k = g_kernel.load(std::memory_order_relaxed);
-  if (k != ForwardKernel::kPortable && Avx2Supported()) return AccumulateAvx2;
+  return g_kernel.load(std::memory_order_relaxed) !=
+             ForwardKernel::kPortable &&
+         Avx2Supported();
+#else
+  return false;
 #endif
-  return AccumulatePortable;
 }
 
-/// Per-thread kernel scratch: the dense accumulator panel, the epoch-stamp
-/// array and the touched list. thread_local ownership makes concurrent
-/// LayerForward calls (offloaded worker kernels overlapping on a compute
-/// pool) race-free by construction, and reusing the panel across calls on
-/// the same thread drops the per-call allocation cost.
-///
-/// Invariants carried across calls: `acc` is all-zero between calls (the
-/// row loop resets every touched slot as it emits the row), and every
-/// stamp satisfies stamp[pos] != epoch+1 at entry (stamps only ever hold
-/// past epochs; the wrap branch refills on overflow), so reuse cannot
-/// change results.
-struct KernelScratch {
-  std::vector<float> acc;
-  std::vector<uint32_t> stamp;
-  std::vector<int32_t> touched;
-  uint32_t epoch = 0;
+/// Column slot before the column's first reference in a call.
+constexpr int32_t kUnresolved = -1;
+/// Column slot of an inactive (null or empty) input row.
+constexpr int32_t kInactive = -2;
 
-  void Prepare(size_t batch) {
-    if (acc.size() < batch) {
-      acc.resize(batch, 0.0f);
-      stamp.resize(batch, 0u);  // 0 is never a live epoch (see wrap branch)
+/// Per-thread kernel scratch: the tile accumulator and the panel of dense
+/// input slices. thread_local ownership makes concurrent LayerForward calls
+/// (offloaded worker kernels overlapping on a compute pool) race-free by
+/// construction, and reuse keeps steady-state calls from reallocating.
+/// Every call clears the slices and zeroes `acc` per tile, so nothing one
+/// call leaves behind can reach the next.
+struct KernelScratch {
+  struct Slice {
+    const SparseVector* input = nullptr;
+    size_t next = 0;    ///< first entry of `input` past the current tile
+    uint64_t mask = 0;  ///< lanes of the current tile `input` holds
+    int64_t lanes = 0;  ///< popcount(mask): MACs per weight
+  };
+
+  alignas(32) float acc[kTileLanes];
+  std::vector<float> panel;  ///< slice s at [s * width, (s + 1) * width)
+  std::vector<Slice> slices;
+
+  /// Zero-pads the entries of slice s's row that fall in the tile
+  /// [base, base + lanes) into its panel span. Tiles advance in order, so
+  /// each tile resumes where the previous one stopped.
+  void Expand(size_t s, int32_t base, int32_t lanes, int32_t width) {
+    float* const dst = panel.data() + s * static_cast<size_t>(width);
+    std::fill(dst, dst + width, 0.0f);
+    Slice& slice = slices[s];
+    const SparseVector& x = *slice.input;
+    const size_t first = slice.next;
+    slice.mask = 0;
+    for (; slice.next < x.idx.size() && x.idx[slice.next] < base + lanes;
+         ++slice.next) {
+      const int32_t lane = x.idx[slice.next] - base;
+      dst[lane] = x.val[slice.next];
+      slice.mask |= uint64_t{1} << lane;
     }
-    touched.reserve(batch);
+    slice.lanes = static_cast<int64_t>(slice.next - first);
+  }
+
+  /// Resolves a column on its first reference (always in the first tile):
+  /// calls the provider once and expands an active row into a new slice.
+  [[gnu::noinline]] int32_t Resolve(const RowProvider& provider, int32_t col,
+                                    int32_t lanes, int32_t width) {
+    const SparseVector* x = provider(col);
+    if (x == nullptr || x->empty()) return kInactive;
+    const size_t s = slices.size();
+    slices.push_back({.input = x});
+    panel.resize(panel.size() + static_cast<size_t>(width));
+    Expand(s, /*base=*/0, lanes, width);
+    return static_cast<int32_t>(s);
   }
 };
 
@@ -117,161 +138,129 @@ KernelScratch& ThreadScratch() {
   return scratch;
 }
 
-/// Shared kernel core. RowSource provides the row iteration:
-///   size_t size() const;
-///   int32_t cols() const;
-///   int32_t GlobalId(size_t local) const;
-///   template <typename Fn> void ForEach(size_t local, Fn fn) const;
-template <typename RowSource>
-ActivationMap LayerForwardImpl(const RowSource& source,
-                               const RowProvider& provider, float bias,
-                               float relu_cap, int32_t batch,
-                               LayerForwardStats* stats) {
+/// The one kernel body (tile scheme in spmm.h); Lanes supplies only the
+/// lane loop. The AVX2 entry point inlines it, so its lane loop inlines
+/// too, with no call per weight.
+///
+/// Bytes match a scatter into only the row's lanes: each lane receives its
+/// adds in CSR order, and a lane a slice lacks receives w * 0 = +-0 (w is
+/// finite), which leaves any accumulator that started at +0 unchanged,
+/// because round-to-nearest never turns +0 into -0 by adding.
+template <typename Lanes>
+[[gnu::always_inline]] inline ActivationMap ForwardBody(
+    const RowSource& source, const RowProvider& provider, float bias,
+    float relu_cap, int32_t batch, LayerForwardStats* stats) {
   ActivationMap out;
-  // Epoch stamps replace the old `acc[pos] == 0.0f` probe: a position is
-  // first-touched iff its stamp lags the row epoch, so the touched list is
-  // duplicate-free even when sums cancel to exactly zero mid-row. The
-  // panels live in per-thread scratch (see KernelScratch).
   KernelScratch& scratch = ThreadScratch();
-  scratch.Prepare(static_cast<size_t>(batch));
-  float* const acc = scratch.acc.data();
-  uint32_t* const stamp = scratch.stamp.data();
-  std::vector<int32_t>& touched = scratch.touched;
-  uint32_t& epoch = scratch.epoch;
-  // Provider results are memoized per call: every provider is a pure lookup
-  // into this layer's input activations, and W's columns repeat across the
-  // row block, so the std::function + map-find cost is paid once per
-  // distinct column instead of once per weight nonzero.
-  const size_t cols = static_cast<size_t>(std::max<int32_t>(source.cols(), 0));
-  std::vector<const SparseVector*> memo(cols, nullptr);
-  std::vector<uint8_t> memo_known(cols, 0);
-  const AccumulateFn accumulate = ResolveAccumulate();
-  double macs = 0.0;
+  scratch.panel.clear();
+  scratch.slices.clear();
+  const size_t cols = static_cast<size_t>(std::max<int32_t>(source.cols, 0));
+  std::vector<int32_t> slot(cols, kUnresolved);
+  int64_t macs = 0;
   int64_t output_nnz = 0;
-  // Hoisted out of the row loop: rows that produce no output (or whose
-  // touched positions all cancel/deactivate) reuse the buffers' capacity
-  // instead of reallocating per row; emplaced rows reserve exactly
-  // touched.size() up front instead of growth-doubling.
-  SparseVector row;
+  int32_t out_idx[kTileLanes] = {};
+  float out_val[kTileLanes] = {};
 
-  for (size_t local = 0; local < source.size(); ++local) {
-    if (++epoch == 0) {  // wrapped: stale stamps could alias, restart
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-      epoch = 1;
+  for (int32_t base = 0; base < batch; base += kTileLanes) {
+    const int32_t lanes = std::min(kTileLanes, batch - base);
+    const int32_t width = (lanes + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+    if (base > 0) {
+      for (size_t s = 0; s < scratch.slices.size(); ++s) {
+        scratch.Expand(s, base, lanes, width);
+      }
     }
-    // Sparse accumulation: only positions touched by some input row are
-    // visited, so fully-inactive output rows cost nothing to scan.
-    touched.clear();
-    source.ForEach(local, [&](int32_t col, float weight) {
-      const SparseVector* x;
-      if (memo_known[col]) {
-        x = memo[col];
+    float* const acc = scratch.acc;
+    std::fill(acc, acc + kTileLanes, 0.0f);
+    // Rows arrive in ascending id, so the hint only moves forward: later
+    // tiles append to the rows earlier tiles emitted.
+    auto hint = out.begin();
+
+    for (size_t local = 0; local < source.size; ++local) {
+      const size_t csr_row = source.CsrRow(local);
+      const int64_t end = source.row_ptr[csr_row + 1];
+      uint64_t touched = 0;
+      for (int64_t p = source.row_ptr[csr_row]; p < end; ++p) {
+        const int32_t col = source.col_idx[p];
+        int32_t s = slot[col];
+        if (s == kUnresolved) {
+          s = slot[col] = scratch.Resolve(provider, col, lanes, width);
+        }
+        if (s < 0) continue;
+        const KernelScratch::Slice& slice = scratch.slices[s];
+        if (slice.mask == 0) continue;  // no lanes in this tile
+        touched |= slice.mask;
+        macs += slice.lanes;
+        Lanes::Axpy(source.values[p],
+                    scratch.panel.data() + static_cast<size_t>(s) * width,
+                    acc, width);
+      }
+      if (touched == 0) continue;
+
+      // Untouched lanes evaluate to ReLU(bias); with the benchmark's
+      // non-positive biases that is exactly 0, so skipping them is correct
+      // (callers must not rely on positive biases activating silent rows).
+      int32_t n = 0;
+      for (uint64_t m = touched; m != 0; m &= m - 1) {
+        const int32_t lane = std::countr_zero(m);
+        float v = acc[lane] + bias;
+        acc[lane] = 0.0f;  // lanes outside `touched` only ever held +0
+        if (relu_cap > 0.0f) {
+          if (v <= 0.0f) continue;
+          if (v > relu_cap) v = relu_cap;
+        } else if (v == 0.0f) {
+          continue;
+        }
+        out_idx[n] = base + lane;
+        out_val[n] = v;
+        ++n;
+      }
+      if (n == 0) continue;
+      output_nnz += n;
+
+      const int32_t id = source.GlobalId(local);
+      while (hint != out.end() && hint->first < id) ++hint;
+      if (hint != out.end() && hint->first == id) {
+        SparseVector& row = hint->second;
+        row.idx.insert(row.idx.end(), out_idx, out_idx + n);
+        row.val.insert(row.val.end(), out_val, out_val + n);
       } else {
-        x = provider(col);
-        memo[col] = x;
-        memo_known[col] = 1;
+        SparseVector row;
+        row.dim = batch;
+        row.idx.assign(out_idx, out_idx + n);
+        row.val.assign(out_val, out_val + n);
+        hint = out.emplace_hint(hint, id, std::move(row));
       }
-      if (x == nullptr || x->empty()) return;
-      macs += static_cast<double>(x->nnz());
-      accumulate(*x, weight, acc, stamp, epoch, touched);
-    });
-    if (touched.empty()) continue;
-    std::sort(touched.begin(), touched.end());
-
-    // Untouched positions evaluate to ReLU(bias); with the benchmark's
-    // non-positive biases that is exactly 0, so skipping them is correct
-    // (callers must not rely on positive biases activating silent rows).
-    row.dim = batch;
-    row.idx.clear();
-    row.val.clear();
-    row.idx.reserve(touched.size());
-    row.val.reserve(touched.size());
-    for (int32_t pos : touched) {
-      float v = acc[pos] + bias;
-      acc[pos] = 0.0f;  // reset for the next output row
-      if (relu_cap > 0.0f) {
-        if (v <= 0.0f) continue;
-        if (v > relu_cap) v = relu_cap;
-      } else if (v == 0.0f) {
-        continue;
-      }
-      row.idx.push_back(pos);
-      row.val.push_back(v);
-    }
-    if (!row.empty()) {
-      output_nnz += static_cast<int64_t>(row.nnz());
-      out.emplace(source.GlobalId(local), std::move(row));
     }
   }
 
   if (stats != nullptr) {
-    stats->macs = macs;
+    stats->macs = static_cast<double>(macs);
     stats->rows_produced = static_cast<int64_t>(out.size());
     stats->output_nnz = output_nnz;
   }
   return out;
 }
 
-/// Replays LayerForwardImpl's provider walk — same iteration order, same
-/// memoization, same `macs +=` accumulation — without touching the
-/// accumulator panels, so the returned count matches stats->macs of the
-/// corresponding kernel call bit-for-bit.
-template <typename RowSource>
-double CountMacsImpl(const RowSource& source, const RowProvider& provider) {
-  const size_t cols = static_cast<size_t>(std::max<int32_t>(source.cols(), 0));
-  std::vector<const SparseVector*> memo(cols, nullptr);
-  std::vector<uint8_t> memo_known(cols, 0);
-  double macs = 0.0;
-  for (size_t local = 0; local < source.size(); ++local) {
-    source.ForEach(local, [&](int32_t col, float /*weight*/) {
-      const SparseVector* x;
-      if (memo_known[col]) {
-        x = memo[col];
-      } else {
-        x = provider(col);
-        memo[col] = x;
-        memo_known[col] = 1;
-      }
-      if (x == nullptr || x->empty()) return;
-      macs += static_cast<double>(x->nnz());
-    });
-  }
-  return macs;
+#if FSD_LINALG_HAS_SIMD
+__attribute__((target("avx2"))) ActivationMap ForwardAvx2(
+    const RowSource& source, const RowProvider& provider, float bias,
+    float relu_cap, int32_t batch, LayerForwardStats* stats) {
+  return ForwardBody<Avx2Lanes>(source, provider, bias, relu_cap, batch,
+                                stats);
 }
+#endif  // FSD_LINALG_HAS_SIMD
 
-struct BlockSource {
-  const RowBlock& block;
-  size_t size() const { return block.num_rows(); }
-  int32_t cols() const { return block.cols; }
-  int32_t GlobalId(size_t local) const { return block.row_ids[local]; }
-  template <typename Fn>
-  void ForEach(size_t local, Fn fn) const {
-    block.ForEachInRow(local, fn);
+ActivationMap Forward(const RowSource& source, const RowProvider& provider,
+                      float bias, float relu_cap, int32_t batch,
+                      LayerForwardStats* stats) {
+#if FSD_LINALG_HAS_SIMD
+  if (UseAvx2()) {
+    return ForwardAvx2(source, provider, bias, relu_cap, batch, stats);
   }
-};
-
-struct SubsetSource {
-  const CsrMatrix& weights;
-  const std::vector<int32_t>& rows;
-  size_t size() const { return rows.size(); }
-  int32_t cols() const { return weights.cols(); }
-  int32_t GlobalId(size_t local) const { return rows[local]; }
-  template <typename Fn>
-  void ForEach(size_t local, Fn fn) const {
-    weights.ForEachInRow(rows[local], fn);
-  }
-};
-
-struct AllSource {
-  const CsrMatrix& weights;
-  size_t size() const { return static_cast<size_t>(weights.rows()); }
-  int32_t cols() const { return weights.cols(); }
-  int32_t GlobalId(size_t local) const { return static_cast<int32_t>(local); }
-  template <typename Fn>
-  void ForEach(size_t local, Fn fn) const {
-    weights.ForEachInRow(static_cast<int32_t>(local), fn);
-  }
-};
+#endif
+  return ForwardBody<PortableLanes>(source, provider, bias, relu_cap, batch,
+                                    stats);
+}
 
 }  // namespace
 
@@ -292,14 +281,19 @@ bool LayerForwardVectorizedAvailable() {
 }
 
 const char* LayerForwardKernelName() {
-  return ResolveAccumulate() == AccumulatePortable ? "portable" : "avx2";
+  return UseAvx2() ? "avx2" : "portable";
 }
 
 ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
                            float bias, float relu_cap, int32_t batch,
                            LayerForwardStats* stats) {
-  return LayerForwardImpl(BlockSource{block}, provider, bias, relu_cap, batch,
-                          stats);
+  const RowSource source = {.size = block.num_rows(),
+                            .cols = block.cols,
+                            .ids = block.row_ids.data(),
+                            .row_ptr = block.row_ptr.data(),
+                            .col_idx = block.col_idx.data(),
+                            .values = block.values.data()};
+  return Forward(source, provider, bias, relu_cap, batch, stats);
 }
 
 ActivationMap LayerForward(const CsrMatrix& weights,
@@ -307,22 +301,46 @@ ActivationMap LayerForward(const CsrMatrix& weights,
                            const RowProvider& provider, float bias,
                            float relu_cap, int32_t batch,
                            LayerForwardStats* stats) {
-  return LayerForwardImpl(SubsetSource{weights, rows}, provider, bias,
-                          relu_cap, batch, stats);
+  const RowSource source = {.size = rows.size(),
+                            .cols = weights.cols(),
+                            .ids = rows.data(),
+                            .rows = rows.data(),
+                            .row_ptr = weights.row_ptr().data(),
+                            .col_idx = weights.col_idx().data(),
+                            .values = weights.values().data()};
+  return Forward(source, provider, bias, relu_cap, batch, stats);
 }
 
 double CountLayerMacs(const CsrMatrix& weights,
                       const std::vector<int32_t>& rows,
                       const RowProvider& provider) {
-  return CountMacsImpl(SubsetSource{weights, rows}, provider);
+  // Memoizes the provider per column as the kernel does; every active
+  // row's entries are counted once per weight that reads it.
+  std::vector<int32_t> nnz(static_cast<size_t>(std::max(weights.cols(), 0)),
+                           -1);
+  int64_t macs = 0;
+  for (const int32_t row : rows) {
+    weights.ForEachInRow(row, [&](int32_t col, float /*weight*/) {
+      if (nnz[col] < 0) {
+        const SparseVector* x = provider(col);
+        nnz[col] = x == nullptr ? 0 : static_cast<int32_t>(x->nnz());
+      }
+      macs += nnz[col];
+    });
+  }
+  return static_cast<double>(macs);
 }
 
 ActivationMap LayerForwardAll(const CsrMatrix& weights,
                               const RowProvider& provider, float bias,
                               float relu_cap, int32_t batch,
                               LayerForwardStats* stats) {
-  return LayerForwardImpl(AllSource{weights}, provider, bias, relu_cap, batch,
-                          stats);
+  const RowSource source = {.size = static_cast<size_t>(weights.rows()),
+                            .cols = weights.cols(),
+                            .row_ptr = weights.row_ptr().data(),
+                            .col_idx = weights.col_idx().data(),
+                            .values = weights.values().data()};
+  return Forward(source, provider, bias, relu_cap, batch, stats);
 }
 
 }  // namespace fsd::linalg

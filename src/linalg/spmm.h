@@ -5,10 +5,15 @@
 // baselines and every FSD-Inference worker, so distributed results can be
 // compared bit-for-bit against the reference.
 //
-// Thread safety: the kernel's dense accumulator panel and epoch-stamped
-// touched tracking live in thread_local scratch, so concurrent
-// LayerForward calls from different threads (the sim's compute-offload
-// pool) are race-free and produce results identical to serial calls.
+// The kernel is a dense lane-tile kernel: per tile of at most 64 batch
+// lanes it expands each active input row once into a zero-padded dense
+// slice with a lane mask, adds w * slice per weight in CSR order, and
+// emits the OR of the masks in ascending lane order.
+//
+// Thread safety: the tile accumulator and the slice panel live in
+// thread_local scratch, so concurrent LayerForward calls from different
+// threads (the sim's compute-offload pool) are race-free and produce
+// results identical to serial calls.
 #ifndef FSD_LINALG_SPMM_H_
 #define FSD_LINALG_SPMM_H_
 
@@ -58,9 +63,9 @@ struct LayerForwardStats {
   int64_t output_nnz = 0;     ///< total nonzeros in output rows
 };
 
-/// Kernel selection for LayerForward. Both kernels produce byte-identical
-/// ActivationMaps and LayerForwardStats: the vectorized path only changes
-/// how per-position sums are scheduled, never their accumulation order.
+/// Kernel selection for LayerForward. Both kernels run one body and differ
+/// only in the lane loop (scalar, or AVX2 multiply then add, never FMA), so
+/// they produce byte-identical ActivationMaps and LayerForwardStats.
 enum class ForwardKernel {
   kAuto,        ///< vectorized when compiled in and the CPU supports it
   kPortable,    ///< scalar baseline, always built
@@ -86,13 +91,20 @@ const char* LayerForwardKernelName();
 /// thresholded-ReLU keeps activations sparse). `relu_cap` clamps values
 /// (32 in the benchmark); pass 0 to disable the final activation (used by
 /// the output layer of generic models).
+///
+/// Weights must be finite (GenerateSparseDnn guarantees it) and every
+/// provided row's indices must lie in [0, batch). Under those conditions
+/// the output is byte-identical to scattering each weight's products into
+/// only the lanes its input row holds: a lane the row lacks receives
+/// w * 0 = +-0, which never changes an accumulator that starts at +0.
 ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
                            float bias, float relu_cap, int32_t batch,
                            LayerForwardStats* stats = nullptr);
 
 /// Zero-copy variant: computes the same result for the subset `rows` of
 /// `weights` without extracting a RowBlock (workers iterate their partition
-/// of the shared model directly). `rows` must be sorted and in range.
+/// of the shared model directly). `rows` must be strictly increasing and in
+/// range.
 ActivationMap LayerForward(const CsrMatrix& weights,
                            const std::vector<int32_t>& rows,
                            const RowProvider& provider, float bias,
@@ -100,11 +112,11 @@ ActivationMap LayerForward(const CsrMatrix& weights,
                            LayerForwardStats* stats = nullptr);
 
 /// Exact MAC count the subset LayerForward above would report in
-/// stats->macs, computed by replaying the kernel's provider walk without
-/// running the accumulation. The compute-offload path uses this to price a
-/// kernel's virtual time BEFORE submitting the kernel itself to the pool.
-/// Bit-identical to the kernel's count (same iteration order; all addends
-/// are integer-valued doubles).
+/// stats->macs: the nnz of each weight's input row, summed over the
+/// weights without running the accumulation. The compute-offload path uses
+/// this to price a kernel's virtual time BEFORE submitting the kernel
+/// itself to the pool. Both sides sum as int64 and convert once, so the
+/// counts match to the bit.
 double CountLayerMacs(const CsrMatrix& weights,
                       const std::vector<int32_t>& rows,
                       const RowProvider& provider);

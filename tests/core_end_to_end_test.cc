@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud.h"
+#include "codec/varint.h"
 #include "core/runtime.h"
 #include "core/worker.h"
 #include "model/input_gen.h"
@@ -447,6 +448,22 @@ TEST(RowTable, HostileReceivedRowsFailAsDataLossAndWriteNothing) {
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
     EXPECT_EQ(table, (std::vector<const linalg::SparseVector*>{&sentinel,
                                                                nullptr}));
+  }
+}
+
+TEST(WorkerPayload, RoundTripsAndRejectsIdsAboveInt32) {
+  Result<WorkerPayload> ok = DecodeWorkerPayload(EncodeWorkerPayload(7, 3));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->run_id, 7u);
+  EXPECT_EQ(ok->worker_id, 3);
+  for (const uint64_t id : {(uint64_t{1} << 32) + 1, uint64_t{1} << 31,
+                            ~uint64_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "id " << id);
+    Bytes payload;
+    codec::PutVarint64(&payload, 7);
+    codec::PutVarint64(&payload, id);
+    EXPECT_EQ(DecodeWorkerPayload(payload).status().code(),
+              StatusCode::kDataLoss);
   }
 }
 

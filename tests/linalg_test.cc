@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <tuple>
 
 #include "common/rng.h"
@@ -232,13 +233,14 @@ TEST(LayerForward, ReluClampAndThreshold) {
 
 TEST(LayerForward, KernelsProduceByteIdenticalOutputs) {
   // The vectorized kernel must match the portable one bit-for-bit — same
-  // ActivationMap bytes, same stats — across randomized layers. Where the
-  // AVX2 path is compiled out or the CPU lacks it, both runs take the
-  // portable kernel and the comparison is trivially exact.
+  // ActivationMap bytes, same stats — across randomized layers, with
+  // batches from one lane to past three 64-lane tiles. Where the AVX2 path
+  // is compiled out or the CPU lacks it, both runs take the portable
+  // kernel and the comparison is trivially exact.
   Rng rng(4242);
   for (int trial = 0; trial < 6; ++trial) {
     const int32_t n = 32 + static_cast<int32_t>(rng.NextBounded(200));
-    const int32_t batch = 1 + static_cast<int32_t>(rng.NextBounded(40));
+    const int32_t batch = 1 + static_cast<int32_t>(rng.NextBounded(200));
     const int nnz_per_row = 1 + static_cast<int>(rng.NextBounded(24));
     std::vector<Triplet> triplets;
     for (int32_t i = 0; i < n; ++i) {
@@ -253,7 +255,7 @@ TEST(LayerForward, KernelsProduceByteIdenticalOutputs) {
     for (int32_t j = 0; j < n; ++j) {
       SparseVector row;
       row.dim = batch;
-      // Mix of contiguous runs (the AVX2 fast path) and scattered samples.
+      // Mix of contiguous runs and scattered samples.
       const bool contiguous = rng.NextBool(0.5);
       for (int32_t s = 0; s < batch; ++s) {
         if (contiguous ? s < batch / 2 : rng.NextBool(0.3)) {
@@ -395,9 +397,9 @@ TEST(CountLayerMacs, MatchesKernelStatsExactly) {
 }
 
 TEST(LayerForward, ConcurrentCallsMatchSerialByteForByte) {
-  // The kernel's accumulator panel and epoch-stamped touched tracking are
-  // thread_local: concurrent calls from a compute pool must neither race
-  // nor perturb results. Each thread replays problems a serial pass
+  // The kernel's tile accumulator and slice panel are thread_local:
+  // concurrent calls from a compute pool must neither race nor perturb
+  // results. Each thread replays problems a serial pass
   // already solved and demands identical ActivationMaps.
   constexpr int kProblems = 8;
   constexpr int kRepeats = 4;
@@ -433,6 +435,196 @@ TEST(LayerForward, ConcurrentCallsMatchSerialByteForByte) {
   for (int i = 0; i < kProblems; ++i) {
     EXPECT_EQ(mismatches[i], 0) << "problem " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned output bytes: FNV-1a digests of LayerForward output (row ids, dims,
+// indices, value bits and the three stats) captured from the scatter kernel
+// that preceded the lane-tile kernel. Any change to the kernel that moves a
+// single output bit, on any entry point or batch width, fails here.
+
+class Fnv1a {
+ public:
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void AddValue(T value) {
+    Add(&value, sizeof(value));
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void AddOutput(const ActivationMap& out, const LayerForwardStats& stats,
+               Fnv1a* fnv) {
+  fnv->AddValue(static_cast<uint64_t>(out.size()));
+  for (const auto& [row, vec] : out) {
+    fnv->AddValue(row);
+    fnv->AddValue(vec.dim);
+    fnv->AddValue(static_cast<uint64_t>(vec.nnz()));
+    fnv->Add(vec.idx.data(), vec.idx.size() * sizeof(int32_t));
+    for (float v : vec.val) fnv->AddValue(std::bit_cast<uint32_t>(v));
+  }
+  fnv->AddValue(std::bit_cast<uint64_t>(stats.macs));
+  fnv->AddValue(stats.rows_produced);
+  fnv->AddValue(stats.output_nnz);
+}
+
+/// A layer built to reach every kernel edge at one batch width: inactive,
+/// present-but-empty, contiguous, scattered and high-lanes-only input rows;
+/// dyadic weights and inputs (exact sums, so lanes cancel to exactly zero)
+/// mixed with rounding ones; and rows whose only two weights cancel.
+struct PinnedProblem {
+  CsrMatrix weights;
+  ActivationMap x;
+
+  const SparseVector* Row(int32_t row) const {
+    auto it = x.find(row);
+    return it == x.end() ? nullptr : &it->second;
+  }
+
+  static PinnedProblem Make(int32_t batch) {
+    constexpr int32_t kN = 96;
+    Rng rng(0x5EED0000u + static_cast<uint64_t>(batch));
+    PinnedProblem problem;
+    auto value = [&rng](bool dyadic) {
+      if (dyadic) {
+        const float mag = static_cast<float>(1 + rng.NextBounded(16)) / 4.0f;
+        return rng.NextBool(0.3) ? -mag : mag;
+      }
+      return static_cast<float>(rng.NextUniform(-1.0, 2.0));
+    };
+    for (int32_t j = 0; j < kN; ++j) {
+      SparseVector row;
+      row.dim = batch;
+      const bool dyadic = j % 3 != 0;
+      switch (j % 5) {
+        case 0:  // inactive, or present but empty
+          if (j % 10 == 0) problem.x.emplace(j, row);
+          continue;
+        case 1: {  // one contiguous run
+          const int32_t lo = static_cast<int32_t>(rng.NextBounded(batch));
+          const int32_t hi =
+              lo + 1 + static_cast<int32_t>(rng.NextBounded(batch - lo));
+          for (int32_t s = lo; s < hi; ++s) {
+            row.idx.push_back(s);
+            row.val.push_back(value(dyadic));
+          }
+          break;
+        }
+        case 2:  // lanes from 64 up only, when the batch has them
+          for (int32_t s = std::min(batch - 1, 64); s < batch; ++s) {
+            if (rng.NextBool(0.4)) {
+              row.idx.push_back(s);
+              row.val.push_back(value(dyadic));
+            }
+          }
+          break;
+        default:  // scattered
+          for (int32_t s = 0; s < batch; ++s) {
+            if (rng.NextBool(0.3)) {
+              row.idx.push_back(s);
+              row.val.push_back(value(dyadic));
+            }
+          }
+          break;
+      }
+      if (!row.empty()) problem.x.emplace(j, std::move(row));
+    }
+    // Columns 1 and 6 of every block of ten share their input row, so a
+    // row weighting one by +c and the other by -c cancels to exactly zero.
+    for (int32_t j = 1; j + 5 < kN; j += 10) {
+      SparseVector twin = problem.x.at(j);
+      problem.x[j + 5] = std::move(twin);
+    }
+    std::vector<Triplet> triplets;
+    for (int32_t i = 0; i < kN; ++i) {
+      if (i % 6 == 0) {
+        const int32_t col = 1 + 10 * static_cast<int32_t>(rng.NextBounded(9));
+        const float c = value(i % 12 == 0);
+        triplets.push_back({i, col, c});
+        triplets.push_back({i, col + 5, -c});
+        continue;
+      }
+      const bool dyadic = i % 2 == 0;
+      const int nnz = 1 + static_cast<int>(rng.NextBounded(16));
+      for (int k = 0; k < nnz; ++k) {
+        triplets.push_back({i, static_cast<int32_t>(rng.NextBounded(kN)),
+                            value(dyadic)});
+      }
+    }
+    problem.weights = CsrMatrix::FromTriplets(kN, kN, std::move(triplets));
+    return problem;
+  }
+};
+
+/// Digest of one batch width over every entry point and both activation
+/// modes: capped ReLU, and relu_cap = 0 with a negative bias, where a
+/// touched lane whose sum is exactly zero is emitted as the bias.
+uint64_t PinnedDigest(int32_t batch) {
+  const PinnedProblem problem = PinnedProblem::Make(batch);
+  const RowProvider provider = [&problem](int32_t row) {
+    return problem.Row(row);
+  };
+  std::vector<int32_t> rows;
+  for (int32_t i = 0; i < problem.weights.rows(); ++i) {
+    if (i % 3 != 1) rows.push_back(i);
+  }
+  const RowBlock block = RowBlock::Extract(problem.weights, rows);
+  Fnv1a fnv;
+  for (const auto& [bias, cap] : {std::pair{-0.25f, 4.0f},
+                                  std::pair{-0.5f, 0.0f}}) {
+    LayerForwardStats stats;
+    const ActivationMap all =
+        LayerForwardAll(problem.weights, provider, bias, cap, batch, &stats);
+    AddOutput(all, stats, &fnv);
+    if (cap == 0.0f) {
+      // The cancelling rows must reach the kernel: some touched lane sums
+      // to exactly zero and is emitted as the bias alone.
+      bool bias_only = false;
+      for (const auto& [row, vec] : all) {
+        for (float v : vec.val) bias_only = bias_only || v == bias;
+      }
+      EXPECT_TRUE(bias_only) << "batch " << batch;
+    }
+    const ActivationMap subset = LayerForward(problem.weights, rows, provider,
+                                              bias, cap, batch, &stats);
+    AddOutput(subset, stats, &fnv);
+    EXPECT_EQ(CountLayerMacs(problem.weights, rows, provider), stats.macs);
+    LayerForwardStats block_stats;
+    const ActivationMap from_block =
+        LayerForward(block, provider, bias, cap, batch, &block_stats);
+    EXPECT_EQ(from_block, subset);
+    AddOutput(from_block, block_stats, &fnv);
+  }
+  return fnv.hash();
+}
+
+TEST(LayerForward, OutputBytesMatchPinnedDigests) {
+  const std::vector<std::pair<int32_t, uint64_t>> pinned = {
+      {1, 0x3a967c6835cb6863ull},   {7, 0x380e2dd6a1842123ull},
+      {8, 0x9b0868339f223b48ull},   {9, 0x894ae6b0c3122e7dull},
+      {16, 0xd16758c8765539d2ull},  {63, 0xb730e8c2ccae74cfull},
+      {64, 0x9270b2ce1abf1f72ull},  {65, 0x7159e40a525483ccull},
+      {200, 0x45e7fb8b79b28a20ull},
+  };
+  for (const ForwardKernel kernel :
+       {ForwardKernel::kPortable, ForwardKernel::kVectorized}) {
+    SetLayerForwardKernel(kernel);
+    for (const auto& [batch, digest] : pinned) {
+      const uint64_t got = PinnedDigest(batch);
+      EXPECT_EQ(got, digest) << "kernel " << LayerForwardKernelName()
+                             << " batch " << batch << " digest 0x"
+                             << std::hex << got;
+    }
+  }
+  SetLayerForwardKernel(ForwardKernel::kAuto);
 }
 
 }  // namespace
