@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -62,23 +64,29 @@ struct Artifacts {
   uint64_t offload_calls = 0;  // wall-clock side; NOT part of the compare
 };
 
-Artifacts RunFleet(const Workload& w, Variant variant, int compute_threads,
-                   int32_t quant_bits) {
-  constexpr int32_t kWorkers = 4;
+FsdOptions FleetOptions(Variant variant, int32_t quant_bits) {
+  FsdOptions options;
+  options.variant = variant;
+  options.num_workers = 4;
+  options.quant_bits = quant_bits;
+  return options;
+}
+
+Artifacts RunFleet(const Workload& w, const FsdOptions& options,
+                   int compute_threads,
+                   const cloud::CloudConfig& cloud_config = {}) {
   constexpr int kQueries = 2;
   sim::SimTuning tuning;
   tuning.compute_threads = compute_threads;
   sim::Simulation sim(tuning);
-  cloud::CloudEnv cloud(&sim);
+  cloud::CloudEnv cloud(&sim, cloud_config);
   ServingRuntime serving(&cloud);
 
   InferenceRequest request;
   request.dnn = &w.dnn;
   request.partition = &w.partition;
   request.batches = {&w.input};
-  request.options.variant = variant;
-  request.options.num_workers = kWorkers;
-  request.options.quant_bits = quant_bits;
+  request.options = options;
   for (int q = 0; q < kQueries; ++q) {
     auto id = serving.Submit(request, 0.01 * q);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
@@ -98,6 +106,11 @@ Artifacts RunFleet(const Workload& w, Variant variant, int compute_threads,
   artifacts.events = sim.events_dispatched();
   artifacts.offload_calls = sim.offload_stats().calls;
   return artifacts;
+}
+
+Artifacts RunFleet(const Workload& w, Variant variant, int compute_threads,
+                   int32_t quant_bits) {
+  return RunFleet(w, FleetOptions(variant, quant_bits), compute_threads);
 }
 
 std::vector<int> PoolSizes() {
@@ -166,6 +179,111 @@ TEST(OffloadDeterminism, QuantizedWireByteIdenticalAcrossPoolSizes) {
   EXPECT_EQ(baseline.ledger, pooled.ledger);
   EXPECT_EQ(baseline.events, pooled.events);
   EXPECT_EQ(baseline.outputs, pooled.outputs);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned artifacts: FNV-1a digests of every query's metrics summary, the
+// fleet summary, the billing ledger and the kernel's event count, per
+// backend, topology and the send/receive options that change the wire.
+// Refactors of the channel paths must leave every digest unchanged; a change
+// that means to move virtual time or billing re-pins them on purpose.
+
+uint64_t ArtifactDigest(const Artifacts& artifacts) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  auto add = [&hash](std::string_view bytes) {
+    const uint64_t size = bytes.size();
+    for (size_t i = 0; i < sizeof(size); ++i) {
+      hash = (hash ^ ((size >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+    for (const char c : bytes) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+  };
+  for (const std::string& summary : artifacts.query_metrics) add(summary);
+  add(artifacts.fleet_summary);
+  add(artifacts.ledger);
+  add(std::to_string(artifacts.events));
+  return hash;
+}
+
+struct PinnedCase {
+  std::string name;
+  FsdOptions options;
+  cloud::CloudConfig cloud;
+  uint64_t digest;
+};
+
+std::vector<PinnedCase> PinnedCases() {
+  struct Backend {
+    const char* name;
+    Variant variant;
+  };
+  const Backend backends[] = {{"queue", Variant::kQueue},
+                              {"object", Variant::kObject},
+                              {"kv", Variant::kKv},
+                              {"direct", Variant::kDirect}};
+  const CollectiveTopology topologies[] = {CollectiveTopology::kThroughRoot,
+                                           CollectiveTopology::kBinomialTree,
+                                           CollectiveTopology::kRing};
+  const uint64_t matrix_digests[4][3] = {
+      {0xe4023603c781a7eaull, 0x646c811fb190f669ull, 0x94615829d1bf7b03ull},
+      {0x7a8f74253e01d205ull, 0xc3a89b7e0ee8df0aull, 0x5e3950d16b2b24aeull},
+      {0x2c5b2da0e7dd4a9full, 0x1214870343817dd5ull, 0x94a4ec5e13524848ull},
+      {0x43753c4910560736ull, 0x216cca1695ddfaccull, 0xf61bcc01269faecaull},
+  };
+  std::vector<PinnedCase> cases;
+  for (int b = 0; b < 4; ++b) {
+    for (int t = 0; t < 3; ++t) {
+      FsdOptions options = FleetOptions(backends[b].variant, 0);
+      options.collective_topology = topologies[t];
+      cases.push_back(
+          {std::string(backends[b].name) + "/" +
+               std::string(CollectiveTopologyName(topologies[t])),
+           options, {}, matrix_digests[b][t]});
+    }
+  }
+  struct PunchCase {
+    const char* name;
+    double failure_rate;
+    uint64_t digest;
+  };
+  const PunchCase punches[] = {{"1.0", 1.0, 0xa5a750bb188b3009ull},
+                               {"0.5", 0.5, 0xab805d466fee2152ull}};
+  for (const PunchCase& punch : punches) {
+    cloud::CloudConfig config;
+    config.latency.p2p_punch_failure_rate = punch.failure_rate;
+    cases.push_back({std::string("direct/punch_failure=") + punch.name,
+                     FleetOptions(Variant::kDirect, 0), config,
+                     punch.digest});
+  }
+  FsdOptions queue_ungreedy = FleetOptions(Variant::kQueue, 0);
+  queue_ungreedy.greedy_packing = false;
+  cases.push_back({"queue/greedy_packing=false", queue_ungreedy, {},
+                   0x1e4abd41cf51392eull});
+  FsdOptions object_no_nul = FleetOptions(Variant::kObject, 0);
+  object_no_nul.nul_markers = false;
+  cases.push_back({"object/nul_markers=false", object_no_nul, {},
+                   0xb665cc0ab49ee265ull});
+  cases.push_back({"kv/quant_bits=8", FleetOptions(Variant::kKv, 8), {},
+                   0xc0cca5729783ceeeull});
+  return cases;
+}
+
+TEST(OffloadDeterminism, ArtifactsMatchPinnedDigests) {
+  const Workload w = MakeWorkload(256, 8, 16, 4);
+  for (const PinnedCase& pinned : PinnedCases()) {
+    const Artifacts run =
+        RunFleet(w, pinned.options, /*compute_threads=*/0, pinned.cloud);
+    for (const auto& outputs : run.outputs) {
+      ASSERT_EQ(outputs.size(), 1u) << pinned.name;
+      // Quantized transport is lossy by design; its bytes are pinned below.
+      if (pinned.options.quant_bits == 0) {
+        EXPECT_EQ(outputs[0], w.expected) << pinned.name;
+      }
+    }
+    EXPECT_EQ(ArtifactDigest(run), pinned.digest)
+        << pinned.name << ": 0x" << std::hex << ArtifactDigest(run);
+  }
 }
 
 }  // namespace
