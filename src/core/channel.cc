@@ -1,7 +1,10 @@
 #include "core/channel.h"
 
 #include <algorithm>
+#include <charconv>
+#include <system_error>
 
+#include "common/strings.h"
 #include "core/direct_channel.h"
 #include "core/kv_channel.h"
 #include "core/object_channel.h"
@@ -26,11 +29,30 @@ int32_t CollectiveRounds(CollectiveTopology topology, int32_t num_workers) {
   return 1;
 }
 
-Status OffloadSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                           uint64_t serialize_bytes, size_t items,
-                           std::function<void()> encode) {
+Result<std::vector<EncodeResult>> EncodeSends(
+    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationMap& source,
+    const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,
+    bool skip_empty) {
+  metrics->send_targets += static_cast<int64_t>(sends.size());
+  // Plan first: chunk counts and exact raw bytes are input-determined
+  // (PlanRows replays the NNZ chunking and the wire layout arithmetic), so
+  // the CPU charge is computable before a single byte is encoded. A skipped
+  // empty send still counts as one item (its marker).
+  uint64_t serialize_bytes = 0;
+  size_t items = 0;
+  std::vector<bool> skip(sends.size());
+  for (size_t s = 0; s < sends.size(); ++s) {
+    metrics->send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
+    const EncodePlan plan = PlanRows(source, *sends[s].rows, max_chunk_bytes);
+    metrics->send_rows_active += plan.active_rows;
+    items += plan.num_chunks;
+    skip[s] = skip_empty && plan.active_rows == 0;
+    if (!skip[s]) serialize_bytes += plan.raw_bytes;
+  }
+
+  const FsdOptions& options = *env->options;
   double per_byte_s = 1.0 / env->cloud->compute().serialize_bytes_per_s;
-  if (env->options->quant_bits != 0) {
+  if (options.quant_bits != 0) {
     // Quantized wire mode: one extra pass over the raw payload to scan the
     // scale and pack symbols — the CPU side of the break-even trade.
     per_byte_s += 1.0 / env->cloud->compute().quant_bytes_per_s;
@@ -40,32 +62,136 @@ Status OffloadSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
   if (items > 0) {
     lane_costs.assign(items, serialize_s / static_cast<double>(items));
   }
-  const double serialize_makespan =
-      sim::ParallelMakespan(lane_costs, env->options->io_lanes);
-  metrics->serialize_s += serialize_makespan;
-  if (encode != nullptr) {
-    metrics->offload_calls += 1;
-    metrics->offload_virtual_s += serialize_makespan;
+  const double makespan = sim::ParallelMakespan(lane_costs, options.io_lanes);
+  metrics->serialize_s += makespan;
+  metrics->offload_calls += 1;
+  metrics->offload_virtual_s += makespan;
+
+  // The encode (varint packing + LZ/quant passes) runs under the charged
+  // window; all post-encode work (chunk accounting, framing, dispatch)
+  // follows the join.
+  std::vector<EncodeResult> encoded(sends.size());
+  FSD_RETURN_IF_ERROR(env->faas->OffloadFor(makespan, [&]() {
+    for (size_t s = 0; s < sends.size(); ++s) {
+      if (skip[s]) continue;
+      encoded[s] = EncodeRows(source, *sends[s].rows, max_chunk_bytes,
+                              WireCodecFromOptions(options));
+    }
+  }));
+  for (const EncodeResult& result : encoded) {
+    for (const RowChunk& chunk : result.chunks) {
+      metrics->send_chunks += 1;
+      metrics->send_raw_bytes += static_cast<int64_t>(chunk.raw_bytes);
+      metrics->send_wire_bytes += static_cast<int64_t>(chunk.wire.size());
+      if (chunk.quant_bits != 0) {
+        metrics->quant_chunks += 1;
+        metrics->quant_values += chunk.quant_values;
+        metrics->quant_err_max =
+            std::max(metrics->quant_err_max, chunk.quant_err_max);
+      }
+    }
   }
-  return env->faas->OffloadFor(serialize_makespan, std::move(encode));
+  return encoded;
 }
 
-Status ChargeSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                          uint64_t serialize_bytes, size_t items) {
-  // A null closure makes OffloadFor a plain deadline-checked sleep, so the
-  // charged makespan is computed in exactly one place.
-  return OffloadSerializeCpu(env, metrics, serialize_bytes, items, nullptr);
+Status DispatchOnLanes(WorkerEnv* env, double op_estimate_s,
+                       std::vector<std::function<void()>> calls) {
+  std::vector<double> lane_free(
+      static_cast<size_t>(std::max(env->options->io_lanes, 1)), 0.0);
+  for (std::function<void()>& call : calls) {
+    auto lane = std::min_element(lane_free.begin(), lane_free.end());
+    env->cloud->sim()->ScheduleCallback(*lane, std::move(call));
+    *lane += op_estimate_s;
+  }
+  // The worker only hands each call to its IPC pool; the API round trips
+  // ride the lanes above.
+  return env->faas->SleepFor(0.0002 * static_cast<double>(calls.size()));
 }
 
-double DispatchLanes::NextOffset() {
-  auto lane = std::min_element(lane_free_.begin(), lane_free_.end());
-  const double offset = *lane;
-  *lane += estimate_;
-  return offset;
+Result<int32_t> ParseFrameInt(std::string_view text) {
+  int32_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() ||
+      end != text.data() + text.size()) {
+    return Status::DataLoss(
+        StrFormat("bad channel frame field '%.*s'",
+                  static_cast<int>(text.size()), text.data()));
+  }
+  return value;
 }
 
-Status ChargeDispatchOverhead(WorkerEnv* env, size_t calls) {
-  return env->faas->SleepFor(0.0002 * static_cast<double>(calls));
+Status CheckChunkIndex(int64_t seq, int64_t total) {
+  if (total < 1 || seq < 0 || seq >= total) {
+    return Status::DataLoss(
+        StrFormat("chunk %lld of %lld can never complete its source",
+                  static_cast<long long>(seq), static_cast<long long>(total)));
+  }
+  return Status::OK();
+}
+
+PhaseReceiver::PhaseReceiver(WorkerEnv* env, int32_t phase,
+                             const std::vector<int32_t>& sources)
+    : env_(env),
+      metrics_(&env->metrics->Layer(phase)),
+      start_(env->cloud->sim()->Now()) {
+  for (int32_t s : sources) pending_.emplace(s, Progress{});
+}
+
+Status PhaseReceiver::CheckRunning() const {
+  FSD_RETURN_IF_ERROR(env_->CheckAbort());
+  return env_->faas->CheckDeadline();
+}
+
+bool PhaseReceiver::Accept(int32_t source, int32_t seq, int32_t total) {
+  auto it = pending_.find(source);
+  if (it == pending_.end() || !taken_.insert({source, seq}).second) {
+    ++metrics_->redundant_skipped;  // completed source or a redelivery
+    return false;
+  }
+  it->second.expected = total;
+  if (++it->second.got == it->second.expected) pending_.erase(it);
+  return true;
+}
+
+bool PhaseReceiver::Complete(int32_t source) {
+  return pending_.erase(source) > 0;
+}
+
+Status PhaseReceiver::Decode(std::span<const Bytes> bodies,
+                             uint64_t charged_bytes, double extra_s) {
+  const double deser_s = static_cast<double>(charged_bytes) /
+                         env_->cloud->compute().deserialize_bytes_per_s;
+  const double window_s = extra_s + deser_s;
+  metrics_->deserialize_s += deser_s;
+  // The charge depends only on byte counts, so the row decode runs under
+  // the window (on a pool thread when the sim has compute_threads > 0). A
+  // decode error surfaces after the window, uniformly for every pool size.
+  Status decoded;
+  std::function<void()> decode;
+  if (!bodies.empty()) {
+    metrics_->offload_calls += 1;
+    metrics_->offload_virtual_s += window_s;
+    decode = [&]() {
+      for (const Bytes& body : bodies) {
+        decoded = DecodeRows(body, &received_);
+        if (!decoded.ok()) return;
+      }
+    };
+  }
+  for (const Bytes& body : bodies) {
+    metrics_->recv_wire_bytes += static_cast<int64_t>(body.size());
+  }
+  const size_t before = received_.size();
+  FSD_RETURN_IF_ERROR(env_->faas->OffloadFor(window_s, std::move(decode)));
+  FSD_RETURN_IF_ERROR(decoded);
+  metrics_->recv_rows += static_cast<int64_t>(received_.size() - before);
+  return Status::OK();
+}
+
+linalg::ActivationMap PhaseReceiver::Finish() {
+  metrics_->recv_wait_s += env_->cloud->sim()->Now() - start_;
+  return std::move(received_);
 }
 
 std::unique_ptr<CommChannel> MakeCommChannel(Variant variant) {

@@ -1,8 +1,15 @@
 // CommChannel: the fully serverless point-to-point communication abstraction
-// (paper §III-A/B). Two production implementations exist — QueueChannel
-// (FSD-Inf-Queue: pub-sub + per-worker queues) and ObjectChannel
-// (FSD-Inf-Object: sharded object storage) — plus the degenerate serial case
-// which performs no communication.
+// (paper §III-A/B). Four backends implement it: QueueChannel (FSD-Inf-Queue:
+// pub-sub + per-worker queues, §III-A), ObjectChannel (FSD-Inf-Object:
+// sharded object storage, §III-B), and two extensions, KvChannel
+// (FSD-Inf-KV: in-memory key-value inbox lists) and DirectChannel
+// (FSD-Inf-Direct: NAT-punched links with a KV relay). The serial variant
+// performs no communication and has no channel.
+//
+// The backends share one send/receive path declared below: EncodeSends and
+// DispatchOnLanes on the send side, PhaseReceiver on the receive side. A
+// backend adds only what it alone knows: resource naming and provisioning,
+// message framing, the poll call, and its own billing counters.
 //
 // The channel moves *phases* of activation rows. Phases 0..L-1 carry the
 // x^{k-1} exchanges feeding each layer k; collective operations (barrier,
@@ -15,7 +22,12 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud.h"
@@ -90,32 +102,29 @@ Status ProvisionChannelResources(cloud::CloudEnv* cloud,
 Status TeardownChannelResources(cloud::CloudEnv* cloud,
                                 const FsdOptions& options);
 
-/// ---- shared send-side accounting (one definition across backends) ----
-/// Every backend meters the same quantities on its send path: per-chunk
-/// raw/wire bytes, serialization CPU split over the IPC lanes,
-/// least-loaded-lane dispatch offsets for the async API calls, the
-/// per-call dispatch overhead, and the service-billed bytes (including
-/// billing-increment rounding). These helpers are that arithmetic,
-/// verbatim — the ledger and the cost model's billed-byte counters must
-/// stay byte-identical whichever backend runs them.
+/// ---- the shared send/receive path (one definition across backends) ----
+/// One definition keeps the ledger and the cost model's byte counters
+/// byte-identical whichever backend runs them.
 
-/// Accounts one encoded chunk on the send side (send_chunks, raw and wire
-/// bytes); returns the chunk's raw bytes for the caller's
-/// serialization-CPU accumulator.
-inline uint64_t AccountSendChunk(LayerMetrics* metrics,
-                                 const RowChunk& chunk) {
-  metrics->send_chunks += 1;
-  metrics->send_raw_bytes += static_cast<int64_t>(chunk.raw_bytes);
-  metrics->send_wire_bytes += static_cast<int64_t>(chunk.wire.size());
-  if (chunk.quant_bits != 0) {
-    metrics->quant_chunks += 1;
-    metrics->quant_values += chunk.quant_values;
-    if (chunk.quant_err_max > metrics->quant_err_max) {
-      metrics->quant_err_max = chunk.quant_err_max;
-    }
-  }
-  return chunk.raw_bytes;
-}
+/// Plans, charges and encodes one phase's sends. Counts send targets and
+/// mapped/active rows, charges the serialization CPU for the planned raw
+/// bytes split over the planned chunks on the IPC lanes, runs EncodeRows for
+/// every send under that window (FaasContext::OffloadFor: on a compute pool
+/// thread when the sim has compute_threads > 0, inline at the window's end
+/// otherwise), then accounts every chunk. With `skip_empty`, a send with no
+/// active rows is planned as one item but never encoded: its EncodeResult
+/// has no chunks (the object channel's .nul marker path).
+Result<std::vector<EncodeResult>> EncodeSends(
+    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationMap& source,
+    const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,
+    bool skip_empty);
+
+/// Issues asynchronous API calls on the worker's IPC lanes: each call starts
+/// when the least-loaded lane frees up, advancing that lane by the op's
+/// median latency `op_estimate_s` (the true latency is sampled when the call
+/// runs). The worker itself pays only a small per-call handoff overhead.
+Status DispatchOnLanes(WorkerEnv* env, double op_estimate_s,
+                       std::vector<std::function<void()>> calls);
 
 /// Billed increments for one request moving `bytes` bytes under a
 /// `increment_bytes` billing granularity (>= 1 increment per request —
@@ -126,44 +135,63 @@ inline int64_t BilledIncrementChunks(uint64_t bytes,
   return static_cast<int64_t>(chunks > 0 ? chunks : 1);
 }
 
-/// Charges the serialization/compression CPU for `serialize_bytes` of
-/// payload split over `items` parallel work items on the worker's IPC
-/// lanes (the makespan lands in metrics->serialize_s and virtual time).
-Status ChargeSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                          uint64_t serialize_bytes, size_t items);
+/// Parses a framing field (a message attribute or an object-key part) as a
+/// whole-string decimal int32; anything else is DataLoss.
+Result<int32_t> ParseFrameInt(std::string_view text);
 
-/// ChargeSerializeCpu with the real encode work offloaded under the
-/// charged window (FaasContext::OffloadFor): `encode` runs on a compute
-/// pool thread when the sim has compute_threads > 0, inline at the
-/// window's end otherwise — byte-identical virtual behaviour either way.
-/// Callers pass the serialize_bytes/items a PlanRows pre-pass computed and
-/// move ALL post-encode work (chunk accounting, message building,
-/// dispatch) after this call returns. A null `encode` degrades to
-/// ChargeSerializeCpu exactly.
-Status OffloadSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                           uint64_t serialize_bytes, size_t items,
-                           std::function<void()> encode);
+/// DataLoss unless `seq` names one of `total` >= 1 chunks. A header that
+/// fails this could never complete its source.
+Status CheckChunkIndex(int64_t seq, int64_t total);
 
-/// Least-loaded-lane scheduler for asynchronous channel dispatch: each
-/// call returns the virtual-time offset at which the next API call may
-/// start on the least-loaded IPC lane, advancing that lane by the op's
-/// median latency (the estimate; the true latency is sampled at dispatch).
-class DispatchLanes {
+/// One ReceivePhase's shared state: the sources still pending, with
+/// (source, seq) dedup of redelivered chunks, the rows received so far, and
+/// the recv_wait_s clock. Construct it only after the `sources.empty()`
+/// early return: it resolves the phase's LayerMetrics, which grows the
+/// worker's layer list.
+class PhaseReceiver {
  public:
-  DispatchLanes(int32_t lanes, double op_estimate_s)
-      : lane_free_(static_cast<size_t>(lanes > 1 ? lanes : 1), 0.0),
-        estimate_(op_estimate_s) {}
-  double NextOffset();
+  PhaseReceiver(WorkerEnv* env, int32_t phase,
+                const std::vector<int32_t>& sources);
+
+  LayerMetrics& metrics() { return *metrics_; }
+  bool done() const { return pending_.empty(); }
+  bool pending(int32_t source) const { return pending_.contains(source); }
+
+  /// The abort and deadline checks at the top of every poll round.
+  Status CheckRunning() const;
+
+  /// Takes chunk `seq` of `total` from `source`, completing the source once
+  /// all its chunks arrived. Returns false, counting a redundant skip, when
+  /// the source is not pending or that chunk was already taken.
+  bool Accept(int32_t source, int32_t seq, int32_t total);
+
+  /// Completes a pending source that had nothing to send (a .nul marker);
+  /// returns whether it was pending.
+  bool Complete(int32_t source);
+
+  /// Decodes `bodies` into the received rows under one deserialization
+  /// window of `charged_bytes` at the deserialize rate plus `extra_s` (the
+  /// object channel's GET makespan). The window is taken even when `bodies`
+  /// is empty; it is then a plain wait.
+  Status Decode(std::span<const Bytes> bodies, uint64_t charged_bytes,
+                double extra_s = 0.0);
+
+  /// Stops the recv_wait_s clock and hands over the received rows.
+  linalg::ActivationMap Finish();
 
  private:
-  std::vector<double> lane_free_;
-  double estimate_;
-};
+  struct Progress {
+    int32_t expected = -1;  // unknown until the source's first chunk
+    int32_t got = 0;
+  };
 
-/// The small per-call overhead the worker itself pays to hand `calls`
-/// asynchronous API calls to its IPC pool (the round trips ride the
-/// lanes, not the worker).
-Status ChargeDispatchOverhead(WorkerEnv* env, size_t calls);
+  WorkerEnv* env_;
+  LayerMetrics* metrics_;
+  double start_;
+  std::map<int32_t, Progress> pending_;
+  std::set<std::pair<int32_t, int32_t>> taken_;
+  linalg::ActivationMap received_;
+};
 
 /// ---- phase-id layout shared by workers and collectives ----
 /// A batch's phase budget is `layers` layer-exchange phases followed by

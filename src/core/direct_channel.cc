@@ -1,11 +1,10 @@
 #include "core/direct_channel.h"
 
-#include <algorithm>
+#include <functional>
 #include <map>
 
 #include "common/strings.h"
 #include "core/kv_channel.h"
-#include "sim/simulation.h"
 
 namespace fsd::core {
 namespace {
@@ -42,23 +41,14 @@ std::string DirectChannel::RelayNamespaceName(const FsdOptions& options) {
   return StrFormat("%srelay", options.channel_scope.c_str());
 }
 
-std::string DirectChannel::InboxKey(int32_t phase, int32_t target) {
-  return StrFormat("p%d/w%d", phase, target);
-}
-
 Status DirectChannel::Provision(cloud::CloudEnv* cloud,
                                 const FsdOptions& options) {
   const std::string session = SessionName(options);
   if (!cloud->p2p().SessionExists(session)) {
     FSD_RETURN_IF_ERROR(cloud->p2p().CreateSession(session));
   }
-  const std::string relay = RelayNamespaceName(options);
-  if (!cloud->kv().NamespaceExists(relay)) {
-    cloud::KvNamespaceOptions ns_options;
-    ns_options.num_shards = std::max<int32_t>(1, options.kv_shards);
-    FSD_RETURN_IF_ERROR(cloud->kv().CreateNamespace(relay, ns_options));
-  }
-  return Status::OK();
+  return KvChannel::EnsureNamespace(cloud, RelayNamespaceName(options),
+                                    options);
 }
 
 Status DirectChannel::Teardown(cloud::CloudEnv* cloud,
@@ -78,125 +68,66 @@ Status DirectChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
-
-  // 1) Plan: resolve punch state per target and replay the chunking
-  // arithmetic (the KV value cap: the relay must accept any chunk
-  // verbatim), so the CPU charge is computable before encoding. An empty
-  // send still produces one marker chunk so the receiver's per-source
-  // accounting completes without data.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  std::vector<bool> punched_send(sends.size());
+  const std::string session = SessionName(options);
+  const int32_t me = env->worker_id;
+  std::vector<bool> punched(sends.size());
   for (size_t s = 0; s < sends.size(); ++s) {
-    metrics.send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
     FSD_ASSIGN_OR_RETURN(
-        const bool punched,
-        EnsureLink(env, &metrics, SessionName(options), env->worker_id,
-                   sends[s].target));
-    punched_send[s] = punched;
-    const EncodePlan plan =
-        PlanRows(source, *sends[s].rows, options.kv_max_value_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
+        punched[s], EnsureLink(env, &metrics, session, me, sends[s].target));
   }
+  // Chunks use the KV value cap (the relay must accept any chunk
+  // verbatim); an empty send still produces one marker chunk so the
+  // receiver's per-source accounting completes without data.
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<EncodeResult> encoded,
+      EncodeSends(env, &metrics, source, sends, options.kv_max_value_bytes,
+                  /*skip_empty=*/false));
 
-  // 2) Serialization/compression CPU (parallel over IPC lanes), with the
-  // encode itself run under the charged window; chunk accounting and
-  // dispatch follow the join.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.kv_max_value_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  struct Outgoing {
-    int32_t target = 0;
-    bool punched = false;
-    std::string key;
-    Bytes value;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
+  // Punched values ship over the fabric (bytes billed at send); relayed
+  // values are KV pushes, metered exactly like FSD-Inf-KV traffic so the
+  // cost model's relay terms stay exact.
+  cloud::CloudEnv* cloud = env->cloud;
+  const std::string relay = RelayNamespaceName(options);
+  std::vector<std::function<void()>> calls;
   for (size_t s = 0; s < sends.size(); ++s) {
+    const int32_t target = sends[s].target;
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
-      outgoing.push_back({sends[s].target, punched_send[s],
-                          InboxKey(phase, sends[s].target),
-                          EncodeInboxValue(env->worker_id, seq, total,
-                                           std::move(chunk.wire))});
+      Bytes value = EncodeInboxValue(me, seq, total,
+                                     std::move(encoded[s].chunks[seq].wire));
+      const int64_t size = static_cast<int64_t>(value.size());
+      std::string key = KvChannel::InboxKey(phase, target);
+      if (punched[s]) {
+        ++metrics.direct_msgs;
+        metrics.direct_billed_bytes += size;
+        calls.push_back([cloud, session, me, target, key = std::move(key),
+                         value = std::move(value)]() mutable {
+          cloud->p2p().Send(session, me, target, key, std::move(value));
+        });
+      } else {
+        ++metrics.kv_pushes;
+        ++metrics.relay_fallback_msgs;
+        metrics.send_billed_bytes += size;
+        calls.push_back([cloud, relay, key = std::move(key),
+                         value = std::move(value)]() mutable {
+          cloud->kv().Push(relay, key, std::move(value));
+        });
+      }
     }
   }
-
-  // 3) Lane-scheduled dispatch. Punched values ship over the fabric
-  // (bytes billed at send); relayed values are KV pushes, metered exactly
-  // like FSD-Inf-KV traffic so the cost model's relay terms stay exact.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().p2p_send.median_s);
-  for (const Outgoing& out : outgoing) {
-    if (out.punched) {
-      ++metrics.direct_msgs;
-      metrics.direct_billed_bytes += static_cast<int64_t>(out.value.size());
-    } else {
-      ++metrics.kv_pushes;
-      ++metrics.relay_fallback_msgs;
-      metrics.send_billed_bytes += static_cast<int64_t>(out.value.size());
-    }
-  }
-  const std::string session = SessionName(options);
-  const std::string relay = RelayNamespaceName(options);
-  const int32_t me = env->worker_id;
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    if (out.punched) {
-      env->cloud->sim()->ScheduleCallback(
-          offset, [cloud, session, me, target = out.target,
-                   key = std::move(out.key),
-                   value = std::move(out.value)]() mutable {
-            cloud->p2p().Send(session, me, target, key, std::move(value));
-          });
-    } else {
-      env->cloud->sim()->ScheduleCallback(
-          offset, [cloud, relay, key = std::move(out.key),
-                   value = std::move(out.value)]() mutable {
-            cloud->kv().Push(relay, key, std::move(value));
-          });
-    }
-  }
-  // The worker only pays the pipelined dispatch overhead; the op round
-  // trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  return DispatchOnLanes(env, cloud->latency().p2p_send.median_s,
+                         std::move(calls));
 }
 
 Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  linalg::ActivationMap received;
-  if (sources.empty()) return received;
+  if (sources.empty()) return linalg::ActivationMap{};
   const FsdOptions& options = *env->options;
-  LayerMetrics& metrics = env->metrics->Layer(phase);
-  const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
-
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-    bool punched = false;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
-
+  PhaseReceiver receiver(env, phase, sources);
+  LayerMetrics& metrics = receiver.metrics();
   const std::string session = SessionName(options);
   const std::string relay = RelayNamespaceName(options);
-  const std::string inbox = InboxKey(phase, env->worker_id);
+  const std::string inbox = KvChannel::InboxKey(phase, env->worker_id);
 
   // Punch outcomes are deterministic per ordered pair, so the receiver
   // knows up front which sources must relay (Connect is idempotent and
@@ -205,72 +136,42 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
   // fully-punched phases never touch the KV relay, and once every punched
   // source completed, the fabric pop (which nothing will ever feed again)
   // is skipped instead of burning its full wait before each relay pop.
+  std::map<int32_t, bool> punched;
   int32_t punched_pending = 0;
   int32_t relay_pending = 0;
   for (int32_t s : sources) {
-    FSD_ASSIGN_OR_RETURN(
-        const bool punched,
-        EnsureLink(env, &metrics, session, s, env->worker_id));
-    pending[s].punched = punched;
-    ++(punched ? punched_pending : relay_pending);
+    FSD_ASSIGN_OR_RETURN(punched[s],
+                         EnsureLink(env, &metrics, session, s, env->worker_id));
+    ++(punched[s] ? punched_pending : relay_pending);
   }
 
   // Header decode and per-source bookkeeping (the poll loop's control
-  // state) stay inline; the row decode for each pop batch is collected in
-  // `bodies` and runs under the batch's deserialization window.
-  std::vector<Bytes> bodies;
-  auto consume = [&](const Bytes& value, bool billed) -> Status {
-    if (billed) {
-      // Relay pops bill the full value, header included — the cache
-      // meters what it moved, not what the receiver could use.
-      metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
+  // state) stay inline; each pop's row decode runs under one window charged
+  // on every popped byte, empty pops included.
+  auto consume = [&](const std::vector<Bytes>& values, bool relayed) -> Status {
+    uint64_t popped_bytes = 0;
+    std::vector<Bytes> bodies;
+    for (const Bytes& value : values) {
+      popped_bytes += value.size();
+      if (relayed) {
+        // Relay pops bill the full value, header included — the cache
+        // meters what it moved, not what the receiver could use.
+        metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
+      }
+      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
+      if (!receiver.Accept(decoded.source, decoded.seq, decoded.total)) {
+        continue;
+      }
+      bodies.push_back(std::move(decoded.body));
+      if (!receiver.pending(decoded.source)) {
+        --(punched[decoded.source] ? punched_pending : relay_pending);
+      }
     }
-    FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-    auto it = pending.find(decoded.source);
-    if (it == pending.end()) {
-      // Pops are destructive, so a duplicate can only mean a stray value
-      // from a mis-scoped sender; count it like the other channels do.
-      ++metrics.redundant_skipped;
-      return Status::OK();
-    }
-    it->second.expected = decoded.total;
-    ++it->second.got;
-    metrics.recv_wire_bytes += static_cast<int64_t>(decoded.body.size());
-    bodies.push_back(std::move(decoded.body));
-    if (it->second.got == it->second.expected) {
-      --(it->second.punched ? punched_pending : relay_pending);
-      pending.erase(it);
-    }
-    return Status::OK();
+    return receiver.Decode(bodies, popped_bytes);
   };
 
-  auto decode_batch = [&](uint64_t popped_bytes) -> Status {
-    const double deser_s =
-        static_cast<double>(popped_bytes) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    Status decoded_rows;
-    std::function<void()> decode_fn;
-    if (!bodies.empty()) {
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += deser_s;
-      decode_fn = [&]() {
-        for (const Bytes& body : bodies) {
-          decoded_rows = DecodeRows(body, &received);
-          if (!decoded_rows.ok()) return;
-        }
-      };
-    }
-    const size_t before = received.size();
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(deser_s, std::move(decode_fn)));
-    FSD_RETURN_IF_ERROR(decoded_rows);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    bodies.clear();
-    return Status::OK();
-  };
-
-  while (!pending.empty()) {
-    FSD_RETURN_IF_ERROR(env->CheckAbort());
-    FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
+  while (!receiver.done()) {
+    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     if (punched_pending > 0) {
       FSD_ASSIGN_OR_RETURN(
           std::vector<Bytes> values,
@@ -279,14 +180,9 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
                                            options.direct_poll_wait_s));
       ++metrics.direct_pops;
       if (values.empty()) ++metrics.direct_empty_pops;
-      uint64_t popped_bytes = 0;
-      for (const Bytes& value : values) {
-        popped_bytes += value.size();
-        FSD_RETURN_IF_ERROR(consume(value, /*billed=*/false));
-      }
-      FSD_RETURN_IF_ERROR(decode_batch(popped_bytes));
+      FSD_RETURN_IF_ERROR(consume(values, /*relayed=*/false));
     }
-    if (pending.empty() || relay_pending == 0) continue;
+    if (receiver.done() || relay_pending == 0) continue;
 
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_ASSIGN_OR_RETURN(
@@ -295,16 +191,9 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
                                         options.kv_poll_wait_s));
     ++metrics.kv_pops;
     if (relayed.empty()) ++metrics.kv_empty_pops;
-    uint64_t popped_bytes = 0;
-    for (const Bytes& value : relayed) {
-      popped_bytes += value.size();
-      FSD_RETURN_IF_ERROR(consume(value, /*billed=*/true));
-    }
-    FSD_RETURN_IF_ERROR(decode_batch(popped_bytes));
+    FSD_RETURN_IF_ERROR(consume(relayed, /*relayed=*/true));
   }
-
-  metrics.recv_wait_s += env->cloud->sim()->Now() - start;
-  return received;
+  return receiver.Finish();
 }
 
 }  // namespace fsd::core

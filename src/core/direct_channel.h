@@ -19,6 +19,8 @@
 // or RPUSHed onto the relay inbox when the pair never punched. Dispatch
 // rides the worker's IPC lanes and overlaps compute, like every backend.
 //
+// Fabric and relay inboxes share KvChannel::InboxKey's "p{phase}/w{target}".
+//
 // Receive path: the worker blocking-pops its fabric inbox; when any
 // expected source's link to it failed to punch, it alternates fabric and
 // relay pops so neither path can starve the other.
@@ -47,8 +49,6 @@ class DirectChannel : public CommChannel {
 
   static std::string SessionName(const FsdOptions& options);
   static std::string RelayNamespaceName(const FsdOptions& options);
-  /// Inbox key "p{phase}/w{target}" (same shape on fabric and relay).
-  static std::string InboxKey(int32_t phase, int32_t target);
 
   std::string_view name() const override { return "direct"; }
 

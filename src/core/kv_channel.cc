@@ -1,11 +1,11 @@
 #include "core/kv_channel.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <limits>
 
 #include "codec/varint.h"
 #include "common/strings.h"
-#include "sim/simulation.h"
 
 namespace fsd::core {
 
@@ -22,13 +22,16 @@ Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
 
 Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value) {
   ByteReader reader(value);
-  DecodedInboxValue decoded;
-  FSD_ASSIGN_OR_RETURN(uint64_t source, codec::GetVarint64(&reader));
-  FSD_ASSIGN_OR_RETURN(uint64_t seq, codec::GetVarint64(&reader));
-  FSD_ASSIGN_OR_RETURN(uint64_t total, codec::GetVarint64(&reader));
-  decoded.source = static_cast<int32_t>(source);
-  decoded.seq = static_cast<int32_t>(seq);
-  decoded.total = static_cast<int32_t>(total);
+  int32_t header[3];  // source, seq, total
+  for (int32_t& field : header) {
+    FSD_ASSIGN_OR_RETURN(const uint64_t raw, codec::GetVarint64(&reader));
+    if (raw > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+      return Status::DataLoss("inbox value header field exceeds int32");
+    }
+    field = static_cast<int32_t>(raw);
+  }
+  FSD_RETURN_IF_ERROR(CheckChunkIndex(header[1], header[2]));
+  DecodedInboxValue decoded{header[0], header[1], header[2], {}};
   FSD_ASSIGN_OR_RETURN(decoded.body, reader.ReadBytes(reader.remaining()));
   return decoded;
 }
@@ -41,15 +44,18 @@ std::string KvChannel::InboxKey(int32_t phase, int32_t target) {
   return StrFormat("p%d/w%d", phase, target);
 }
 
+Status KvChannel::EnsureNamespace(cloud::CloudEnv* cloud,
+                                  const std::string& ns,
+                                  const FsdOptions& options) {
+  if (cloud->kv().NamespaceExists(ns)) return Status::OK();
+  cloud::KvNamespaceOptions ns_options;
+  ns_options.num_shards = std::max<int32_t>(1, options.kv_shards);
+  return cloud->kv().CreateNamespace(ns, ns_options);
+}
+
 Status KvChannel::Provision(cloud::CloudEnv* cloud,
                             const FsdOptions& options) {
-  const std::string ns = NamespaceName(options);
-  if (!cloud->kv().NamespaceExists(ns)) {
-    cloud::KvNamespaceOptions ns_options;
-    ns_options.num_shards = std::max<int32_t>(1, options.kv_shards);
-    FSD_RETURN_IF_ERROR(cloud->kv().CreateNamespace(ns, ns_options));
-  }
-  return Status::OK();
+  return EnsureNamespace(cloud, NamespaceName(options), options);
 }
 
 Status KvChannel::Teardown(cloud::CloudEnv* cloud, const FsdOptions& options) {
@@ -64,101 +70,46 @@ Status KvChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  // Value-capped chunks; an empty send still produces one marker chunk so
+  // the receiver's per-source accounting completes without data.
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<EncodeResult> encoded,
+      EncodeSends(env, &metrics, source, sends, options.kv_max_value_bytes,
+                  /*skip_empty=*/false));
 
-  // 1) Plan the encode (value-capped, NNZ heuristic): chunk counts and
-  // exact raw bytes are input-determined, so the CPU charge is computable
-  // before encoding. An empty send still produces one marker chunk so the
-  // receiver's per-source accounting completes without data.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  for (const SendSpec& send : sends) {
-    metrics.send_rows_mapped += static_cast<int64_t>(send.rows->size());
-    const EncodePlan plan =
-        PlanRows(source, *send.rows, options.kv_max_value_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
-  }
-
-  // 2) Charge the serialization/compression CPU (parallel over IPC lanes)
-  // and run the encode under the charged window; accounting and dispatch
-  // follow the join.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.kv_max_value_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  // 3) Build inbox values from the encoded chunks.
-  struct Outgoing {
-    std::string key;
-    Bytes value;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
+  cloud::CloudEnv* cloud = env->cloud;
+  const std::string ns = NamespaceName(options);
+  std::vector<std::function<void()>> pushes;
   for (size_t s = 0; s < sends.size(); ++s) {
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
-      outgoing.push_back(
-          {InboxKey(phase, sends[s].target),
-           EncodeInboxValue(env->worker_id, seq, total,
-                            std::move(chunk.wire))});
+      Bytes value = EncodeInboxValue(env->worker_id, seq, total,
+                                     std::move(encoded[s].chunks[seq].wire));
+      // The cache meters processed bytes per request: a push processes the
+      // whole value (header + chunk) — mirrored exactly for the cost model.
+      metrics.send_billed_bytes += static_cast<int64_t>(value.size());
+      pushes.push_back([cloud, ns, key = InboxKey(phase, sends[s].target),
+                        value = std::move(value)]() mutable {
+        cloud->kv().Push(ns, key, std::move(value));
+      });
     }
   }
-
-  // 4) Lane-scheduled pushes: each lane issues its next push when the
-  // previous completes, using the median op latency as the lane estimate.
-  DispatchLanes lanes(options.io_lanes, env->cloud->latency().kv_push.median_s);
-  metrics.kv_pushes += static_cast<int64_t>(outgoing.size());
-  // The cache meters processed bytes per request: a push processes the
-  // whole value (header + chunk) — mirrored exactly for the cost model.
-  for (const Outgoing& out : outgoing) {
-    metrics.send_billed_bytes += static_cast<int64_t>(out.value.size());
-  }
-  const std::string ns = NamespaceName(options);
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, ns, key = std::move(out.key),
-                 value = std::move(out.value)]() mutable {
-          cloud->kv().Push(ns, key, std::move(value));
-        });
-  }
-  // The worker only pays the pipelined dispatch overhead; the op round
-  // trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  metrics.kv_pushes += static_cast<int64_t>(pushes.size());
+  return DispatchOnLanes(env, cloud->latency().kv_push.median_s,
+                         std::move(pushes));
 }
 
 Result<linalg::ActivationMap> KvChannel::ReceivePhase(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  linalg::ActivationMap received;
-  if (sources.empty()) return received;
+  if (sources.empty()) return linalg::ActivationMap{};
   const FsdOptions& options = *env->options;
-  LayerMetrics& metrics = env->metrics->Layer(phase);
-  const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
-
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
+  PhaseReceiver receiver(env, phase, sources);
+  LayerMetrics& metrics = receiver.metrics();
 
   const std::string ns = NamespaceName(options);
   const std::string inbox = InboxKey(phase, env->worker_id);
-  while (!pending.empty()) {
-    FSD_RETURN_IF_ERROR(env->CheckAbort());
-    FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
+  while (!receiver.done()) {
+    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     FSD_ASSIGN_OR_RETURN(
         std::vector<Bytes> values,
         env->cloud->kv().BlockingPopAll(ns, inbox, cloud::kMaxValuesPerPop,
@@ -168,55 +119,26 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
       ++metrics.kv_empty_pops;
       continue;
     }
-    // First pass (inline): header decode and per-source bookkeeping — the
-    // poll loop's control state. The row decode itself is batched below
-    // and runs under the batch's deserialization window.
-    uint64_t popped_bytes = 0;
+    // Header decode and per-source bookkeeping (the poll loop's control
+    // state) stay inline; the pop's row decode runs under one window
+    // charged on the accepted body bytes.
+    uint64_t accepted_bytes = 0;
     std::vector<Bytes> bodies;
-    bodies.reserve(values.size());
     for (const Bytes& value : values) {
       // Processed bytes the pop was billed for: the full value, header
       // included — counted before any skip, because the service meters
       // what it moved, not what the receiver could use.
       metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
       FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-      auto it = pending.find(decoded.source);
-      if (it == pending.end()) {
-        // Pops are destructive, so a duplicate can only mean a stray value
-        // from a mis-scoped sender; count it like the other channels do.
-        ++metrics.redundant_skipped;
+      if (!receiver.Accept(decoded.source, decoded.seq, decoded.total)) {
         continue;
       }
-      it->second.expected = decoded.total;
-      ++it->second.got;
-      metrics.recv_wire_bytes += static_cast<int64_t>(decoded.body.size());
-      popped_bytes += decoded.body.size();
+      accepted_bytes += decoded.body.size();
       bodies.push_back(std::move(decoded.body));
-      if (it->second.got == it->second.expected) pending.erase(it);
     }
-    const double deser_s =
-        static_cast<double>(popped_bytes) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    Status decoded_rows;
-    std::function<void()> decode_fn;
-    if (!bodies.empty()) {
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += deser_s;
-      decode_fn = [&]() {
-        for (const Bytes& body : bodies) {
-          decoded_rows = DecodeRows(body, &received);
-          if (!decoded_rows.ok()) return;
-        }
-      };
-    }
-    const size_t before = received.size();
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(deser_s, std::move(decode_fn)));
-    FSD_RETURN_IF_ERROR(decoded_rows);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
+    FSD_RETURN_IF_ERROR(receiver.Decode(bodies, accepted_bytes));
   }
-
-  metrics.recv_wait_s += env->cloud->sim()->Now() - start;
-  return received;
+  return receiver.Finish();
 }
 
 }  // namespace fsd::core

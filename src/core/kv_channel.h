@@ -15,9 +15,9 @@
 // worker's IPC lanes and overlap the subsequent compute.
 //
 // Receive path: the worker blocking-pops its own inbox list. Pops are
-// destructive, so there is no delete call and no redelivery dedup; phases
-// have dedicated lists, so there is no cross-phase stash either. Per-source
-// chunk counts ride in the value headers.
+// destructive, so there is no delete call; phases have dedicated lists, so
+// there is no cross-phase stash either. Per-source chunk counts ride in the
+// value headers, and PhaseReceiver drops any duplicate (source, seq).
 #ifndef FSD_CORE_KV_CHANNEL_H_
 #define FSD_CORE_KV_CHANNEL_H_
 
@@ -42,6 +42,8 @@ struct DecodedInboxValue {
   Bytes body;
 };
 
+/// DataLoss on a truncated value, a header field above INT32_MAX, or a
+/// (seq, total) that could never complete its source.
 Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value);
 
 class KvChannel : public CommChannel {
@@ -50,6 +52,11 @@ class KvChannel : public CommChannel {
 
   /// Creates the run's namespace (offline step; node billing starts).
   static Status Provision(cloud::CloudEnv* cloud, const FsdOptions& options);
+
+  /// Creates namespace `ns` with the configured shard count unless it
+  /// already exists (shared with the direct channel's relay namespace).
+  static Status EnsureNamespace(cloud::CloudEnv* cloud, const std::string& ns,
+                                const FsdOptions& options);
 
   /// Deletes the run's namespace, billing node time for its lifetime.
   static Status Teardown(cloud::CloudEnv* cloud, const FsdOptions& options);

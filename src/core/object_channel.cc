@@ -1,12 +1,21 @@
 #include "core/object_channel.h"
 
-#include <algorithm>
-#include <set>
+#include <functional>
+#include <string_view>
 
 #include "common/strings.h"
 #include "sim/simulation.h"
 
 namespace fsd::core {
+namespace {
+
+/// The source named by a listed key "{phase}/{target}/{source}_{target}.ext".
+Result<int32_t> KeySource(std::string_view key) {
+  const std::string_view tail = key.substr(key.rfind('/') + 1);
+  return ParseFrameInt(tail.substr(0, tail.find('_')));
+}
+
+}  // namespace
 
 std::string ObjectChannel::BucketName(int32_t target,
                                       const FsdOptions& options) {
@@ -38,172 +47,94 @@ Status ObjectChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  // One unbounded chunk per target (object payloads are size-free); targets
+  // taking the .nul-marker path never encode at all.
+  FSD_ASSIGN_OR_RETURN(std::vector<EncodeResult> encoded,
+                       EncodeSends(env, &metrics, source, sends,
+                                   /*max_chunk_bytes=*/0, options.nul_markers));
 
-  // Plan first: per-target raw bytes are input-determined, so the CPU
-  // charge is computable before encoding. Targets taking the .nul-marker
-  // path never encode at all.
-  uint64_t serialize_bytes = 0;
-  std::vector<EncodePlan> plans(sends.size());
+  // Every send yields exactly one object (.dat or .nul); non-blocking
+  // multi-threaded PUTs ride the IPC lanes.
+  cloud::CloudEnv* cloud = env->cloud;
+  std::vector<std::function<void()>> puts;
   for (size_t s = 0; s < sends.size(); ++s) {
-    metrics.send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
-    plans[s] = PlanRows(source, *sends[s].rows, /*max_chunk_bytes=*/0);
-    metrics.send_rows_active += plans[s].active_rows;
-    if (plans[s].active_rows == 0 && options.nul_markers) continue;
-    serialize_bytes += plans[s].raw_bytes;
-  }
-
-  // Serialization CPU (parallel over IPC lanes), with the encode itself
-  // run under the charged window; accounting and PUT dispatch follow the
-  // join. Every send yields exactly one outgoing object (.dat or .nul).
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, sends.size(), [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          if (plans[s].active_rows == 0 && options.nul_markers) continue;
-          // One unbounded chunk per target (object payloads are size-free).
-          encoded[s] = EncodeRows(source, *sends[s].rows,
-                                  /*max_chunk_bytes=*/0,
-                                  WireCodecFromOptions(options));
-        }
-      }));
-
-  struct Outgoing {
-    std::string bucket;
-    std::string key;
+    // No chunk: a 0-byte marker — the target learns there is nothing to
+    // read.
+    const bool is_nul = encoded[s].chunks.empty();
     Bytes body;
-    bool is_nul;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(sends.size());
-  for (size_t s = 0; s < sends.size(); ++s) {
-    const SendSpec& send = sends[s];
-    if (plans[s].active_rows == 0 && options.nul_markers) {
-      // 0-byte marker: the target learns there is nothing to read.
-      outgoing.push_back(
-          {BucketName(send.target, options),
-           ObjectKey(phase, env->worker_id, send.target, /*empty=*/true),
-           Bytes{},
-           /*is_nul=*/true});
+    if (is_nul) {
       ++metrics.puts_nul;
-      continue;
+    } else {
+      FSD_CHECK_EQ(encoded[s].chunks.size(), 1u);
+      body = std::move(encoded[s].chunks[0].wire);
+      ++metrics.puts_dat;
     }
-    FSD_CHECK_EQ(encoded[s].chunks.size(), 1u);
-    RowChunk& chunk = encoded[s].chunks[0];
-    AccountSendChunk(&metrics, chunk);
-    ++metrics.puts_dat;
-    outgoing.push_back(
-        {BucketName(send.target, options),
-         ObjectKey(phase, env->worker_id, send.target, /*empty=*/false),
-         std::move(chunk.wire),
-         /*is_nul=*/false});
-  }
-
-  // Non-blocking multi-threaded PUTs: lane-scheduled dispatch callbacks.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().object_put.median_s);
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, bucket = std::move(out.bucket),
-                 key = std::move(out.key), body = std::move(out.body)]() {
+    puts.push_back(
+        [cloud, bucket = BucketName(sends[s].target, options),
+         key = ObjectKey(phase, env->worker_id, sends[s].target, is_nul),
+         body = std::move(body)]() {
           cloud->objects().Put(bucket, key, body);
         });
   }
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  return DispatchOnLanes(env, cloud->latency().object_put.median_s,
+                         std::move(puts));
 }
 
 Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  linalg::ActivationMap received;
-  if (sources.empty()) return received;
+  if (sources.empty()) return linalg::ActivationMap{};
   const FsdOptions& options = *env->options;
-  LayerMetrics& metrics = env->metrics->Layer(phase);
-  const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
+  PhaseReceiver receiver(env, phase, sources);
+  LayerMetrics& metrics = receiver.metrics();
 
-  std::set<int32_t> pending(sources.begin(), sources.end());
   const std::string bucket = BucketName(env->worker_id, options);
-  const std::string prefix =
-      StrFormat("%d/%d/", phase, env->worker_id);
-
-  while (!pending.empty()) {
-    FSD_RETURN_IF_ERROR(env->CheckAbort());
-    FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
+  const std::string prefix = StrFormat("%d/%d/", phase, env->worker_id);
+  while (!receiver.done()) {
+    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     FSD_ASSIGN_OR_RETURN(std::vector<cloud::ObjectMeta> handles,
                          env->cloud->objects().List(bucket, prefix));
     ++metrics.lists;
 
-    // Decide which handles to fetch this round.
-    std::vector<std::pair<int32_t, std::string>> to_get;
+    // Decide which handles to fetch this round. A ".nul" completes its
+    // source without a GET; sources already received are not read again.
+    std::vector<std::string> to_get;
     for (const cloud::ObjectMeta& meta : handles) {
-      // Key tail: "{source}_{target}.ext"
-      const size_t slash = meta.key.rfind('/');
-      const std::string tail = meta.key.substr(slash + 1);
-      const int32_t source = std::atoi(tail.c_str());
-      const bool is_nul = tail.size() > 4 &&
-                          tail.compare(tail.size() - 4, 4, ".nul") == 0;
-      if (!pending.contains(source)) {
-        if (!is_nul) ++metrics.redundant_skipped;  // already received
-        continue;
+      FSD_ASSIGN_OR_RETURN(const int32_t source, KeySource(meta.key));
+      if (meta.key.ends_with(".nul")) {
+        if (receiver.Complete(source)) ++metrics.nul_skipped;
+      } else if (receiver.Accept(source, /*seq=*/0, /*total=*/1)) {
+        to_get.push_back(meta.key);
       }
-      if (is_nul) {
-        // Source had nothing to transmit; no GET needed.
-        pending.erase(source);
-        ++metrics.nul_skipped;
-        continue;
-      }
-      to_get.push_back({source, meta.key});
     }
-
-    // Parallel GETs on the IPC lanes. Fetch and bookkeeping stay inline
-    // (they drive the poll loop); the row decode for the whole round is
-    // batched and runs under the round's GET+deserialize window.
-    if (!to_get.empty()) {
-      std::vector<double> latencies;
-      std::vector<Bytes> bodies;
-      bodies.reserve(to_get.size());
-      uint64_t got_bytes = 0;
-      for (auto& [source, key] : to_get) {
-        cloud::ObjectStore::GetOutcome got =
-            env->cloud->objects().Get(bucket, key);
-        ++metrics.gets;
-        if (!got.status.ok()) return got.status;
-        latencies.push_back(got.latency);
-        got_bytes += got.body.size();
-        metrics.recv_wire_bytes += static_cast<int64_t>(got.body.size());
-        bodies.push_back(std::move(got.body));
-        pending.erase(source);
-      }
-      const double get_makespan =
-          sim::ParallelMakespan(latencies, options.io_lanes);
-      const double deser_s =
-          static_cast<double>(got_bytes) / compute.deserialize_bytes_per_s;
-      metrics.deserialize_s += deser_s;
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += get_makespan + deser_s;
-      const size_t before = received.size();
-      Status decoded;
-      FSD_RETURN_IF_ERROR(
-          env->faas->OffloadFor(get_makespan + deser_s, [&]() {
-            for (const Bytes& body : bodies) {
-              decoded = DecodeRows(body, &received);
-              if (!decoded.ok()) return;
-            }
-          }));
-      FSD_RETURN_IF_ERROR(decoded);
-      metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    } else if (!pending.empty()) {
+    if (to_get.empty()) {
       // Nothing new this scan; brief back-off before re-listing keeps the
       // LIST count (and cost) down, as in the paper's optimization.
-      FSD_RETURN_IF_ERROR(env->faas->SleepFor(options.object_scan_interval_s));
+      if (!receiver.done()) {
+        FSD_RETURN_IF_ERROR(
+            env->faas->SleepFor(options.object_scan_interval_s));
+      }
+      continue;
     }
-  }
 
-  metrics.recv_wait_s += env->cloud->sim()->Now() - start;
-  return received;
+    // Parallel GETs on the IPC lanes. Fetches stay inline (they drive the
+    // poll loop); the round's row decode runs under one window of the GET
+    // makespan plus the deserialization charge.
+    std::vector<double> latencies;
+    std::vector<Bytes> bodies;
+    uint64_t got_bytes = 0;
+    for (const std::string& key : to_get) {
+      cloud::ObjectStore::GetOutcome got =
+          env->cloud->objects().Get(bucket, key);
+      ++metrics.gets;
+      if (!got.status.ok()) return got.status;
+      latencies.push_back(got.latency);
+      got_bytes += got.body.size();
+      bodies.push_back(std::move(got.body));
+    }
+    FSD_RETURN_IF_ERROR(receiver.Decode(
+        bodies, got_bytes, sim::ParallelMakespan(latencies, options.io_lanes)));
+  }
+  return receiver.Finish();
 }
 
 }  // namespace fsd::core

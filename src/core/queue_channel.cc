@@ -1,9 +1,8 @@
 #include "core/queue_channel.h"
 
-#include <algorithm>
+#include <functional>
 
 #include "common/strings.h"
-#include "sim/simulation.h"
 
 namespace fsd::core {
 namespace {
@@ -29,9 +28,8 @@ std::string QueueChannel::QueueName(int32_t worker,
 
 Status QueueChannel::Provision(cloud::CloudEnv* cloud,
                                const FsdOptions& options) {
-  const std::string& scope = options.channel_scope;
   for (int32_t t = 0; t < options.num_topics; ++t) {
-    const std::string topic = StrFormat("%stopic-%d", scope.c_str(), t);
+    const std::string topic = TopicName(t, options);
     if (!cloud->pubsub().TopicExists(topic)) {
       FSD_RETURN_IF_ERROR(cloud->pubsub().CreateTopic(topic));
     }
@@ -46,8 +44,8 @@ Status QueueChannel::Provision(cloud::CloudEnv* cloud,
     cloud::FilterPolicy policy;
     policy.equals[kAttrTarget] = {StrFormat("%d", n)};
     for (int32_t t = 0; t < options.num_topics; ++t) {
-      FSD_RETURN_IF_ERROR(cloud->pubsub().Subscribe(
-          StrFormat("%stopic-%d", scope.c_str(), t), queue, policy));
+      FSD_RETURN_IF_ERROR(
+          cloud->pubsub().Subscribe(TopicName(t, options), queue, policy));
     }
   }
   return Status::OK();
@@ -59,191 +57,89 @@ Status QueueChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<EncodeResult> encoded,
+      EncodeSends(env, &metrics, source, sends, options.max_message_bytes,
+                  /*skip_empty=*/false));
 
-  // 1) Plan the encode: the chunk count and exact raw byte total are
-  // determined by the inputs alone (PlanRows replays the NNZ chunking
-  // heuristic and the wire layout arithmetic), so the serialization
-  // charge is computable before a single byte is encoded.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  for (const SendSpec& send : sends) {
-    metrics.send_rows_mapped += static_cast<int64_t>(send.rows->size());
-    const EncodePlan plan =
-        PlanRows(source, *send.rows, options.max_message_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
-  }
-
-  // 2) Charge the serialization/compression CPU and run the encode itself
-  // (varint packing + LZ/quant passes) under the charged window — on a
-  // pool thread when the sim has compute_threads > 0, inline at the
-  // window's end otherwise. All post-encode work (chunk accounting,
-  // message building, publish batching, dispatch) moves after the join;
-  // observationally identical, since the charge already preceded the
-  // publishes before this change.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.max_message_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  // 3) Build per-target messages (the send buffer Xsend_list).
-  struct Outgoing {
-    int32_t target;
-    cloud::QueueMessage message;
+  // Frame per-target messages (the send buffer Xsend_list) and pop publish
+  // batches of <=10 messages and <=256 KiB (pop_batches in Algorithm 1).
+  // Messages for different targets may share one publish — the filter
+  // policy splits them downstream.
+  cloud::CloudEnv* cloud = env->cloud;
+  const std::string topic = TopicName(env->worker_id, options);
+  const uint64_t increment =
+      cloud->billing().pricing().pubsub_billing_increment_bytes;
+  std::vector<std::function<void()>> publishes;
+  std::vector<cloud::QueueMessage> batch;
+  uint64_t batch_bytes = 0;
+  auto flush = [&]() {
+    if (batch.empty()) return;
+    // Mirror the service's batch-level 64 KiB-increment billing (the
+    // paper's per-layer S counter). Every message fans out to exactly one
+    // queue (its target's filter), so the service bills delivery bytes =
+    // message sizes incl. attribute envelopes — mirrored here so the cost
+    // model's Z term is exact.
+    metrics.publish_chunks += BilledIncrementChunks(batch_bytes, increment);
+    metrics.send_billed_bytes += static_cast<int64_t>(batch_bytes);
+    publishes.push_back(
+        [cloud, topic, messages = std::move(batch)]() mutable {
+          cloud->pubsub().PublishBatch(topic, std::move(messages));
+        });
+    batch.clear();
+    batch_bytes = 0;
   };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
   for (size_t s = 0; s < sends.size(); ++s) {
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
       cloud::QueueMessage msg;
-      msg.body = std::move(chunk.wire);
+      msg.body = std::move(encoded[s].chunks[seq].wire);
       msg.attributes[kAttrTarget] = StrFormat("%d", sends[s].target);
       msg.attributes[kAttrSource] = StrFormat("%d", env->worker_id);
       msg.attributes[kAttrPhase] = StrFormat("%d", phase);
       msg.attributes[kAttrSeq] = StrFormat("%d", seq);
       msg.attributes[kAttrTotal] = StrFormat("%d", total);
-      outgoing.push_back({sends[s].target, std::move(msg)});
+      const uint64_t size = msg.SizeBytes();
+      const bool overflow =
+          batch_bytes + size > cloud::kMaxPublishBytes ||
+          batch.size() >= static_cast<size_t>(cloud::kMaxMessagesPerPublish);
+      if (!options.greedy_packing || overflow) flush();
+      batch.push_back(std::move(msg));
+      batch_bytes += size;
+      if (!options.greedy_packing) flush();
     }
-  }
-
-  // 4) Pop publish batches: group <=10 messages and <=256 KiB per publish
-  // (pop_batches in Algorithm 1). Messages for different targets may share
-  // one publish — the filter policy splits them downstream.
-  struct Batch {
-    std::string topic;
-    std::vector<cloud::QueueMessage> messages;
-    uint64_t bytes = 0;
-  };
-  std::vector<Batch> batches;
-  const std::string my_topic = TopicName(env->worker_id, options);
-  Batch current{my_topic, {}, 0};
-  auto flush = [&]() {
-    if (!current.messages.empty()) {
-      batches.push_back(std::move(current));
-      current = Batch{my_topic, {}, 0};
-    }
-  };
-  for (Outgoing& out : outgoing) {
-    const uint64_t size = out.message.SizeBytes();
-    const bool overflow =
-        current.bytes + size > cloud::kMaxPublishBytes ||
-        current.messages.size() >=
-            static_cast<size_t>(cloud::kMaxMessagesPerPublish);
-    if (!options.greedy_packing || overflow) flush();
-    current.messages.push_back(std::move(out.message));
-    current.bytes += size;
-    if (!options.greedy_packing) flush();
   }
   flush();
-
-  // 5) Dispatch publishes on parallel IPC lanes: each lane issues its next
-  // publish when the previous completes. Lane offsets use the median API
-  // latency as the estimate; the true latency is sampled at publish time.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().pubsub_publish.median_s);
-  metrics.publishes += static_cast<int64_t>(batches.size());
-  const uint64_t increment =
-      env->cloud->billing().pricing().pubsub_billing_increment_bytes;
-  for (Batch& batch : batches) {
-    // Mirror the service's batch-level 64 KiB-increment billing in the
-    // worker metrics (the paper's per-layer S counter).
-    uint64_t batch_bytes = 0;
-    for (const cloud::QueueMessage& msg : batch.messages) {
-      batch_bytes += msg.SizeBytes();
-    }
-    metrics.publish_chunks += BilledIncrementChunks(batch_bytes, increment);
-    // Every message fans out to exactly one queue (its target's filter),
-    // so the service bills delivery bytes = message sizes incl. attribute
-    // envelopes — mirrored here so the cost model's Z term is exact.
-    metrics.send_billed_bytes += static_cast<int64_t>(batch_bytes);
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    std::string topic = batch.topic;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, topic, messages = std::move(batch.messages)]() mutable {
-          cloud->pubsub().PublishBatch(topic, std::move(messages));
-        });
-  }
-  // The worker itself only pays a small per-call dispatch overhead (handing
-  // work to the pool); the API round trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, batches.size()));
-  return Status::OK();
+  metrics.publishes += static_cast<int64_t>(publishes.size());
+  return DispatchOnLanes(env, cloud->latency().pubsub_publish.median_s,
+                         std::move(publishes));
 }
 
 Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  linalg::ActivationMap received;
-  if (sources.empty()) return received;
+  if (sources.empty()) return linalg::ActivationMap{};
   const FsdOptions& options = *env->options;
-  LayerMetrics& metrics = env->metrics->Layer(phase);
-  const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
+  PhaseReceiver receiver(env, phase, sources);
+  LayerMetrics& metrics = receiver.metrics();
 
-  // Per-source progress: how many chunks expected (unknown until the first
-  // message from that source arrives) and how many consumed.
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
-
-  auto consume = [&](int32_t source, int32_t seq, int32_t total,
-                     const Bytes& body) -> Status {
-    auto it = pending.find(source);
-    if (it == pending.end()) {
-      ++metrics.redundant_skipped;
-      return Status::OK();
-    }
-    if (!seen_.insert({phase, source, seq}).second) {
-      ++metrics.redundant_skipped;  // visibility-timeout redelivery
-      return Status::OK();
-    }
-    it->second.expected = total;
-    ++it->second.got;
-    metrics.recv_wire_bytes += static_cast<int64_t>(body.size());
-    // The deserialization charge depends only on the wire size, so the
-    // decode itself runs under the charged window (pool thread when the
-    // sim has compute_threads > 0). A decode error surfaces after the
-    // window — uniformly for every pool size.
-    const double deser_s =
-        static_cast<double>(body.size()) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    metrics.offload_calls += 1;
-    metrics.offload_virtual_s += deser_s;
-    const size_t before = received.size();
-    Status decoded;
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(
-        deser_s, [&]() { decoded = DecodeRows(body, &received); }));
-    FSD_RETURN_IF_ERROR(decoded);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    if (it->second.got == it->second.expected) pending.erase(it);
-    return Status::OK();
+  // Each consumed message is decoded under its own deserialization window.
+  auto consume = [&](const ParsedMessage& msg) -> Status {
+    if (!receiver.Accept(msg.source, msg.seq, msg.total)) return Status::OK();
+    return receiver.Decode({&msg.body, 1}, msg.body.size());
   };
 
   // Drain the stash first: chunks for this phase may have arrived while we
   // were receiving an earlier phase.
   if (auto it = stash_.find(phase); it != stash_.end()) {
-    for (ParsedMessage& msg : it->second) {
-      FSD_RETURN_IF_ERROR(consume(msg.source, msg.seq, msg.total, msg.body));
+    for (const ParsedMessage& msg : it->second) {
+      FSD_RETURN_IF_ERROR(consume(msg));
     }
     stash_.erase(it);
   }
 
   const std::string my_queue = QueueName(env->worker_id, options);
-  while (!pending.empty()) {
-    FSD_RETURN_IF_ERROR(env->CheckAbort());
-    FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
+  while (!receiver.done()) {
+    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     FSD_ASSIGN_OR_RETURN(
         std::vector<cloud::QueueMessage> messages,
         env->cloud->queues().Receive(my_queue, cloud::kMaxMessagesPerReceive,
@@ -257,26 +153,28 @@ Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
     std::vector<uint64_t> to_delete;
     for (cloud::QueueMessage& msg : messages) {
       to_delete.push_back(msg.id);
+      // A missing attribute reads as "", which fails the parse too.
+      auto field = [&msg](const char* key) {
+        return ParseFrameInt(msg.attributes[key]);
+      };
       ParsedMessage parsed;
-      parsed.source = std::atoi(msg.attributes[kAttrSource].c_str());
-      parsed.seq = std::atoi(msg.attributes[kAttrSeq].c_str());
-      parsed.total = std::atoi(msg.attributes[kAttrTotal].c_str());
-      const int32_t msg_phase = std::atoi(msg.attributes[kAttrPhase].c_str());
+      FSD_ASSIGN_OR_RETURN(const int32_t msg_phase, field(kAttrPhase));
+      FSD_ASSIGN_OR_RETURN(parsed.source, field(kAttrSource));
+      FSD_ASSIGN_OR_RETURN(parsed.seq, field(kAttrSeq));
+      FSD_ASSIGN_OR_RETURN(parsed.total, field(kAttrTotal));
+      FSD_RETURN_IF_ERROR(CheckChunkIndex(parsed.seq, parsed.total));
       parsed.body = std::move(msg.body);
       if (msg_phase != phase) {
         stash_[msg_phase].push_back(std::move(parsed));
         continue;
       }
-      FSD_RETURN_IF_ERROR(
-          consume(parsed.source, parsed.seq, parsed.total, parsed.body));
+      FSD_RETURN_IF_ERROR(consume(parsed));
     }
     FSD_RETURN_IF_ERROR(
         env->cloud->queues().DeleteMessages(my_queue, to_delete));
     ++metrics.deletes;
   }
-
-  metrics.recv_wait_s += env->cloud->sim()->Now() - start;
-  return received;
+  return receiver.Finish();
 }
 
 }  // namespace fsd::core

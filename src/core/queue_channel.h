@@ -11,14 +11,13 @@
 //
 // Receive path: the worker long-polls its own queue (up to 10 messages per
 // receive), stashes messages belonging to other phases (a fast upstream
-// worker may already be sending layer k+1), deduplicates redeliveries, and
-// deletes consumed messages. Per-source chunk counts ride in message
+// worker may already be sending layer k+1), and deletes consumed messages;
+// PhaseReceiver drops redeliveries. Per-source chunk counts ride in message
 // attributes so the worker knows when a source is complete.
 #ifndef FSD_CORE_QUEUE_CHANNEL_H_
 #define FSD_CORE_QUEUE_CHANNEL_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -60,8 +59,6 @@ class QueueChannel : public CommChannel {
 
   /// Messages that arrived while receiving a different phase.
   std::map<int32_t, std::vector<ParsedMessage>> stash_;
-  /// (phase, source, seq) already consumed — redelivery dedup.
-  std::set<std::tuple<int32_t, int32_t, int32_t>> seen_;
 };
 
 }  // namespace fsd::core

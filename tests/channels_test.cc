@@ -1,9 +1,11 @@
-// Direct unit tests of the two communication channels, below the worker
-// layer: chunking, publish packing, empty-send markers, cross-phase
-// stashing, and the object channel's .nul/redundant-read optimizations.
+// Direct unit tests of the communication channels, below the worker layer:
+// chunking, publish packing, empty-send markers, cross-phase stashing, the
+// object channel's .nul/redundant-read optimizations, and checked framing.
 #include <gtest/gtest.h>
 
 #include "cloud/cloud.h"
+#include "codec/varint.h"
+#include "core/kv_channel.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
 #include "common/strings.h"
@@ -301,6 +303,81 @@ TEST_F(ChannelTest, ObjectScanBackoffBoundsListCalls) {
   // 0.5 s of waiting at a 10 ms scan interval plus LIST latency: well under
   // a hundred scans.
   EXPECT_LT(lists, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Framing fields are checked: a garbled or out-of-range header is DataLoss,
+// never a silently wrong source or a source that can never complete.
+
+TEST_F(ChannelTest, QueueRejectsNonNumericSourceAttribute) {
+  static const std::vector<int32_t> ids = {3};
+  const linalg::ActivationMap rows = MakeRows({3}, 16, 4);
+  Status status;
+  RunWorkers<QueueChannel>({
+      [&](WorkerEnv* env, QueueChannel*) {
+        // A well-formed chunk whose "src" attribute is not a number.
+        cloud::QueueMessage msg;
+        msg.body = EncodeRows(rows, ids, 0, WireCodecFromOptions(options_))
+                       .chunks[0]
+                       .wire;
+        msg.attributes = {{"target", "1"}, {"src", "x"}, {"phase", "0"},
+                          {"seq", "0"},    {"total", "1"}};
+        env->cloud->pubsub().PublishBatch(
+            QueueChannel::TopicName(0, options_), {std::move(msg)});
+      },
+      [&](WorkerEnv* env, QueueChannel* channel) {
+        status = channel->ReceivePhase(env, 0, {0}).status();
+      },
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+TEST_F(ChannelTest, ObjectRejectsGarbledKeySource) {
+  static const std::vector<int32_t> ids = {3};
+  const linalg::ActivationMap rows = MakeRows({3}, 16, 4);
+  Status status;
+  RunWorkers<ObjectChannel>({
+      [&](WorkerEnv* env, ObjectChannel*) {
+        env->cloud->objects().Put(
+            ObjectChannel::BucketName(1, options_), "0/1/x_1.dat",
+            EncodeRows(rows, ids, 0, WireCodecFromOptions(options_))
+                .chunks[0]
+                .wire);
+      },
+      [&](WorkerEnv* env, ObjectChannel* channel) {
+        status = channel->ReceivePhase(env, 0, {0}).status();
+      },
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+Bytes InboxHeader(uint64_t source, uint64_t seq, uint64_t total) {
+  Bytes value;
+  codec::PutVarint64(&value, source);
+  codec::PutVarint64(&value, seq);
+  codec::PutVarint64(&value, total);
+  value.push_back(0);  // a one-byte body
+  return value;
+}
+
+TEST(InboxValue, RejectsHeadersThatNameNoRealChunk) {
+  auto ok = DecodeInboxValue(InboxHeader(2, 1, 3));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->source, 2);
+  EXPECT_EQ(ok->seq, 1);
+  EXPECT_EQ(ok->total, 3);
+  EXPECT_EQ(ok->body, Bytes{0});
+
+  const Bytes bad[] = {
+      InboxHeader((1ull << 32) + 1, 0, 1),  // would narrow to worker 1
+      InboxHeader(1, (1ull << 32) + 1, 1),
+      InboxHeader(1, 0, (1ull << 32) + 1),
+      InboxHeader(1, 0, 0),  // no chunks: the source never completes
+      InboxHeader(1, 3, 3),  // seq past the end
+  };
+  for (const Bytes& value : bad) {
+    EXPECT_EQ(DecodeInboxValue(value).status().code(), StatusCode::kDataLoss);
+  }
 }
 
 }  // namespace
