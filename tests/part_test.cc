@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/rng.h"
 #include "model/sparse_dnn.h"
 #include "part/hypergraph.h"
 #include "part/model_partition.h"
@@ -124,6 +125,111 @@ TEST(Partitioner, DeterministicForSeed) {
   auto b = PartitionHypergraph(hg, 6, options);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->assignment, b->assignment);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned partitions: FNV-1a digests of the assignment and objective of the
+// perfbench model shapes (generator seed 7, default options) and of a
+// synthetic hypergraph with weighted vertices and non-unit net costs. A
+// speedup of the partitioner must leave every digest unchanged; a change
+// that means to move partitions re-pins them on purpose.
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(T value) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (size_t i = 0; i < sizeof(value); ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t AssignmentDigest(const std::vector<int32_t>& assignment,
+                          int64_t cut_cost, int64_t row_transfers) {
+  Fnv1a fnv;
+  fnv.Add(static_cast<uint64_t>(assignment.size()));
+  for (int32_t part : assignment) fnv.Add(part);
+  fnv.Add(cut_cost);
+  fnv.Add(row_transfers);
+  return fnv.hash();
+}
+
+struct PinnedModelShape {
+  int32_t neurons;
+  int32_t layers;
+  int32_t parts;
+  int64_t cut_cost;
+  int64_t row_transfers;
+  uint64_t digest;
+};
+
+TEST(PinnedPartitions, PerfbenchModelShapes) {
+  const PinnedModelShape shapes[] = {
+      {1024, 8, 8, 9626, 39495, 0x57157bde82a7c371ull},
+      {4096, 8, 4, 6444, 26243, 0x141a29000d421ce4ull},
+      {1024, 4, 4, 5317, 10949, 0xab81631a512ebc38ull},
+  };
+  for (const PinnedModelShape& shape : shapes) {
+    SCOPED_TRACE(::testing::Message() << "N=" << shape.neurons
+                                      << " L=" << shape.layers
+                                      << " P=" << shape.parts);
+    model::SparseDnnConfig config;
+    config.neurons = shape.neurons;
+    config.layers = shape.layers;
+    config.seed = 7;
+    auto dnn = model::GenerateSparseDnn(config);
+    ASSERT_TRUE(dnn.ok());
+    auto partition = PartitionModel(*dnn, shape.parts, ModelPartitionOptions{});
+    ASSERT_TRUE(partition.ok());
+    EXPECT_EQ(partition->cut_cost, shape.cut_cost);
+    EXPECT_EQ(partition->total_row_transfers, shape.row_transfers);
+    const uint64_t digest =
+        AssignmentDigest(partition->assignment, partition->cut_cost,
+                         partition->total_row_transfers);
+    EXPECT_EQ(digest, shape.digest) << std::hex << "0x" << digest;
+  }
+}
+
+/// 900 vertices of weight 1-4 on a ring; each net joins a vertex with 1-5
+/// neighbours within +-12 (a few reach anywhere) at cost 1-7.
+Hypergraph WeightedRingHypergraph() {
+  constexpr int32_t kVertices = 900;
+  Rng rng(2024);
+  std::vector<int64_t> weights(kVertices);
+  for (int64_t& w : weights) w = 1 + static_cast<int64_t>(rng.NextBounded(4));
+  std::vector<std::vector<int32_t>> nets;
+  std::vector<int64_t> costs;
+  for (int32_t v = 0; v < kVertices; ++v) {
+    for (int32_t k = 0; k < 2; ++k) {
+      std::vector<int32_t> pins = {v};
+      const int32_t extra = 1 + static_cast<int32_t>(rng.NextBounded(5));
+      for (int32_t i = 0; i < extra; ++i) {
+        const int32_t offset =
+            rng.NextBool(0.05)
+                ? static_cast<int32_t>(rng.NextBounded(kVertices))
+                : static_cast<int32_t>(rng.NextBounded(25)) - 12;
+        pins.push_back((v + offset + kVertices) % kVertices);
+      }
+      nets.push_back(std::move(pins));
+      costs.push_back(1 + static_cast<int64_t>(rng.NextBounded(7)));
+    }
+  }
+  return Hypergraph::Build(kVertices, std::move(weights), nets, costs);
+}
+
+TEST(PinnedPartitions, WeightedHypergraphSixParts) {
+  const Hypergraph hg = WeightedRingHypergraph();
+  auto result = PartitionHypergraph(hg, 6, PartitionerOptions{});
+  ASSERT_TRUE(result.ok());
+  const uint64_t digest =
+      AssignmentDigest(result->assignment, result->cut_cost, 0);
+  EXPECT_EQ(result->cut_cost, 1719);
+  EXPECT_EQ(digest, 0xe64a3d6ffdfcc982ull) << std::hex << "0x" << digest;
 }
 
 TEST(PartitionSchemes, Names) {
