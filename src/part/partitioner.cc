@@ -74,7 +74,10 @@ void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
   const Hypergraph& hg = *bis->hg;
   const int32_t n = hg.num_vertices();
 
-  // Lazy-deletion priority queue of (gain, tiebreak, vertex).
+  // Lazy-deletion max-heap of (gain, tiebreak, vertex). Pops follow the
+  // strict (gain, tiebreak) order alone, so dropping entries that can never
+  // be valid again (their vertex has moved) and rebuilding the heap leaves
+  // the sequence of valid pops, and with it the partition, unchanged.
   struct Entry {
     int64_t gain;
     uint64_t tiebreak;
@@ -84,14 +87,19 @@ void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
       return tiebreak < other.tiebreak;
     }
   };
-  std::priority_queue<Entry> heap;
+  std::vector<Entry> heap;
   std::vector<int64_t> gain(n, 0);
   std::vector<uint8_t> moved(n, 0);
-  std::vector<uint8_t> queued(n, 0);
+  // Queued entries per unmoved vertex, and queued entries of moved ones.
+  std::vector<int32_t> outstanding(n, 0);
+  size_t dead = 0;
 
+  // Every push draws its tiebreak, so the Rng stream never depends on
+  // which entries are later dropped.
   auto push = [&](int32_t v) {
-    heap.push({gain[v], rng->Next(), v});
-    queued[v] = 1;
+    heap.push_back({gain[v], rng->Next(), v});
+    std::push_heap(heap.begin(), heap.end());
+    ++outstanding[v];
   };
 
   // Seed with boundary vertices only (interior moves cannot help first).
@@ -161,10 +169,16 @@ void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
   };
 
   while (!heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end());
+    const Entry top = heap.back();
+    heap.pop_back();
     const int32_t v = top.vertex;
-    if (moved[v] || top.gain != gain[v]) continue;  // stale entry
+    if (moved[v]) {
+      --dead;
+      continue;
+    }
+    --outstanding[v];
+    if (top.gain != gain[v]) continue;  // stale; may revive with its gain
     // Balance check for the prospective move.
     const int to = 1 - bis->side[v];
     const int64_t new_weight = bis->weight[to] + hg.vertex_weight(v);
@@ -173,7 +187,13 @@ void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
       continue;
     }
     moved[v] = 1;
+    dead += outstanding[v];
     move_with_updates(v);
+    if (2 * dead > heap.size()) {
+      std::erase_if(heap, [&](const Entry& e) { return moved[e.vertex]; });
+      std::make_heap(heap.begin(), heap.end());
+      dead = 0;
+    }
     move_order.push_back(v);
     if (bis->cut < best_cut) {
       best_cut = bis->cut;
