@@ -492,6 +492,38 @@ Hypergraph SubHypergraph(const Hypergraph& hg, const std::vector<int8_t>& side,
                            std::move(weights), nets, costs);
 }
 
+/// Bisect balances weight, not vertex counts, so on small or lopsided
+/// graphs a side can end up with fewer vertices than the parts it must
+/// hold. Moves vertices over from the other side, best cut gain first and
+/// lowest id on ties, until side 0 has at least `min0` vertices and side 1
+/// at least `min1` (min0 + min1 <= vertices). Draws nothing from the Rng.
+void FillShortSide(const Hypergraph& hg, int32_t min0, int32_t min1,
+                   std::vector<int8_t>* side) {
+  const int32_t n = hg.num_vertices();
+  const auto count0 =
+      static_cast<int32_t>(std::count(side->begin(), side->end(), 0));
+  if (count0 >= min0 && n - count0 >= min1) return;
+  const int8_t from = count0 < min0 ? 1 : 0;
+  int32_t short_count = from == 1 ? count0 : n - count0;
+  const int32_t needed = from == 1 ? min0 : min1;
+  Bisection bis;
+  bis.Init(hg, *side);
+  for (; short_count < needed; ++short_count) {
+    int32_t best = -1;
+    int64_t best_gain = 0;
+    for (int32_t v = 0; v < n; ++v) {
+      if (bis.side[v] != from) continue;
+      const int64_t gain = bis.Gain(v);
+      if (best < 0 || gain > best_gain) {
+        best = v;
+        best_gain = gain;
+      }
+    }
+    bis.Move(best);
+  }
+  *side = std::move(bis.side);
+}
+
 void RecursiveBisect(const Hypergraph& hg, int32_t num_parts,
                      int32_t part_offset, const PartitionerOptions& options,
                      Rng* rng, const std::vector<int32_t>& to_global,
@@ -504,7 +536,8 @@ void RecursiveBisect(const Hypergraph& hg, int32_t num_parts,
   }
   const int32_t left_parts = (num_parts + 1) / 2;
   const double ratio = static_cast<double>(left_parts) / num_parts;
-  const std::vector<int8_t> side = Bisect(hg, ratio, options, rng);
+  std::vector<int8_t> side = Bisect(hg, ratio, options, rng);
+  FillShortSide(hg, left_parts, num_parts - left_parts, &side);
 
   std::vector<int32_t> left_map;
   std::vector<int32_t> right_map;

@@ -44,7 +44,8 @@ struct PartitionResult {
   double imbalance = 0.0;      ///< max part weight / ideal - 1
 };
 
-/// Partitions `hg` into `num_parts` using the multilevel algorithm.
+/// Partitions `hg` into `num_parts` using the multilevel algorithm. Every
+/// part receives at least one vertex (num_parts <= vertices is required).
 Result<PartitionResult> PartitionHypergraph(const Hypergraph& hg,
                                             int32_t num_parts,
                                             const PartitionerOptions& options);

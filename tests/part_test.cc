@@ -114,6 +114,78 @@ TEST(Partitioner, RejectsBadArguments) {
   EXPECT_FALSE(PartitionHypergraph(hg, 7, PartitionerOptions{}).ok());
 }
 
+int32_t PartsUsed(const PartitionResult& result) {
+  return static_cast<int32_t>(
+      std::set<int32_t>(result.assignment.begin(), result.assignment.end())
+          .size());
+}
+
+TEST(Partitioner, TinyHypergraphFillsEveryPart) {
+  const Hypergraph hg = TinyHypergraph();
+  for (int32_t parts = 1; parts <= hg.num_vertices(); ++parts) {
+    auto result = PartitionHypergraph(hg, parts, PartitionerOptions{});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(PartsUsed(*result), parts) << "parts=" << parts;
+    EXPECT_EQ(result->cut_cost,
+              hg.ConnectivityMinusOne(result->assignment, parts));
+  }
+}
+
+TEST(Partitioner, PathFillsEveryPart) {
+  // 0-1-2-3 into 4 parts: each side of the first bisection must keep two
+  // vertices for its two parts, whatever the weight balance prefers.
+  const Hypergraph hg =
+      Hypergraph::Build(4, {1, 1, 1, 1}, {{0, 1}, {1, 2}, {2, 3}}, {1, 1, 1});
+  auto result = PartitionHypergraph(hg, 4, PartitionerOptions{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(PartsUsed(*result), 4);
+  EXPECT_EQ(result->cut_cost, 3);
+}
+
+TEST(Partitioner, SmallRandomHypergraphsFillEveryPart) {
+  Rng rng(11);
+  for (int32_t trial = 0; trial < 300; ++trial) {
+    const int32_t n = 4 + static_cast<int32_t>(rng.NextBounded(37));
+    std::vector<int64_t> weights(n);
+    for (int64_t& w : weights) w = 1 + static_cast<int64_t>(rng.NextBounded(3));
+    std::vector<std::vector<int32_t>> nets(n);
+    std::vector<int64_t> costs(n);
+    for (int32_t e = 0; e < n; ++e) {
+      const int32_t size = 2 + static_cast<int32_t>(rng.NextBounded(4));
+      for (int32_t i = 0; i < size; ++i) {
+        nets[e].push_back(static_cast<int32_t>(rng.NextBounded(n)));
+      }
+      costs[e] = 1 + static_cast<int64_t>(rng.NextBounded(3));
+    }
+    const Hypergraph hg =
+        Hypergraph::Build(n, std::move(weights), nets, costs);
+    const int32_t parts = 1 + static_cast<int32_t>(rng.NextBounded(n));
+    PartitionerOptions options;
+    options.seed = rng.Next();
+    auto result = PartitionHypergraph(hg, parts, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(PartsUsed(*result), parts)
+        << "trial " << trial << ": n=" << n << " parts=" << parts;
+  }
+}
+
+TEST(ModelPartition, EveryWorkerOwnsRows) {
+  model::SparseDnnConfig config;
+  config.neurons = 64;
+  config.layers = 3;
+  config.window = 4;
+  auto dnn = model::GenerateSparseDnn(config);
+  ASSERT_TRUE(dnn.ok());
+  for (int32_t parts : {40, 48, 57, 64}) {
+    auto partition = PartitionModel(*dnn, parts, ModelPartitionOptions{});
+    ASSERT_TRUE(partition.ok());
+    for (int32_t m = 0; m < parts; ++m) {
+      EXPECT_FALSE(partition->owned_rows[m].empty())
+          << "parts=" << parts << " worker " << m;
+    }
+  }
+}
+
 TEST(Partitioner, DeterministicForSeed) {
   model::SparseDnnConfig config;
   config.neurons = 512;
