@@ -11,7 +11,8 @@
 //   - per-chunk quantization error stays within codec::QuantRelErrorBound
 //
 // Wall-clock keys (gated, smaller is worse): the quantized and FsdLz codec
-// throughputs, and spmm_macs_per_sec for LayerForward over the partitions.
+// throughputs, spmm_macs_per_sec for LayerForward over the partitions, and
+// partition_pins_per_sec for the offline hypergraph partitioning step.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "core/serialization.h"
+#include "part/model_partition.h"
 
 using namespace fsd;
 using bench::ScaleConfig;
@@ -303,6 +305,29 @@ int main() {
   std::printf("spmm throughput (%s kernel): %.1f M MAC/s\n",
               linalg::LayerForwardKernelName(), spmm_macs / spmm_s / 1e6);
   json.emplace_back("spmm_macs_per_sec", spmm_macs / spmm_s);
+
+  // Wall-clock partitioner throughput: hypergraph pins per second of a
+  // direct PartitionModel call on this workload's model, with the options
+  // GetPartition uses but none of its disk cache — the gated
+  // partition_pins_per_sec key (smaller is worse).
+  part::ModelPartitionOptions part_options;
+  part_options.scheme = part::PartitionScheme::kHypergraph;
+  part_options.hypergraph_sample_layers = neurons >= 65536 ? 1 : 2;
+  const int64_t pins =
+      part::BuildDnnHypergraph(workload.dnn,
+                               part_options.hypergraph_sample_layers)
+          .num_pins();
+  const auto part_start = std::chrono::steady_clock::now();
+  auto fresh = part::PartitionModel(workload.dnn, workers, part_options);
+  const double part_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - part_start)
+                            .count();
+  FSD_CHECK_OK(fresh.status());
+  std::printf("partitioner throughput: %.2f M pins/s (%lld pins, %.3f s, "
+              "cut %lld)\n",
+              pins / part_s / 1e6, static_cast<long long>(pins), part_s,
+              static_cast<long long>(fresh->cut_cost));
+  json.emplace_back("partition_pins_per_sec", pins / part_s);
   bench::WriteBenchJson("data_plane", json);
   return 0;
 }
