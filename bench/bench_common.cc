@@ -285,6 +285,16 @@ const Workload& GetWorkload(int32_t neurons, const ScaleConfig& scale) {
   return ref;
 }
 
+part::ModelPartitionOptions BenchPartitionOptions(
+    int32_t neurons, part::PartitionScheme scheme) {
+  part::ModelPartitionOptions options;
+  options.scheme = scheme;
+  // Big hypergraphs: one sampled layer is representative and keeps the
+  // offline partitioning step to seconds.
+  options.hypergraph_sample_layers = neurons >= 65536 ? 1 : 2;
+  return options;
+}
+
 const part::ModelPartition& GetPartition(int32_t neurons, int32_t workers,
                                          part::PartitionScheme scheme,
                                          const ScaleConfig& scale) {
@@ -311,12 +321,8 @@ const part::ModelPartition& GetPartition(int32_t neurons, int32_t workers,
     }
   }
 
-  part::ModelPartitionOptions options;
-  options.scheme = scheme;
-  // Big hypergraphs: one sampled layer is representative and keeps the
-  // offline partitioning step to seconds.
-  options.hypergraph_sample_layers = neurons >= 65536 ? 1 : 2;
-  auto partition = part::PartitionModel(workload.dnn, workers, options);
+  auto partition = part::PartitionModel(workload.dnn, workers,
+                                       BenchPartitionOptions(neurons, scheme));
   FSD_CHECK_OK(partition.status());
   WriteFileAtomic(path, SerializePartition(*partition));
   auto owned = std::make_unique<part::ModelPartition>(std::move(*partition));

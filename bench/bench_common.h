@@ -98,8 +98,12 @@ const Workload& GetWorkload(int32_t neurons, const ScaleConfig& scale);
 /// the first GetWorkload() for that width.
 void OverrideBatch(int32_t neurons, int32_t batch);
 
+/// The partitioning options the benches use for a model of `neurons` rows.
+part::ModelPartitionOptions BenchPartitionOptions(int32_t neurons,
+                                                  part::PartitionScheme scheme);
+
 /// Builds (and memoizes, including on disk) a partition for
-/// (neurons, P, scheme).
+/// (neurons, P, scheme) with BenchPartitionOptions.
 const part::ModelPartition& GetPartition(int32_t neurons, int32_t workers,
                                          part::PartitionScheme scheme,
                                          const ScaleConfig& scale);

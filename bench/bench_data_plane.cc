@@ -310,9 +310,8 @@ int main() {
   // direct PartitionModel call on this workload's model, with the options
   // GetPartition uses but none of its disk cache — the gated
   // partition_pins_per_sec key (smaller is worse).
-  part::ModelPartitionOptions part_options;
-  part_options.scheme = part::PartitionScheme::kHypergraph;
-  part_options.hypergraph_sample_layers = neurons >= 65536 ? 1 : 2;
+  const part::ModelPartitionOptions part_options = bench::BenchPartitionOptions(
+      neurons, part::PartitionScheme::kHypergraph);
   const int64_t pins =
       part::BuildDnnHypergraph(workload.dnn,
                                part_options.hypergraph_sample_layers)
