@@ -309,23 +309,31 @@ int main() {
   // Wall-clock partitioner throughput: hypergraph pins per second of a
   // direct PartitionModel call on this workload's model, with the options
   // GetPartition uses but none of its disk cache — the gated
-  // partition_pins_per_sec key (smaller is worse).
+  // partition_pins_per_sec key (smaller is worse). The fastest of three
+  // calls is kept, so a neighbour's burst of load on a shared host does
+  // not read as a regression; every call must give the same partition.
   const part::ModelPartitionOptions part_options = bench::BenchPartitionOptions(
       neurons, part::PartitionScheme::kHypergraph);
   const int64_t pins =
       part::BuildDnnHypergraph(workload.dnn,
                                part_options.hypergraph_sample_layers)
           .num_pins();
-  const auto part_start = std::chrono::steady_clock::now();
-  auto fresh = part::PartitionModel(workload.dnn, workers, part_options);
-  const double part_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - part_start)
-                            .count();
-  FSD_CHECK_OK(fresh.status());
-  std::printf("partitioner throughput: %.2f M pins/s (%lld pins, %.3f s, "
-              "cut %lld)\n",
-              pins / part_s / 1e6, static_cast<long long>(pins), part_s,
-              static_cast<long long>(fresh->cut_cost));
+  double part_s = 0.0;
+  std::vector<int32_t> first_assignment;
+  for (int call = 0; call < 3; ++call) {
+    const auto part_start = std::chrono::steady_clock::now();
+    auto fresh = part::PartitionModel(workload.dnn, workers, part_options);
+    const double call_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - part_start)
+                              .count();
+    FSD_CHECK_OK(fresh.status());
+    if (call == 0) first_assignment = fresh->assignment;
+    FSD_CHECK(fresh->assignment == first_assignment);
+    part_s = call == 0 ? call_s : std::min(part_s, call_s);
+  }
+  std::printf("partitioner throughput: %.2f M pins/s (%lld pins, fastest "
+              "of 3 calls %.3f s)\n",
+              pins / part_s / 1e6, static_cast<long long>(pins), part_s);
   json.emplace_back("partition_pins_per_sec", pins / part_s);
   bench::WriteBenchJson("data_plane", json);
   return 0;
