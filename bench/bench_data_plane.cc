@@ -220,43 +220,6 @@ int main() {
   json.emplace_back("quant8_encode_bytes_per_sec",
                     raw_bytes / std::max(1e-9, encode_s));
 
-  // The same measurement for the lossless FsdLz wire, both directions (raw
-  // row bytes per wall second).
-  int64_t lz_raw_bytes = 0;
-  std::vector<core::EncodeResult> lz_encoded;
-  const auto lz_start = std::chrono::steady_clock::now();
-  for (int it = 0; it < encode_iters; ++it) {
-    lz_encoded.push_back(core::EncodeRows(workload.input, ids, 224 * 1024,
-                                          core::LosslessCodec(true)));
-    for (const auto& chunk : lz_encoded.back().chunks) {
-      lz_raw_bytes += chunk.raw_bytes;
-    }
-  }
-  const double lz_encode_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - lz_start)
-                                 .count();
-  size_t active_rows = 0;
-  for (const auto& [id, vec] : workload.input) active_rows += !vec.empty();
-  const auto lz_decode_start = std::chrono::steady_clock::now();
-  for (const core::EncodeResult& encoded : lz_encoded) {
-    linalg::ActivationMap decoded;
-    for (const auto& chunk : encoded.chunks) {
-      FSD_CHECK(core::DecodeRows(chunk.wire, &decoded).ok());
-    }
-    FSD_CHECK_EQ(decoded.size(), active_rows);
-  }
-  const double lz_decode_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    lz_decode_start)
-          .count();
-  std::printf("lossless-lz throughput: encode %.1f MB/s, decode %.1f MB/s\n",
-              lz_raw_bytes / std::max(1e-9, lz_encode_s) / 1e6,
-              lz_raw_bytes / std::max(1e-9, lz_decode_s) / 1e6);
-  json.emplace_back("lz_encode_bytes_per_sec",
-                    lz_raw_bytes / std::max(1e-9, lz_encode_s));
-  json.emplace_back("lz_decode_bytes_per_sec",
-                    lz_raw_bytes / std::max(1e-9, lz_decode_s));
-
   // Wall-clock spmm throughput: LayerForward over this workload's layers
   // and partitions, fed from per-layer row tables as the workers feed it —
   // the gated spmm_macs_per_sec key (smaller is worse). The first sweep's
@@ -276,11 +239,11 @@ int main() {
                      nullptr);
     for (const auto& [id, row] : layer_inputs[k]) tables[k][id] = &row;
   }
-  const double spmm_min_s = scale.tiny ? 0.25 : 1.0;
+  const double timed_min_s = scale.tiny ? 0.25 : 1.0;
   double spmm_macs = 0.0;
   double spmm_s = 0.0;
   const auto spmm_start = std::chrono::steady_clock::now();
-  for (int sweep = 0; spmm_s < spmm_min_s; ++sweep) {
+  for (int sweep = 0; spmm_s < timed_min_s; ++sweep) {
     for (size_t k = 0; k < spmm_layers; ++k) {
       const std::vector<const linalg::SparseVector*>& table = tables[k];
       const linalg::RowProvider provider = [&table](int32_t col) {
@@ -305,6 +268,62 @@ int main() {
   std::printf("spmm throughput (%s kernel): %.1f M MAC/s\n",
               linalg::LayerForwardKernelName(), spmm_macs / spmm_s / 1e6);
   json.emplace_back("spmm_macs_per_sec", spmm_macs / spmm_s);
+
+  // The same measurement for the lossless FsdLz wire, both directions (raw
+  // row bytes per wall second), over what workers send: every layer's
+  // activations, each partition's rows as one send. Each direction is
+  // timed for at least timed_min_s.
+  std::vector<size_t> active_rows(layer_inputs.size(), 0);
+  for (size_t k = 0; k < layer_inputs.size(); ++k) {
+    for (const auto& [id, vec] : layer_inputs[k]) {
+      active_rows[k] += !vec.empty();
+    }
+  }
+  int64_t lz_raw_bytes = 0;
+  double lz_encode_s = 0.0;
+  // lz_sends[k][m]: layer k's rows owned by partition m, encoded.
+  std::vector<std::vector<core::EncodeResult>> lz_sends(layer_inputs.size());
+  const auto lz_start = std::chrono::steady_clock::now();
+  for (int sweep = 0; lz_encode_s < timed_min_s; ++sweep) {
+    for (size_t k = 0; k < layer_inputs.size(); ++k) {
+      for (int32_t m = 0; m < partition.num_parts; ++m) {
+        core::EncodeResult encoded =
+            core::EncodeRows(layer_inputs[k], partition.owned_rows[m],
+                             224 * 1024, core::LosslessCodec(true));
+        for (const auto& chunk : encoded.chunks) {
+          lz_raw_bytes += chunk.raw_bytes;
+        }
+        if (sweep == 0) lz_sends[k].push_back(std::move(encoded));
+      }
+    }
+    lz_encode_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - lz_start)
+                      .count();
+  }
+  int64_t lz_decoded_bytes = 0;
+  double lz_decode_s = 0.0;
+  const auto lz_decode_start = std::chrono::steady_clock::now();
+  while (lz_decode_s < timed_min_s) {
+    for (size_t k = 0; k < lz_sends.size(); ++k) {
+      linalg::ActivationMap decoded;
+      for (const core::EncodeResult& encoded : lz_sends[k]) {
+        for (const auto& chunk : encoded.chunks) {
+          FSD_CHECK(core::DecodeRows(chunk.wire, &decoded).ok());
+          lz_decoded_bytes += chunk.raw_bytes;
+        }
+      }
+      FSD_CHECK_EQ(decoded.size(), active_rows[k]);
+    }
+    lz_decode_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - lz_decode_start)
+                      .count();
+  }
+  std::printf("lossless-lz throughput: encode %.1f MB/s, decode %.1f MB/s\n",
+              lz_raw_bytes / lz_encode_s / 1e6,
+              lz_decoded_bytes / lz_decode_s / 1e6);
+  json.emplace_back("lz_encode_bytes_per_sec", lz_raw_bytes / lz_encode_s);
+  json.emplace_back("lz_decode_bytes_per_sec",
+                    lz_decoded_bytes / lz_decode_s);
 
   // Wall-clock partitioner throughput: hypergraph pins per second of a
   // direct PartitionModel call on this workload's model, with the options

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -17,7 +18,7 @@ constexpr int kMaxCodeLen = 15;
 /// Computes length-limited canonical code lengths for the given symbol
 /// frequencies. Symbols with zero frequency get length 0 (no code). If only
 /// one symbol has nonzero frequency it is assigned length 1.
-std::vector<uint8_t> BuildCodeLengths(const std::vector<uint64_t>& freqs,
+std::vector<uint8_t> BuildCodeLengths(std::span<const uint64_t> freqs,
                                       int max_len = kMaxCodeLen);
 
 /// Encoder: maps symbol -> (code bits, length) from canonical lengths.
@@ -30,6 +31,8 @@ class HuffmanEncoder {
     writer->Write(codes_[symbol], lengths_[symbol]);
   }
 
+  /// The code of `symbol` in stream (LSB-first) order.
+  uint32_t code(int symbol) const { return codes_[symbol]; }
   uint8_t length(int symbol) const { return lengths_[symbol]; }
 
  private:
@@ -40,43 +43,63 @@ class HuffmanEncoder {
 /// Decoder over the same canonical code space.
 class HuffmanDecoder {
  public:
-  /// Builds the decoder; returns InvalidArgument for an inconsistent code.
+  /// A decoded symbol and the length of its code; length 0 means the
+  /// window starts with no code.
+  struct Symbol {
+    uint16_t symbol = 0;
+    uint8_t length = 0;
+  };
+
+  /// Builds the decoder; returns InvalidArgument for an inconsistent code
+  /// or an alphabet of more than 65536 symbols.
   static Result<HuffmanDecoder> Build(const std::vector<uint8_t>& lengths);
 
-  /// Decodes one symbol: one lookup in a kTableBits-wide table when the
-  /// code is that short and the stream holds that many bits, otherwise
-  /// bit-by-bit (canonical first-code method), which also rejects invalid
-  /// codes.
+  /// Resolves the code at the start of `window` (stream bits, LSB-first).
+  /// Codes of up to kTableBits bits take one table lookup; longer ones a
+  /// canonical search over the next kMaxCodeLen bits. Only the code's own
+  /// bits decide the result, so bits past the end of a stream may hold
+  /// anything as long as the caller rejects a length beyond them.
+  Symbol Lookup(uint64_t window) const {
+    const Symbol entry = table_[window & ((1u << kTableBits) - 1)];
+    if (entry.length > 0) return entry;
+    return LookupLong(static_cast<uint32_t>(window));
+  }
+
+  /// Decodes one symbol from `reader`; DataLoss on an invalid code or when
+  /// the stream ends inside one.
   Result<int> Decode(BitReader* reader) const {
-    if (reader->Fill(kTableBits) >= kTableBits) {
-      const TableEntry entry = table_[reader->Peek(kTableBits)];
-      if (entry.length > 0) {
-        reader->Consume(entry.length);
-        return static_cast<int>(entry.symbol);
-      }
+    const int buffered = reader->Refill();
+    const Symbol s = Lookup(reader->window());
+    if (s.length == 0 || s.length > buffered) {
+      return Status::DataLoss(DecodeError(buffered));
     }
-    return DecodeSlow(reader);
+    reader->Consume(s.length);
+    return s.symbol;
+  }
+
+  /// Why a Lookup over a window of `buffered` stream bits failed: an
+  /// invalid code when a full-length code fits, otherwise an underrun.
+  static const char* DecodeError(int buffered) {
+    return buffered >= kMaxCodeLen ? "invalid huffman code in stream"
+                                   : "bitstream underrun";
   }
 
  private:
   /// Codes of at most this many bits decode with a single table lookup.
   static constexpr int kTableBits = 9;
-  /// Symbol and length of the code that prefixes a kTableBits-bit window
-  /// (read LSB-first); length 0 marks windows needing the bit loop.
-  struct TableEntry {
-    uint16_t symbol = 0;
-    uint8_t length = 0;
-  };
-
   HuffmanDecoder() = default;
-  Result<int> DecodeSlow(BitReader* reader) const;
-  // first_code_[len], first_index_[len] give the canonical decoding tables;
-  // sorted_symbols_ lists symbols ordered by (length, symbol).
+  Symbol LookupLong(uint32_t window) const;
+  // Canonical decoding tables: the codes of length `len` are first_code_[len]
+  // onwards (MSB-first) and name sorted_symbols_[first_index_[len]...];
+  // limit_[len] is one past the last of them, left-aligned to kMaxCodeLen
+  // bits. sorted_symbols_ lists symbols ordered by (length, symbol).
   uint32_t first_code_[kMaxCodeLen + 2] = {0};
   int first_index_[kMaxCodeLen + 2] = {0};
-  uint16_t count_[kMaxCodeLen + 2] = {0};
+  uint32_t limit_[kMaxCodeLen + 2] = {0};
   std::vector<int> sorted_symbols_;
-  std::array<TableEntry, 1u << kTableBits> table_{};
+  // The code that prefixes each kTableBits-bit window (read LSB-first);
+  // length 0 marks windows needing the canonical search.
+  std::array<Symbol, 1u << kTableBits> table_{};
 };
 
 }  // namespace fsd::codec

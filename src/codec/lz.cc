@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -89,25 +90,22 @@ const BucketTables& Buckets() {
   return tables;
 }
 
-int FindLengthBucket(int length) {
-  FSD_CHECK(length >= kMinMatch && length <= kMaxMatch);
-  return Buckets().length[length];
+/// Bucket of a match distance in [1, kWindowSize].
+int DistBucket(const BucketTables& buckets, int dist) {
+  return dist <= 256 ? buckets.dist_near[dist]
+                     : buckets.dist_far[(dist - 1) >> 7];
 }
 
-int FindDistBucket(int dist) {
-  FSD_CHECK(dist >= 1 && dist <= static_cast<int>(kWindowSize));
-  return dist <= 256 ? Buckets().dist_near[dist]
-                     : Buckets().dist_far[(dist - 1) >> 7];
-}
-
-struct Token {
-  bool is_match;
-  uint8_t literal;   // when !is_match
-  int length;        // when is_match
-  int distance;      // when is_match
-};
+// Packed token: a literal is its byte value; a match is
+// kMatchFlag | length << 16 | distance (distance <= kWindowSize < 2^16).
+constexpr uint32_t kMatchFlag = 1u << 31;
 
 constexpr size_t kHashSize = 1u << 15;
+// Inputs of up to this many bytes tokenize into the per-thread buffer;
+// larger ones get a buffer of their own for the call.
+constexpr size_t kRetainedTokens = 1u << 14;
+// The decoder's output growth step.
+constexpr size_t kOutputStep = 64 << 10;
 
 uint32_t HashAt(const uint8_t* p) {
   uint32_t v;
@@ -138,35 +136,44 @@ size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
   return len;
 }
 
-/// Per-thread hash-chain state, reused across calls so a chunk never pays
+/// Per-thread tokenizer state, reused across calls so a chunk never pays
 /// for zeroing a fresh 128 KiB head table. Entries hold `epoch + position`;
 /// each call starts a fresh epoch above every value stored before, so
 /// stale entries read as empty. `prev` is a window-sized ring: a chain only
 /// follows positions inside the window, whose slots are still their own.
-/// Both tables are fixed-size, so the scratch stays at 256 KiB per thread.
+/// Every table is fixed-size, so the scratch stays at 320 KiB per thread
+/// (the token buffer's pages are touched only as far as a chunk needs).
 struct ChainScratch {
   std::vector<uint32_t> head = std::vector<uint32_t>(kHashSize, 0);
   std::vector<uint32_t> prev = std::vector<uint32_t>(kWindowSize, 0);
+  std::unique_ptr<uint32_t[]> tokens{new uint32_t[kRetainedTokens]};
   uint32_t epoch = 1;
 };
 
-// Greedy LZ77 tokenizer with hash chains.
-std::vector<Token> Tokenize(const Bytes& input, const LzOptions& options) {
-  std::vector<Token> tokens;
+/// Symbol frequencies of a token stream.
+struct Frequencies {
+  uint64_t lit[kNumLitLen] = {0};
+  uint64_t dist[kNumDist] = {0};
+};
+
+/// Greedy LZ77 tokenizer with hash chains: writes packed tokens to
+/// `tokens` (room for one per input byte), counts their symbols into
+/// `freqs` and returns the token count.
+size_t Tokenize(const Bytes& input, const LzOptions& options,
+                ChainScratch* scratch, uint32_t* tokens, Frequencies* freqs) {
   const size_t n = input.size();
-  tokens.reserve(n / 3);
-  thread_local ChainScratch scratch;
   FSD_CHECK_LT(n, size_t{1} << 31);
-  if (n >= std::numeric_limits<uint32_t>::max() - scratch.epoch) {
-    std::fill(scratch.head.begin(), scratch.head.end(), 0u);
-    scratch.epoch = 1;
+  if (n >= std::numeric_limits<uint32_t>::max() - scratch->epoch) {
+    std::fill(scratch->head.begin(), scratch->head.end(), 0u);
+    scratch->epoch = 1;
   }
-  const uint32_t epoch = scratch.epoch;
-  scratch.epoch += static_cast<uint32_t>(n);
-  uint32_t* head = scratch.head.data();
-  uint32_t* prev = scratch.prev.data();
+  const uint32_t epoch = scratch->epoch;
+  scratch->epoch += static_cast<uint32_t>(n);
+  uint32_t* head = scratch->head.data();
+  uint32_t* prev = scratch->prev.data();
   constexpr size_t kRingMask = kWindowSize - 1;
   const uint8_t* data = input.data();
+  const BucketTables& buckets = Buckets();
 
   auto insert_position = [&](size_t j) {
     if (j + kMinMatch > n) return;
@@ -175,6 +182,7 @@ std::vector<Token> Tokenize(const Bytes& input, const LzOptions& options) {
     head[h] = epoch + static_cast<uint32_t>(j);
   };
 
+  size_t count = 0;
   size_t i = 0;
   while (i < n) {
     int best_len = 0;
@@ -203,19 +211,23 @@ std::vector<Token> Tokenize(const Bytes& input, const LzOptions& options) {
       }
     }
     if (best_len >= kMinMatch) {
-      tokens.push_back({true, 0, best_len, best_dist});
+      tokens[count++] = kMatchFlag | static_cast<uint32_t>(best_len) << 16 |
+                        static_cast<uint32_t>(best_dist);
+      ++freqs->lit[257 + buckets.length[best_len]];
+      ++freqs->dist[DistBucket(buckets, best_dist)];
       // Thread hash entries for every covered position so later matches can
       // reference the interior of this one.
       const size_t end = i + static_cast<size_t>(best_len);
       for (size_t j = i; j < end; ++j) insert_position(j);
       i = end;
     } else {
-      tokens.push_back({false, data[i], 0, 0});
+      tokens[count++] = data[i];
+      ++freqs->lit[data[i]];
       insert_position(i);
       ++i;
     }
   }
-  return tokens;
+  return count;
 }
 
 void WriteNibbleLengths(Bytes* out, const std::vector<uint8_t>& lengths) {
@@ -250,63 +262,193 @@ Bytes CompressStored(const Bytes& input) {
   return out;
 }
 
+/// Bytes of an LZ container ahead of its token stream: magic, version,
+/// method, size varint, CRC and the two nibble-packed length tables.
+size_t LzHeaderBytes(size_t raw_size) {
+  size_t varint_bytes = 1;
+  for (uint64_t v = raw_size; v >= 0x80; v >>= 7) ++varint_bytes;
+  return 4 + varint_bytes + 4 + (kNumLitLen + 1) / 2 + (kNumDist + 1) / 2;
+}
+
+/// Copies a match of `length` bytes from `dist` bytes back to `dst`. With
+/// at least 16 writable bytes of `slack` past the match and a distance of
+/// at least 16, it copies 16 bytes per step and may write into the slack;
+/// otherwise it writes exactly `length` bytes.
+void CopyMatch(uint8_t* dst, size_t dist, size_t length, size_t slack) {
+  const uint8_t* src = dst - dist;
+  if (dist >= 16 && slack >= 16) {
+    for (size_t j = 0; j < length; j += 16) std::memcpy(dst + j, src + j, 16);
+    return;
+  }
+  // dst[-span, copied) repeats with period `dist`, so each step copies a
+  // span-long block that does not overlap its source, doubling the span.
+  size_t span = dist;
+  for (size_t copied = 0; copied < length; copied += span, span *= 2) {
+    std::memcpy(dst + copied, dst + copied - span,
+                std::min(span, length - copied));
+  }
+}
+
+/// Grows `out`, reserved to `raw_size`, to hold `need` more bytes past its
+/// first `pos`, zero-filling at most kOutputStep beyond them; false when
+/// they would overrun the size field.
+bool GrowOutput(Bytes* out, size_t pos, size_t need, uint64_t raw_size) {
+  if (need > raw_size - pos) return false;
+  out->resize(std::min<uint64_t>(
+      raw_size, std::max(pos + need, out->size() + kOutputStep)));
+  return true;
+}
+
+/// Decodes the token stream into `out`, which holds the decoded bytes on
+/// success; returns null then, or else the DataLoss message. The size
+/// field only reserves address space, and the output grows in bounded
+/// steps, so a hostile size field costs no more touched memory than the
+/// bytes the stream really produces plus one step. Kept out of line, where
+/// its loop state fits in registers.
+[[gnu::noinline]] const char* DecodeTokens(const HuffmanDecoder& lit_dec,
+                                           const HuffmanDecoder& dist_dec,
+                                           uint64_t raw_size, BitReader bits,
+                                           Bytes* out) {
+  out->reserve(raw_size);
+  // The loop's state lives in locals (`bits` is a copy too), which the
+  // byte stores cannot alias. Growth stays within the capacity, so
+  // `base` stays valid.
+  uint8_t* const base = out->data();
+  uint8_t* dst = base;  // next output byte
+  uint8_t* end = base;  // end of the grown output
+  while (true) {
+    // One refill covers a whole token: codes of at most 15 bits plus 6
+    // length and 13 distance extra bits.
+    int buffered = bits.Refill();
+    HuffmanDecoder::Symbol lit = lit_dec.Lookup(bits.window());
+    if (lit.length == 0 || lit.length > buffered) {
+      return HuffmanDecoder::DecodeError(buffered);
+    }
+    if (lit.symbol < 256) {
+      // Further literals decode from the same refill while it still holds
+      // a full-length code; anything else is looked up again after one.
+      do {
+        if (dst == end) {
+          if (!GrowOutput(out, dst - base, 1, raw_size)) {
+            return "overlong stream";
+          }
+          end = base + out->size();
+        }
+        *dst++ = static_cast<uint8_t>(lit.symbol);
+        bits.Consume(lit.length);
+        buffered -= lit.length;
+        if (buffered < kMaxCodeLen) break;
+        lit = lit_dec.Lookup(bits.window());
+      } while (lit.symbol < 256 && lit.length > 0);
+      continue;
+    }
+    if (lit.symbol == kEndSymbol) break;
+    const uint64_t window = bits.window();
+    const Bucket& lb = kLengthBuckets[lit.symbol - 257];
+    int used = lit.length;
+    const size_t length =
+        static_cast<size_t>(lb.base) +
+        ((window >> used) & ((uint64_t{1} << lb.extra_bits) - 1));
+    used += lb.extra_bits;
+    const HuffmanDecoder::Symbol d = dist_dec.Lookup(window >> used);
+    if (d.length == 0) return HuffmanDecoder::DecodeError(buffered - used);
+    used += d.length;
+    const Bucket& db = kDistBuckets[d.symbol];
+    const size_t dist =
+        static_cast<size_t>(db.base) +
+        ((window >> used) & ((uint64_t{1} << db.extra_bits) - 1));
+    used += db.extra_bits;
+    if (used > buffered) return "bitstream underrun";
+    bits.Consume(used);
+    if (dist > static_cast<size_t>(dst - base)) return "bad match distance";
+    if (length > static_cast<size_t>(end - dst)) {
+      if (!GrowOutput(out, dst - base, length, raw_size)) {
+        return "overlong stream";
+      }
+      end = base + out->size();
+    }
+    CopyMatch(dst, dist, length, end - dst - length);
+    dst += length;
+  }
+  out->resize(dst - base);
+  return nullptr;
+}
+
 }  // namespace
 
 Bytes LzCompress(const Bytes& input, const LzOptions& options) {
-  if (input.size() < options.min_compress_size) return CompressStored(input);
+  const size_t n = input.size();
+  if (n < options.min_compress_size) return CompressStored(input);
 
-  const std::vector<Token> tokens = Tokenize(input, options);
-
-  // Frequency pass.
-  std::vector<uint64_t> lit_freq(kNumLitLen, 0);
-  std::vector<uint64_t> dist_freq(kNumDist, 0);
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      ++lit_freq[257 + FindLengthBucket(t.length)];
-      ++dist_freq[FindDistBucket(t.distance)];
-    } else {
-      ++lit_freq[t.literal];
-    }
+  thread_local ChainScratch scratch;
+  std::unique_ptr<uint32_t[]> owned;
+  uint32_t* tokens = scratch.tokens.get();
+  if (n > kRetainedTokens) {
+    owned.reset(new uint32_t[n]);
+    tokens = owned.get();
   }
-  ++lit_freq[kEndSymbol];
+  Frequencies freqs;
+  const size_t count = Tokenize(input, options, &scratch, tokens, &freqs);
+  ++freqs.lit[kEndSymbol];
 
-  const std::vector<uint8_t> lit_lengths = BuildCodeLengths(lit_freq);
-  const std::vector<uint8_t> dist_lengths = BuildCodeLengths(dist_freq);
+  const std::vector<uint8_t> lit_lengths = BuildCodeLengths(freqs.lit);
+  const std::vector<uint8_t> dist_lengths = BuildCodeLengths(freqs.dist);
+
+  // The coded size follows from the frequencies and code lengths: fall
+  // back to stored mode before emitting anything if coding does not
+  // shrink the payload, and otherwise size the output once.
+  uint64_t bits = 0;
+  for (int s = 0; s < kNumLitLen; ++s) {
+    const int extra = s > kEndSymbol ? kLengthBuckets[s - 257].extra_bits : 0;
+    bits += freqs.lit[s] * static_cast<uint64_t>(lit_lengths[s] + extra);
+  }
+  for (int d = 0; d < kNumDist; ++d) {
+    bits += freqs.dist[d] *
+            static_cast<uint64_t>(dist_lengths[d] + kDistBuckets[d].extra_bits);
+  }
+  const size_t size = LzHeaderBytes(n) + (bits + 7) / 8;
+  if (size >= n + 16) return CompressStored(input);
+
   HuffmanEncoder lit_enc(lit_lengths);
   HuffmanEncoder dist_enc(dist_lengths);
-
   Bytes out;
-  out.reserve(input.size() / 2 + 64);
+  out.reserve(size);
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kVersion);
   out.push_back(kMethodLz);
-  PutVarint64(&out, input.size());
-  AppendRaw<uint32_t>(&out, Crc32(input.data(), input.size()));
+  PutVarint64(&out, n);
+  AppendRaw<uint32_t>(&out, Crc32(input.data(), n));
   WriteNibbleLengths(&out, lit_lengths);
   WriteNibbleLengths(&out, dist_lengths);
 
+  // A match writes its length code with its extra bits, then its distance
+  // code with its extra bits (at most 21 and 28 bits).
+  const BucketTables& buckets = Buckets();
   BitWriter writer(&out);
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      const int lb = FindLengthBucket(t.length);
-      lit_enc.Encode(&writer, 257 + lb);
-      writer.Write(
-          static_cast<uint32_t>(t.length - kLengthBuckets[lb].base),
-          kLengthBuckets[lb].extra_bits);
-      const int db = FindDistBucket(t.distance);
-      dist_enc.Encode(&writer, db);
-      writer.Write(static_cast<uint32_t>(t.distance - kDistBuckets[db].base),
-                   kDistBuckets[db].extra_bits);
-    } else {
-      lit_enc.Encode(&writer, t.literal);
+  for (size_t k = 0; k < count; ++k) {
+    const uint32_t t = tokens[k];
+    if ((t & kMatchFlag) == 0) {
+      lit_enc.Encode(&writer, static_cast<int>(t));
+      continue;
     }
+    const int length = static_cast<int>((t >> 16) & 0x1FF);
+    const int lb = buckets.length[length];
+    const int lsym = 257 + lb;
+    writer.Write(lit_enc.code(lsym) |
+                     static_cast<uint32_t>(length - kLengthBuckets[lb].base)
+                         << lit_enc.length(lsym),
+                 lit_enc.length(lsym) + kLengthBuckets[lb].extra_bits);
+    const int dist = static_cast<int>(t & 0xFFFF);
+    const int db = DistBucket(buckets, dist);
+    writer.Write(dist_enc.code(db) |
+                     static_cast<uint32_t>(dist - kDistBuckets[db].base)
+                         << dist_enc.length(db),
+                 dist_enc.length(db) + kDistBuckets[db].extra_bits);
   }
   lit_enc.Encode(&writer, kEndSymbol);
   writer.Finish();
-
-  // Fall back to stored mode if we failed to shrink the payload.
-  if (out.size() >= input.size() + 16) return CompressStored(input);
+  FSD_CHECK_EQ(out.size(), size);
   return out;
 }
 
@@ -345,41 +487,9 @@ Result<Bytes> LzDecompress(const uint8_t* data, size_t size) {
       return Status::DataLoss("FsdLz size exceeds what the payload encodes");
     }
     BitReader bits(data + reader.position(), payload_bytes);
-    out.reserve(raw_size);
-    while (true) {
-      FSD_ASSIGN_OR_RETURN(int sym, lit_dec.Decode(&bits));
-      if (sym == kEndSymbol) break;
-      if (sym < 256) {
-        out.push_back(static_cast<uint8_t>(sym));
-        continue;
-      }
-      const int lb = sym - 257;
-      if (lb < 0 || lb >= kNumLengthBuckets) {
-        return Status::DataLoss("bad length symbol");
-      }
-      FSD_ASSIGN_OR_RETURN(
-          uint32_t lextra, bits.Read(kLengthBuckets[lb].extra_bits));
-      const int length = kLengthBuckets[lb].base + static_cast<int>(lextra);
-      FSD_ASSIGN_OR_RETURN(int db, dist_dec.Decode(&bits));
-      FSD_ASSIGN_OR_RETURN(uint32_t dextra,
-                           bits.Read(kDistBuckets[db].extra_bits));
-      const int dist = kDistBuckets[db].base + static_cast<int>(dextra);
-      if (dist <= 0 || static_cast<size_t>(dist) > out.size()) {
-        return Status::DataLoss("bad match distance");
-      }
-      if (static_cast<uint64_t>(length) > raw_size - std::min<uint64_t>(
-                                                       raw_size, out.size())) {
-        return Status::DataLoss("overlong stream");
-      }
-      const size_t start = out.size();
-      out.resize(start + static_cast<size_t>(length));
-      uint8_t* dst = out.data() + start;
-      const uint8_t* src = dst - dist;
-      if (dist >= length) {
-        std::memcpy(dst, src, static_cast<size_t>(length));
-      } else {
-        for (int j = 0; j < length; ++j) dst[j] = src[j];  // overlapping run
-      }
+    if (const char* error =
+            DecodeTokens(lit_dec, dist_dec, raw_size, bits, &out)) {
+      return Status::DataLoss(error);
     }
   } else {
     return Status::DataLoss("unknown FsdLz method");
@@ -392,12 +502,6 @@ Result<Bytes> LzDecompress(const uint8_t* data, size_t size) {
     return Status::DataLoss("FsdLz checksum mismatch");
   }
   return out;
-}
-
-Result<uint64_t> LzUncompressedSize(const Bytes& input) {
-  ByteReader reader(input);
-  FSD_RETURN_IF_ERROR(reader.Skip(4).status());
-  return GetVarint64(&reader);
 }
 
 }  // namespace fsd::codec

@@ -43,9 +43,6 @@ Result<Bytes> LzDecompress(const Bytes& input);
 /// Same, over a byte span (lets callers decode a container in place).
 Result<Bytes> LzDecompress(const uint8_t* data, size_t size);
 
-/// Parses only the header and returns the uncompressed size.
-Result<uint64_t> LzUncompressedSize(const Bytes& input);
-
 }  // namespace fsd::codec
 
 #endif  // FSD_CODEC_LZ_H_

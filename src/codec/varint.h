@@ -18,17 +18,18 @@ inline void PutVarint64(Bytes* out, uint64_t value) {
   out->push_back(static_cast<uint8_t>(value));
 }
 
-/// Reads an unsigned LEB128 varint from `reader`.
+/// Reads an unsigned LEB128 varint from `reader`. A value above 2^64 - 1
+/// (a tenth byte above 1) is DataLoss, never truncated.
 inline Result<uint64_t> GetVarint64(ByteReader* reader) {
   uint64_t value = 0;
-  int shift = 0;
-  while (shift < 64) {
+  for (int shift = 0; shift < 63; shift += 7) {
     FSD_ASSIGN_OR_RETURN(uint8_t byte, reader->Read<uint8_t>());
     value |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return value;
-    shift += 7;
   }
-  return Status::DataLoss("varint too long");
+  FSD_ASSIGN_OR_RETURN(uint8_t last, reader->Read<uint8_t>());
+  if (last > 1) return Status::DataLoss("varint too long");
+  return value | static_cast<uint64_t>(last) << 63;
 }
 
 /// Zigzag transform mapping signed to unsigned for varint friendliness.

@@ -14,6 +14,10 @@
 #include "codec/quant.h"
 #include "codec/varint.h"
 #include "common/rng.h"
+#include "core/serialization.h"
+#include "model/input_gen.h"
+#include "model/reference.h"
+#include "model/sparse_dnn.h"
 
 namespace fsd::codec {
 namespace {
@@ -48,6 +52,22 @@ TEST(Varint, TruncatedFails) {
   buf.pop_back();
   ByteReader reader(buf);
   EXPECT_FALSE(GetVarint64(&reader).ok());
+}
+
+TEST(Varint, RejectsValuesAbove64Bits) {
+  // Ten bytes carry 70 bits; a tenth byte above 1 sets bits past bit 63,
+  // and dropping them would read this input as 0.
+  const Bytes too_wide = {0x80, 0x80, 0x80, 0x80, 0x80,
+                          0x80, 0x80, 0x80, 0x80, 0x02};
+  ByteReader reader(too_wide);
+  const auto result = GetVarint64(&reader);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  // A tenth byte of 1 is bit 63 itself.
+  const Bytes top_bit = {0x80, 0x80, 0x80, 0x80, 0x80,
+                         0x80, 0x80, 0x80, 0x80, 0x01};
+  ByteReader top(top_bit);
+  EXPECT_EQ(*GetVarint64(&top), 1ull << 63);
 }
 
 TEST(Crc32, KnownVector) {
@@ -194,7 +214,6 @@ TEST_P(LzRoundtrip, CompressDecompressIdentity) {
   auto unpacked = LzDecompress(packed);
   ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
   EXPECT_EQ(*unpacked, data);
-  EXPECT_EQ(*LzUncompressedSize(packed), data.size());
 }
 
 TEST_P(LzRoundtrip, DeterministicOutput) {
@@ -669,6 +688,331 @@ TEST(CodecGolden, DamagedContainerStatuses) {
   }
   EXPECT_EQ(digest.value(), 0x0ea37253feb345feull)
       << std::hex << digest.value();
+}
+
+// ---------------------------------------------------------------------------
+// Differential decode: LzDecompress against a bit-at-a-time reference
+// decoder written from the container format alone. Both must return the
+// same status code, and the same bytes when the container decodes.
+// ---------------------------------------------------------------------------
+
+/// What the reference decoder saw of the token stream.
+struct ReferenceTrace {
+  int max_code_len = 0;                          // longest literal code
+  std::vector<std::pair<size_t, size_t>> copies;  // match [start, end)
+};
+
+/// The FsdLz container decoded one bit at a time: no lookup tables, no
+/// buffered refills, the output grown one byte per push. The check order
+/// is the format's: header, size bound, tokens, size, CRC.
+Result<Bytes> ReferenceLzDecompress(const Bytes& input,
+                                    ReferenceTrace* trace = nullptr) {
+  constexpr int kLengthBase[24] = {4,  5,  6,  7,  8,  9,  10,  11,
+                                   13, 15, 17, 21, 25, 29, 33,  41,
+                                   49, 57, 65, 81, 97, 113, 145, 209};
+  constexpr int kLengthExtra[24] = {0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2,
+                                    2, 2, 3, 3, 3, 3, 4, 4, 4, 5, 6, 6};
+  constexpr int kDistBase[30] = {1,    2,    3,    4,     5,     7,
+                                 9,    13,   17,   25,    33,    49,
+                                 65,   97,   129,  193,   257,   385,
+                                 513,  769,  1025, 1537,  2049,  3073,
+                                 4097, 6145, 8193, 12289, 16385, 24577};
+  ByteReader reader(input);
+  FSD_ASSIGN_OR_RETURN(uint8_t m0, reader.Read<uint8_t>());
+  FSD_ASSIGN_OR_RETURN(uint8_t m1, reader.Read<uint8_t>());
+  FSD_ASSIGN_OR_RETURN(uint8_t version, reader.Read<uint8_t>());
+  FSD_ASSIGN_OR_RETURN(uint8_t method, reader.Read<uint8_t>());
+  if (m0 != 'F' || m1 != 'Z' || version != 1) {
+    return Status::DataLoss("bad header");
+  }
+  FSD_ASSIGN_OR_RETURN(uint64_t raw_size, GetVarint64(&reader));
+  FSD_ASSIGN_OR_RETURN(uint32_t expect_crc, reader.Read<uint32_t>());
+  Bytes out;
+  if (method == 0) {
+    FSD_ASSIGN_OR_RETURN(out, reader.ReadBytes(raw_size));
+  } else if (method == 1) {
+    // Canonical code of each alphabet: (count, first code, symbols) per
+    // code length, codes MSB-first.
+    struct Code {
+      int count[16] = {0};
+      uint32_t first[16] = {0};
+      std::vector<int> symbols[16];
+    };
+    auto read_code = [&](int alphabet, Code* code) -> Status {
+      FSD_ASSIGN_OR_RETURN(const uint8_t* p, reader.Skip((alphabet + 1) / 2));
+      for (int s = 0; s < alphabet; ++s) {
+        const int len = (s % 2 == 0) ? (p[s / 2] & 0x0F) : (p[s / 2] >> 4);
+        if (len == 0) continue;
+        ++code->count[len];
+        code->symbols[len].push_back(s);
+      }
+      uint64_t kraft = 0;
+      int total = 0;
+      uint32_t next = 0;
+      for (int len = 1; len <= 15; ++len) {
+        next = (next + static_cast<uint32_t>(code->count[len - 1])) << 1;
+        code->first[len] = next;
+        kraft += static_cast<uint64_t>(code->count[len]) << (15 - len);
+        total += code->count[len];
+      }
+      if (total > 0 && kraft > (1u << 15)) {
+        return Status::InvalidArgument("over-subscribed code");
+      }
+      return Status::OK();
+    };
+    Code lit;
+    Code dist;
+    FSD_RETURN_IF_ERROR(read_code(281, &lit));
+    FSD_RETURN_IF_ERROR(read_code(30, &dist));
+    const size_t payload = reader.remaining();
+    if (raw_size > uint64_t{258} * 8 * payload) {
+      return Status::DataLoss("size beyond payload");
+    }
+    const uint8_t* bytes = input.data() + reader.position();
+    size_t bit = 0;
+    auto read_bits = [&](int count) -> Result<uint32_t> {
+      uint32_t value = 0;
+      for (int k = 0; k < count; ++k, ++bit) {
+        if (bit >= 8 * payload) return Status::DataLoss("underrun");
+        value |= static_cast<uint32_t>((bytes[bit / 8] >> (bit % 8)) & 1)
+                 << k;
+      }
+      return value;
+    };
+    auto decode = [&](const Code& code) -> Result<int> {
+      uint32_t value = 0;
+      for (int len = 1; len <= 15; ++len) {
+        FSD_ASSIGN_OR_RETURN(uint32_t b, read_bits(1));
+        value = (value << 1) | b;
+        const uint32_t index = value - code.first[len];
+        if (value >= code.first[len] &&
+            index < static_cast<uint32_t>(code.count[len])) {
+          if (trace != nullptr && &code == &lit) {
+            trace->max_code_len = std::max(trace->max_code_len, len);
+          }
+          return code.symbols[len][index];
+        }
+      }
+      return Status::DataLoss("invalid code");
+    };
+    while (true) {
+      FSD_ASSIGN_OR_RETURN(int sym, decode(lit));
+      if (sym == 256) break;
+      if (sym < 256) {
+        out.push_back(static_cast<uint8_t>(sym));
+        continue;
+      }
+      FSD_ASSIGN_OR_RETURN(uint32_t lextra,
+                           read_bits(kLengthExtra[sym - 257]));
+      const size_t length = kLengthBase[sym - 257] + lextra;
+      FSD_ASSIGN_OR_RETURN(int dsym, decode(dist));
+      // Distance buckets pair up from bucket 4 on, as in DEFLATE.
+      FSD_ASSIGN_OR_RETURN(uint32_t dextra,
+                           read_bits(dsym < 4 ? 0 : dsym / 2 - 1));
+      const size_t distance = kDistBase[dsym] + dextra;
+      if (distance > out.size()) return Status::DataLoss("bad distance");
+      if (length > raw_size - std::min<uint64_t>(raw_size, out.size())) {
+        return Status::DataLoss("overlong");
+      }
+      if (trace != nullptr) {
+        trace->copies.push_back({out.size(), out.size() + length});
+      }
+      for (size_t k = 0; k < length; ++k) {
+        out.push_back(out[out.size() - distance]);
+      }
+    }
+  } else {
+    return Status::DataLoss("unknown method");
+  }
+  if (out.size() != raw_size) return Status::DataLoss("size mismatch");
+  if (Crc32(out.data(), out.size()) != expect_crc) {
+    return Status::DataLoss("checksum mismatch");
+  }
+  return out;
+}
+
+/// Whether LzDecompress agrees with the reference on `container`.
+::testing::AssertionResult DecodersAgree(const Bytes& container) {
+  const Result<Bytes> want = ReferenceLzDecompress(container);
+  const Result<Bytes> got = LzDecompress(container);
+  if (got.status().code() != want.status().code()) {
+    return ::testing::AssertionFailure()
+           << "got " << got.status().ToString() << ", want "
+           << want.status().ToString();
+  }
+  if (want.ok() && *got != *want) {
+    return ::testing::AssertionFailure() << "decoded bytes differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Row payloads as the workers send them: layer activations of a small
+/// generated model, split over `parts` workers and serialized as lossless
+/// uncompressed chunks (the tag byte dropped), like perfbench's shapes.
+std::vector<Bytes> RowPayloads(int32_t neurons, int32_t batch, int parts,
+                               uint64_t seed) {
+  model::SparseDnnConfig config;
+  config.neurons = neurons;
+  config.layers = 4;
+  config.seed = 7;
+  auto dnn = model::GenerateSparseDnn(config);
+  EXPECT_TRUE(dnn.ok());
+  model::InputConfig input_config;
+  input_config.neurons = neurons;
+  input_config.batch = batch;
+  input_config.seed = seed;
+  auto input = model::GenerateInputBatch(input_config);
+  EXPECT_TRUE(input.ok());
+  std::vector<linalg::ActivationMap> layers = {*input};
+  EXPECT_TRUE(model::ReferenceInference(
+                  *dnn, *input, nullptr,
+                  [&](int32_t, const linalg::ActivationMap& x) {
+                    layers.push_back(x);
+                  })
+                  .ok());
+  std::vector<Bytes> payloads;
+  for (const linalg::ActivationMap& layer : layers) {
+    for (int p = 0; p < parts; ++p) {
+      std::vector<int32_t> ids;
+      for (const auto& [id, row] : layer) {
+        if (id % parts == p) ids.push_back(id);
+      }
+      for (const core::RowChunk& chunk :
+           core::EncodeRows(layer, ids, 224 * 1024, core::LosslessCodec(false))
+               .chunks) {
+        if (chunk.wire.size() > 1) {
+          payloads.emplace_back(chunk.wire.begin() + 1, chunk.wire.end());
+        }
+      }
+    }
+  }
+  return payloads;
+}
+
+TEST(LzDifferential, GoldenCorpusAndRowPayloads) {
+  std::vector<Bytes> inputs;
+  for (const Shape shape : kShapes) {
+    for (const size_t size : kCorpusSizes) {
+      inputs.push_back(MakeCorpusInput(
+          shape, size, size * 131 + static_cast<uint64_t>(shape)));
+    }
+  }
+  const size_t corpus = inputs.size();
+  for (const auto& [neurons, batch, parts] :
+       {std::tuple{1024, 8, 8}, std::tuple{1024, 16, 4}}) {
+    for (Bytes& payload : RowPayloads(neurons, batch, parts, 3)) {
+      inputs.push_back(std::move(payload));
+    }
+  }
+  ASSERT_GT(inputs.size(), corpus + 40);
+  for (const int probes : {8, 32}) {
+    LzOptions options;
+    options.max_chain_probes = probes;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Bytes packed = LzCompress(inputs[i], options);
+      ASSERT_TRUE(DecodersAgree(packed)) << "input " << i;
+      auto unpacked = LzDecompress(packed);
+      ASSERT_TRUE(unpacked.ok()) << "input " << i;
+      ASSERT_EQ(*unpacked, inputs[i]) << "input " << i;
+    }
+  }
+}
+
+TEST(LzDifferential, LongCodesAndCopiesAcrossGrowthSteps) {
+  // Geometric byte frequencies give literal codes of 10-15 bits.
+  Rng rng(31);
+  Bytes skewed(70000);
+  for (auto& b : skewed) {
+    int k = 0;
+    while (k < 255 && rng.NextBool(0.5)) ++k;
+    b = static_cast<uint8_t>(k);
+  }
+  ReferenceTrace trace;
+  const Bytes skewed_packed = LzCompress(skewed);
+  ASSERT_TRUE(ReferenceLzDecompress(skewed_packed, &trace).ok());
+  EXPECT_GE(trace.max_code_len, 12);
+  ASSERT_TRUE(DecodersAgree(skewed_packed)) << "skewed";
+
+  // The decoder grows its output in 64 KiB steps: periodic data puts a
+  // match across every step boundary, at short and long distances.
+  for (const size_t period : {3, 7, 40, 3000}) {
+    Bytes periodic = MakeCorpusInput(Shape::kRandom, 200000, period);
+    for (size_t i = period; i < periodic.size(); ++i) {
+      periodic[i] = periodic[i - period];
+    }
+    ReferenceTrace copies;
+    const Bytes packed = LzCompress(periodic);
+    ASSERT_TRUE(ReferenceLzDecompress(packed, &copies).ok());
+    for (size_t boundary = 65536; boundary < periodic.size();
+         boundary += 65536) {
+      EXPECT_TRUE(std::any_of(copies.copies.begin(), copies.copies.end(),
+                              [boundary](const auto& c) {
+                                return c.first < boundary &&
+                                       c.second > boundary;
+                              }))
+          << "period " << period << " boundary " << boundary;
+    }
+    ASSERT_TRUE(DecodersAgree(packed)) << "period " << period;
+  }
+}
+
+TEST(LzDifferential, SeededDamagedContainers) {
+  // LZ-method containers from the corpus and row payloads, then thousands
+  // of seeded edits: bit flips, truncations (every cut of the last 8
+  // bytes, where the stream ends), trailing bytes and size-field edits.
+  std::vector<Bytes> bases;
+  auto add_base = [&bases](const Bytes& input) {
+    const Bytes packed = LzCompress(input);
+    if (packed[3] == 1) bases.push_back(packed);  // lz-huffman method
+  };
+  for (const Shape shape : kShapes) {
+    for (const size_t size : {64, 65, 300, 4096, 70001}) {
+      add_base(MakeCorpusInput(shape, size, size + 17));
+    }
+  }
+  for (const Bytes& payload : RowPayloads(1024, 8, 8, 5)) {
+    if (bases.size() == 40) break;
+    add_base(payload);
+  }
+  ASSERT_EQ(bases.size(), 40u);
+  Rng rng(2026);
+  int cases = 0;
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const Bytes& base = bases[b];
+    for (size_t cut = 1; cut <= 8 && cut <= base.size(); ++cut, ++cases) {
+      ASSERT_TRUE(DecodersAgree(Bytes(base.begin(), base.end() - cut)))
+          << "base " << b << " cut " << cut;
+    }
+    for (size_t extra = 1; extra <= 8; ++extra, ++cases) {
+      Bytes longer = base;
+      for (size_t k = 0; k < extra; ++k) {
+        longer.push_back(static_cast<uint8_t>(rng.Next()));
+      }
+      ASSERT_TRUE(DecodersAgree(longer)) << "base " << b << " extra " << extra;
+    }
+    for (int i = 0; i < 100; ++i, cases += 2) {
+      Bytes damaged = base;
+      const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int f = 0; f < flips; ++f) {
+        const size_t bit = rng.NextBounded(damaged.size() * 8);
+        damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      ASSERT_TRUE(DecodersAgree(damaged)) << "base " << b << " flips " << i;
+      const size_t keep = rng.NextBounded(base.size());
+      ASSERT_TRUE(DecodersAgree(Bytes(base.begin(), base.begin() + keep)))
+          << "base " << b << " keep " << keep;
+    }
+    ByteReader reader(base.data() + 4, base.size() - 4);
+    const uint64_t raw_size = *GetVarint64(&reader);
+    for (const uint64_t size :
+         {uint64_t{0}, raw_size - 1, raw_size + 1, raw_size + 70000,
+          raw_size * 3, rng.NextBounded(1ull << 40)}) {
+      ++cases;
+      ASSERT_TRUE(DecodersAgree(WithSizeField(base, 4, size)))
+          << "base " << b << " size " << size;
+    }
+  }
+  EXPECT_GT(cases, 8000);
 }
 
 TEST(CodecConcurrency, ThreadsMatchSerialOutputs) {

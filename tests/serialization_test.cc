@@ -193,6 +193,25 @@ TEST(Serialization, DecodeRejectsRowFieldsAboveInt32) {
   EXPECT_EQ(row.idx, std::vector<int32_t>{0x7ffffffe});
 }
 
+TEST(Serialization, DecodeRejectsRowIdAbove2To64) {
+  // Row id 2^64 + 3 as a ten-byte varint. Truncated to 64 bits it would
+  // read as row 3 and pass the int32 check.
+  Bytes wire = {0};              // uncompressed lossless tag
+  codec::PutVarint64(&wire, 1);  // row count
+  for (const uint8_t b : {0x83, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                          0x80, 0x02}) {
+    wire.push_back(b);
+  }
+  codec::PutVarint64(&wire, 1);  // nnz
+  codec::PutVarint64(&wire, 8);  // dim
+  codec::PutVarint64(&wire, 0);  // delta
+  AppendRaw(&wire, 1.0f);
+  linalg::ActivationMap decoded;
+  const Status status = DecodeRows(wire, &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_TRUE(decoded.empty());
+}
+
 TEST(Serialization, EstimateRowBytesMonotonic) {
   EXPECT_LT(EstimateRowBytes(1), EstimateRowBytes(100));
   EXPECT_GE(EstimateRowBytes(0), 1u);
