@@ -75,6 +75,12 @@ void LayerMetrics::Add(const LayerMetrics& other) {
   collective_round_s += other.collective_round_s;
 }
 
+void ModelLoadMetrics::Add(const ModelLoadMetrics& other) {
+  for (int64_t ModelLoadMetrics::*counter : kModelLoadCounters) {
+    this->*counter += other.*counter;
+  }
+}
+
 void WorkerMetrics::Finalize() {
   totals = LayerMetrics{};
   for (const LayerMetrics& layer : layers) totals.Add(layer);
@@ -85,24 +91,7 @@ void RunMetrics::Finalize() {
   mean_worker_s = 0.0;
   max_worker_s = 0.0;
   cold_starts = 0;
-  model_get_parts = 0;
-  model_bytes_read = 0;
-  model_gets_saved = 0;
-  model_bytes_saved = 0;
-  cache_hits = 0;
-  cache_misses = 0;
-  cache_evictions = 0;
-  cache_invalidations = 0;
-  cache_oversize_rejects = 0;
-  share_loads_storage = 0;
-  share_loads_peer = 0;
-  prewarmed_hits = 0;
-  share_peer_connects = 0;
-  share_peer_chunks = 0;
-  share_peer_bytes = 0;
-  share_relay_chunks = 0;
-  share_relay_requests = 0;
-  share_relay_bytes = 0;
+  static_cast<ModelLoadMetrics&>(*this) = ModelLoadMetrics{};
   for (WorkerMetrics& w : workers) {
     w.Finalize();
     totals.Add(w.totals);
@@ -110,24 +99,7 @@ void RunMetrics::Finalize() {
     mean_worker_s += d;
     if (d > max_worker_s) max_worker_s = d;
     if (w.cold_start) ++cold_starts;
-    model_get_parts += w.model_get_parts;
-    model_bytes_read += w.model_bytes_read;
-    model_gets_saved += w.model_gets_saved;
-    model_bytes_saved += w.model_bytes_saved;
-    cache_hits += w.cache_hits;
-    cache_misses += w.cache_misses;
-    cache_evictions += w.cache_evictions;
-    cache_invalidations += w.cache_invalidations;
-    cache_oversize_rejects += w.cache_oversize_rejects;
-    share_loads_storage += w.share_loads_storage;
-    share_loads_peer += w.share_loads_peer;
-    prewarmed_hits += w.prewarmed_hits;
-    share_peer_connects += w.share_peer_connects;
-    share_peer_chunks += w.share_peer_chunks;
-    share_peer_bytes += w.share_peer_bytes;
-    share_relay_chunks += w.share_relay_chunks;
-    share_relay_requests += w.share_relay_requests;
-    share_relay_bytes += w.share_relay_bytes;
+    Add(w);
   }
   if (!workers.empty()) mean_worker_s /= static_cast<double>(workers.size());
 }
@@ -300,18 +272,7 @@ void FleetStats::AddQuery(const QuerySample& sample,
   tenant.latencies.Add(sample.latency_s);
   class_latencies_.try_emplace(sample.priority, streaming_threshold_)
       .first->second.Add(sample.latency_s);
-  cache_hits += metrics.cache_hits;
-  cache_misses += metrics.cache_misses;
-  cache_evictions += metrics.cache_evictions;
-  cache_invalidations += metrics.cache_invalidations;
-  cache_oversize_rejects += metrics.cache_oversize_rejects;
-  model_gets_saved += metrics.model_gets_saved;
-  model_bytes_saved += metrics.model_bytes_saved;
-  share_loads_storage += metrics.share_loads_storage;
-  share_loads_peer += metrics.share_loads_peer;
-  prewarmed_hits += metrics.prewarmed_hits;
-  share_peer_bytes += metrics.share_peer_bytes;
-  share_relay_bytes += metrics.share_relay_bytes;
+  Add(metrics);
   direct_connects += metrics.totals.direct_connects;
   punch_failures += metrics.totals.punch_failures;
   relay_fallbacks += metrics.totals.relay_fallback_msgs;

@@ -5,6 +5,7 @@
 #define FSD_CORE_METRICS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -115,16 +116,13 @@ struct LayerMetrics {
   void Add(const LayerMetrics& other);
 };
 
-/// One worker's whole-run metrics.
-struct WorkerMetrics {
-  int32_t worker_id = 0;
-  double start_time = 0.0;        ///< handler start (virtual)
-  double end_time = 0.0;
-  double model_load_s = 0.0;
-  double launch_children_s = 0.0;
-  bool cold_start = false;
-
-  /// --- model-share load + partition cache (cross-query warm reuse) ---
+/// Model-share load counters: the partition cache (cross-query warm reuse)
+/// and λScale-style peer share distribution. Declared once here;
+/// WorkerMetrics, RunMetrics and FleetStats inherit the group, so every
+/// rollup is one Add and every walk over it goes through
+/// kModelLoadCounters. Model reads happen once per worker per run, outside
+/// the layer loop, so none of these is part of the per-layer totals.
+struct ModelLoadMetrics {
   int64_t model_get_parts = 0;    ///< multipart GETs issued for the share
   int64_t model_bytes_read = 0;   ///< share bytes read from object storage
   int64_t model_gets_saved = 0;   ///< GETs skipped on a cache hit
@@ -135,7 +133,7 @@ struct WorkerMetrics {
   int64_t cache_invalidations = 0;  ///< stale-version entries dropped
   int64_t cache_oversize_rejects = 0;  ///< inserts rejected: share > budget
 
-  /// --- λScale-style peer share distribution (cold-start attribution) ---
+  /// λScale-style peer share distribution (cold-start attribution).
   /// Every cache miss resolves from exactly one source: object storage
   /// (share_loads_storage — it issued model_get_parts GETs) or a warm
   /// peer over the P2P fabric / its KV relay (share_loads_peer).
@@ -156,6 +154,44 @@ struct WorkerMetrics {
   int64_t share_relay_requests = 0;
   int64_t share_relay_bytes = 0;
 
+  void Add(const ModelLoadMetrics& other);
+};
+
+/// Every ModelLoadMetrics counter, in declaration order.
+inline constexpr int64_t ModelLoadMetrics::*kModelLoadCounters[] = {
+    &ModelLoadMetrics::model_get_parts,
+    &ModelLoadMetrics::model_bytes_read,
+    &ModelLoadMetrics::model_gets_saved,
+    &ModelLoadMetrics::model_bytes_saved,
+    &ModelLoadMetrics::cache_hits,
+    &ModelLoadMetrics::cache_misses,
+    &ModelLoadMetrics::cache_evictions,
+    &ModelLoadMetrics::cache_invalidations,
+    &ModelLoadMetrics::cache_oversize_rejects,
+    &ModelLoadMetrics::share_loads_storage,
+    &ModelLoadMetrics::share_loads_peer,
+    &ModelLoadMetrics::prewarmed_hits,
+    &ModelLoadMetrics::share_peer_connects,
+    &ModelLoadMetrics::share_peer_chunks,
+    &ModelLoadMetrics::share_peer_bytes,
+    &ModelLoadMetrics::share_relay_chunks,
+    &ModelLoadMetrics::share_relay_requests,
+    &ModelLoadMetrics::share_relay_bytes,
+};
+// A counter added to the struct but not to the table fails here.
+static_assert(sizeof(ModelLoadMetrics) ==
+                  std::size(kModelLoadCounters) * sizeof(int64_t),
+              "kModelLoadCounters must list every ModelLoadMetrics counter");
+
+/// One worker's whole-run metrics.
+struct WorkerMetrics : ModelLoadMetrics {
+  int32_t worker_id = 0;
+  double start_time = 0.0;        ///< handler start (virtual)
+  double end_time = 0.0;
+  double model_load_s = 0.0;
+  double launch_children_s = 0.0;
+  bool cold_start = false;
+
   std::vector<LayerMetrics> layers;
   LayerMetrics totals;            ///< sum over layers
 
@@ -168,7 +204,7 @@ struct WorkerMetrics {
 };
 
 /// Aggregated run metrics across workers.
-struct RunMetrics {
+struct RunMetrics : ModelLoadMetrics {
   std::vector<WorkerMetrics> workers;
   LayerMetrics totals;
   double mean_worker_s = 0.0;  ///< T-bar in the cost model
@@ -182,28 +218,6 @@ struct RunMetrics {
   /// to the whole tree's. Worker durations in a member view are already
   /// share-scaled, so only the per-invocation term needs this.
   double tree_share = 1.0;
-
-  /// Model-share load + partition-cache totals across workers (model reads
-  /// happen once per worker per run, outside the layer loop, so they are
-  /// not part of the per-layer totals).
-  int64_t model_get_parts = 0;
-  int64_t model_bytes_read = 0;
-  int64_t model_gets_saved = 0;
-  int64_t model_bytes_saved = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_invalidations = 0;
-  int64_t cache_oversize_rejects = 0;
-  int64_t share_loads_storage = 0;
-  int64_t share_loads_peer = 0;
-  int64_t prewarmed_hits = 0;
-  int64_t share_peer_connects = 0;
-  int64_t share_peer_chunks = 0;
-  int64_t share_peer_bytes = 0;
-  int64_t share_relay_chunks = 0;
-  int64_t share_relay_requests = 0;
-  int64_t share_relay_bytes = 0;
 
   void Finalize();
   std::string Summary() const;
@@ -272,7 +286,7 @@ class PercentileSketch {
 /// Fleet-level aggregation over a serving workload: the SLO-facing view
 /// (tail latency, throughput, cold-start ratio, projected daily cost) of
 /// many queries sharing one cloud deployment.
-struct FleetStats {
+struct FleetStats : ModelLoadMetrics {
   int32_t queries = 0;  ///< total submissions
   /// Mutually exclusive terminal partition over submissions:
   ///   completed + failed + rejected + shed == queries,
@@ -378,29 +392,15 @@ struct FleetStats {
   int64_t offload_calls = 0;
   double offload_virtual_s = 0.0;
 
-  // Cross-query partition cache (model-share warm reuse).
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_invalidations = 0;
-  int64_t cache_oversize_rejects = 0;  ///< shares too big to ever cache
+  // Cross-query partition cache (model-share warm reuse); the counters
+  // themselves are the inherited ModelLoadMetrics of completed queries.
   double cache_hit_ratio = 0.0;    ///< hits / (hits + misses)
-  int64_t model_gets_saved = 0;    ///< object GETs the cache avoided
-  int64_t model_bytes_saved = 0;   ///< share bytes the cache avoided
-
-  // λScale-style peer share distribution: where the fleet's cold loads
-  // came from (storage read / peer transfer / pre-warmed entry), and the
-  // bytes the peer path billed on the fabric vs. its KV relay.
-  int64_t share_loads_storage = 0;
-  int64_t share_loads_peer = 0;
-  int64_t prewarmed_hits = 0;
-  int64_t share_peer_bytes = 0;
-  int64_t share_relay_bytes = 0;
 
   // Predictive pre-warming control loop (runs outside any query's tree;
   // its billing is workload-level, never query-attributed). The
   // share-transfer mirrors carry the ledger quantities the pre-warm loads
-  // moved, so workload-level cost reconciliation can account for them.
+  // moved (copied from the runtime's one pre-warm ModelLoadMetrics), so
+  // workload-level cost reconciliation can account for them.
   int32_t prewarm_invocations = 0;       ///< worker fn calls the policy fired
   int64_t prewarm_storage_parts = 0;     ///< object GETs pre-warm loads paid
   int64_t prewarm_storage_bytes = 0;

@@ -314,37 +314,9 @@ InferenceReport CollectMemberReport(RunState* state, size_t member_index,
     out.end_time = w.start_time + cum_after * duration;
     out.model_load_s = w.model_load_s * share;
     out.launch_children_s = w.launch_children_s * share;
-    out.model_get_parts = Apportion(w.model_get_parts, cum_before, cum_after);
-    out.model_bytes_read =
-        Apportion(w.model_bytes_read, cum_before, cum_after);
-    out.model_gets_saved =
-        Apportion(w.model_gets_saved, cum_before, cum_after);
-    out.model_bytes_saved =
-        Apportion(w.model_bytes_saved, cum_before, cum_after);
-    out.cache_hits = Apportion(w.cache_hits, cum_before, cum_after);
-    out.cache_misses = Apportion(w.cache_misses, cum_before, cum_after);
-    out.cache_evictions = Apportion(w.cache_evictions, cum_before, cum_after);
-    out.cache_invalidations =
-        Apportion(w.cache_invalidations, cum_before, cum_after);
-    out.cache_oversize_rejects =
-        Apportion(w.cache_oversize_rejects, cum_before, cum_after);
-    out.share_loads_storage =
-        Apportion(w.share_loads_storage, cum_before, cum_after);
-    out.share_loads_peer =
-        Apportion(w.share_loads_peer, cum_before, cum_after);
-    out.prewarmed_hits = Apportion(w.prewarmed_hits, cum_before, cum_after);
-    out.share_peer_connects =
-        Apportion(w.share_peer_connects, cum_before, cum_after);
-    out.share_peer_chunks =
-        Apportion(w.share_peer_chunks, cum_before, cum_after);
-    out.share_peer_bytes =
-        Apportion(w.share_peer_bytes, cum_before, cum_after);
-    out.share_relay_chunks =
-        Apportion(w.share_relay_chunks, cum_before, cum_after);
-    out.share_relay_requests =
-        Apportion(w.share_relay_requests, cum_before, cum_after);
-    out.share_relay_bytes =
-        Apportion(w.share_relay_bytes, cum_before, cum_after);
+    for (int64_t ModelLoadMetrics::*counter : kModelLoadCounters) {
+      out.*counter = Apportion(w.*counter, cum_before, cum_after);
+    }
     const int32_t layer_end = std::min(
         phase_end, static_cast<int32_t>(w.layers.size()));
     for (int32_t phase = phase_begin; phase < layer_end; ++phase) {

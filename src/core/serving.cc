@@ -822,62 +822,11 @@ void ServingRuntime::RunPrewarmTask(cloud::FaasContext* ctx,
     return;
   }
 
-  WorkerMetrics scratch;
-  ShareDistributor* distributor =
-      options_.peer_share_transfer ? EnsureShareDistributor() : nullptr;
-  bool pending_publish = false;
-  bool resident = false;
-  if (distributor != nullptr) {
-    const ShareDistributor::Source source = distributor->Acquire(
-        ctx, task.options, task.cache_family, task.partition_id,
-        task.share_bytes, &scratch, /*mark_prewarmed=*/true);
-    if (source == ShareDistributor::Source::kPeer) {
-      resident = true;
-    } else {
-      pending_publish = true;
-    }
-  }
-  Status status = Status::OK();
-  if (!resident) {
-    // Same storage-read modeling as LoadModelShare: multipart GETs across
-    // the IO lanes plus deserialization CPU, billed at GET pricing.
-    const uint64_t parts = ModelReadGetParts(task.share_bytes);
-    cloud_->billing().Record(cloud::BillingDimension::kObjectGet,
-                             static_cast<double>(parts));
-    prewarm_storage_parts_ += static_cast<int64_t>(parts);
-    prewarm_storage_bytes_ += static_cast<int64_t>(task.share_bytes);
-    Rng rng(task.options.seed ^ 0x50524557ull ^
-            (0xA11Dull * (static_cast<uint64_t>(task.partition_id) + 1)));
-    std::vector<double> latencies;
-    uint64_t remaining = task.share_bytes;
-    for (uint64_t p = 0; p < parts; ++p) {
-      const uint64_t part = std::min<uint64_t>(kModelReadPartBytes, remaining);
-      remaining -= part;
-      latencies.push_back(cloud_->latency().object_get.Sample(&rng, part));
-    }
-    const double get_makespan =
-        sim::ParallelMakespan(latencies, task.options.io_lanes);
-    const double deser_s = static_cast<double>(task.share_bytes) /
-                           cloud_->compute().deserialize_bytes_per_s;
-    status = ctx->SleepFor(get_makespan + deser_s);
-    if (status.ok()) {
-      cache->Insert(task.cache_family, task.partition_id,
-                    task.options.model_version, task.share_bytes,
-                    /*prewarmed=*/true);
-      if (pending_publish) {
-        distributor->Publish(ctx, task.options, task.cache_family,
-                             task.partition_id);
-      }
-    } else if (pending_publish) {
-      distributor->Abandon(task.cache_family, task.partition_id,
-                           task.options.model_version);
-    }
-  }
-  prewarm_peer_connects_ += scratch.share_peer_connects;
-  prewarm_peer_bytes_ += scratch.share_peer_bytes;
-  prewarm_relay_requests_ += scratch.share_relay_requests;
-  prewarm_relay_bytes_ += scratch.share_relay_bytes;
-  ctx->set_result(status);
+  ctx->set_result(LoadShareOnMiss(
+      ctx, cloud_, task.options, task.cache_family, task.partition_id,
+      task.share_bytes, /*rng_salt=*/0x50524557ull, cache,
+      options_.peer_share_transfer ? EnsureShareDistributor() : nullptr,
+      /*prewarm=*/true, &prewarm_loads_));
 }
 
 void ServingRuntime::ArriveQuery(uint64_t query_id) {
@@ -1033,12 +982,12 @@ Result<ServingReport> ServingRuntime::Drain(double run_until) {
   report.fleet.total_cost = accumulated_cost_;
   report.fleet.ewma_service_rate_qps = ewma_service_rate_qps_;
   report.fleet.prewarm_invocations = prewarm_invocations_;
-  report.fleet.prewarm_storage_parts = prewarm_storage_parts_;
-  report.fleet.prewarm_storage_bytes = prewarm_storage_bytes_;
-  report.fleet.prewarm_peer_connects = prewarm_peer_connects_;
-  report.fleet.prewarm_peer_bytes = prewarm_peer_bytes_;
-  report.fleet.prewarm_relay_requests = prewarm_relay_requests_;
-  report.fleet.prewarm_relay_bytes = prewarm_relay_bytes_;
+  report.fleet.prewarm_storage_parts = prewarm_loads_.model_get_parts;
+  report.fleet.prewarm_storage_bytes = prewarm_loads_.model_bytes_read;
+  report.fleet.prewarm_peer_connects = prewarm_loads_.share_peer_connects;
+  report.fleet.prewarm_peer_bytes = prewarm_loads_.share_peer_bytes;
+  report.fleet.prewarm_relay_requests = prewarm_loads_.share_relay_requests;
+  report.fleet.prewarm_relay_bytes = prewarm_loads_.share_relay_bytes;
   report.fleet.prewarm_budget_spent = prewarm_budget_spent_;
   report.fleet.Finalize();
   return report;

@@ -423,12 +423,7 @@ class ServingRuntime {
   /// outside any query's tree, so nothing here is query-attributed).
   double prewarm_budget_spent_ = 0.0;
   int32_t prewarm_invocations_ = 0;
-  int64_t prewarm_storage_parts_ = 0;
-  int64_t prewarm_storage_bytes_ = 0;
-  int64_t prewarm_peer_connects_ = 0;
-  int64_t prewarm_peer_bytes_ = 0;
-  int64_t prewarm_relay_requests_ = 0;
-  int64_t prewarm_relay_bytes_ = 0;
+  ModelLoadMetrics prewarm_loads_;  ///< every pre-warm task's share load
 };
 
 /// Poisson arrival process: `count` arrival times with exponential

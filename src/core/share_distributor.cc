@@ -190,7 +190,7 @@ const ShareDistributor::Holder* ShareDistributor::PickSource(
 ShareDistributor::Source ShareDistributor::Acquire(
     cloud::FaasContext* ctx, const FsdOptions& options,
     const std::string& family, int32_t partition_id, uint64_t share_bytes,
-    WorkerMetrics* metrics, bool mark_prewarmed) {
+    ModelLoadMetrics* metrics, bool mark_prewarmed) {
   if (torn_down_) return Source::kStorage;
   const uint64_t version = options.model_version;
   const ShareKey key{family, partition_id, version};
@@ -322,7 +322,7 @@ int64_t ShareDistributor::HolderCount(const std::string& family,
 
 bool ShareDistributor::Transfer(cloud::FaasContext* ctx, const ShareKey& key,
                                 uint64_t share_bytes, int32_t src_node,
-                                WorkerMetrics* metrics) {
+                                ModelLoadMetrics* metrics) {
   const int32_t dst_node = NodeFor(ctx->instance_id());
   const std::string inbox = StrFormat(
       "xfer-%llu", static_cast<unsigned long long>(++next_transfer_));
@@ -346,7 +346,7 @@ bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
                                        uint64_t share_bytes, int32_t src_node,
                                        int32_t dst_node,
                                        const std::string& inbox,
-                                       WorkerMetrics* metrics) {
+                                       ModelLoadMetrics* metrics) {
   cloud::P2pFabric& fabric = cloud_->p2p();
   const uint64_t chunk_bytes = options_.peer_chunk_bytes;
   const uint64_t total = ChunkCount(share_bytes, chunk_bytes);
@@ -404,7 +404,7 @@ bool ShareDistributor::TransferRelay(cloud::FaasContext* ctx,
                                      const ShareKey& key,
                                      uint64_t share_bytes,
                                      const std::string& inbox,
-                                     WorkerMetrics* metrics) {
+                                     ModelLoadMetrics* metrics) {
   cloud::KvStore& kv = cloud_->kv();
   if (!relay_created_) {
     const Status created = kv.CreateNamespace(relay_ns_);

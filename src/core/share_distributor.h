@@ -9,8 +9,9 @@
 // instance-to-instance over the NAT-punched fabric is both faster and
 // cheaper than another storage round trip.
 //
-// The distributor sits between LoadModelShare (worker.cc) and the
-// per-instance PartitionCache:
+// The distributor sits between LoadShareOnMiss (worker.cc) — the one miss
+// path of both worker loads and pre-warm tasks — and the per-instance
+// PartitionCache:
 //
 //  - a REGISTRY maps (family, partition_id, version) to the warm instances
 //    whose caches hold that share ("holders"). Holders are validated lazily
@@ -45,7 +46,7 @@
 //
 // Billing mirrors: every dollar the transfer path bills
 // (kP2pConnection/kP2pByte, kv requests/processed bytes) is counted in the
-// requester's WorkerMetrics share_* mirrors, so PredictFromMetrics
+// requester's ModelLoadMetrics share_* mirrors, so PredictFromMetrics
 // reconciles with the ledger exactly (see ShareTransferCost).
 //
 // Lifetime: one distributor per serving runtime; Teardown (or destruction)
@@ -112,15 +113,17 @@ class ShareDistributor {
     kStorage,
   };
 
-  /// Resolves one cold share load. Blocks (virtual time) while a transfer
-  /// streams or while waiting out an in-flight load; every internal
-  /// failure degrades to kStorage. `metrics` receives the share_* counter
-  /// mirrors (and share_loads_peer on success). `mark_prewarmed` tags a
-  /// peer-delivered cache entry as planted-by-pre-warm so the first real
-  /// hit is attributed to the pre-warm loop, not plain warm reuse.
+  /// Resolves one cold share load for LoadShareOnMiss. Blocks (virtual
+  /// time) while a transfer streams or while waiting out an in-flight
+  /// load; every internal failure degrades to kStorage. `metrics` receives
+  /// the share_* counter mirrors, plus share_loads_peer and the cache
+  /// insert counters on a peer delivery; no other field is touched.
+  /// `mark_prewarmed` tags a peer-delivered cache entry as
+  /// planted-by-pre-warm so the first real hit is attributed to the
+  /// pre-warm loop, not plain warm reuse.
   Source Acquire(cloud::FaasContext* ctx, const FsdOptions& options,
                  const std::string& family, int32_t partition_id,
-                 uint64_t share_bytes, WorkerMetrics* metrics,
+                 uint64_t share_bytes, ModelLoadMetrics* metrics,
                  bool mark_prewarmed = false);
 
   /// Registers the calling instance as a holder after a successful storage
@@ -213,14 +216,14 @@ class ShareDistributor {
   /// verified, byte-identical delivery. Mirrors billing into `metrics`.
   bool Transfer(cloud::FaasContext* ctx, const ShareKey& key,
                 uint64_t share_bytes, int32_t src_node,
-                WorkerMetrics* metrics);
+                ModelLoadMetrics* metrics);
   bool TransferPunched(cloud::FaasContext* ctx, const ShareKey& key,
                        uint64_t share_bytes, int32_t src_node,
                        int32_t dst_node, const std::string& inbox,
-                       WorkerMetrics* metrics);
+                       ModelLoadMetrics* metrics);
   bool TransferRelay(cloud::FaasContext* ctx, const ShareKey& key,
                      uint64_t share_bytes, const std::string& inbox,
-                     WorkerMetrics* metrics);
+                     ModelLoadMetrics* metrics);
 
   cloud::CloudEnv* cloud_;
   Options options_;

@@ -81,6 +81,70 @@ PartitionCache* InstancePartitionCache(cloud::FaasContext* ctx,
   return cache.get();
 }
 
+Status LoadShareOnMiss(cloud::FaasContext* ctx, cloud::CloudEnv* cloud,
+                       const FsdOptions& options, const std::string& family,
+                       int32_t partition_id, uint64_t share_bytes,
+                       uint64_t rng_salt, PartitionCache* cache,
+                       ShareDistributor* distributor, bool prewarm,
+                       ModelLoadMetrics* metrics) {
+  // λScale fast path: a warm peer may already hold this share in memory.
+  // Acquire either delivers it peer-to-peer (resident + billed + counted;
+  // no storage read and no re-deserialization, the share moved in
+  // deserialized form) or registers this caller as the share's pending
+  // storage reader — in which case the read below MUST be resolved with
+  // Publish/Abandon so waiting peers stop waiting.
+  bool pending_publish = false;
+  if (distributor != nullptr) {
+    const ShareDistributor::Source source =
+        distributor->Acquire(ctx, options, family, partition_id,
+                             share_bytes, metrics, prewarm);
+    if (source == ShareDistributor::Source::kPeer) return Status::OK();
+    pending_publish = true;
+  }
+
+  const uint64_t parts = ModelReadGetParts(share_bytes);
+  cloud->billing().Record(cloud::BillingDimension::kObjectGet,
+                          static_cast<double>(parts));
+  metrics->model_get_parts += static_cast<int64_t>(parts);
+  metrics->model_bytes_read += static_cast<int64_t>(share_bytes);
+  Rng rng(options.seed ^ rng_salt ^
+          (0xA11Dull * (static_cast<uint64_t>(partition_id) + 1)));
+  std::vector<double> latencies;
+  uint64_t remaining = share_bytes;
+  for (uint64_t p = 0; p < parts; ++p) {
+    const uint64_t part = std::min<uint64_t>(kModelReadPartBytes, remaining);
+    remaining -= part;
+    latencies.push_back(cloud->latency().object_get.Sample(&rng, part));
+  }
+  const double get_makespan =
+      sim::ParallelMakespan(latencies, options.io_lanes);
+  const double deser_s = static_cast<double>(share_bytes) /
+                         cloud->compute().deserialize_bytes_per_s;
+  // An interrupted read (deadline mid-transfer) must not populate the
+  // cache: only a fully deserialized share is resident and reusable.
+  const Status slept = ctx->SleepFor(get_makespan + deser_s);
+  if (!slept.ok()) {
+    if (pending_publish) {
+      distributor->Abandon(family, partition_id, options.model_version);
+    }
+    return slept;
+  }
+  ++metrics->share_loads_storage;
+  if (cache != nullptr) {
+    const PartitionCache::InsertOutcome inserted = cache->Insert(
+        family, partition_id, options.model_version, share_bytes, prewarm);
+    metrics->cache_evictions += inserted.evicted;
+    // An oversize reject is a future guaranteed miss, not a silent
+    // success: it must show up in the hit-ratio story, and the registry
+    // must never learn of a share the instance could not keep.
+    if (!inserted.inserted) ++metrics->cache_oversize_rejects;
+  }
+  if (pending_publish) {
+    distributor->Publish(ctx, options, family, partition_id);
+  }
+  return Status::OK();
+}
+
 namespace {
 
 /// Models reading this worker's weight + map share from object storage
@@ -92,10 +156,10 @@ namespace {
 /// Read-through partition cache: a warm instance that deserialized this
 /// (family, partition) share at this version for an earlier query still
 /// holds it in memory, so the read (and its GET billing) is skipped
-/// entirely. On a miss with a ShareDistributor attached, the share is
-/// pulled from a warm PEER holding it (λScale fast scaling) before paying
-/// the storage front door. Neither layer changes the share's contents —
-/// outputs stay byte-identical with caching and peer transfer on or off.
+/// entirely. On a miss, LoadShareOnMiss pulls the share from a warm PEER
+/// holding it (λScale fast scaling) before paying the storage front door.
+/// Neither layer changes the share's contents — outputs stay
+/// byte-identical with caching and peer transfer on or off.
 Status LoadModelShare(cloud::FaasContext* ctx, RunState* state,
                       int32_t worker_id, WorkerMetrics* metrics) {
   const double start = ctx->sim()->Now();
@@ -125,68 +189,11 @@ Status LoadModelShare(cloud::FaasContext* ctx, RunState* state,
     }
   }
 
-  // λScale fast path: a warm peer may already hold this share in memory.
-  // Acquire either delivers it peer-to-peer (resident + billed + counted;
-  // no storage read and no re-deserialization, the share moved in
-  // deserialized form) or registers this worker as the share's pending
-  // storage reader — in which case the read below MUST be resolved with
-  // Publish/Abandon so waiting peers stop waiting.
-  ShareDistributor* distributor =
-      cache != nullptr ? state->share_distributor : nullptr;
-  bool pending_publish = false;
-  if (distributor != nullptr) {
-    const ShareDistributor::Source source =
-        distributor->Acquire(ctx, state->options, state->cache_family,
-                             worker_id, bytes, metrics);
-    if (source == ShareDistributor::Source::kPeer) {
-      metrics->model_load_s = ctx->sim()->Now() - start;
-      return Status::OK();
-    }
-    pending_publish = true;
-  }
-
-  auto& ledger = state->cloud->billing();
-  ledger.Record(cloud::BillingDimension::kObjectGet,
-                static_cast<double>(parts));
-  metrics->model_get_parts += static_cast<int64_t>(parts);
-  metrics->model_bytes_read += static_cast<int64_t>(bytes);
-  Rng rng(state->options.seed ^ (0xA11Dull * (worker_id + 1)));
-  std::vector<double> latencies;
-  uint64_t remaining = bytes;
-  for (uint64_t p = 0; p < parts; ++p) {
-    const uint64_t part = std::min<uint64_t>(kModelReadPartBytes, remaining);
-    remaining -= part;
-    latencies.push_back(
-        state->cloud->latency().object_get.Sample(&rng, part));
-  }
-  const double get_makespan =
-      sim::ParallelMakespan(latencies, state->options.io_lanes);
-  const double deser_s = static_cast<double>(bytes) /
-                         state->cloud->compute().deserialize_bytes_per_s;
-  // An interrupted read (deadline mid-transfer) must not populate the
-  // cache: only a fully deserialized share is resident and reusable.
-  const Status slept = ctx->SleepFor(get_makespan + deser_s);
-  if (!slept.ok()) {
-    if (pending_publish) {
-      distributor->Abandon(state->cache_family, worker_id,
-                           state->options.model_version);
-    }
-    return slept;
-  }
-  ++metrics->share_loads_storage;
-  if (cache != nullptr) {
-    const PartitionCache::InsertOutcome inserted = cache->Insert(
-        state->cache_family, worker_id, state->options.model_version, bytes);
-    metrics->cache_evictions += inserted.evicted;
-    // An oversize reject is a future guaranteed miss, not a silent
-    // success: it must show up in the hit-ratio story, and the registry
-    // must never learn of a share the instance could not keep.
-    if (!inserted.inserted) ++metrics->cache_oversize_rejects;
-  }
-  if (pending_publish) {
-    distributor->Publish(ctx, state->options, state->cache_family,
-                         worker_id);
-  }
+  FSD_RETURN_IF_ERROR(LoadShareOnMiss(
+      ctx, state->cloud, state->options, state->cache_family, worker_id,
+      bytes, /*rng_salt=*/0, cache,
+      cache != nullptr ? state->share_distributor : nullptr,
+      /*prewarm=*/false, metrics));
   metrics->model_load_s = ctx->sim()->Now() - start;
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #define FSD_CORE_WORKER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cloud/cloud.h"
@@ -69,7 +70,7 @@ struct RunState {
   std::string cache_family;
 
   /// Serving-runtime-owned peer share distributor (λScale-style fast
-  /// scaling). When set and the instance cache misses, LoadModelShare asks
+  /// scaling). When set and the instance cache misses, LoadShareOnMiss asks
   /// it for the share before paying the object-storage read; null (plain
   /// RunInference, feature off) keeps the storage-only cold path.
   ShareDistributor* share_distributor = nullptr;
@@ -147,6 +148,23 @@ Result<WorkerPayload> DecodeWorkerPayload(const Bytes& payload);
 /// tasks — all three must agree on one cache per instance.
 PartitionCache* InstancePartitionCache(cloud::FaasContext* ctx,
                                        const FsdOptions& options);
+
+/// The one model-share miss path, shared by a worker's cold load and the
+/// serving runtime's pre-warm tasks. Tries a warm peer first (when
+/// `distributor` is set), else reads `share_bytes` from object storage:
+/// multipart GETs billed at GET pricing and drawn across the IO lanes,
+/// plus deserialization CPU. A completed read is inserted into `cache`
+/// (when set; tagged pre-warmed when `prewarm`) and published to the
+/// distributor; an interrupted read inserts nothing and is abandoned.
+/// The latency draws' Rng seed mixes options.seed, `rng_salt` and the
+/// partition id. Counts into `metrics`' load, cache-insert and
+/// share-transfer counters.
+Status LoadShareOnMiss(cloud::FaasContext* ctx, cloud::CloudEnv* cloud,
+                       const FsdOptions& options, const std::string& family,
+                       int32_t partition_id, uint64_t share_bytes,
+                       uint64_t rng_salt, PartitionCache* cache,
+                       ShareDistributor* distributor, bool prewarm,
+                       ModelLoadMetrics* metrics);
 
 /// The FaaS handler body for a worker invocation (payload already decoded
 /// and routed to its run). Invokes its children (hierarchical launch), loads

@@ -1,11 +1,12 @@
 // Metrics-layer unit tests: percentile edge cases, FleetStats on tiny
 // sample counts (0/1/2 queries), batch-occupancy accounting, the
 // mutually-exclusive disposition partition (rejected/shed/aborted/
-// completed), SLO attainment, and the determinism of the arrival-trace
-// generators.
+// completed), SLO attainment, the model-load counter rollups, and the
+// determinism of the arrival-trace generators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -296,6 +297,61 @@ TEST(FleetStats, DirectLinkAndCollectiveRoundCountersAggregate) {
   const std::string summary = fleet.Summary();
   EXPECT_NE(summary.find("relay"), std::string::npos) << summary;
   EXPECT_NE(summary.find("round"), std::string::npos) << summary;
+}
+
+/// Two workers whose model-load counters all differ: worker 0 holds i + 1
+/// in counter i, worker 1 holds 100 * (i + 1). Finalized.
+RunMetrics TwoWorkerModelLoads() {
+  RunMetrics run;
+  run.workers.resize(2);
+  for (size_t i = 0; i < std::size(kModelLoadCounters); ++i) {
+    const int64_t v = static_cast<int64_t>(i + 1);
+    run.workers[0].*kModelLoadCounters[i] = v;
+    run.workers[1].*kModelLoadCounters[i] = 100 * v;
+  }
+  run.Finalize();
+  return run;
+}
+
+TEST(ModelLoadMetrics, CounterTableListsEachCounterOnce) {
+  // With the sizeof static_assert this makes the table a permutation of
+  // the struct's counters.
+  for (size_t i = 0; i < std::size(kModelLoadCounters); ++i) {
+    for (size_t j = i + 1; j < std::size(kModelLoadCounters); ++j) {
+      EXPECT_NE(kModelLoadCounters[i], kModelLoadCounters[j]) << i << " " << j;
+    }
+  }
+}
+
+TEST(ModelLoadMetrics, RunFinalizeSumsEveryCounterAndIsRepeatable) {
+  RunMetrics run = TwoWorkerModelLoads();
+  for (size_t i = 0; i < std::size(kModelLoadCounters); ++i) {
+    EXPECT_EQ(run.*kModelLoadCounters[i], static_cast<int64_t>(101 * (i + 1)))
+        << i;
+  }
+  // A second Finalize recomputes from the workers instead of re-adding.
+  run.Finalize();
+  for (size_t i = 0; i < std::size(kModelLoadCounters); ++i) {
+    EXPECT_EQ(run.*kModelLoadCounters[i], static_cast<int64_t>(101 * (i + 1)))
+        << i;
+  }
+}
+
+TEST(ModelLoadMetrics, FleetAddsCompletedQueriesOnly) {
+  const RunMetrics run = TwoWorkerModelLoads();
+  FleetStats fleet;
+  fleet.AddQuery(Sample(0.0, 1.0, 1.0, 0.0), run);
+  for (QueryDisposition disposition :
+       {QueryDisposition::kRejected, QueryDisposition::kShed,
+        QueryDisposition::kAborted, QueryDisposition::kFailed,
+        QueryDisposition::kInFlight}) {
+    fleet.AddQuery(Sample(0.0, 2.0, 2.0, 0.0, disposition), run);
+  }
+  fleet.Finalize();
+  EXPECT_EQ(fleet.completed, 1);
+  for (size_t i = 0; i < std::size(kModelLoadCounters); ++i) {
+    EXPECT_EQ(fleet.*kModelLoadCounters[i], run.*kModelLoadCounters[i]) << i;
+  }
 }
 
 TEST(Arrivals, PoissonIsDeterministicPerSeed) {

@@ -395,6 +395,16 @@ TEST(ServingFastScaling, PredictivePrewarmFiresWithinBudget) {
   EXPECT_GT(report->fleet.prewarm_budget_spent, 0.0);
   EXPECT_LE(report->fleet.prewarm_budget_spent, so.prewarm_budget_dollars);
   EXPECT_EQ(report->fleet.failed, 0);
+
+  // Every object GET the ledger billed is a query's share read, a query's
+  // channel GET, or a pre-warm task's share read — exactly.
+  int64_t gets = report->fleet.prewarm_storage_parts;
+  for (const QueryOutcome& outcome : report->queries) {
+    gets += outcome.report.metrics.model_get_parts +
+            outcome.report.metrics.totals.gets;
+  }
+  EXPECT_EQ(report->billing.quantity(cloud::BillingDimension::kObjectGet),
+            static_cast<double>(gets));
 }
 
 // Fires a fixed pre-warm burst during an early window and nothing after —
