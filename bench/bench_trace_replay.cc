@@ -6,19 +6,14 @@
 // callback churn and streaming FleetStats aggregation — so the measured
 // cost is the KERNEL's (process handshakes, event heap, signal wakeups),
 // not the sparse math behind real worker trees. The same trace replays
-// under both kernel tunings:
-//
-//   legacy: one dedicated OS thread per process, mutex/cv handoff
-//           (the pre-optimization kernel, SimTuning::Legacy()), and
-//   fast:   the default tier — ucontext fibers on the scheduler's own
-//           thread where available, else pooled reusable threads with
-//           binary-semaphore handoff,
-//
-// and the bench reports wall-clock sim_events_per_sec for each plus the
-// speedup. Virtual-time results must be BYTE-IDENTICAL across tunings and
-// across repeated runs — the tuning changes how fast the kernel decides,
-// never what it decides — so the deterministic FleetStats summary doubles
-// as a correctness gate, and its virtual p50/p95 feed the (deterministic)
+// twice on the default tier (ucontext fibers on the scheduler's own thread
+// where available, else pooled reusable threads with a binary-semaphore
+// handoff) and once on the thread tier (SimTuning::use_fibers = false),
+// and the bench reports wall-clock sim_events_per_sec of the default tier.
+// Virtual-time results must be BYTE-IDENTICAL across tiers and across
+// repeated runs — the tier changes how fast the kernel decides, never what
+// it decides — so the deterministic FleetStats summary doubles as a
+// correctness gate, and its virtual p50/p95 feed the (deterministic)
 // perf-regression baseline while events_per_sec gates direction-aware.
 #include <chrono>
 #include <cstdio>
@@ -243,7 +238,7 @@ int main() {
   config.seed = 20240;
   // Peak offered load (200 x 1.3 x 1.15 = ~300 qps) stays under the slot
   // pool's ~530 qps service capacity, so the waiter queue — and with it
-  // the legacy kernel's live-thread count — stays bounded.
+  // the thread tier's live-thread count — stays bounded.
   config.flash_crowds = {core::FlashCrowd{60.0, 15.0, 1.15}};
   core::TenantSpec gold;
   gold.tenant = 1;
@@ -265,19 +260,19 @@ int main() {
 
   bench::PrintHeader(
       "TRACE REPLAY — DES kernel throughput on a production-style trace",
-      StrFormat("%zu queries, 3 tenants, diurnal + flash crowd; pooled "
-                "fast path vs legacy thread-per-process kernel",
+      StrFormat("%zu queries, 3 tenants, diurnal + flash crowd; default "
+                "tier vs pooled-thread tier",
                 trace->queries.size()));
 
   const ReplayResult fast = Replay(*trace, sim::SimTuning{}, slots);
   const ReplayResult fast2 = Replay(*trace, sim::SimTuning{}, slots);
-  const ReplayResult legacy =
-      Replay(*trace, sim::SimTuning::Legacy(), slots);
+  sim::SimTuning thread_tier;
+  thread_tier.use_fibers = false;
+  const ReplayResult threads = Replay(*trace, thread_tier, slots);
 
   const double fast_eps = static_cast<double>(fast.events) / fast.wall_s;
-  const double legacy_eps =
-      static_cast<double>(legacy.events) / legacy.wall_s;
-  const double speedup = fast_eps / legacy_eps;
+  const double threads_eps =
+      static_cast<double>(threads.events) / threads.wall_s;
 
   std::printf("%-8s | %12s %14s %10s\n", "kernel", "events", "wall (s)",
               "events/s");
@@ -285,36 +280,27 @@ int main() {
   std::printf("%-8s | %12llu %14.3f %10.0f\n", "fast",
               static_cast<unsigned long long>(fast.events), fast.wall_s,
               fast_eps);
-  std::printf("%-8s | %12llu %14.3f %10.0f\n", "legacy",
-              static_cast<unsigned long long>(legacy.events), legacy.wall_s,
-              legacy_eps);
-  std::printf("\nspeedup: %.2fx   virtual p50=%.3fs p95=%.3fs\n", speedup,
-              fast.p50_s, fast.p95_s);
+  std::printf("%-8s | %12llu %14.3f %10.0f\n", "threads",
+              static_cast<unsigned long long>(threads.events), threads.wall_s,
+              threads_eps);
+  std::printf("\nvirtual p50=%.3fs p95=%.3fs\n", fast.p50_s, fast.p95_s);
 
   // Correctness gates: identical event counts and byte-identical fleet
-  // results across runs AND across tunings.
+  // results across runs AND across tiers.
   if (fast.fleet_summary != fast2.fleet_summary ||
       fast.events != fast2.events) {
     std::fprintf(stderr, "FAIL: fast replay is not deterministic\n");
     return 1;
   }
-  if (fast.fleet_summary != legacy.fleet_summary ||
-      fast.events != legacy.events) {
+  if (fast.fleet_summary != threads.fleet_summary ||
+      fast.events != threads.events) {
     std::fprintf(stderr,
-                 "FAIL: fast and legacy kernels disagree on virtual-time "
-                 "results\nfast:   %s\nlegacy: %s\n",
-                 fast.fleet_summary.c_str(), legacy.fleet_summary.c_str());
+                 "FAIL: fiber and thread tiers disagree on virtual-time "
+                 "results\nfibers:  %s\nthreads: %s\n",
+                 fast.fleet_summary.c_str(), threads.fleet_summary.c_str());
     return 1;
   }
-  std::printf("determinism: fast==fast (replayed) and fast==legacy — OK\n");
-
-  // Perf gate: the pooled kernel must beat thread-per-process by >= 3x at
-  // quick scale and above. Tiny (CTest smoke) runs are too short to time
-  // reliably, and sanitizers distort thread costs — report only there.
-  if (!scale.tiny && !kSanitized && speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: fast kernel speedup %.2fx < 3x\n", speedup);
-    return 1;
-  }
+  std::printf("determinism: fast==fast (replayed) and fibers==threads — OK\n");
 
   // ---- compute offload: multi-core worker kernels, one virtual time ----
   // 16 processes each push `rounds` real sparse-kernel closures through
@@ -411,8 +397,6 @@ int main() {
       "trace_replay",
       {
           {"sim_events_per_sec", fast_eps},
-          {"sim_events_per_sec_legacy", legacy_eps},
-          {"kernel_speedup", speedup},
           {"replay_latency_p50_s", fast.p50_s},
           {"replay_latency_p95_s", fast.p95_s},
           {"replay_events", static_cast<double>(fast.events)},

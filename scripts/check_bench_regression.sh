@@ -8,8 +8,8 @@
 #     deterministic, so a diff is a real behaviour change, never noise.
 #   - *_per_sec throughput metrics (events_per_sec, bytes_per_sec, ...):
 #     SMALLER is worse. These are wall-clock, so the threshold also absorbs
-#     machine noise; the bench binaries gate the structural claim (kernel
-#     speedup) themselves.
+#     machine noise; the bench binaries gate the structural claim (the
+#     offload speedup) themselves.
 # The generous threshold leaves room for intentional scheduling/latency-
 # model changes (refresh the baselines in the same PR when one is
 # deliberate).

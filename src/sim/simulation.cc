@@ -61,56 +61,28 @@ Simulation::~Simulation() {
   }
 #endif
   // Unwind any still-blocked process: mark it killed and wake its worker
-  // once, so the blocked YieldToScheduler (or the pre-start wait) observes
-  // the kill. Fast-path processes that never started have no worker — and
-  // no thread — so there is nothing to unwind.
+  // once, so the blocked YieldToScheduler observes the kill. Processes that
+  // never started have no worker — and no thread — so there is nothing to
+  // unwind.
   for (auto& p : processes_) {
     if (p == nullptr || p->finished || p->worker == nullptr) continue;
-    Worker* w = p->worker;
     p->killed = true;
-    if (tuning_.fast_handoff) {
-      w->run_sem.release();
-    } else {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      w->runnable = true;
-      w->cv.notify_all();
-    }
+    p->worker->run_sem.release();
   }
   // Shut down pool workers parked between assignments.
   for (Worker* w : idle_workers_) {
     w->shutdown = true;
-    if (tuning_.fast_handoff) {
-      w->run_sem.release();
-    } else {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      w->runnable = true;
-      w->cv.notify_all();
-    }
+    w->run_sem.release();
   }
-  for (auto& w : workers_) {
-    if (w != nullptr && w->thread.joinable()) w->thread.join();
-  }
+  for (auto& w : workers_) w->thread.join();
 }
 
 void Simulation::WorkerMain(Worker* w) {
   for (;;) {
-    // Wait for an assignment (pool) / this process's first resume
-    // (dedicated thread), or for teardown.
-    if (tuning_.fast_handoff) {
-      w->run_sem.acquire();
-    } else {
-      std::unique_lock<std::mutex> lock(w->mutex);
-      w->cv.wait(lock, [w] { return w->runnable; });
-    }
+    // Wait for an assignment (a process's first resume) or for teardown.
+    w->run_sem.acquire();
     if (w->shutdown) return;
     Process* p = w->proc;
-    if (p->killed) {
-      // Killed before the body ever entered (teardown unwound us while the
-      // start event was still queued). The destructor's join is the only
-      // reader past this point.
-      p->finished = true;
-      return;
-    }
     try {
       p->body();
     } catch (const ProcessKilled&) {
@@ -121,35 +93,18 @@ void Simulation::WorkerMain(Worker* w) {
     }
     FinishProcess(p);
     w->proc = nullptr;
-    if (!tuning_.reuse_threads) {
-      // Dedicated thread: hand control back and exit; the scheduler joins
-      // us when it reaps the process.
-      SignalYield(w);
-      return;
-    }
-    // Pool thread: return to the idle stack BEFORE yielding — the
-    // scheduler is parked on our yield, so the push cannot race.
+    // Return to the idle stack BEFORE yielding — the scheduler is parked
+    // on our yield, so the push cannot race.
     idle_workers_.push_back(w);
-    SignalYield(w);
-  }
-}
-
-void Simulation::SignalYield(Worker* w) {
-  if (tuning_.fast_handoff) {
     w->yield_sem.release();
-  } else {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    w->runnable = false;
-    w->yielded = true;
-    w->cv.notify_all();
   }
 }
 
 ProcessHandle Simulation::AddProcess(std::string name,
                                      std::function<void()> body,
                                      SimTime start) {
-  // Spawning a thread while the destructor joins the existing ones would
-  // mutate processes_ under its feet; refuse with an inert handle.
+  // Registering a process while the destructor walks processes_ would
+  // mutate it under its feet; refuse with an inert handle.
   if (tearing_down()) return ProcessHandle(std::make_shared<SimSignal>(this));
   auto proc = std::make_unique<Process>();
   Process* p = proc.get();
@@ -159,21 +114,8 @@ ProcessHandle Simulation::AddProcess(std::string name,
   p->done = MakeSignal();
   ++live_processes_;
   processes_.push_back(std::move(proc));
-
-  if (!fibers_ && !tuning_.reuse_threads) {
-    // Legacy tier: dedicate an OS thread to the process up front (it idles
-    // until the start event dispatches). The fast tiers instead bind a
-    // pooled thread (or allocate a fiber) lazily at first resume — a
-    // never-started process then costs no thread or stack at all.
-    auto owned = std::make_unique<Worker>();
-    Worker* w = owned.get();
-    w->index = workers_.size();
-    w->proc = p;
-    p->worker = w;
-    workers_.push_back(std::move(owned));
-    w->thread = std::thread([this, w] { WorkerMain(w); });
-  }
-
+  // A pooled thread (or a fiber) is bound lazily at first resume, so a
+  // never-started process costs no thread or stack at all.
   PushEvent(start, p->pid, /*epoch=*/0, EventKind::kWake);
   return ProcessHandle(p->done);
 }
@@ -183,7 +125,9 @@ void Simulation::Run(SimTime until) {
   in_run_ = true;
   while (!events_.empty()) {
     if (until >= 0.0 && events_.front().time > until) {
-      now_ = until;  // leave the event queued for a later Run()
+      // Leave the event queued for a later Run(). The clock never rewinds:
+      // an `until` already in the past dispatches nothing.
+      now_ = std::max(now_, until);
       break;
     }
     std::pop_heap(events_.begin(), events_.end(), EventAfter());
@@ -229,7 +173,6 @@ void Simulation::BindWorker(Process* p) {
   } else {
     auto owned = std::make_unique<Worker>();
     w = owned.get();
-    w->index = workers_.size();
     workers_.push_back(std::move(owned));
     w->thread = std::thread([this, w] { WorkerMain(w); });
   }
@@ -254,38 +197,17 @@ void Simulation::ResumeProcess(Process* p) {
 #endif
   if (!p->started) {
     p->started = true;
-    if (p->worker == nullptr) BindWorker(p);
+    BindWorker(p);
   }
-  Worker* w = p->worker;
-  if (tuning_.fast_handoff) {
-    w->run_sem.release();
-    w->yield_sem.acquire();
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      w->runnable = true;
-      w->yielded = false;
-      w->cv.notify_all();
-    }
-    {
-      std::unique_lock<std::mutex> lock(w->mutex);
-      w->cv.wait(lock, [w] { return w->yielded; });
-    }
-  }
+  p->worker->run_sem.release();
+  p->worker->yield_sem.acquire();
   running_ = nullptr;
   if (p->finished) ReapProcess(p);
 }
 
 void Simulation::ReapProcess(Process* p) {
   // A finished process's slot (name, body captures, signal ref) is dead
-  // weight — a million-query replay must not accumulate it. Dedicated
-  // (non-pool) threads are joined here too, so the legacy tier never
-  // stacks up unjoined threads across a long run.
-  Worker* w = p->worker;
-  if (w != nullptr && !tuning_.reuse_threads) {
-    if (w->thread.joinable()) w->thread.join();
-    workers_[w->index].reset();
-  }
+  // weight — a million-query replay must not accumulate it.
   processes_[p->pid - 1].reset();
 }
 
@@ -297,17 +219,8 @@ void Simulation::YieldToScheduler(Process* p) {
     return;
   }
 #endif
-  Worker* w = p->worker;
-  if (tuning_.fast_handoff) {
-    w->yield_sem.release();
-    w->run_sem.acquire();
-  } else {
-    std::unique_lock<std::mutex> lock(w->mutex);
-    w->runnable = false;
-    w->yielded = true;
-    w->cv.notify_all();
-    w->cv.wait(lock, [w] { return w->runnable; });
-  }
+  p->worker->yield_sem.release();
+  p->worker->run_sem.acquire();
   if (p->killed) throw ProcessKilled{};
 }
 

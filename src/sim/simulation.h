@@ -1,26 +1,24 @@
 // Process-oriented discrete-event simulation (DES) kernel.
 //
-// The kernel drives "processes" — user functions that run on dedicated OS
-// threads but execute strictly one at a time under the scheduler's control
-// (SimPy-style cooperative simulation). Virtual time only advances between
-// events; a process blocks by calling Hold()/Wait*() which hands control
-// back to the scheduler. Because exactly one process is ever runnable and
-// the event queue orders by (time, sequence), simulations are fully
-// deterministic and race-free regardless of host scheduling.
+// The kernel drives "processes" — user functions that execute strictly one
+// at a time under the scheduler's control (SimPy-style cooperative
+// simulation). Virtual time only advances between events; a process blocks
+// by calling Hold()/Wait*() which hands control back to the scheduler.
+// Because exactly one process is ever runnable and the event queue orders
+// by (time, sequence), simulations are fully deterministic and race-free
+// regardless of host scheduling.
 //
-// Three per-event cost tiers exist (SimTuning): the default runs process
-// bodies as single-thread FIBERS (ucontext) — a handoff is one user-space
-// stack switch, no OS scheduling at all, which is what lets a trace replay
-// push millions of events through on one core. Where fibers are
-// unavailable (sanitized builds instrument stack switches poorly) the
-// fast path binds process bodies lazily to a reused pool of worker
-// threads and hands control over with a semaphore pair, and the legacy
-// path reproduces the original thread-per-process + condition-variable
-// kernel. Event ordering is byte-identical across all tiers — the tuning
-// only changes HOW a decision already made by the event heap is carried
-// out — so the legacy tier doubles as the measured pre-optimization
-// baseline (bench_trace_replay) and as a cross-validation oracle
-// (tests/sim_property_test.cc).
+// Two execution tiers exist (SimTuning::use_fibers): the default runs
+// process bodies as single-thread FIBERS (ucontext) — a handoff is one
+// user-space stack switch, no OS scheduling at all, which is what lets a
+// trace replay push millions of events through on one core. Where fibers
+// are unavailable or switched off (sanitized builds instrument stack
+// switches poorly) the thread tier binds process bodies lazily to a reused
+// pool of worker threads and hands control over with a semaphore pair.
+// Event ordering is byte-identical across both tiers — the tier only
+// changes HOW a decision already made by the event heap is carried out —
+// so each serves as the other's cross-validation oracle
+// (tests/sim_property_test.cc, bench_trace_replay).
 #ifndef FSD_SIM_SIMULATION_H_
 #define FSD_SIM_SIMULATION_H_
 
@@ -71,25 +69,17 @@ class Simulation;
 /// Virtual time in seconds.
 using SimTime = double;
 
-/// Kernel execution-cost knobs. Neither flag may change observable
-/// simulation behaviour (event order, times, process semantics) — only the
-/// wall-clock cost per event. Defaults are the fast path; Legacy() selects
-/// the pre-optimization kernel for A/B measurement.
+/// Kernel execution-cost knobs. Neither may change observable simulation
+/// behaviour (event order, times, process semantics) — only the wall-clock
+/// cost per event.
 struct SimTuning {
-  /// Run process bodies on a reused pool of worker threads, bound at first
-  /// resume. Off: one OS thread is spawned per process at AddProcess (and
-  /// joined at teardown), the original behaviour — at trace scale the
-  /// dominant kernel cost. Only reached when fibers are off/unsupported.
-  bool reuse_threads = true;
-  /// Hand control between scheduler and process with a binary-semaphore
-  /// pair. Off: the original mutex + condition-variable ping-pong with
-  /// flag re-checks. Only reached when fibers are off/unsupported.
-  bool fast_handoff = true;
   /// Run process bodies as ucontext fibers on the scheduler's own thread:
   /// a handoff is a user-space stack switch (~100ns) instead of an OS
   /// context-switch round trip — on a single-core host the difference is
-  /// the whole kernel budget. Ignored (thread fallback) when the build
-  /// lacks fiber support (FSD_SIM_HAS_FIBERS == 0: sanitizers, non-Linux).
+  /// the whole kernel budget. Off, or when the build lacks fiber support
+  /// (FSD_SIM_HAS_FIBERS == 0: sanitizers, non-Linux), process bodies run
+  /// on a reused pool of worker threads bound at first resume, with a
+  /// binary-semaphore handoff.
   bool use_fibers = true;
   /// Real threads for Simulation::Offload closures. 0 runs every closure
   /// inline on the scheduler thread; N overlaps closures from distinct
@@ -97,19 +87,11 @@ struct SimTuning {
   /// other event (a "solo" window) still runs inline, since nothing could
   /// overlap it, and a submitter that resumes before any pool thread
   /// claimed its closure takes it back and runs it itself (a help-first
-  /// join) rather than sleeping on it. Like the other knobs this must never
+  /// join) rather than sleeping on it. Like use_fibers this must never
   /// change observable simulation behaviour — the closure's virtual cost is
   /// charged analytically either way, so event order, outputs and ledgers
   /// are byte-identical for every value.
   int compute_threads = 0;
-
-  static SimTuning Legacy() {
-    SimTuning tuning;
-    tuning.reuse_threads = false;
-    tuning.fast_handoff = false;
-    tuning.use_fibers = false;
-    return tuning;
-  }
 };
 
 /// A waitable, one-shot signal processes can block on (with timeout).
@@ -209,7 +191,7 @@ class Simulation {
   /// Runs `fn` while this process's virtual time advances by `duration`:
   /// the process yields, other events dispatch inside the virtual window
   /// [now, now+duration], and the process resumes at now+duration with
-  /// `fn`'s side effects complete. With tuning().compute_threads == 0, or
+  /// `fn`'s side effects complete. With SimTuning::compute_threads == 0, or
   /// when no other event falls inside the window, the closure runs inline
   /// at the resume point; otherwise it is queued for a real pool thread
   /// while the scheduler keeps dispatching, and the resuming process runs
@@ -252,33 +234,22 @@ class Simulation {
     return static_cast<uint64_t>(events_.size());
   }
 
-  const SimTuning& tuning() const { return tuning_; }
-
  private:
   friend class SimSignal;
 
   struct Process;
 
-  /// One OS thread the kernel hands process bodies to. Fast path: bound to
-  /// a process at its first resume and returned to an idle pool when the
-  /// body finishes. Legacy path: created per process at AddProcess and
-  /// never reused. Only one of the two handoff mechanisms is in use per
-  /// Simulation (tuning().fast_handoff).
+  /// One OS thread of the thread tier. Bound to a process at its first
+  /// resume and returned to an idle pool when the body finishes.
   struct Worker {
     std::thread thread;
-    size_t index = 0;  // slot in workers_ (lets a reap free the husk)
-    // Fast handoff: scheduler releases run_sem to transfer control to the
-    // process; the process releases yield_sem to transfer it back. The
-    // semaphore release/acquire pair carries the happens-before edge.
+    // Scheduler releases run_sem to transfer control to the process; the
+    // process releases yield_sem to transfer it back. The semaphore
+    // release/acquire pair carries the happens-before edge.
     std::binary_semaphore run_sem{0};
     std::binary_semaphore yield_sem{0};
-    // Legacy handoff: flag ping-pong under the mutex.
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool runnable = false;  // scheduler -> process handoff flag
-    bool yielded = true;    // process -> scheduler handoff flag
-    Process* proc = nullptr;  // bound process (fast path; null when idle)
-    bool shutdown = false;    // pool teardown flag (fast path)
+    Process* proc = nullptr;  // bound process (null when idle)
+    bool shutdown = false;    // pool teardown flag
   };
 
   struct Process {
@@ -363,15 +334,11 @@ class Simulation {
   void YieldToScheduler(Process* p);
   void WakeNow(uint64_t pid);
   void FinishProcess(Process* p);
-  /// Binds `p` to an idle (or new) pool worker — fast path, first resume.
+  /// Binds `p` to an idle (or new) pool worker at its first resume.
   void BindWorker(Process* p);
-  /// Worker-thread main loop (both thread models share it; the handshake
-  /// flavour and the reuse decision come from tuning_).
+  /// Thread-tier worker main loop: run bound process bodies until teardown.
   void WorkerMain(Worker* w);
-  /// Process -> scheduler handoff half, callable from the worker thread.
-  void SignalYield(Worker* w);
-  /// Frees a finished process's slot (and joins + frees its dedicated
-  /// thread on the non-reuse tier). Called by the scheduler after resume.
+  /// Frees a finished process's slot. Called by the scheduler after resume.
   void ReapProcess(Process* p);
   /// Spawns the compute pool on the first pooled Offload.
   void EnsureOffloadPool();
@@ -394,7 +361,7 @@ class Simulation {
 
   SimTuning tuning_;
   /// Fiber tier actually in effect (tuning_.use_fibers gated on build
-  /// support); when false, the thread tiers below carry the handoffs.
+  /// support); when false, the thread tier below carries the handoffs.
   bool fibers_ = false;
 #if FSD_SIM_HAS_FIBERS
   ucontext_t sched_context_;  // where fibers yield back to
@@ -409,7 +376,7 @@ class Simulation {
   /// the null slot so a long trace replay holds only live ones.
   std::vector<std::unique_ptr<Process>> processes_;
   /// All worker threads ever created (joined at teardown); idle_workers_
-  /// is the reuse stack of the fast path.
+  /// is their reuse stack.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Worker*> idle_workers_;
   /// Pooled callback storage: `Event::target` indexes callback_slots_;

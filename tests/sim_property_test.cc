@@ -1,6 +1,6 @@
 // Property tests for the DES kernel: randomized schedules must replay
-// identically run-over-run AND across kernel tunings (the fast pooled
-// handshake vs the legacy thread-per-process path), and every run must
+// identically run-over-run AND across kernel tiers (fibers vs pooled
+// threads with a semaphore handshake), and every run must
 // uphold the kernel invariants — monotonic virtual time, no callback
 // after quiesce, every scheduled event either fires or is drained.
 #include <gtest/gtest.h>
@@ -167,17 +167,20 @@ TEST(SimProperty, ReplayIsDeterministicPerSeed) {
   }
 }
 
-TEST(SimProperty, FastAndLegacyTuningsOrderIdentically) {
-  // The tuning changes HOW processes are resumed (pooled semaphore
-  // handshake vs dedicated thread + mutex/cv), never WHAT order events
-  // fire in — the legacy kernel doubles as the oracle for the fast one.
+TEST(SimProperty, FiberAndThreadTiersOrderIdentically) {
+  // The tier changes HOW processes are resumed (fiber stack switch vs
+  // pooled thread + semaphore handshake), never WHAT order events fire in —
+  // each tier doubles as the oracle for the other. Sanitized builds have
+  // no fibers, so there both runs take the thread tier.
+  SimTuning threads;
+  threads.use_fibers = false;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Program program = MakeProgram(seed);
-    const RunResult fast = Execute(program, SimTuning{});
-    const RunResult legacy = Execute(program, SimTuning::Legacy());
-    ASSERT_EQ(fast.trace, legacy.trace) << "seed " << seed;
-    ASSERT_EQ(fast.end_time, legacy.end_time) << "seed " << seed;
-    ASSERT_EQ(fast.events_dispatched, legacy.events_dispatched)
+    const RunResult fibers = Execute(program, SimTuning{});
+    const RunResult threaded = Execute(program, threads);
+    ASSERT_EQ(fibers.trace, threaded.trace) << "seed " << seed;
+    ASSERT_EQ(fibers.end_time, threaded.end_time) << "seed " << seed;
+    ASSERT_EQ(fibers.events_dispatched, threaded.events_dispatched)
         << "seed " << seed;
   }
 }
@@ -202,10 +205,11 @@ TEST(SimProperty, ComputePoolSizesTraceIdentically) {
       ASSERT_EQ(inline_run.events_dispatched, pooled.events_dispatched)
           << "seed " << seed << " pool " << pool;
     }
-    // The pool must also compose with the legacy thread-per-process path.
-    SimTuning legacy_pooled = SimTuning::Legacy();
-    legacy_pooled.compute_threads = 2;
-    ASSERT_EQ(inline_run.trace, Execute(program, legacy_pooled).trace)
+    // The pool must also compose with the thread tier.
+    SimTuning threads_pooled;
+    threads_pooled.use_fibers = false;
+    threads_pooled.compute_threads = 2;
+    ASSERT_EQ(inline_run.trace, Execute(program, threads_pooled).trace)
         << "seed " << seed;
   }
 }

@@ -148,6 +148,26 @@ TEST(Simulation, JoinFinishedProcessReturnsImmediately) {
   sim.Run();
 }
 
+TEST(Simulation, RunUntilInThePastNeverRewindsTheClock) {
+  Simulation sim;
+  int woke = 0;
+  sim.AddProcess("p", [&]() {
+    sim.Hold(10.0);
+    ++woke;
+  });
+  sim.Run(5.0);
+  EXPECT_EQ(sim.Now(), 5.0);
+  sim.Run(3.0);  // horizon already behind the clock: dispatch nothing
+  EXPECT_EQ(sim.Now(), 5.0);
+  EXPECT_EQ(woke, 0);
+  double fired_at = -1.0;
+  sim.ScheduleCallback(0.0, [&]() { fired_at = sim.Now(); });
+  sim.Run();
+  EXPECT_EQ(fired_at, 5.0);
+  EXPECT_EQ(woke, 1);
+  EXPECT_EQ(sim.Now(), 10.0);
+}
+
 TEST(Simulation, RunUntilStopsEarlyAndResumes) {
   Simulation sim;
   int steps = 0;
@@ -189,45 +209,56 @@ TEST(Simulation, ManyProcessesDeterministicEventCount) {
   EXPECT_GE(e1, 50u * 20u);
 }
 
+// The teardown tests run on both execution tiers: the kill path differs
+// (fiber swap vs waking a pooled thread) and must hold on each.
+SimTuning TierTuning(bool use_fibers) {
+  SimTuning tuning;
+  tuning.use_fibers = use_fibers;
+  return tuning;
+}
+
 TEST(Simulation, TeardownUnwindsBlockedProcesses) {
   // A process blocked on a never-fired signal must not hang destruction.
-  auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
-  {
-    Simulation sim;
-    *signal_holder = sim.MakeSignal();
-    sim.AddProcess("stuck", [&sim, signal_holder]() {
-      sim.WaitSignal(signal_holder->get());
-    });
-    sim.Run();
-    EXPECT_EQ(sim.live_processes(), 1);
-  }  // destructor must join the stuck thread without deadlock
-  SUCCEED();
+  for (const bool use_fibers : {true, false}) {
+    auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
+    {
+      Simulation sim(TierTuning(use_fibers));
+      *signal_holder = sim.MakeSignal();
+      sim.AddProcess("stuck", [&sim, signal_holder]() {
+        sim.WaitSignal(signal_holder->get());
+      });
+      sim.Run();
+      EXPECT_EQ(sim.live_processes(), 1) << "use_fibers=" << use_fibers;
+    }  // destructor must unwind the stuck process without deadlock
+  }
 }
 
 TEST(Simulation, TeardownWithManyConcurrentLiveProcesses) {
   // A serving workload aborting mid-flight leaves MANY processes blocked at
   // once — holds, signal waits, and join chains all unwinding together.
-  auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
-  {
-    Simulation sim;
-    *signal_holder = sim.MakeSignal();
-    for (int i = 0; i < 8; ++i) {
-      sim.AddProcess("holder", [&sim]() { sim.Hold(1e9); });
-      sim.AddProcess("waiter", [&sim, signal_holder]() {
-        sim.WaitSignal(signal_holder->get());
-      });
-      sim.AddProcess("parent", [&sim]() {
-        ProcessHandle child = sim.Spawn("child", [&sim]() { sim.Hold(1e9); });
-        sim.Join(child);
-      });
-    }
-    // A process that never got to start at all (event beyond the horizon).
-    sim.AddProcess("never-started", [&sim]() { sim.Hold(1.0); },
-                   /*start=*/1e12);
-    sim.Run(/*until=*/5.0);
-    EXPECT_GT(sim.live_processes(), 30);
-  }  // destructor must unwind and join every thread without deadlock
-  SUCCEED();
+  for (const bool use_fibers : {true, false}) {
+    auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
+    {
+      Simulation sim(TierTuning(use_fibers));
+      *signal_holder = sim.MakeSignal();
+      for (int i = 0; i < 8; ++i) {
+        sim.AddProcess("holder", [&sim]() { sim.Hold(1e9); });
+        sim.AddProcess("waiter", [&sim, signal_holder]() {
+          sim.WaitSignal(signal_holder->get());
+        });
+        sim.AddProcess("parent", [&sim]() {
+          ProcessHandle child =
+              sim.Spawn("child", [&sim]() { sim.Hold(1e9); });
+          sim.Join(child);
+        });
+      }
+      // A process that never got to start at all (event beyond the horizon).
+      sim.AddProcess("never-started", [&sim]() { sim.Hold(1.0); },
+                     /*start=*/1e12);
+      sim.Run(/*until=*/5.0);
+      EXPECT_GT(sim.live_processes(), 30) << "use_fibers=" << use_fibers;
+    }  // destructor must unwind every process without deadlock
+  }
 }
 
 TEST(Simulation, KillPathToleratesSimCallsFromUnwindingDestructors) {
@@ -246,20 +277,21 @@ TEST(Simulation, KillPathToleratesSimCallsFromUnwindingDestructors) {
       (void)sim->WaitSignal(done.get(), 1.0);
     }
   };
-  auto done_holder = std::make_shared<std::shared_ptr<SimSignal>>();
-  {
-    Simulation sim;
-    *done_holder = sim.MakeSignal();
-    for (int i = 0; i < 4; ++i) {
-      sim.AddProcess("guarded", [&sim, done_holder]() {
-        ReentrantGuard guard{&sim, *done_holder};
-        sim.Hold(1e9);  // blocked here when the Simulation dies
-      });
+  for (const bool use_fibers : {true, false}) {
+    auto done_holder = std::make_shared<std::shared_ptr<SimSignal>>();
+    {
+      Simulation sim(TierTuning(use_fibers));
+      *done_holder = sim.MakeSignal();
+      for (int i = 0; i < 4; ++i) {
+        sim.AddProcess("guarded", [&sim, done_holder]() {
+          ReentrantGuard guard{&sim, *done_holder};
+          sim.Hold(1e9);  // blocked here when the Simulation dies
+        });
+      }
+      sim.Run(/*until=*/1.0);
+      EXPECT_EQ(sim.live_processes(), 4) << "use_fibers=" << use_fibers;
     }
-    sim.Run(/*until=*/1.0);
-    EXPECT_EQ(sim.live_processes(), 4);
   }
-  SUCCEED();
 }
 
 TEST(Simulation, OffloadChargesVirtualTimeAndRunsClosure) {
