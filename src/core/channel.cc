@@ -134,7 +134,8 @@ PhaseReceiver::PhaseReceiver(WorkerEnv* env, int32_t phase,
                              const std::vector<int32_t>& sources)
     : env_(env),
       metrics_(&env->metrics->Layer(phase)),
-      start_(env->cloud->sim()->Now()) {
+      start_(env->cloud->sim()->Now()),
+      decodes_(env->cloud->sim()) {
   for (int32_t s : sources) pending_.emplace(s, Progress{});
 }
 
@@ -143,8 +144,15 @@ Status PhaseReceiver::CheckRunning() const {
   return env_->faas->CheckDeadline();
 }
 
-bool PhaseReceiver::Accept(int32_t source, int32_t seq, int32_t total) {
+Result<bool> PhaseReceiver::Accept(int32_t source, int32_t seq,
+                                   int32_t total) {
   auto it = pending_.find(source);
+  if (it != pending_.end() && it->second.expected != -1 &&
+      it->second.expected != total) {
+    return Status::DataLoss(
+        StrFormat("source %d sent chunk %d of %d after announcing %d chunks",
+                  source, seq, total, it->second.expected));
+  }
   if (it == pending_.end() || !taken_.insert({source, seq}).second) {
     ++metrics_->redundant_skipped;  // completed source or a redelivery
     return false;
@@ -158,40 +166,45 @@ bool PhaseReceiver::Complete(int32_t source) {
   return pending_.erase(source) > 0;
 }
 
-Status PhaseReceiver::Decode(std::span<const Bytes> bodies,
+Status PhaseReceiver::Decode(std::vector<Bytes> bodies,
                              uint64_t charged_bytes, double extra_s) {
   const double deser_s = static_cast<double>(charged_bytes) /
                          env_->cloud->compute().deserialize_bytes_per_s;
   const double window_s = extra_s + deser_s;
   metrics_->deserialize_s += deser_s;
-  // The charge depends only on byte counts, so the row decode runs under
-  // the window (on a pool thread when the sim has compute_threads > 0). A
-  // decode error surfaces after the window, uniformly for every pool size.
-  Status decoded;
-  std::function<void()> decode;
   if (!bodies.empty()) {
     metrics_->offload_calls += 1;
     metrics_->offload_virtual_s += window_s;
-    decode = [&]() {
-      for (const Bytes& body : bodies) {
-        decoded = DecodeRows(body, &received_);
-        if (!decoded.ok()) return;
-      }
-    };
   }
-  for (const Bytes& body : bodies) {
+  // The charge depends only on byte counts and the rows are first read at
+  // Finish, so each decode runs detached: on a pool thread while this
+  // process polls on (inline here when the sim has no pool).
+  for (Bytes& body : bodies) {
     metrics_->recv_wire_bytes += static_cast<int64_t>(body.size());
+    DecodeSlot& slot = slots_.emplace_back();
+    slot.body = std::move(body);
+    // The body stays in its slot until the receiver dies. Freeing it on
+    // the pool thread, which did not allocate it, raised peak RSS through
+    // glibc's per-thread caches.
+    env_->cloud->sim()->StartDetached(&decodes_, [&slot]() {
+      slot.status = DecodeRows(slot.body, &slot.rows);
+    });
   }
-  const size_t before = received_.size();
-  FSD_RETURN_IF_ERROR(env_->faas->OffloadFor(window_s, std::move(decode)));
-  FSD_RETURN_IF_ERROR(decoded);
-  metrics_->recv_rows += static_cast<int64_t>(received_.size() - before);
-  return Status::OK();
+  return env_->faas->SleepFor(window_s);
 }
 
-linalg::ActivationMap PhaseReceiver::Finish() {
+Result<linalg::ActivationMap> PhaseReceiver::Finish() {
   metrics_->recv_wait_s += env_->cloud->sim()->Now() - start_;
-  return std::move(received_);
+  env_->cloud->sim()->JoinDetached(&decodes_);
+  for (const DecodeSlot& slot : slots_) FSD_RETURN_IF_ERROR(slot.status);
+  // Newest first: map::merge keeps a key already present, so the latest
+  // arrival wins a repeated row id, as sequential DecodeRows calls do.
+  linalg::ActivationMap received;
+  for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
+    received.merge(it->rows);
+  }
+  metrics_->recv_rows += static_cast<int64_t>(received.size());
+  return received;
 }
 
 std::unique_ptr<CommChannel> MakeCommChannel(Variant variant) {

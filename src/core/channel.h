@@ -21,11 +21,11 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -36,6 +36,7 @@
 #include "core/metrics.h"
 #include "core/serialization.h"
 #include "linalg/spmm.h"
+#include "sim/simulation.h"
 
 namespace fsd::core {
 
@@ -144,10 +145,17 @@ Result<int32_t> ParseFrameInt(std::string_view text);
 Status CheckChunkIndex(int64_t seq, int64_t total);
 
 /// One ReceivePhase's shared state: the sources still pending, with
-/// (source, seq) dedup of redelivered chunks, the rows received so far, and
+/// (source, seq) dedup of redelivered chunks, the bodies being decoded, and
 /// the recv_wait_s clock. Construct it only after the `sources.empty()`
 /// early return: it resolves the phase's LayerMetrics, which grows the
 /// worker's layer list.
+///
+/// Decode starts each body's row decode as a detached job on the
+/// simulation's offload pool (sim::Simulation::StartDetached) and Finish
+/// joins them, so decoding overlaps the rest of the receive. A decode error
+/// therefore surfaces at Finish, after the phase's remaining chunks
+/// arrived, for every pool size. The destructor joins any jobs still out,
+/// which covers the early error returns of a poll loop.
 class PhaseReceiver {
  public:
   PhaseReceiver(WorkerEnv* env, int32_t phase,
@@ -162,22 +170,27 @@ class PhaseReceiver {
 
   /// Takes chunk `seq` of `total` from `source`, completing the source once
   /// all its chunks arrived. Returns false, counting a redundant skip, when
-  /// the source is not pending or that chunk was already taken.
-  bool Accept(int32_t source, int32_t seq, int32_t total);
+  /// the source is not pending or that chunk was already taken. DataLoss
+  /// when `total` differs from the source's first chunk: the source could
+  /// otherwise complete with chunks missing, or never.
+  Result<bool> Accept(int32_t source, int32_t seq, int32_t total);
 
   /// Completes a pending source that had nothing to send (a .nul marker);
   /// returns whether it was pending.
   bool Complete(int32_t source);
 
-  /// Decodes `bodies` into the received rows under one deserialization
-  /// window of `charged_bytes` at the deserialize rate plus `extra_s` (the
-  /// object channel's GET makespan). The window is taken even when `bodies`
-  /// is empty; it is then a plain wait.
-  Status Decode(std::span<const Bytes> bodies, uint64_t charged_bytes,
+  /// Charges one deserialization window of `charged_bytes` at the
+  /// deserialize rate plus `extra_s` (the object channel's GET makespan),
+  /// and starts decoding each of `bodies` as a detached job; the rows are
+  /// ready at Finish. The window is taken even when `bodies` is empty; it
+  /// is then a plain wait.
+  Status Decode(std::vector<Bytes> bodies, uint64_t charged_bytes,
                 double extra_s = 0.0);
 
-  /// Stops the recv_wait_s clock and hands over the received rows.
-  linalg::ActivationMap Finish();
+  /// Stops the recv_wait_s clock, joins the decodes and hands over their
+  /// rows merged in arrival order (a later body wins a repeated row id).
+  /// Returns the first decode error in arrival order.
+  Result<linalg::ActivationMap> Finish();
 
  private:
   struct Progress {
@@ -185,12 +198,25 @@ class PhaseReceiver {
     int32_t got = 0;
   };
 
+  /// One body and what its detached decode writes. Only that job touches
+  /// the slot until the join.
+  struct DecodeSlot {
+    Bytes body;
+    linalg::ActivationMap rows;
+    Status status;
+  };
+
   WorkerEnv* env_;
   LayerMetrics* metrics_;
   double start_;
   std::map<int32_t, Progress> pending_;
   std::set<std::pair<int32_t, int32_t>> taken_;
-  linalg::ActivationMap received_;
+  /// Arrival order. A deque: appending never moves a slot a job still
+  /// writes into.
+  std::deque<DecodeSlot> slots_;
+  /// Declared after slots_, so its destructor joins the decodes before the
+  /// slots die.
+  sim::OffloadGroup decodes_;
 };
 
 /// ---- phase-id layout shared by workers and collectives ----

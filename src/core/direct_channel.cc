@@ -159,15 +159,16 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
         metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
       }
       FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-      if (!receiver.Accept(decoded.source, decoded.seq, decoded.total)) {
-        continue;
-      }
+      FSD_ASSIGN_OR_RETURN(
+          const bool fresh,
+          receiver.Accept(decoded.source, decoded.seq, decoded.total));
+      if (!fresh) continue;
       bodies.push_back(std::move(decoded.body));
       if (!receiver.pending(decoded.source)) {
         --(punched[decoded.source] ? punched_pending : relay_pending);
       }
     }
-    return receiver.Decode(bodies, popped_bytes);
+    return receiver.Decode(std::move(bodies), popped_bytes);
   };
 
   while (!receiver.done()) {

@@ -130,13 +130,14 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
       // what it moved, not what the receiver could use.
       metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
       FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-      if (!receiver.Accept(decoded.source, decoded.seq, decoded.total)) {
-        continue;
-      }
+      FSD_ASSIGN_OR_RETURN(
+          const bool fresh,
+          receiver.Accept(decoded.source, decoded.seq, decoded.total));
+      if (!fresh) continue;
       accepted_bytes += decoded.body.size();
       bodies.push_back(std::move(decoded.body));
     }
-    FSD_RETURN_IF_ERROR(receiver.Decode(bodies, accepted_bytes));
+    FSD_RETURN_IF_ERROR(receiver.Decode(std::move(bodies), accepted_bytes));
   }
   return receiver.Finish();
 }

@@ -102,9 +102,11 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
       FSD_ASSIGN_OR_RETURN(const int32_t source, KeySource(meta.key));
       if (meta.key.ends_with(".nul")) {
         if (receiver.Complete(source)) ++metrics.nul_skipped;
-      } else if (receiver.Accept(source, /*seq=*/0, /*total=*/1)) {
-        to_get.push_back(meta.key);
+        continue;
       }
+      FSD_ASSIGN_OR_RETURN(const bool fresh,
+                           receiver.Accept(source, /*seq=*/0, /*total=*/1));
+      if (fresh) to_get.push_back(meta.key);
     }
     if (to_get.empty()) {
       // Nothing new this scan; brief back-off before re-listing keeps the
@@ -132,7 +134,8 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
       bodies.push_back(std::move(got.body));
     }
     FSD_RETURN_IF_ERROR(receiver.Decode(
-        bodies, got_bytes, sim::ParallelMakespan(latencies, options.io_lanes)));
+        std::move(bodies), got_bytes,
+        sim::ParallelMakespan(latencies, options.io_lanes)));
   }
   return receiver.Finish();
 }

@@ -123,15 +123,20 @@ Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
   LayerMetrics& metrics = receiver.metrics();
 
   // Each consumed message is decoded under its own deserialization window.
-  auto consume = [&](const ParsedMessage& msg) -> Status {
-    if (!receiver.Accept(msg.source, msg.seq, msg.total)) return Status::OK();
-    return receiver.Decode({&msg.body, 1}, msg.body.size());
+  auto consume = [&](ParsedMessage& msg) -> Status {
+    FSD_ASSIGN_OR_RETURN(const bool fresh,
+                         receiver.Accept(msg.source, msg.seq, msg.total));
+    if (!fresh) return Status::OK();
+    const uint64_t size = msg.body.size();
+    std::vector<Bytes> bodies;
+    bodies.push_back(std::move(msg.body));
+    return receiver.Decode(std::move(bodies), size);
   };
 
   // Drain the stash first: chunks for this phase may have arrived while we
   // were receiving an earlier phase.
   if (auto it = stash_.find(phase); it != stash_.end()) {
-    for (const ParsedMessage& msg : it->second) {
+    for (ParsedMessage& msg : it->second) {
       FSD_RETURN_IF_ERROR(consume(msg));
     }
     stash_.erase(it);

@@ -40,11 +40,12 @@ Simulation::~Simulation() {
   // Make every kernel entry point inert before waking the victims: their
   // unwinding stacks may re-enter the simulation (see tearing_down()).
   tearing_down_.store(true, std::memory_order_release);
-  // Offloaded closures reference buffers on the submitting processes'
-  // stacks, so the pool must be fully quiesced BEFORE any process stack is
-  // unwound or freed. Submitters blocked on their completion wake are
-  // unwound below via ProcessKilled and never reach their acquire, so
-  // discarding their queued jobs is safe.
+  // Offloaded closures and detached jobs reference buffers on the
+  // submitting processes' stacks, so the pool must be fully quiesced BEFORE
+  // any process stack is unwound or freed. Discarding the queued jobs is
+  // safe: their submitters are blocked and are unwound below via
+  // ProcessKilled, and the drain counts their groups down, so the joins
+  // that unwinding destructors run return at once.
   DrainOffloadPool();
 #if FSD_SIM_HAS_FIBERS
   if (fibers_) {
@@ -342,45 +343,83 @@ void Simulation::Offload(SimTime duration, std::function<void()> fn) {
   // closure physically executes differs — unobservable under the Offload
   // determinism contract (the submitter is blocked throughout).
   const bool pooled = !solo && fn != nullptr && tuning_.compute_threads > 0;
-  if (pooled) {
-    EnsureOffloadPool();
-    {
-      std::lock_guard<std::mutex> lock(offload_pool_->mutex);
-      offload_pool_->queue.push_back(OffloadJob{std::move(fn), &p->offload_sem});
-    }
-    offload_pool_->cv.notify_one();
+  if (!pooled) {
+    ScheduleWake(p, duration, /*is_timeout=*/false, /*epoch=*/0);
+    YieldToScheduler(p);  // throws ProcessKilled at teardown
+    if (fn != nullptr) fn();  // inline tier or solo window: run at resume
+    return;
   }
+  // A one-job group. At teardown the yield throws and the group's
+  // destructor joins, which the drain has already made a no-op.
+  OffloadGroup group(this);
+  SubmitOffload(&group, std::move(fn));
   ScheduleWake(p, duration, /*is_timeout=*/false, /*epoch=*/0);
-  YieldToScheduler(p);  // throws ProcessKilled at teardown — before acquire
-  if (pooled) {
-    // Help-first join: a job no pool thread has claimed yet runs right here
-    // instead of leaving this thread asleep on work nobody started. Only a
-    // claimed job is waited for, and the pool had the whole virtual
-    // window's worth of wall time to finish it.
-    if (std::function<void()> mine = ReclaimOffloadJob(p)) {
-      mine();
-    } else {
-      p->offload_sem.acquire();
-    }
-  } else if (fn != nullptr) {
-    fn();  // inline tier or solo window: run at the resume point
-  }
+  YieldToScheduler(p);
+  // The pool had the whole virtual window's worth of wall time; the join
+  // runs the closure here if no pool thread claimed it meanwhile.
+  JoinDetached(&group);
 }
 
-std::function<void()> Simulation::ReclaimOffloadJob(const Process* p) {
-  OffloadPool* pool = offload_pool_.get();
-  std::lock_guard<std::mutex> lock(pool->mutex);
-  const auto it =
-      std::find_if(pool->queue.begin(), pool->queue.end(),
-                   [p](const OffloadJob& job) {
-                     return job.done == &p->offload_sem;
-                   });
-  if (it == pool->queue.end()) return nullptr;
-  std::function<void()> fn = std::move(it->fn);
-  pool->queue.erase(it);
-  ++pool->reclaimed;
-  return fn;
+void Simulation::StartDetached(OffloadGroup* group, std::function<void()> fn) {
+  FSD_CHECK(fn != nullptr);
+  if (tearing_down()) {
+    fn();  // no pool guaranteed alive (see Offload)
+    return;
+  }
+  ++offload_calls_;
+  if (tuning_.compute_threads == 0) {
+    fn();
+    return;
+  }
+  SubmitOffload(group, std::move(fn));
 }
+
+void Simulation::SubmitOffload(OffloadGroup* group, std::function<void()> fn) {
+  if (offload_pool_ == nullptr) {
+    offload_pool_ = std::make_unique<OffloadPool>();
+    const int n = tuning_.compute_threads;
+    offload_pool_->threads.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      offload_pool_->threads.emplace_back([this] { OffloadWorkerMain(); });
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(offload_pool_->mutex);
+    ++group->outstanding_;
+    offload_pool_->queue.push_back(OffloadJob{std::move(fn), group});
+  }
+  offload_pool_->cv.notify_one();
+}
+
+void Simulation::JoinDetached(OffloadGroup* group) {
+  OffloadPool* pool = offload_pool_.get();
+  if (pool == nullptr) return;  // no pool: every job ran at its start
+  std::unique_lock<std::mutex> lock(pool->mutex);
+  if (group->outstanding_ == 0) return;
+  // Help-first: take back every job of the group no pool thread claimed
+  // yet, rather than sleeping on work nobody started.
+  std::vector<std::function<void()>> mine;
+  auto kept = pool->queue.begin();
+  for (auto it = pool->queue.begin(); it != pool->queue.end(); ++it) {
+    if (it->group == group) {
+      mine.push_back(std::move(it->fn));
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+  }
+  pool->queue.erase(kept, pool->queue.end());
+  group->outstanding_ -= static_cast<int>(mine.size());
+  pool->reclaimed += mine.size();
+  lock.unlock();
+  for (std::function<void()>& fn : mine) fn();
+  // Only claimed jobs are left; their completion (under the mutex) carries
+  // the happens-before edge for what they wrote.
+  lock.lock();
+  pool->idle_cv.wait(lock, [group] { return group->outstanding_ == 0; });
+}
+
+OffloadGroup::~OffloadGroup() { sim_->JoinDetached(this); }
 
 OffloadStats Simulation::offload_stats() const {
   OffloadStats stats;
@@ -394,16 +433,6 @@ OffloadStats Simulation::offload_stats() const {
     stats.pool_busy_wall_s = offload_pool_->busy_wall_s;
   }
   return stats;
-}
-
-void Simulation::EnsureOffloadPool() {
-  if (offload_pool_ != nullptr) return;
-  offload_pool_ = std::make_unique<OffloadPool>();
-  const int n = tuning_.compute_threads;
-  offload_pool_->threads.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    offload_pool_->threads.emplace_back([this] { OffloadWorkerMain(); });
-  }
 }
 
 void Simulation::OffloadWorkerMain() {
@@ -425,19 +454,15 @@ void Simulation::OffloadWorkerMain() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    // Count the run first, so a submitter resumed by the release below
-    // already sees it in offload_stats(). Then publish completion (the
-    // semaphore release carries the happens-before edge for the closure's
-    // writes) and only then retire the job: the teardown drain waits for
-    // active == 0 before any submitter's semaphore can be freed.
+    job.fn = nullptr;  // the closure's captures die before its joiner resumes
+    // Count the run and complete the job in one step: a joiner that sees
+    // its group reach zero also sees the run in offload_stats(). The group
+    // may die as soon as the mutex drops, so it is not touched after.
     {
       std::lock_guard<std::mutex> lock(pool->mutex);
       ++pool->runs;
       pool->busy_wall_s += busy;
-    }
-    job.done->release();
-    {
-      std::lock_guard<std::mutex> lock(pool->mutex);
+      --job.group->outstanding_;
       --pool->active;
     }
     pool->idle_cv.notify_all();
@@ -450,7 +475,9 @@ void Simulation::DrainOffloadPool() {
   {
     std::unique_lock<std::mutex> lock(pool->mutex);
     // Queued-but-unstarted jobs are discarded: their submitters are about
-    // to be unwound with ProcessKilled and never reach the acquire.
+    // to be unwound with ProcessKilled, and the groups (still alive on
+    // those blocked stacks) are counted down so the unwind's joins return.
+    for (const OffloadJob& job : pool->queue) --job.group->outstanding_;
     pool->queue.clear();
     pool->shutdown = true;
     // In-flight closures still reference live process stacks — wait them

@@ -81,16 +81,18 @@ struct SimTuning {
   /// on a reused pool of worker threads bound at first resume, with a
   /// binary-semaphore handoff.
   bool use_fibers = true;
-  /// Real threads for Simulation::Offload closures. 0 runs every closure
-  /// inline on the scheduler thread; N overlaps closures from distinct
-  /// processes across N host cores. A closure whose virtual window holds no
-  /// other event (a "solo" window) still runs inline, since nothing could
-  /// overlap it, and a submitter that resumes before any pool thread
-  /// claimed its closure takes it back and runs it itself (a help-first
-  /// join) rather than sleeping on it. Like use_fibers this must never
-  /// change observable simulation behaviour — the closure's virtual cost is
-  /// charged analytically either way, so event order, outputs and ledgers
-  /// are byte-identical for every value.
+  /// Real threads for Simulation::Offload closures and detached jobs
+  /// (Simulation::StartDetached). 0 runs every closure inline on the
+  /// scheduler thread; N overlaps closures from distinct processes, and a
+  /// process's detached jobs with its own later work, across N host cores.
+  /// A closure whose virtual window holds no other event (a "solo" window)
+  /// still runs inline, since nothing could overlap it, and a submitter
+  /// that resumes before any pool thread claimed its closure takes it back
+  /// and runs it itself (a help-first join) rather than sleeping on it.
+  /// Like use_fibers this must never change observable simulation
+  /// behaviour — the closure's virtual cost is charged analytically either
+  /// way, so event order, outputs and ledgers are byte-identical for every
+  /// value.
   int compute_threads = 0;
 };
 
@@ -127,19 +129,41 @@ class ProcessHandle {
   std::shared_ptr<SimSignal> done_;
 };
 
-/// Counters for the compute-offload layer (see Simulation::Offload).
-/// `calls`/`virtual_s`/`solo` are virtual-time facts and byte-identical
-/// across every `compute_threads` value; `pool_runs`/`reclaimed`/
-/// `pool_busy_wall_s` depend on wall-clock timing (all zero when
-/// compute_threads == 0). With a pool, every closure of a completed run is
-/// counted exactly once: pool_runs + reclaimed + solo == calls.
+/// Counters for the compute-offload layer (see Simulation::Offload and
+/// Simulation::StartDetached). `calls`/`virtual_s`/`solo` are virtual-time
+/// facts and byte-identical across every `compute_threads` value;
+/// `pool_runs`/`reclaimed`/`pool_busy_wall_s` depend on wall-clock timing
+/// (all zero when compute_threads == 0). With a pool, every closure of a
+/// completed run is counted exactly once: pool_runs + reclaimed + solo ==
+/// calls.
 struct OffloadStats {
-  uint64_t calls = 0;           ///< Offload() invocations carrying a closure
-  double virtual_s = 0.0;       ///< total virtual seconds charged for them
-  uint64_t solo = 0;            ///< closures whose window held no other event
+  uint64_t calls = 0;           ///< Offload() closures + detached jobs
+  double virtual_s = 0.0;       ///< virtual seconds charged for Offload()
+  uint64_t solo = 0;            ///< Offload() closures run in a solo window
   uint64_t pool_runs = 0;       ///< closures actually run on pool threads
-  uint64_t reclaimed = 0;       ///< queued closures the join took back
+  uint64_t reclaimed = 0;       ///< queued closures a join took back
   double pool_busy_wall_s = 0.0;  ///< wall seconds pool threads spent busy
+};
+
+/// A set of detached offload jobs (Simulation::StartDetached) that one
+/// process starts and later joins as a unit (Simulation::JoinDetached). The
+/// destructor joins, so a group that goes out of scope on an error path
+/// never leaves a job writing into freed memory. A group must not outlive
+/// its Simulation.
+class OffloadGroup {
+ public:
+  explicit OffloadGroup(Simulation* sim) : sim_(sim) {}
+  ~OffloadGroup();
+
+  OffloadGroup(const OffloadGroup&) = delete;
+  OffloadGroup& operator=(const OffloadGroup&) = delete;
+
+ private:
+  friend class Simulation;
+  Simulation* sim_;
+  /// Jobs queued on or running on the pool (guarded by the pool mutex);
+  /// the group's completion count, which a join waits down to zero.
+  int outstanding_ = 0;
 };
 
 /// The DES kernel. Not thread-safe from outside: construct, AddProcess, Run.
@@ -206,6 +230,26 @@ class Simulation {
   /// A null `fn` is a plain virtual sleep (equivalent to Hold(duration)).
   void Offload(SimTime duration, std::function<void()> fn);
 
+  /// Starts `fn` as a detached job of `group` and returns at once, without
+  /// charging virtual time: the caller charges the work analytically itself
+  /// (as with Offload, the charge must not depend on what `fn` computes).
+  /// With SimTuning::compute_threads == 0, or during teardown, `fn` runs
+  /// inline before the call returns; otherwise it is queued for the pool.
+  /// Every job counts in OffloadStats::calls, whatever the pool size.
+  ///
+  /// Determinism contract for `fn`: it may touch only its own slot (state
+  /// that nothing else reads or writes until the join) and immutable
+  /// shared data; neither the slot nor anything `fn` writes may be read
+  /// before JoinDetached(group) returns. As with Offload, `fn` must not
+  /// touch the Simulation and must not throw.
+  void StartDetached(OffloadGroup* group, std::function<void()> fn);
+
+  /// Returns once every job of `group` has completed. Help-first: jobs no
+  /// pool thread has claimed yet run right here, on the caller's thread;
+  /// only claimed ones are waited for. Consumes no virtual time, and a
+  /// group with nothing outstanding returns at once.
+  void JoinDetached(OffloadGroup* group);
+
   /// Snapshot of the offload counters (see OffloadStats).
   OffloadStats offload_stats() const;
 
@@ -263,11 +307,6 @@ class Simulation {
     uint64_t wait_epoch = 0;      // guards against stale timeout events
     std::shared_ptr<SimSignal> done;
     Worker* worker = nullptr;     // execution thread (null until bound)
-    /// Released by a pool thread when this process's offloaded closure
-    /// completes; acquired by the process after its completion wake.
-    /// Processes are heap-allocated and never move, so the pool thread's
-    /// pointer to this stays valid until the destructor drains the pool.
-    std::binary_semaphore offload_sem{0};
 #if FSD_SIM_HAS_FIBERS
     Simulation* sim = nullptr;    // back-pointer for the fiber trampoline
     ucontext_t context;           // fiber execution state
@@ -275,21 +314,23 @@ class Simulation {
 #endif
   };
 
-  /// One queued compute-offload closure plus the semaphore that reports
-  /// its completion to the submitting process.
+  /// One queued compute-offload closure and the group its completion is
+  /// reported to.
   struct OffloadJob {
     std::function<void()> fn;
-    std::binary_semaphore* done = nullptr;
+    OffloadGroup* group = nullptr;
   };
 
-  /// The real thread pool behind Offload (lazily created on first use when
-  /// compute_threads > 0). Pool threads only ever touch the job queue, the
-  /// submitted closures and the per-process completion semaphores — never
-  /// kernel state — so the scheduler stays single-threaded.
+  /// The real thread pool behind Offload and StartDetached (lazily created
+  /// on first use when compute_threads > 0). Pool threads only ever touch
+  /// the job queue, the submitted closures and their groups' completion
+  /// counts — never kernel state — so the scheduler stays single-threaded.
   struct OffloadPool {
     std::mutex mutex;
     std::condition_variable cv;       // workers wait for jobs/shutdown
-    std::condition_variable idle_cv;  // drain waits for active == 0
+    /// Notified after every job completion: joins wait for their group's
+    /// count to reach zero, the teardown drain for active == 0.
+    std::condition_variable idle_cv;
     std::deque<OffloadJob> queue;
     std::vector<std::thread> threads;
     int active = 0;        // jobs currently executing on pool threads
@@ -340,16 +381,14 @@ class Simulation {
   void WorkerMain(Worker* w);
   /// Frees a finished process's slot. Called by the scheduler after resume.
   void ReapProcess(Process* p);
-  /// Spawns the compute pool on the first pooled Offload.
-  void EnsureOffloadPool();
-  /// Pool-thread main loop: pop job, run closure, release its semaphore.
+  /// The one queue-submission path: counts `fn` against `group` and hands
+  /// it to the pool (spawned on first use).
+  void SubmitOffload(OffloadGroup* group, std::function<void()> fn);
+  /// Pool-thread main loop: pop job, run closure, count down its group.
   void OffloadWorkerMain();
-  /// Help-first join: removes `p`'s job from the pool queue if no pool
-  /// thread has claimed it and returns its closure (null when claimed).
-  std::function<void()> ReclaimOffloadJob(const Process* p);
-  /// Teardown: discard queued jobs, wait out in-flight closures, join the
-  /// pool. Must complete before any process stack (which closures may
-  /// reference) is unwound or freed.
+  /// Teardown: discard queued jobs (counting their groups down), wait out
+  /// in-flight closures, join the pool. Must complete before any process
+  /// stack (which closures may reference) is unwound or freed.
   void DrainOffloadPool();
 #if FSD_SIM_HAS_FIBERS
   /// Allocates the fiber stack and context for `p`'s first resume.
@@ -386,7 +425,7 @@ class Simulation {
   Process* running_ = nullptr;
   bool in_run_ = false;
   std::atomic<bool> tearing_down_{false};
-  /// Compute-offload pool (null until the first pooled Offload) and the
+  /// Compute-offload pool (null until the first pooled job) and the
   /// scheduler-thread-owned virtual counters.
   std::unique_ptr<OffloadPool> offload_pool_;
   uint64_t offload_calls_ = 0;

@@ -3,8 +3,14 @@
 // object channel's .nul/redundant-read optimizations, and checked framing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
+
 #include "cloud/cloud.h"
 #include "codec/varint.h"
+#include "core/channel.h"
 #include "core/kv_channel.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
@@ -349,6 +355,202 @@ TEST_F(ChannelTest, ObjectRejectsGarbledKeySource) {
       },
   });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+/// The single wire chunk carrying `ids` of `rows` (default codec).
+Bytes EncodeOne(const linalg::ActivationMap& rows,
+                const std::vector<int32_t>& ids) {
+  return EncodeRows(rows, ids, 0, WireCodecFromOptions(FsdOptions{}))
+      .chunks[0]
+      .wire;
+}
+
+// A source's chunks must agree on its chunk count. Taking each chunk's
+// own total would let (seq 0 of 3) then (seq 1 of 2) complete the source
+// with a chunk missing — its rows silently absent from the phase.
+
+TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
+  static const std::vector<int32_t> ids_a = {3};
+  static const std::vector<int32_t> ids_b = {5};
+  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  Status status;
+  RunWorkers<QueueChannel>({
+      [&](WorkerEnv* env, QueueChannel*) {
+        auto message = [&](const std::vector<int32_t>& ids, const char* seq,
+                           const char* total) {
+          cloud::QueueMessage msg;
+          msg.body = EncodeOne(rows, ids);
+          msg.attributes = {{"target", "1"}, {"src", "0"}, {"phase", "0"},
+                            {"seq", seq},    {"total", total}};
+          return msg;
+        };
+        env->cloud->pubsub().PublishBatch(
+            QueueChannel::TopicName(0, options_),
+            {message(ids_a, "0", "3"), message(ids_b, "1", "2")});
+      },
+      [&](WorkerEnv* env, QueueChannel* channel) {
+        status = channel->ReceivePhase(env, 0, {0}).status();
+      },
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
+  static const std::vector<int32_t> ids_a = {3};
+  static const std::vector<int32_t> ids_b = {5};
+  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  Status status;
+  RunWorkers<KvChannel>({
+      [&](WorkerEnv* env, KvChannel*) {
+        const std::string ns = KvChannel::NamespaceName(options_);
+        const std::string inbox = KvChannel::InboxKey(0, 1);
+        env->cloud->kv().Push(
+            ns, inbox, EncodeInboxValue(0, 0, 3, EncodeOne(rows, ids_a)));
+        env->cloud->kv().Push(
+            ns, inbox, EncodeInboxValue(0, 1, 2, EncodeOne(rows, ids_b)));
+      },
+      [&](WorkerEnv* env, KvChannel* channel) {
+        status = channel->ReceivePhase(env, 0, {0}).status();
+      },
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Detached decode: PhaseReceiver::Decode starts one offload job per body and
+// Finish joins them. Results must match sequential decoding for every pool
+// size, errors included.
+
+/// Runs `body` inside one FaaS handler acting as worker 1, on a fresh cloud
+/// (KV namespace provisioned) whose simulation has `compute_threads`
+/// offload pool threads; returns the run's offload counters.
+sim::OffloadStats RunOnPool(int compute_threads, const FsdOptions& options,
+                            const std::function<void(WorkerEnv*)>& body) {
+  sim::SimTuning tuning;
+  tuning.compute_threads = compute_threads;
+  sim::Simulation sim(tuning);
+  cloud::CloudEnv cloud(&sim);
+  FSD_CHECK_OK(KvChannel::Provision(&cloud, options));
+  WorkerMetrics metrics;
+  cloud::FaasFunctionConfig fn;
+  fn.name = "w1";
+  fn.memory_mb = 2048;
+  fn.timeout_s = 600.0;
+  fn.handler = [&](cloud::FaasContext* ctx) {
+    WorkerEnv env;
+    env.faas = ctx;
+    env.cloud = &cloud;
+    env.options = &options;
+    env.metrics = &metrics;
+    env.worker_id = 1;
+    body(&env);
+    ctx->set_result(Status::OK());
+  };
+  FSD_CHECK_OK(cloud.faas().RegisterFunction(fn));
+  sim.AddProcess("kickoff", [&]() { cloud.faas().InvokeAsync("w1", {}); });
+  sim.Run();
+  return sim.offload_stats();
+}
+
+TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
+  // Row 5 arrives twice with different values; the second arrival wins and
+  // counts once, exactly as two sequential DecodeRows calls would.
+  linalg::ActivationMap first = MakeRows({3, 5}, 16, 4);
+  linalg::ActivationMap second = MakeRows({5, 7}, 16, 2);
+  const Bytes a = EncodeOne(first, {3, 5});
+  const Bytes b = EncodeOne(second, {5, 7});
+  linalg::ActivationMap sequential;
+  ASSERT_TRUE(DecodeRows(a, &sequential).ok());
+  ASSERT_TRUE(DecodeRows(b, &sequential).ok());
+  ASSERT_EQ(sequential.at(5), second.at(5));
+
+  for (const int pool : {0, 1, 4}) {
+    Result<linalg::ActivationMap> got = Status::Internal("never received");
+    int64_t recv_rows = -1;
+    RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
+      PhaseReceiver receiver(env, 0, {0});
+      for (int32_t seq = 0; seq < 2; ++seq) {
+        ASSERT_TRUE(*receiver.Accept(0, seq, 2));
+        std::vector<Bytes> bodies;
+        bodies.push_back(seq == 0 ? a : b);
+        ASSERT_TRUE(receiver.Decode(std::move(bodies), 1).ok());
+      }
+      EXPECT_TRUE(receiver.done());
+      got = receiver.Finish();
+      recv_rows = receiver.metrics().recv_rows;
+    });
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
+    EXPECT_EQ(*got, sequential) << "pool=" << pool;
+    EXPECT_EQ(recv_rows, static_cast<int64_t>(sequential.size()))
+        << "pool=" << pool;
+  }
+}
+
+TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
+  // Three bodies in one window: valid, retagged, empty. Decode defers the
+  // errors; Finish reports the retagged body's, the first in arrival order,
+  // whatever the pool size.
+  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  const Bytes valid = EncodeOne(rows, {3, 5});
+  Bytes retagged = valid;
+  retagged[0] = 0xEE;  // no wire format uses this tag
+  linalg::ActivationMap scratch;
+  const Status expected = DecodeRows(retagged, &scratch);
+  ASSERT_EQ(expected.code(), StatusCode::kDataLoss);
+  ASSERT_NE(expected.ToString(), DecodeRows(Bytes{}, &scratch).ToString());
+
+  for (const int pool : {0, 1, 4}) {
+    Status decoded = Status::Internal("never decoded");
+    Status finished;
+    RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
+      PhaseReceiver receiver(env, 0, {0});
+      decoded = receiver.Decode({valid, retagged, Bytes{}}, 1);
+      finished = receiver.Finish().status();
+    });
+    EXPECT_TRUE(decoded.ok()) << decoded.ToString() << " pool=" << pool;
+    EXPECT_EQ(finished.ToString(), expected.ToString()) << "pool=" << pool;
+  }
+}
+
+TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
+  // An aborted receive returns while its decodes are still queued: the only
+  // pool thread is pinned until after the receive returned. The receiver's
+  // destructor must join them (here by reclaiming them) before the slots
+  // they write into die; under ASan a missed join is a use-after-free.
+  FsdOptions options;
+  options.variant = Variant::kKv;
+  const linalg::ActivationMap rows = MakeRows({3, 5, 7}, 16, 4);
+  Status status;
+  const sim::OffloadStats stats = RunOnPool(
+      /*compute_threads=*/1, options, [&](WorkerEnv* env) {
+        sim::Simulation* sim = env->cloud->sim();
+        std::atomic<bool> released{false};
+        sim::OffloadGroup pin(sim);
+        sim->StartDetached(&pin, [&released]() {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!released.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        });
+        const std::string ns = KvChannel::NamespaceName(options);
+        const std::string inbox = KvChannel::InboxKey(0, 1);
+        for (int32_t seq = 0; seq < 3; ++seq) {
+          env->cloud->kv().Push(
+              ns, inbox,
+              EncodeInboxValue(0, seq, 3, EncodeOne(rows, {3 + 2 * seq})));
+        }
+        bool aborted = false;
+        env->abort = &aborted;
+        sim->ScheduleCallback(2.5, [&aborted]() { aborted = true; });
+        KvChannel channel;
+        // Source 1 never sends, so only the abort ends the receive.
+        status = channel.ReceivePhase(env, 0, {0, 1}).status();
+        released = true;
+      });
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_GE(stats.reclaimed, 3u);
 }
 
 Bytes InboxHeader(uint64_t source, uint64_t seq, uint64_t total) {

@@ -576,6 +576,192 @@ TEST(Simulation, KillPathToleratesOffloadFromUnwindingDestructors) {
   EXPECT_TRUE(ran);
 }
 
+TEST(Simulation, DetachedJobsRunBeforeTheJoinReturns) {
+  // Each job writes only its own slot; the join makes every write visible.
+  // Jobs count as calls for every pool size and are never solo; with a
+  // pool each one ran on a pool thread or was reclaimed by the join.
+  for (const int pool : {0, 1, 3}) {
+    SimTuning tuning;
+    tuning.compute_threads = pool;
+    Simulation sim(tuning);
+    std::vector<int> slots(8, 0);
+    double after = -1.0;
+    sim.AddProcess("p", [&]() {
+      OffloadGroup group(&sim);
+      for (size_t i = 0; i < slots.size(); ++i) {
+        sim.StartDetached(&group, [&slots, i]() {
+          slots[i] = static_cast<int>(i) + 1;
+        });
+      }
+      sim.Hold(0.5);
+      sim.JoinDetached(&group);
+      after = sim.Now();
+      for (size_t i = 0; i < slots.size(); ++i) {
+        EXPECT_EQ(slots[i], static_cast<int>(i) + 1) << "pool=" << pool;
+      }
+    });
+    sim.Run();
+    EXPECT_EQ(after, 0.5) << "pool=" << pool;  // the join is free
+    const OffloadStats stats = sim.offload_stats();
+    EXPECT_EQ(stats.calls, 8u) << "pool=" << pool;
+    EXPECT_EQ(stats.solo, 0u) << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(stats.virtual_s, 0.0) << "pool=" << pool;
+    if (pool > 0) {
+      EXPECT_EQ(stats.pool_runs + stats.reclaimed + stats.solo, stats.calls)
+          << "pool=" << pool;
+    }
+  }
+}
+
+TEST(Simulation, DetachedAndSynchronousOffloadsAreEachCountedOnce) {
+  // Detached jobs and pooled Offload closures share one queue and one
+  // join: every closure of the run is counted exactly once.
+  for (const int pool : {0, 1, 3}) {
+    SimTuning tuning;
+    tuning.compute_threads = pool;
+    Simulation sim(tuning);
+    for (int p = 0; p < 3; ++p) {
+      sim.AddProcess("p", [&]() {
+        int slots[4] = {};
+        OffloadGroup group(&sim);
+        for (int& slot : slots) {
+          sim.StartDetached(&group, [&slot]() { slot = 1; });
+          sim.Offload(0.25, []() {});
+        }
+        sim.JoinDetached(&group);
+        for (const int slot : slots) EXPECT_EQ(slot, 1);
+      });
+    }
+    sim.Run();
+    const OffloadStats stats = sim.offload_stats();
+    EXPECT_EQ(stats.calls, 24u) << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(stats.virtual_s, 3.0) << "pool=" << pool;
+    if (pool > 0) {
+      EXPECT_EQ(stats.pool_runs + stats.reclaimed + stats.solo, stats.calls)
+          << "pool=" << pool;
+    }
+  }
+}
+
+TEST(Simulation, JoinReclaimsUnclaimedDetachedJobs) {
+  // The only pool thread is pinned by a job of another group until the
+  // join below has returned, so the group's three queued jobs can only run
+  // by being reclaimed, on the joiner's own thread. (A join that slept on
+  // them would stall until the pin's bounded wait expires and then fail.)
+  SimTuning tuning;
+  tuning.compute_threads = 1;
+  Simulation sim(tuning);
+  std::atomic<bool> released{false};
+  bool pin_saw_release = false;
+  std::thread::id body_thread;
+  std::vector<std::thread::id> job_threads(3);
+  sim.AddProcess("p", [&]() {
+    body_thread = std::this_thread::get_id();
+    OffloadGroup pin(&sim);
+    sim.StartDetached(&pin, [&]() {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!released.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      pin_saw_release = released.load();
+    });
+    OffloadGroup group(&sim);
+    for (std::thread::id& id : job_threads) {
+      sim.StartDetached(&group,
+                        [&id]() { id = std::this_thread::get_id(); });
+    }
+    sim.JoinDetached(&group);
+    released = true;
+    sim.JoinDetached(&pin);
+  });
+  sim.Run();
+  EXPECT_TRUE(pin_saw_release);
+  for (const std::thread::id& id : job_threads) EXPECT_EQ(id, body_thread);
+  const OffloadStats stats = sim.offload_stats();
+  EXPECT_EQ(stats.calls, 4u);
+  EXPECT_EQ(stats.reclaimed + stats.pool_runs, 4u);
+  EXPECT_GE(stats.reclaimed, 3u);
+}
+
+TEST(Simulation, TeardownWithDetachedJobsOutstanding) {
+  // Destruction while a blocked process has detached jobs both running
+  // (one per pool thread) and still queued, on both tiers: the drain waits
+  // out the running ones, discards the queued ones unrun, and the group's
+  // destructor on the unwinding stack then returns without hanging — all
+  // before the slots the jobs write into die.
+  struct SetOnDestroy {
+    std::atomic<int>* count;
+    ~SetOnDestroy() { count->fetch_add(1); }
+  };
+  for (const bool use_fibers : {true, false}) {
+    std::atomic<int> started{0};
+    std::atomic<int> ran{0};
+    std::atomic<int> destroyed{0};
+    {
+      SimTuning tuning = TierTuning(use_fibers);
+      tuning.compute_threads = 2;
+      Simulation sim(tuning);
+      sim.AddProcess("p", [&]() {
+        std::vector<int> slots(6, 0);
+        OffloadGroup group(&sim);  // after slots: joined before they die
+        for (int& slot : slots) {
+          sim.StartDetached(
+              &group, [&slot, &started, &ran,
+                       guard = std::make_shared<SetOnDestroy>(&destroyed)]() {
+                started.fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                slot = 1;
+                ran.fetch_add(1);
+              });
+        }
+        // Let both pool threads claim a job, so the teardown meets running
+        // and queued jobs at once.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        sim.Hold(1e9);  // blocked here when the Simulation dies
+      });
+      sim.Run(/*until=*/1.0);
+      EXPECT_EQ(sim.live_processes(), 1) << "use_fibers=" << use_fibers;
+    }
+    // The running jobs finished (a pool thread that beat the teardown may
+    // have claimed more); the rest were discarded unrun. Every closure was
+    // destroyed exactly once.
+    EXPECT_GE(ran.load(), 2) << "use_fibers=" << use_fibers;
+    EXPECT_EQ(destroyed.load(), 6) << "use_fibers=" << use_fibers;
+  }
+}
+
+TEST(Simulation, DetachedStartDuringTeardownRunsInline) {
+  // A destructor on a killed process's stack may start a detached job; the
+  // pool is gone by then, so the job runs inline and its join returns.
+  struct DetachGuard {
+    Simulation* sim;
+    bool* ran;
+    ~DetachGuard() {
+      OffloadGroup group(sim);
+      sim->StartDetached(&group, [this]() { *ran = true; });
+      sim->JoinDetached(&group);
+    }
+  };
+  bool ran = false;
+  {
+    SimTuning tuning;
+    tuning.compute_threads = 2;
+    Simulation sim(tuning);
+    sim.AddProcess("guarded", [&]() {
+      DetachGuard guard{&sim, &ran};
+      sim.Hold(1e9);  // blocked here when the Simulation dies
+    });
+    sim.Run(/*until=*/1.0);
+  }
+  EXPECT_TRUE(ran);
+}
+
 TEST(ParallelMakespan, SingleLaneSums) {
   EXPECT_DOUBLE_EQ(ParallelMakespan({1.0, 2.0, 3.0}, 1), 6.0);
 }
