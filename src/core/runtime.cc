@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "core/channel.h"
 #include "core/launcher.h"
+#include "core/serving.h"
 
 namespace fsd::core {
 namespace {
@@ -337,89 +338,13 @@ InferenceReport CollectMemberReport(RunState* state, size_t member_index,
   return report;
 }
 
-InferenceReport CollectReport(RunState* state, double t0, double t1) {
-  return CollectMemberReport(state, 0, t0, t1);
-}
-
 Result<InferenceReport> RunInference(cloud::CloudEnv* cloud,
                                      const InferenceRequest& request) {
-  const uint64_t run_id = AllocateRunId();
-  FSD_ASSIGN_OR_RETURN(std::unique_ptr<RunState> state,
-                       PrepareRunState(cloud, request, run_id));
-  RunState* raw_state = state.get();
-
-  state->worker_function = StrFormat(
-      "fsd-worker-%llu", static_cast<unsigned long long>(run_id));
-  const std::string coordinator_fn = StrFormat(
-      "fsd-coordinator-%llu", static_cast<unsigned long long>(run_id));
-
-  cloud::FaasFunctionConfig worker_config;
-  worker_config.name = state->worker_function;
-  worker_config.memory_mb = state->options.worker_memory_mb;
-  worker_config.timeout_s = state->options.worker_timeout_s;
-  worker_config.handler = [raw_state](cloud::FaasContext* ctx) {
-    Result<WorkerPayload> payload = DecodeWorkerPayload(ctx->payload());
-    if (!payload.ok()) {
-      ctx->set_result(payload.status());
-      return;
-    }
-    RunFsiWorker(ctx, raw_state, payload->worker_id);
-  };
-  // On any failure from here on, per-run channel resources provisioned by
-  // PrepareRunState must still be released (KV namespaces are stateful).
-  Status status = cloud->faas().RegisterFunction(worker_config);
-  if (!status.ok()) {
-    TeardownChannelResources(cloud, raw_state->options).ok();
-    return status;
-  }
-
-  // Coordinator: lightweight parser + first-level launcher (paper §VI-A1).
-  cloud::FaasFunctionConfig coord_config;
-  coord_config.name = coordinator_fn;
-  coord_config.memory_mb = state->options.coordinator_memory_mb;
-  coord_config.timeout_s = 900.0;
-  coord_config.handler = [raw_state](cloud::FaasContext* ctx) {
-    RunCoordinator(ctx, raw_state);
-  };
-  status = cloud->faas().RegisterFunction(coord_config);
-  if (!status.ok()) {
-    TeardownChannelResources(cloud, raw_state->options).ok();
-    return status;
-  }
-
-  // --- submit the query and drive the simulation to completion ---
-  const std::vector<cloud::BillingLine> before =
-      SnapshotLedger(cloud->billing());
-  Status client_status = Status::OK();
-  double t0 = 0.0;
-  double t1 = -1.0;
-  cloud->sim()->AddProcess(
-      StrFormat("client-%llu", static_cast<unsigned long long>(run_id)),
-      [&, raw_state]() {
-        t0 = cloud->sim()->Now();
-        cloud::FaasService::InvokeOutcome outcome = cloud->faas().InvokeAsync(
-            coordinator_fn, EncodeWorkerPayload(raw_state->run_id, 0));
-        if (!outcome.status.ok()) {
-          client_status = outcome.status;
-          return;
-        }
-        cloud->sim()->WaitSignal(raw_state->done.get());
-        t1 = cloud->sim()->Now();
-      });
-  cloud->sim()->Run();
-
-  // Release per-run channel resources before diffing the ledger so the KV
-  // namespace's node time is attributed to this run — on failure paths
-  // too, or a long-lived CloudEnv would accumulate dead namespaces.
-  const Status teardown =
-      TeardownChannelResources(cloud, raw_state->options);
-  FSD_RETURN_IF_ERROR(client_status);
-  if (t1 < 0.0) {
-    return Status::Internal("inference run never completed (deadlock?)");
-  }
-  FSD_RETURN_IF_ERROR(teardown);
-  InferenceReport report = CollectReport(raw_state, t0, t1);
-  report.billing = DiffLedger(before, cloud->billing());
+  ServingRuntime serving(cloud);
+  FSD_RETURN_IF_ERROR(serving.Submit(request, 0.0).status());
+  FSD_ASSIGN_OR_RETURN(ServingReport served, serving.Drain());
+  InferenceReport report = std::move(served.queries[0].report);
+  report.billing = served.billing;
   return report;
 }
 

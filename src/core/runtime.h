@@ -1,9 +1,8 @@
-// FsdRuntime: the public entry point of the FSD-Inference library.
-//
-// Owns the interaction with the simulated cloud: provisions communication
-// resources (offline), registers the coordinator and worker functions,
-// submits an inference request, and collects latency / metrics / billing
-// into an InferenceReport.
+// FsdRuntime: the request/report types of the FSD-Inference library, its
+// one-query entry point RunInference, and the per-run building blocks the
+// serving runtime (serving.h) launches every query with: provisioning
+// communication resources (offline), the coordinator body, and collecting
+// latency / metrics / billing into an InferenceReport.
 #ifndef FSD_CORE_RUNTIME_H_
 #define FSD_CORE_RUNTIME_H_
 
@@ -57,18 +56,23 @@ struct InferenceReport {
   int32_t worker_memory_mb = 0;
 };
 
-/// Runs one inference request against `cloud`. Reentrant across runs on the
-/// same CloudEnv (function names are uniqued; warm pools persist between
-/// runs, matching repeated queries against a deployed stack).
+/// Runs one inference request against `cloud` and drives the simulation to
+/// completion: a one-query ServingRuntime, submitted at the current virtual
+/// time. Malformed requests fail the call; execution, provisioning and
+/// coordinator-invoke failures land in the report's `status`. `billing` is
+/// the run's ledger delta. Reentrant across runs on the same CloudEnv (each
+/// call registers its own uniquely named functions, so every run starts
+/// cold).
 Result<InferenceReport> RunInference(cloud::CloudEnv* cloud,
                                      const InferenceRequest& request);
 
-/// ---- building blocks shared by RunInference and ServingRuntime ----
-/// (serving.h runs many requests as overlapping processes in one
-/// Simulation; these pieces keep the two paths byte-identical.)
+/// ---- building blocks of the serving runtime's run lifecycle ----
+/// (serving.h runs every request, as overlapping processes in one
+/// Simulation.)
 
-/// Allocates a process-unique run id. Both entry points draw from the same
-/// counter so resource names never collide on a shared CloudEnv.
+/// Allocates a process-unique id. Query, run and pre-warm task ids all
+/// draw from this one counter, so resource names never collide on a shared
+/// CloudEnv, not even across ServingRuntime instances.
 uint64_t AllocateRunId();
 
 /// The effective partition-cache family PrepareRunState stamps into
@@ -80,9 +84,9 @@ uint64_t AllocateRunId();
 std::string DeriveCacheFamily(const InferenceRequest& request);
 
 /// Request validation alone (model/partition/batch shape checks), without
-/// provisioning anything. The serving runtime's batch aggregator validates
-/// at Submit() but defers PrepareRunState until the batch flushes, so
-/// callers still get synchronous errors for malformed requests.
+/// provisioning anything. The serving runtime validates at Submit() but
+/// defers PrepareRunState until the query's run launches, so callers still
+/// get synchronous errors for malformed requests.
 Status ValidateInferenceRequest(const InferenceRequest& request);
 
 /// Sample columns across a validated request's batches (a batch's width is
@@ -93,9 +97,8 @@ int32_t RequestSampleCols(const InferenceRequest& request);
 
 /// Validates `request`, applies option defaults (worker memory), provisions
 /// the channel resources named by `options.channel_scope`, and builds the
-/// per-run shared state. Does NOT register FaaS functions: RunInference
-/// registers per-run functions while ServingRuntime registers shared
-/// dispatchers (one warm pool across queries); callers must set
+/// per-run shared state. Does NOT register FaaS functions: ServingRuntime
+/// registers shared dispatchers (one warm pool across queries) and must set
 /// `RunState::worker_function` before the coordinator executes.
 Result<std::unique_ptr<RunState>> PrepareRunState(
     cloud::CloudEnv* cloud, const InferenceRequest& request, uint64_t run_id);
@@ -124,11 +127,6 @@ void RunCoordinator(cloud::FaasContext* ctx, RunState* state);
 /// only workload-level ledger diffs are meaningful.
 InferenceReport CollectMemberReport(RunState* state, size_t member_index,
                                     double t0, double t1);
-
-/// Single-member convenience (RunInference's whole-run collection): the
-/// run's one member spans every batch, so this is CollectMemberReport of
-/// member 0 — byte-identical to pre-batching collection.
-InferenceReport CollectReport(RunState* state, double t0, double t1);
 
 /// Ledger snapshot/diff used to attribute "actual" charges to an interval.
 std::vector<cloud::BillingLine> SnapshotLedger(

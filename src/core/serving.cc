@@ -210,7 +210,8 @@ Result<std::string> ServingRuntime::EnsureCoordinatorFunction(
 }
 
 Result<ServingRuntime::Run*> ServingRuntime::BuildRun(
-    uint64_t run_id, const std::vector<uint64_t>& member_ids) {
+    const std::vector<uint64_t>& member_ids) {
+  const uint64_t run_id = AllocateRunId();
   // The merged request: the lead member's model/partition/options with the
   // concatenation of every member's batch list. Members may only reach one
   // run through a shared BatchFamilyKey, so the non-batch fields agree.
@@ -428,18 +429,8 @@ void ServingRuntime::FlushBatch(uint64_t batch_id) {
   }
   pending_batches_.erase(it);
 
-  // Queries aborted while they waited in the window never launch: nothing
-  // was provisioned for them yet, so they simply report the abort (the
-  // same status a pre-start coordinator abort stamps).
-  std::vector<uint64_t> live;
-  std::vector<uint64_t> aborted;
-  for (uint64_t id : member_ids) {
-    (queries_.at(id)->aborted ? aborted : live).push_back(id);
-  }
-  if (!aborted.empty()) {
-    FailQueries(aborted, Status::Unavailable("run aborted before start"),
-                QueryDisposition::kAborted);
-  }
+  // Queries aborted while they waited in the window never launch.
+  std::vector<uint64_t> live = DropAbortedMembers(member_ids);
   if (live.empty()) return;
   DispatchRun(std::move(live));
 }
@@ -471,10 +462,11 @@ void ServingRuntime::DispatchRun(std::vector<uint64_t> member_ids) {
   ReleaseSlot();
 }
 
-void ServingRuntime::LaunchRun(const std::vector<uint64_t>& member_ids) {
-  // Members may have been aborted while parked on a dispatch slot (or
-  // between arrival and dispatch): they report the abort WITHOUT
-  // provisioning, exactly like the flush-path filter.
+std::vector<uint64_t> ServingRuntime::DropAbortedMembers(
+    const std::vector<uint64_t>& member_ids) {
+  // Nothing was provisioned for a query that never launched, so it simply
+  // reports the abort (the same status a pre-start coordinator abort
+  // stamps).
   std::vector<uint64_t> live;
   std::vector<uint64_t> aborted;
   for (uint64_t id : member_ids) {
@@ -484,8 +476,15 @@ void ServingRuntime::LaunchRun(const std::vector<uint64_t>& member_ids) {
     FailQueries(aborted, Status::Unavailable("run aborted before start"),
                 QueryDisposition::kAborted);
   }
+  return live;
+}
+
+void ServingRuntime::LaunchRun(const std::vector<uint64_t>& member_ids) {
+  // Members may have been aborted while parked on a dispatch slot (or
+  // between arrival and dispatch).
+  const std::vector<uint64_t> live = DropAbortedMembers(member_ids);
   if (live.empty()) return;
-  Result<Run*> run = BuildRun(AllocateRunId(), live);
+  Result<Run*> run = BuildRun(live);
   if (!run.ok()) {
     FailQueries(live, run.status(), QueryDisposition::kFailed);
     return;
@@ -867,18 +866,11 @@ Result<uint64_t> ServingRuntime::Submit(const InferenceRequest& request,
   if (arrival_s < 0.0) {
     return Status::InvalidArgument("arrival time must be >= 0");
   }
-  const bool batching = options_.batch_window_s > 0.0 &&
-                        request.options.cross_query_batching;
-  // The pipeline path defers provisioning to the query's arrival: batched
-  // queries provision at flush, and under admission control or a dispatch
-  // bound a query may be rejected/parked, so nothing may be provisioned at
-  // Submit. Without any of those, the pre-scheduler fast path below
-  // provisions immediately (synchronous errors, byte-identical behaviour).
-  const bool pipelined =
-      batching || AdmissionEnabled() || options_.max_concurrent_runs > 0;
-  // Validate up front on BOTH paths: a malformed request fails at Submit
-  // (not mid-window), and run construction may then read batch shapes
-  // (RequestSampleCols) before PrepareRunState re-validates.
+  // Validate up front: a malformed request fails at Submit (not at its
+  // arrival or mid-window), and run construction may then read batch
+  // shapes (RequestSampleCols) before PrepareRunState re-validates.
+  // Provisioning waits for the query's run: a rejected or shed query never
+  // provisions anything, and a provisioning error fails the query.
   FSD_RETURN_IF_ERROR(ValidateInferenceRequest(request));
   const uint64_t query_id = AllocateRunId();
 
@@ -892,40 +884,12 @@ Result<uint64_t> ServingRuntime::Submit(const InferenceRequest& request,
       request.options.slo_deadline_s > 0.0
           ? query->outcome.arrival_s + request.options.slo_deadline_s
           : kNoDeadline;
-  Query* raw = query.get();
   queries_.emplace(query_id, std::move(query));
-
-  if (pipelined) {
-    submission_order_.push_back(query_id);
-    cloud_->sim()->AddProcess(
-        StrFormat("serve-arrive-%llu",
-                  static_cast<unsigned long long>(query_id)),
-        [this, query_id]() { ArriveQuery(query_id); }, arrival_s);
-    return query_id;
-  }
-
-  // Unbatched, unscheduled: provision immediately (synchronous errors) and
-  // launch the run at its arrival time; the query IS the run.
-  Result<Run*> run = BuildRun(query_id, {query_id});
-  if (!run.ok()) {
-    queries_.erase(query_id);
-    return run.status();
-  }
   submission_order_.push_back(query_id);
-  Run* raw_run = *run;
   cloud_->sim()->AddProcess(
-      StrFormat("serve-client-%llu",
+      StrFormat("serve-arrive-%llu",
                 static_cast<unsigned long long>(query_id)),
-      [this, raw, raw_run, query_id]() {
-        raw->outcome.arrival_s = cloud_->sim()->Now();
-        if (raw->request.options.slo_deadline_s > 0.0) {
-          raw->outcome.deadline_s =
-              raw->outcome.arrival_s + raw->request.options.slo_deadline_s;
-        }
-        ObserveArrival(query_id);
-        ExecuteRun(raw_run);
-      },
-      arrival_s);
+      [this, query_id]() { ArriveQuery(query_id); }, arrival_s);
   return query_id;
 }
 

@@ -1,10 +1,11 @@
 // ServingRuntime: concurrent multi-query serving on one simulated cloud.
 //
-// RunInference answers one query and drives the simulation to completion;
-// a serving deployment instead faces a *stream* of queries whose executions
-// overlap. ServingRuntime schedules each submitted request as its own
-// client process inside one Simulation/CloudEnv, so in-flight queries
-// interleave exactly as concurrent Lambda fleets do:
+// Every query, a lone RunInference call included, starts here: a serving
+// deployment faces a *stream* of queries whose executions overlap, and
+// ServingRuntime schedules each submitted request as its own arrival
+// process inside one Simulation/CloudEnv, so in-flight queries interleave
+// exactly as concurrent Lambda fleets do (it is also the only code that
+// registers FaaS functions):
 //
 //  - FaaS warm pools are shared: all queries of one function group (same
 //    worker memory/timeout) run behind ONE registered function, so an
@@ -99,9 +100,7 @@ struct ServingOptions {
   /// Enable SLO-aware admission control: arriving queries are admitted,
   /// rejected (QueryDisposition::kRejected with a typed reason) or traded
   /// against a shed queue member, instead of queueing unconditionally.
-  /// Off (the default) reproduces the accept-everything behaviour
-  /// byte-identically, including Submit-time provisioning on the
-  /// unbatched path.
+  /// Off (the default) admits every arrival.
   bool admission_control = false;
   /// Most queries that may sit admitted-but-unlaunched at once (counting
   /// open coalescing batches and runs parked on dispatch slots); arrivals
@@ -208,12 +207,11 @@ class ServingRuntime {
 
   /// Schedules `request` to arrive at virtual time `arrival_s` (relative to
   /// the simulation clock at submission). Validates immediately; execution
-  /// happens during Drain(). Without batching or scheduling (no admission
-  /// control, unbounded dispatcher) the run is provisioned immediately;
-  /// on the pipeline path (batching, admission control, or a dispatch
-  /// bound) provisioning is deferred until the query is admitted and its
-  /// batch flushes into a slot — a rejected query never provisions
-  /// anything. Returns the query id.
+  /// happens during Drain(). Every query takes one path: arrival
+  /// (admission, batching) -> dispatch slot -> BuildRun -> ExecuteRun.
+  /// Provisioning waits until the query is admitted and its run launches —
+  /// a rejected query never provisions anything, and a provisioning or
+  /// registration error reports the query kFailed. Returns the query id.
   Result<uint64_t> Submit(const InferenceRequest& request, double arrival_s);
 
   /// Drives the simulation until all submitted queries completed (or a
@@ -238,7 +236,7 @@ class ServingRuntime {
 
  private:
   struct Query {
-    InferenceRequest request;  ///< kept for deferred (batched) preparation
+    InferenceRequest request;  ///< kept for preparation at launch
     QueryOutcome outcome;
     RunState* state = nullptr;  ///< set once the query's run exists
     bool aborted = false;
@@ -293,17 +291,17 @@ class ServingRuntime {
   Result<std::string> EnsureWorkerFunction(const FsdOptions& options);
   Result<std::string> EnsureCoordinatorFunction(const FsdOptions& options);
 
-  /// Builds the (possibly multi-member) run: merges the member requests,
-  /// provisions channels, registers functions, and stores the Run.
-  Result<Run*> BuildRun(uint64_t run_id,
-                        const std::vector<uint64_t>& member_ids);
+  /// Builds the (possibly multi-member) run under a fresh run id: merges
+  /// the member requests, provisions channels, registers functions, and
+  /// stores the Run.
+  Result<Run*> BuildRun(const std::vector<uint64_t>& member_ids);
   /// Runs one worker tree to completion and collects every member's
   /// report. Must be called from inside a simulation process.
   void ExecuteRun(Run* run);
-  /// Stage 1+2 entry, run at a query's virtual arrival time on the
-  /// pipeline path: stamps the absolute deadline, consults the admission
-  /// policy (reject / shed a victim / admit), then hands the query to the
-  /// batcher or straight to the dispatcher.
+  /// Stage 1+2 entry, run at every query's virtual arrival time: stamps
+  /// the absolute deadline, consults the admission policy (reject / shed a
+  /// victim / admit), then hands the query to the batcher or straight to
+  /// the dispatcher.
   void ArriveQuery(uint64_t query_id);
   /// Whether arrivals route through the scheduler pipeline's admission
   /// stage: the explicit knob, an injected policy, or tenant quotas.
@@ -319,6 +317,10 @@ class ServingRuntime {
   void DispatchRun(std::vector<uint64_t> member_ids);
   /// Builds and executes one run (the flushed members) in this process.
   void LaunchRun(const std::vector<uint64_t>& member_ids);
+  /// Reports every member aborted before its run launched as kAborted and
+  /// returns the others, in order.
+  std::vector<uint64_t> DropAbortedMembers(
+      const std::vector<uint64_t>& member_ids);
   /// Hands the calling run's dispatch slot to the best parked run (per the
   /// queue policy) or frees it.
   void ReleaseSlot();

@@ -71,8 +71,9 @@ struct RunState {
 
   /// Serving-runtime-owned peer share distributor (λScale-style fast
   /// scaling). When set and the instance cache misses, LoadShareOnMiss asks
-  /// it for the share before paying the object-storage read; null (plain
-  /// RunInference, feature off) keeps the storage-only cold path.
+  /// it for the share before paying the object-storage read; null
+  /// (ServingOptions::peer_share_transfer off) keeps the storage-only cold
+  /// path.
   ShareDistributor* share_distributor = nullptr;
 
   /// --- outputs ---

@@ -144,5 +144,33 @@ TEST(RunInferencePinned, ReportsMatchPinnedDigests) {
   }
 }
 
+// RunInference is one query through the serving runtime, so its billing
+// matches a one-query ServingRuntime's to the dimension — KV node time
+// included: the run's namespace is torn down when the run quiesces, not
+// after the simulation drained the run's stale long-poll timeouts.
+TEST(RunInferencePinned, KvNodeTimeMatchesAOneQueryServingRuntime) {
+  const Workload w = MakeWorkload(384, 10, 16);
+  const part::ModelPartition partition = MakePartition(w.dnn, 5);
+  const InferenceRequest request = MakeRequest(w, partition, Variant::kKv);
+  const InferenceReport inference = RunOne(request);
+
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  BillingDelta served_billing;
+  {
+    ServingRuntime serving(&cloud);
+    ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+    auto served = serving.Drain();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->queries.size(), 1u);
+    ASSERT_TRUE(served->queries[0].report.status.ok());
+    served_billing = served->billing;
+  }
+  const auto node = cloud::BillingDimension::kKvNodeSecond;
+  EXPECT_GT(inference.billing.quantity(node), 0.0);
+  EXPECT_EQ(inference.billing.quantity(node), served_billing.quantity(node));
+  EXPECT_EQ(inference.billing.total_cost, served_billing.total_cost);
+}
+
 }  // namespace
 }  // namespace fsd::core

@@ -5,8 +5,10 @@
 // outputs byte-identical to the storage-only cold path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "cloud/cloud.h"
 #include "core/serving.h"
@@ -465,6 +467,53 @@ TEST(ServingFastScaling, PrewarmedInstancesEvictedBeforeArrivalStayCorrect) {
   EXPECT_GT(late.cold_starts, 0);
   EXPECT_EQ(late.prewarmed_hits, 0);
   EXPECT_EQ(report->fleet.failed, 0);
+}
+
+// Records every snapshot the runtime hands the pre-warm policy and never
+// pre-warms, so the snapshots describe the workload alone.
+class RecordingPolicy final : public PreWarmPolicy {
+ public:
+  std::string_view name() const override { return "recording"; }
+  PrewarmDecision Decide(const PrewarmSnapshot& snapshot) override {
+    snapshots.push_back(snapshot);
+    return {};
+  }
+  std::vector<PrewarmSnapshot> snapshots;
+};
+
+// With no batching, admission control or dispatch bound, every run still
+// passes the dispatch gate, so an arrival that overlaps a running tree
+// shows that tree to the pre-warm policy as in flight (the Little's-law
+// supply term counts it).
+TEST(ServingFastScaling, PrewarmSnapshotCountsInFlightRunsWithoutABound) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, kWorkers);
+
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  auto policy = std::make_shared<RecordingPolicy>();
+  ServingOptions so;
+  so.predictive_prewarm = true;
+  so.prewarm_policy = policy;
+  ServingRuntime serving(&cloud, so);
+  // Arrivals 10 ms apart: each lands while the earlier trees still run.
+  for (int q = 0; q < 4; ++q) {
+    ASSERT_TRUE(serving.Submit(request, 0.01 * q).ok());
+  }
+  auto report = serving.Drain();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const QueryOutcome& outcome : report->queries) {
+    ASSERT_TRUE(outcome.report.status.ok())
+        << outcome.report.status.ToString();
+  }
+
+  ASSERT_EQ(policy->snapshots.size(), 4u);
+  int32_t max_in_flight = 0;
+  for (const PrewarmSnapshot& snapshot : policy->snapshots) {
+    max_in_flight = std::max(max_in_flight, snapshot.in_flight_runs);
+  }
+  EXPECT_GE(max_in_flight, 1);
 }
 
 }  // namespace
