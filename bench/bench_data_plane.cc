@@ -11,8 +11,10 @@
 //   - per-chunk quantization error stays within codec::QuantRelErrorBound
 //
 // Wall-clock keys (gated, smaller is worse): the quantized and FsdLz codec
-// throughputs, spmm_macs_per_sec for LayerForward over the partitions, and
-// partition_pins_per_sec for the offline hypergraph partitioning step.
+// throughputs, spmm_macs_per_sec for LayerForward over the partitions,
+// layer_step_rows_per_sec for a whole worker-layer step on the flat row
+// path, and partition_pins_per_sec for the offline hypergraph
+// partitioning step.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "core/serialization.h"
+#include "core/worker.h"
 #include "part/model_partition.h"
 
 using namespace fsd;
@@ -220,8 +223,9 @@ int main() {
   json.emplace_back("quant8_encode_bytes_per_sec",
                     raw_bytes / std::max(1e-9, encode_s));
 
-  // Wall-clock spmm throughput: LayerForward over this workload's layers
-  // and partitions, fed from per-layer row tables as the workers feed it —
+  // Wall-clock spmm throughput: the flat LayerForward over this workload's
+  // layers and partitions, fed from per-layer row tables as the workers
+  // feed it —
   // the gated spmm_macs_per_sec key (smaller is worse). The first sweep's
   // partition outputs must reassemble the reference layer exactly.
   std::vector<linalg::ActivationMap> layer_inputs = {workload.input};
@@ -233,31 +237,32 @@ int main() {
                 .ok());
   const size_t spmm_layers = std::min(
       static_cast<size_t>(workload.dnn.layers()), layer_inputs.size() - 1);
-  std::vector<std::vector<const linalg::SparseVector*>> tables(spmm_layers);
+  std::vector<linalg::ActivationRows> layer_rows;
+  std::vector<std::vector<linalg::RowView>> tables(spmm_layers);
+  for (const linalg::ActivationMap& x : layer_inputs) {
+    layer_rows.push_back(linalg::ActivationRows::FromMap(x));
+  }
   for (size_t k = 0; k < spmm_layers; ++k) {
     tables[k].assign(static_cast<size_t>(workload.dnn.weights[k].cols()),
-                     nullptr);
-    for (const auto& [id, row] : layer_inputs[k]) tables[k][id] = &row;
+                     linalg::RowView{});
+    layer_rows[k].ViewInto(tables[k]);
   }
   const double timed_min_s = scale.tiny ? 0.25 : 1.0;
   double spmm_macs = 0.0;
   double spmm_s = 0.0;
+  linalg::ActivationRows out;
   const auto spmm_start = std::chrono::steady_clock::now();
   for (int sweep = 0; spmm_s < timed_min_s; ++sweep) {
     for (size_t k = 0; k < spmm_layers; ++k) {
-      const std::vector<const linalg::SparseVector*>& table = tables[k];
-      const linalg::RowProvider provider = [&table](int32_t col) {
-        return table[col];
-      };
       linalg::ActivationMap merged;
       for (int32_t m = 0; m < partition.num_parts; ++m) {
         linalg::LayerForwardStats stats;
-        linalg::ActivationMap out = linalg::LayerForward(
-            workload.dnn.weights[k], partition.owned_rows[m], provider,
-            workload.dnn.config.bias, workload.dnn.config.relu_cap,
-            workload.batch, &stats);
+        linalg::LayerForward(workload.dnn.weights[k], partition.owned_rows[m],
+                             tables[k], workload.dnn.config.bias,
+                             workload.dnn.config.relu_cap, workload.batch,
+                             &out, &stats);
         spmm_macs += stats.macs;
-        if (sweep == 0) merged.merge(out);
+        if (sweep == 0) out.MergeInto(&merged);
       }
       if (sweep == 0) FSD_CHECK(merged == layer_inputs[k + 1]);
     }
@@ -305,14 +310,17 @@ int main() {
   const auto lz_decode_start = std::chrono::steady_clock::now();
   while (lz_decode_s < timed_min_s) {
     for (size_t k = 0; k < lz_sends.size(); ++k) {
-      linalg::ActivationMap decoded;
+      // One row set per chunk, as a worker's receiver decodes them.
+      core::ReceivedRows decoded;
+      size_t rows = 0;
       for (const core::EncodeResult& encoded : lz_sends[k]) {
         for (const auto& chunk : encoded.chunks) {
-          FSD_CHECK(core::DecodeRows(chunk.wire, &decoded).ok());
+          FSD_CHECK(core::DecodeRows(chunk.wire, &decoded.emplace_back()).ok());
+          rows += decoded.back().size();
           lz_decoded_bytes += chunk.raw_bytes;
         }
       }
-      FSD_CHECK_EQ(decoded.size(), active_rows[k]);
+      FSD_CHECK_EQ(rows, active_rows[k]);
     }
     lz_decode_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - lz_decode_start)
@@ -324,6 +332,68 @@ int main() {
   json.emplace_back("lz_encode_bytes_per_sec", lz_raw_bytes / lz_encode_s);
   json.emplace_back("lz_decode_bytes_per_sec",
                     lz_decoded_bytes / lz_decode_s);
+
+  // Wall-clock worker-layer step on the flat path — the gated
+  // layer_step_rows_per_sec key (smaller is worse). Per layer and worker,
+  // as RunBatch does it: every send's rows collected, planned and encoded
+  // (lossless FsdLz, the queue chunk cap), every chunk decoded into its
+  // receiver's bodies, then each receiver's row table built and its
+  // kernel run. The rate counts the output rows the kernels produced; the
+  // first sweep's outputs must reassemble the reference layer.
+  std::vector<std::vector<linalg::ActivationRows>> owned(spmm_layers);
+  for (size_t k = 0; k < spmm_layers; ++k) {
+    for (int32_t m = 0; m < partition.num_parts; ++m) {
+      linalg::ActivationRows& mine = owned[k].emplace_back();
+      for (const int32_t row : partition.owned_rows[m]) {
+        const size_t r = layer_rows[k].Find(row);
+        if (r < layer_rows[k].size()) mine.Append(row, layer_rows[k].row(r));
+      }
+    }
+  }
+  double step_rows = 0.0;
+  double step_s = 0.0;
+  uint64_t planned_bytes = 0;
+  std::vector<linalg::RowView> table;
+  const auto step_start = std::chrono::steady_clock::now();
+  for (int sweep = 0; step_s < timed_min_s; ++sweep) {
+    for (size_t k = 0; k < spmm_layers; ++k) {
+      std::vector<core::ReceivedRows> inbox(partition.num_parts);
+      for (int32_t m = 0; m < partition.num_parts; ++m) {
+        for (const part::SendEntry& entry : partition.layers[k].send[m]) {
+          const std::vector<core::RowRef> refs =
+              core::CollectRows(owned[k][m], entry.rows);
+          planned_bytes += core::PlanRows(refs, 224 * 1024).raw_bytes;
+          const core::EncodeResult encoded = core::EncodeRows(
+              refs, 224 * 1024, core::LosslessCodec(true));
+          for (const core::RowChunk& chunk : encoded.chunks) {
+            FSD_CHECK(core::DecodeRows(chunk.wire,
+                                       &inbox[entry.peer].emplace_back())
+                          .ok());
+          }
+        }
+      }
+      linalg::ActivationMap merged;
+      for (int32_t m = 0; m < partition.num_parts; ++m) {
+        FSD_CHECK_OK(core::BuildRowTable(
+            owned[k][m], inbox[m], workload.dnn.weights[k].cols(),
+            workload.batch, &table));
+        linalg::LayerForward(workload.dnn.weights[k], partition.owned_rows[m],
+                             table, workload.dnn.config.bias,
+                             workload.dnn.config.relu_cap, workload.batch,
+                             &out);
+        step_rows += static_cast<double>(out.size());
+        if (sweep == 0) out.MergeInto(&merged);
+      }
+      if (sweep == 0) FSD_CHECK(merged == layer_inputs[k + 1]);
+    }
+    step_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           step_start)
+                 .count();
+  }
+  FSD_CHECK(planned_bytes > 0);
+  std::printf("worker-layer step (flat path): %.1f K rows/s\n",
+              step_rows / step_s / 1e3);
+  json.emplace_back("layer_step_rows_per_sec", step_rows / step_s);
 
   // Wall-clock partitioner throughput: hypergraph pins per second of a
   // direct PartitionModel call on this workload's model, with the options

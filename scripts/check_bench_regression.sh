@@ -33,8 +33,9 @@ threshold_pct=25
 # "key value direction" lines for the gated metrics: latency-shaped keys
 # (p50/p95 — bigger is worse) and throughput keys ending in _per_sec
 # (smaller is worse). Other keys (speedups, counts) are informational only.
+# Keys may contain '-' (the FSD-Inf-<variant>_* keys).
 metrics() {
-  sed -n 's/^ *"\([A-Za-z0-9_.]*\)": *\(-*[0-9][-0-9.eE+]*\),*$/\1 \2/p' \
+  sed -n 's/^ *"\([A-Za-z0-9_.-]*\)": *\(-*[0-9][-0-9.eE+]*\),*$/\1 \2/p' \
     "$1" | awk '$1 ~ /p50|p95/ { print $0, "bigger-is-worse"; next }
                 $1 ~ /_per_sec$/ { print $0, "smaller-is-worse" }' \
     || true

@@ -12,6 +12,41 @@
 #include "sim/simulation.h"
 
 namespace fsd::core {
+namespace {
+
+/// Distinct row ids across `received`. Each body's ids are sorted and
+/// unique, so one body needs no work. More are marked in a per-thread
+/// bitmap over [0, max id], or, for ids of 2^22 and above (only a hostile
+/// sender uses them), counted over their sorted concatenation.
+int64_t CountDistinctIds(const ReceivedRows& received) {
+  if (received.size() == 1) return static_cast<int64_t>(received[0].size());
+  int32_t max_id = -1;
+  for (const linalg::ActivationRows& rows : received) {
+    if (!rows.empty()) max_id = std::max(max_id, rows.ids.back());
+  }
+  if (max_id < (1 << 22)) {
+    thread_local std::vector<uint64_t> seen;
+    seen.assign(static_cast<size_t>(max_id / 64 + 1), 0);
+    int64_t distinct = 0;
+    for (const linalg::ActivationRows& rows : received) {
+      for (const int32_t id : rows.ids) {
+        uint64_t& word = seen[static_cast<size_t>(id) / 64];
+        const uint64_t bit = uint64_t{1} << (id % 64);
+        distinct += (word & bit) == 0;
+        word |= bit;
+      }
+    }
+    return distinct;
+  }
+  std::vector<int32_t> ids;
+  for (const linalg::ActivationRows& rows : received) {
+    ids.insert(ids.end(), rows.ids.begin(), rows.ids.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  return std::unique(ids.begin(), ids.end()) - ids.begin();
+}
+
+}  // namespace
 
 int32_t CollectiveRounds(CollectiveTopology topology, int32_t num_workers) {
   switch (topology) {
@@ -29,8 +64,27 @@ int32_t CollectiveRounds(CollectiveTopology topology, int32_t num_workers) {
   return 1;
 }
 
+linalg::ActivationMap MergeReceived(const ReceivedRows& received) {
+  linalg::ActivationMap merged;
+  for (const linalg::ActivationRows& rows : received) rows.MergeInto(&merged);
+  return merged;
+}
+
+Status CommChannel::SendPhase(WorkerEnv* env, int32_t phase,
+                              const linalg::ActivationMap& source,
+                              const std::vector<SendSpec>& sends) {
+  return SendRows(env, phase, linalg::ActivationRows::FromMap(source), sends);
+}
+
+Result<linalg::ActivationMap> CommChannel::ReceivePhase(
+    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
+  FSD_ASSIGN_OR_RETURN(ReceivedRows received,
+                       ReceiveRows(env, phase, sources));
+  return MergeReceived(received);
+}
+
 Result<std::vector<EncodeResult>> EncodeSends(
-    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationMap& source,
+    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationRows& source,
     const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,
     bool skip_empty) {
   metrics->send_targets += static_cast<int64_t>(sends.size());
@@ -41,9 +95,11 @@ Result<std::vector<EncodeResult>> EncodeSends(
   uint64_t serialize_bytes = 0;
   size_t items = 0;
   std::vector<bool> skip(sends.size());
+  std::vector<std::vector<RowRef>> rows(sends.size());
   for (size_t s = 0; s < sends.size(); ++s) {
     metrics->send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
-    const EncodePlan plan = PlanRows(source, *sends[s].rows, max_chunk_bytes);
+    rows[s] = CollectRows(source, *sends[s].rows);
+    const EncodePlan plan = PlanRows(rows[s], max_chunk_bytes);
     metrics->send_rows_active += plan.active_rows;
     items += plan.num_chunks;
     skip[s] = skip_empty && plan.active_rows == 0;
@@ -74,7 +130,7 @@ Result<std::vector<EncodeResult>> EncodeSends(
   FSD_RETURN_IF_ERROR(env->faas->OffloadFor(makespan, [&]() {
     for (size_t s = 0; s < sends.size(); ++s) {
       if (skip[s]) continue;
-      encoded[s] = EncodeRows(source, *sends[s].rows, max_chunk_bytes,
+      encoded[s] = EncodeRows(rows[s], max_chunk_bytes,
                               WireCodecFromOptions(options));
     }
   }));
@@ -193,18 +249,20 @@ Status PhaseReceiver::Decode(std::vector<Bytes> bodies,
   return env_->faas->SleepFor(window_s);
 }
 
-Result<linalg::ActivationMap> PhaseReceiver::Finish() {
+Result<ReceivedRows> PhaseReceiver::FinishRows() {
   metrics_->recv_wait_s += env_->cloud->sim()->Now() - start_;
   env_->cloud->sim()->JoinDetached(&decodes_);
   for (const DecodeSlot& slot : slots_) FSD_RETURN_IF_ERROR(slot.status);
-  // Newest first: map::merge keeps a key already present, so the latest
-  // arrival wins a repeated row id, as sequential DecodeRows calls do.
-  linalg::ActivationMap received;
-  for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
-    received.merge(it->rows);
-  }
-  metrics_->recv_rows += static_cast<int64_t>(received.size());
+  ReceivedRows received;
+  received.reserve(slots_.size());
+  for (DecodeSlot& slot : slots_) received.push_back(std::move(slot.rows));
+  metrics_->recv_rows += CountDistinctIds(received);
   return received;
+}
+
+Result<linalg::ActivationMap> PhaseReceiver::Finish() {
+  FSD_ASSIGN_OR_RETURN(ReceivedRows received, FinishRows());
+  return MergeReceived(received);
 }
 
 std::unique_ptr<CommChannel> MakeCommChannel(Variant variant) {

@@ -59,12 +59,20 @@ struct WorkerEnv {
   }
 };
 
-/// One phase send: ship the listed x rows (those present in the source map)
+/// One phase send: ship the listed x rows (those present in the source)
 /// to `target`.
 struct SendSpec {
   int32_t target = 0;
   const std::vector<int32_t>* rows = nullptr;
 };
+
+/// What one receive hands back: the rows decoded from each received body,
+/// in arrival order, unmerged. A later body wins a row id that two bodies
+/// carry (an honest phase never repeats one: each row has one owner).
+using ReceivedRows = std::vector<linalg::ActivationRows>;
+
+/// The union of `received` as a map, a later body winning a repeated id.
+linalg::ActivationMap MergeReceived(const ReceivedRows& received);
 
 class CommChannel {
  public:
@@ -75,15 +83,24 @@ class CommChannel {
   /// time: the worker pays CPU (serialization/compression) and per-call
   /// dispatch overhead; transfers complete asynchronously so the caller can
   /// overlap communication with computation (Algorithms 1 & 2).
-  virtual Status SendPhase(WorkerEnv* env, int32_t phase,
-                           const linalg::ActivationMap& source,
-                           const std::vector<SendSpec>& sends) = 0;
+  virtual Status SendRows(WorkerEnv* env, int32_t phase,
+                          const linalg::ActivationRows& source,
+                          const std::vector<SendSpec>& sends) = 0;
 
   /// Blocks until every worker in `sources` has delivered its phase data;
-  /// returns the merged activation rows. Sources with nothing to send
-  /// deliver an explicit empty marker (empty chunk / ".nul" object).
-  virtual Result<linalg::ActivationMap> ReceivePhase(
+  /// returns the decoded bodies in arrival order. Sources with nothing to
+  /// send deliver an explicit empty marker (empty chunk / ".nul" object).
+  virtual Result<ReceivedRows> ReceiveRows(
       WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) = 0;
+
+  /// Map edge of SendRows (collectives' map overloads, tests, benches).
+  Status SendPhase(WorkerEnv* env, int32_t phase,
+                   const linalg::ActivationMap& source,
+                   const std::vector<SendSpec>& sends);
+
+  /// Map edge of ReceiveRows: the received rows merged into one map.
+  Result<linalg::ActivationMap> ReceivePhase(
+      WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources);
 };
 
 /// Builds the channel implementation for a variant (nullptr for kSerial,
@@ -107,16 +124,17 @@ Status TeardownChannelResources(cloud::CloudEnv* cloud,
 /// One definition keeps the ledger and the cost model's byte counters
 /// byte-identical whichever backend runs them.
 
-/// Plans, charges and encodes one phase's sends. Counts send targets and
-/// mapped/active rows, charges the serialization CPU for the planned raw
-/// bytes split over the planned chunks on the IPC lanes, runs EncodeRows for
-/// every send under that window (FaasContext::OffloadFor: on a compute pool
-/// thread when the sim has compute_threads > 0, inline at the window's end
-/// otherwise), then accounts every chunk. With `skip_empty`, a send with no
+/// Plans, charges and encodes one phase's sends. Collects each send's rows
+/// once (CollectRows), counts send targets and mapped/active rows, charges
+/// the serialization CPU for the planned raw bytes split over the planned
+/// chunks on the IPC lanes, runs EncodeRows for every send under that
+/// window (FaasContext::OffloadFor: on a compute pool thread when the sim
+/// has compute_threads > 0, inline at the window's end otherwise), then
+/// accounts every chunk. With `skip_empty`, a send with no
 /// active rows is planned as one item but never encoded: its EncodeResult
 /// has no chunks (the object channel's .nul marker path).
 Result<std::vector<EncodeResult>> EncodeSends(
-    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationMap& source,
+    WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationRows& source,
     const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,
     bool skip_empty);
 
@@ -188,8 +206,12 @@ class PhaseReceiver {
                 double extra_s = 0.0);
 
   /// Stops the recv_wait_s clock, joins the decodes and hands over their
-  /// rows merged in arrival order (a later body wins a repeated row id).
-  /// Returns the first decode error in arrival order.
+  /// rows, one ActivationRows per body in arrival order. Counts the
+  /// distinct row ids received into recv_rows. Returns the first decode
+  /// error in arrival order.
+  Result<ReceivedRows> FinishRows();
+
+  /// FinishRows merged into one map (a later body wins a repeated id).
   Result<linalg::ActivationMap> Finish();
 
  private:
@@ -202,7 +224,7 @@ class PhaseReceiver {
   /// the slot until the join.
   struct DecodeSlot {
     Bytes body;
-    linalg::ActivationMap rows;
+    linalg::ActivationRows rows;
     Status status;
   };
 

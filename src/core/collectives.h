@@ -10,10 +10,12 @@
 //                 per round (tree gather/scatter)
 //   ring          P-1 rounds; a chain pipeline with 1 message per round
 // Every topology produces byte-identical results — Reduce is a disjoint
-// row-set union into an ordered map, so merge order is immaterial — but
-// multi-round topologies need one phase id PER ROUND: callers hand each
+// row-set union into one id-sorted row set, so merge order is immaterial —
+// but multi-round topologies need one phase id PER ROUND: callers hand each
 // operation a PhaseBlock reserved by the PhaseAllocator (see channel.h).
-// The phase-only overloads keep the legacy through-root behaviour.
+// The phase-only overloads keep the legacy through-root behaviour. The
+// worker runs on ActivationRows; the ActivationMap overloads convert and
+// delegate.
 #ifndef FSD_CORE_COLLECTIVES_H_
 #define FSD_CORE_COLLECTIVES_H_
 
@@ -22,6 +24,9 @@
 namespace fsd::core {
 
 /// Point-to-point send of activation rows (MPI_Send analogue).
+Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
+            int32_t target, const linalg::ActivationRows& rows);
+/// Map edge of Send.
 Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
             int32_t target, const linalg::ActivationMap& rows);
 
@@ -44,7 +49,13 @@ Status Barrier(CommChannel* channel, WorkerEnv* env, int32_t phase,
 /// Gathers every worker's rows at the root over the selected topology;
 /// row sets are disjoint under the row-wise decomposition, so the union is
 /// the reduction (the paper's reduce(P0, x^L_m)) and every topology yields
-/// the same map. Non-roots return an empty map.
+/// the same rows. Non-roots return no rows.
+Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
+                                      CollectiveTopology topology,
+                                      PhaseBlock block, int32_t num_workers,
+                                      const linalg::ActivationRows& mine,
+                                      int32_t root = 0);
+/// Map edge of Reduce.
 Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
                                      CollectiveTopology topology,
                                      PhaseBlock block, int32_t num_workers,

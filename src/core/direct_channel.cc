@@ -62,9 +62,9 @@ Status DirectChannel::Teardown(cloud::CloudEnv* cloud,
   return cloud->kv().DeleteNamespace(relay);
 }
 
-Status DirectChannel::SendPhase(WorkerEnv* env, int32_t phase,
-                                const linalg::ActivationMap& source,
-                                const std::vector<SendSpec>& sends) {
+Status DirectChannel::SendRows(WorkerEnv* env, int32_t phase,
+                               const linalg::ActivationRows& source,
+                               const std::vector<SendSpec>& sends) {
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
@@ -119,9 +119,9 @@ Status DirectChannel::SendPhase(WorkerEnv* env, int32_t phase,
                          std::move(calls));
 }
 
-Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
+Result<ReceivedRows> DirectChannel::ReceiveRows(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return linalg::ActivationMap{};
+  if (sources.empty()) return ReceivedRows{};
   const FsdOptions& options = *env->options;
   PhaseReceiver receiver(env, phase, sources);
   LayerMetrics& metrics = receiver.metrics();
@@ -194,7 +194,7 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
     if (relayed.empty()) ++metrics.kv_empty_pops;
     FSD_RETURN_IF_ERROR(consume(relayed, /*relayed=*/true));
   }
-  return receiver.Finish();
+  return receiver.FinishRows();
 }
 
 }  // namespace fsd::core

@@ -52,11 +52,11 @@ class DirectChannel : public CommChannel {
 
   std::string_view name() const override { return "direct"; }
 
-  Status SendPhase(WorkerEnv* env, int32_t phase,
-                   const linalg::ActivationMap& source,
-                   const std::vector<SendSpec>& sends) override;
+  Status SendRows(WorkerEnv* env, int32_t phase,
+                  const linalg::ActivationRows& source,
+                  const std::vector<SendSpec>& sends) override;
 
-  Result<linalg::ActivationMap> ReceivePhase(
+  Result<ReceivedRows> ReceiveRows(
       WorkerEnv* env, int32_t phase,
       const std::vector<int32_t>& sources) override;
 };

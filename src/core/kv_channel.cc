@@ -64,9 +64,9 @@ Status KvChannel::Teardown(cloud::CloudEnv* cloud, const FsdOptions& options) {
   return cloud->kv().DeleteNamespace(ns);
 }
 
-Status KvChannel::SendPhase(WorkerEnv* env, int32_t phase,
-                            const linalg::ActivationMap& source,
-                            const std::vector<SendSpec>& sends) {
+Status KvChannel::SendRows(WorkerEnv* env, int32_t phase,
+                           const linalg::ActivationRows& source,
+                           const std::vector<SendSpec>& sends) {
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
@@ -99,9 +99,9 @@ Status KvChannel::SendPhase(WorkerEnv* env, int32_t phase,
                          std::move(pushes));
 }
 
-Result<linalg::ActivationMap> KvChannel::ReceivePhase(
+Result<ReceivedRows> KvChannel::ReceiveRows(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return linalg::ActivationMap{};
+  if (sources.empty()) return ReceivedRows{};
   const FsdOptions& options = *env->options;
   PhaseReceiver receiver(env, phase, sources);
   LayerMetrics& metrics = receiver.metrics();
@@ -139,7 +139,7 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
     }
     FSD_RETURN_IF_ERROR(receiver.Decode(std::move(bodies), accepted_bytes));
   }
-  return receiver.Finish();
+  return receiver.FinishRows();
 }
 
 }  // namespace fsd::core

@@ -41,9 +41,9 @@ Status ObjectChannel::Provision(cloud::CloudEnv* cloud,
   return Status::OK();
 }
 
-Status ObjectChannel::SendPhase(WorkerEnv* env, int32_t phase,
-                                const linalg::ActivationMap& source,
-                                const std::vector<SendSpec>& sends) {
+Status ObjectChannel::SendRows(WorkerEnv* env, int32_t phase,
+                               const linalg::ActivationRows& source,
+                               const std::vector<SendSpec>& sends) {
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
@@ -80,9 +80,9 @@ Status ObjectChannel::SendPhase(WorkerEnv* env, int32_t phase,
                          std::move(puts));
 }
 
-Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
+Result<ReceivedRows> ObjectChannel::ReceiveRows(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return linalg::ActivationMap{};
+  if (sources.empty()) return ReceivedRows{};
   const FsdOptions& options = *env->options;
   PhaseReceiver receiver(env, phase, sources);
   LayerMetrics& metrics = receiver.metrics();
@@ -137,7 +137,7 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
         std::move(bodies), got_bytes,
         sim::ParallelMakespan(latencies, options.io_lanes)));
   }
-  return receiver.Finish();
+  return receiver.FinishRows();
 }
 
 }  // namespace fsd::core

@@ -51,9 +51,9 @@ Status QueueChannel::Provision(cloud::CloudEnv* cloud,
   return Status::OK();
 }
 
-Status QueueChannel::SendPhase(WorkerEnv* env, int32_t phase,
-                               const linalg::ActivationMap& source,
-                               const std::vector<SendSpec>& sends) {
+Status QueueChannel::SendRows(WorkerEnv* env, int32_t phase,
+                              const linalg::ActivationRows& source,
+                              const std::vector<SendSpec>& sends) {
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
@@ -115,9 +115,9 @@ Status QueueChannel::SendPhase(WorkerEnv* env, int32_t phase,
                          std::move(publishes));
 }
 
-Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
+Result<ReceivedRows> QueueChannel::ReceiveRows(
     WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return linalg::ActivationMap{};
+  if (sources.empty()) return ReceivedRows{};
   const FsdOptions& options = *env->options;
   PhaseReceiver receiver(env, phase, sources);
   LayerMetrics& metrics = receiver.metrics();
@@ -179,7 +179,7 @@ Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
         env->cloud->queues().DeleteMessages(my_queue, to_delete));
     ++metrics.deletes;
   }
-  return receiver.Finish();
+  return receiver.FinishRows();
 }
 
 }  // namespace fsd::core

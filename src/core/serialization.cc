@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <span>
 
@@ -23,22 +24,22 @@ constexpr uint64_t kInt32Max =
     static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
 
 /// Encodes one row's structure: id, nnz, dim, delta-coded indices.
-void EncodeRowStructure(int32_t row_id, const linalg::SparseVector& row,
-                        Bytes* out) {
-  codec::PutVarint64(out, static_cast<uint64_t>(row_id));
-  codec::PutVarint64(out, row.nnz());
+void EncodeRowStructure(const RowRef& ref, Bytes* out) {
+  const linalg::RowView& row = ref.row;
+  codec::PutVarint64(out, static_cast<uint64_t>(ref.id));
+  codec::PutVarint64(out, static_cast<uint64_t>(row.nnz));
   codec::PutVarint64(out, static_cast<uint64_t>(row.dim));
   int32_t prev = -1;
-  for (int32_t idx : row.idx) {
-    codec::PutVarint64(out, static_cast<uint64_t>(idx - prev - 1));
-    prev = idx;
+  for (int32_t j = 0; j < row.nnz; ++j) {
+    codec::PutVarint64(out, static_cast<uint64_t>(row.idx[j] - prev - 1));
+    prev = row.idx[j];
   }
 }
 
 /// Encodes one row into `out`: structure followed by raw float values.
-void EncodeRow(int32_t row_id, const linalg::SparseVector& row, Bytes* out) {
-  EncodeRowStructure(row_id, row, out);
-  for (float v : row.val) AppendRaw(out, v);
+void EncodeRow(const RowRef& ref, Bytes* out) {
+  EncodeRowStructure(ref, out);
+  for (int32_t j = 0; j < ref.row.nnz; ++j) AppendRaw(out, ref.row.val[j]);
 }
 
 /// Wraps a raw payload in the lossless wire framing (tag + optional LZ).
@@ -70,13 +71,25 @@ Result<std::span<const uint8_t>> UnwrapLossless(const uint8_t* data,
   return Status::DataLoss("unknown row payload tag");
 }
 
-/// Parses decoded structure+values payloads into `out`. When `values` is
-/// non-null the rows' values come from it sequentially (quantized mode);
-/// otherwise they follow each row's indices inline (lossless mode).
-Status ParseRows(std::span<const uint8_t> payload,
-                 const std::vector<float>* values, linalg::ActivationMap* out) {
+/// Appends the rows of decoded structure+values payloads to `out`. When
+/// `values` is non-null the rows' values come from it sequentially
+/// (quantized mode); otherwise they follow each row's indices inline
+/// (lossless mode). Sets `*ordered` false when a row id does not exceed
+/// the id before it.
+Status AppendParsedRows(std::span<const uint8_t> payload,
+                        const std::vector<float>* values,
+                        linalg::ActivationRows* out, bool* ordered) {
   ByteReader reader(payload.data(), payload.size());
   FSD_ASSIGN_OR_RETURN(uint64_t count, codec::GetVarint64(&reader));
+  // Each row takes at least three bytes (id, nnz, dim), which bounds a
+  // hostile count before it sizes an allocation.
+  const size_t rows = out->size() +
+                      static_cast<size_t>(std::min<uint64_t>(
+                          count, reader.remaining() / 3));
+  out->ids.reserve(rows);
+  out->dims.reserve(rows);
+  out->offsets.reserve(rows + 1);
+  if (out->offsets.empty()) out->offsets.push_back(0);
   size_t next_value = 0;
   for (uint64_t r = 0; r < count; ++r) {
     FSD_ASSIGN_OR_RETURN(uint64_t row_id, codec::GetVarint64(&reader));
@@ -92,10 +105,10 @@ Status ParseRows(std::span<const uint8_t> payload,
     if (nnz > reader.remaining()) {
       return Status::DataLoss("row nnz exceeds payload");
     }
-    linalg::SparseVector row;
-    row.dim = static_cast<int32_t>(dim);
-    row.idx.reserve(nnz);
-    row.val.reserve(nnz);
+    const int32_t id = static_cast<int32_t>(row_id);
+    if (!out->ids.empty() && out->ids.back() >= id) *ordered = false;
+    out->ids.push_back(id);
+    out->dims.push_back(static_cast<int32_t>(dim));
     int64_t prev = -1;
     for (uint64_t p = 0; p < nnz; ++p) {
       FSD_ASSIGN_OR_RETURN(uint64_t delta, codec::GetVarint64(&reader));
@@ -103,23 +116,27 @@ Status ParseRows(std::span<const uint8_t> payload,
       if (idx >= static_cast<int64_t>(dim)) {
         return Status::DataLoss("row index out of range");
       }
-      row.idx.push_back(static_cast<int32_t>(idx));
+      out->idx.push_back(static_cast<int32_t>(idx));
       prev = idx;
     }
     if (values != nullptr) {
       if (next_value + nnz > values->size()) {
         return Status::DataLoss("quantized values underrun");
       }
-      row.val.assign(values->begin() + next_value,
-                     values->begin() + next_value + nnz);
+      out->val.insert(out->val.end(), values->begin() + next_value,
+                      values->begin() + next_value + nnz);
       next_value += nnz;
     } else {
-      for (uint64_t p = 0; p < nnz; ++p) {
-        FSD_ASSIGN_OR_RETURN(float v, reader.Read<float>());
-        row.val.push_back(v);
+      if (reader.remaining() < nnz * sizeof(float)) {
+        return Status::OutOfRange("byte reader truncated scalar");
       }
+      FSD_ASSIGN_OR_RETURN(const uint8_t* raw,
+                           reader.Skip(nnz * sizeof(float)));
+      const size_t at = out->val.size();
+      out->val.resize(at + nnz);
+      if (nnz > 0) std::memcpy(out->val.data() + at, raw, nnz * sizeof(float));
     }
-    (*out)[static_cast<int32_t>(row_id)] = std::move(row);
+    out->offsets.push_back(out->nnz());
   }
   if (values != nullptr && next_value != values->size()) {
     return Status::DataLoss("quantized values overrun");
@@ -127,33 +144,37 @@ Status ParseRows(std::span<const uint8_t> payload,
   return Status::OK();
 }
 
-/// The rows EncodeRows/PlanRows operate on: the intersection of `row_ids`
-/// and active rows of `source`, in `row_ids` order.
-using RowRefs = std::vector<std::pair<int32_t, const linalg::SparseVector*>>;
-
-RowRefs CollectActiveRows(const linalg::ActivationMap& source,
-                          const std::vector<int32_t>& row_ids,
-                          int64_t* active_nnz) {
-  RowRefs rows;
-  rows.reserve(row_ids.size());
-  for (int32_t id : row_ids) {
-    auto it = source.find(id);
-    if (it == source.end() || it->second.empty()) continue;
-    rows.push_back({id, &it->second});
-    *active_nnz += static_cast<int64_t>(it->second.nnz());
+/// Parses payloads into `out` (AppendParsedRows), leaving `out` as it was
+/// on error and restoring the id order when the payload broke it.
+Status ParseRows(std::span<const uint8_t> payload,
+                 const std::vector<float>* values,
+                 linalg::ActivationRows* out) {
+  const size_t before = out->size();
+  bool ordered = true;
+  const Status status = AppendParsedRows(payload, values, out, &ordered);
+  if (!status.ok()) {
+    out->Truncate(before);
+    // A failed first row leaves a lone offsets[0] behind.
+    if (out->empty()) out->clear();
+    return status;
   }
-  return rows;
+  if (out->empty()) out->clear();
+  if (!ordered) out->SortKeepingLatest();
+  return Status::OK();
 }
+
+using RowRefs = std::vector<RowRef>;
 
 /// NNZ-heuristic greedy chunk end: extend the chunk starting at `i` while
 /// the size estimate stays under the cap (always take at least one row).
 /// One definition shared by EncodeRows and PlanRows so the planned chunk
 /// layout can never drift from the encoded one.
-size_t ChunkEnd(const RowRefs& rows, size_t i, uint64_t max_chunk_bytes) {
+size_t ChunkEnd(std::span<const RowRef> rows, size_t i,
+                uint64_t max_chunk_bytes) {
   size_t j = i;
   uint64_t estimate = 8;
   while (j < rows.size()) {
-    const uint64_t row_bytes = EstimateRowBytes(rows[j].second->nnz());
+    const uint64_t row_bytes = EstimateRowBytes(rows[j].row.nnz);
     if (j > i && max_chunk_bytes > 0 &&
         estimate + row_bytes > max_chunk_bytes) {
       break;
@@ -177,15 +198,23 @@ uint64_t VarintLen(uint64_t value) {
 /// Exact bytes EncodeRow would append for this row — equivalently, the
 /// row's share of a quantized chunk's lossless-equivalent raw size
 /// (structure bytes + 4 per value; the two modes agree by construction).
-uint64_t RowRawBytes(int32_t row_id, const linalg::SparseVector& row) {
-  uint64_t n = VarintLen(static_cast<uint64_t>(row_id)) +
-               VarintLen(row.nnz()) + VarintLen(static_cast<uint64_t>(row.dim));
+uint64_t RowRawBytes(const RowRef& ref) {
+  const linalg::RowView& row = ref.row;
+  uint64_t n = VarintLen(static_cast<uint64_t>(ref.id)) +
+               VarintLen(static_cast<uint64_t>(row.nnz)) +
+               VarintLen(static_cast<uint64_t>(row.dim));
   int32_t prev = -1;
-  for (int32_t idx : row.idx) {
-    n += VarintLen(static_cast<uint64_t>(idx - prev - 1));
-    prev = idx;
+  for (int32_t j = 0; j < row.nnz; ++j) {
+    n += VarintLen(static_cast<uint64_t>(row.idx[j] - prev - 1));
+    prev = row.idx[j];
   }
-  return n + 4 * row.nnz();
+  return n + 4 * static_cast<uint64_t>(row.nnz);
+}
+
+int64_t SumNnz(std::span<const RowRef> rows) {
+  int64_t nnz = 0;
+  for (const RowRef& ref : rows) nnz += ref.row.nnz;
+  return nnz;
 }
 
 }  // namespace
@@ -195,11 +224,39 @@ uint64_t EstimateRowBytes(int64_t nnz) {
   return 8 + static_cast<uint64_t>(nnz) * 6;
 }
 
-EncodePlan PlanRows(const linalg::ActivationMap& source,
-                    const std::vector<int32_t>& row_ids,
-                    uint64_t max_chunk_bytes) {
+std::vector<RowRef> CollectRows(const linalg::ActivationRows& source,
+                                const std::vector<int32_t>& row_ids) {
+  RowRefs rows;
+  rows.reserve(row_ids.size());
+  auto from = source.ids.begin();
+  int32_t prev = 0;
+  for (const int32_t id : row_ids) {
+    if (id < prev) from = source.ids.begin();
+    prev = id;
+    from = std::lower_bound(from, source.ids.end(), id);
+    if (from == source.ids.end() || *from != id) continue;
+    const linalg::RowView row =
+        source.row(static_cast<size_t>(from - source.ids.begin()));
+    if (!row.empty()) rows.push_back({id, row});
+  }
+  return rows;
+}
+
+std::vector<RowRef> CollectRows(const linalg::ActivationMap& source,
+                                const std::vector<int32_t>& row_ids) {
+  RowRefs rows;
+  rows.reserve(row_ids.size());
+  for (const int32_t id : row_ids) {
+    auto it = source.find(id);
+    if (it == source.end() || it->second.empty()) continue;
+    rows.push_back({id, linalg::RowView::Of(it->second)});
+  }
+  return rows;
+}
+
+EncodePlan PlanRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes) {
   EncodePlan plan;
-  const RowRefs rows = CollectActiveRows(source, row_ids, &plan.active_nnz);
+  plan.active_nnz = SumNnz(rows);
   plan.active_rows = static_cast<int32_t>(rows.size());
   if (rows.empty()) {
     plan.num_chunks = 1;  // the explicit empty marker chunk
@@ -210,9 +267,7 @@ EncodePlan PlanRows(const linalg::ActivationMap& source,
   while (i < rows.size()) {
     const size_t j = ChunkEnd(rows, i, max_chunk_bytes);
     uint64_t raw = VarintLen(static_cast<uint64_t>(j - i));
-    for (size_t r = i; r < j; ++r) {
-      raw += RowRawBytes(rows[r].first, *rows[r].second);
-    }
+    for (size_t r = i; r < j; ++r) raw += RowRawBytes(rows[r]);
     plan.raw_bytes += raw;
     ++plan.num_chunks;
     i = j;
@@ -220,13 +275,16 @@ EncodePlan PlanRows(const linalg::ActivationMap& source,
   return plan;
 }
 
-EncodeResult EncodeRows(const linalg::ActivationMap& source,
-                        const std::vector<int32_t>& row_ids,
-                        uint64_t max_chunk_bytes, const WireCodec& codec) {
+EncodePlan PlanRows(const linalg::ActivationMap& source,
+                    const std::vector<int32_t>& row_ids,
+                    uint64_t max_chunk_bytes) {
+  return PlanRows(CollectRows(source, row_ids), max_chunk_bytes);
+}
+
+EncodeResult EncodeRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes,
+                        const WireCodec& codec) {
   EncodeResult result;
-  // Collect present rows first so chunk row counts can be prefixed.
-  const RowRefs rows =
-      CollectActiveRows(source, row_ids, &result.active_nnz);
+  result.active_nnz = SumNnz(rows);
   result.active_rows = static_cast<int32_t>(rows.size());
   const bool quantize = codec.quant_bits != 0;
 
@@ -239,10 +297,10 @@ EncodeResult EncodeRows(const linalg::ActivationMap& source,
       std::vector<float> values;
       codec::PutVarint64(&structure, static_cast<uint64_t>(j - i));
       for (size_t r = i; r < j; ++r) {
-        EncodeRowStructure(rows[r].first, *rows[r].second, &structure);
-        values.insert(values.end(), rows[r].second->val.begin(),
-                      rows[r].second->val.end());
-        chunk.nnz += static_cast<int64_t>(rows[r].second->nnz());
+        EncodeRowStructure(rows[r], &structure);
+        values.insert(values.end(), rows[r].row.val,
+                      rows[r].row.val + rows[r].row.nnz);
+        chunk.nnz += rows[r].row.nnz;
       }
       // Lossless-equivalent raw size keeps compression-ratio metrics
       // comparable across wire modes.
@@ -264,8 +322,8 @@ EncodeResult EncodeRows(const linalg::ActivationMap& source,
       Bytes raw;
       codec::PutVarint64(&raw, static_cast<uint64_t>(j - i));
       for (size_t r = i; r < j; ++r) {
-        EncodeRow(rows[r].first, *rows[r].second, &raw);
-        chunk.nnz += static_cast<int64_t>(rows[r].second->nnz());
+        EncodeRow(rows[r], &raw);
+        chunk.nnz += rows[r].row.nnz;
       }
       chunk.raw_bytes = raw.size();
       WrapLossless(raw, codec.compress, codec.lz, &chunk.wire);
@@ -289,7 +347,13 @@ EncodeResult EncodeRows(const linalg::ActivationMap& source,
   return result;
 }
 
-Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out) {
+EncodeResult EncodeRows(const linalg::ActivationMap& source,
+                        const std::vector<int32_t>& row_ids,
+                        uint64_t max_chunk_bytes, const WireCodec& codec) {
+  return EncodeRows(CollectRows(source, row_ids), max_chunk_bytes, codec);
+}
+
+Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out) {
   if (wire.empty()) return Status::DataLoss("empty row payload");
   if (wire[0] == kQuantizedTag) {
     ByteReader reader(wire.data() + 1, wire.size() - 1);
@@ -311,6 +375,13 @@ Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out) {
   FSD_ASSIGN_OR_RETURN(std::span<const uint8_t> payload,
                        UnwrapLossless(wire.data(), wire.size(), &storage));
   return ParseRows(payload, nullptr, out);
+}
+
+Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out) {
+  linalg::ActivationRows rows;
+  FSD_RETURN_IF_ERROR(DecodeRows(wire, &rows));
+  rows.MergeInto(out);
+  return Status::OK();
 }
 
 }  // namespace fsd::core

@@ -9,6 +9,7 @@
 #define FSD_CORE_SERIALIZATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -58,23 +59,44 @@ struct RowChunk {
   double quant_err_max = 0.0;   ///< measured max |err| / chunk scale
 };
 
-/// Serialized view of selected rows: the rows listed in `row_ids` are read
-/// from `source` (missing/inactive rows are skipped — the receiving side
-/// learns about them implicitly since every active row is self-describing).
+/// One row a send carries: its id and a view of its entries (into the
+/// source the rows were collected from, which must outlive the refs).
+struct RowRef {
+  int32_t id = 0;
+  linalg::RowView row;
+};
+
+/// The rows a send of `row_ids` carries: the intersection of `row_ids`
+/// and the active (nonempty) rows of `source`, in `row_ids` order. Missing
+/// and inactive rows are skipped; the receiving side learns about them
+/// implicitly, since every active row is self-describing. The flat source
+/// is searched over its sorted ids, resuming from the previous hit while
+/// `row_ids` ascend. Collect once per send: PlanRows and EncodeRows both
+/// read the refs.
+std::vector<RowRef> CollectRows(const linalg::ActivationRows& source,
+                                const std::vector<int32_t>& row_ids);
+/// Map edge: the same refs, viewing the map's rows.
+std::vector<RowRef> CollectRows(const linalg::ActivationMap& source,
+                                const std::vector<int32_t>& row_ids);
+
+/// The encoded rows of one send.
 struct EncodeResult {
   std::vector<RowChunk> chunks;
   int32_t active_rows = 0;
   int64_t active_nnz = 0;
 };
 
-/// Encodes the intersection of `row_ids` and active rows of `source` into
-/// chunks of at most `max_chunk_bytes` raw payload (0 = single unbounded
-/// chunk, used by the object channel). Rows are never split across chunks;
-/// chunk boundaries are chosen with the NNZ heuristic so encoded chunks
-/// approach the cap. With codec.quant_bits == 0 the round trip is
-/// bit-exact; otherwise values travel through the FQ quantizer (structure —
-/// ids, nnz, deltas — stays exact, values reconstruct within
-/// codec::QuantRelErrorBound of each chunk's max |value|).
+/// Encodes `rows` into chunks of at most `max_chunk_bytes` raw payload
+/// (0 = single unbounded chunk, used by the object channel). Rows are
+/// never split across chunks; chunk boundaries are chosen with the NNZ
+/// heuristic so encoded chunks approach the cap. With codec.quant_bits ==
+/// 0 the round trip is bit-exact; otherwise values travel through the FQ
+/// quantizer (structure — ids, nnz, deltas — stays exact, values
+/// reconstruct within codec::QuantRelErrorBound of each chunk's max
+/// |value|). No rows still yields one explicit empty marker chunk.
+EncodeResult EncodeRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes,
+                        const WireCodec& codec);
+/// Map edge: CollectRows then EncodeRows.
 EncodeResult EncodeRows(const linalg::ActivationMap& source,
                         const std::vector<int32_t>& row_ids,
                         uint64_t max_chunk_bytes, const WireCodec& codec);
@@ -95,12 +117,20 @@ struct EncodePlan {
   int32_t active_rows = 0;
   int64_t active_nnz = 0;
 };
+EncodePlan PlanRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes);
+/// Map edge: CollectRows then PlanRows.
 EncodePlan PlanRows(const linalg::ActivationMap& source,
                     const std::vector<int32_t>& row_ids,
                     uint64_t max_chunk_bytes);
 
-/// Decodes a chunk produced by EncodeRows into `out` (rows merged in).
+/// Decodes a chunk produced by EncodeRows, appending its rows to `out`.
 /// Chunks are self-describing (tag byte), so no codec argument is needed.
+/// A row id `out` already holds, or one repeated within the chunk, keeps
+/// the row decoded last, as sequential decodes into a map would. On error
+/// `out` is left as it was.
+Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out);
+/// Map edge: decodes into ActivationRows, then assigns each row into
+/// `out`. On error `out` is left as it was.
 Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out);
 
 /// Estimated encoded bytes for a row with `nnz` nonzeros (the NNZ packing

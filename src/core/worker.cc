@@ -212,17 +212,20 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
       full_input.empty() ? 0 : full_input.begin()->second.dim;
   if (batch <= 0) return Status::InvalidArgument("empty input batch");
 
-  // Worker's share of x^0: the input rows it owns.
-  linalg::ActivationMap x;
+  // Worker's share of x^0: the input rows it owns. From here to the
+  // reduce, a layer's rows live in flat ActivationRows: `x` and `next`
+  // trade buffers every layer, and received bodies stay unmerged.
+  linalg::ActivationRows x;
   for (int32_t row : partition.owned_rows[worker_id]) {
     auto it = full_input.find(row);
     if (it != full_input.end() && !it->second.empty()) {
-      x.emplace(row, it->second);
+      x.Append(row, linalg::RowView::Of(it->second));
     }
   }
 
   double prev_layer_macs = 0.0;
-  std::vector<const linalg::SparseVector*> table;
+  linalg::ActivationRows next;
+  std::vector<linalg::RowView> table;
   for (int32_t k = 0; k < layers; ++k) {
     if (state->abort) return Status::Unavailable("run aborted by a peer");
     const double layer_start = ctx->sim()->Now();
@@ -240,7 +243,7 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
         send_rows += static_cast<int64_t>(entry.rows.size());
       }
       WorkerEnv env = MakeEnv(ctx, state, worker_id, metrics);
-      FSD_RETURN_IF_ERROR(channel->SendPhase(&env, phase, x, sends));
+      FSD_RETURN_IF_ERROR(channel->SendRows(&env, phase, x, sends));
     }
     (void)send_rows;
 
@@ -267,7 +270,7 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     }
 
     // --- receive x rows from peers ---
-    linalg::ActivationMap received;
+    ReceivedRows received;
     if (channel != nullptr && !comm.recv[worker_id].empty()) {
       std::vector<int32_t> sources;
       sources.reserve(comm.recv[worker_id].size());
@@ -276,7 +279,7 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
       }
       WorkerEnv env = MakeEnv(ctx, state, worker_id, metrics);
       FSD_ASSIGN_OR_RETURN(received,
-                           channel->ReceivePhase(&env, phase, sources));
+                           channel->ReceiveRows(&env, phase, sources));
     }
 
     // --- full multiply + activation over owned rows (bit-identical to the
@@ -284,9 +287,6 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     // kernel reads its input rows from a table indexed by weight column.
     FSD_RETURN_IF_ERROR(BuildRowTable(x, received, dnn.weights[k].cols(),
                                       batch, &table));
-    const linalg::RowProvider provider = [&table](int32_t col) {
-      return table[col];
-    };
     // Price the multiply BEFORE running it (the MAC count is determined by
     // the inputs alone), then run the kernel itself under that virtual
     // window via the compute-offload primitive: with compute_threads > 0
@@ -294,17 +294,15 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     // dispatch, at 0 it runs inline at the window's end — either way the
     // window is the same, so virtual behaviour is byte-identical.
     const double macs = linalg::CountLayerMacs(
-        dnn.weights[k], partition.owned_rows[worker_id], provider);
+        dnn.weights[k], partition.owned_rows[worker_id], table);
     const double post_macs = std::max(0.0, macs - pre_macs);
     const double kernel_s = state->cloud->compute().FaasComputeSeconds(
         2.0 * post_macs, ctx->memory_mb());
     linalg::LayerForwardStats stats;
-    linalg::ActivationMap next;
     FSD_RETURN_IF_ERROR(ctx->OffloadFor(kernel_s, [&]() {
-      next = linalg::LayerForward(dnn.weights[k],
-                                  partition.owned_rows[worker_id], provider,
-                                  dnn.config.bias, dnn.config.relu_cap, batch,
-                                  &stats);
+      linalg::LayerForward(dnn.weights[k], partition.owned_rows[worker_id],
+                           table, dnn.config.bias, dnn.config.relu_cap, batch,
+                           &next, &stats);
     }));
     // Activation FLOPs depend on the measured output NNZ, so they are
     // charged after the join.
@@ -320,7 +318,7 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     lm.out_rows += stats.rows_produced;
     lm.out_nnz += stats.output_nnz;
     lm.layer_wall_s += ctx->sim()->Now() - layer_start;
-    x = std::move(next);
+    std::swap(x, next);
   }
 
   // --- barrier(P_all) then reduce(P_0, x^L_m), Algorithm lines 19-20, run
@@ -337,39 +335,38 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
                 phases.Block(CollectiveOp::kBarrierRelease),
                 options.num_workers));
     FSD_ASSIGN_OR_RETURN(
-        linalg::ActivationMap gathered,
+        const linalg::ActivationRows gathered,
         Reduce(channel, &env, topology, phases.Block(CollectiveOp::kReduce),
                options.num_workers, x));
-    if (worker_id == 0) {
-      state->outputs[batch_index] = std::move(gathered);
-    }
+    if (worker_id == 0) state->outputs[batch_index] = gathered.ToMap();
   } else if (worker_id == 0) {
-    state->outputs[batch_index] = std::move(x);
+    state->outputs[batch_index] = x.ToMap();
   }
   return Status::OK();
 }
 
 }  // namespace
 
-Status BuildRowTable(const linalg::ActivationMap& local,
-                     const linalg::ActivationMap& received, int32_t cols,
-                     int32_t batch,
-                     std::vector<const linalg::SparseVector*>* table) {
-  for (const auto& [row, vec] : received) {
-    if (row < 0 || row >= cols) {
-      return Status::DataLoss(
-          StrFormat("received row %d outside [0, %d)", row, cols));
-    }
-    if (vec.dim != batch) {
-      return Status::DataLoss(StrFormat(
-          "received row %d has dim %d, batch is %d", row, vec.dim, batch));
+Status BuildRowTable(const linalg::ActivationRows& local,
+                     const ReceivedRows& received, int32_t cols,
+                     int32_t batch, std::vector<linalg::RowView>* table) {
+  for (const linalg::ActivationRows& rows : received) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const int32_t row = rows.ids[r];
+      if (row < 0 || row >= cols) {
+        return Status::DataLoss(
+            StrFormat("received row %d outside [0, %d)", row, cols));
+      }
+      if (rows.dims[r] != batch) {
+        return Status::DataLoss(
+            StrFormat("received row %d has dim %d, batch is %d", row,
+                      rows.dims[r], batch));
+      }
     }
   }
-  table->assign(static_cast<size_t>(std::max(cols, 0)), nullptr);
-  for (const auto& [row, vec] : received) (*table)[row] = &vec;
-  for (const auto& [row, vec] : local) {
-    if (row >= 0 && row < cols) (*table)[row] = &vec;
-  }
+  table->assign(static_cast<size_t>(std::max(cols, 0)), linalg::RowView{});
+  for (const linalg::ActivationRows& rows : received) rows.ViewInto(*table);
+  local.ViewInto(*table);
   return Status::OK();
 }
 

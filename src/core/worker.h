@@ -126,16 +126,16 @@ struct WorkerPayload {
 };
 
 /// Fills `table` with one layer's input rows indexed by weight column:
-/// slot c points at the row for column c, or is null for an inactive row.
-/// Received rows go in first and local rows second, so a local row wins.
-/// Every received row is checked before anything is written: a row id
-/// outside [0, cols) or a dim other than `batch` returns DataLoss and
-/// leaves `table` untouched. Local rows outside [0, cols) are never read
-/// by the kernel and are skipped.
-Status BuildRowTable(const linalg::ActivationMap& local,
-                     const linalg::ActivationMap& received, int32_t cols,
-                     int32_t batch,
-                     std::vector<const linalg::SparseVector*>* table);
+/// slot c views the row for column c, or is empty for an inactive row.
+/// Received bodies go in first, in arrival order, so a later body wins a
+/// repeated row id; local rows go in last, so a local row wins. Every
+/// received row is checked before anything is written: a row id outside
+/// [0, cols) or a dim other than `batch` returns DataLoss and leaves
+/// `table` untouched. Local rows outside [0, cols) are never read by the
+/// kernel and are skipped.
+Status BuildRowTable(const linalg::ActivationRows& local,
+                     const ReceivedRows& received, int32_t cols,
+                     int32_t batch, std::vector<linalg::RowView>* table);
 
 Bytes EncodeWorkerPayload(uint64_t run_id, int32_t worker_id);
 Result<WorkerPayload> DecodeWorkerPayload(const Bytes& payload);

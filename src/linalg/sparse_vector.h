@@ -2,7 +2,9 @@
 //
 // In FSD-Inference a SparseVector holds one neuron-row of the activation
 // matrix across the inference batch: `idx` are sample positions, `val` the
-// activation values. Exchanged between workers as the unit of communication.
+// activation values. It is the row type of ActivationMap, the edge form of
+// a layer's rows; the worker's per-layer path keeps rows flat in
+// ActivationRows (activation_rows.h).
 #ifndef FSD_LINALG_SPARSE_VECTOR_H_
 #define FSD_LINALG_SPARSE_VECTOR_H_
 

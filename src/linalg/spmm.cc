@@ -79,26 +79,40 @@ bool UseAvx2() {
 
 /// Column slot before the column's first reference in a call.
 constexpr int32_t kUnresolved = -1;
-/// Column slot of an inactive (null or empty) input row.
+/// Column slot of an inactive (empty) input row.
 constexpr int32_t kInactive = -2;
 
-/// Per-thread kernel scratch: the tile accumulator and the panel of dense
-/// input slices. thread_local ownership makes concurrent LayerForward calls
-/// (offloaded worker kernels overlapping on a compute pool) race-free by
-/// construction, and reuse keeps steady-state calls from reallocating.
-/// Every call clears the slices and zeroes `acc` per tile, so nothing one
-/// call leaves behind can reach the next.
+/// Per-thread kernel scratch: the tile accumulator, the panel of dense
+/// input slices, the column slots and, for batches wider than one tile,
+/// the staged output pieces. thread_local ownership makes concurrent
+/// LayerForward calls (offloaded worker kernels overlapping on a compute
+/// pool) race-free by construction, and reuse keeps steady-state calls
+/// from reallocating. Every call resets what it reads, so nothing one call
+/// leaves behind can reach the next.
 struct KernelScratch {
   struct Slice {
-    const SparseVector* input = nullptr;
-    size_t next = 0;    ///< first entry of `input` past the current tile
+    RowView input;
+    int32_t next = 0;   ///< first entry of `input` past the current tile
     uint64_t mask = 0;  ///< lanes of the current tile `input` holds
     int64_t lanes = 0;  ///< popcount(mask): MACs per weight
+  };
+
+  /// One tile's lanes of one output row, chained per row in tile order.
+  struct Piece {
+    int32_t next = -1;  ///< the row's piece from a later tile, or -1
+    int32_t n = 0;
+    size_t begin = 0;   ///< into staged_idx / staged_val
   };
 
   alignas(32) float acc[kTileLanes];
   std::vector<float> panel;  ///< slice s at [s * width, (s + 1) * width)
   std::vector<Slice> slices;
+  std::vector<int32_t> slot;  ///< per column: slice index or a sentinel
+  std::vector<Piece> pieces;
+  std::vector<int32_t> head;  ///< per local row: its first piece, or -1
+  std::vector<int32_t> tail;  ///< per local row: its last piece
+  std::vector<int32_t> staged_idx;
+  std::vector<float> staged_val;
 
   /// Zero-pads the entries of slice s's row that fall in the tile
   /// [base, base + lanes) into its panel span. Tiles advance in order, so
@@ -107,29 +121,43 @@ struct KernelScratch {
     float* const dst = panel.data() + s * static_cast<size_t>(width);
     std::fill(dst, dst + width, 0.0f);
     Slice& slice = slices[s];
-    const SparseVector& x = *slice.input;
-    const size_t first = slice.next;
+    const RowView& x = slice.input;
+    const int32_t first = slice.next;
     slice.mask = 0;
-    for (; slice.next < x.idx.size() && x.idx[slice.next] < base + lanes;
+    for (; slice.next < x.nnz && x.idx[slice.next] < base + lanes;
          ++slice.next) {
       const int32_t lane = x.idx[slice.next] - base;
       dst[lane] = x.val[slice.next];
       slice.mask |= uint64_t{1} << lane;
     }
-    slice.lanes = static_cast<int64_t>(slice.next - first);
+    slice.lanes = slice.next - first;
   }
 
   /// Resolves a column on its first reference (always in the first tile):
-  /// calls the provider once and expands an active row into a new slice.
-  [[gnu::noinline]] int32_t Resolve(const RowProvider& provider, int32_t col,
-                                    int32_t lanes, int32_t width) {
-    const SparseVector* x = provider(col);
-    if (x == nullptr || x->empty()) return kInactive;
+  /// expands an active row into a new slice.
+  [[gnu::noinline]] int32_t Resolve(const RowView& x, int32_t lanes,
+                                    int32_t width) {
+    if (x.empty()) return kInactive;
     const size_t s = slices.size();
     slices.push_back({.input = x});
     panel.resize(panel.size() + static_cast<size_t>(width));
     Expand(s, /*base=*/0, lanes, width);
     return static_cast<int32_t>(s);
+  }
+
+  /// Stages one tile's lanes of local row `local` (multi-tile batches).
+  void Stage(size_t local, const int32_t* lane_idx, const float* lane_val,
+             int32_t n) {
+    const int32_t p = static_cast<int32_t>(pieces.size());
+    pieces.push_back({.n = n, .begin = staged_idx.size()});
+    staged_idx.insert(staged_idx.end(), lane_idx, lane_idx + n);
+    staged_val.insert(staged_val.end(), lane_val, lane_val + n);
+    if (head[local] < 0) {
+      head[local] = p;
+    } else {
+      pieces[tail[local]].next = p;
+    }
+    tail[local] = p;
   }
 };
 
@@ -146,16 +174,31 @@ KernelScratch& ThreadScratch() {
 /// adds in CSR order, and a lane a slice lacks receives w * 0 = +-0 (w is
 /// finite), which leaves any accumulator that started at +0 unchanged,
 /// because round-to-nearest never turns +0 into -0 by adding.
+///
+/// A batch of one tile appends each output row as it is finished. Wider
+/// batches finish a row once per tile, so each tile's lanes are staged and
+/// chained per row, and the rows are assembled in id order at the end.
 template <typename Lanes>
-[[gnu::always_inline]] inline ActivationMap ForwardBody(
-    const RowSource& source, const RowProvider& provider, float bias,
-    float relu_cap, int32_t batch, LayerForwardStats* stats) {
-  ActivationMap out;
+[[gnu::always_inline]] inline void ForwardBody(
+    const RowSource& source, std::span<const RowView> table, float bias,
+    float relu_cap, int32_t batch, ActivationRows* out,
+    LayerForwardStats* stats) {
+  out->clear();
   KernelScratch& scratch = ThreadScratch();
   scratch.panel.clear();
   scratch.slices.clear();
   const size_t cols = static_cast<size_t>(std::max<int32_t>(source.cols, 0));
-  std::vector<int32_t> slot(cols, kUnresolved);
+  FSD_CHECK_EQ(table.size(), cols);
+  scratch.slot.assign(cols, kUnresolved);
+  int32_t* const slot = scratch.slot.data();
+  const bool staged = batch > kTileLanes;
+  if (staged) {
+    scratch.pieces.clear();
+    scratch.staged_idx.clear();
+    scratch.staged_val.clear();
+    scratch.head.assign(source.size, -1);
+    scratch.tail.resize(source.size);
+  }
   int64_t macs = 0;
   int64_t output_nnz = 0;
   int32_t out_idx[kTileLanes] = {};
@@ -171,9 +214,6 @@ template <typename Lanes>
     }
     float* const acc = scratch.acc;
     std::fill(acc, acc + kTileLanes, 0.0f);
-    // Rows arrive in ascending id, so the hint only moves forward: later
-    // tiles append to the rows earlier tiles emitted.
-    auto hint = out.begin();
 
     for (size_t local = 0; local < source.size; ++local) {
       const size_t csr_row = source.CsrRow(local);
@@ -183,7 +223,7 @@ template <typename Lanes>
         const int32_t col = source.col_idx[p];
         int32_t s = slot[col];
         if (s == kUnresolved) {
-          s = slot[col] = scratch.Resolve(provider, col, lanes, width);
+          s = slot[col] = scratch.Resolve(table[col], lanes, width);
         }
         if (s < 0) continue;
         const KernelScratch::Slice& slice = scratch.slices[s];
@@ -216,50 +256,112 @@ template <typename Lanes>
       }
       if (n == 0) continue;
       output_nnz += n;
-
-      const int32_t id = source.GlobalId(local);
-      while (hint != out.end() && hint->first < id) ++hint;
-      if (hint != out.end() && hint->first == id) {
-        SparseVector& row = hint->second;
-        row.idx.insert(row.idx.end(), out_idx, out_idx + n);
-        row.val.insert(row.val.end(), out_val, out_val + n);
+      if (staged) {
+        scratch.Stage(local, out_idx, out_val, n);
       } else {
-        SparseVector row;
-        row.dim = batch;
-        row.idx.assign(out_idx, out_idx + n);
-        row.val.assign(out_val, out_val + n);
-        hint = out.emplace_hint(hint, id, std::move(row));
+        out->Append(source.GlobalId(local), batch, out_idx, out_val,
+                    static_cast<size_t>(n));
       }
+    }
+  }
+
+  if (staged) {
+    out->idx.reserve(static_cast<size_t>(output_nnz));
+    out->val.reserve(static_cast<size_t>(output_nnz));
+    for (size_t local = 0; local < source.size; ++local) {
+      if (scratch.head[local] < 0) continue;
+      if (out->offsets.empty()) out->offsets.push_back(0);
+      out->ids.push_back(source.GlobalId(local));
+      out->dims.push_back(batch);
+      for (int32_t p = scratch.head[local]; p >= 0;
+           p = scratch.pieces[p].next) {
+        const KernelScratch::Piece& piece = scratch.pieces[p];
+        const int32_t* idx = scratch.staged_idx.data() + piece.begin;
+        const float* val = scratch.staged_val.data() + piece.begin;
+        out->idx.insert(out->idx.end(), idx, idx + piece.n);
+        out->val.insert(out->val.end(), val, val + piece.n);
+      }
+      out->offsets.push_back(out->nnz());
     }
   }
 
   if (stats != nullptr) {
     stats->macs = static_cast<double>(macs);
-    stats->rows_produced = static_cast<int64_t>(out.size());
+    stats->rows_produced = static_cast<int64_t>(out->size());
     stats->output_nnz = output_nnz;
   }
-  return out;
 }
 
 #if FSD_LINALG_HAS_SIMD
-__attribute__((target("avx2"))) ActivationMap ForwardAvx2(
-    const RowSource& source, const RowProvider& provider, float bias,
-    float relu_cap, int32_t batch, LayerForwardStats* stats) {
-  return ForwardBody<Avx2Lanes>(source, provider, bias, relu_cap, batch,
-                                stats);
+__attribute__((target("avx2"))) void ForwardAvx2(
+    const RowSource& source, std::span<const RowView> table, float bias,
+    float relu_cap, int32_t batch, ActivationRows* out,
+    LayerForwardStats* stats) {
+  ForwardBody<Avx2Lanes>(source, table, bias, relu_cap, batch, out, stats);
 }
 #endif  // FSD_LINALG_HAS_SIMD
 
-ActivationMap Forward(const RowSource& source, const RowProvider& provider,
-                      float bias, float relu_cap, int32_t batch,
-                      LayerForwardStats* stats) {
+void Forward(const RowSource& source, std::span<const RowView> table,
+             float bias, float relu_cap, int32_t batch, ActivationRows* out,
+             LayerForwardStats* stats) {
 #if FSD_LINALG_HAS_SIMD
   if (UseAvx2()) {
-    return ForwardAvx2(source, provider, bias, relu_cap, batch, stats);
+    ForwardAvx2(source, table, bias, relu_cap, batch, out, stats);
+    return;
   }
 #endif
-  return ForwardBody<PortableLanes>(source, provider, bias, relu_cap, batch,
-                                    stats);
+  ForwardBody<PortableLanes>(source, table, bias, relu_cap, batch, out,
+                             stats);
+}
+
+RowSource SubsetSource(const CsrMatrix& weights,
+                       const std::vector<int32_t>& rows) {
+  return {.size = rows.size(),
+          .cols = weights.cols(),
+          .ids = rows.data(),
+          .rows = rows.data(),
+          .row_ptr = weights.row_ptr().data(),
+          .col_idx = weights.col_idx().data(),
+          .values = weights.values().data()};
+}
+
+RowSource AllSource(const CsrMatrix& weights) {
+  return {.size = static_cast<size_t>(weights.rows()),
+          .cols = weights.cols(),
+          .row_ptr = weights.row_ptr().data(),
+          .col_idx = weights.col_idx().data(),
+          .values = weights.values().data()};
+}
+
+/// The map edge: the row table of every column `source` references, the
+/// provider called once per such column.
+std::vector<RowView> ResolveTable(const RowSource& source,
+                                  const RowProvider& provider) {
+  const size_t cols = static_cast<size_t>(std::max<int32_t>(source.cols, 0));
+  std::vector<RowView> table(cols);
+  std::vector<bool> resolved(cols);
+  for (size_t local = 0; local < source.size; ++local) {
+    const size_t csr_row = source.CsrRow(local);
+    for (int64_t p = source.row_ptr[csr_row]; p < source.row_ptr[csr_row + 1];
+         ++p) {
+      const int32_t col = source.col_idx[p];
+      if (resolved[col]) continue;
+      resolved[col] = true;
+      if (const SparseVector* x = provider(col); x != nullptr) {
+        table[col] = RowView::Of(*x);
+      }
+    }
+  }
+  return table;
+}
+
+ActivationMap ForwardMap(const RowSource& source, const RowProvider& provider,
+                         float bias, float relu_cap, int32_t batch,
+                         LayerForwardStats* stats) {
+  ActivationRows out;
+  Forward(source, ResolveTable(source, provider), bias, relu_cap, batch, &out,
+          stats);
+  return out.ToMap();
 }
 
 }  // namespace
@@ -284,6 +386,35 @@ const char* LayerForwardKernelName() {
   return UseAvx2() ? "avx2" : "portable";
 }
 
+void LayerForward(const CsrMatrix& weights, const std::vector<int32_t>& rows,
+                  std::span<const RowView> table, float bias, float relu_cap,
+                  int32_t batch, ActivationRows* out,
+                  LayerForwardStats* stats) {
+  Forward(SubsetSource(weights, rows), table, bias, relu_cap, batch, out,
+          stats);
+}
+
+void LayerForwardAll(const CsrMatrix& weights, std::span<const RowView> table,
+                     float bias, float relu_cap, int32_t batch,
+                     ActivationRows* out, LayerForwardStats* stats) {
+  Forward(AllSource(weights), table, bias, relu_cap, batch, out, stats);
+}
+
+double CountLayerMacs(const CsrMatrix& weights,
+                      const std::vector<int32_t>& rows,
+                      std::span<const RowView> table) {
+  // Every active row's entries are counted once per weight that reads it.
+  FSD_CHECK_EQ(table.size(),
+               static_cast<size_t>(std::max(weights.cols(), 0)));
+  int64_t macs = 0;
+  for (const int32_t row : rows) {
+    weights.ForEachInRow(row, [&](int32_t col, float /*weight*/) {
+      macs += table[col].nnz;
+    });
+  }
+  return static_cast<double>(macs);
+}
+
 ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
                            float bias, float relu_cap, int32_t batch,
                            LayerForwardStats* stats) {
@@ -293,7 +424,7 @@ ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
                             .row_ptr = block.row_ptr.data(),
                             .col_idx = block.col_idx.data(),
                             .values = block.values.data()};
-  return Forward(source, provider, bias, relu_cap, batch, stats);
+  return ForwardMap(source, provider, bias, relu_cap, batch, stats);
 }
 
 ActivationMap LayerForward(const CsrMatrix& weights,
@@ -301,46 +432,23 @@ ActivationMap LayerForward(const CsrMatrix& weights,
                            const RowProvider& provider, float bias,
                            float relu_cap, int32_t batch,
                            LayerForwardStats* stats) {
-  const RowSource source = {.size = rows.size(),
-                            .cols = weights.cols(),
-                            .ids = rows.data(),
-                            .rows = rows.data(),
-                            .row_ptr = weights.row_ptr().data(),
-                            .col_idx = weights.col_idx().data(),
-                            .values = weights.values().data()};
-  return Forward(source, provider, bias, relu_cap, batch, stats);
+  return ForwardMap(SubsetSource(weights, rows), provider, bias, relu_cap,
+                    batch, stats);
 }
 
 double CountLayerMacs(const CsrMatrix& weights,
                       const std::vector<int32_t>& rows,
                       const RowProvider& provider) {
-  // Memoizes the provider per column as the kernel does; every active
-  // row's entries are counted once per weight that reads it.
-  std::vector<int32_t> nnz(static_cast<size_t>(std::max(weights.cols(), 0)),
-                           -1);
-  int64_t macs = 0;
-  for (const int32_t row : rows) {
-    weights.ForEachInRow(row, [&](int32_t col, float /*weight*/) {
-      if (nnz[col] < 0) {
-        const SparseVector* x = provider(col);
-        nnz[col] = x == nullptr ? 0 : static_cast<int32_t>(x->nnz());
-      }
-      macs += nnz[col];
-    });
-  }
-  return static_cast<double>(macs);
+  return CountLayerMacs(
+      weights, rows, ResolveTable(SubsetSource(weights, rows), provider));
 }
 
 ActivationMap LayerForwardAll(const CsrMatrix& weights,
                               const RowProvider& provider, float bias,
                               float relu_cap, int32_t batch,
                               LayerForwardStats* stats) {
-  const RowSource source = {.size = static_cast<size_t>(weights.rows()),
-                            .cols = weights.cols(),
-                            .row_ptr = weights.row_ptr().data(),
-                            .col_idx = weights.col_idx().data(),
-                            .values = weights.values().data()};
-  return Forward(source, provider, bias, relu_cap, batch, stats);
+  return ForwardMap(AllSource(weights), provider, bias, relu_cap, batch,
+                    stats);
 }
 
 }  // namespace fsd::linalg

@@ -10,6 +10,10 @@
 // slice with a lane mask, adds w * slice per weight in CSR order, and
 // emits the OR of the masks in ascending lane order.
 //
+// The kernel reads its input rows from a RowView table indexed by weight
+// column and writes one flat ActivationRows; ActivationMap overloads sit
+// at the edges as adapters.
+//
 // Thread safety: the tile accumulator and the slice panel live in
 // thread_local scratch, so concurrent LayerForward calls from different
 // threads (the sim's compute-offload pool) are race-free and produce
@@ -19,8 +23,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
+#include <vector>
 
+#include "linalg/activation_rows.h"
 #include "linalg/csr.h"
 #include "linalg/sparse_vector.h"
 
@@ -49,23 +55,22 @@
 
 namespace fsd::linalg {
 
-/// Activations of one layer: neuron-row id -> sparse row over the batch.
-/// Ordered map for deterministic iteration (payload bytes must be stable).
-using ActivationMap = std::map<int32_t, SparseVector>;
-
 /// Returns the activation row for a global neuron id, or nullptr when the
-/// row is entirely zero (inactive neuron).
+/// row is entirely zero (inactive neuron). The map-edge overloads below
+/// take one; the flat core reads a RowView table instead.
 using RowProvider = std::function<const SparseVector*(int32_t)>;
 
 struct LayerForwardStats {
   double macs = 0.0;          ///< multiply-accumulate operations executed
   int64_t rows_produced = 0;  ///< nonzero output rows
   int64_t output_nnz = 0;     ///< total nonzeros in output rows
+
+  bool operator==(const LayerForwardStats& other) const = default;
 };
 
 /// Kernel selection for LayerForward. Both kernels run one body and differ
 /// only in the lane loop (scalar, or AVX2 multiply then add, never FMA), so
-/// they produce byte-identical ActivationMaps and LayerForwardStats.
+/// they produce byte-identical rows and LayerForwardStats.
 enum class ForwardKernel {
   kAuto,        ///< vectorized when compiled in and the CPU supports it
   kPortable,    ///< scalar baseline, always built
@@ -83,33 +88,35 @@ bool LayerForwardVectorizedAvailable();
 /// "portable" or "avx2".
 const char* LayerForwardKernelName();
 
-/// Computes  z = ReLU_clamped(W_block * X + bias)  for the rows in `block`.
+/// ---- the flat core ----
 ///
-/// X is presented through `provider` over `block.cols` global columns; each
-/// provided row is a SparseVector of width `batch`. Output rows that are
-/// entirely zero after activation are omitted (the Graph Challenge's
-/// thresholded-ReLU keeps activations sparse). `relu_cap` clamps values
-/// (32 in the benchmark); pass 0 to disable the final activation (used by
-/// the output layer of generic models).
+/// Computes  z = ReLU_clamped(W_rows * X + bias)  for the subset `rows` of
+/// `weights` (strictly increasing, in range) into `out`, which is cleared
+/// first (its buffers are reused). X is the row table: table[c] is the
+/// input row for weight column c, an empty view for an inactive row, and
+/// the table has exactly weights.cols() entries. Each row is a sparse row
+/// of width `batch`.
+///
+/// Output rows that are entirely zero after activation are omitted (the
+/// Graph Challenge's thresholded-ReLU keeps activations sparse); every
+/// emitted row has dim `batch`. `relu_cap` clamps values (32 in the
+/// benchmark); pass 0 to disable the final activation (used by the output
+/// layer of generic models).
 ///
 /// Weights must be finite (GenerateSparseDnn guarantees it) and every
-/// provided row's indices must lie in [0, batch). Under those conditions
+/// table row's indices must lie in [0, batch). Under those conditions
 /// the output is byte-identical to scattering each weight's products into
 /// only the lanes its input row holds: a lane the row lacks receives
 /// w * 0 = +-0, which never changes an accumulator that starts at +0.
-ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
-                           float bias, float relu_cap, int32_t batch,
-                           LayerForwardStats* stats = nullptr);
+void LayerForward(const CsrMatrix& weights, const std::vector<int32_t>& rows,
+                  std::span<const RowView> table, float bias, float relu_cap,
+                  int32_t batch, ActivationRows* out,
+                  LayerForwardStats* stats = nullptr);
 
-/// Zero-copy variant: computes the same result for the subset `rows` of
-/// `weights` without extracting a RowBlock (workers iterate their partition
-/// of the shared model directly). `rows` must be strictly increasing and in
-/// range.
-ActivationMap LayerForward(const CsrMatrix& weights,
-                           const std::vector<int32_t>& rows,
-                           const RowProvider& provider, float bias,
-                           float relu_cap, int32_t batch,
-                           LayerForwardStats* stats = nullptr);
+/// The same over every row of `weights` (the serial reference).
+void LayerForwardAll(const CsrMatrix& weights, std::span<const RowView> table,
+                     float bias, float relu_cap, int32_t batch,
+                     ActivationRows* out, LayerForwardStats* stats = nullptr);
 
 /// Exact MAC count the subset LayerForward above would report in
 /// stats->macs: the nnz of each weight's input row, summed over the
@@ -119,9 +126,29 @@ ActivationMap LayerForward(const CsrMatrix& weights,
 /// counts match to the bit.
 double CountLayerMacs(const CsrMatrix& weights,
                       const std::vector<int32_t>& rows,
+                      std::span<const RowView> table);
+
+/// ---- map-edge adapters ----
+/// Each resolves the provider once per referenced column into a row
+/// table, runs the flat core and converts its rows to a map.
+
+/// The block's rows (ids and CSR from `block`) over `block.cols` columns.
+ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
+                           float bias, float relu_cap, int32_t batch,
+                           LayerForwardStats* stats = nullptr);
+
+/// The subset `rows` of `weights`, without extracting a RowBlock.
+ActivationMap LayerForward(const CsrMatrix& weights,
+                           const std::vector<int32_t>& rows,
+                           const RowProvider& provider, float bias,
+                           float relu_cap, int32_t batch,
+                           LayerForwardStats* stats = nullptr);
+
+double CountLayerMacs(const CsrMatrix& weights,
+                      const std::vector<int32_t>& rows,
                       const RowProvider& provider);
 
-/// Zero-copy variant over every row of `weights` (serial reference).
+/// Every row of `weights`.
 ActivationMap LayerForwardAll(const CsrMatrix& weights,
                               const RowProvider& provider, float bias,
                               float relu_cap, int32_t batch,

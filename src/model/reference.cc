@@ -13,29 +13,30 @@ Result<linalg::ActivationMap> ReferenceInference(
   int32_t batch = input.begin()->second.dim;
   if (batch <= 0) return Status::InvalidArgument("batch width must be > 0");
 
-  linalg::ActivationMap x = input;
+  // The layers run on the flat kernel core; the map is only the edge, so
+  // a `per_layer` observer costs one conversion per layer.
+  linalg::ActivationRows x = linalg::ActivationRows::FromMap(input);
+  linalg::ActivationRows next;
+  std::vector<linalg::RowView> table;
   if (stats != nullptr) *stats = ReferenceStats{};
   for (int32_t k = 0; k < dnn.layers(); ++k) {
-    const linalg::ActivationMap* source = &x;
+    table.assign(static_cast<size_t>(dnn.weights[k].cols()),
+                 linalg::RowView{});
+    x.ViewInto(table);
     linalg::LayerForwardStats layer_stats;
-    linalg::ActivationMap next = linalg::LayerForwardAll(
-        dnn.weights[k],
-        [source](int32_t row) -> const linalg::SparseVector* {
-          auto it = source->find(row);
-          return it == source->end() ? nullptr : &it->second;
-        },
-        dnn.config.bias, dnn.config.relu_cap, batch, &layer_stats);
+    linalg::LayerForwardAll(dnn.weights[k], table, dnn.config.bias,
+                            dnn.config.relu_cap, batch, &next, &layer_stats);
     if (stats != nullptr) {
       stats->total_macs += layer_stats.macs;
       stats->total_flops += linalg::LayerFlops(layer_stats);
       stats->rows_per_layer.push_back(layer_stats.rows_produced);
       stats->nnz_per_layer.push_back(layer_stats.output_nnz);
     }
-    x = std::move(next);
-    if (per_layer) per_layer(k, x);
+    std::swap(x, next);
+    if (per_layer) per_layer(k, x.ToMap());
     if (x.empty()) break;  // network died out; remaining layers are zero
   }
-  return x;
+  return x.ToMap();
 }
 
 std::vector<double> SampleScores(const linalg::ActivationMap& final_layer,

@@ -14,6 +14,7 @@
 #include "core/kv_channel.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
+#include "core/worker.h"
 #include "common/strings.h"
 
 namespace fsd::core {
@@ -484,6 +485,74 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
     EXPECT_EQ(recv_rows, static_cast<int64_t>(sequential.size()))
         << "pool=" << pool;
   }
+}
+
+TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
+  // Row 5 arrives in three bodies: alone in one window, then twice in the
+  // next. FinishRows hands back the bodies unmerged in arrival order,
+  // recv_rows counts the three distinct ids, and the row table the kernel
+  // reads views the last arrival's row 5 (a local row still beats them).
+  const linalg::ActivationMap first = MakeRows({3, 5}, 16, 4);
+  const linalg::ActivationMap second = MakeRows({5, 7}, 16, 2);
+  const linalg::ActivationMap third = MakeRows({5, 9}, 16, 1);
+  const Bytes a = EncodeOne(first, {3, 5});
+  const Bytes b = EncodeOne(second, {5, 7});
+  const Bytes c = EncodeOne(third, {5, 9});
+  linalg::ActivationMap sequential;
+  for (const Bytes* body : {&a, &b, &c}) {
+    ASSERT_TRUE(DecodeRows(*body, &sequential).ok());
+  }
+  const linalg::ActivationRows local =
+      linalg::ActivationRows::FromMap(MakeRows({9}, 16, 3));
+
+  for (const int pool : {0, 1, 4}) {
+    Result<ReceivedRows> got = Status::Internal("never received");
+    int64_t recv_rows = -1;
+    RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
+      PhaseReceiver receiver(env, 0, {0});
+      ASSERT_TRUE(*receiver.Accept(0, 0, 3));
+      ASSERT_TRUE(receiver.Decode({a}, 1).ok());
+      ASSERT_TRUE(*receiver.Accept(0, 1, 3));
+      ASSERT_TRUE(*receiver.Accept(0, 2, 3));
+      ASSERT_TRUE(receiver.Decode({b, c}, 1).ok());
+      EXPECT_TRUE(receiver.done());
+      got = receiver.FinishRows();
+      recv_rows = receiver.metrics().recv_rows;
+    });
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
+    ASSERT_EQ(got->size(), 3u) << "pool=" << pool;
+    EXPECT_EQ((*got)[0].ToMap(), first) << "pool=" << pool;
+    EXPECT_EQ((*got)[1].ToMap(), second) << "pool=" << pool;
+    EXPECT_EQ((*got)[2].ToMap(), third) << "pool=" << pool;
+    EXPECT_EQ(MergeReceived(*got), sequential) << "pool=" << pool;
+    EXPECT_EQ(recv_rows, 4) << "pool=" << pool;  // ids 3, 5, 7, 9
+
+    std::vector<linalg::RowView> table;
+    ASSERT_TRUE(BuildRowTable(local, *got, 16, 16, &table).ok());
+    EXPECT_EQ(table[5].val, (*got)[2].row(0).val) << "pool=" << pool;
+    EXPECT_EQ(table[5].nnz, 1) << "pool=" << pool;
+    EXPECT_EQ(table[3].nnz, 4) << "pool=" << pool;
+    EXPECT_EQ(table[7].nnz, 2) << "pool=" << pool;
+    EXPECT_EQ(table[9].val, local.row(0).val) << "pool=" << pool;
+    EXPECT_TRUE(table[4].empty()) << "pool=" << pool;
+  }
+}
+
+TEST(PhaseReceiverTest, RecvRowsCountsWideIdsOnce) {
+  // Ids past the receiver's id bitmap (a hostile sender's) still count
+  // once each across bodies.
+  const int32_t wide = 1 << 23;
+  const linalg::ActivationMap rows = MakeRows({5, wide, wide + 1}, 16, 2);
+  const Bytes a = EncodeOne(rows, {5, wide});
+  const Bytes b = EncodeOne(rows, {wide, wide + 1});
+  int64_t recv_rows = -1;
+  RunOnPool(0, FsdOptions{}, [&](WorkerEnv* env) {
+    PhaseReceiver receiver(env, 0, {0});
+    ASSERT_TRUE(receiver.Decode({a, b}, 1).ok());
+    ASSERT_TRUE(receiver.FinishRows().ok());
+    recv_rows = receiver.metrics().recv_rows;
+  });
+  EXPECT_EQ(recv_rows, 3);
 }
 
 TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {

@@ -1015,6 +1015,229 @@ TEST(LzDifferential, SeededDamagedContainers) {
   EXPECT_GT(cases, 8000);
 }
 
+// ---------------------------------------------------------------------------
+// Flat row decode: core::DecodeRows into ActivationRows (and its map edge)
+// against a map decoder written from the row wire format alone, which
+// assigns rows into a map one by one as the decoder did before rows went
+// flat. Both must return the same status code, and the same rows when the
+// chunk decodes.
+// ---------------------------------------------------------------------------
+
+/// Sets `*ascending` false when the chunk's row ids do not strictly ascend.
+Result<linalg::ActivationMap> ReferenceRowDecode(const Bytes& wire,
+                                                 bool* ascending) {
+  if (wire.empty()) return Status::DataLoss("empty row payload");
+  auto unwrap = [](const uint8_t* data, size_t size) -> Result<Bytes> {
+    if (size == 0) return Status::DataLoss("empty row payload");
+    if (data[0] == 1) return LzDecompress(data + 1, size - 1);
+    if (data[0] == 0) return Bytes(data + 1, data + size);
+    return Status::DataLoss("unknown row payload tag");
+  };
+  Bytes payload;
+  std::vector<float> values;
+  const bool quantized = wire[0] == 2;
+  if (quantized) {
+    ByteReader reader(wire.data() + 1, wire.size() - 1);
+    FSD_ASSIGN_OR_RETURN(uint64_t structure_len, GetVarint64(&reader));
+    const size_t pos = 1 + reader.position();
+    if (structure_len > wire.size() - pos) {
+      return Status::DataLoss("structure overruns chunk");
+    }
+    FSD_ASSIGN_OR_RETURN(payload, unwrap(wire.data() + pos, structure_len));
+    FSD_ASSIGN_OR_RETURN(
+        values, QuantDecompress(Bytes(wire.begin() + pos + structure_len,
+                                      wire.end())));
+  } else {
+    FSD_ASSIGN_OR_RETURN(payload, unwrap(wire.data(), wire.size()));
+  }
+  ByteReader reader(payload);
+  linalg::ActivationMap out;
+  FSD_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&reader));
+  size_t next_value = 0;
+  for (uint64_t r = 0; r < count; ++r) {
+    FSD_ASSIGN_OR_RETURN(uint64_t id, GetVarint64(&reader));
+    FSD_ASSIGN_OR_RETURN(uint64_t nnz, GetVarint64(&reader));
+    FSD_ASSIGN_OR_RETURN(uint64_t dim, GetVarint64(&reader));
+    if (id > INT32_MAX || dim > INT32_MAX) return Status::DataLoss("wide");
+    if (nnz > reader.remaining()) return Status::DataLoss("nnz");
+    linalg::SparseVector row;
+    row.dim = static_cast<int32_t>(dim);
+    int64_t prev = -1;
+    for (uint64_t p = 0; p < nnz; ++p) {
+      FSD_ASSIGN_OR_RETURN(uint64_t delta, GetVarint64(&reader));
+      prev += 1 + static_cast<int64_t>(delta);
+      if (prev >= static_cast<int64_t>(dim)) return Status::DataLoss("idx");
+      row.idx.push_back(static_cast<int32_t>(prev));
+    }
+    for (uint64_t p = 0; p < nnz; ++p) {
+      if (quantized) {
+        if (next_value >= values.size()) return Status::DataLoss("under");
+        row.val.push_back(values[next_value++]);
+      } else {
+        FSD_ASSIGN_OR_RETURN(float v, reader.Read<float>());
+        row.val.push_back(v);
+      }
+    }
+    if (!out.empty() && out.rbegin()->first >= static_cast<int32_t>(id)) {
+      *ascending = false;
+    }
+    out[static_cast<int32_t>(id)] = std::move(row);
+  }
+  if (quantized && next_value != values.size()) {
+    return Status::DataLoss("over");
+  }
+  return out;
+}
+
+/// Decode outcomes seen, to show the inputs reached the interesting paths.
+struct RowDecodeTally {
+  int cases = 0;
+  int ok_with_rows = 0;
+  int reordered = 0;  ///< OK chunks whose ids were not strictly ascending
+};
+
+/// Whether the flat decode and the map edge agree with the reference.
+::testing::AssertionResult RowDecodersAgree(const Bytes& wire,
+                                            RowDecodeTally* tally) {
+  ++tally->cases;
+  bool ascending = true;
+  const Result<linalg::ActivationMap> want =
+      ReferenceRowDecode(wire, &ascending);
+  linalg::ActivationRows flat;
+  const Status got = core::DecodeRows(wire, &flat);
+  linalg::ActivationMap map;
+  const Status got_map = core::DecodeRows(wire, &map);
+  if (got.code() != want.status().code() ||
+      got_map.code() != want.status().code()) {
+    return ::testing::AssertionFailure()
+           << "flat " << got.ToString() << ", map " << got_map.ToString()
+           << ", want " << want.status().ToString();
+  }
+  if (!want.ok()) {
+    if (!flat.empty() || !map.empty()) {
+      return ::testing::AssertionFailure() << "a failed decode wrote rows";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  if (flat.ToMap() != *want || map != *want) {
+    return ::testing::AssertionFailure() << "decoded rows differ";
+  }
+  if (!want->empty()) ++tally->ok_with_rows;
+  if (!ascending) ++tally->reordered;
+  return ::testing::AssertionSuccess();
+}
+
+Bytes Tagged(uint8_t tag, const Bytes& body) {
+  Bytes wire(body.size() + 1);
+  wire[0] = tag;
+  if (!body.empty()) std::memcpy(wire.data() + 1, body.data(), body.size());
+  return wire;
+}
+
+TEST(FlatDecode, AgreesWithMapDecodeOverTheGoldenCorpus) {
+  RowDecodeTally tally;
+  std::vector<Bytes> bodies;
+  for (const Shape shape : kShapes) {
+    for (const size_t size : kCorpusSizes) {
+      bodies.push_back(MakeCorpusInput(
+          shape, size, size * 131 + static_cast<uint64_t>(shape)));
+    }
+  }
+  for (Bytes& payload : RowPayloads(1024, 8, 8, 3)) {
+    bodies.push_back(std::move(payload));
+  }
+  for (const Bytes& body : bodies) {
+    ASSERT_TRUE(RowDecodersAgree(Tagged(0, body), &tally));
+    ASSERT_TRUE(RowDecodersAgree(Tagged(1, LzCompress(body)), &tally));
+    ASSERT_TRUE(RowDecodersAgree(Tagged(7, body), &tally));
+  }
+  // Hand-made chunks: ids out of order, a repeated id, mixed dims and an
+  // empty row; each resolves as sequential map assignments do.
+  Bytes raw;
+  PutVarint64(&raw, 5);
+  for (const auto& [id, dim, lane] :
+       {std::tuple{9, 4, 1}, std::tuple{2, 4, 3}, std::tuple{9, 6, 5},
+        std::tuple{4, 2, -1}, std::tuple{0, 4, 0}}) {
+    PutVarint64(&raw, static_cast<uint64_t>(id));
+    PutVarint64(&raw, lane < 0 ? 0 : 1);
+    PutVarint64(&raw, static_cast<uint64_t>(dim));
+    if (lane >= 0) {
+      PutVarint64(&raw, static_cast<uint64_t>(lane));
+      const float v = 0.5f * static_cast<float>(id);
+      const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
+      raw.insert(raw.end(), bytes, bytes + sizeof(v));
+    }
+  }
+  ASSERT_TRUE(RowDecodersAgree(Tagged(0, raw), &tally));
+  ASSERT_TRUE(RowDecodersAgree(Tagged(1, LzCompress(raw)), &tally));
+  for (size_t keep = 1; keep < raw.size(); ++keep) {
+    ASSERT_TRUE(RowDecodersAgree(
+        Tagged(0, Bytes(raw.begin(), raw.begin() + keep)), &tally));
+  }
+  EXPECT_GT(tally.ok_with_rows, 10);
+  EXPECT_GE(tally.reordered, 1);
+}
+
+TEST(FlatDecode, AgreesWithMapDecodeOverDamagedContainers) {
+  // The LzDifferential bases, damaged the same ways, carried as compressed
+  // row chunks; plus damaged quantized chunks of real row payloads.
+  std::vector<Bytes> bases;
+  for (const Shape shape : kShapes) {
+    for (const size_t size : {64, 65, 300, 4096, 70001}) {
+      bases.push_back(LzCompress(MakeCorpusInput(shape, size, size + 17)));
+    }
+  }
+  for (const Bytes& payload : RowPayloads(1024, 8, 8, 5)) {
+    if (bases.size() == 40) break;
+    bases.push_back(LzCompress(payload));
+  }
+  RowDecodeTally tally;
+  Rng rng(2027);
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const Bytes& base = bases[b];
+    for (size_t cut = 1; cut <= 8 && cut <= base.size(); ++cut) {
+      ASSERT_TRUE(RowDecodersAgree(
+          Tagged(1, Bytes(base.begin(), base.end() - cut)), &tally))
+          << "base " << b << " cut " << cut;
+    }
+    for (int i = 0; i < 40; ++i) {
+      Bytes damaged = base;
+      const size_t bit = rng.NextBounded(damaged.size() * 8);
+      damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_TRUE(RowDecodersAgree(Tagged(1, damaged), &tally))
+          << "base " << b << " flip " << bit;
+      const size_t keep = rng.NextBounded(base.size());
+      ASSERT_TRUE(RowDecodersAgree(
+          Tagged(1, Bytes(base.begin(), base.begin() + keep)), &tally))
+          << "base " << b << " keep " << keep;
+    }
+  }
+  const Bytes payload = RowPayloads(1024, 16, 4, 3).front();
+  linalg::ActivationMap rows;
+  ASSERT_TRUE(core::DecodeRows(Tagged(0, payload), &rows).ok());
+  std::vector<int32_t> ids;
+  for (const auto& [id, row] : rows) ids.push_back(id);
+  for (const int bits : {4, 8, 16}) {
+    const Bytes wire =
+        core::EncodeRows(rows, ids, 0, core::QuantCodec(bits)).chunks[0].wire;
+    ASSERT_TRUE(RowDecodersAgree(wire, &tally)) << "bits " << bits;
+    for (int i = 0; i < 200; ++i) {
+      Bytes damaged = wire;
+      const size_t bit = rng.NextBounded(damaged.size() * 8);
+      damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_TRUE(RowDecodersAgree(damaged, &tally))
+          << "bits " << bits << " flip " << bit;
+    }
+    for (size_t keep = 0; keep < wire.size(); keep += 7) {
+      ASSERT_TRUE(RowDecodersAgree(
+          Bytes(wire.begin(), wire.begin() + keep + 1), &tally))
+          << "bits " << bits << " keep " << keep;
+    }
+  }
+  EXPECT_GT(tally.cases, 3000);
+  EXPECT_GT(tally.ok_with_rows, 20);
+}
+
 TEST(CodecConcurrency, ThreadsMatchSerialOutputs) {
   // LzCompress keeps per-thread hash-chain scratch and offload pool threads
   // run the codec concurrently: threads working through the corpus in

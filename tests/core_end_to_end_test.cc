@@ -417,22 +417,36 @@ linalg::SparseVector RowOfDim(int32_t dim, int32_t at) {
   return row;
 }
 
+/// Which row a table slot views: (idx, val) pointers identify it.
+std::vector<std::pair<const int32_t*, const float*>> Views(
+    const std::vector<linalg::RowView>& table) {
+  std::vector<std::pair<const int32_t*, const float*>> views;
+  for (const linalg::RowView& view : table) {
+    views.push_back({view.idx, view.val});
+  }
+  return views;
+}
+
 TEST(RowTable, LocalRowsWinOverReceivedRows) {
-  linalg::ActivationMap local, received;
-  local[1] = RowOfDim(4, 0);
-  local[3] = RowOfDim(4, 1);
-  received[2] = RowOfDim(4, 2);
-  received[3] = RowOfDim(4, 3);  // shadowed by the local row 3
-  std::vector<const linalg::SparseVector*> table;
+  linalg::ActivationMap local_map, received_map;
+  local_map[1] = RowOfDim(4, 0);
+  local_map[3] = RowOfDim(4, 1);
+  received_map[2] = RowOfDim(4, 2);
+  received_map[3] = RowOfDim(4, 3);  // shadowed by the local row 3
+  const auto local = linalg::ActivationRows::FromMap(local_map);
+  const ReceivedRows received = {
+      linalg::ActivationRows::FromMap(received_map)};
+  std::vector<linalg::RowView> table;
   ASSERT_TRUE(BuildRowTable(local, received, 5, 4, &table).ok());
-  const std::vector<const linalg::SparseVector*> want = {
-      nullptr, &local[1], &received[2], &local[3], nullptr};
-  EXPECT_EQ(table, want);
+  const std::vector<linalg::RowView> want = {
+      {}, local.row(0), received[0].row(0), local.row(1), {}};
+  EXPECT_EQ(Views(table), Views(want));
 }
 
 TEST(RowTable, HostileReceivedRowsFailAsDataLossAndWriteNothing) {
   const linalg::SparseVector sentinel = RowOfDim(4, 0);
-  const linalg::ActivationMap local = {{0, RowOfDim(4, 1)}};
+  const auto local =
+      linalg::ActivationRows::FromMap({{0, RowOfDim(4, 1)}});
   const std::vector<std::pair<int32_t, int32_t>> hostile = {
       {5, 4},   // row id == cols
       {-1, 4},  // negative row id
@@ -441,13 +455,16 @@ TEST(RowTable, HostileReceivedRowsFailAsDataLossAndWriteNothing) {
   };
   for (const auto& [row_id, dim] : hostile) {
     SCOPED_TRACE(testing::Message() << "row " << row_id << " dim " << dim);
-    linalg::ActivationMap received = {{1, RowOfDim(4, 2)}};
-    received[row_id] = RowOfDim(dim, 0);
-    std::vector<const linalg::SparseVector*> table = {&sentinel, nullptr};
+    linalg::ActivationMap received_map = {{1, RowOfDim(4, 2)}};
+    received_map[row_id] = RowOfDim(dim, 0);
+    const ReceivedRows received = {
+        linalg::ActivationRows::FromMap(received_map)};
+    const std::vector<linalg::RowView> before = {
+        linalg::RowView::Of(sentinel), {}};
+    std::vector<linalg::RowView> table = before;
     const Status status = BuildRowTable(local, received, 5, 4, &table);
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-    EXPECT_EQ(table, (std::vector<const linalg::SparseVector*>{&sentinel,
-                                                               nullptr}));
+    EXPECT_EQ(Views(table), Views(before));
   }
 }
 
