@@ -1,14 +1,20 @@
 // Serving-level scheduler-pipeline tests: admission control, load
 // shedding, deadline-driven batch flushing and EDF dispatch exercised
 // end-to-end on real worker trees, plus the FleetStats disposition
-// partition and SLO-attainment reconciliation.
+// partition and SLO-attainment reconciliation. SchedulerPinned replays
+// seeded multi-tenant traces and pins a digest of every scheduling
+// decision, so a rework of the scheduler stages must reproduce them
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
 #include "cloud/cloud.h"
 #include "core/serving.h"
+#include "core/trace.h"
 #include "model/input_gen.h"
 #include "model/reference.h"
 
@@ -402,6 +408,162 @@ TEST(AdmissionServing, LateJoinerWithTightDeadlineTightensTheFlush) {
   EXPECT_TRUE(report->queries[2].deadline_met);
   EXPECT_EQ(report->fleet.deadline_hits, 1);
   EXPECT_EQ(sim.live_processes(), 0);
+}
+
+// --- pinned scheduler decisions ---
+
+/// FNV-1a, length-prefixing every field so adjacent fields never alias.
+class Digest {
+ public:
+  void Add(std::string_view bytes) {
+    AddWord(bytes.size());
+    for (const char c : bytes) Mix(static_cast<unsigned char>(c));
+  }
+  void AddWord(uint64_t word) {
+    for (size_t i = 0; i < sizeof(word); ++i) Mix((word >> (8 * i)) & 0xff);
+  }
+  void AddDouble(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    AddWord(bits);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(uint64_t byte) { hash_ = (hash_ ^ byte) * 0x100000001b3ull; }
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Every scheduling decision of a replay: each query's disposition, reason,
+/// serving tree, batch size and timing bits, plus the fleet summary. Query
+/// and run ids come from a process-wide counter, so they are taken
+/// relative to the replay's first query id.
+uint64_t SchedulerDigest(const ServingReport& report) {
+  Digest d;
+  const uint64_t base =
+      report.queries.empty() ? 0 : report.queries.front().query_id;
+  d.AddWord(report.queries.size());
+  for (const QueryOutcome& outcome : report.queries) {
+    d.AddWord(outcome.query_id - base);
+    d.AddWord(static_cast<uint64_t>(outcome.disposition));
+    d.Add(outcome.reject_reason);
+    d.AddWord(outcome.run_id == 0 ? 0 : outcome.run_id - base);
+    d.AddWord(static_cast<uint64_t>(outcome.batch_peers));
+    d.AddDouble(outcome.arrival_s);
+    d.AddDouble(outcome.finish_s);
+    d.AddDouble(outcome.queue_wait_s);
+  }
+  d.Add(report.fleet.Summary());
+  return d.value();
+}
+
+/// Three tenants over a diurnal base rate with a flash crowd: gold (tight
+/// SLO, top class), silver (looser SLO, rate quota) and bronze (no SLO,
+/// tight rate quota).
+WorkloadTrace PinnedTrace() {
+  TraceConfig config;
+  config.duration_s = 12.0;
+  config.base_rate_qps = 8.0;
+  config.diurnal_amplitude = 0.3;
+  config.diurnal_period_s = 12.0;
+  config.flash_crowds = {FlashCrowd{4.0, 2.0, 5.0}};
+  config.seed = 11;
+  TenantSpec gold;
+  gold.tenant = 1;
+  gold.name = "gold";
+  gold.qps_share = 2.0;
+  gold.priority = 2;
+  gold.slo_deadline_s = 3.0;
+  TenantSpec silver;
+  silver.tenant = 2;
+  silver.name = "silver";
+  silver.qps_share = 2.0;
+  silver.priority = 1;
+  silver.slo_deadline_s = 6.0;
+  silver.quota_qps = 3.0;
+  silver.quota_burst = 4.0;
+  TenantSpec bronze;
+  bronze.tenant = 3;
+  bronze.name = "bronze";
+  bronze.qps_share = 1.0;
+  bronze.quota_qps = 1.0;
+  config.tenants = {gold, silver, bronze};
+  auto trace = GenerateTrace(config);
+  EXPECT_TRUE(trace.ok()) << trace.status().ToString();
+  return std::move(*trace);
+}
+
+ServingReport ReplayPinned(const WorkloadTrace& trace,
+                           const ServingOptions& options) {
+  Workload w = MakeWorkload(/*neurons=*/64, /*layers=*/2, /*batch=*/4,
+                            /*workers=*/2);
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingRuntime serving(&cloud, options);
+  auto report = ReplayTrace(serving, trace, MakeRequest(w));
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  CheckFleetReconciles(*report);
+  return std::move(*report);
+}
+
+ServingOptions PinnedOptions(const WorkloadTrace& trace) {
+  ServingOptions options;
+  options.batch_window_s = 0.05;
+  options.max_batch_queries = 4;
+  options.max_concurrent_runs = 2;
+  options.tenant_quotas = TraceTenantQuotas(trace.config);
+  return options;
+}
+
+TEST(SchedulerPinned, ShedLowestPriorityEdfWithQuotas) {
+  const WorkloadTrace trace = PinnedTrace();
+  ServingOptions options = PinnedOptions(trace);
+  options.admission_control = true;
+  options.max_queue_depth = 6;
+  options.shed_policy = ShedPolicy::kShedLowestPriority;
+  options.queue_discipline = QueueDiscipline::kEdf;
+  // Silver may also hold at most half the backlog.
+  options.tenant_quotas[0].max_queue_share = 0.5;
+  const ServingReport report = ReplayPinned(trace, options);
+  EXPECT_GT(report.fleet.shed, 0);
+  EXPECT_GT(report.fleet.rejected, 0);
+  EXPECT_EQ(SchedulerDigest(report), 0xa9da1e657dfea3eeull)
+      << "0x" << std::hex << SchedulerDigest(report);
+}
+
+TEST(SchedulerPinned, RejectNewFifoWithWaitBound) {
+  const WorkloadTrace trace = PinnedTrace();
+  ServingOptions options = PinnedOptions(trace);
+  options.admission_control = true;
+  options.max_queue_depth = 16;
+  options.max_queue_wait_s = 1.0;
+  options.shed_policy = ShedPolicy::kRejectNew;
+  options.queue_discipline = QueueDiscipline::kFifo;
+  const ServingReport report = ReplayPinned(trace, options);
+  EXPECT_EQ(report.fleet.shed, 0);
+  EXPECT_GT(report.fleet.rejected, 0);
+  EXPECT_EQ(SchedulerDigest(report), 0x3158d5e8f116327cull)
+      << "0x" << std::hex << SchedulerDigest(report);
+}
+
+TEST(SchedulerPinned, QuotasWithAdmissionControlOff) {
+  const WorkloadTrace trace = PinnedTrace();
+  ServingOptions options = PinnedOptions(trace);
+  // Bounds set but admission control off: only the quotas may reject.
+  options.admission_control = false;
+  options.max_queue_depth = 2;
+  options.max_queue_wait_s = 0.0;
+  options.max_concurrent_runs = 1;
+  const ServingReport report = ReplayPinned(trace, options);
+  EXPECT_EQ(report.fleet.shed, 0);
+  EXPECT_GT(report.fleet.rejected, 0);
+  for (const QueryOutcome& outcome : report.queries) {
+    if (outcome.disposition != QueryDisposition::kRejected) continue;
+    EXPECT_NE(outcome.reject_reason.find("quota"), std::string::npos)
+        << outcome.reject_reason;
+  }
+  EXPECT_EQ(SchedulerDigest(report), 0xd7784ee618bd4737ull)
+      << "0x" << std::hex << SchedulerDigest(report);
 }
 
 }  // namespace
