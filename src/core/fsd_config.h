@@ -175,7 +175,7 @@ struct FsdOptions {
   int32_t priority = 0;
   /// Tenant this query bills/schedules under (0 = the default tenant).
   /// Scheduling metadata like the two knobs above: the tenant-quota
-  /// admission stage (MakeTenantQuotaAdmission) rate-limits and
+  /// admission stage (ServingOptions::tenant_quotas) rate-limits and
   /// fair-shares per tenant, and FleetStats reports a per-tenant
   /// disposition/latency breakdown — but the worker tree never sees it,
   /// so cross-tenant queries of one model family still batch together.

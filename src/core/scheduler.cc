@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/strings.h"
 
@@ -47,193 +46,143 @@ size_t ShedVictimIndex(const std::vector<SchedQuery>& queue) {
   return victim;
 }
 
-void QueuePolicy::Order(std::vector<SchedQuery>* queue) const {
-  std::stable_sort(queue->begin(), queue->end(),
-                   [this](const SchedQuery& a, const SchedQuery& b) {
-                     return Before(a, b);
-                   });
+Admission::Admission(int32_t max_queue_depth, double max_queue_wait_s,
+                     ShedPolicy shed, const std::vector<TenantQuota>& quotas)
+    : max_queue_depth_(max_queue_depth),
+      max_queue_wait_s_(max_queue_wait_s),
+      shed_(shed) {
+  for (const TenantQuota& q : quotas) {
+    Bucket bucket;
+    bucket.rate_qps = q.rate_qps;
+    bucket.burst = q.burst > 0.0 ? q.burst : std::max(1.0, q.rate_qps);
+    bucket.tokens = bucket.burst;  // a fresh tenant may burst immediately
+    bucket.max_queue_share = q.max_queue_share;
+    buckets_[q.tenant] = bucket;
+  }
 }
 
-size_t QueuePolicy::ShedVictim(const std::vector<SchedQuery>& queue) const {
-  return ShedVictimIndex(queue);
+AdmissionDecision Admission::Decide(const SchedQuery& arrival,
+                                    const LoadSnapshot& load,
+                                    const std::vector<SchedQuery>& queue) {
+  auto it = buckets_.find(arrival.tenant);
+  if (it == buckets_.end()) return DecideBounds(arrival, load, queue);
+  Bucket& bucket = it->second;
+  // Fair share of the backlog: with the arrival included, the tenant may
+  // hold at most ceil(share x (queued + 1)) queue entries. Checked before
+  // the rate bucket so a monopolizing tenant is named as such (and keeps
+  // its tokens for when the queue thins out).
+  if (bucket.max_queue_share > 0.0) {
+    int32_t held = 0;
+    for (const SchedQuery& q : queue) {
+      if (q.tenant == arrival.tenant) ++held;
+    }
+    const double allowed = std::ceil(bucket.max_queue_share *
+                                     static_cast<double>(queue.size() + 1));
+    if (static_cast<double>(held + 1) > allowed) {
+      AdmissionDecision decision;
+      decision.action = AdmissionDecision::Action::kReject;
+      decision.reason =
+          StrFormat("tenant %d over queue share %.2f (%d of %zu queued)",
+                    arrival.tenant, bucket.max_queue_share, held,
+                    queue.size());
+      return decision;
+    }
+  }
+  if (bucket.rate_qps <= 0.0) return DecideBounds(arrival, load, queue);
+  // Deterministic token refill driven by virtual time; load.now_s is
+  // non-decreasing across arrivals of one trace.
+  if (bucket.last_refill_s >= 0.0) {
+    bucket.tokens = std::min(
+        bucket.burst,
+        bucket.tokens + (load.now_s - bucket.last_refill_s) * bucket.rate_qps);
+  }
+  bucket.last_refill_s = load.now_s;
+  if (bucket.tokens < 1.0) {
+    AdmissionDecision decision;
+    decision.action = AdmissionDecision::Action::kReject;
+    decision.reason =
+        StrFormat("tenant %d quota exceeded (%.3f qps, %.2f tokens)",
+                  arrival.tenant, bucket.rate_qps, bucket.tokens);
+    return decision;
+  }
+  AdmissionDecision decision = DecideBounds(arrival, load, queue);
+  // Only an actually-admitted query consumes a token: a bound's rejection
+  // must not burn the tenant's budget.
+  if (decision.action != AdmissionDecision::Action::kReject) {
+    bucket.tokens -= 1.0;
+  }
+  return decision;
+}
+
+AdmissionDecision Admission::DecideBounds(
+    const SchedQuery& arrival, const LoadSnapshot& load,
+    const std::vector<SchedQuery>& queue) const {
+  AdmissionDecision decision;
+  // Wait bound: the arrival's predicted queue wait — the queries already
+  // ahead of it served at the sustainable rate. Applies even below the
+  // depth bound: a deep-enough backlog relative to throughput is overload
+  // whatever the configured depth. An empty queue predicts no wait, so the
+  // bound can never starve an idle fleet.
+  if (max_queue_wait_s_ >= 0.0 && load.queued > 0 &&
+      load.sustainable_qps > 0.0 && std::isfinite(load.sustainable_qps)) {
+    const double predicted_wait_s =
+        static_cast<double>(load.queued) / load.sustainable_qps;
+    if (predicted_wait_s > max_queue_wait_s_) {
+      decision.action = AdmissionDecision::Action::kReject;
+      decision.reason = StrFormat(
+          "predicted queue wait %.3fs exceeds bound %.3fs "
+          "(%d queued at %.3f sustainable qps)",
+          predicted_wait_s, max_queue_wait_s_, load.queued,
+          load.sustainable_qps);
+      return decision;
+    }
+  }
+  if (max_queue_depth_ > 0 && load.queued >= max_queue_depth_) {
+    if (shed_ == ShedPolicy::kShedLowestPriority && !queue.empty()) {
+      const size_t victim = ShedVictimIndex(queue);
+      if (queue[victim].priority < arrival.priority) {
+        decision.action = AdmissionDecision::Action::kShedVictim;
+        decision.victim_query_id = queue[victim].query_id;
+        decision.reason = StrFormat(
+            "shed for priority-%d arrival (queue at depth bound %d)",
+            arrival.priority, max_queue_depth_);
+        return decision;
+      }
+    }
+    decision.action = AdmissionDecision::Action::kReject;
+    decision.reason =
+        StrFormat("queue depth %d at bound %d (%s)", load.queued,
+                  max_queue_depth_, std::string(ShedPolicyName(shed_)).c_str());
+  }
+  return decision;
+}
+
+bool LaunchesBefore(QueueDiscipline discipline, const SchedQuery& a,
+                    const SchedQuery& b) {
+  if (discipline == QueueDiscipline::kEdf) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.deadline_s != b.deadline_s) return a.deadline_s < b.deadline_s;
+  }
+  if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
+  return a.query_id < b.query_id;
+}
+
+double BatchFlushIn(const std::vector<SchedQuery>& members, double now_s,
+                    double window_s, double est_exec_s) {
+  double earliest = kNoDeadline;
+  for (const SchedQuery& m : members) {
+    if (m.deadline_s < earliest) earliest = m.deadline_s;
+  }
+  if (!std::isfinite(earliest)) return window_s;  // no SLO: fixed window
+  // Flush when the oldest member's slack runs out: any later launch and the
+  // predicted execution time (with its safety margin) would miss the
+  // deadline.
+  const double slack_s = (earliest - now_s) - kSlackSafetyFactor * est_exec_s;
+  if (slack_s <= 0.0) return 0.0;
+  return std::min(window_s, slack_s);
 }
 
 namespace {
-
-class AdmitAllPolicy final : public AdmissionPolicy {
- public:
-  std::string_view name() const override { return "admit-all"; }
-  AdmissionDecision Decide(const SchedQuery&, const LoadSnapshot&,
-                           const std::vector<SchedQuery>&) override {
-    return {};
-  }
-};
-
-class DepthBoundAdmission final : public AdmissionPolicy {
- public:
-  DepthBoundAdmission(int32_t max_queue_depth, double max_queue_wait_s,
-                      ShedPolicy shed)
-      : max_queue_depth_(max_queue_depth),
-        max_queue_wait_s_(max_queue_wait_s),
-        shed_(shed) {}
-
-  std::string_view name() const override { return "depth-bound"; }
-
-  AdmissionDecision Decide(const SchedQuery& arrival, const LoadSnapshot& load,
-                           const std::vector<SchedQuery>& queue) override {
-    AdmissionDecision decision;
-    // Wait bound: the arrival's predicted queue wait — the queries already
-    // ahead of it served at the sustainable rate. Applies even below the
-    // depth bound: a deep-enough backlog relative to throughput is
-    // overload whatever the configured depth. An empty queue predicts no
-    // wait, so the bound can never starve an idle fleet.
-    if (max_queue_wait_s_ >= 0.0 && load.queued > 0 &&
-        load.sustainable_qps > 0.0 && std::isfinite(load.sustainable_qps)) {
-      const double predicted_wait_s =
-          static_cast<double>(load.queued) / load.sustainable_qps;
-      if (predicted_wait_s > max_queue_wait_s_) {
-        decision.action = AdmissionDecision::Action::kReject;
-        decision.reason = StrFormat(
-            "predicted queue wait %.3fs exceeds bound %.3fs "
-            "(%d queued at %.3f sustainable qps)",
-            predicted_wait_s, max_queue_wait_s_, load.queued,
-            load.sustainable_qps);
-        return decision;
-      }
-    }
-    if (max_queue_depth_ > 0 && load.queued >= max_queue_depth_) {
-      if (shed_ == ShedPolicy::kShedLowestPriority && !queue.empty()) {
-        const size_t victim = ShedVictimIndex(queue);
-        if (queue[victim].priority < arrival.priority) {
-          decision.action = AdmissionDecision::Action::kShedVictim;
-          decision.victim_query_id = queue[victim].query_id;
-          decision.reason = StrFormat(
-              "shed for priority-%d arrival (queue at depth bound %d)",
-              arrival.priority, max_queue_depth_);
-          return decision;
-        }
-      }
-      decision.action = AdmissionDecision::Action::kReject;
-      decision.reason =
-          StrFormat("queue depth %d at bound %d (%s)", load.queued,
-                    max_queue_depth_,
-                    std::string(ShedPolicyName(shed_)).c_str());
-      return decision;
-    }
-    return decision;
-  }
-
- private:
-  int32_t max_queue_depth_ = 0;
-  double max_queue_wait_s_ = -1.0;
-  ShedPolicy shed_ = ShedPolicy::kRejectNew;
-};
-
-class TenantQuotaAdmission final : public AdmissionPolicy {
- public:
-  TenantQuotaAdmission(std::vector<TenantQuota> quotas,
-                       std::shared_ptr<AdmissionPolicy> inner)
-      : inner_(std::move(inner)) {
-    for (const TenantQuota& q : quotas) {
-      Bucket bucket;
-      bucket.rate_qps = q.rate_qps;
-      bucket.burst = q.burst > 0.0 ? q.burst : std::max(1.0, q.rate_qps);
-      bucket.tokens = bucket.burst;  // a fresh tenant may burst immediately
-      bucket.max_queue_share = q.max_queue_share;
-      buckets_[q.tenant] = bucket;
-    }
-  }
-
-  std::string_view name() const override { return "tenant-quota"; }
-
-  AdmissionDecision Decide(const SchedQuery& arrival, const LoadSnapshot& load,
-                           const std::vector<SchedQuery>& queue) override {
-    auto it = buckets_.find(arrival.tenant);
-    if (it == buckets_.end()) return inner_->Decide(arrival, load, queue);
-    Bucket& bucket = it->second;
-    // Fair share of the backlog: with the arrival included, the tenant may
-    // hold at most ceil(share x (queued + 1)) queue entries. Checked
-    // before the rate bucket so a monopolizing tenant is named as such
-    // (and keeps its tokens for when the queue thins out).
-    if (bucket.max_queue_share > 0.0) {
-      int32_t held = 0;
-      for (const SchedQuery& q : queue) {
-        if (q.tenant == arrival.tenant) ++held;
-      }
-      const double allowed = std::ceil(
-          bucket.max_queue_share * static_cast<double>(queue.size() + 1));
-      if (static_cast<double>(held + 1) > allowed) {
-        AdmissionDecision decision;
-        decision.action = AdmissionDecision::Action::kReject;
-        decision.reason = StrFormat(
-            "tenant %d over queue share %.2f (%d of %zu queued)",
-            arrival.tenant, bucket.max_queue_share, held, queue.size());
-        return decision;
-      }
-    }
-    if (bucket.rate_qps > 0.0) {
-      // Deterministic token refill driven by virtual time; load.now_s is
-      // non-decreasing across arrivals of one trace.
-      if (bucket.last_refill_s >= 0.0) {
-        bucket.tokens = std::min(
-            bucket.burst,
-            bucket.tokens +
-                (load.now_s - bucket.last_refill_s) * bucket.rate_qps);
-      }
-      bucket.last_refill_s = load.now_s;
-      if (bucket.tokens < 1.0) {
-        AdmissionDecision decision;
-        decision.action = AdmissionDecision::Action::kReject;
-        decision.reason = StrFormat(
-            "tenant %d quota exceeded (%.3f qps, %.2f tokens)",
-            arrival.tenant, bucket.rate_qps, bucket.tokens);
-        return decision;
-      }
-      AdmissionDecision decision = inner_->Decide(arrival, load, queue);
-      // Only an actually-admitted query consumes a token: a depth-bound
-      // rejection downstream must not burn the tenant's budget.
-      if (decision.action != AdmissionDecision::Action::kReject) {
-        bucket.tokens -= 1.0;
-      }
-      return decision;
-    }
-    return inner_->Decide(arrival, load, queue);
-  }
-
- private:
-  struct Bucket {
-    double rate_qps = 0.0;
-    double burst = 0.0;
-    double tokens = 0.0;
-    double last_refill_s = -1.0;
-    double max_queue_share = 0.0;
-  };
-  std::map<int32_t, Bucket> buckets_;
-  std::shared_ptr<AdmissionPolicy> inner_;
-};
-
-class FifoQueuePolicy final : public QueuePolicy {
- public:
-  std::string_view name() const override { return "fifo"; }
-  bool Before(const SchedQuery& a, const SchedQuery& b) const override {
-    if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-    return a.query_id < b.query_id;
-  }
-};
-
-class EdfQueuePolicy final : public QueuePolicy {
- public:
-  std::string_view name() const override { return "edf"; }
-  bool Before(const SchedQuery& a, const SchedQuery& b) const override {
-    // Higher priority classes launch first; within a class, earliest
-    // absolute deadline, then arrival order (deadline-free queries sort
-    // after every deadline-carrying one: kNoDeadline is +inf).
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.deadline_s != b.deadline_s) return a.deadline_s < b.deadline_s;
-    if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-    return a.query_id < b.query_id;
-  }
-};
 
 class RatePreWarmPolicy final : public PreWarmPolicy {
  public:
@@ -283,55 +232,7 @@ class RatePreWarmPolicy final : public PreWarmPolicy {
   }
 };
 
-class DeadlineBatchPolicy final : public BatchPolicy {
- public:
-  std::string_view name() const override { return "deadline-slack"; }
-  double FlushIn(const std::vector<SchedQuery>& members, double now_s,
-                 double window_s, double est_exec_s) const override {
-    double earliest = kNoDeadline;
-    for (const SchedQuery& m : members) {
-      if (m.deadline_s < earliest) earliest = m.deadline_s;
-    }
-    if (!std::isfinite(earliest)) return window_s;  // no SLO: fixed window
-    // Flush when the oldest member's slack runs out: any later launch and
-    // the predicted execution time (with its safety margin) would miss the
-    // deadline.
-    const double slack_s =
-        (earliest - now_s) - kSlackSafetyFactor * est_exec_s;
-    if (slack_s <= 0.0) return 0.0;
-    return std::min(window_s, slack_s);
-  }
-};
-
 }  // namespace
-
-std::shared_ptr<AdmissionPolicy> MakeAdmitAll() {
-  return std::make_shared<AdmitAllPolicy>();
-}
-
-std::shared_ptr<AdmissionPolicy> MakeDepthBoundAdmission(
-    int32_t max_queue_depth, double max_queue_wait_s, ShedPolicy shed) {
-  return std::make_shared<DepthBoundAdmission>(max_queue_depth,
-                                               max_queue_wait_s, shed);
-}
-
-std::shared_ptr<AdmissionPolicy> MakeTenantQuotaAdmission(
-    std::vector<TenantQuota> quotas, std::shared_ptr<AdmissionPolicy> inner) {
-  if (!inner) inner = MakeAdmitAll();
-  return std::make_shared<TenantQuotaAdmission>(std::move(quotas),
-                                                std::move(inner));
-}
-
-std::shared_ptr<QueuePolicy> MakeQueuePolicy(QueueDiscipline discipline) {
-  if (discipline == QueueDiscipline::kEdf) {
-    return std::make_shared<EdfQueuePolicy>();
-  }
-  return std::make_shared<FifoQueuePolicy>();
-}
-
-std::shared_ptr<BatchPolicy> MakeDeadlineBatchPolicy() {
-  return std::make_shared<DeadlineBatchPolicy>();
-}
 
 std::shared_ptr<PreWarmPolicy> MakeRatePreWarmPolicy() {
   return std::make_shared<RatePreWarmPolicy>();

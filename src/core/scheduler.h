@@ -1,27 +1,30 @@
-// Serving scheduler policies: the pluggable stages of the ServingRuntime
-// pipeline (Admission -> QueuePolicy -> Batcher -> Dispatcher).
+// Serving scheduler: the built-in stages of the ServingRuntime pipeline
+// (Admission -> queue order -> batch flush -> Dispatcher).
 //
 // FSD-Inference targets sporadic, bursty workloads; when the arrival rate
 // exceeds the deployment's sustainable throughput, an unconditional serving
 // loop lets the queue — and every accepted query's latency — grow without
-// bound. These policies make the overload behaviour explicit and
-// composable: admission decides WHETHER a query enters the queue (typed
-// rejection instead of silent degradation), the queue policy decides the
-// ORDER queued work launches in (and who is shed first), and the batch
-// policy decides WHEN a coalescing batch stops waiting for peers
-// (deadline-slack-driven instead of a fixed window). Every policy is pure
-// decision logic over plain structs — no simulation, no worker trees — so
-// each is unit-testable in isolation (tests/scheduler_test.cc) and
-// swappable through ServingOptions without touching the runtime.
+// bound. These stages make the overload behaviour explicit: admission
+// decides WHETHER a query enters the queue (typed rejection instead of
+// silent degradation), the queue discipline decides the ORDER queued work
+// launches in (and ShedVictimIndex who is shed first), and the batch flush
+// decides WHEN a coalescing batch stops waiting for peers
+// (deadline-slack-driven instead of a fixed window). Each stage is one
+// built-in rule selected by ServingOptions enums and bounds (shed_policy,
+// queue_discipline, max_queue_depth, ...), written as pure decision logic
+// over plain structs — no simulation, no worker trees — so each is
+// unit-testable in isolation (tests/scheduler_test.cc).
 //
 // The fourth stage, the Dispatcher, is the slot-bounded launch gate; its
 // pure bookkeeping half (DispatchGate) lives here too, while the actual
-// process scheduling stays in the serving runtime.
+// process scheduling stays in the serving runtime. Pre-warming (stage 0)
+// stays an interface: PreWarmPolicy.
 #ifndef FSD_CORE_SCHEDULER_H_
 #define FSD_CORE_SCHEDULER_H_
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -58,16 +61,7 @@ enum class QueueDiscipline : int {
 std::string_view ShedPolicyName(ShedPolicy policy);
 std::string_view QueueDisciplineName(QueueDiscipline discipline);
 
-struct SchedQuery;
-
-/// The canonical shed-victim rule, shared by QueuePolicy::ShedVictim and
-/// the built-in admission policy (one definition so the tested rule and
-/// the live shedding path can never drift): lowest priority first, then
-/// latest deadline, then latest arrival — the queued query whose loss
-/// costs the SLO least. `queue` must be non-empty.
-size_t ShedVictimIndex(const std::vector<SchedQuery>& queue);
-
-/// The scheduler's view of one query: everything a policy may decide on,
+/// The scheduler's view of one query: everything a stage may decide on,
 /// nothing it may not (no model pointers, no outputs).
 struct SchedQuery {
   uint64_t query_id = 0;
@@ -78,8 +72,13 @@ struct SchedQuery {
   int32_t cols = 0;                 ///< sample columns (size proxy)
 };
 
-/// Live load snapshot the admission policy decides on: queue state plus
-/// the sustainable-throughput estimate (cost-model a-priori, refined by the
+/// The shed-victim rule of admission's kShedLowestPriority: lowest
+/// priority first, then latest deadline, then latest arrival — the queued
+/// query whose loss costs the SLO least. `queue` must be non-empty.
+size_t ShedVictimIndex(const std::vector<SchedQuery>& queue);
+
+/// Live load snapshot admission decides on: queue state plus the
+/// sustainable-throughput estimate (cost-model a-priori, refined by the
 /// EWMA of observed run times once runs complete).
 struct LoadSnapshot {
   double now_s = 0.0;
@@ -102,47 +101,78 @@ struct AdmissionDecision {
   uint64_t victim_query_id = 0;  ///< set for kShedVictim
 };
 
-/// Stage 1: decides whether an arriving query may enter the queue.
-class AdmissionPolicy {
- public:
-  virtual ~AdmissionPolicy() = default;
-  virtual std::string_view name() const = 0;
-  /// `queue` is the current admitted-but-unlaunched set (victim pool for
-  /// shedding); decisions must be a pure function of the arguments so
-  /// identical traces produce identical outcomes.
-  virtual AdmissionDecision Decide(const SchedQuery& arrival,
-                                   const LoadSnapshot& load,
-                                   const std::vector<SchedQuery>& queue) = 0;
+/// Per-tenant admission quota: a token bucket refilled at `rate_qps`
+/// (sustained admitted-query rate) with depth `burst` (<= 0 defaults to
+/// max(1, rate_qps) — one second of rate), plus an optional fair-share cap
+/// on the admitted-but-unlaunched queue (`max_queue_share` in (0, 1]; 0
+/// disables it): an arrival whose tenant already holds more than its share
+/// of the queue is rejected even with tokens left, so one bursty tenant
+/// cannot monopolize the backlog ahead of the others.
+struct TenantQuota {
+  int32_t tenant = 0;
+  double rate_qps = 0.0;      ///< <= 0 = no rate limit for this tenant
+  double burst = 0.0;         ///< bucket depth in queries
+  double max_queue_share = 0.0;
 };
 
-/// Stage 2: launch ordering and shed-victim selection over queued work.
-class QueuePolicy {
+/// Stage 1: decides whether an arriving query may enter the queue. Each
+/// listed tenant's quota is checked first; an arrival that passes it (and
+/// every arrival of an unlisted tenant) then meets the bounds: a predicted
+/// queue wait `queued / sustainable_qps` above `max_queue_wait_s` (< 0 =
+/// no wait bound) rejects, and a queue holding `max_queue_depth` queries
+/// (0 = no depth bound) rejects the arrival or sheds a lower-priority
+/// member, per `shed`. No bounds and no quotas admit everything. A token
+/// is spent only when the arrival is admitted, so a bound's rejection
+/// never burns a tenant's budget. Stateful (bucket levels advance with
+/// load.now_s) but strictly deterministic: identical arrival traces refill
+/// and drain the buckets identically.
+class Admission {
  public:
-  virtual ~QueuePolicy() = default;
-  virtual std::string_view name() const = 0;
-  /// Strict-weak order: should `a` launch before `b`?
-  virtual bool Before(const SchedQuery& a, const SchedQuery& b) const = 0;
-  /// Stable-sorts `queue` into launch order.
-  void Order(std::vector<SchedQuery>* queue) const;
-  /// Index of the queued query to shed first under overload: lowest
-  /// priority, then latest deadline, then latest arrival (the member whose
-  /// loss costs the SLO least). `queue` must be non-empty.
-  virtual size_t ShedVictim(const std::vector<SchedQuery>& queue) const;
+  Admission(int32_t max_queue_depth, double max_queue_wait_s, ShedPolicy shed,
+            const std::vector<TenantQuota>& quotas = {});
+
+  /// `queue` is the current admitted-but-unlaunched set (the shed-victim
+  /// pool and the tenant-share count).
+  AdmissionDecision Decide(const SchedQuery& arrival, const LoadSnapshot& load,
+                           const std::vector<SchedQuery>& queue);
+
+ private:
+  struct Bucket {
+    double rate_qps = 0.0;
+    double burst = 0.0;
+    double tokens = 0.0;
+    double last_refill_s = -1.0;
+    double max_queue_share = 0.0;
+  };
+
+  /// The depth and wait bounds alone.
+  AdmissionDecision DecideBounds(const SchedQuery& arrival,
+                                 const LoadSnapshot& load,
+                                 const std::vector<SchedQuery>& queue) const;
+
+  int32_t max_queue_depth_ = 0;
+  double max_queue_wait_s_ = -1.0;
+  ShedPolicy shed_ = ShedPolicy::kRejectNew;
+  std::map<int32_t, Bucket> buckets_;  ///< by tenant
 };
 
-/// Stage 3: how much longer a coalescing batch may keep waiting for peers
-/// before it must launch.
-class BatchPolicy {
- public:
-  virtual ~BatchPolicy() = default;
-  virtual std::string_view name() const = 0;
-  /// Seconds the batch may still wait from `now_s` (<= 0 means flush
-  /// immediately). `members` is the batch so far (first member joined
-  /// first), `window_s` the configured coalescing window, `est_exec_s` the
-  /// predicted execution time of the batch's worker tree.
-  virtual double FlushIn(const std::vector<SchedQuery>& members, double now_s,
-                         double window_s, double est_exec_s) const = 0;
-};
+/// Stage 2 order: should `a` launch before `b` under `discipline`? A
+/// strict-weak order. FIFO: arrival, then query id. EDF: higher priority
+/// class first; within a class earliest absolute deadline (deadline-free
+/// queries sort after every deadline-carrying one: kNoDeadline is +inf),
+/// then arrival, then query id.
+bool LaunchesBefore(QueueDiscipline discipline, const SchedQuery& a,
+                    const SchedQuery& b);
+
+/// Stage 3: seconds a coalescing batch may still wait for peers from
+/// `now_s` (<= 0 means flush immediately). `members` is the batch so far
+/// (first member joined first), `window_s` the configured coalescing
+/// window, `est_exec_s` the predicted execution time of the batch's worker
+/// tree. Waits out the window, but flushes early when the earliest member
+/// deadline's slack — deadline minus kSlackSafetyFactor x est_exec_s —
+/// would otherwise run out. With no deadlines this is exactly the window.
+double BatchFlushIn(const std::vector<SchedQuery>& members, double now_s,
+                    double window_s, double est_exec_s);
 
 /// What the pre-warm policy sees at one arrival of a model family: the
 /// family's live demand estimate (EWMA arrival rate x per-tree service
@@ -210,50 +240,6 @@ class DispatchGate {
   int32_t max_concurrent_runs_ = 0;
   int32_t in_flight_ = 0;
 };
-
-/// Built-in policies. The serving runtime materializes these from
-/// ServingOptions when no custom policy is injected.
-
-/// Admits everything (the pre-scheduler behaviour; the admission-off
-/// ablation).
-std::shared_ptr<AdmissionPolicy> MakeAdmitAll();
-
-/// Depth/wait-bounded admission: rejects (or sheds, per `shed`) when the
-/// queue holds `max_queue_depth` queries (0 = no depth bound), and rejects
-/// when the predicted queue wait `queued / sustainable_qps` exceeds
-/// `max_queue_wait_s` (< 0 = no wait bound).
-std::shared_ptr<AdmissionPolicy> MakeDepthBoundAdmission(
-    int32_t max_queue_depth, double max_queue_wait_s, ShedPolicy shed);
-
-std::shared_ptr<QueuePolicy> MakeQueuePolicy(QueueDiscipline discipline);
-
-/// Per-tenant admission quota: a token bucket refilled at `rate_qps`
-/// (sustained admitted-query rate) with depth `burst` (<= 0 defaults to
-/// max(1, rate_qps) — one second of rate), plus an optional fair-share cap
-/// on the admitted-but-unlaunched queue (`max_queue_share` in (0, 1]; 0
-/// disables it): an arrival whose tenant already holds more than its share
-/// of the queue is rejected even with tokens left, so one bursty tenant
-/// cannot monopolize the backlog ahead of the others.
-struct TenantQuota {
-  int32_t tenant = 0;
-  double rate_qps = 0.0;      ///< <= 0 = no rate limit for this tenant
-  double burst = 0.0;         ///< bucket depth in queries
-  double max_queue_share = 0.0;
-};
-
-/// Tenant-quota admission stage: enforces each listed tenant's quota, then
-/// delegates to `inner` (null = admit-all) so quotas compose with the
-/// depth/wait bounds. Unlisted tenants skip straight to `inner`. The stage
-/// is stateful (bucket levels advance with load.now_s) but strictly
-/// deterministic: identical arrival traces refill and drain the buckets
-/// identically.
-std::shared_ptr<AdmissionPolicy> MakeTenantQuotaAdmission(
-    std::vector<TenantQuota> quotas, std::shared_ptr<AdmissionPolicy> inner);
-
-/// Deadline-slack batcher: waits out the window, but flushes early when the
-/// oldest member's slack — deadline minus predicted execution time — would
-/// otherwise run out. With no deadlines this is exactly the fixed window.
-std::shared_ptr<BatchPolicy> MakeDeadlineBatchPolicy();
 
 /// Little's-law rate pre-warmer: demand is ceil(arrival_rate x est_run_s)
 /// concurrent trees x P instances each; supply is the warm pool plus the

@@ -78,28 +78,12 @@ ServingRuntime::ServingRuntime(cloud::CloudEnv* cloud, ServingOptions options)
     : cloud_(cloud),
       options_(std::move(options)),
       instance_id_(g_instance_counter.fetch_add(1)),
+      // Without admission_control only the tenant quotas apply: no depth
+      // and no wait bound, whatever the knobs hold.
+      admission_(options_.admission_control ? options_.max_queue_depth : 0,
+                 options_.admission_control ? options_.max_queue_wait_s : -1.0,
+                 options_.shed_policy, options_.tenant_quotas),
       gate_(options_.max_concurrent_runs) {
-  // Materialize the pipeline stages: injected policies win, otherwise the
-  // knobs select a built-in. With admission off the admission stage is a
-  // pass-through, and the deadline batcher degenerates to the fixed window
-  // when no query carries a deadline — the accept-everything behaviour.
-  admission_ = options_.admission_policy
-                   ? options_.admission_policy
-               : options_.admission_control
-                   ? MakeDepthBoundAdmission(options_.max_queue_depth,
-                                             options_.max_queue_wait_s,
-                                             options_.shed_policy)
-                   : MakeAdmitAll();
-  if (!options_.tenant_quotas.empty()) {
-    // Quotas decorate whichever inner stage was materialized above: the
-    // token buckets decide first, surviving arrivals fall through.
-    admission_ = MakeTenantQuotaAdmission(options_.tenant_quotas, admission_);
-  }
-  queue_policy_ = options_.queue_policy
-                      ? options_.queue_policy
-                      : MakeQueuePolicy(options_.queue_discipline);
-  batcher_ =
-      options_.batch_policy ? options_.batch_policy : MakeDeadlineBatchPolicy();
   prewarm_ = options_.prewarm_policy ? options_.prewarm_policy
                                      : MakeRatePreWarmPolicy();
 }
@@ -494,7 +478,7 @@ void ServingRuntime::LaunchRun(const std::vector<uint64_t>& member_ids) {
 
 void ServingRuntime::ReleaseSlot() {
   // Hand the slot to the parked run that should launch first: the queue
-  // policy compares each parked run's lead member (its first-launching
+  // discipline compares each parked run's lead member (its first-launching
   // one); map order (park sequence) breaks ties FIFO.
   uint64_t best_seq = 0;
   const Query* best_lead = nullptr;
@@ -504,12 +488,14 @@ void ServingRuntime::ReleaseSlot() {
     for (uint64_t id : parked.member_ids) {
       const Query* member = queries_.at(id).get();
       if (lead == nullptr ||
-          queue_policy_->Before(SchedView(*member), SchedView(*lead))) {
+          LaunchesBefore(options_.queue_discipline, SchedView(*member),
+                         SchedView(*lead))) {
         lead = member;
       }
     }
     if (best_lead == nullptr ||
-        queue_policy_->Before(SchedView(*lead), SchedView(*best_lead))) {
+        LaunchesBefore(options_.queue_discipline, SchedView(*lead),
+                       SchedView(*best_lead))) {
       best_lead = lead;
       best_seq = seq;
     }
@@ -601,8 +587,7 @@ SchedQuery ServingRuntime::SchedView(const Query& query) const {
 }
 
 bool ServingRuntime::AdmissionEnabled() const {
-  return options_.admission_control || options_.admission_policy != nullptr ||
-         !options_.tenant_quotas.empty();
+  return options_.admission_control || !options_.tenant_quotas.empty();
 }
 
 std::vector<SchedQuery> ServingRuntime::QueuedSnapshot() const {
@@ -663,8 +648,8 @@ double ServingRuntime::FlushTimeout(const PendingBatch& batch) {
   // model entirely on deadline-free batches (the common case).
   const double est_exec_s =
       any_deadline ? EstRunSeconds(*queries_.at(batch.member_ids[0])) : 0.0;
-  const double flush_in = batcher_->FlushIn(
-      members, cloud_->sim()->Now(), options_.batch_window_s, est_exec_s);
+  const double flush_in = BatchFlushIn(members, cloud_->sim()->Now(),
+                                       options_.batch_window_s, est_exec_s);
   return flush_in < 0.0 ? 0.0 : flush_in;
 }
 
@@ -839,7 +824,7 @@ void ServingRuntime::ArriveQuery(uint64_t query_id) {
   if (AdmissionEnabled()) {
     const LoadSnapshot load = BuildLoadSnapshot(*query);
     AdmissionDecision decision =
-        admission_->Decide(SchedView(*query), load, QueuedSnapshot());
+        admission_.Decide(SchedView(*query), load, QueuedSnapshot());
     if (decision.action == AdmissionDecision::Action::kReject) {
       RejectQuery(query, decision.reason);
       return;

@@ -39,11 +39,13 @@
 //    wait is visible as queue_wait_s, never hidden. Outputs are
 //    byte-identical to unbatched serving: the FSI loop is per batch, so
 //    concatenation changes WHEN a batch runs, never its values.
-//  - Scheduling is an explicit four-stage pipeline: Admission ->
-//    QueuePolicy -> Batcher -> Dispatcher (core/scheduler.h), each a small
-//    pluggable policy. With admission_control on, an arrival is admitted,
-//    rejected (typed QueryOutcome::disposition + reject_reason) or traded
-//    against a shed lower-priority queue member, based on the cost model's
+//  - Scheduling is an explicit four-stage pipeline: Admission -> queue
+//    order -> batch flush -> Dispatcher (core/scheduler.h), each one
+//    built-in rule chosen by the ServingOptions enums and bounds
+//    (shed_policy, queue_discipline, max_queue_depth, ...). With
+//    admission_control on, an arrival is admitted, rejected (typed
+//    QueryOutcome::disposition + reject_reason) or traded against a shed
+//    lower-priority queue member, based on the cost model's
 //    sustainable-throughput estimate refined by live EWMAs of observed run
 //    times. Queries carry optional SLO deadlines and priority classes
 //    (FsdOptions::slo_deadline_s / priority): the batcher generalizes the
@@ -95,7 +97,7 @@ struct ServingOptions {
   /// worker working-set growth); a batch at the cap flushes immediately.
   int32_t max_batch_cols = 8192;
 
-  /// --- scheduler pipeline (Admission -> QueuePolicy -> Batcher ->
+  /// --- scheduler pipeline (Admission -> queue order -> batch flush ->
   /// Dispatcher; see core/scheduler.h) ---
   /// Enable SLO-aware admission control: arriving queries are admitted,
   /// rejected (QueryDisposition::kRejected with a typed reason) or traded
@@ -120,19 +122,11 @@ struct ServingOptions {
   /// (the pre-scheduler behaviour: every flush launches immediately).
   int32_t max_concurrent_runs = 0;
 
-  /// Custom policy injection; null slots are materialized from the knobs
-  /// above (MakeDepthBoundAdmission / MakeQueuePolicy /
-  /// MakeDeadlineBatchPolicy). The built-in batcher already generalizes
-  /// the fixed window into deadline-slack flushing.
-  std::shared_ptr<AdmissionPolicy> admission_policy;
-  std::shared_ptr<QueuePolicy> queue_policy;
-  std::shared_ptr<BatchPolicy> batch_policy;
-
   /// Per-tenant admission quotas (token-bucket rate limits and fair queue
-  /// shares; see MakeTenantQuotaAdmission). Non-empty wraps the admission
-  /// policy above — and switches the runtime onto the scheduler pipeline
-  /// even when `admission_control` is off, so quota rejections apply to
-  /// every arrival. Tenants not listed here are never quota-limited.
+  /// shares; see TenantQuota). Checked ahead of the bounds above, and
+  /// enforced even when `admission_control` is off (the bounds then stay
+  /// unset), so quota rejections apply to every arrival. Tenants not
+  /// listed here are never quota-limited.
   std::vector<TenantQuota> tenant_quotas;
 
   /// --- λScale-style fast scaling (core/share_distributor.h) ---
@@ -299,12 +293,13 @@ class ServingRuntime {
   /// report. Must be called from inside a simulation process.
   void ExecuteRun(Run* run);
   /// Stage 1+2 entry, run at every query's virtual arrival time: stamps
-  /// the absolute deadline, consults the admission policy (reject / shed a
-  /// victim / admit), then hands the query to the batcher or straight to
-  /// the dispatcher.
+  /// the absolute deadline, consults admission (reject / shed a victim /
+  /// admit), then hands the query to the batcher or straight to the
+  /// dispatcher.
   void ArriveQuery(uint64_t query_id);
-  /// Whether arrivals route through the scheduler pipeline's admission
-  /// stage: the explicit knob, an injected policy, or tenant quotas.
+  /// Whether arrivals route through the admission stage: the explicit
+  /// knob or tenant quotas. Off, arrivals skip the load snapshot and its
+  /// cost-model estimate entirely.
   bool AdmissionEnabled() const;
   /// Called at a query's virtual arrival time (batching path): joins or
   /// opens the family's pending batch, flushing on size caps.
@@ -312,8 +307,8 @@ class ServingRuntime {
   /// Flushes batch `batch_id` (if still pending) into the dispatcher.
   void FlushBatch(uint64_t batch_id);
   /// Stage 4: launches the members' run when a dispatch slot is free,
-  /// otherwise parks in queue-policy order until a finishing run hands its
-  /// slot over. Runs in the calling process.
+  /// otherwise parks in queue-discipline order until a finishing run hands
+  /// its slot over. Runs in the calling process.
   void DispatchRun(std::vector<uint64_t> member_ids);
   /// Builds and executes one run (the flushed members) in this process.
   void LaunchRun(const std::vector<uint64_t>& member_ids);
@@ -322,7 +317,7 @@ class ServingRuntime {
   std::vector<uint64_t> DropAbortedMembers(
       const std::vector<uint64_t>& member_ids);
   /// Hands the calling run's dispatch slot to the best parked run (per the
-  /// queue policy) or frees it.
+  /// queue discipline) or frees it.
   void ReleaseSlot();
   /// Marks `victim` shed (QueryDisposition::kShed) and removes it from its
   /// open batch or parked run.
@@ -400,9 +395,7 @@ class ServingRuntime {
   double accumulated_cost_ = 0.0;  ///< workload dollars across Drain calls
 
   /// --- scheduler pipeline state ---
-  std::shared_ptr<AdmissionPolicy> admission_;
-  std::shared_ptr<QueuePolicy> queue_policy_;
-  std::shared_ptr<BatchPolicy> batcher_;
+  Admission admission_;
   DispatchGate gate_;
   std::map<uint64_t, ParkedRun> parked_;  ///< by park sequence (FIFO ties)
   uint64_t next_park_seq_ = 0;

@@ -222,6 +222,10 @@ Result<WorkloadTrace> ParseTrace(std::string_view text) {
     } else if (kind == "q") {
       TraceQuery query;
       ok = static_cast<bool>(fields >> query.arrival_s >> query.tenant);
+      if (ok && !(query.arrival_s >= 0.0)) {
+        return Status::InvalidArgument(
+            StrFormat("line %zu: arrival time must be >= 0", line_no));
+      }
       trace.queries.push_back(query);
     } else {
       return Status::InvalidArgument(
@@ -232,6 +236,9 @@ Result<WorkloadTrace> ParseTrace(std::string_view text) {
           StrFormat("line %zu: malformed %s record", line_no, kind.c_str()));
     }
   }
+  // A parsed trace must be one GenerateTrace could have produced: its
+  // tenant specs feed TraceTenantQuotas and ReplayTrace.
+  FSD_RETURN_IF_ERROR(ValidateConfig(trace.config));
   return trace;
 }
 

@@ -114,7 +114,9 @@ Result<WorkloadTrace> GenerateTrace(const TraceConfig& config);
 ///   tenant <id> <share> <priority> <slo> <quota_qps> <quota_burst>
 ///          <name> <family>      (names URL-free tokens, '-' when empty)
 ///   q <arrival_s> <tenant>
-/// Doubles round-trip exactly, so Parse(Serialize(t)) == t.
+/// Doubles round-trip exactly, so Parse(Serialize(t)) == t. ParseTrace
+/// rejects every config GenerateTrace rejects, and negative arrivals, with
+/// InvalidArgument.
 std::string SerializeTrace(const WorkloadTrace& trace);
 Result<WorkloadTrace> ParseTrace(std::string_view text);
 

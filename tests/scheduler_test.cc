@@ -1,9 +1,9 @@
-// Scheduler-policy unit tests: Admission / QueuePolicy / Batcher decided
+// Scheduler unit tests: admission, queue order and batch flush decided
 // against synthetic arrival traces as pure logic — no simulation, no
 // worker trees. Covers EDF ordering, slack-triggered batch flushing,
 // shed-by-priority victim selection, depth/wait-bound rejection, the
-// dispatch-gate slot invariant, and per-seed determinism of the decision
-// sequence.
+// tenant-quota stage, the dispatch-gate slot invariant, and per-seed
+// determinism of the decision sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,15 +35,21 @@ std::vector<uint64_t> Ids(const std::vector<SchedQuery>& queue) {
   return ids;
 }
 
+/// Stable-sorts `queue` into `discipline`'s launch order.
+void Order(QueueDiscipline discipline, std::vector<SchedQuery>* queue) {
+  std::stable_sort(queue->begin(), queue->end(),
+                   [discipline](const SchedQuery& a, const SchedQuery& b) {
+                     return LaunchesBefore(discipline, a, b);
+                   });
+}
+
 TEST(QueuePolicyTest, FifoOrdersByArrivalThenId) {
-  auto fifo = MakeQueuePolicy(QueueDiscipline::kFifo);
   std::vector<SchedQuery> queue{Q(3, 2.0), Q(1, 0.5), Q(2, 0.5), Q(4, 1.0)};
-  fifo->Order(&queue);
+  Order(QueueDiscipline::kFifo, &queue);
   EXPECT_EQ(Ids(queue), (std::vector<uint64_t>{1, 2, 4, 3}));
 }
 
 TEST(QueuePolicyTest, EdfOrdersByDeadlineWithinPriorityClass) {
-  auto edf = MakeQueuePolicy(QueueDiscipline::kEdf);
   std::vector<SchedQuery> queue{
       Q(1, 0.0, /*deadline_s=*/9.0),
       Q(2, 1.0, /*deadline_s=*/4.0),
@@ -51,58 +57,54 @@ TEST(QueuePolicyTest, EdfOrdersByDeadlineWithinPriorityClass) {
       Q(4, 3.0, /*deadline_s=*/6.0),
       Q(5, 4.0, /*deadline_s=*/20.0, /*priority=*/1),  // outranks them all
   };
-  edf->Order(&queue);
+  Order(QueueDiscipline::kEdf, &queue);
   EXPECT_EQ(Ids(queue), (std::vector<uint64_t>{5, 2, 4, 1, 3}));
 }
 
 TEST(QueuePolicyTest, EdfBreaksDeadlineTiesByArrival) {
-  auto edf = MakeQueuePolicy(QueueDiscipline::kEdf);
   std::vector<SchedQuery> queue{Q(2, 1.0, 5.0), Q(1, 0.0, 5.0)};
-  edf->Order(&queue);
+  Order(QueueDiscipline::kEdf, &queue);
   EXPECT_EQ(Ids(queue), (std::vector<uint64_t>{1, 2}));
 }
 
 TEST(QueuePolicyTest, ShedVictimIsLowestPriorityLatestDeadline) {
-  auto edf = MakeQueuePolicy(QueueDiscipline::kEdf);
   const std::vector<SchedQuery> queue{
       Q(1, 0.0, 5.0, /*priority=*/1),
       Q(2, 1.0, 3.0, /*priority=*/0),
       Q(3, 2.0, 8.0, /*priority=*/0),  // lowest class, latest deadline
       Q(4, 3.0, 4.0, /*priority=*/2),
   };
-  EXPECT_EQ(queue[edf->ShedVictim(queue)].query_id, 3u);
+  EXPECT_EQ(queue[ShedVictimIndex(queue)].query_id, 3u);
   // Among equals, the latest arrival yields first.
   const std::vector<SchedQuery> ties{Q(1, 0.0), Q(2, 1.0), Q(3, 0.5)};
-  EXPECT_EQ(ties[edf->ShedVictim(ties)].query_id, 2u);
+  EXPECT_EQ(ties[ShedVictimIndex(ties)].query_id, 2u);
 }
 
 TEST(BatchPolicyTest, NoDeadlineMeansFixedWindow) {
-  auto batcher = MakeDeadlineBatchPolicy();
   const std::vector<SchedQuery> members{Q(1, 0.0), Q(2, 0.01)};
   EXPECT_DOUBLE_EQ(
-      batcher->FlushIn(members, /*now_s=*/0.02, /*window_s=*/0.5,
-                       /*est_exec_s=*/1.0),
+      BatchFlushIn(members, /*now_s=*/0.02, /*window_s=*/0.5,
+                   /*est_exec_s=*/1.0),
       0.5);
 }
 
 TEST(BatchPolicyTest, SlackTriggeredFlushUsesOldestMemberDeadline) {
-  auto batcher = MakeDeadlineBatchPolicy();
   // Member 1 must finish by t=2.0 and execution is predicted at 1.0s: the
   // batch may wait until its safety-margined slack
   // (2.0 - 0.1 - kSlackSafetyFactor * 1.0) runs out, even though the
   // window would allow 5s.
   const std::vector<SchedQuery> members{Q(1, 0.0, /*deadline_s=*/2.0),
                                         Q(2, 0.05, /*deadline_s=*/9.0)};
-  EXPECT_NEAR(batcher->FlushIn(members, /*now_s=*/0.1, /*window_s=*/5.0,
-                               /*est_exec_s=*/1.0),
+  EXPECT_NEAR(BatchFlushIn(members, /*now_s=*/0.1, /*window_s=*/5.0,
+                           /*est_exec_s=*/1.0),
               1.9 - kSlackSafetyFactor, 1e-12);
   // Slack already exhausted: flush immediately, never negative.
-  EXPECT_DOUBLE_EQ(batcher->FlushIn(members, /*now_s=*/1.5, /*window_s=*/5.0,
-                                    /*est_exec_s=*/1.0),
+  EXPECT_DOUBLE_EQ(BatchFlushIn(members, /*now_s=*/1.5, /*window_s=*/5.0,
+                                /*est_exec_s=*/1.0),
                    0.0);
   // Ample slack: the window still caps the wait.
-  EXPECT_DOUBLE_EQ(batcher->FlushIn(members, /*now_s=*/0.1, /*window_s=*/0.3,
-                                    /*est_exec_s=*/0.01),
+  EXPECT_DOUBLE_EQ(BatchFlushIn(members, /*now_s=*/0.1, /*window_s=*/0.3,
+                                /*est_exec_s=*/0.01),
                    0.3);
 }
 
@@ -116,66 +118,65 @@ LoadSnapshot Load(int32_t queued, double sustainable_qps,
 }
 
 TEST(AdmissionTest, AdmitAllNeverRejects) {
-  auto admit_all = MakeAdmitAll();
+  // No bounds and no quotas: the admission-off configuration.
+  Admission admit_all(/*max_queue_depth=*/0, /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kRejectNew);
   const AdmissionDecision decision =
-      admit_all->Decide(Q(1, 0.0), Load(1 << 20, 0.001), {});
+      admit_all.Decide(Q(1, 0.0), Load(1 << 20, 0.001), {});
   EXPECT_EQ(decision.action, AdmissionDecision::Action::kAdmit);
 }
 
 TEST(AdmissionTest, DepthBoundRejectsWithTypedReason) {
-  auto admission = MakeDepthBoundAdmission(/*max_queue_depth=*/2,
-                                           /*max_queue_wait_s=*/-1.0,
-                                           ShedPolicy::kRejectNew);
+  Admission admission(/*max_queue_depth=*/2,
+                      /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kRejectNew);
   const std::vector<SchedQuery> queue{Q(1, 0.0), Q(2, 0.1)};
-  EXPECT_EQ(admission->Decide(Q(3, 0.2), Load(1, 10.0), {Q(1, 0.0)}).action,
+  EXPECT_EQ(admission.Decide(Q(3, 0.2), Load(1, 10.0), {Q(1, 0.0)}).action,
             AdmissionDecision::Action::kAdmit);
   const AdmissionDecision rejected =
-      admission->Decide(Q(3, 0.2), Load(2, 10.0), queue);
+      admission.Decide(Q(3, 0.2), Load(2, 10.0), queue);
   EXPECT_EQ(rejected.action, AdmissionDecision::Action::kReject);
   EXPECT_NE(rejected.reason.find("depth"), std::string::npos);
 }
 
 TEST(AdmissionTest, WaitBoundRejectsOnPredictedWait) {
-  auto admission = MakeDepthBoundAdmission(/*max_queue_depth=*/0,
-                                           /*max_queue_wait_s=*/1.0,
-                                           ShedPolicy::kRejectNew);
+  Admission admission(/*max_queue_depth=*/0,
+                      /*max_queue_wait_s=*/1.0,
+                      ShedPolicy::kRejectNew);
   // An empty queue never trips the wait bound, whatever the rate.
-  EXPECT_EQ(admission->Decide(Q(9, 0.0), Load(0, 0.01), {}).action,
+  EXPECT_EQ(admission.Decide(Q(9, 0.0), Load(0, 0.01), {}).action,
             AdmissionDecision::Action::kAdmit);
   // 4 ahead at 10 qps -> predicted wait 0.4s: fine.
-  EXPECT_EQ(admission->Decide(Q(9, 0.0), Load(4, 10.0), {}).action,
+  EXPECT_EQ(admission.Decide(Q(9, 0.0), Load(4, 10.0), {}).action,
             AdmissionDecision::Action::kAdmit);
   // 20 ahead at 10 qps -> predicted wait 2s: rejected.
   const AdmissionDecision rejected =
-      admission->Decide(Q(9, 0.0), Load(20, 10.0), {});
+      admission.Decide(Q(9, 0.0), Load(20, 10.0), {});
   EXPECT_EQ(rejected.action, AdmissionDecision::Action::kReject);
   EXPECT_NE(rejected.reason.find("wait"), std::string::npos);
   // An unbounded dispatcher sustains any rate: never rejected on wait.
-  EXPECT_EQ(admission
-                ->Decide(Q(9, 0.0),
-                         Load(1 << 20,
-                              std::numeric_limits<double>::infinity(),
-                              /*max_concurrent_runs=*/0),
-                         {})
-                .action,
+  const LoadSnapshot unbounded =
+      Load(1 << 20, std::numeric_limits<double>::infinity(),
+           /*max_concurrent_runs=*/0);
+  EXPECT_EQ(admission.Decide(Q(9, 0.0), unbounded, {}).action,
             AdmissionDecision::Action::kAdmit);
 }
 
 TEST(AdmissionTest, ShedLowestPriorityMakesRoomForOutrankingArrival) {
-  auto admission = MakeDepthBoundAdmission(/*max_queue_depth=*/2,
-                                           /*max_queue_wait_s=*/-1.0,
-                                           ShedPolicy::kShedLowestPriority);
+  Admission admission(/*max_queue_depth=*/2,
+                      /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kShedLowestPriority);
   const std::vector<SchedQuery> queue{Q(1, 0.0, 5.0, /*priority=*/0),
                                       Q(2, 0.1, 9.0, /*priority=*/0)};
   // Higher-priority arrival: the lowest-priority, latest-deadline member
   // yields.
   const AdmissionDecision shed =
-      admission->Decide(Q(3, 0.2, 4.0, /*priority=*/1), Load(2, 10.0), queue);
+      admission.Decide(Q(3, 0.2, 4.0, /*priority=*/1), Load(2, 10.0), queue);
   EXPECT_EQ(shed.action, AdmissionDecision::Action::kShedVictim);
   EXPECT_EQ(shed.victim_query_id, 2u);
   EXPECT_FALSE(shed.reason.empty());
   // Equal priority never sheds: the arrival is rejected instead.
-  EXPECT_EQ(admission->Decide(Q(3, 0.2, 4.0, /*priority=*/0), Load(2, 10.0),
+  EXPECT_EQ(admission.Decide(Q(3, 0.2, 4.0, /*priority=*/0), Load(2, 10.0),
                               queue)
                 .action,
             AdmissionDecision::Action::kReject);
@@ -186,9 +187,9 @@ TEST(AdmissionTest, DecisionSequenceIsDeterministicPerSeed) {
   // "fleet" dequeues at a fixed service rate. The admission decision
   // sequence must be a pure function of the trace (identical per seed).
   auto run_trace = [](uint64_t seed) {
-    auto admission = MakeDepthBoundAdmission(/*max_queue_depth=*/3,
-                                             /*max_queue_wait_s=*/-1.0,
-                                             ShedPolicy::kRejectNew);
+    Admission admission(/*max_queue_depth=*/3,
+                        /*max_queue_wait_s=*/-1.0,
+                        ShedPolicy::kRejectNew);
     const std::vector<double> arrivals =
         PoissonArrivals(/*rate_qps=*/8.0, /*count=*/64, seed);
     constexpr double kServiceRateQps = 4.0;
@@ -212,7 +213,7 @@ TEST(AdmissionTest, DecisionSequenceIsDeterministicPerSeed) {
       load.max_concurrent_runs = 1;
       load.sustainable_qps = kServiceRateQps;
       const AdmissionDecision decision =
-          admission->Decide(arrival, load, queue);
+          admission.Decide(arrival, load, queue);
       decisions.push_back(static_cast<int>(decision.action));
       if (decision.action == AdmissionDecision::Action::kAdmit) {
         queue.push_back(arrival);
@@ -237,22 +238,136 @@ TEST(AdmissionTest, DegenerateThroughputSnapshotsNeverDivideByZero) {
   // sustainable_qps of 0 or +inf. The wait bound must degrade to "no
   // prediction" (admit on depth alone), never divide by zero or reject on
   // a NaN/inf wait.
-  auto admission = MakeDepthBoundAdmission(/*max_queue_depth=*/8,
-                                           /*max_queue_wait_s=*/0.5,
-                                           ShedPolicy::kRejectNew);
+  Admission admission(/*max_queue_depth=*/8,
+                      /*max_queue_wait_s=*/0.5,
+                      ShedPolicy::kRejectNew);
   for (const double qps :
        {0.0, std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity()}) {
     LoadSnapshot load = Load(/*queued=*/4, qps);
     load.est_run_s = 0.0;
     load.ewma_service_rate_qps = 0.0;
-    const AdmissionDecision decision = admission->Decide(Q(1, 0.0), load, {});
+    const AdmissionDecision decision = admission.Decide(Q(1, 0.0), load, {});
     EXPECT_EQ(decision.action, AdmissionDecision::Action::kAdmit)
         << "sustainable_qps=" << qps << ": " << decision.reason;
   }
   // The depth bound still applies without a throughput estimate.
-  EXPECT_EQ(admission->Decide(Q(1, 0.0), Load(8, 0.0), {Q(2, 0.0)}).action,
+  EXPECT_EQ(admission.Decide(Q(1, 0.0), Load(8, 0.0), {Q(2, 0.0)}).action,
             AdmissionDecision::Action::kReject);
+}
+
+SchedQuery TenantQ(uint64_t id, int32_t tenant) {
+  SchedQuery q = Q(id, 0.0);
+  q.tenant = tenant;
+  return q;
+}
+
+LoadSnapshot LoadAt(double now_s, int32_t queued = 0) {
+  LoadSnapshot load = Load(queued, 10.0);
+  load.now_s = now_s;
+  return load;
+}
+
+TenantQuota Quota(int32_t tenant, double rate_qps, double burst,
+                  double max_queue_share = 0.0) {
+  TenantQuota quota;
+  quota.tenant = tenant;
+  quota.rate_qps = rate_qps;
+  quota.burst = burst;
+  quota.max_queue_share = max_queue_share;
+  return quota;
+}
+
+TEST(QuotaTest, DepthBoundRejectSpendsNoToken) {
+  Admission admission(/*max_queue_depth=*/1, /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kRejectNew, {Quota(5, 1.0, /*burst=*/2.0)});
+  // The quota passes, then the full queue rejects: no token is spent.
+  const AdmissionDecision full =
+      admission.Decide(TenantQ(1, 5), LoadAt(0.0, /*queued=*/1), {});
+  EXPECT_EQ(full.action, AdmissionDecision::Action::kReject);
+  EXPECT_NE(full.reason.find("depth"), std::string::npos);
+  // Both tokens are still there for admitted arrivals at the same instant.
+  EXPECT_EQ(admission.Decide(TenantQ(2, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kAdmit);
+  EXPECT_EQ(admission.Decide(TenantQ(3, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kAdmit);
+  const AdmissionDecision empty =
+      admission.Decide(TenantQ(4, 5), LoadAt(0.0), {});
+  EXPECT_EQ(empty.action, AdmissionDecision::Action::kReject);
+  EXPECT_NE(empty.reason.find("quota"), std::string::npos);
+}
+
+TEST(QuotaTest, QueueShareRejectKeepsTheTokens) {
+  Admission admission(/*max_queue_depth=*/0, /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kRejectNew,
+                      {Quota(5, 1.0, /*burst=*/1.0, /*max_queue_share=*/0.5)});
+  // Tenant 5 already holds both queue entries: with the arrival it would
+  // hold 3 of 3 against ceil(0.5 x 3) = 2 allowed.
+  const std::vector<SchedQuery> queue{TenantQ(1, 5), TenantQ(2, 5)};
+  const AdmissionDecision share =
+      admission.Decide(TenantQ(3, 5), LoadAt(0.0, 2), queue);
+  EXPECT_EQ(share.action, AdmissionDecision::Action::kReject);
+  EXPECT_NE(share.reason.find("queue share"), std::string::npos);
+  // The one token survived the share reject.
+  EXPECT_EQ(admission.Decide(TenantQ(4, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kAdmit);
+  EXPECT_EQ(admission.Decide(TenantQ(5, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kReject);
+}
+
+TEST(QuotaTest, UnlistedTenantSkipsTheQuota) {
+  Admission admission(/*max_queue_depth=*/2, /*max_queue_wait_s=*/-1.0,
+                      ShedPolicy::kRejectNew, {Quota(5, 1.0, /*burst=*/1.0)});
+  EXPECT_EQ(admission.Decide(TenantQ(1, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kAdmit);
+  EXPECT_EQ(admission.Decide(TenantQ(2, 5), LoadAt(0.0), {}).action,
+            AdmissionDecision::Action::kReject);
+  // Tenant 6 carries no quota: only the bounds apply to it.
+  for (uint64_t id = 3; id < 10; ++id) {
+    EXPECT_EQ(admission.Decide(TenantQ(id, 6), LoadAt(0.0), {}).action,
+              AdmissionDecision::Action::kAdmit);
+  }
+  const AdmissionDecision full =
+      admission.Decide(TenantQ(10, 6), LoadAt(0.0, /*queued=*/2), {});
+  EXPECT_EQ(full.action, AdmissionDecision::Action::kReject);
+  EXPECT_NE(full.reason.find("depth"), std::string::npos);
+}
+
+TEST(QuotaTest, TokensRefillDeterministicallyWithVirtualTime) {
+  auto run = []() {
+    Admission admission(/*max_queue_depth=*/0, /*max_queue_wait_s=*/-1.0,
+                        ShedPolicy::kRejectNew,
+                        {Quota(5, /*rate_qps=*/2.0, /*burst=*/2.0)});
+    std::vector<std::string> decisions;
+    uint64_t id = 0;
+    for (const double now_s : {0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 10.0, 10.0,
+                               10.0}) {
+      const AdmissionDecision decision =
+          admission.Decide(TenantQ(++id, 5), LoadAt(now_s), {});
+      decisions.push_back(
+          decision.action == AdmissionDecision::Action::kAdmit
+              ? "admit"
+              : decision.reason);
+    }
+    return decisions;
+  };
+  const std::vector<std::string> decisions = run();
+  const std::vector<std::string> expected{
+      "admit",
+      "admit",
+      "tenant 5 quota exceeded (2.000 qps, 0.00 tokens)",
+      // 0.25s x 2 qps refills half a token: still short.
+      "tenant 5 quota exceeded (2.000 qps, 0.50 tokens)",
+      // Another 0.25s completes the token.
+      "admit",
+      "tenant 5 quota exceeded (2.000 qps, 0.00 tokens)",
+      // A long gap refills only up to the burst.
+      "admit",
+      "admit",
+      "tenant 5 quota exceeded (2.000 qps, 0.00 tokens)",
+  };
+  EXPECT_EQ(decisions, expected);
+  EXPECT_EQ(run(), decisions);
 }
 
 PrewarmSnapshot Warm(double rate_qps, double est_run_s, int32_t workers,
@@ -335,12 +450,6 @@ TEST(DispatchGateTest, SlotAccountingIsExact) {
 }
 
 TEST(SchedulerNames, PoliciesAndEnumsAreNamed) {
-  EXPECT_EQ(MakeAdmitAll()->name(), "admit-all");
-  EXPECT_EQ(MakeDepthBoundAdmission(1, -1.0, ShedPolicy::kRejectNew)->name(),
-            "depth-bound");
-  EXPECT_EQ(MakeQueuePolicy(QueueDiscipline::kFifo)->name(), "fifo");
-  EXPECT_EQ(MakeQueuePolicy(QueueDiscipline::kEdf)->name(), "edf");
-  EXPECT_EQ(MakeDeadlineBatchPolicy()->name(), "deadline-slack");
   EXPECT_EQ(ShedPolicyName(ShedPolicy::kShedLowestPriority),
             "shed-lowest-priority");
   EXPECT_EQ(QueueDisciplineName(QueueDiscipline::kEdf), "edf");

@@ -3,11 +3,13 @@
 // per-tenant quota enforcement and the FleetStats tenant partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
 
 #include "cloud/cloud.h"
+#include "common/strings.h"
 #include "core/serving.h"
 #include "core/trace.h"
 #include "model/input_gen.h"
@@ -166,6 +168,55 @@ TEST(Trace, SerializationRoundTripsExactly) {
 
   EXPECT_FALSE(ParseTrace("not a trace").ok());
   EXPECT_FALSE(LoadTrace(path + ".missing").ok());
+}
+
+TEST(Trace, ParseRejectsWhatGenerateRejects) {
+  // Each config GenerateTrace refuses must not load from a trace file
+  // either: TraceTenantQuotas would quota-limit the default tenant 0 or
+  // keep only the last duplicate's bucket.
+  std::vector<TraceConfig> invalid;
+  TenantSpec tenant;
+  tenant.tenant = 1;
+  TraceConfig config;
+  config.tenants = {tenant};
+  config.tenants[0].tenant = 0;  // the default tenant's id
+  invalid.push_back(config);
+  config.tenants = {tenant, tenant};  // duplicate id
+  invalid.push_back(config);
+  config.tenants = {tenant};
+  config.tenants[0].qps_share = 0.0;
+  invalid.push_back(config);
+  config.tenants[0].qps_share = -1.0;
+  invalid.push_back(config);
+  config.tenants = {tenant};
+  config.flash_crowds = {FlashCrowd{1.0, -2.0, 3.0}};
+  invalid.push_back(config);
+  config.flash_crowds = {FlashCrowd{1.0, 2.0, -3.0}};
+  invalid.push_back(config);
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    EXPECT_FALSE(GenerateTrace(invalid[i]).ok()) << "config " << i;
+    auto parsed = ParseTrace(SerializeTrace(WorkloadTrace{invalid[i], {}}));
+    ASSERT_FALSE(parsed.ok()) << "config " << i;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << "config " << i;
+  }
+
+  // A negative arrival fails at parse time, naming its line, instead of
+  // failing ReplayTrace after the earlier queries were submitted.
+  WorkloadTrace trace;
+  trace.config.tenants = {tenant};
+  trace.queries = {TraceQuery{0.5, 1}, TraceQuery{-1.0, 1}};
+  const std::string text = SerializeTrace(trace);
+  ASSERT_TRUE(
+      ParseTrace(SerializeTrace(WorkloadTrace{trace.config, {}})).ok());
+  const size_t bad_line =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  auto parsed = ParseTrace(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(StrFormat("line %zu", bad_line)),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 // --- serving-level replay ---
