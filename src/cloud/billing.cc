@@ -82,25 +82,6 @@ double BillingLedger::TotalCost() const {
   return total;
 }
 
-double BillingLedger::FaasCost() const {
-  return line(BillingDimension::kFaasInvocation).cost +
-         line(BillingDimension::kFaasRuntimeMbSec).cost;
-}
-
-double BillingLedger::CommunicationCost() const {
-  return line(BillingDimension::kPubSubPublishChunk).cost +
-         line(BillingDimension::kPubSubDeliveryByte).cost +
-         line(BillingDimension::kQueueApiCall).cost +
-         line(BillingDimension::kObjectPut).cost +
-         line(BillingDimension::kObjectGet).cost +
-         line(BillingDimension::kObjectList).cost +
-         line(BillingDimension::kKvRequest).cost +
-         line(BillingDimension::kKvProcessedByte).cost +
-         line(BillingDimension::kKvNodeSecond).cost +
-         line(BillingDimension::kP2pConnection).cost +
-         line(BillingDimension::kP2pByte).cost;
-}
-
 std::string BillingLedger::ToString() const {
   std::string out;
   for (int i = 0; i < static_cast<int>(BillingDimension::kDimensionCount);
@@ -116,10 +97,6 @@ std::string BillingLedger::ToString() const {
   out += StrFormat("  %-24s cost=%s\n", "TOTAL",
                    HumanDollars(TotalCost()).c_str());
   return out;
-}
-
-void BillingLedger::Reset() {
-  for (BillingLine& line : lines_) line = BillingLine{};
 }
 
 }  // namespace fsd::cloud

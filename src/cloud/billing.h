@@ -25,7 +25,7 @@ enum class BillingDimension : int {
   kObjectPut,            ///< V
   kObjectGet,            ///< R
   kObjectList,           ///< L
-  kKvRequest,            ///< K (KV push/pop/set/get requests)
+  kKvRequest,            ///< K (KV push/pop requests)
   kKvProcessedByte,      ///< B (payload bytes processed by the cache)
   kKvNodeSecond,         ///< cache-node seconds (priced per hour)
   kP2pConnection,        ///< established NAT-punched links (per pair)
@@ -74,17 +74,8 @@ class BillingLedger {
   /// Total cost across all dimensions.
   double TotalCost() const;
 
-  /// FaaS-only cost (C_lambda in the paper).
-  double FaasCost() const;
-
-  /// Communication-only cost (C_SNS + C_SQS or C_S3).
-  double CommunicationCost() const;
-
   /// Multi-line human-readable breakdown.
   std::string ToString() const;
-
-  /// Zeroes all lines (reuse between runs).
-  void Reset();
 
  private:
   PricingConfig pricing_;

@@ -24,8 +24,6 @@ Status FaasContext::OffloadFor(double dt, std::function<void()> fn) {
   return CheckDeadline();
 }
 
-double FaasContext::RemainingTime() const { return deadline_ - sim_->Now(); }
-
 Status FaasContext::CheckDeadline() const {
   if (sim_->Now() >= deadline_) {
     return Status::DeadlineExceeded(

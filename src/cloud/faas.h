@@ -107,9 +107,6 @@ class FaasContext {
   /// may only touch this handler's own state and immutable shared data.
   Status OffloadFor(double dt, std::function<void()> fn);
 
-  /// Remaining runtime before the cap (<= 0 means already over).
-  double RemainingTime() const;
-
   /// Returns DeadlineExceeded if the cap has been reached.
   Status CheckDeadline() const;
 

@@ -1,6 +1,5 @@
 #include "cloud/kvstore.h"
 
-#include <algorithm>
 #include <functional>
 
 namespace fsd::cloud {
@@ -12,7 +11,8 @@ Status KvStore::CreateNamespace(const std::string& name,
   }
   FSD_CHECK_GE(options.num_shards, 1);
   Namespace ns;
-  ns.options = options;
+  ns.lists =
+      std::make_shared<InboxLists>(sim_, "kv namespace deleted: " + name);
   for (int s = 0; s < options.num_shards; ++s) {
     ns.shard_limiters.push_back(
         std::make_unique<RateLimiter>(latency_->kv_ops_rps_per_shard));
@@ -39,20 +39,13 @@ Status KvStore::DeleteNamespace(const std::string& name) {
                                      : 0.0;
   billing_->RecordCost(BillingDimension::kKvNodeSecond, seconds,
                        seconds * billing_->pricing().kv_node_hourly / 3600.0);
-  // Wake any blocked poppers; they observe NotFound on re-entry.
-  for (auto& [key, list] : it->second.lists) {
-    if (list.arrival_signal != nullptr) list.arrival_signal->Fire();
-  }
+  // Wake any blocked poppers; they observe NotFound.
+  it->second.lists->Close();
   namespaces_.erase(it);
   return Status::OK();
 }
 
 KvStore::Namespace* KvStore::Find(const std::string& name) {
-  auto it = namespaces_.find(name);
-  return it == namespaces_.end() ? nullptr : &it->second;
-}
-
-const KvStore::Namespace* KvStore::Find(const std::string& name) const {
   auto it = namespaces_.find(name);
   return it == namespaces_.end() ? nullptr : &it->second;
 }
@@ -84,27 +77,7 @@ KvStore::PushOutcome KvStore::Push(const std::string& ns_name,
   const double queueing = ShardDelay(ns, key);
   outcome.latency =
       queueing + latency_->kv_push.Sample(&rng_, value.size());
-
-  ListEntry& list = ns->lists[key];
-  StoredValue stored{std::move(value), sim_->Now() + outcome.latency};
-  list.values.push_back(std::move(stored));
-  // Wake long-pollers when the value becomes visible, then re-arm. The
-  // signal itself is popper-allocated: a push with nobody polling leaves
-  // it null, and a popper arriving after visibility finds the value in
-  // gather() directly — so the unobserved case (the common one on the
-  // hot path) skips the whole fire/re-arm allocation cycle.
-  std::string ns_copy = ns_name;
-  std::string key_copy = key;
-  sim_->ScheduleCallback(outcome.latency, [this, ns_copy, key_copy]() {
-    Namespace* target = Find(ns_copy);
-    if (target == nullptr) return;  // namespace torn down in flight
-    auto it = target->lists.find(key_copy);
-    if (it == target->lists.end()) return;
-    std::shared_ptr<sim::SimSignal>& signal = it->second.arrival_signal;
-    if (signal == nullptr || !signal->has_waiters()) return;
-    signal->Fire();
-    signal = sim_->MakeSignal();
-  });
+  ns->lists->Push(key, std::move(value), outcome.latency);
   outcome.status = Status::OK();
   return outcome;
 }
@@ -113,130 +86,25 @@ Result<std::vector<Bytes>> KvStore::BlockingPopAll(const std::string& ns_name,
                                                    const std::string& key,
                                                    int max_values,
                                                    double wait_s) {
-  if (max_values < 1 || max_values > kMaxValuesPerPop) {
-    return Status::InvalidArgument("max_values must be in [1, 64]");
-  }
+  FSD_RETURN_IF_ERROR(CheckPopCount(max_values));
   Namespace* ns = Find(ns_name);
   if (ns == nullptr) {
     return Status::NotFound("no such kv namespace: " + ns_name);
   }
+  // Holding yields to the scheduler, and the namespace may be torn down
+  // meanwhile: the pop then sees the closed inbox and returns NotFound.
+  // While the inbox is open, the namespace (and `ns`) is still alive.
+  const std::shared_ptr<InboxLists> lists = ns->lists;
   const double queueing = ShardDelay(ns, key);
-  if (queueing > 0.0) {
-    sim_->Hold(queueing);
-    // Holding yielded to the scheduler: the namespace may have been torn
-    // down while this popper waited for shard admission.
-    ns = Find(ns_name);
-    if (ns == nullptr) {
-      return Status::NotFound("kv namespace deleted: " + ns_name);
-    }
-  }
-
-  auto gather = [&](Namespace* space) {
-    std::vector<Bytes> out;
-    auto it = space->lists.find(key);
-    if (it == space->lists.end()) return out;
-    const double now = sim_->Now();
-    std::deque<StoredValue>& values = it->second.values;
-    while (!values.empty() &&
-           static_cast<int>(out.size()) < max_values &&
-           values.front().visible_at <= now) {
-      out.push_back(std::move(values.front().body));
-      values.pop_front();
-    }
-    // A fully drained, unwatched list is dead weight: phases use fresh
-    // keys, so without this the map grows with every phase of the run.
-    // (Pending visibility callbacks keep values non-empty, and a waiter's
-    // signal lives in the entry, so neither can be under an erased one.)
-    if (values.empty() && (it->second.arrival_signal == nullptr ||
-                           !it->second.arrival_signal->has_waiters())) {
-      space->lists.erase(it);
-    }
-    return out;
-  };
-
-  std::vector<Bytes> got = gather(ns);
-  const double deadline = sim_->Now() + wait_s;
-  while (got.empty()) {
-    const double remaining = deadline - sim_->Now();
-    if (remaining <= 0.0) break;
-    ListEntry& list = ns->lists[key];
-    if (list.arrival_signal == nullptr) {
-      list.arrival_signal = sim_->MakeSignal();
-    }
-    std::shared_ptr<sim::SimSignal> signal = list.arrival_signal;
-    if (!sim_->WaitSignal(signal.get(), remaining)) break;
-    // Re-resolve: the namespace may have been torn down while we slept.
-    ns = Find(ns_name);
-    if (ns == nullptr) {
-      return Status::NotFound("kv namespace deleted: " + ns_name);
-    }
-    got = gather(ns);
-  }
+  if (queueing > 0.0) sim_->Hold(queueing);
+  Result<std::vector<Bytes>> got = lists->Pop(key, max_values, wait_s);
+  if (!got.ok()) return got;
 
   uint64_t bytes = 0;
-  for (const Bytes& v : got) bytes += v.size();
+  for (const Bytes& v : *got) bytes += v.size();
   BillRequest(ns, bytes);
   sim_->Hold(latency_->kv_pop.Sample(&rng_, bytes));
   return got;
-}
-
-Status KvStore::Set(const std::string& ns_name, const std::string& key,
-                    Bytes value) {
-  Namespace* ns = Find(ns_name);
-  if (ns == nullptr) {
-    return Status::NotFound("no such kv namespace: " + ns_name);
-  }
-  BillRequest(ns, value.size());
-  const double latency = ShardDelay(ns, key) +
-                         latency_->kv_push.Sample(&rng_, value.size());
-  ns->kv[key] = StoredValue{std::move(value), sim_->Now() + latency};
-  sim_->Hold(latency);
-  return Status::OK();
-}
-
-Result<Bytes> KvStore::Get(const std::string& ns_name,
-                           const std::string& key) {
-  Namespace* ns = Find(ns_name);
-  if (ns == nullptr) {
-    return Status::NotFound("no such kv namespace: " + ns_name);
-  }
-  const double queueing = ShardDelay(ns, key);
-  auto it = ns->kv.find(key);
-  if (it == ns->kv.end() || it->second.visible_at > sim_->Now()) {
-    BillRequest(ns, 0);
-    sim_->Hold(queueing + latency_->kv_pop.Sample(&rng_));
-    return Status::NotFound("no such kv key: " + key);
-  }
-  Bytes body = it->second.body;
-  BillRequest(ns, body.size());
-  sim_->Hold(queueing + latency_->kv_pop.Sample(&rng_, body.size()));
-  return body;
-}
-
-Result<size_t> KvStore::ListLength(const std::string& ns_name,
-                                   const std::string& key) const {
-  const Namespace* ns = Find(ns_name);
-  if (ns == nullptr) {
-    return Status::NotFound("no such kv namespace: " + ns_name);
-  }
-  auto it = ns->lists.find(key);
-  if (it == ns->lists.end()) return static_cast<size_t>(0);
-  size_t visible = 0;
-  for (const StoredValue& v : it->second.values) {
-    if (v.visible_at <= sim_->Now()) ++visible;
-  }
-  return visible;
-}
-
-uint64_t KvStore::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [name, ns] : namespaces_) {
-    for (const auto& [key, list] : ns.lists) {
-      for (const StoredValue& v : list.values) total += v.body.size();
-    }
-    for (const auto& [key, v] : ns.kv) total += v.body.size();
-  }
-  return total;
 }
 
 }  // namespace fsd::cloud

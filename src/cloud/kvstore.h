@@ -19,13 +19,13 @@
 #define FSD_CLOUD_KVSTORE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cloud/billing.h"
+#include "cloud/inbox.h"
 #include "cloud/latency.h"
 #include "common/bytes.h"
 #include "common/result.h"
@@ -33,10 +33,6 @@
 #include "sim/simulation.h"
 
 namespace fsd::cloud {
-
-/// Maximum values returned by one blocking pop (bounds per-call work, like
-/// a pipelined LPOP with COUNT).
-constexpr int kMaxValuesPerPop = 64;
 
 struct KvNamespaceOptions {
   /// Cluster shards the namespace's keys are spread over; each shard has
@@ -85,38 +81,14 @@ class KvStore {
                                             const std::string& key,
                                             int max_values, double wait_s);
 
-  /// Plain SET (overwrites). Blocking; bills one request + bytes.
-  Status Set(const std::string& ns, const std::string& key, Bytes value);
-
-  /// Plain GET. Blocking; bills one request + bytes. NotFound if absent.
-  Result<Bytes> Get(const std::string& ns, const std::string& key);
-
-  /// Visible values on list `key` (diagnostics/tests).
-  Result<size_t> ListLength(const std::string& ns,
-                            const std::string& key) const;
-
-  /// Total stored bytes across namespaces (diagnostics).
-  uint64_t TotalBytes() const;
-
  private:
-  struct StoredValue {
-    Bytes body;
-    double visible_at = 0.0;
-  };
-  struct ListEntry {
-    std::deque<StoredValue> values;
-    std::shared_ptr<sim::SimSignal> arrival_signal;
-  };
   struct Namespace {
-    KvNamespaceOptions options;
     double first_use_at = -1.0;  ///< < 0 until the first data-plane call
-    std::map<std::string, ListEntry> lists;
-    std::map<std::string, StoredValue> kv;  // plain SET/GET space
+    std::shared_ptr<InboxLists> lists;
     std::vector<std::unique_ptr<RateLimiter>> shard_limiters;
   };
 
   Namespace* Find(const std::string& name);
-  const Namespace* Find(const std::string& name) const;
   /// Admission delay on the shard owning `key` (cluster slot by hash).
   double ShardDelay(Namespace* ns, const std::string& key);
   /// Bills one request (+ bytes) and starts the node-billing window.

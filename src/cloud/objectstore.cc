@@ -115,14 +115,4 @@ Status ObjectStore::Delete(const std::string& bucket, const std::string& key) {
   return Status::OK();
 }
 
-uint64_t ObjectStore::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [name, bucket] : buckets_) {
-    for (const auto& [key, object] : bucket.objects) {
-      total += object.body.size();
-    }
-  }
-  return total;
-}
-
 }  // namespace fsd::cloud

@@ -75,9 +75,6 @@ class ObjectStore {
   /// Deletes an object (free on AWS; no billing dimension).
   Status Delete(const std::string& bucket, const std::string& key);
 
-  /// Total stored bytes across buckets (diagnostics).
-  uint64_t TotalBytes() const;
-
  private:
   struct StoredObject {
     Bytes body;

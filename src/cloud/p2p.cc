@@ -1,23 +1,18 @@
 #include "cloud/p2p.h"
 
+#include "common/rng.h"
+
 namespace fsd::cloud {
 namespace {
 
-/// splitmix64 finalizer: spreads the combined pair identity into uniform
-/// bits so punch outcomes and bandwidth factors look independent.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic uniform in [0, 1) for an unordered pair within a session.
-/// Independent of call order, so which pairs punch (and each pair's link
-/// quality) is a property of the configuration, not of scheduling. Keyed
-/// by the session's creation-index salt, never its name: scoped names
-/// embed a process-global run counter, and hashing them would hand
-/// otherwise-identical runs different punch patterns.
+/// Deterministic uniform in [0, 1) for an unordered pair within a session:
+/// Mix64 spreads the combined pair identity into uniform bits, so punch
+/// outcomes and bandwidth factors look independent. Independent of call
+/// order, so which pairs punch (and each pair's link quality) is a property
+/// of the configuration, not of scheduling. Keyed by the session's
+/// creation-index salt, never its name: scoped names embed a process-global
+/// run counter, and hashing them would hand otherwise-identical runs
+/// different punch patterns.
 double PairUniform(uint64_t session_salt, int32_t src, int32_t dst,
                    uint64_t salt) {
   uint64_t h = Mix64(session_salt + 0x632d70756e6368ull);
@@ -43,6 +38,8 @@ Status P2pFabric::CreateSession(const std::string& name) {
   }
   Session session;
   session.salt = next_session_salt_++;
+  session.inboxes =
+      std::make_shared<InboxLists>(sim_, "p2p session deleted: " + name);
   sessions_.emplace(name, std::move(session));
   return Status::OK();
 }
@@ -56,20 +53,13 @@ Status P2pFabric::DeleteSession(const std::string& name) {
   if (it == sessions_.end()) {
     return Status::NotFound("no such p2p session: " + name);
   }
-  // Wake any blocked poppers; they observe NotFound on re-entry.
-  for (auto& [key, inbox] : it->second.inboxes) {
-    if (inbox.arrival_signal != nullptr) inbox.arrival_signal->Fire();
-  }
+  // Wake any blocked poppers; they observe NotFound.
+  it->second.inboxes->Close();
   sessions_.erase(it);
   return Status::OK();
 }
 
 P2pFabric::Session* P2pFabric::Find(const std::string& name) {
-  auto it = sessions_.find(name);
-  return it == sessions_.end() ? nullptr : &it->second;
-}
-
-const P2pFabric::Session* P2pFabric::Find(const std::string& name) const {
   auto it = sessions_.find(name);
   return it == sessions_.end() ? nullptr : &it->second;
 }
@@ -141,26 +131,7 @@ P2pFabric::SendOutcome P2pFabric::Send(const std::string& session,
   outcome.latency =
       handshake_wait + latency_->p2p_send.Sample(&rng_) + transfer;
 
-  Inbox& inbox = s->inboxes[key];
-  inbox.values.push_back(
-      DeliveredValue{std::move(value), sim_->Now() + outcome.latency});
-  // Wake long-pollers when the value becomes visible, then re-arm. As in
-  // KvStore::Push, the signal is popper-allocated, so an unobserved
-  // delivery skips the fire/re-arm allocation cycle entirely.
-  std::string session_copy = session;
-  std::string key_copy = key;
-  sim_->ScheduleCallback(
-      outcome.latency, [this, session_copy, key_copy]() {
-        Session* target = Find(session_copy);
-        if (target == nullptr) return;  // session torn down in flight
-        auto inbox_it = target->inboxes.find(key_copy);
-        if (inbox_it == target->inboxes.end()) return;
-        std::shared_ptr<sim::SimSignal>& signal =
-            inbox_it->second.arrival_signal;
-        if (signal == nullptr || !signal->has_waiters()) return;
-        signal->Fire();
-        signal = sim_->MakeSignal();
-      });
+  s->inboxes->Push(key, std::move(value), outcome.latency);
   outcome.status = Status::OK();
   return outcome;
 }
@@ -168,69 +139,12 @@ P2pFabric::SendOutcome P2pFabric::Send(const std::string& session,
 Result<std::vector<Bytes>> P2pFabric::BlockingPopAll(
     const std::string& session, const std::string& key, int max_values,
     double wait_s) {
-  if (max_values < 1 || max_values > kMaxValuesPerInboxPop) {
-    return Status::InvalidArgument("max_values must be in [1, 64]");
-  }
+  FSD_RETURN_IF_ERROR(CheckPopCount(max_values));
   Session* s = Find(session);
   if (s == nullptr) {
     return Status::NotFound("no such p2p session: " + session);
   }
-
-  auto gather = [&](Session* space) {
-    std::vector<Bytes> out;
-    auto it = space->inboxes.find(key);
-    if (it == space->inboxes.end()) return out;
-    const double now = sim_->Now();
-    std::deque<DeliveredValue>& values = it->second.values;
-    while (!values.empty() && static_cast<int>(out.size()) < max_values &&
-           values.front().visible_at <= now) {
-      out.push_back(std::move(values.front().body));
-      values.pop_front();
-    }
-    // Erase fully drained, unwatched inboxes — phase-scoped keys would
-    // otherwise accumulate for the life of the session (see the matching
-    // note in KvStore::BlockingPopAll for why this is safe).
-    if (values.empty() && (it->second.arrival_signal == nullptr ||
-                           !it->second.arrival_signal->has_waiters())) {
-      space->inboxes.erase(it);
-    }
-    return out;
-  };
-
-  std::vector<Bytes> got = gather(s);
-  const double deadline = sim_->Now() + wait_s;
-  while (got.empty()) {
-    const double remaining = deadline - sim_->Now();
-    if (remaining <= 0.0) break;
-    Inbox& inbox = s->inboxes[key];
-    if (inbox.arrival_signal == nullptr) {
-      inbox.arrival_signal = sim_->MakeSignal();
-    }
-    std::shared_ptr<sim::SimSignal> signal = inbox.arrival_signal;
-    if (!sim_->WaitSignal(signal.get(), remaining)) break;
-    // Re-resolve: the session may have been torn down while we slept.
-    s = Find(session);
-    if (s == nullptr) {
-      return Status::NotFound("p2p session deleted: " + session);
-    }
-    got = gather(s);
-  }
-  return got;
-}
-
-Result<size_t> P2pFabric::InboxDepth(const std::string& session,
-                                     const std::string& key) const {
-  const Session* s = Find(session);
-  if (s == nullptr) {
-    return Status::NotFound("no such p2p session: " + session);
-  }
-  auto it = s->inboxes.find(key);
-  if (it == s->inboxes.end()) return static_cast<size_t>(0);
-  size_t visible = 0;
-  for (const DeliveredValue& v : it->second.values) {
-    if (v.visible_at <= sim_->Now()) ++visible;
-  }
-  return visible;
+  return s->inboxes->Pop(key, max_values, wait_s);
 }
 
 }  // namespace fsd::cloud

@@ -14,13 +14,12 @@
 //  - sub-millisecond sends with NO per-request service charge and NO
 //    service-side rate cap: once punched, the link is kernel TCP, so only
 //    bytes are billed (inter-AZ transfer class)
-//  - delivery into per-key receiver inboxes with KvStore-style blocking
-//    pops, so receive loops can long-poll without spinning
+//  - delivery into per-key receiver inboxes (InboxLists, the same lists
+//    under the KV store), so receive loops can long-poll without spinning
 #ifndef FSD_CLOUD_P2P_H_
 #define FSD_CLOUD_P2P_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "cloud/billing.h"
+#include "cloud/inbox.h"
 #include "cloud/latency.h"
 #include "common/bytes.h"
 #include "common/result.h"
@@ -35,10 +35,6 @@
 #include "sim/simulation.h"
 
 namespace fsd::cloud {
-
-/// Maximum values returned by one blocking inbox pop (mirrors the KV
-/// store's bound so receive loops share drain logic).
-constexpr int kMaxValuesPerInboxPop = 64;
 
 class P2pFabric {
  public:
@@ -103,23 +99,11 @@ class P2pFabric {
                                             const std::string& key,
                                             int max_values, double wait_s);
 
-  /// Visible values on inbox `key` (diagnostics/tests).
-  Result<size_t> InboxDepth(const std::string& session,
-                            const std::string& key) const;
-
  private:
   struct Link {
     bool punched = false;
     double ready_at = 0.0;  ///< handshake completion (virtual time)
     double bandwidth_bytes_per_s = 0.0;
-  };
-  struct DeliveredValue {
-    Bytes body;
-    double visible_at = 0.0;
-  };
-  struct Inbox {
-    std::deque<DeliveredValue> values;
-    std::shared_ptr<sim::SimSignal> arrival_signal;
   };
   struct Session {
     /// Per-session draw salt: the fabric-local creation index. Punch luck
@@ -128,11 +112,10 @@ class P2pFabric {
     /// runs draw different punch patterns within one process.
     uint64_t salt = 0;
     std::map<std::pair<int32_t, int32_t>, Link> links;
-    std::map<std::string, Inbox> inboxes;
+    std::shared_ptr<InboxLists> inboxes;
   };
 
   Session* Find(const std::string& name);
-  const Session* Find(const std::string& name) const;
 
   sim::Simulation* sim_;
   BillingLedger* billing_;

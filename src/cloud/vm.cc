@@ -13,15 +13,13 @@ Result<double> VmService::HourlyPrice(const std::string& type_name) const {
 }
 
 Result<uint64_t> VmService::Launch(const std::string& type_name) {
-  auto type_it = VmCatalogue().find(type_name);
-  if (type_it == VmCatalogue().end()) {
+  if (!VmCatalogue().contains(type_name)) {
     return Status::NotFound("no such VM type: " + type_name);
   }
   FSD_ASSIGN_OR_RETURN(double hourly, HourlyPrice(type_name));
   const double boot = latency_->vm_boot.Sample(&rng_);
   sim_->Hold(boot);
   Vm vm;
-  vm.type = type_it->second;
   vm.hourly = hourly;
   vm.ready_at = sim_->Now();
   const uint64_t id = next_vm_id_++;
@@ -39,12 +37,6 @@ Status VmService::Terminate(uint64_t vm_id) {
                        seconds * it->second.hourly / 3600.0);
   vms_.erase(it);
   return Status::OK();
-}
-
-Result<VmType> VmService::TypeOf(uint64_t vm_id) const {
-  auto it = vms_.find(vm_id);
-  if (it == vms_.end()) return Status::NotFound("no such VM");
-  return it->second.type;
 }
 
 Status VmService::BillAlwaysOn(const std::string& type_name, double seconds,

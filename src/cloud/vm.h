@@ -52,8 +52,6 @@ class VmService {
   /// Terminates and bills the instance (per-second, 60 s minimum).
   Status Terminate(uint64_t vm_id);
 
-  Result<VmType> TypeOf(uint64_t vm_id) const;
-
   /// Bills an always-on fleet: `count` instances of `type` for `seconds`
   /// of wall-clock, independent of utilization.
   Status BillAlwaysOn(const std::string& type_name, double seconds,
@@ -61,7 +59,6 @@ class VmService {
 
  private:
   struct Vm {
-    VmType type;
     double hourly = 0.0;
     double ready_at = 0.0;
   };

@@ -8,10 +8,9 @@ namespace fsd {
 namespace {
 
 inline uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  const uint64_t z = Mix64(state);
+  state += 0x9E3779B97F4A7C15ULL;
+  return z;
 }
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

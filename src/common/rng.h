@@ -12,6 +12,15 @@
 
 namespace fsd {
 
+/// splitmix64 finalizer: one SplitMix64 step from state `x`. Spreads
+/// structured keys (pair ids, chunk seeds) into uniform, independent bits.
+constexpr uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL) { Seed(seed); }

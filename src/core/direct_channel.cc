@@ -177,7 +177,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
       FSD_ASSIGN_OR_RETURN(
           std::vector<Bytes> values,
           env->cloud->p2p().BlockingPopAll(session, inbox,
-                                           cloud::kMaxValuesPerInboxPop,
+                                           cloud::kMaxValuesPerPop,
                                            options.direct_poll_wait_s));
       ++metrics.direct_pops;
       if (values.empty()) ++metrics.direct_empty_pops;

@@ -511,10 +511,8 @@ void ServingRuntime::ReleaseSlot() {
 }
 
 void ServingRuntime::ShedQuery(uint64_t victim_id, const std::string& reason) {
-  auto it = queries_.find(victim_id);
-  if (it == queries_.end()) return;
-  Query* victim = it->second.get();
-  if (!victim->queued || victim->finished) return;
+  if (!queued_ids_.contains(victim_id)) return;
+  Query* victim = queries_.at(victim_id).get();
   const int32_t cols = RequestSampleCols(victim->request);
   // Remove the victim from wherever it queues: an open coalescing batch...
   for (auto& [batch_id, batch] : pending_batches_) {
@@ -556,8 +554,6 @@ void ServingRuntime::RejectQuery(Query* query, const std::string& reason) {
 }
 
 void ServingRuntime::Dequeue(Query* query) {
-  if (!query->queued) return;
-  query->queued = false;
   queued_ids_.erase(query->outcome.query_id);
 }
 
@@ -594,8 +590,7 @@ std::vector<SchedQuery> ServingRuntime::QueuedSnapshot() const {
   std::vector<SchedQuery> queue;
   queue.reserve(queued_ids_.size());
   for (uint64_t id : queued_ids_) {
-    const Query& query = *queries_.at(id);
-    if (query.queued && !query.finished) queue.push_back(SchedView(query));
+    queue.push_back(SchedView(*queries_.at(id)));
   }
   return queue;
 }
@@ -833,7 +828,6 @@ void ServingRuntime::ArriveQuery(uint64_t query_id) {
       ShedQuery(decision.victim_query_id, decision.reason);
     }
   }
-  query->queued = true;
   queued_ids_.insert(query_id);
   const bool batching = options_.batch_window_s > 0.0 &&
                         query->request.options.cross_query_batching;

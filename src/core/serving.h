@@ -235,9 +235,6 @@ class ServingRuntime {
     RunState* state = nullptr;  ///< set once the query's run exists
     bool aborted = false;
     bool finished = false;
-    /// Admitted but not yet launched (in an open coalescing batch or a
-    /// parked run) — the shed-victim pool and the admission queue depth.
-    bool queued = false;
   };
 
   /// One worker tree (possibly serving several coalesced queries).
@@ -325,8 +322,7 @@ class ServingRuntime {
   void RejectQuery(Query* query, const std::string& reason);
   void FailQueries(const std::vector<uint64_t>& ids, const Status& status,
                    QueryDisposition disposition);
-  /// Clears a query's queued flag (and the depth counter) when it leaves
-  /// the admitted-but-unlaunched set.
+  /// Removes a query from the admitted-but-unlaunched set when it leaves.
   void Dequeue(Query* query);
 
   /// One pending pre-warm invocation: everything the shared worker handler
@@ -390,7 +386,9 @@ class ServingRuntime {
   std::map<std::string, std::string> function_groups_;  ///< group -> name
   std::map<uint64_t, PendingBatch> pending_batches_;    ///< by batch id
   std::map<std::string, uint64_t> open_batch_by_family_;
-  std::set<uint64_t> queued_ids_;  ///< admitted, not yet launched
+  /// Admitted but not yet launched (in an open coalescing batch or a parked
+  /// run): the shed-victim pool and the admission queue depth.
+  std::set<uint64_t> queued_ids_;
   uint64_t next_batch_id_ = 0;
   double accumulated_cost_ = 0.0;  ///< workload dollars across Drain calls
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "core/worker.h"
 
@@ -17,14 +18,6 @@ static_assert(std::endian::native == std::endian::little);
 
 /// Header of a share chunk: seq, total, payload size.
 constexpr uint64_t kShareChunkHeaderBytes = 3 * sizeof(uint64_t);
-
-/// splitmix64 step: drives the deterministic chunk payload pattern.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t ChunkSeed(const std::string& family, int32_t partition_id,
                    uint64_t version, uint64_t seq) {
@@ -386,7 +379,7 @@ bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
   while (received < total) {
     if (cloud_->sim()->Now() >= give_up_at) return false;
     auto popped = fabric.BlockingPopAll(
-        session_, inbox, cloud::kMaxValuesPerInboxPop, options_.pop_wait_s);
+        session_, inbox, cloud::kMaxValuesPerPop, options_.pop_wait_s);
     if (!popped.ok() || !ctx->CheckDeadline().ok()) return false;
     for (const Bytes& chunk : *popped) {
       if (!ShareChunkMatches(chunk, key.family, key.partition_id,

@@ -234,18 +234,15 @@ Status RunBatch(cloud::FaasContext* ctx, RunState* state,
     const part::LayerComm& comm = partition.layers[k];
 
     // --- sends (non-blocking; overlap with the local multiply) ---
-    int64_t send_rows = 0;
     if (channel != nullptr) {
       std::vector<SendSpec> sends;
       sends.reserve(comm.send[worker_id].size());
       for (const part::SendEntry& entry : comm.send[worker_id]) {
         sends.push_back({entry.peer, &entry.rows});
-        send_rows += static_cast<int64_t>(entry.rows.size());
       }
       WorkerEnv env = MakeEnv(ctx, state, worker_id, metrics);
       FSD_RETURN_IF_ERROR(channel->SendRows(&env, phase, x, sends));
     }
-    (void)send_rows;
 
     // --- local multiply overlap: charge the expected local-only fraction
     // of this layer's compute before blocking on receives (z = W_m x_m in

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud.h"
+#include "cloud/inbox.h"
 
 namespace fsd::cloud {
 namespace {
@@ -651,17 +652,115 @@ TEST_F(CloudTest, KvDeleteNamespaceUnblocksWaiters) {
 
 TEST_F(CloudTest, KvSetGetRoundtripAndValidation) {
   ASSERT_TRUE(cloud_.kv().CreateNamespace("ns").ok());
-  EXPECT_FALSE(cloud_.kv().CreateNamespace("ns").ok());  // AlreadyExists
+  EXPECT_EQ(cloud_.kv().CreateNamespace("ns").code(),
+            StatusCode::kAlreadyExists);
   InProcess([&] {
-    ASSERT_TRUE(cloud_.kv().Set("ns", "k", Bytes{4, 2}).ok());
-    auto got = cloud_.kv().Get("ns", "k");
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, (Bytes{4, 2}));
-    EXPECT_FALSE(cloud_.kv().Get("ns", "missing").ok());
-    EXPECT_FALSE(
-        cloud_.kv().BlockingPopAll("ns", "list", 0, 0.0).ok());  // bad count
-    EXPECT_FALSE(cloud_.kv().BlockingPopAll("nope", "list", 1, 0.0).ok());
+    EXPECT_EQ(cloud_.kv().BlockingPopAll("ns", "list", 0, 0.0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(cloud_.kv().BlockingPopAll("nope", "list", 1, 0.0).status().code(),
+              StatusCode::kNotFound);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Shared inbox lists (under KV lists and P2P inboxes)
+// ---------------------------------------------------------------------------
+
+TEST_F(CloudTest, InboxPopTakesAtMostMaxValuesAndLeavesTheRest) {
+  auto inbox = std::make_shared<InboxLists>(&sim_, "closed");
+  InProcess([&] {
+    for (uint8_t v = 1; v <= 5; ++v) inbox->Push("k", Bytes{v}, 0.001);
+    sim_.Hold(0.01);
+    auto first = inbox->Pop("k", 2, 0.0);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(*first, (std::vector<Bytes>{{1}, {2}}));
+    auto rest = inbox->Pop("k", kMaxValuesPerPop, 0.0);
+    ASSERT_TRUE(rest.ok());
+    EXPECT_EQ(*rest, (std::vector<Bytes>{{3}, {4}, {5}}));
+  });
+}
+
+TEST_F(CloudTest, InboxPopFollowsPushOrderPastAVisibleValue) {
+  auto inbox = std::make_shared<InboxLists>(&sim_, "closed");
+  double popped_at = -1.0;
+  std::vector<Bytes> popped;
+  sim_.AddProcess("popper", [&] {
+    // Woken when the second value lands first, the popper finds the head
+    // still in flight and waits again until the head is visible too.
+    auto got = inbox->Pop("k", kMaxValuesPerPop, /*wait_s=*/5.0);
+    ASSERT_TRUE(got.ok());
+    popped = std::move(*got);
+    popped_at = sim_.Now();
+  });
+  sim_.AddProcess("pusher", [&] {
+    inbox->Push("k", Bytes{1}, 1.0);
+    inbox->Push("k", Bytes{2}, 0.1);
+    sim_.Hold(0.5);
+    // Visible but queued behind the head: a zero-wait pop returns nothing.
+    auto early = inbox->Pop("k", kMaxValuesPerPop, 0.0);
+    ASSERT_TRUE(early.ok());
+    EXPECT_TRUE(early->empty());
+  });
+  sim_.Run();
+  EXPECT_DOUBLE_EQ(popped_at, 1.0);
+  EXPECT_EQ(popped, (std::vector<Bytes>{{1}, {2}}));
+}
+
+TEST_F(CloudTest, InboxCloseWakesWaitersAndLateVisibilityDoesNothing) {
+  // A message past the small-string buffer lives on the heap, so ASan
+  // sees a popper that reads it after the inbox is destroyed.
+  auto inbox =
+      std::make_shared<InboxLists>(&sim_, "inbox closed at teardown");
+  Status pop_status = Status::OK();
+  double woke_at = -1.0;
+  sim_.AddProcess("popper", [&] {
+    auto got = inbox->Pop("k", kMaxValuesPerPop, /*wait_s=*/60.0);
+    pop_status = got.status();
+    woke_at = sim_.Now();
+  });
+  sim_.AddProcess("owner", [&] {
+    inbox->Push("k", Bytes{1}, 5.0);  // lands after the teardown below
+    sim_.Hold(1.0);
+    inbox->Close();
+    // The owner lets go while the popper is still waking: the popper holds
+    // the last reference, and the visibility callback at t=5 must find the
+    // inbox gone rather than freed memory.
+    inbox.reset();
+  });
+  sim_.Run();
+  EXPECT_EQ(pop_status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(pop_status.message(), "inbox closed at teardown");
+  EXPECT_DOUBLE_EQ(woke_at, 1.0);
+  EXPECT_EQ(sim_.live_processes(), 0);
+}
+
+TEST_F(CloudTest, KvAndP2pTeardownWithDeliveriesInFlight) {
+  ASSERT_TRUE(cloud_.kv().CreateNamespace("ns").ok());
+  ASSERT_TRUE(cloud_.p2p().CreateSession("s").ok());
+  Status kv_status = Status::OK();
+  Status p2p_status = Status::OK();
+  sim_.AddProcess("kv-popper", [&] {
+    kv_status = cloud_.kv().BlockingPopAll("ns", "k", 10, 60.0).status();
+  });
+  sim_.AddProcess("p2p-popper", [&] {
+    p2p_status = cloud_.p2p().BlockingPopAll("s", "k", 10, 60.0).status();
+  });
+  sim_.AddProcess("owner", [&] {
+    sim_.Hold(1.0);
+    int32_t dst = 1;
+    while (!cloud_.p2p().Connect("s", 0, dst).punched) ++dst;
+    // Deliveries whose visibility callbacks land after the teardown.
+    ASSERT_TRUE(cloud_.kv().Push("ns", "k", Bytes{1}).status.ok());
+    ASSERT_TRUE(cloud_.p2p().Send("s", 0, dst, "k", Bytes{1}).status.ok());
+    ASSERT_TRUE(cloud_.kv().DeleteNamespace("ns").ok());
+    ASSERT_TRUE(cloud_.p2p().DeleteSession("s").ok());
+  });
+  sim_.Run();
+  EXPECT_EQ(kv_status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(kv_status.message(), "kv namespace deleted: ns");
+  EXPECT_EQ(p2p_status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(p2p_status.message(), "p2p session deleted: s");
+  EXPECT_EQ(sim_.live_processes(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -818,6 +917,22 @@ TEST_F(CloudTest, P2pDeleteSessionUnblocksWaiters) {
   EXPECT_EQ(pop_status.code(), StatusCode::kNotFound) << pop_status.ToString();
   EXPECT_FALSE(cloud_.p2p().SessionExists("s"));
   EXPECT_EQ(sim_.live_processes(), 0);
+}
+
+TEST_F(CloudTest, P2pBlockingPopRejectsABadCount) {
+  ASSERT_TRUE(cloud_.p2p().CreateSession("s").ok());
+  InProcess([&] {
+    for (int count : {0, kMaxValuesPerPop + 1}) {
+      EXPECT_EQ(cloud_.p2p().BlockingPopAll("s", "inbox", count, 0.0)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << count;
+    }
+    auto ok = cloud_.p2p().BlockingPopAll("s", "inbox", kMaxValuesPerPop, 0.0);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(ok->empty());
+  });
 }
 
 }  // namespace
