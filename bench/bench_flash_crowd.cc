@@ -24,9 +24,14 @@
 //    comm predictions (plus the pre-warm loop's mirrored GET/transfer
 //    charges, which belong to no query) match the ledger to < 0.1%
 //
-// It also reports the wall-clock rate of the peer-share chunk path, the
-// sender's EncodeShareChunk and the receiver's ShareChunkMatches, as the
-// gated share_chunk_{encode,verify}_bytes_per_sec keys.
+// It also reports wall-clock rates of the peer-share path as gated keys:
+//  - share_chunk_{encode,verify}_bytes_per_sec: EncodeShareChunk (which
+//    builds a chunk's wire image) and ShareChunkMatches (the byte check a
+//    delivered buffer other than the image gets);
+//  - share_transfer_bytes_per_sec: share bytes delivered per second when
+//    a fixed set of cold requesters pulls one share through
+//    ShareDistributor::Acquire, over the punched fabric and over a forced
+//    KV relay.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -38,6 +43,7 @@
 #include "core/cost_model.h"
 #include "core/serving.h"
 #include "core/share_distributor.h"
+#include "core/worker.h"
 
 using namespace fsd;
 using bench::ScaleConfig;
@@ -185,6 +191,63 @@ ShareChunkRates MeasureShareChunks(const model::SparseDnn& dnn,
   return rates;
 }
 
+/// Wall-clock rate of share delivery through ShareDistributor::Acquire:
+/// `requesters` cold instances invoked at once pull one share of
+/// `share_bytes`. The first reads it from storage, and the rest take it
+/// from the growing holder set down the binomial tree. One sweep runs
+/// this on a fresh cloud and distributor twice, once with every punch
+/// succeeding and once with every punch failing (the KV relay). The rate
+/// is share bytes delivered peer-to-peer per second of sweep wall time,
+/// over sweeps repeated for at least `min_s`.
+double MeasureShareTransfer(uint64_t share_bytes, int32_t requesters,
+                            double min_s) {
+  const auto sweep = [&](bool relay) {
+    sim::Simulation sim;
+    cloud::CloudConfig config;
+    config.latency.p2p_punch_failure_rate = relay ? 1.0 : 0.0;
+    cloud::CloudEnv cloud(&sim, config);
+    core::ShareDistributor distributor(&cloud, {});
+    const core::FsdOptions options;
+    const std::string family = "flash-crowd/transfer";
+    int64_t peer_loads = 0;
+    cloud::FaasFunctionConfig fn;
+    fn.name = "share-pull";
+    fn.memory_mb = 1024;
+    fn.handler = [&](cloud::FaasContext* ctx) {
+      core::ModelLoadMetrics metrics;
+      if (distributor.Acquire(ctx, options, family, 0, share_bytes,
+                              &metrics) ==
+          core::ShareDistributor::Source::kStorage) {
+        FSD_CHECK_OK(ctx->SleepFor(0.5));  // the storage read
+        core::PartitionCache* cache =
+            core::InstancePartitionCache(ctx, options);
+        FSD_CHECK(cache != nullptr);
+        cache->Insert(family, 0, options.model_version, share_bytes);
+        distributor.Publish(ctx, options, family, 0);
+      }
+      peer_loads += metrics.share_loads_peer;
+      ctx->set_result(Status::OK());
+    };
+    FSD_CHECK_OK(cloud.faas().RegisterFunction(fn));
+    for (int32_t r = 0; r < requesters; ++r) {
+      FSD_CHECK_OK(cloud.faas().InvokeAsync("share-pull", {}).status);
+    }
+    sim.Run();
+    FSD_CHECK_EQ(peer_loads, requesters - 1);
+    return static_cast<double>(peer_loads) * static_cast<double>(share_bytes);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  double bytes = 0.0;
+  double elapsed = 0.0;
+  do {
+    bytes += sweep(/*relay=*/false) + sweep(/*relay=*/true);
+    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
+  } while (elapsed < min_s);
+  return bytes / elapsed;
+}
+
 }  // namespace
 
 int main() {
@@ -265,6 +328,19 @@ int main() {
   std::printf("share chunks: encode %.1f MB/s, verify %.1f MB/s\n",
               share_rates.encode_bytes_per_sec / 1e6,
               share_rates.verify_bytes_per_sec / 1e6);
+  // Two peer chunks' worth: 64 chunks on the relay.
+  const uint64_t transfer_share_bytes =
+      2 * core::ShareDistributor::Options{}.peer_chunk_bytes;
+  const int32_t transfer_requesters = 8;
+  const double share_transfer_rate =
+      MeasureShareTransfer(transfer_share_bytes, transfer_requesters,
+                           scale.tiny ? 0.2 : 0.5);
+  std::printf(
+      "share transfer: %d requesters of one %.0f MiB share, punched + "
+      "relay, %.1f MB/s delivered\n",
+      transfer_requesters,
+      static_cast<double>(transfer_share_bytes) / (1024.0 * 1024.0),
+      share_transfer_rate / 1e6);
 
   bench::WriteBenchJson(
       "flash_crowd",
@@ -288,7 +364,8 @@ int main() {
        {"share_chunk_encode_bytes_per_sec",
         share_rates.encode_bytes_per_sec},
        {"share_chunk_verify_bytes_per_sec",
-        share_rates.verify_bytes_per_sec}});
+        share_rates.verify_bytes_per_sec},
+       {"share_transfer_bytes_per_sec", share_transfer_rate}});
 
   // The acceptance claims, asserted. Tiny smoke runs the full code path
   // (peer transfers, pre-warm loop, reconciliation) but its 1024-wide

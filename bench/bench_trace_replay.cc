@@ -228,7 +228,9 @@ ComputeReplayResult ComputeReplay(const model::SparseDnn& dnn,
 
 int main() {
   const ScaleConfig scale = ScaleConfig::FromEnv();
-  const uint64_t num_queries = scale.tiny ? 3000 : 120000;
+  // Tiny scale keeps one default-tier replay, the window the gated
+  // sim_events_per_sec is timed over, above 0.1 s of wall time.
+  const uint64_t num_queries = scale.tiny ? 30000 : 120000;
   const int32_t slots = 16;
 
   core::TraceConfig config;
@@ -267,9 +269,8 @@ int main() {
                 trace->queries.size()));
 
   // The default tier replays twice for the determinism check, and once
-  // more at tiny scale, where one replay times only about 0.3 s. The
-  // fastest replay is reported: a host hiccup slows one window, never
-  // speeds it up.
+  // more at tiny scale, where each replay is shorter. The fastest replay
+  // is reported: a host hiccup slows one window, never speeds it up.
   const ReplayResult fast = Replay(*trace, sim::SimTuning{}, slots);
   std::vector<ReplayResult> replays = {
       Replay(*trace, sim::SimTuning{}, slots)};

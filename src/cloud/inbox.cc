@@ -1,5 +1,7 @@
 #include "cloud/inbox.h"
 
+#include "common/check.h"
+
 namespace fsd::cloud {
 
 Status CheckPopCount(int max_values) {
@@ -9,7 +11,9 @@ Status CheckPopCount(int max_values) {
   return Status::OK();
 }
 
-void InboxLists::Push(const std::string& key, Bytes value, double delay) {
+void InboxLists::Push(const std::string& key, SharedBytes value,
+                      double delay) {
+  FSD_CHECK(value != nullptr);
   lists_[key].values.push_back(Value{std::move(value), sim_->Now() + delay});
   sim_->ScheduleCallback(
       delay, [inbox = std::weak_ptr<InboxLists>(shared_from_this()), key]() {
@@ -28,9 +32,9 @@ void InboxLists::WakeWaiters(const std::string& key) {
   signal = sim_->MakeSignal();
 }
 
-std::vector<Bytes> InboxLists::TakeVisible(const std::string& key,
-                                           int max_values) {
-  std::vector<Bytes> out;
+std::vector<SharedBytes> InboxLists::TakeVisible(const std::string& key,
+                                                 int max_values) {
+  std::vector<SharedBytes> out;
   auto it = lists_.find(key);
   if (it == lists_.end()) return out;
   const double now = sim_->Now();
@@ -51,13 +55,14 @@ std::vector<Bytes> InboxLists::TakeVisible(const std::string& key,
   return out;
 }
 
-Result<std::vector<Bytes>> InboxLists::Pop(const std::string& key,
-                                           int max_values, double wait_s) {
+Result<std::vector<SharedBytes>> InboxLists::Pop(const std::string& key,
+                                                 int max_values,
+                                                 double wait_s) {
   FSD_RETURN_IF_ERROR(CheckPopCount(max_values));
   if (closed_) return Status::NotFound(closed_message_);
   // The owner may drop its reference while this popper sleeps.
   const std::shared_ptr<InboxLists> self = shared_from_this();
-  std::vector<Bytes> got = TakeVisible(key, max_values);
+  std::vector<SharedBytes> got = TakeVisible(key, max_values);
   const double deadline = sim_->Now() + wait_s;
   while (got.empty()) {
     const double remaining = deadline - sim_->Now();

@@ -4,6 +4,10 @@
 // A pushed value joins the tail of its key's list and becomes poppable
 // `delay` seconds later. Pops take the visible values at the head in push
 // order, so a visible value queued behind one still in flight waits for it.
+// Values are shared immutable buffers: the list holds a reference and a
+// pop hands back the very buffer that was pushed, so a sender that already
+// holds its bytes (a cached wire image) copies nothing, and a popped value
+// stays valid after Close().
 // Long-pollers block on a per-key arrival signal that the first popper
 // allocates; a push nobody waits for skips the fire/re-arm cycle entirely.
 // The owning service keeps what is its own (admission delays, billing, op
@@ -43,23 +47,23 @@ class InboxLists : public std::enable_shared_from_this<InboxLists> {
   InboxLists(const InboxLists&) = delete;
   InboxLists& operator=(const InboxLists&) = delete;
 
-  /// Appends `value` to list `key`; it becomes poppable `delay` seconds
-  /// from now.
-  void Push(const std::string& key, Bytes value, double delay);
+  /// Appends `value` (non-null) to list `key`; it becomes poppable `delay`
+  /// seconds from now.
+  void Push(const std::string& key, SharedBytes value, double delay);
 
   /// Pops up to `max_values` (<= kMaxValuesPerPop) visible values from the
   /// head of list `key`, waiting up to `wait_s` while none is visible (0
   /// returns at once). Process context only. Returns a possibly-empty
   /// vector, or NotFound once the inbox is closed.
-  Result<std::vector<Bytes>> Pop(const std::string& key, int max_values,
-                                 double wait_s);
+  Result<std::vector<SharedBytes>> Pop(const std::string& key,
+                                       int max_values, double wait_s);
 
   /// Wakes every waiter and drops every value; later pops return NotFound.
   void Close();
 
  private:
   struct Value {
-    Bytes body;
+    SharedBytes body;
     double visible_at = 0.0;
   };
   struct List {
@@ -68,7 +72,8 @@ class InboxLists : public std::enable_shared_from_this<InboxLists> {
   };
 
   /// Moves out up to `max_values` visible values from the head of `key`.
-  std::vector<Bytes> TakeVisible(const std::string& key, int max_values);
+  std::vector<SharedBytes> TakeVisible(const std::string& key,
+                                       int max_values);
   /// Visibility callback: wakes the list's waiters and re-arms its signal.
   void WakeWaiters(const std::string& key);
 

@@ -66,26 +66,27 @@ void KvStore::BillRequest(Namespace* ns, uint64_t bytes) {
 }
 
 KvStore::PushOutcome KvStore::Push(const std::string& ns_name,
-                                   const std::string& key, Bytes value) {
+                                   const std::string& key,
+                                   SharedBytes value) {
+  FSD_CHECK(value != nullptr);
   PushOutcome outcome;
   Namespace* ns = Find(ns_name);
   if (ns == nullptr) {
     outcome.status = Status::NotFound("no such kv namespace: " + ns_name);
     return outcome;
   }
-  BillRequest(ns, value.size());
+  BillRequest(ns, value->size());
   const double queueing = ShardDelay(ns, key);
   outcome.latency =
-      queueing + latency_->kv_push.Sample(&rng_, value.size());
+      queueing + latency_->kv_push.Sample(&rng_, value->size());
   ns->lists->Push(key, std::move(value), outcome.latency);
   outcome.status = Status::OK();
   return outcome;
 }
 
-Result<std::vector<Bytes>> KvStore::BlockingPopAll(const std::string& ns_name,
-                                                   const std::string& key,
-                                                   int max_values,
-                                                   double wait_s) {
+Result<std::vector<SharedBytes>> KvStore::BlockingPopAll(
+    const std::string& ns_name, const std::string& key, int max_values,
+    double wait_s) {
   FSD_RETURN_IF_ERROR(CheckPopCount(max_values));
   Namespace* ns = Find(ns_name);
   if (ns == nullptr) {
@@ -97,11 +98,11 @@ Result<std::vector<Bytes>> KvStore::BlockingPopAll(const std::string& ns_name,
   const std::shared_ptr<InboxLists> lists = ns->lists;
   const double queueing = ShardDelay(ns, key);
   if (queueing > 0.0) sim_->Hold(queueing);
-  Result<std::vector<Bytes>> got = lists->Pop(key, max_values, wait_s);
+  Result<std::vector<SharedBytes>> got = lists->Pop(key, max_values, wait_s);
   if (!got.ok()) return got;
 
   uint64_t bytes = 0;
-  for (const Bytes& v : *got) bytes += v.size();
+  for (const SharedBytes& v : *got) bytes += v->size();
   BillRequest(ns, bytes);
   sim_->Hold(latency_->kv_pop.Sample(&rng_, bytes));
   return got;

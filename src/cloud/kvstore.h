@@ -67,19 +67,22 @@ class KvStore {
     double latency = 0.0;
   };
 
-  /// RPUSH-style append of `value` to list `key`. Non-blocking: bills one
-  /// request plus processed bytes and schedules visibility, so callers can
-  /// dispatch pushes on parallel lanes.
+  /// RPUSH-style append of `value` (non-null) to list `key`. Non-blocking:
+  /// bills one request plus processed bytes and schedules visibility, so
+  /// callers can dispatch pushes on parallel lanes. The list holds the
+  /// buffer by reference; its bytes are never copied.
   PushOutcome Push(const std::string& ns, const std::string& key,
-                   Bytes value);
+                   SharedBytes value);
 
   /// BLPOP-style pop of up to `max_values` (<= 64) values from list `key`,
   /// waiting up to `wait_s` while the list is empty (0 returns
   /// immediately). Bills one request plus popped bytes. Blocking (Holds
-  /// the op latency). Returns a possibly-empty vector.
-  Result<std::vector<Bytes>> BlockingPopAll(const std::string& ns,
-                                            const std::string& key,
-                                            int max_values, double wait_s);
+  /// the op latency). Returns a possibly-empty vector of the very buffers
+  /// that were pushed.
+  Result<std::vector<SharedBytes>> BlockingPopAll(const std::string& ns,
+                                                  const std::string& key,
+                                                  int max_values,
+                                                  double wait_s);
 
  private:
   struct Namespace {

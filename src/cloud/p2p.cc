@@ -1,5 +1,6 @@
 #include "cloud/p2p.h"
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace fsd::cloud {
@@ -105,7 +106,9 @@ P2pFabric::ConnectOutcome P2pFabric::Connect(const std::string& session,
 
 P2pFabric::SendOutcome P2pFabric::Send(const std::string& session,
                                        int32_t src, int32_t dst,
-                                       const std::string& key, Bytes value) {
+                                       const std::string& key,
+                                       SharedBytes value) {
+  FSD_CHECK(value != nullptr);
   SendOutcome outcome;
   Session* s = Find(session);
   if (s == nullptr) {
@@ -120,14 +123,14 @@ P2pFabric::SendOutcome P2pFabric::Send(const std::string& session,
   }
   const Link& link = it->second;
   billing_->Record(BillingDimension::kP2pByte,
-                   static_cast<double>(value.size()));
+                   static_cast<double>(value->size()));
   // Sends dispatched while the handshake is still in flight queue behind
   // it; afterwards the message pays the link's base latency plus transfer
   // at the pair's punched bandwidth.
   const double handshake_wait =
       link.ready_at > sim_->Now() ? link.ready_at - sim_->Now() : 0.0;
   const double transfer =
-      static_cast<double>(value.size()) / link.bandwidth_bytes_per_s;
+      static_cast<double>(value->size()) / link.bandwidth_bytes_per_s;
   outcome.latency =
       handshake_wait + latency_->p2p_send.Sample(&rng_) + transfer;
 
@@ -136,7 +139,7 @@ P2pFabric::SendOutcome P2pFabric::Send(const std::string& session,
   return outcome;
 }
 
-Result<std::vector<Bytes>> P2pFabric::BlockingPopAll(
+Result<std::vector<SharedBytes>> P2pFabric::BlockingPopAll(
     const std::string& session, const std::string& key, int max_values,
     double wait_s) {
   FSD_RETURN_IF_ERROR(CheckPopCount(max_values));

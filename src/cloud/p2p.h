@@ -15,7 +15,9 @@
 //    service-side rate cap: once punched, the link is kernel TCP, so only
 //    bytes are billed (inter-AZ transfer class)
 //  - delivery into per-key receiver inboxes (InboxLists, the same lists
-//    under the KV store), so receive loops can long-poll without spinning
+//    under the KV store), so receive loops can long-poll without spinning;
+//    a send hands the inbox a reference to the sender's immutable buffer,
+//    so the fabric copies no bytes
 #ifndef FSD_CLOUD_P2P_H_
 #define FSD_CLOUD_P2P_H_
 
@@ -85,19 +87,22 @@ class P2pFabric {
     double latency = 0.0;
   };
 
-  /// Ships `value` over the punched link src->dst into the receiver inbox
-  /// `key`. Non-blocking (callers dispatch on parallel lanes); bills
-  /// kP2pByte only. FailedPrecondition if the pair never punched.
+  /// Ships `value` (non-null) over the punched link src->dst into the
+  /// receiver inbox `key`. Non-blocking (callers dispatch on parallel
+  /// lanes); bills kP2pByte only. FailedPrecondition if the pair never
+  /// punched.
   SendOutcome Send(const std::string& session, int32_t src, int32_t dst,
-                   const std::string& key, Bytes value);
+                   const std::string& key, SharedBytes value);
 
   /// BLPOP-style pop of up to `max_values` (<= 64) values from inbox
   /// `key`, waiting up to `wait_s` while it is empty. Unbilled: the inbox
   /// is the receiving worker's own memory, not a service. No Hold beyond
-  /// the wait — delivered values already paid their link latency.
-  Result<std::vector<Bytes>> BlockingPopAll(const std::string& session,
-                                            const std::string& key,
-                                            int max_values, double wait_s);
+  /// the wait — delivered values already paid their link latency. Returns
+  /// the very buffers that were sent.
+  Result<std::vector<SharedBytes>> BlockingPopAll(const std::string& session,
+                                                  const std::string& key,
+                                                  int max_values,
+                                                  double wait_s);
 
  private:
   struct Link {

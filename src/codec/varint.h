@@ -1,4 +1,4 @@
-// LEB128 varints and zigzag transforms for compact integer encoding.
+// LEB128 varints for compact unsigned integer encoding.
 #ifndef FSD_CODEC_VARINT_H_
 #define FSD_CODEC_VARINT_H_
 
@@ -30,25 +30,6 @@ inline Result<uint64_t> GetVarint64(ByteReader* reader) {
   FSD_ASSIGN_OR_RETURN(uint8_t last, reader->Read<uint8_t>());
   if (last > 1) return Status::DataLoss("varint too long");
   return value | static_cast<uint64_t>(last) << 63;
-}
-
-/// Zigzag transform mapping signed to unsigned for varint friendliness.
-inline uint64_t ZigZagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-inline int64_t ZigZagDecode(uint64_t value) {
-  return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
-}
-
-inline void PutVarintSigned(Bytes* out, int64_t value) {
-  PutVarint64(out, ZigZagEncode(value));
-}
-
-inline Result<int64_t> GetVarintSigned(ByteReader* reader) {
-  FSD_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(reader));
-  return ZigZagDecode(raw);
 }
 
 }  // namespace fsd::codec

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -13,6 +13,11 @@
 namespace fsd {
 
 using Bytes = std::vector<uint8_t>;
+
+/// An immutable byte buffer shared by reference: a value in flight through
+/// a simulated service, or a cached wire image several transfers carry.
+/// Nothing may write through it, so holders can compare by identity.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 /// Appends raw little-endian scalar bytes to `out`.
 template <typename T>
@@ -72,16 +77,6 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
-
-/// Converts bytes to a std::string (for map keys / debugging).
-inline std::string ToString(const Bytes& bytes) {
-  return std::string(reinterpret_cast<const char*>(bytes.data()),
-                     bytes.size());
-}
-
-inline Bytes FromString(const std::string& s) {
-  return Bytes(s.begin(), s.end());
-}
 
 }  // namespace fsd
 

@@ -42,14 +42,6 @@ LevelInit g_level_init;
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 void LogV(LogLevel level, const char* file, int line, const char* fmt, ...) {
   if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) {
     return;

@@ -11,10 +11,6 @@ namespace fsd {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Sets the global minimum level that will be emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 /// printf-style log emission; prefer the FSD_LOG macro.
 void LogV(LogLevel level, const char* file, int line, const char* fmt, ...)
     __attribute__((format(printf, 4, 5)));

@@ -93,9 +93,9 @@ Status DirectChannel::SendRows(WorkerEnv* env, int32_t phase,
     const int32_t target = sends[s].target;
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
-      Bytes value = EncodeInboxValue(me, seq, total,
-                                     std::move(encoded[s].chunks[seq].wire));
-      const int64_t size = static_cast<int64_t>(value.size());
+      SharedBytes value = std::make_shared<const Bytes>(EncodeInboxValue(
+          me, seq, total, std::move(encoded[s].chunks[seq].wire)));
+      const int64_t size = static_cast<int64_t>(value->size());
       std::string key = KvChannel::InboxKey(phase, target);
       if (punched[s]) {
         ++metrics.direct_msgs;
@@ -148,17 +148,19 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
   // Header decode and per-source bookkeeping (the poll loop's control
   // state) stay inline; each pop's row decode runs under one window charged
   // on every popped byte, empty pops included.
-  auto consume = [&](const std::vector<Bytes>& values, bool relayed) -> Status {
+  auto consume = [&](const std::vector<SharedBytes>& values,
+                     bool relayed) -> Status {
     uint64_t popped_bytes = 0;
     std::vector<Bytes> bodies;
-    for (const Bytes& value : values) {
-      popped_bytes += value.size();
+    for (const SharedBytes& value : values) {
+      popped_bytes += value->size();
       if (relayed) {
         // Relay pops bill the full value, header included — the cache
         // meters what it moved, not what the receiver could use.
-        metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
+        metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
       }
-      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
+      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
+                           DecodeInboxValue(*value));
       FSD_ASSIGN_OR_RETURN(
           const bool fresh,
           receiver.Accept(decoded.source, decoded.seq, decoded.total));
@@ -175,7 +177,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
     FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     if (punched_pending > 0) {
       FSD_ASSIGN_OR_RETURN(
-          std::vector<Bytes> values,
+          std::vector<SharedBytes> values,
           env->cloud->p2p().BlockingPopAll(session, inbox,
                                            cloud::kMaxValuesPerPop,
                                            options.direct_poll_wait_s));
@@ -187,7 +189,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
 
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_ASSIGN_OR_RETURN(
-        std::vector<Bytes> relayed,
+        std::vector<SharedBytes> relayed,
         env->cloud->kv().BlockingPopAll(relay, inbox, cloud::kMaxValuesPerPop,
                                         options.kv_poll_wait_s));
     ++metrics.kv_pops;

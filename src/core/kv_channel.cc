@@ -83,11 +83,12 @@ Status KvChannel::SendRows(WorkerEnv* env, int32_t phase,
   for (size_t s = 0; s < sends.size(); ++s) {
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
-      Bytes value = EncodeInboxValue(env->worker_id, seq, total,
-                                     std::move(encoded[s].chunks[seq].wire));
+      SharedBytes value = std::make_shared<const Bytes>(
+          EncodeInboxValue(env->worker_id, seq, total,
+                           std::move(encoded[s].chunks[seq].wire)));
       // The cache meters processed bytes per request: a push processes the
       // whole value (header + chunk) — mirrored exactly for the cost model.
-      metrics.send_billed_bytes += static_cast<int64_t>(value.size());
+      metrics.send_billed_bytes += static_cast<int64_t>(value->size());
       pushes.push_back([cloud, ns, key = InboxKey(phase, sends[s].target),
                         value = std::move(value)]() mutable {
         cloud->kv().Push(ns, key, std::move(value));
@@ -111,7 +112,7 @@ Result<ReceivedRows> KvChannel::ReceiveRows(
   while (!receiver.done()) {
     FSD_RETURN_IF_ERROR(receiver.CheckRunning());
     FSD_ASSIGN_OR_RETURN(
-        std::vector<Bytes> values,
+        std::vector<SharedBytes> values,
         env->cloud->kv().BlockingPopAll(ns, inbox, cloud::kMaxValuesPerPop,
                                         options.kv_poll_wait_s));
     ++metrics.kv_pops;
@@ -124,12 +125,13 @@ Result<ReceivedRows> KvChannel::ReceiveRows(
     // charged on the accepted body bytes.
     uint64_t accepted_bytes = 0;
     std::vector<Bytes> bodies;
-    for (const Bytes& value : values) {
+    for (const SharedBytes& value : values) {
       // Processed bytes the pop was billed for: the full value, header
       // included — counted before any skip, because the service meters
       // what it moved, not what the receiver could use.
-      metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
-      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
+      metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
+      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
+                           DecodeInboxValue(*value));
       FSD_ASSIGN_OR_RETURN(
           const bool fresh,
           receiver.Accept(decoded.source, decoded.seq, decoded.total));

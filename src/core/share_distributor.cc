@@ -100,6 +100,19 @@ bool ShareDistributor::ShareChunkMatches(const Bytes& chunk,
   return true;
 }
 
+bool ShareDistributor::IsChunk(const SharedBytes& chunk,
+                               const std::vector<SharedBytes>& images,
+                               const ShareKey& key, uint64_t seq,
+                               uint64_t share_bytes, uint64_t chunk_bytes) {
+  if (seq >= images.size()) return false;
+  // The images are immutable, so the expected buffer itself is the
+  // expected bytes; any other buffer gets the full byte check.
+  return chunk == images[seq] ||
+         ShareChunkMatches(*chunk, key.family, key.partition_id, key.version,
+                           seq, images.size(),
+                           PayloadFor(share_bytes, chunk_bytes, seq));
+}
+
 ShareDistributor::ShareDistributor(cloud::CloudEnv* cloud, Options options)
     : cloud_(cloud),
       options_(std::move(options)),
@@ -120,6 +133,9 @@ void ShareDistributor::Teardown() {
     // Bills the relay namespace's node-seconds for its active window.
     (void)cloud_->kv().DeleteNamespace(relay_ns_);
   }
+  // Acquire serves nothing after teardown. Chunks still in flight keep
+  // their own references to their images.
+  images_.clear();
   for (auto& [key, entry] : entries_) FireChange(&entry);
 }
 
@@ -334,6 +350,24 @@ bool ShareDistributor::Transfer(cloud::FaasContext* ctx, const ShareKey& key,
   return TransferRelay(ctx, key, share_bytes, inbox, metrics);
 }
 
+std::vector<SharedBytes> ShareDistributor::ChunkImages(const ShareKey& key,
+                                                      uint64_t share_bytes,
+                                                      uint64_t chunk_bytes) {
+  const uint64_t total = ChunkCount(share_bytes, chunk_bytes);
+  std::vector<SharedBytes> images;
+  images.reserve(total);
+  for (uint64_t seq = 0; seq < total; ++seq) {
+    const uint64_t payload = PayloadFor(share_bytes, chunk_bytes, seq);
+    SharedBytes& image = images_[ChunkKey{key, seq, total, payload}];
+    if (image == nullptr) {
+      image = std::make_shared<const Bytes>(EncodeShareChunk(
+          key.family, key.partition_id, key.version, seq, total, payload));
+    }
+    images.push_back(image);
+  }
+  return images;
+}
+
 bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
                                        const ShareKey& key,
                                        uint64_t share_bytes, int32_t src_node,
@@ -342,37 +376,20 @@ bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
                                        ModelLoadMetrics* metrics) {
   cloud::P2pFabric& fabric = cloud_->p2p();
   const uint64_t chunk_bytes = options_.peer_chunk_bytes;
-  const uint64_t total = ChunkCount(share_bytes, chunk_bytes);
-  // Encode/transmit pipeline: the first chunk encodes inline; each later
-  // chunk encodes under the PREVIOUS chunk's wire-time wait (OffloadFor),
-  // so a compute pool overlaps the encode with the transfer. Virtual time
-  // is unchanged — the wait was already charged.
-  Bytes chunk = EncodeShareChunk(key.family, key.partition_id, key.version,
-                                 /*seq=*/0, total,
-                                 PayloadFor(share_bytes, chunk_bytes, 0));
-  for (uint64_t seq = 0; seq < total; ++seq) {
-    metrics->share_peer_bytes += static_cast<int64_t>(chunk.size());
+  const std::vector<SharedBytes> images =
+      ChunkImages(key, share_bytes, chunk_bytes);
+  const uint64_t total = images.size();
+  for (const SharedBytes& chunk : images) {
+    metrics->share_peer_bytes += static_cast<int64_t>(chunk->size());
     ++metrics->share_peer_chunks;
     const cloud::P2pFabric::SendOutcome sent =
-        fabric.Send(session_, src_node, dst_node, inbox, std::move(chunk));
+        fabric.Send(session_, src_node, dst_node, inbox, chunk);
     if (!sent.status.ok()) return false;
     // The pair shares ONE kernel-TCP stream: successive chunks serialize
     // on the link, so the driver waits out each chunk's wire time before
     // dispatching the next (the relay below fans out over a sharded
     // service instead and needs no such serialization).
-    Bytes next;
-    std::function<void()> encode_next;
-    if (seq + 1 < total) {
-      encode_next = [&, next_seq = seq + 1]() {
-        next = EncodeShareChunk(
-            key.family, key.partition_id, key.version, next_seq, total,
-            PayloadFor(share_bytes, chunk_bytes, next_seq));
-      };
-    }
-    if (!ctx->OffloadFor(sent.latency, std::move(encode_next)).ok()) {
-      return false;
-    }
-    chunk = std::move(next);
+    if (!ctx->SleepFor(sent.latency).ok()) return false;
   }
   uint64_t received = 0;
   const double give_up_at = cloud_->sim()->Now() + options_.max_wait_s;
@@ -381,10 +398,8 @@ bool ShareDistributor::TransferPunched(cloud::FaasContext* ctx,
     auto popped = fabric.BlockingPopAll(
         session_, inbox, cloud::kMaxValuesPerPop, options_.pop_wait_s);
     if (!popped.ok() || !ctx->CheckDeadline().ok()) return false;
-    for (const Bytes& chunk : *popped) {
-      if (!ShareChunkMatches(chunk, key.family, key.partition_id,
-                             key.version, received, total,
-                             PayloadFor(share_bytes, chunk_bytes, received))) {
+    for (const SharedBytes& chunk : *popped) {
+      if (!IsChunk(chunk, images, key, received, share_bytes, chunk_bytes)) {
         return false;  // corrupted / foreign delivery
       }
       ++received;
@@ -407,19 +422,18 @@ bool ShareDistributor::TransferRelay(cloud::FaasContext* ctx,
     relay_created_ = true;
   }
   const uint64_t chunk_bytes = options_.relay_chunk_bytes;
-  const uint64_t total = ChunkCount(share_bytes, chunk_bytes);
-  for (uint64_t seq = 0; seq < total; ++seq) {
-    Bytes chunk = EncodeShareChunk(key.family, key.partition_id, key.version,
-                                   seq, total,
-                                   PayloadFor(share_bytes, chunk_bytes, seq));
+  const std::vector<SharedBytes> images =
+      ChunkImages(key, share_bytes, chunk_bytes);
+  const uint64_t total = images.size();
+  for (const SharedBytes& chunk : images) {
     // Mirror of the store's billing: one request + processed bytes per
     // push. Pushes dispatch without blocking (the sharded service absorbs
     // them concurrently); the pop loop below pays the delivery wait.
     ++metrics->share_relay_requests;
-    metrics->share_relay_bytes += static_cast<int64_t>(chunk.size());
+    metrics->share_relay_bytes += static_cast<int64_t>(chunk->size());
     ++metrics->share_relay_chunks;
     const cloud::KvStore::PushOutcome pushed =
-        kv.Push(relay_ns_, inbox, std::move(chunk));
+        kv.Push(relay_ns_, inbox, chunk);
     if (!pushed.status.ok()) return false;
   }
   uint64_t received = 0;
@@ -432,11 +446,9 @@ bool ShareDistributor::TransferRelay(cloud::FaasContext* ctx,
     auto popped = kv.BlockingPopAll(relay_ns_, inbox, cloud::kMaxValuesPerPop,
                                     options_.pop_wait_s);
     if (!popped.ok() || !ctx->CheckDeadline().ok()) return false;
-    for (const Bytes& chunk : *popped) {
-      metrics->share_relay_bytes += static_cast<int64_t>(chunk.size());
-      if (!ShareChunkMatches(chunk, key.family, key.partition_id,
-                             key.version, received, total,
-                             PayloadFor(share_bytes, chunk_bytes, received))) {
+    for (const SharedBytes& chunk : *popped) {
+      metrics->share_relay_bytes += static_cast<int64_t>(chunk->size());
+      if (!IsChunk(chunk, images, key, received, share_bytes, chunk_bytes)) {
         return false;
       }
       ++received;

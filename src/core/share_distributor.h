@@ -44,6 +44,16 @@
 // stable. Outputs never depend on the distributor: it changes WHERE bytes
 // come from, never what workers compute.
 //
+// Chunk images: a flash crowd moves the same few shares again and again,
+// so the distributor encodes each distinct chunk once, on first use, into
+// an immutable wire image (SharedBytes) and keeps it until Teardown. Every
+// transfer of that chunk sends the same image, and the fabric and the
+// relay carry it by reference: no transfer re-encodes or copies a chunk.
+// The receiver accepts a chunk iff it is the expected image (immutable, so
+// the same buffer is the same bytes) or a distinct buffer that passes
+// ShareChunkMatches. The images of a share cost about twice its size (the
+// fabric and the relay cut it into different chunks).
+//
 // Billing mirrors: every dollar the transfer path bills
 // (kP2pConnection/kP2pByte, kv requests/processed bytes) is counted in the
 // requester's ModelLoadMetrics share_* mirrors, so PredictFromMetrics
@@ -60,6 +70,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cloud/cloud.h"
@@ -140,7 +151,8 @@ class ShareDistributor {
                uint64_t version);
 
   /// Deletes the fabric session and relay namespace (billing the relay's
-  /// node-seconds). Idempotent; called by the destructor.
+  /// node-seconds) and drops the chunk images. Idempotent; called by the
+  /// destructor.
   void Teardown();
 
   /// Surviving holders for a share after pruning dead instances (tests).
@@ -149,9 +161,9 @@ class ShareDistributor {
 
   /// The deterministic wire encoding of transfer chunk `seq` of `total`
   /// for a share: a header (seq, total, payload size) plus a keyed byte
-  /// pattern of `payload_bytes` bytes. Identical on fabric and relay —
-  /// the receiver verifies every chunk against this encoding, and tests
-  /// assert byte-identity of relayed deliveries with it.
+  /// pattern of `payload_bytes` bytes. Identical on fabric and relay. A
+  /// distributor calls it once per distinct chunk, to build the wire image
+  /// every transfer of that chunk sends.
   static Bytes EncodeShareChunk(const std::string& family,
                                 int32_t partition_id, uint64_t version,
                                 uint64_t seq, uint64_t total,
@@ -160,7 +172,8 @@ class ShareDistributor {
   /// True iff `chunk` is byte-identical to EncodeShareChunk with the same
   /// arguments. Checks the size and header, then regenerates the pattern
   /// word by word and compares it in place, without building the expected
-  /// copy. Both receive loops verify every delivered chunk with it.
+  /// copy. Both receive loops run it on a delivered chunk that is not the
+  /// expected image itself.
   static bool ShareChunkMatches(const Bytes& chunk, const std::string& family,
                                 int32_t partition_id, uint64_t version,
                                 uint64_t seq, uint64_t total,
@@ -183,6 +196,17 @@ class ShareDistributor {
       if (family != o.family) return family < o.family;
       if (partition_id != o.partition_id) return partition_id < o.partition_id;
       return version < o.version;
+    }
+  };
+  /// EncodeShareChunk's arguments: one key per distinct wire image.
+  struct ChunkKey {
+    ShareKey share;
+    uint64_t seq = 0;
+    uint64_t total = 0;
+    uint64_t payload_bytes = 0;
+    bool operator<(const ChunkKey& o) const {
+      return std::tie(share, seq, total, payload_bytes) <
+             std::tie(o.share, o.seq, o.total, o.payload_bytes);
     }
   };
   struct Holder {
@@ -224,6 +248,19 @@ class ShareDistributor {
   bool TransferRelay(cloud::FaasContext* ctx, const ShareKey& key,
                      uint64_t share_bytes, const std::string& inbox,
                      ModelLoadMetrics* metrics);
+  /// The wire images of the share cut into `chunk_bytes` chunks, in seq
+  /// order. Each image is encoded on its first use and then shared by
+  /// every transfer that sends it.
+  std::vector<SharedBytes> ChunkImages(const ShareKey& key,
+                                       uint64_t share_bytes,
+                                       uint64_t chunk_bytes);
+  /// True iff delivered `chunk` is chunk `seq` of `images` (the share cut
+  /// into `chunk_bytes` chunks): the image itself, or a distinct buffer
+  /// that passes ShareChunkMatches.
+  static bool IsChunk(const SharedBytes& chunk,
+                      const std::vector<SharedBytes>& images,
+                      const ShareKey& key, uint64_t seq,
+                      uint64_t share_bytes, uint64_t chunk_bytes);
 
   cloud::CloudEnv* cloud_;
   Options options_;
@@ -235,6 +272,9 @@ class ShareDistributor {
   uint64_t next_transfer_ = 0;
   std::map<uint64_t, int32_t> nodes_;  ///< instance id -> fabric endpoint
   std::map<ShareKey, Entry> entries_;
+  /// Wire images sent so far, alive until Teardown. Immutable, so the
+  /// fabric and the relay carry them by reference.
+  std::map<ChunkKey, SharedBytes> images_;
 };
 
 }  // namespace fsd::core

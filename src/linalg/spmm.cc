@@ -370,10 +370,6 @@ void SetLayerForwardKernel(ForwardKernel kernel) {
   g_kernel.store(kernel, std::memory_order_relaxed);
 }
 
-ForwardKernel GetLayerForwardKernel() {
-  return g_kernel.load(std::memory_order_relaxed);
-}
-
 bool LayerForwardVectorizedAvailable() {
 #if FSD_LINALG_HAS_SIMD
   return Avx2Supported();

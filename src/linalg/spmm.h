@@ -79,7 +79,6 @@ enum class ForwardKernel {
 
 /// Overrides the process-wide kernel choice (tests/benches; thread-safe).
 void SetLayerForwardKernel(ForwardKernel kernel);
-ForwardKernel GetLayerForwardKernel();
 
 /// True when the AVX2 kernel is compiled in and this CPU can run it.
 bool LayerForwardVectorizedAvailable();

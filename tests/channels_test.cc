@@ -405,10 +405,12 @@ TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
       [&](WorkerEnv* env, KvChannel*) {
         const std::string ns = KvChannel::NamespaceName(options_);
         const std::string inbox = KvChannel::InboxKey(0, 1);
-        env->cloud->kv().Push(
-            ns, inbox, EncodeInboxValue(0, 0, 3, EncodeOne(rows, ids_a)));
-        env->cloud->kv().Push(
-            ns, inbox, EncodeInboxValue(0, 1, 2, EncodeOne(rows, ids_b)));
+        env->cloud->kv().Push(ns, inbox,
+                              std::make_shared<const Bytes>(EncodeInboxValue(
+                                  0, 0, 3, EncodeOne(rows, ids_a))));
+        env->cloud->kv().Push(ns, inbox,
+                              std::make_shared<const Bytes>(EncodeInboxValue(
+                                  0, 1, 2, EncodeOne(rows, ids_b))));
       },
       [&](WorkerEnv* env, KvChannel* channel) {
         status = channel->ReceivePhase(env, 0, {0}).status();
@@ -608,7 +610,8 @@ TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
         for (int32_t seq = 0; seq < 3; ++seq) {
           env->cloud->kv().Push(
               ns, inbox,
-              EncodeInboxValue(0, seq, 3, EncodeOne(rows, {3 + 2 * seq})));
+              std::make_shared<const Bytes>(EncodeInboxValue(
+                  0, seq, 3, EncodeOne(rows, {3 + 2 * seq}))));
         }
         bool aborted = false;
         env->abort = &aborted;

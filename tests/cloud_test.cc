@@ -6,6 +6,17 @@
 namespace fsd::cloud {
 namespace {
 
+SharedBytes Shared(Bytes bytes) {
+  return std::make_shared<const Bytes>(std::move(bytes));
+}
+
+/// The bytes behind popped values, for comparing against expectations.
+std::vector<Bytes> Contents(const std::vector<SharedBytes>& values) {
+  std::vector<Bytes> out;
+  for (const SharedBytes& value : values) out.push_back(*value);
+  return out;
+}
+
 class CloudTest : public ::testing::Test {
  protected:
   sim::Simulation sim_;
@@ -559,16 +570,16 @@ TEST_F(CloudTest, VmUnknownTypeRejected) {
 TEST_F(CloudTest, KvPushPopRoundtripPreservesFifoOrder) {
   ASSERT_TRUE(cloud_.kv().CreateNamespace("ns").ok());
   InProcess([&] {
-    cloud_.kv().Push("ns", "list", Bytes{1});
-    cloud_.kv().Push("ns", "list", Bytes{2});
-    cloud_.kv().Push("ns", "list", Bytes{3});
+    cloud_.kv().Push("ns", "list", Shared(Bytes{1}));
+    cloud_.kv().Push("ns", "list", Shared(Bytes{2}));
+    cloud_.kv().Push("ns", "list", Shared(Bytes{3}));
     sim_.Hold(0.1);  // all three pushes become visible
     auto got = cloud_.kv().BlockingPopAll("ns", "list", 10, /*wait_s=*/1.0);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), 3u);
-    EXPECT_EQ((*got)[0], Bytes{1});
-    EXPECT_EQ((*got)[1], Bytes{2});
-    EXPECT_EQ((*got)[2], Bytes{3});
+    EXPECT_EQ(*(*got)[0], Bytes{1});
+    EXPECT_EQ(*(*got)[1], Bytes{2});
+    EXPECT_EQ(*(*got)[2], Bytes{3});
     // Pops are destructive: nothing remains.
     auto empty = cloud_.kv().BlockingPopAll("ns", "list", 10, 0.0);
     ASSERT_TRUE(empty.ok());
@@ -587,7 +598,7 @@ TEST_F(CloudTest, KvBlockingPopWakesOnArrival) {
   });
   sim_.AddProcess("producer", [&] {
     sim_.Hold(3.0);
-    cloud_.kv().Push("ns", "list", Bytes{9});
+    cloud_.kv().Push("ns", "list", Shared(Bytes{9}));
   });
   sim_.Run();
   EXPECT_GE(received_at, 3.0);
@@ -599,7 +610,7 @@ TEST_F(CloudTest, KvBlockingPopWakesOnArrival) {
 TEST_F(CloudTest, KvBillsRequestsAndProcessedBytes) {
   ASSERT_TRUE(cloud_.kv().CreateNamespace("ns").ok());
   InProcess([&] {
-    cloud_.kv().Push("ns", "list", Bytes(1000, 7));
+    cloud_.kv().Push("ns", "list", Shared(Bytes(1000, 7)));
     auto got = cloud_.kv().BlockingPopAll("ns", "list", 10, /*wait_s=*/1.0);
     ASSERT_TRUE(got.ok());
     const auto& requests =
@@ -617,7 +628,7 @@ TEST_F(CloudTest, KvDeleteNamespaceBillsNodeLifetime) {
   InProcess([&] {
     // Pre-provisioned idle time is free; billing spans first use -> delete.
     sim_.Hold(40.0);
-    cloud_.kv().Push("ns", "list", Bytes{1});
+    cloud_.kv().Push("ns", "list", Shared(Bytes{1}));
     sim_.Hold(120.0);
     ASSERT_TRUE(cloud_.kv().DeleteNamespace("ns").ok());
     const auto& line =
@@ -628,7 +639,7 @@ TEST_F(CloudTest, KvDeleteNamespaceBillsNodeLifetime) {
                 1e-12);
     // Gone: subsequent data-plane calls observe NotFound.
     EXPECT_FALSE(cloud_.kv().NamespaceExists("ns"));
-    EXPECT_FALSE(cloud_.kv().Push("ns", "list", Bytes{1}).status.ok());
+    EXPECT_FALSE(cloud_.kv().Push("ns", "list", Shared(Bytes{1})).status.ok());
     EXPECT_FALSE(cloud_.kv().DeleteNamespace("ns").ok());
   });
 }
@@ -669,14 +680,14 @@ TEST_F(CloudTest, KvSetGetRoundtripAndValidation) {
 TEST_F(CloudTest, InboxPopTakesAtMostMaxValuesAndLeavesTheRest) {
   auto inbox = std::make_shared<InboxLists>(&sim_, "closed");
   InProcess([&] {
-    for (uint8_t v = 1; v <= 5; ++v) inbox->Push("k", Bytes{v}, 0.001);
+    for (uint8_t v = 1; v <= 5; ++v) inbox->Push("k", Shared(Bytes{v}), 0.001);
     sim_.Hold(0.01);
     auto first = inbox->Pop("k", 2, 0.0);
     ASSERT_TRUE(first.ok());
-    EXPECT_EQ(*first, (std::vector<Bytes>{{1}, {2}}));
+    EXPECT_EQ(Contents(*first), (std::vector<Bytes>{{1}, {2}}));
     auto rest = inbox->Pop("k", kMaxValuesPerPop, 0.0);
     ASSERT_TRUE(rest.ok());
-    EXPECT_EQ(*rest, (std::vector<Bytes>{{3}, {4}, {5}}));
+    EXPECT_EQ(Contents(*rest), (std::vector<Bytes>{{3}, {4}, {5}}));
   });
 }
 
@@ -689,12 +700,12 @@ TEST_F(CloudTest, InboxPopFollowsPushOrderPastAVisibleValue) {
     // still in flight and waits again until the head is visible too.
     auto got = inbox->Pop("k", kMaxValuesPerPop, /*wait_s=*/5.0);
     ASSERT_TRUE(got.ok());
-    popped = std::move(*got);
+    popped = Contents(*got);
     popped_at = sim_.Now();
   });
   sim_.AddProcess("pusher", [&] {
-    inbox->Push("k", Bytes{1}, 1.0);
-    inbox->Push("k", Bytes{2}, 0.1);
+    inbox->Push("k", Shared(Bytes{1}), 1.0);
+    inbox->Push("k", Shared(Bytes{2}), 0.1);
     sim_.Hold(0.5);
     // Visible but queued behind the head: a zero-wait pop returns nothing.
     auto early = inbox->Pop("k", kMaxValuesPerPop, 0.0);
@@ -719,7 +730,7 @@ TEST_F(CloudTest, InboxCloseWakesWaitersAndLateVisibilityDoesNothing) {
     woke_at = sim_.Now();
   });
   sim_.AddProcess("owner", [&] {
-    inbox->Push("k", Bytes{1}, 5.0);  // lands after the teardown below
+    inbox->Push("k", Shared(Bytes{1}), 5.0);  // lands after the teardown below
     sim_.Hold(1.0);
     inbox->Close();
     // The owner lets go while the popper is still waking: the popper holds
@@ -732,6 +743,69 @@ TEST_F(CloudTest, InboxCloseWakesWaitersAndLateVisibilityDoesNothing) {
   EXPECT_EQ(pop_status.message(), "inbox closed at teardown");
   EXPECT_DOUBLE_EQ(woke_at, 1.0);
   EXPECT_EQ(sim_.live_processes(), 0);
+}
+
+// Values travel by reference: a pop hands back the very buffer that was
+// pushed, and a popped value stays valid after the inbox is closed and
+// destroyed. A value still in flight at Close() goes back to its sender's
+// sole ownership. The buffers are heap-sized, so ASan sees any read of a
+// freed one.
+TEST_F(CloudTest, InboxHandsBackThePushedBufferAndItOutlivesClose) {
+  auto inbox = std::make_shared<InboxLists>(&sim_, "closed");
+  const SharedBytes delivered = Shared(Bytes(4096, 0x5a));
+  const SharedBytes in_flight = Shared(Bytes(4096, 0xa5));
+  SharedBytes popped;
+  InProcess([&] {
+    inbox->Push("k", delivered, 0.001);
+    sim_.Hold(0.01);
+    auto got = inbox->Pop("k", kMaxValuesPerPop, 0.0);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), 1u);
+    popped = (*got)[0];
+    inbox->Push("k", in_flight, 5.0);
+    EXPECT_EQ(in_flight.use_count(), 2);
+    inbox->Close();
+    inbox.reset();
+  });
+  EXPECT_EQ(popped, delivered);
+  EXPECT_EQ(*popped, Bytes(4096, 0x5a));
+  EXPECT_EQ(in_flight.use_count(), 1);
+  EXPECT_EQ(*in_flight, Bytes(4096, 0xa5));
+}
+
+TEST_F(CloudTest, KvAndP2pHandBackThePushedBufferPastTeardown) {
+  ASSERT_TRUE(cloud_.kv().CreateNamespace("ns").ok());
+  ASSERT_TRUE(cloud_.p2p().CreateSession("s").ok());
+  const SharedBytes kv_value = Shared(Bytes(4096, 1));
+  const SharedBytes p2p_value = Shared(Bytes(4096, 2));
+  SharedBytes kv_popped;
+  SharedBytes p2p_popped;
+  InProcess([&] {
+    int32_t dst = 1;
+    while (!cloud_.p2p().Connect("s", 0, dst).punched) ++dst;
+    ASSERT_TRUE(cloud_.kv().Push("ns", "k", kv_value).status.ok());
+    ASSERT_TRUE(cloud_.p2p().Send("s", 0, dst, "k", p2p_value).status.ok());
+    auto kv_got = cloud_.kv().BlockingPopAll("ns", "k", 10, /*wait_s=*/1.0);
+    auto p2p_got = cloud_.p2p().BlockingPopAll("s", "k", 10, /*wait_s=*/1.0);
+    ASSERT_TRUE(kv_got.ok());
+    ASSERT_TRUE(p2p_got.ok());
+    ASSERT_EQ(kv_got->size(), 1u);
+    ASSERT_EQ(p2p_got->size(), 1u);
+    kv_popped = (*kv_got)[0];
+    p2p_popped = (*p2p_got)[0];
+    ASSERT_TRUE(cloud_.kv().DeleteNamespace("ns").ok());
+    ASSERT_TRUE(cloud_.p2p().DeleteSession("s").ok());
+  });
+  EXPECT_EQ(kv_popped, kv_value);
+  EXPECT_EQ(p2p_popped, p2p_value);
+  EXPECT_EQ(*kv_popped, Bytes(4096, 1));
+  EXPECT_EQ(*p2p_popped, Bytes(4096, 2));
+  // Billing and latency read the buffer's size; nothing was copied.
+  EXPECT_EQ(cloud_.billing().line(BillingDimension::kP2pByte).quantity,
+            4096.0);
+  EXPECT_EQ(
+      cloud_.billing().line(BillingDimension::kKvProcessedByte).quantity,
+      2 * 4096.0);
 }
 
 TEST_F(CloudTest, KvAndP2pTeardownWithDeliveriesInFlight) {
@@ -750,8 +824,8 @@ TEST_F(CloudTest, KvAndP2pTeardownWithDeliveriesInFlight) {
     int32_t dst = 1;
     while (!cloud_.p2p().Connect("s", 0, dst).punched) ++dst;
     // Deliveries whose visibility callbacks land after the teardown.
-    ASSERT_TRUE(cloud_.kv().Push("ns", "k", Bytes{1}).status.ok());
-    ASSERT_TRUE(cloud_.p2p().Send("s", 0, dst, "k", Bytes{1}).status.ok());
+    ASSERT_TRUE(cloud_.kv().Push("ns", "k", Shared(Bytes{1})).status.ok());
+    ASSERT_TRUE(cloud_.p2p().Send("s", 0, dst, "k", Shared(Bytes{1})).status.ok());
     ASSERT_TRUE(cloud_.kv().DeleteNamespace("ns").ok());
     ASSERT_TRUE(cloud_.p2p().DeleteSession("s").ok());
   });
@@ -859,8 +933,8 @@ TEST_F(CloudTest, P2pPunchIsMutualAndBillsOncePerPhysicalPair) {
       }
     }
     ASSERT_GE(a, 0);
-    EXPECT_TRUE(cloud_.p2p().Send("s", a, b, "fwd", Bytes{1}).status.ok());
-    EXPECT_TRUE(cloud_.p2p().Send("s", b, a, "rev", Bytes{2}).status.ok());
+    EXPECT_TRUE(cloud_.p2p().Send("s", a, b, "fwd", Shared(Bytes{1})).status.ok());
+    EXPECT_TRUE(cloud_.p2p().Send("s", b, a, "rev", Shared(Bytes{2})).status.ok());
   });
 }
 
@@ -876,14 +950,14 @@ TEST_F(CloudTest, P2pSendDeliversAndBillsBytesOnly) {
       }
     }
     ASSERT_GE(dst, 0) << "no punched pair in 31 tries at 8% failure";
-    const auto sent = cloud_.p2p().Send("s", 0, dst, "inbox", Bytes(1000, 5));
+    const auto sent = cloud_.p2p().Send("s", 0, dst, "inbox", Shared(Bytes(1000, 5)));
     ASSERT_TRUE(sent.status.ok());
     EXPECT_GT(sent.latency, 0.0);
     sim_.Hold(sent.latency + 0.01);
     auto got = cloud_.p2p().BlockingPopAll("s", "inbox", 10, /*wait_s=*/1.0);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), 1u);
-    EXPECT_EQ((*got)[0], Bytes(1000, 5));
+    EXPECT_EQ(*(*got)[0], Bytes(1000, 5));
     EXPECT_EQ(cloud_.billing().line(BillingDimension::kP2pByte).quantity,
               1000.0);
     // Sends and pops carry NO per-request service charge: the kv/queue
@@ -896,7 +970,7 @@ TEST_F(CloudTest, P2pSendDeliversAndBillsBytesOnly) {
       if (!cloud_.p2p().Connect("s", 1, d).punched) unpunched = d;
     }
     ASSERT_GE(unpunched, 0);
-    EXPECT_EQ(cloud_.p2p().Send("s", 1, unpunched, "x", Bytes{1}).status.code(),
+    EXPECT_EQ(cloud_.p2p().Send("s", 1, unpunched, "x", Shared(Bytes{1})).status.code(),
               StatusCode::kFailedPrecondition);
   });
 }

@@ -35,17 +35,6 @@ TEST(Varint, RoundtripBoundaries) {
   }
 }
 
-TEST(Varint, SignedZigZag) {
-  const int64_t cases[] = {0, -1, 1, -2, 63, -64, 1000000, -1000000,
-                           INT64_MAX, INT64_MIN};
-  for (int64_t v : cases) {
-    Bytes buf;
-    PutVarintSigned(&buf, v);
-    ByteReader reader(buf);
-    EXPECT_EQ(*GetVarintSigned(&reader), v) << v;
-  }
-}
-
 TEST(Varint, TruncatedFails) {
   Bytes buf;
   PutVarint64(&buf, 1ull << 40);

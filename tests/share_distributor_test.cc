@@ -203,6 +203,144 @@ TEST(ShareDistributor, RelayFallbackDeliversMultiChunkShareByteIdentically) {
   EXPECT_EQ(distributor.HolderCount(family, 0, options.model_version), 2);
 }
 
+// ---- delivered chunk checks ----
+
+/// What one peer pull saw: where Acquire sent it and what it moved.
+struct PullResult {
+  ShareDistributor::Source source = ShareDistributor::Source::kStorage;
+  WorkerMetrics metrics;
+};
+
+constexpr uint64_t kPlantChunkBytes = 1024;
+/// One full pop of chunks: a transfer's first pop then drains exactly the
+/// share's worth of values from the head of its inbox.
+constexpr uint64_t kPlantChunks = cloud::kMaxValuesPerPop;
+
+Bytes PlantChunk(uint64_t seq) {
+  return ShareDistributor::EncodeShareChunk("fam@plant", 0, 0, seq,
+                                            kPlantChunks, kPlantChunkBytes);
+}
+
+/// A loader reads a share from storage and publishes it; a puller then
+/// acquires it from the loader over the punched fabric, or over the KV
+/// relay when `relay`. Before the puller's Acquire, each of `planted` is
+/// delivered as its own buffer into the first transfer's inbox, over the
+/// same transport, ahead of the distributor's own chunk images.
+PullResult PullWithPlantedChunks(bool relay, const std::vector<Bytes>& planted) {
+  sim::Simulation sim;
+  cloud::CloudConfig config;
+  config.latency.p2p_punch_failure_rate = relay ? 1.0 : 0.0;
+  cloud::CloudEnv cloud(&sim, config);
+
+  ShareDistributor::Options distributor_options;
+  distributor_options.peer_chunk_bytes = kPlantChunkBytes;
+  distributor_options.relay_chunk_bytes = kPlantChunkBytes;
+  ShareDistributor distributor(&cloud, distributor_options);
+  const FsdOptions options;
+  const std::string family = "fam@plant";
+  const uint64_t share_bytes = kPlantChunks * kPlantChunkBytes;
+  const std::string first_inbox = "xfer-1";
+
+  PullResult result;
+  cloud::FaasFunctionConfig loader_fn;
+  loader_fn.name = "sd-loader";
+  loader_fn.memory_mb = 1024;
+  loader_fn.handler = [&](cloud::FaasContext* ctx) {
+    WorkerMetrics scratch;
+    ASSERT_EQ(distributor.Acquire(ctx, options, family, 0, share_bytes,
+                                  &scratch),
+              ShareDistributor::Source::kStorage);
+    ASSERT_TRUE(ctx->SleepFor(3.0).ok());
+    PartitionCache* cache = InstancePartitionCache(ctx, options);
+    ASSERT_NE(cache, nullptr);
+    EXPECT_TRUE(cache->Insert(family, 0, options.model_version, share_bytes)
+                    .inserted);
+    distributor.Publish(ctx, options, family, 0);
+    ctx->set_result(Status::OK());
+  };
+  EXPECT_TRUE(cloud.faas().RegisterFunction(loader_fn).ok());
+
+  cloud::FaasFunctionConfig puller_fn;
+  puller_fn.name = "sd-puller";
+  puller_fn.memory_mb = 1024;
+  puller_fn.handler = [&](cloud::FaasContext* ctx) {
+    if (relay) {
+      ASSERT_TRUE(cloud.kv().CreateNamespace(distributor.relay_namespace())
+                      .ok());
+    } else {
+      ASSERT_TRUE(
+          cloud.p2p().Connect(distributor.session(), 1000, 1001).punched);
+    }
+    for (const Bytes& chunk : planted) {
+      SharedBytes value = std::make_shared<const Bytes>(chunk);
+      const Status status =
+          relay ? cloud.kv()
+                      .Push(distributor.relay_namespace(), first_inbox,
+                            std::move(value))
+                      .status
+                : cloud.p2p()
+                      .Send(distributor.session(), 1000, 1001, first_inbox,
+                            std::move(value))
+                      .status;
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    result.source = distributor.Acquire(ctx, options, family, 0, share_bytes,
+                                        &result.metrics);
+    ctx->set_result(Status::OK());
+  };
+  EXPECT_TRUE(cloud.faas().RegisterFunction(puller_fn).ok());
+
+  EXPECT_TRUE(cloud.faas().InvokeAsync("sd-loader", {}).status.ok());
+  sim.AddProcess(
+      "invoke-puller",
+      [&]() { ASSERT_TRUE(cloud.faas().InvokeAsync("sd-puller", {}).status.ok()); },
+      /*start=*/1.5);
+  sim.Run();
+  return result;
+}
+
+/// Chunks the transfer sent over the transport under test.
+int64_t ChunksSent(const PullResult& pull, bool relay) {
+  return relay ? pull.metrics.share_relay_chunks
+               : pull.metrics.share_peer_chunks;
+}
+
+// A distinct buffer that is byte-equal to the expected image passes the
+// full byte check: the first transfer completes on the planted copies.
+TEST(ShareDistributor, DistinctByteEqualChunksAreAccepted) {
+  std::vector<Bytes> copies;
+  for (uint64_t seq = 0; seq < kPlantChunks; ++seq) {
+    copies.push_back(PlantChunk(seq));
+  }
+  for (const bool relay : {false, true}) {
+    SCOPED_TRACE(relay ? "relay" : "punched");
+    const PullResult pull = PullWithPlantedChunks(relay, copies);
+    EXPECT_EQ(pull.source, ShareDistributor::Source::kPeer);
+    EXPECT_EQ(pull.metrics.share_loads_peer, 1);
+    EXPECT_EQ(ChunksSent(pull, relay), static_cast<int64_t>(kPlantChunks));
+  }
+}
+
+// A distinct buffer with one flipped byte fails its transfer: the puller
+// does not take the share from it, but retries the holder over a fresh
+// inbox, which delivers the real images.
+TEST(ShareDistributor, DistinctChunkWithAFlippedByteFailsItsTransfer) {
+  std::vector<Bytes> damaged;
+  for (uint64_t seq = 0; seq < kPlantChunks; ++seq) {
+    damaged.push_back(PlantChunk(seq));
+  }
+  damaged[17].back() ^= 0x01;
+  for (const bool relay : {false, true}) {
+    SCOPED_TRACE(relay ? "relay" : "punched");
+    const PullResult pull = PullWithPlantedChunks(relay, damaged);
+    EXPECT_EQ(pull.source, ShareDistributor::Source::kPeer);
+    EXPECT_EQ(pull.metrics.share_loads_peer, 1);
+    // The rejected transfer and the retry that delivered.
+    EXPECT_EQ(ChunksSent(pull, relay),
+              2 * static_cast<int64_t>(kPlantChunks));
+  }
+}
+
 // A holder whose instance was reclaimed at keep-alive expiry must be pruned
 // on the next lookup; the requester degrades to the storage read it was
 // going to do anyway.
