@@ -65,7 +65,7 @@ struct ModeResult {
   double predicted_comm = 0.0;  ///< per-query predictions + pre-warm mirrors
   double ledger_comm = 0.0;
   bool outputs_ok = true;
-  std::vector<std::vector<linalg::ActivationMap>> outputs;
+  std::vector<core::QueryOutputs> outputs;
 };
 
 ModeResult RunMode(const bench::Workload& workload,

@@ -126,8 +126,8 @@ Bytes QuantCompress(const float* values, size_t count, int32_t bits,
   return out;
 }
 
-Result<std::vector<float>> QuantDecompress(const Bytes& data) {
-  ByteReader reader(data);
+Result<std::vector<float>> QuantDecompress(std::span<const uint8_t> data) {
+  ByteReader reader(data.data(), data.size());
   FSD_ASSIGN_OR_RETURN(uint8_t m0, reader.Read<uint8_t>());
   FSD_ASSIGN_OR_RETURN(uint8_t m1, reader.Read<uint8_t>());
   FSD_ASSIGN_OR_RETURN(uint8_t version, reader.Read<uint8_t>());

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -35,7 +36,7 @@ Bytes QuantCompress(const float* values, size_t count, int32_t bits,
                     QuantStats* stats = nullptr);
 
 /// Inverse of QuantCompress; validates magic/version/CRC.
-Result<std::vector<float>> QuantDecompress(const Bytes& data);
+Result<std::vector<float>> QuantDecompress(std::span<const uint8_t> data);
 
 }  // namespace fsd::codec
 

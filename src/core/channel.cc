@@ -222,7 +222,7 @@ bool PhaseReceiver::Complete(int32_t source) {
   return pending_.erase(source) > 0;
 }
 
-Status PhaseReceiver::Decode(std::vector<Bytes> bodies,
+Status PhaseReceiver::Decode(std::vector<ReceivedBody> bodies,
                              uint64_t charged_bytes, double extra_s) {
   const double deser_s = static_cast<double>(charged_bytes) /
                          env_->cloud->compute().deserialize_bytes_per_s;
@@ -235,15 +235,14 @@ Status PhaseReceiver::Decode(std::vector<Bytes> bodies,
   // The charge depends only on byte counts and the rows are first read at
   // Finish, so each decode runs detached: on a pool thread while this
   // process polls on (inline here when the sim has no pool).
-  for (Bytes& body : bodies) {
+  for (ReceivedBody& body : bodies) {
     metrics_->recv_wire_bytes += static_cast<int64_t>(body.size());
-    DecodeSlot& slot = slots_.emplace_back();
-    slot.body = std::move(body);
+    DecodeSlot& slot = slots_.emplace_back(std::move(body));
     // The body stays in its slot until the receiver dies. Freeing it on
     // the pool thread, which did not allocate it, raised peak RSS through
     // glibc's per-thread caches.
     env_->cloud->sim()->StartDetached(&decodes_, [&slot]() {
-      slot.status = DecodeRows(slot.body, &slot.rows);
+      slot.status = DecodeRows(slot.body.wire(), &slot.rows);
     });
   }
   return env_->faas->SleepFor(window_s);

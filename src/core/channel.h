@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -162,6 +163,26 @@ Result<int32_t> ParseFrameInt(std::string_view text);
 /// fails this could never complete its source.
 Status CheckChunkIndex(int64_t seq, int64_t total);
 
+/// A received chunk body, decoded in place: the buffer it arrived in and
+/// the offset its row wire starts at (past an inbox value's header). A
+/// backend that owns its body outright (a queue message, an object GET)
+/// hands it over whole at offset 0.
+struct ReceivedBody {
+  ReceivedBody(SharedBytes buffer, size_t offset)
+      : buffer(std::move(buffer)), offset(offset) {}
+  /// Implicit: a backend that owns its body hands the bytes over whole.
+  ReceivedBody(Bytes owned)
+      : buffer(std::make_shared<const Bytes>(std::move(owned))) {}
+
+  std::span<const uint8_t> wire() const {
+    return std::span<const uint8_t>(*buffer).subspan(offset);
+  }
+  size_t size() const { return buffer->size() - offset; }
+
+  SharedBytes buffer;
+  size_t offset = 0;
+};
+
 /// One ReceivePhase's shared state: the sources still pending, with
 /// (source, seq) dedup of redelivered chunks, the bodies being decoded, and
 /// the recv_wait_s clock. Construct it only after the `sources.empty()`
@@ -202,7 +223,7 @@ class PhaseReceiver {
   /// and starts decoding each of `bodies` as a detached job; the rows are
   /// ready at Finish. The window is taken even when `bodies` is empty; it
   /// is then a plain wait.
-  Status Decode(std::vector<Bytes> bodies, uint64_t charged_bytes,
+  Status Decode(std::vector<ReceivedBody> bodies, uint64_t charged_bytes,
                 double extra_s = 0.0);
 
   /// Stops the recv_wait_s clock, joins the decodes and hands over their
@@ -223,7 +244,7 @@ class PhaseReceiver {
   /// One body and what its detached decode writes. Only that job touches
   /// the slot until the join.
   struct DecodeSlot {
-    Bytes body;
+    ReceivedBody body;
     linalg::ActivationRows rows;
     Status status;
   };

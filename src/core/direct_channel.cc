@@ -148,11 +148,11 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
   // Header decode and per-source bookkeeping (the poll loop's control
   // state) stay inline; each pop's row decode runs under one window charged
   // on every popped byte, empty pops included.
-  auto consume = [&](const std::vector<SharedBytes>& values,
+  auto consume = [&](std::vector<SharedBytes> values,
                      bool relayed) -> Status {
     uint64_t popped_bytes = 0;
-    std::vector<Bytes> bodies;
-    for (const SharedBytes& value : values) {
+    std::vector<ReceivedBody> bodies;
+    for (SharedBytes& value : values) {
       popped_bytes += value->size();
       if (relayed) {
         // Relay pops bill the full value, header included — the cache
@@ -160,7 +160,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
         metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
       }
       FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
-                           DecodeInboxValue(*value));
+                           DecodeInboxValue(std::move(value)));
       FSD_ASSIGN_OR_RETURN(
           const bool fresh,
           receiver.Accept(decoded.source, decoded.seq, decoded.total));
@@ -183,7 +183,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
                                            options.direct_poll_wait_s));
       ++metrics.direct_pops;
       if (values.empty()) ++metrics.direct_empty_pops;
-      FSD_RETURN_IF_ERROR(consume(values, /*relayed=*/false));
+      FSD_RETURN_IF_ERROR(consume(std::move(values), /*relayed=*/false));
     }
     if (receiver.done() || relay_pending == 0) continue;
 
@@ -194,7 +194,7 @@ Result<ReceivedRows> DirectChannel::ReceiveRows(
                                         options.kv_poll_wait_s));
     ++metrics.kv_pops;
     if (relayed.empty()) ++metrics.kv_empty_pops;
-    FSD_RETURN_IF_ERROR(consume(relayed, /*relayed=*/true));
+    FSD_RETURN_IF_ERROR(consume(std::move(relayed), /*relayed=*/true));
   }
   return receiver.FinishRows();
 }

@@ -20,8 +20,8 @@ Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
   return out;
 }
 
-Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value) {
-  ByteReader reader(value);
+Result<DecodedInboxValue> DecodeInboxValue(SharedBytes value) {
+  ByteReader reader(*value);
   int32_t header[3];  // source, seq, total
   for (int32_t& field : header) {
     FSD_ASSIGN_OR_RETURN(const uint64_t raw, codec::GetVarint64(&reader));
@@ -31,9 +31,8 @@ Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value) {
     field = static_cast<int32_t>(raw);
   }
   FSD_RETURN_IF_ERROR(CheckChunkIndex(header[1], header[2]));
-  DecodedInboxValue decoded{header[0], header[1], header[2], {}};
-  FSD_ASSIGN_OR_RETURN(decoded.body, reader.ReadBytes(reader.remaining()));
-  return decoded;
+  return DecodedInboxValue{header[0], header[1], header[2],
+                           ReceivedBody(std::move(value), reader.position())};
 }
 
 std::string KvChannel::NamespaceName(const FsdOptions& options) {
@@ -124,14 +123,14 @@ Result<ReceivedRows> KvChannel::ReceiveRows(
     // state) stay inline; the pop's row decode runs under one window
     // charged on the accepted body bytes.
     uint64_t accepted_bytes = 0;
-    std::vector<Bytes> bodies;
-    for (const SharedBytes& value : values) {
+    std::vector<ReceivedBody> bodies;
+    for (SharedBytes& value : values) {
       // Processed bytes the pop was billed for: the full value, header
       // included — counted before any skip, because the service meters
       // what it moved, not what the receiver could use.
       metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
       FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
-                           DecodeInboxValue(*value));
+                           DecodeInboxValue(std::move(value)));
       FSD_ASSIGN_OR_RETURN(
           const bool fresh,
           receiver.Accept(decoded.source, decoded.seq, decoded.total));

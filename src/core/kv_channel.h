@@ -39,12 +39,12 @@ struct DecodedInboxValue {
   int32_t source = 0;
   int32_t seq = 0;
   int32_t total = 0;
-  Bytes body;
+  ReceivedBody body;  ///< the chunk wire, read in place inside the value
 };
 
 /// DataLoss on a truncated value, a header field above INT32_MAX, or a
 /// (seq, total) that could never complete its source.
-Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value);
+Result<DecodedInboxValue> DecodeInboxValue(SharedBytes value);
 
 class KvChannel : public CommChannel {
  public:

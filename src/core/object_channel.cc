@@ -122,7 +122,7 @@ Result<ReceivedRows> ObjectChannel::ReceiveRows(
     // poll loop); the round's row decode runs under one window of the GET
     // makespan plus the deserialization charge.
     std::vector<double> latencies;
-    std::vector<Bytes> bodies;
+    std::vector<ReceivedBody> bodies;
     uint64_t got_bytes = 0;
     for (const std::string& key : to_get) {
       cloud::ObjectStore::GetOutcome got =
@@ -131,7 +131,7 @@ Result<ReceivedRows> ObjectChannel::ReceiveRows(
       if (!got.status.ok()) return got.status;
       latencies.push_back(got.latency);
       got_bytes += got.body.size();
-      bodies.push_back(std::move(got.body));
+      bodies.emplace_back(std::move(got.body));
     }
     FSD_RETURN_IF_ERROR(receiver.Decode(
         std::move(bodies), got_bytes,

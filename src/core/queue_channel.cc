@@ -128,8 +128,8 @@ Result<ReceivedRows> QueueChannel::ReceiveRows(
                          receiver.Accept(msg.source, msg.seq, msg.total));
     if (!fresh) return Status::OK();
     const uint64_t size = msg.body.size();
-    std::vector<Bytes> bodies;
-    bodies.push_back(std::move(msg.body));
+    std::vector<ReceivedBody> bodies;
+    bodies.emplace_back(std::move(msg.body));
     return receiver.Decode(std::move(bodies), size);
   };
 

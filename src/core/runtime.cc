@@ -102,6 +102,11 @@ Status Validate(const InferenceRequest& request) {
 
 }  // namespace
 
+const QueryOutputs::Maps& QueryOutputs::maps() const {
+  static const Maps kNone;
+  return maps_ != nullptr ? *maps_ : kNone;
+}
+
 std::vector<cloud::BillingLine> SnapshotLedger(
     const cloud::BillingLedger& ledger) {
   std::vector<cloud::BillingLine> lines;
@@ -290,11 +295,13 @@ InferenceReport CollectMemberReport(RunState* state, size_t member_index,
   }
 
   // The member's slice of the outputs (one map per of its batches).
-  report.outputs.reserve(static_cast<size_t>(member.batch_count));
+  QueryOutputs::Maps outputs;
+  outputs.reserve(static_cast<size_t>(member.batch_count));
   for (int32_t b = 0; b < member.batch_count; ++b) {
-    report.outputs.push_back(std::move(
+    outputs.push_back(std::move(
         state->outputs[static_cast<size_t>(member.batch_begin + b)]));
   }
+  report.outputs = QueryOutputs(std::move(outputs));
 
   // Metric attribution. Per-layer counters are exact — the member's batches
   // own the phase range [batch_begin, batch_begin + batch_count) * PPB.

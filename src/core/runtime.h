@@ -41,6 +41,40 @@ struct BillingDelta {
   }
 };
 
+/// A query's outputs, one ActivationMap per batch, as one immutable buffer
+/// that every copy of the report shares: copying a report costs a
+/// reference count, not the maps. Nothing writes through it once built;
+/// clear() drops only this copy's reference.
+class QueryOutputs {
+ public:
+  using Maps = std::vector<linalg::ActivationMap>;
+  using value_type = linalg::ActivationMap;
+  using const_iterator = Maps::const_iterator;
+
+  QueryOutputs() = default;
+  explicit QueryOutputs(Maps maps)
+      : maps_(std::make_shared<const Maps>(std::move(maps))) {}
+
+  /// The shared maps; an empty list when there are none.
+  const Maps& maps() const;
+  size_t size() const { return maps().size(); }
+  bool empty() const { return maps().empty(); }
+  const linalg::ActivationMap& operator[](size_t i) const {
+    return maps()[i];
+  }
+  const_iterator begin() const { return maps().begin(); }
+  const_iterator end() const { return maps().end(); }
+  void clear() { maps_.reset(); }
+
+  /// Compares contents, not buffers.
+  friend bool operator==(const QueryOutputs& a, const QueryOutputs& b) {
+    return a.maps() == b.maps();
+  }
+
+ private:
+  std::shared_ptr<const Maps> maps_;
+};
+
 struct InferenceReport {
   Status status;
   /// End-to-end query latency: request submission -> root returns x^L.
@@ -49,7 +83,7 @@ struct InferenceReport {
   double launch_complete_s = 0.0;
   int32_t total_samples = 0;
   double per_sample_ms = 0.0;
-  std::vector<linalg::ActivationMap> outputs;  ///< one per batch
+  QueryOutputs outputs;  ///< one per batch, shared by every copy
   RunMetrics metrics;
   BillingDelta billing;            ///< "actual" charges for this run
   CostBreakdown predicted;         ///< cost-model prediction from metrics
@@ -111,7 +145,8 @@ void RunCoordinator(cloud::FaasContext* ctx, RunState* state);
 /// Assembles one member query's report (latency, outputs, metrics,
 /// cost-model prediction) once the run's done-signal has fired; `t0`/`t1`
 /// are the member's submission and the run's completion virtual times.
-/// Moves the member's slice of the outputs out of the state; metrics are
+/// Moves the member's slice of the outputs out of the state into the
+/// report's shared QueryOutputs; metrics are
 /// sliced by attribution, not consumed:
 ///  - per-layer counters (communication, compute) are attributed exactly —
 ///    each batch's phases belong to exactly one member;

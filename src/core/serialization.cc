@@ -353,7 +353,8 @@ EncodeResult EncodeRows(const linalg::ActivationMap& source,
   return EncodeRows(CollectRows(source, row_ids), max_chunk_bytes, codec);
 }
 
-Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out) {
+Status DecodeRows(std::span<const uint8_t> wire,
+                  linalg::ActivationRows* out) {
   if (wire.empty()) return Status::DataLoss("empty row payload");
   if (wire[0] == kQuantizedTag) {
     ByteReader reader(wire.data() + 1, wire.size() - 1);
@@ -366,9 +367,9 @@ Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out) {
     FSD_ASSIGN_OR_RETURN(
         std::span<const uint8_t> structure,
         UnwrapLossless(wire.data() + pos, structure_len, &storage));
-    const Bytes fq(wire.begin() + pos + structure_len, wire.end());
-    FSD_ASSIGN_OR_RETURN(std::vector<float> values,
-                         codec::QuantDecompress(fq));
+    FSD_ASSIGN_OR_RETURN(
+        std::vector<float> values,
+        codec::QuantDecompress(wire.subspan(pos + structure_len)));
     return ParseRows(structure, &values, out);
   }
   Bytes storage;
@@ -377,7 +378,8 @@ Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out) {
   return ParseRows(payload, nullptr, out);
 }
 
-Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out) {
+Status DecodeRows(std::span<const uint8_t> wire,
+                  linalg::ActivationMap* out) {
   linalg::ActivationRows rows;
   FSD_RETURN_IF_ERROR(DecodeRows(wire, &rows));
   rows.MergeInto(out);

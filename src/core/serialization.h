@@ -128,10 +128,10 @@ EncodePlan PlanRows(const linalg::ActivationMap& source,
 /// A row id `out` already holds, or one repeated within the chunk, keeps
 /// the row decoded last, as sequential decodes into a map would. On error
 /// `out` is left as it was.
-Status DecodeRows(const Bytes& wire, linalg::ActivationRows* out);
+Status DecodeRows(std::span<const uint8_t> wire, linalg::ActivationRows* out);
 /// Map edge: decodes into ActivationRows, then assigns each row into
 /// `out`. On error `out` is left as it was.
-Status DecodeRows(const Bytes& wire, linalg::ActivationMap* out);
+Status DecodeRows(std::span<const uint8_t> wire, linalg::ActivationMap* out);
 
 /// Estimated encoded bytes for a row with `nnz` nonzeros (the NNZ packing
 /// heuristic: varint ids/deltas plus 4-byte values).

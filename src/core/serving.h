@@ -178,7 +178,10 @@ struct QueryOutcome {
   /// Whether a completed query finished by its deadline (true when it
   /// carried none); meaningless for other dispositions.
   bool deadline_met = true;
-  InferenceReport report;  ///< latency_s measured from submission
+  /// latency_s is measured from submission. report.outputs is empty until
+  /// the query finishes, then one immutable buffer that every later
+  /// Drain() hands back by reference.
+  InferenceReport report;
 };
 
 struct ServingReport {
@@ -215,7 +218,9 @@ class ServingRuntime {
   /// queries a previous horizon cut off). May be called repeatedly; the
   /// report covers all queries submitted so far, `billing` is the ledger
   /// delta since the previous call, and fleet dollar figures accumulate
-  /// across calls.
+  /// across calls. Each call copies every outcome, but a finished query's
+  /// outputs are shared (QueryOutputs), so a copy costs a reference count
+  /// and every call's report points at the same output maps.
   Result<ServingReport> Drain();
   Result<ServingReport> Drain(double run_until);
 

@@ -474,8 +474,8 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
       PhaseReceiver receiver(env, 0, {0});
       for (int32_t seq = 0; seq < 2; ++seq) {
         ASSERT_TRUE(*receiver.Accept(0, seq, 2));
-        std::vector<Bytes> bodies;
-        bodies.push_back(seq == 0 ? a : b);
+        std::vector<ReceivedBody> bodies;
+        bodies.emplace_back(seq == 0 ? a : b);
         ASSERT_TRUE(receiver.Decode(std::move(bodies), 1).ok());
       }
       EXPECT_TRUE(receiver.done());
@@ -635,12 +635,15 @@ Bytes InboxHeader(uint64_t source, uint64_t seq, uint64_t total) {
 }
 
 TEST(InboxValue, RejectsHeadersThatNameNoRealChunk) {
-  auto ok = DecodeInboxValue(InboxHeader(2, 1, 3));
+  const SharedBytes value = std::make_shared<const Bytes>(InboxHeader(2, 1, 3));
+  auto ok = DecodeInboxValue(value);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->source, 2);
   EXPECT_EQ(ok->seq, 1);
   EXPECT_EQ(ok->total, 3);
-  EXPECT_EQ(ok->body, Bytes{0});
+  // The body is read in place: a view into the popped value, not a copy.
+  EXPECT_EQ(ok->body.buffer, value);
+  EXPECT_EQ(Bytes(ok->body.wire().begin(), ok->body.wire().end()), Bytes{0});
 
   const Bytes bad[] = {
       InboxHeader((1ull << 32) + 1, 0, 1),  // would narrow to worker 1
@@ -650,7 +653,10 @@ TEST(InboxValue, RejectsHeadersThatNameNoRealChunk) {
       InboxHeader(1, 3, 3),  // seq past the end
   };
   for (const Bytes& value : bad) {
-    EXPECT_EQ(DecodeInboxValue(value).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(DecodeInboxValue(std::make_shared<const Bytes>(value))
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss);
   }
 }
 

@@ -56,7 +56,7 @@ Workload MakeWorkload(int32_t neurons, int32_t layers, int32_t batch,
 /// Everything a run can observe: outputs, per-query metrics, fleet stats,
 /// the full billing ledger and the kernel's event count. Byte-compared.
 struct Artifacts {
-  std::vector<std::vector<linalg::ActivationMap>> outputs;
+  std::vector<QueryOutputs> outputs;
   std::vector<std::string> query_metrics;
   std::string fleet_summary;
   std::string ledger;

@@ -388,7 +388,7 @@ TEST(PartitionCacheServing, CacheOnAndOffAreByteIdentical) {
         submissions.emplace_back(request, 20.0 * q);
       }
       ServingReport report = Serve(submissions);
-      std::vector<std::vector<linalg::ActivationMap>> outputs;
+      std::vector<QueryOutputs> outputs;
       for (const QueryOutcome& outcome : report.queries) {
         EXPECT_TRUE(outcome.report.status.ok())
             << outcome.report.status.ToString();

@@ -252,7 +252,7 @@ TEST(QueryBatching, OverlappedBatchedServingIsDeterministic) {
   auto run_once = [&](Variant variant) {
     auto report = ServeAll(f, variant, arrivals, options);
     EXPECT_TRUE(report.ok());
-    std::vector<std::vector<linalg::ActivationMap>> outputs;
+    std::vector<QueryOutputs> outputs;
     for (int q = 0; q < kQueries; ++q) {
       const QueryOutcome& outcome = report->queries[q];
       EXPECT_TRUE(outcome.report.status.ok())

@@ -65,7 +65,7 @@ TEST(Serving, OverlappingQueriesMatchSequentialRunsExactly) {
     InferenceRequest request = MakeRequest(w, variant, kWorkers);
 
     // Baseline: N queries through the sequential entry point.
-    std::vector<std::vector<linalg::ActivationMap>> sequential;
+    std::vector<QueryOutputs> sequential;
     {
       sim::Simulation sim;
       cloud::CloudEnv cloud(&sim);
@@ -148,7 +148,7 @@ TEST(Serving, ByteIdenticalOutputsAcrossBackendsAndScheduling) {
     InferenceRequest request = MakeRequest(w, variant, kWorkers);
 
     auto run_sequential = [&]() {
-      std::vector<std::vector<linalg::ActivationMap>> outputs;
+      std::vector<QueryOutputs> outputs;
       sim::Simulation sim;
       cloud::CloudEnv cloud(&sim);
       for (int q = 0; q < kQueries; ++q) {
@@ -159,7 +159,7 @@ TEST(Serving, ByteIdenticalOutputsAcrossBackendsAndScheduling) {
       return outputs;
     };
     auto run_overlapped = [&]() {
-      std::vector<std::vector<linalg::ActivationMap>> outputs;
+      std::vector<QueryOutputs> outputs;
       sim::Simulation sim;
       cloud::CloudEnv cloud(&sim);
       ServingRuntime serving(&cloud);
@@ -326,6 +326,106 @@ TEST(Serving, DestructSimulationWithLiveServingQueries) {
     EXPECT_GT(sim.live_processes(), 0);
   }  // Simulation destructor unwinds the live queries
   SUCCEED();
+}
+
+// ---- ServingOutputs: a query's outputs are one shared immutable buffer ----
+
+TEST(ServingOutputs, RepeatedDrainsHandBackTheSameBuffer) {
+  // A closed loop drains once per query; every call's report must point at
+  // the outputs collected once, not at a fresh copy of the maps.
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kQueue, kWorkers);
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingRuntime serving(&cloud);
+  ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+  auto first = serving.Drain();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+  auto second = serving.Drain();
+  ASSERT_TRUE(second.ok());
+
+  const QueryOutputs& a = first->queries[0].report.outputs;
+  const QueryOutputs& b = second->queries[0].report.outputs;
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(&a[0], &b[0]);
+  EXPECT_EQ(a[0], w.expected);
+  EXPECT_EQ(second->queries[1].report.outputs[0], w.expected);
+}
+
+TEST(ServingOutputs, OutputsOutliveTheRuntimeAndOtherCopies) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kKv, kWorkers);
+  InferenceReport kept;
+  {
+    sim::Simulation sim;
+    cloud::CloudEnv cloud(&sim);
+    ServingRuntime serving(&cloud);
+    ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+    auto report = serving.Drain();
+    ASSERT_TRUE(report.ok());
+    kept = report->queries[0].report;
+  }  // runtime, cloud and simulation are gone
+  ASSERT_EQ(kept.outputs.size(), 1u);
+  EXPECT_EQ(kept.outputs[0], w.expected);
+
+  // clear() drops one copy's reference; the other still reads the maps.
+  InferenceReport copy = kept;
+  copy.outputs.clear();
+  EXPECT_TRUE(copy.outputs.empty());
+  EXPECT_EQ(copy.outputs.begin(), copy.outputs.end());
+  ASSERT_EQ(kept.outputs.size(), 1u);
+  EXPECT_EQ(kept.outputs[0], w.expected);
+}
+
+TEST(ServingOutputs, EqualityComparesContentsAcrossBuffers) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kQueue, kWorkers);
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingRuntime serving(&cloud);
+  ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+  ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+  auto report = serving.Drain();
+  ASSERT_TRUE(report.ok());
+
+  const QueryOutputs& a = report->queries[0].report.outputs;
+  const QueryOutputs& b = report->queries[1].report.outputs;
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_NE(&a[0], &b[0]);  // one buffer per query
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, QueryOutputs({w.expected}));
+  EXPECT_FALSE(a == QueryOutputs());
+  EXPECT_FALSE(a == QueryOutputs({w.input}));
+  EXPECT_EQ(QueryOutputs(), QueryOutputs(QueryOutputs::Maps{}));
+}
+
+TEST(ServingOutputs, InFlightQueryReportsEmptyOutputsUntilResumed) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kQueue, kWorkers);
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingRuntime serving(&cloud);
+  ASSERT_TRUE(serving.Submit(request, 0.0).ok());
+  auto cut = serving.Drain(/*run_until=*/0.2);  // before it can finish
+  ASSERT_TRUE(cut.ok());
+  ASSERT_EQ(cut->queries.size(), 1u);
+  EXPECT_EQ(cut->queries[0].disposition, QueryDisposition::kInFlight);
+  EXPECT_TRUE(cut->queries[0].report.outputs.empty());
+
+  auto resumed = serving.Drain(/*run_until=*/-1.0);
+  ASSERT_TRUE(resumed.ok());
+  const QueryOutcome& outcome = resumed->queries[0];
+  EXPECT_EQ(outcome.disposition, QueryDisposition::kCompleted);
+  ASSERT_EQ(outcome.report.outputs.size(), 1u);
+  EXPECT_EQ(outcome.report.outputs[0], w.expected);
+  EXPECT_TRUE(cut->queries[0].report.outputs.empty());
 }
 
 }  // namespace
