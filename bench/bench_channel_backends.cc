@@ -21,6 +21,7 @@
 #include "bench/bench_common.h"
 #include "common/strings.h"
 #include "core/channel.h"
+#include "core/collectives.h"
 #include "core/metrics.h"
 
 using namespace fsd;
@@ -44,23 +45,24 @@ struct BackendResult {
   bool payloads_ok = true;
 };
 
-linalg::ActivationMap MakeRows(int32_t rows, int32_t nnz) {
-  linalg::ActivationMap out;
+linalg::ActivationRows MakeRows(int32_t rows, int32_t nnz) {
+  linalg::ActivationRows out;
   // Hash-scrambled values: real activations are not arithmetic sequences,
   // and the payload-size ladder must survive the compression stage.
   uint32_t h = 0x9E3779B9u;
+  std::vector<int32_t> idx;
+  std::vector<float> val;
   for (int32_t id = 0; id < rows; ++id) {
-    linalg::SparseVector vec;
-    vec.dim = nnz;
+    idx.clear();
+    val.clear();
     for (int32_t j = 0; j < nnz; ++j) {
       h ^= h << 13;
       h ^= h >> 17;
       h ^= h << 5;
-      vec.idx.push_back(j);
-      vec.val.push_back(1.0f +
-                        static_cast<float>(h % 100000u) * 1.0e-5f);
+      idx.push_back(j);
+      val.push_back(1.0f + static_cast<float>(h % 100000u) * 1.0e-5f);
     }
-    out.emplace(id, std::move(vec));
+    out.Append(id, nnz, idx.data(), val.data(), idx.size());
   }
   return out;
 }
@@ -76,7 +78,7 @@ BackendResult RunPingPong(core::Variant variant, const PayloadSpec& payload,
   options.kv_poll_wait_s = 0.5;
   FSD_CHECK_OK(core::ProvisionChannelResources(&cloud, options));
 
-  const linalg::ActivationMap rows = MakeRows(payload.rows, payload.nnz);
+  const linalg::ActivationRows rows = MakeRows(payload.rows, payload.nnz);
   std::vector<int32_t> ids;
   for (int32_t id = 0; id < payload.rows; ++id) ids.push_back(id);
 
@@ -111,8 +113,8 @@ BackendResult RunPingPong(core::Variant variant, const PayloadSpec& payload,
     for (int32_t r = 0; r < rounds; ++r) {
       const double t0 = sim.Now();
       std::vector<core::SendSpec> sends{{1, &ids}};
-      FSD_CHECK_OK(channel->SendPhase(env, 2 * r, rows, sends));
-      auto got = channel->ReceivePhase(env, 2 * r + 1, {1});
+      FSD_CHECK_OK(channel->SendRows(env, 2 * r, rows, sends));
+      auto got = core::Recv(channel, env, 2 * r + 1, {1});
       FSD_CHECK_OK(got.status());
       rtts.push_back(sim.Now() - t0);
       result.payloads_ok &= (*got == rows);
@@ -120,10 +122,10 @@ BackendResult RunPingPong(core::Variant variant, const PayloadSpec& payload,
   });
   register_worker(1, [&](core::WorkerEnv* env, core::CommChannel* channel) {
     for (int32_t r = 0; r < rounds; ++r) {
-      auto got = channel->ReceivePhase(env, 2 * r, {0});
+      auto got = core::Recv(channel, env, 2 * r, {0});
       FSD_CHECK_OK(got.status());
       std::vector<core::SendSpec> sends{{0, &ids}};
-      FSD_CHECK_OK(channel->SendPhase(env, 2 * r + 1, *got, sends));
+      FSD_CHECK_OK(channel->SendRows(env, 2 * r + 1, *got, sends));
     }
   });
 

@@ -39,16 +39,15 @@ struct CollectiveResult {
   bool payloads_ok = true;
 };
 
-linalg::ActivationMap OwnedRows(int32_t worker_id) {
-  linalg::ActivationMap out;
-  linalg::SparseVector vec;
-  vec.dim = 8;
+/// Appends the one row worker `worker_id` owns to `out`.
+void AppendOwnedRow(int32_t worker_id, linalg::ActivationRows* out) {
+  int32_t idx[8];
+  float val[8];
   for (int32_t j = 0; j < 8; ++j) {
-    vec.idx.push_back(j);
-    vec.val.push_back(static_cast<float>(worker_id) + 0.125f * j);
+    idx[j] = j;
+    val[j] = static_cast<float>(worker_id) + 0.125f * j;
   }
-  out.emplace(worker_id, std::move(vec));
-  return out;
+  out->Append(worker_id, 8, idx, val, 8);
 }
 
 CollectiveResult RunCollectiveCycle(core::Variant variant,
@@ -66,10 +65,8 @@ CollectiveResult RunCollectiveCycle(core::Variant variant,
   options.object_scan_interval_s = 0.005;
   FSD_CHECK_OK(core::ProvisionChannelResources(&cloud, options));
 
-  linalg::ActivationMap everyone;
-  for (int32_t w = 0; w < workers; ++w) {
-    everyone.merge(OwnedRows(w));
-  }
+  linalg::ActivationRows everyone;
+  for (int32_t w = 0; w < workers; ++w) AppendOwnedRow(w, &everyone);
   const int32_t rounds_per_op = core::CollectiveRounds(topology, workers);
   const int32_t phases_per_iter =
       core::PhaseAllocator(0, 0, rounds_per_op).phases_per_batch();
@@ -95,7 +92,8 @@ CollectiveResult RunCollectiveCycle(core::Variant variant,
       env.options = &options;
       env.metrics = &metrics.workers[worker_id];
       env.worker_id = worker_id;
-      const linalg::ActivationMap mine = OwnedRows(worker_id);
+      linalg::ActivationRows mine;
+      AppendOwnedRow(worker_id, &mine);
       for (int32_t it = 0; it < iters; ++it) {
         const core::PhaseAllocator phases(it * phases_per_iter, 0,
                                           rounds_per_op);
@@ -111,7 +109,7 @@ CollectiveResult RunCollectiveCycle(core::Variant variant,
         auto echoed = core::Broadcast(
             channel.get(), &env, topology,
             phases.Block(core::CollectiveOp::kBroadcast), workers,
-            worker_id == 0 ? *gathered : linalg::ActivationMap{});
+            worker_id == 0 ? *gathered : linalg::ActivationRows{});
         FSD_CHECK_OK(echoed.status());
         result.payloads_ok &= (*echoed == everyone);
         if (worker_id == 0) {

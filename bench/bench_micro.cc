@@ -90,17 +90,17 @@ void LayerForwardBody(benchmark::State& state, linalg::ForwardKernel kernel) {
   ic.neurons = neurons;
   ic.batch = 32;
   auto input = model::GenerateInputBatch(ic);
+  const linalg::ActivationRows rows = linalg::ActivationRows::FromMap(*input);
+  std::vector<linalg::RowView> table(
+      static_cast<size_t>(dnn->weights[0].cols()));
+  rows.ViewInto(table);
   linalg::SetLayerForwardKernel(kernel);
   state.SetLabel(linalg::LayerForwardKernelName());
+  linalg::ActivationRows out;
   for (auto _ : state) {
     linalg::LayerForwardStats stats;
-    auto out = linalg::LayerForwardAll(
-        dnn->weights[0],
-        [&](int32_t row) -> const linalg::SparseVector* {
-          auto it = input->find(row);
-          return it == input->end() ? nullptr : &it->second;
-        },
-        dnn->config.bias, dnn->config.relu_cap, 32, &stats);
+    linalg::LayerForwardAll(dnn->weights[0], table, dnn->config.bias,
+                            dnn->config.relu_cap, 32, &out, &stats);
     benchmark::DoNotOptimize(out);
     state.counters["MACs"] = stats.macs;
   }

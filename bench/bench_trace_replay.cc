@@ -174,34 +174,34 @@ ComputeReplayResult ComputeReplay(const model::SparseDnn& dnn,
   std::vector<uint64_t> worker_hash(inputs.size(), 0);
   for (size_t w = 0; w < inputs.size(); ++w) {
     sim.AddProcess(StrFormat("compute-%zu", w), [&, w]() {
-      const linalg::ActivationMap& input = inputs[w];
-      const linalg::RowProvider provider =
-          [&input](int32_t row) -> const linalg::SparseVector* {
-        auto it = input.find(row);
-        return it == input.end() ? nullptr : &it->second;
-      };
+      const linalg::ActivationRows input =
+          linalg::ActivationRows::FromMap(inputs[w]);
+      std::vector<linalg::RowView> table(
+          static_cast<size_t>(dnn.weights[0].cols()));
+      input.ViewInto(table);
       for (int r = 0; r < rounds; ++r) {
         // Worker-owned output + stats: legal closure state per the offload
         // contract (the submitter owns it; nothing else reads it before
         // the join).
-        linalg::ActivationMap out;
+        linalg::ActivationRows out;
         linalg::LayerForwardStats stats;
         sim.Offload(1e-3, [&]() {
-          out = linalg::LayerForwardAll(dnn.weights[0], provider,
-                                        dnn.config.bias, dnn.config.relu_cap,
-                                        batch, &stats);
+          linalg::LayerForwardAll(dnn.weights[0], table, dnn.config.bias,
+                                  dnn.config.relu_cap, batch, &out, &stats);
         });
         uint64_t h = worker_hash[w];
         h = FoldHash(h, static_cast<uint64_t>(stats.macs));
         h = FoldHash(h, static_cast<uint64_t>(stats.output_nnz));
-        for (const auto& [row, vec] : out) {
-          h = FoldHash(h, static_cast<uint64_t>(static_cast<uint32_t>(row)));
-          for (size_t i = 0; i < vec.idx.size(); ++i) {
+        for (size_t r_out = 0; r_out < out.size(); ++r_out) {
+          const linalg::RowView row = out.row(r_out);
+          h = FoldHash(h, static_cast<uint64_t>(
+                              static_cast<uint32_t>(out.ids[r_out])));
+          for (int32_t i = 0; i < row.nnz; ++i) {
             uint32_t bits;
             static_assert(sizeof(bits) == sizeof(float));
-            __builtin_memcpy(&bits, &vec.val[i], sizeof(bits));
+            __builtin_memcpy(&bits, &row.val[i], sizeof(bits));
             h = FoldHash(h, (static_cast<uint64_t>(
-                                static_cast<uint32_t>(vec.idx[i]))
+                                static_cast<uint32_t>(row.idx[i]))
                              << 32) |
                                 bits);
           }

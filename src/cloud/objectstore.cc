@@ -1,5 +1,7 @@
 #include "cloud/objectstore.h"
 
+#include "common/check.h"
+
 namespace fsd::cloud {
 
 Status ObjectStore::CreateBucket(const std::string& name) {
@@ -32,7 +34,9 @@ const ObjectStore::Bucket* ObjectStore::Find(const std::string& name) const {
 }
 
 ObjectStore::PutOutcome ObjectStore::Put(const std::string& bucket,
-                                         const std::string& key, Bytes body) {
+                                         const std::string& key,
+                                         SharedBytes body) {
+  FSD_CHECK(body != nullptr);
   PutOutcome outcome;
   Bucket* b = Find(bucket);
   if (b == nullptr) {
@@ -42,7 +46,7 @@ ObjectStore::PutOutcome ObjectStore::Put(const std::string& bucket,
   billing_->Record(BillingDimension::kObjectPut, 1);
   const double queueing = b->put_limiter->AdmissionDelay(sim_->Now());
   const double latency =
-      queueing + latency_->object_put.Sample(&rng_, body.size());
+      queueing + latency_->object_put.Sample(&rng_, body->size());
   outcome.latency = latency;
   const double visible_at = sim_->Now() + latency;
   // Last-writer-wins at visibility time, matching S3 semantics closely
@@ -70,18 +74,10 @@ ObjectStore::GetOutcome ObjectStore::Get(const std::string& bucket,
   }
   const double queueing = b->get_limiter->AdmissionDelay(sim_->Now());
   outcome.latency =
-      queueing + latency_->object_get.Sample(&rng_, it->second.body.size());
+      queueing + latency_->object_get.Sample(&rng_, it->second.body->size());
   outcome.body = it->second.body;
   outcome.status = Status::OK();
   return outcome;
-}
-
-Result<Bytes> ObjectStore::GetBlocking(const std::string& bucket,
-                                       const std::string& key) {
-  GetOutcome outcome = Get(bucket, key);
-  sim_->Hold(outcome.latency);
-  if (!outcome.status.ok()) return outcome.status;
-  return std::move(outcome.body);
 }
 
 Result<std::vector<ObjectMeta>> ObjectStore::List(const std::string& bucket,
@@ -94,7 +90,7 @@ Result<std::vector<ObjectMeta>> ObjectStore::List(const std::string& bucket,
        ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
     if (it->second.visible_at > now) continue;
-    out.push_back({it->first, it->second.body.size()});
+    out.push_back({it->first, it->second.body->size()});
   }
   const uint64_t pages =
       std::max<uint64_t>(1, (out.size() + kListPageSize - 1) / kListPageSize);

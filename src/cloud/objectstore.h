@@ -49,23 +49,22 @@ class ObjectStore {
     double latency = 0.0;
   };
 
-  /// Non-blocking PUT: bills one PUT request, schedules visibility.
+  /// Non-blocking PUT: bills one PUT request, schedules visibility. The
+  /// store keeps `body` by reference; it must not be null.
   PutOutcome Put(const std::string& bucket, const std::string& key,
-                 Bytes body);
+                 SharedBytes body);
 
   struct GetOutcome {
     Status status;
     double latency = 0.0;
-    Bytes body;
+    /// The buffer the PUT stored (shared, never copied); null on failure.
+    SharedBytes body;
   };
 
   /// Non-blocking GET: bills one GET request and returns the body plus the
   /// latency the caller must account before using it (enables parallel
   /// read lanes via sim::ParallelMakespan).
   GetOutcome Get(const std::string& bucket, const std::string& key);
-
-  /// Blocking GET convenience (Holds the sampled latency).
-  Result<Bytes> GetBlocking(const std::string& bucket, const std::string& key);
 
   /// Blocking LIST of keys under `prefix` (lexicographic). Bills one LIST
   /// request per page. Returns only objects visible at call time.
@@ -77,7 +76,7 @@ class ObjectStore {
 
  private:
   struct StoredObject {
-    Bytes body;
+    SharedBytes body;
     double visible_at = 0.0;
   };
   struct Bucket {

@@ -64,25 +64,6 @@ int32_t CollectiveRounds(CollectiveTopology topology, int32_t num_workers) {
   return 1;
 }
 
-linalg::ActivationMap MergeReceived(const ReceivedRows& received) {
-  linalg::ActivationMap merged;
-  for (const linalg::ActivationRows& rows : received) rows.MergeInto(&merged);
-  return merged;
-}
-
-Status CommChannel::SendPhase(WorkerEnv* env, int32_t phase,
-                              const linalg::ActivationMap& source,
-                              const std::vector<SendSpec>& sends) {
-  return SendRows(env, phase, linalg::ActivationRows::FromMap(source), sends);
-}
-
-Result<linalg::ActivationMap> CommChannel::ReceivePhase(
-    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  FSD_ASSIGN_OR_RETURN(ReceivedRows received,
-                       ReceiveRows(env, phase, sources));
-  return MergeReceived(received);
-}
-
 Result<std::vector<EncodeResult>> EncodeSends(
     WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationRows& source,
     const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,
@@ -257,11 +238,6 @@ Result<ReceivedRows> PhaseReceiver::FinishRows() {
   for (DecodeSlot& slot : slots_) received.push_back(std::move(slot.rows));
   metrics_->recv_rows += CountDistinctIds(received);
   return received;
-}
-
-Result<linalg::ActivationMap> PhaseReceiver::Finish() {
-  FSD_ASSIGN_OR_RETURN(ReceivedRows received, FinishRows());
-  return MergeReceived(received);
 }
 
 std::unique_ptr<CommChannel> MakeCommChannel(Variant variant) {

@@ -72,9 +72,6 @@ struct SendSpec {
 /// carry (an honest phase never repeats one: each row has one owner).
 using ReceivedRows = std::vector<linalg::ActivationRows>;
 
-/// The union of `received` as a map, a later body winning a repeated id.
-linalg::ActivationMap MergeReceived(const ReceivedRows& received);
-
 class CommChannel {
  public:
   virtual ~CommChannel() = default;
@@ -93,15 +90,6 @@ class CommChannel {
   /// send deliver an explicit empty marker (empty chunk / ".nul" object).
   virtual Result<ReceivedRows> ReceiveRows(
       WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) = 0;
-
-  /// Map edge of SendRows (collectives' map overloads, tests, benches).
-  Status SendPhase(WorkerEnv* env, int32_t phase,
-                   const linalg::ActivationMap& source,
-                   const std::vector<SendSpec>& sends);
-
-  /// Map edge of ReceiveRows: the received rows merged into one map.
-  Result<linalg::ActivationMap> ReceivePhase(
-      WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources);
 };
 
 /// Builds the channel implementation for a variant (nullptr for kSerial,
@@ -183,7 +171,7 @@ struct ReceivedBody {
   size_t offset = 0;
 };
 
-/// One ReceivePhase's shared state: the sources still pending, with
+/// One ReceiveRows call's shared state: the sources still pending, with
 /// (source, seq) dedup of redelivered chunks, the bodies being decoded, and
 /// the recv_wait_s clock. Construct it only after the `sources.empty()`
 /// early return: it resolves the phase's LayerMetrics, which grows the
@@ -231,9 +219,6 @@ class PhaseReceiver {
   /// distinct row ids received into recv_rows. Returns the first decode
   /// error in arrival order.
   Result<ReceivedRows> FinishRows();
-
-  /// FinishRows merged into one map (a later body wins a repeated id).
-  Result<linalg::ActivationMap> Finish();
 
  private:
   struct Progress {

@@ -43,26 +43,6 @@ int32_t AbsRank(int32_t rel, int32_t root, int32_t num_workers) {
   return (rel + root) % num_workers;
 }
 
-/// Binomial round count: ceil(log2 P).
-int32_t TreeRounds(int32_t num_workers) {
-  int32_t rounds = 0;
-  while ((1 << rounds) < num_workers) ++rounds;
-  return rounds;
-}
-
-/// Receives one phase from `sources` as one row set (a later body wins
-/// a repeated id).
-Result<linalg::ActivationRows> ReceiveMerged(
-    CommChannel* channel, WorkerEnv* env, int32_t phase,
-    const std::vector<int32_t>& sources) {
-  FSD_ASSIGN_OR_RETURN(ReceivedRows received,
-                       channel->ReceiveRows(env, phase, sources));
-  if (received.size() == 1) return std::move(received[0]);
-  std::vector<const linalg::ActivationRows*> parts;
-  for (const linalg::ActivationRows& rows : received) parts.push_back(&rows);
-  return linalg::MergeRows(parts);
-}
-
 /// `acc` with `got`'s rows added; `got` wins a repeated id.
 linalg::ActivationRows Union(const linalg::ActivationRows& acc,
                              const linalg::ActivationRows& got) {
@@ -71,11 +51,30 @@ linalg::ActivationRows Union(const linalg::ActivationRows& acc,
   return linalg::MergeRows(parts);
 }
 
-/// The one broadcast (map and barrier callers adapt to it).
-Result<linalg::ActivationRows> BroadcastRows(
-    CommChannel* channel, WorkerEnv* env, CollectiveTopology topology,
-    PhaseBlock block, int32_t num_workers, const linalg::ActivationRows& rows,
-    int32_t root) {
+}  // namespace
+
+Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
+            int32_t target, const linalg::ActivationRows& rows) {
+  std::vector<SendSpec> sends{{target, &rows.ids}};
+  return channel->SendRows(env, phase, rows, sends);
+}
+
+Result<linalg::ActivationRows> Recv(CommChannel* channel, WorkerEnv* env,
+                                    int32_t phase,
+                                    const std::vector<int32_t>& sources) {
+  FSD_ASSIGN_OR_RETURN(ReceivedRows received,
+                       channel->ReceiveRows(env, phase, sources));
+  if (received.size() == 1) return std::move(received[0]);
+  std::vector<const linalg::ActivationRows*> parts;
+  for (const linalg::ActivationRows& rows : received) parts.push_back(&rows);
+  return linalg::MergeRows(parts);
+}
+
+Result<linalg::ActivationRows> Broadcast(CommChannel* channel, WorkerEnv* env,
+                                         CollectiveTopology topology,
+                                         PhaseBlock block, int32_t num_workers,
+                                         const linalg::ActivationRows& rows,
+                                         int32_t root) {
   if (num_workers <= 1) return rows;
   const int32_t rel = RelRank(env->worker_id, root, num_workers);
 
@@ -91,14 +90,15 @@ Result<linalg::ActivationRows> BroadcastRows(
         FSD_RETURN_IF_ERROR(channel->SendRows(env, phase, rows, sends));
         return rows;
       }
-      return ReceiveMerged(channel, env, phase, {root});
+      return Recv(channel, env, phase, {root});
     }
 
     case CollectiveTopology::kBinomialTree: {
       // The gather in reverse: execution round i uses mask = 2^(R-1-i);
       // every worker already holding the data forwards to rel + mask, and
       // a worker whose lowest set bit is `mask` receives in that round.
-      const int32_t rounds = TreeRounds(num_workers);
+      const int32_t rounds =
+          CollectiveRounds(CollectiveTopology::kBinomialTree, num_workers);
       linalg::ActivationRows data =
           rel == 0 ? rows : linalg::ActivationRows{};
       bool have = rel == 0;
@@ -109,8 +109,7 @@ Result<linalg::ActivationRows> BroadcastRows(
           if ((rel & mask) != 0 && (rel & (mask - 1)) == 0) {
             const int32_t parent = AbsRank(rel - mask, root, num_workers);
             RoundScope scope(env, phase);
-            FSD_ASSIGN_OR_RETURN(
-                data, ReceiveMerged(channel, env, phase, {parent}));
+            FSD_ASSIGN_OR_RETURN(data, Recv(channel, env, phase, {parent}));
             have = true;
           }
         } else if ((rel & mask) == 0 && rel + mask < num_workers) {
@@ -131,7 +130,7 @@ Result<linalg::ActivationRows> BroadcastRows(
         const int32_t phase = block.Round(rel - 1);
         const int32_t prev = AbsRank(rel - 1, root, num_workers);
         RoundScope scope(env, phase);
-        FSD_ASSIGN_OR_RETURN(data, ReceiveMerged(channel, env, phase, {prev}));
+        FSD_ASSIGN_OR_RETURN(data, Recv(channel, env, phase, {prev}));
       }
       if (rel + 1 < num_workers) {
         const int32_t phase = block.Round(rel);
@@ -143,25 +142,6 @@ Result<linalg::ActivationRows> BroadcastRows(
     }
   }
   return Status::InvalidArgument("unknown collective topology");
-}
-
-}  // namespace
-
-Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
-            int32_t target, const linalg::ActivationRows& rows) {
-  std::vector<SendSpec> sends{{target, &rows.ids}};
-  return channel->SendRows(env, phase, rows, sends);
-}
-
-Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
-            int32_t target, const linalg::ActivationMap& rows) {
-  return Send(channel, env, phase, target,
-              linalg::ActivationRows::FromMap(rows));
-}
-
-Result<linalg::ActivationMap> Recv(CommChannel* channel, WorkerEnv* env,
-                                   int32_t phase, int32_t source) {
-  return channel->ReceivePhase(env, phase, {source});
 }
 
 Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
@@ -210,7 +190,7 @@ Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
           const int32_t child = AbsRank(rel + mask, root, num_workers);
           RoundScope scope(env, phase);
           FSD_ASSIGN_OR_RETURN(linalg::ActivationRows got,
-                               ReceiveMerged(channel, env, phase, {child}));
+                               Recv(channel, env, phase, {child}));
           acc = Union(acc, got);
         }
       }
@@ -228,7 +208,7 @@ Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
         const int32_t next = AbsRank(rel + 1, root, num_workers);
         RoundScope scope(env, phase);
         FSD_ASSIGN_OR_RETURN(linalg::ActivationRows got,
-                             ReceiveMerged(channel, env, phase, {next}));
+                             Recv(channel, env, phase, {next}));
         acc = Union(acc, got);
       }
       if (rel != 0) {
@@ -245,46 +225,6 @@ Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
   return Status::InvalidArgument("unknown collective topology");
 }
 
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     CollectiveTopology topology,
-                                     PhaseBlock block, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root) {
-  FSD_ASSIGN_OR_RETURN(
-      linalg::ActivationRows gathered,
-      Reduce(channel, env, topology, block, num_workers,
-             linalg::ActivationRows::FromMap(mine), root));
-  return gathered.ToMap();
-}
-
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     int32_t phase, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root) {
-  return Reduce(channel, env, CollectiveTopology::kThroughRoot,
-                PhaseBlock{phase, 1}, num_workers, mine, root);
-}
-
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        CollectiveTopology topology,
-                                        PhaseBlock block, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root) {
-  FSD_ASSIGN_OR_RETURN(
-      linalg::ActivationRows data,
-      BroadcastRows(channel, env, topology, block, num_workers,
-                    linalg::ActivationRows::FromMap(rows), root));
-  return data.ToMap();
-}
-
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        int32_t phase, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root) {
-  return Broadcast(channel, env, CollectiveTopology::kThroughRoot,
-                   PhaseBlock{phase, 1}, num_workers, rows, root);
-}
-
 Status Barrier(CommChannel* channel, WorkerEnv* env,
                CollectiveTopology topology, PhaseBlock arrive,
                PhaseBlock release, int32_t num_workers, int32_t root) {
@@ -297,16 +237,8 @@ Status Barrier(CommChannel* channel, WorkerEnv* env,
   FSD_RETURN_IF_ERROR(
       Reduce(channel, env, topology, arrive, num_workers, kEmpty, root)
           .status());
-  return BroadcastRows(channel, env, topology, release, num_workers, kEmpty,
-                       root)
+  return Broadcast(channel, env, topology, release, num_workers, kEmpty, root)
       .status();
-}
-
-Status Barrier(CommChannel* channel, WorkerEnv* env, int32_t phase,
-               int32_t num_workers, int32_t root) {
-  return Barrier(channel, env, CollectiveTopology::kThroughRoot,
-                 PhaseBlock{phase, 1}, PhaseBlock{phase + 1, 1}, num_workers,
-                 root);
 }
 
 }  // namespace fsd::core

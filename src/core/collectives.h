@@ -13,9 +13,6 @@
 // row-set union into one id-sorted row set, so merge order is immaterial —
 // but multi-round topologies need one phase id PER ROUND: callers hand each
 // operation a PhaseBlock reserved by the PhaseAllocator (see channel.h).
-// The phase-only overloads keep the legacy through-root behaviour. The
-// worker runs on ActivationRows; the ActivationMap overloads convert and
-// delegate.
 #ifndef FSD_CORE_COLLECTIVES_H_
 #define FSD_CORE_COLLECTIVES_H_
 
@@ -26,13 +23,12 @@ namespace fsd::core {
 /// Point-to-point send of activation rows (MPI_Send analogue).
 Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
             int32_t target, const linalg::ActivationRows& rows);
-/// Map edge of Send.
-Status Send(CommChannel* channel, WorkerEnv* env, int32_t phase,
-            int32_t target, const linalg::ActivationMap& rows);
 
-/// Point-to-point receive from one source (MPI_Recv analogue).
-Result<linalg::ActivationMap> Recv(CommChannel* channel, WorkerEnv* env,
-                                   int32_t phase, int32_t source);
+/// Receives one phase from every worker in `sources` as one row set (MPI_Recv
+/// analogue); a later body wins a repeated id.
+Result<linalg::ActivationRows> Recv(CommChannel* channel, WorkerEnv* env,
+                                    int32_t phase,
+                                    const std::vector<int32_t>& sources);
 
 /// Synchronizes all `num_workers` workers: a gather-up (empty payloads)
 /// over the `arrive` block, then a release-down over the `release` block,
@@ -41,10 +37,6 @@ Result<linalg::ActivationMap> Recv(CommChannel* channel, WorkerEnv* env,
 Status Barrier(CommChannel* channel, WorkerEnv* env,
                CollectiveTopology topology, PhaseBlock arrive,
                PhaseBlock release, int32_t num_workers, int32_t root = 0);
-
-/// Legacy through-root overload. Consumes phases [phase, phase+1].
-Status Barrier(CommChannel* channel, WorkerEnv* env, int32_t phase,
-               int32_t num_workers, int32_t root = 0);
 
 /// Gathers every worker's rows at the root over the selected topology;
 /// row sets are disjoint under the row-wise decomposition, so the union is
@@ -55,32 +47,14 @@ Result<linalg::ActivationRows> Reduce(CommChannel* channel, WorkerEnv* env,
                                       PhaseBlock block, int32_t num_workers,
                                       const linalg::ActivationRows& mine,
                                       int32_t root = 0);
-/// Map edge of Reduce.
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     CollectiveTopology topology,
-                                     PhaseBlock block, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root = 0);
-
-/// Legacy through-root overload (consumes exactly `phase`).
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     int32_t phase, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root = 0);
 
 /// Broadcasts the root's rows to every worker (MPI_Bcast analogue) over
 /// the selected topology.
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        CollectiveTopology topology,
-                                        PhaseBlock block, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root = 0);
-
-/// Legacy through-root overload (consumes exactly `phase`).
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        int32_t phase, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root = 0);
+Result<linalg::ActivationRows> Broadcast(CommChannel* channel, WorkerEnv* env,
+                                         CollectiveTopology topology,
+                                         PhaseBlock block, int32_t num_workers,
+                                         const linalg::ActivationRows& rows,
+                                         int32_t root = 0);
 
 }  // namespace fsd::core
 

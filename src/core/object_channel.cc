@@ -72,7 +72,7 @@ Status ObjectChannel::SendRows(WorkerEnv* env, int32_t phase,
     puts.push_back(
         [cloud, bucket = BucketName(sends[s].target, options),
          key = ObjectKey(phase, env->worker_id, sends[s].target, is_nul),
-         body = std::move(body)]() {
+         body = std::make_shared<const Bytes>(std::move(body))]() {
           cloud->objects().Put(bucket, key, body);
         });
   }
@@ -130,8 +130,8 @@ Result<ReceivedRows> ObjectChannel::ReceiveRows(
       ++metrics.gets;
       if (!got.status.ok()) return got.status;
       latencies.push_back(got.latency);
-      got_bytes += got.body.size();
-      bodies.emplace_back(std::move(got.body));
+      got_bytes += got.body->size();
+      bodies.emplace_back(std::move(got.body), 0);
     }
     FSD_RETURN_IF_ERROR(receiver.Decode(
         std::move(bodies), got_bytes,

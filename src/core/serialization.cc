@@ -217,6 +217,19 @@ int64_t SumNnz(std::span<const RowRef> rows) {
   return nnz;
 }
 
+/// The map form of CollectRows, for the map EncodeRows.
+RowRefs CollectRows(const linalg::ActivationMap& source,
+                    const std::vector<int32_t>& row_ids) {
+  RowRefs rows;
+  rows.reserve(row_ids.size());
+  for (const int32_t id : row_ids) {
+    auto it = source.find(id);
+    if (it == source.end() || it->second.empty()) continue;
+    rows.push_back({id, linalg::RowView::Of(it->second)});
+  }
+  return rows;
+}
+
 }  // namespace
 
 uint64_t EstimateRowBytes(int64_t nnz) {
@@ -242,18 +255,6 @@ std::vector<RowRef> CollectRows(const linalg::ActivationRows& source,
   return rows;
 }
 
-std::vector<RowRef> CollectRows(const linalg::ActivationMap& source,
-                                const std::vector<int32_t>& row_ids) {
-  RowRefs rows;
-  rows.reserve(row_ids.size());
-  for (const int32_t id : row_ids) {
-    auto it = source.find(id);
-    if (it == source.end() || it->second.empty()) continue;
-    rows.push_back({id, linalg::RowView::Of(it->second)});
-  }
-  return rows;
-}
-
 EncodePlan PlanRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes) {
   EncodePlan plan;
   plan.active_nnz = SumNnz(rows);
@@ -273,12 +274,6 @@ EncodePlan PlanRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes) {
     i = j;
   }
   return plan;
-}
-
-EncodePlan PlanRows(const linalg::ActivationMap& source,
-                    const std::vector<int32_t>& row_ids,
-                    uint64_t max_chunk_bytes) {
-  return PlanRows(CollectRows(source, row_ids), max_chunk_bytes);
 }
 
 EncodeResult EncodeRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes,

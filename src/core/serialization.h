@@ -75,9 +75,6 @@ struct RowRef {
 /// read the refs.
 std::vector<RowRef> CollectRows(const linalg::ActivationRows& source,
                                 const std::vector<int32_t>& row_ids);
-/// Map edge: the same refs, viewing the map's rows.
-std::vector<RowRef> CollectRows(const linalg::ActivationMap& source,
-                                const std::vector<int32_t>& row_ids);
 
 /// The encoded rows of one send.
 struct EncodeResult {
@@ -96,7 +93,8 @@ struct EncodeResult {
 /// |value|). No rows still yields one explicit empty marker chunk.
 EncodeResult EncodeRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes,
                         const WireCodec& codec);
-/// Map edge: CollectRows then EncodeRows.
+/// Map edge: the rows `row_ids` names in `source`, collected as
+/// CollectRows does, then EncodeRows.
 EncodeResult EncodeRows(const linalg::ActivationMap& source,
                         const std::vector<int32_t>& row_ids,
                         uint64_t max_chunk_bytes, const WireCodec& codec);
@@ -118,10 +116,6 @@ struct EncodePlan {
   int64_t active_nnz = 0;
 };
 EncodePlan PlanRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes);
-/// Map edge: CollectRows then PlanRows.
-EncodePlan PlanRows(const linalg::ActivationMap& source,
-                    const std::vector<int32_t>& row_ids,
-                    uint64_t max_chunk_bytes);
 
 /// Decodes a chunk produced by EncodeRows, appending its rows to `out`.
 /// Chunks are self-describing (tag byte), so no codec argument is needed.

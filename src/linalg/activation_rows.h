@@ -4,9 +4,8 @@
 // in one flat, id-sorted CSR layout, so the kernel's output, the send
 // planner, the wire decoder and the row table move whole buffers instead
 // of one heap-allocated SparseVector per row. ActivationMap (row id ->
-// SparseVector) stays at the edges: request inputs, query outputs, the
-// serial reference and the map overloads benches and tests call, each of
-// which converts once and delegates to the flat code.
+// SparseVector) stays at the request and response edge: request inputs,
+// query outputs and the serial reference, each of which converts once.
 #ifndef FSD_LINALG_ACTIVATION_ROWS_H_
 #define FSD_LINALG_ACTIVATION_ROWS_H_
 

@@ -48,28 +48,4 @@ std::vector<float> CsrMatrix::ToDense() const {
   return dense;
 }
 
-RowBlock RowBlock::Extract(const CsrMatrix& m,
-                           const std::vector<int32_t>& rows) {
-  RowBlock block;
-  block.cols = m.cols();
-  block.row_ids = rows;
-  block.row_ptr.reserve(rows.size() + 1);
-  block.row_ptr.push_back(0);
-  for (int32_t r : rows) {
-    FSD_CHECK(r >= 0 && r < m.rows());
-    m.ForEachInRow(r, [&](int32_t c, float v) {
-      block.col_idx.push_back(c);
-      block.values.push_back(v);
-    });
-    block.row_ptr.push_back(static_cast<int64_t>(block.col_idx.size()));
-  }
-  return block;
-}
-
-RowBlock RowBlock::All(const CsrMatrix& m) {
-  std::vector<int32_t> rows(m.rows());
-  for (int32_t r = 0; r < m.rows(); ++r) rows[r] = r;
-  return Extract(m, rows);
-}
-
 }  // namespace fsd::linalg

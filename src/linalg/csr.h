@@ -1,8 +1,8 @@
-// CSR sparse matrices and row blocks.
+// CSR sparse matrices.
 //
 // CsrMatrix stores a full matrix (used for model weights and reference
-// activations); RowBlock stores an arbitrary subset of rows with global ids
-// (a worker's partition of a layer's weight matrix).
+// activations); a worker's partition is a list of its row ids, which the
+// kernel reads straight from the full matrix.
 #ifndef FSD_LINALG_CSR_H_
 #define FSD_LINALG_CSR_H_
 
@@ -60,32 +60,6 @@ class CsrMatrix {
   std::vector<int64_t> row_ptr_;
   std::vector<int32_t> col_idx_;
   std::vector<float> values_;
-};
-
-/// A subset of a matrix's rows with global row ids (a model partition).
-struct RowBlock {
-  int32_t cols = 0;                 ///< global column space width
-  std::vector<int32_t> row_ids;     ///< global ids, strictly increasing
-  std::vector<int64_t> row_ptr;     ///< size row_ids.size() + 1
-  std::vector<int32_t> col_idx;     ///< global column ids
-  std::vector<float> values;
-
-  size_t num_rows() const { return row_ids.size(); }
-  int64_t nnz() const { return static_cast<int64_t>(col_idx.size()); }
-
-  template <typename Fn>
-  void ForEachInRow(size_t local_row, Fn fn) const {
-    for (int64_t p = row_ptr[local_row]; p < row_ptr[local_row + 1]; ++p) {
-      fn(col_idx[p], values[p]);
-    }
-  }
-
-  /// Extracts the given global rows (sorted, deduped by caller) from `m`.
-  static RowBlock Extract(const CsrMatrix& m,
-                          const std::vector<int32_t>& rows);
-
-  /// A block containing every row of `m` (the serial / reference case).
-  static RowBlock All(const CsrMatrix& m);
 };
 
 }  // namespace fsd::linalg

@@ -20,23 +20,22 @@ constexpr int32_t kTileLanes = 64;
 constexpr int32_t kLaneBlock = 8;
 
 /// The kernel's view of a weight matrix: `size` output rows, where local
-/// row l walks CSR row `rows[l]` (or l) and emits global id `ids[l]` (or
-/// l). Plain pointers keep the hot loop a plain loop: GCC will not inline
-/// an avx2 lane loop through a default-target lambda.
+/// row l walks CSR row `rows[l]` (or l) and emits it under that id. Plain
+/// pointers keep the hot loop a plain loop: GCC will not inline an avx2
+/// lane loop through a default-target lambda.
 struct RowSource {
   size_t size = 0;
   int32_t cols = 0;
-  const int32_t* ids = nullptr;
   const int32_t* rows = nullptr;
   const int64_t* row_ptr = nullptr;
   const int32_t* col_idx = nullptr;
   const float* values = nullptr;
 
   int32_t GlobalId(size_t local) const {
-    return ids != nullptr ? ids[local] : static_cast<int32_t>(local);
+    return rows != nullptr ? rows[local] : static_cast<int32_t>(local);
   }
   size_t CsrRow(size_t local) const {
-    return rows != nullptr ? static_cast<size_t>(rows[local]) : local;
+    return static_cast<size_t>(GlobalId(local));
   }
 };
 
@@ -318,7 +317,6 @@ RowSource SubsetSource(const CsrMatrix& weights,
                        const std::vector<int32_t>& rows) {
   return {.size = rows.size(),
           .cols = weights.cols(),
-          .ids = rows.data(),
           .rows = rows.data(),
           .row_ptr = weights.row_ptr().data(),
           .col_idx = weights.col_idx().data(),
@@ -353,15 +351,6 @@ std::vector<RowView> ResolveTable(const RowSource& source,
     }
   }
   return table;
-}
-
-ActivationMap ForwardMap(const RowSource& source, const RowProvider& provider,
-                         float bias, float relu_cap, int32_t batch,
-                         LayerForwardStats* stats) {
-  ActivationRows out;
-  Forward(source, ResolveTable(source, provider), bias, relu_cap, batch, &out,
-          stats);
-  return out.ToMap();
 }
 
 }  // namespace
@@ -411,40 +400,16 @@ double CountLayerMacs(const CsrMatrix& weights,
   return static_cast<double>(macs);
 }
 
-ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
-                           float bias, float relu_cap, int32_t batch,
-                           LayerForwardStats* stats) {
-  const RowSource source = {.size = block.num_rows(),
-                            .cols = block.cols,
-                            .ids = block.row_ids.data(),
-                            .row_ptr = block.row_ptr.data(),
-                            .col_idx = block.col_idx.data(),
-                            .values = block.values.data()};
-  return ForwardMap(source, provider, bias, relu_cap, batch, stats);
-}
-
 ActivationMap LayerForward(const CsrMatrix& weights,
                            const std::vector<int32_t>& rows,
                            const RowProvider& provider, float bias,
                            float relu_cap, int32_t batch,
                            LayerForwardStats* stats) {
-  return ForwardMap(SubsetSource(weights, rows), provider, bias, relu_cap,
-                    batch, stats);
-}
-
-double CountLayerMacs(const CsrMatrix& weights,
-                      const std::vector<int32_t>& rows,
-                      const RowProvider& provider) {
-  return CountLayerMacs(
-      weights, rows, ResolveTable(SubsetSource(weights, rows), provider));
-}
-
-ActivationMap LayerForwardAll(const CsrMatrix& weights,
-                              const RowProvider& provider, float bias,
-                              float relu_cap, int32_t batch,
-                              LayerForwardStats* stats) {
-  return ForwardMap(AllSource(weights), provider, bias, relu_cap, batch,
-                    stats);
+  const RowSource source = SubsetSource(weights, rows);
+  ActivationRows out;
+  Forward(source, ResolveTable(source, provider), bias, relu_cap, batch, &out,
+          stats);
+  return out.ToMap();
 }
 
 }  // namespace fsd::linalg

@@ -11,8 +11,8 @@
 // emits the OR of the masks in ascending lane order.
 //
 // The kernel reads its input rows from a RowView table indexed by weight
-// column and writes one flat ActivationRows; ActivationMap overloads sit
-// at the edges as adapters.
+// column and writes one flat ActivationRows. One ActivationMap overload
+// remains, for callers that hold their rows in a map.
 //
 // Thread safety: the tile accumulator and the slice panel live in
 // thread_local scratch, so concurrent LayerForward calls from different
@@ -56,8 +56,8 @@
 namespace fsd::linalg {
 
 /// Returns the activation row for a global neuron id, or nullptr when the
-/// row is entirely zero (inactive neuron). The map-edge overloads below
-/// take one; the flat core reads a RowView table instead.
+/// row is entirely zero (inactive neuron). The map-edge overload below
+/// takes one; the flat core reads a RowView table instead.
 using RowProvider = std::function<const SparseVector*(int32_t)>;
 
 struct LayerForwardStats {
@@ -127,31 +127,15 @@ double CountLayerMacs(const CsrMatrix& weights,
                       const std::vector<int32_t>& rows,
                       std::span<const RowView> table);
 
-/// ---- map-edge adapters ----
-/// Each resolves the provider once per referenced column into a row
-/// table, runs the flat core and converts its rows to a map.
-
-/// The block's rows (ids and CSR from `block`) over `block.cols` columns.
-ActivationMap LayerForward(const RowBlock& block, const RowProvider& provider,
-                           float bias, float relu_cap, int32_t batch,
-                           LayerForwardStats* stats = nullptr);
-
-/// The subset `rows` of `weights`, without extracting a RowBlock.
+/// ---- the map edge ----
+/// The subset `rows` of `weights` over rows a provider resolves: the
+/// provider is called once per referenced column to build the row table,
+/// the flat core runs, and its rows are converted to a map.
 ActivationMap LayerForward(const CsrMatrix& weights,
                            const std::vector<int32_t>& rows,
                            const RowProvider& provider, float bias,
                            float relu_cap, int32_t batch,
                            LayerForwardStats* stats = nullptr);
-
-double CountLayerMacs(const CsrMatrix& weights,
-                      const std::vector<int32_t>& rows,
-                      const RowProvider& provider);
-
-/// Every row of `weights`.
-ActivationMap LayerForwardAll(const CsrMatrix& weights,
-                              const RowProvider& provider, float bias,
-                              float relu_cap, int32_t batch,
-                              LayerForwardStats* stats = nullptr);
 
 /// FLOPs estimate for a LayerForward call (2 per MAC, plus activation).
 inline double LayerFlops(const LayerForwardStats& stats) {

@@ -25,17 +25,18 @@
 namespace fsd::core {
 namespace {
 
-linalg::ActivationMap MakeRows(std::vector<int32_t> ids, int32_t dim,
-                               int32_t nnz, float salt = 0.0f) {
-  linalg::ActivationMap out;
+/// Rows `ids` (ascending), each holding entries 0..nnz-1 of width `dim`.
+linalg::ActivationRows MakeRows(std::vector<int32_t> ids, int32_t dim,
+                                int32_t nnz, float salt = 0.0f) {
+  linalg::ActivationRows out;
   for (int32_t id : ids) {
-    linalg::SparseVector vec;
-    vec.dim = dim;
+    std::vector<int32_t> idx;
+    std::vector<float> val;
     for (int32_t j = 0; j < nnz; ++j) {
-      vec.idx.push_back(j);
-      vec.val.push_back(static_cast<float>(id) + 0.25f * j + salt);
+      idx.push_back(j);
+      val.push_back(static_cast<float>(id) + 0.25f * j + salt);
     }
-    out.emplace(id, std::move(vec));
+    out.Append(id, dim, idx.data(), val.data(), idx.size());
   }
   return out;
 }
@@ -179,47 +180,47 @@ INSTANTIATE_TEST_SUITE_P(
     ComboName);
 
 TEST_P(ChannelConformanceTest, RoundtripDeliversExactRows) {
-  const linalg::ActivationMap rows = MakeRows({3, 7, 11}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 7, 11}, 16, 4);
   static const std::vector<int32_t> ids = {3, 7, 11};
-  linalg::ActivationMap received;
+  linalg::ActivationRows received;
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         received = std::move(*got);
       }},
   });
   ASSERT_EQ(received.size(), 3u);
-  for (int32_t id : ids) EXPECT_EQ(received.at(id), rows.at(id));
+  EXPECT_EQ(received, rows);
 }
 
 TEST_P(ChannelConformanceTest, PhasesDeliverInOrderWithoutCrossTalk) {
   // All three phases are in flight before the receiver starts phase 0: a
   // conforming backend neither loses nor cross-delivers early phases.
   constexpr int kPhases = 3;
-  std::vector<linalg::ActivationMap> sent;
+  std::vector<linalg::ActivationRows> sent;
   for (int p = 0; p < kPhases; ++p) {
     sent.push_back(MakeRows({p + 1, p + 10}, 8, 3,
                             /*salt=*/0.5f * static_cast<float>(p)));
   }
   static const std::vector<std::vector<int32_t>> ids = {
       {1, 10}, {2, 11}, {3, 12}};
-  std::vector<linalg::ActivationMap> received(kPhases);
+  std::vector<linalg::ActivationRows> received(kPhases);
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         for (int p = 0; p < kPhases; ++p) {
           std::vector<SendSpec> sends{{1, &ids[p]}};
-          ASSERT_TRUE(channel->SendPhase(env, p, sent[p], sends).ok());
+          ASSERT_TRUE(channel->SendRows(env, p, sent[p], sends).ok());
         }
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
         ASSERT_TRUE(env->faas->SleepFor(1.0).ok());  // let all phases land
         for (int p = 0; p < kPhases; ++p) {
-          auto got = channel->ReceivePhase(env, p, {0});
+          auto got = Recv(channel, env, p, {0});
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           received[p] = std::move(*got);
         }
@@ -237,17 +238,17 @@ TEST_P(ChannelConformanceTest, ChunkedPayloadsReassemble) {
   options_.kv_max_value_bytes = 512;
   std::vector<int32_t> ids;
   for (int32_t i = 0; i < 40; ++i) ids.push_back(i);
-  const linalg::ActivationMap rows = MakeRows(ids, 64, 48);
-  linalg::ActivationMap received;
+  const linalg::ActivationRows rows = MakeRows(ids, 64, 48);
+  linalg::ActivationRows received;
   int64_t send_chunks = 0;
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         send_chunks = env->metrics->Layer(0).send_chunks;
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         received = std::move(*got);
       }},
@@ -256,22 +257,22 @@ TEST_P(ChannelConformanceTest, ChunkedPayloadsReassemble) {
     EXPECT_GT(send_chunks, 5);
   }
   ASSERT_EQ(received.size(), ids.size());
-  for (int32_t id : ids) EXPECT_EQ(received.at(id), rows.at(id));
+  EXPECT_EQ(received, rows);
 }
 
 TEST_P(ChannelConformanceTest, EmptySendCompletesReceiver) {
   // A source with nothing to transmit must still complete the receiver
   // (marker message / .nul object / header-only value).
-  const linalg::ActivationMap empty;
+  const linalg::ActivationRows empty;
   static const std::vector<int32_t> ids = {5, 6};
   bool receiver_done = false;
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, empty, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, empty, sends).ok());
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_TRUE(got->empty());
         receiver_done = true;
@@ -281,69 +282,67 @@ TEST_P(ChannelConformanceTest, EmptySendCompletesReceiver) {
 }
 
 TEST_P(ChannelConformanceTest, FanOutDeliversDisjointSubsets) {
-  // One SendPhase call with three targets: each receiver sees exactly its
+  // One SendRows call with three targets: each receiver sees exactly its
   // subset, nothing more.
-  const linalg::ActivationMap rows = MakeRows({1, 2, 3}, 8, 4);
+  const linalg::ActivationRows rows = MakeRows({1, 2, 3}, 8, 4);
   static const std::vector<std::vector<int32_t>> subsets = {{1}, {2}, {3}};
-  std::vector<linalg::ActivationMap> received(3);
+  std::vector<linalg::ActivationRows> received(3);
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{
             {1, &subsets[0]}, {2, &subsets[1]}, {3, &subsets[2]}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         received[0] = std::move(*got);
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         received[1] = std::move(*got);
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         received[2] = std::move(*got);
       }},
   });
   for (int n = 0; n < 3; ++n) {
     ASSERT_EQ(received[n].size(), 1u) << "target " << n + 1;
-    EXPECT_EQ(received[n].at(n + 1), rows.at(n + 1));
+    EXPECT_EQ(received[n], MakeRows({n + 1}, 8, 4));
   }
 }
 
 TEST_P(ChannelConformanceTest, CompressionOnAndOffBothRoundtrip) {
   static const std::vector<int32_t> ids = {4, 9, 20};
-  const linalg::ActivationMap rows = MakeRows(ids, 32, 24);
+  const linalg::ActivationRows rows = MakeRows(ids, 32, 24);
   for (bool compress : {true, false}) {
     FsdOptions options = options_;
     options.compress = compress;
     options.channel_scope = compress ? "cmp-" : "raw-";
-    linalg::ActivationMap received;
+    linalg::ActivationRows received;
     RunWorkers({
         {[&](WorkerEnv* env, CommChannel* channel) {
           std::vector<SendSpec> sends{{1, &ids}};
-          ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+          ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         }, &options},
         {[&](WorkerEnv* env, CommChannel* channel) {
-          auto got = channel->ReceivePhase(env, 0, {0});
+          auto got = Recv(channel, env, 0, {0});
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           received = std::move(*got);
         }, &options},
     });
     ASSERT_EQ(received.size(), ids.size()) << "compress=" << compress;
-    for (int32_t id : ids) {
-      EXPECT_EQ(received.at(id), rows.at(id)) << "compress=" << compress;
-    }
+    EXPECT_EQ(received, rows) << "compress=" << compress;
   }
 }
 
 TEST_P(ChannelConformanceTest, LaneCountDoesNotChangeValues) {
   static const std::vector<int32_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  const linalg::ActivationMap rows = MakeRows(ids, 64, 32);
-  std::vector<linalg::ActivationMap> received(2);
+  const linalg::ActivationRows rows = MakeRows(ids, 64, 32);
+  std::vector<linalg::ActivationRows> received(2);
   int lane_run = 0;
   for (int32_t lanes : {1, 8}) {
     FsdOptions options = options_;
@@ -352,10 +351,10 @@ TEST_P(ChannelConformanceTest, LaneCountDoesNotChangeValues) {
     RunWorkers({
         {[&, lanes](WorkerEnv* env, CommChannel* channel) {
           std::vector<SendSpec> sends{{1, &ids}};
-          ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+          ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         }, &options},
         {[&, idx = lane_run](WorkerEnv* env, CommChannel* channel) {
-          auto got = channel->ReceivePhase(env, 0, {0});
+          auto got = Recv(channel, env, 0, {0});
           ASSERT_TRUE(got.ok());
           received[idx] = std::move(*got);
         }, &options},
@@ -395,12 +394,12 @@ TEST_P(ChannelConformanceTest, BarrierReleasesNobodyBeforeLastArrival) {
 
 TEST_P(ChannelConformanceTest, ReduceGathersEveryWorkersRows) {
   constexpr int32_t kWorkers = 4;
-  linalg::ActivationMap gathered;
+  linalg::ActivationRows gathered;
   std::vector<WorkerSpec> specs;
   for (int32_t w = 0; w < kWorkers; ++w) {
     specs.push_back({[&, w](WorkerEnv* env, CommChannel* channel) {
       // Disjoint row ownership, as the row-wise decomposition guarantees.
-      const linalg::ActivationMap mine = MakeRows({w}, 8, 3);
+      const linalg::ActivationRows mine = MakeRows({w}, 8, 3);
       auto got = Reduce(channel, env, Topology(),
                         Block(CollectiveOp::kReduce, kWorkers), kWorkers, mine);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -413,20 +412,18 @@ TEST_P(ChannelConformanceTest, ReduceGathersEveryWorkersRows) {
   }
   RunWorkers(std::move(specs));
   ASSERT_EQ(gathered.size(), static_cast<size_t>(kWorkers));
-  for (int32_t w = 0; w < kWorkers; ++w) {
-    EXPECT_EQ(gathered.at(w), MakeRows({w}, 8, 3).at(w));
-  }
+  EXPECT_EQ(gathered, MakeRows({0, 1, 2, 3}, 8, 3));
 }
 
 TEST_P(ChannelConformanceTest, BroadcastDeliversRootRowsToAll) {
   constexpr int32_t kWorkers = 4;
-  const linalg::ActivationMap root_rows = MakeRows({2, 5}, 8, 4);
-  std::vector<linalg::ActivationMap> got_rows(kWorkers);
+  const linalg::ActivationRows root_rows = MakeRows({2, 5}, 8, 4);
+  std::vector<linalg::ActivationRows> got_rows(kWorkers);
   std::vector<WorkerSpec> specs;
   for (int32_t w = 0; w < kWorkers; ++w) {
     specs.push_back({[&, w](WorkerEnv* env, CommChannel* channel) {
-      const linalg::ActivationMap mine =
-          w == 0 ? root_rows : linalg::ActivationMap{};
+      const linalg::ActivationRows mine =
+          w == 0 ? root_rows : linalg::ActivationRows{};
       auto got = Broadcast(channel, env, Topology(),
                            Block(CollectiveOp::kBroadcast, kWorkers), kWorkers,
                            mine);
@@ -453,7 +450,7 @@ TEST_P(ChannelConformanceTest, AbortUnblocksPendingReceive) {
   RunWorkers({
       {[&](WorkerEnv*, CommChannel*) { /* never sends */ }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         receive_status = got.status();
         unblocked_at = env->cloud->sim()->Now();
       }},
@@ -473,34 +470,34 @@ TEST_P(ChannelConformanceTest, ChannelScopeIsolatesConcurrentRuns) {
   FsdOptions run_b = options_;
   run_b.channel_scope = "runB-";
   static const std::vector<int32_t> ids = {7};
-  const linalg::ActivationMap rows_a = MakeRows({7}, 8, 3, /*salt=*/0.0f);
-  const linalg::ActivationMap rows_b = MakeRows({7}, 8, 3, /*salt=*/100.0f);
-  linalg::ActivationMap got_a, got_b;
+  const linalg::ActivationRows rows_a = MakeRows({7}, 8, 3, /*salt=*/0.0f);
+  const linalg::ActivationRows rows_b = MakeRows({7}, 8, 3, /*salt=*/100.0f);
+  linalg::ActivationRows got_a, got_b;
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows_a, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows_a, sends).ok());
       }, &run_a, /*worker_id=*/0},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         got_a = std::move(*got);
       }, &run_a, /*worker_id=*/1},
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows_b, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows_b, sends).ok());
       }, &run_b, /*worker_id=*/0},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         got_b = std::move(*got);
       }, &run_b, /*worker_id=*/1},
   });
   ASSERT_EQ(got_a.size(), 1u);
   ASSERT_EQ(got_b.size(), 1u);
-  EXPECT_EQ(got_a.at(7), rows_a.at(7));
-  EXPECT_EQ(got_b.at(7), rows_b.at(7));
-  EXPECT_NE(got_a.at(7), got_b.at(7));
+  EXPECT_EQ(got_a, rows_a);
+  EXPECT_EQ(got_b, rows_b);
+  EXPECT_NE(got_a, got_b);
 }
 
 TEST_P(ChannelConformanceTest, DirectPunchFailuresFallBackToRelay) {
@@ -515,27 +512,27 @@ TEST_P(ChannelConformanceTest, DirectPunchFailuresFallBackToRelay) {
   cloud::CloudEnv relay_cloud(&sim_, config);
   active_cloud_ = &relay_cloud;
   static const std::vector<int32_t> ids = {3, 7};
-  const linalg::ActivationMap rows = MakeRows(ids, 16, 4);
-  linalg::ActivationMap received;
+  const linalg::ActivationRows rows = MakeRows(ids, 16, 4);
+  linalg::ActivationRows received;
   int64_t punch_failures = 0;
   int64_t relay_msgs = 0;
   int64_t direct_msgs = 0;
   RunWorkers({
       {[&](WorkerEnv* env, CommChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         punch_failures = env->metrics->Layer(0).punch_failures;
         relay_msgs = env->metrics->Layer(0).relay_fallback_msgs;
         direct_msgs = env->metrics->Layer(0).direct_msgs;
       }},
       {[&](WorkerEnv* env, CommChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         received = std::move(*got);
       }},
   });
   ASSERT_EQ(received.size(), ids.size());
-  for (int32_t id : ids) EXPECT_EQ(received.at(id), rows.at(id));
+  EXPECT_EQ(received, rows);
   EXPECT_GT(punch_failures, 0);
   EXPECT_GT(relay_msgs, 0);
   EXPECT_EQ(direct_msgs, 0);
@@ -557,7 +554,7 @@ TEST_P(ChannelConformanceTest, AbortDrainsMidTreeCollective) {
   for (int32_t w = 0; w < kWorkers; ++w) {
     specs.push_back({[&, w](WorkerEnv* env, CommChannel* channel) {
       if (w == 3) return;  // crashed peer: never participates
-      const linalg::ActivationMap mine = MakeRows({w}, 8, 3);
+      const linalg::ActivationRows mine = MakeRows({w}, 8, 3);
       auto got = Reduce(channel, env, Topology(),
                         Block(CollectiveOp::kReduce, kWorkers), kWorkers, mine);
       statuses[w] = got.status();

@@ -11,6 +11,7 @@
 #include "cloud/cloud.h"
 #include "codec/varint.h"
 #include "core/channel.h"
+#include "core/collectives.h"
 #include "core/kv_channel.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
@@ -20,19 +21,36 @@
 namespace fsd::core {
 namespace {
 
-linalg::ActivationMap MakeRows(std::vector<int32_t> ids, int32_t dim,
-                               int32_t nnz) {
-  linalg::ActivationMap out;
+/// Rows `ids` (ascending), each holding entries 0..nnz-1 of width `dim`.
+linalg::ActivationRows MakeRows(std::vector<int32_t> ids, int32_t dim,
+                                int32_t nnz) {
+  linalg::ActivationRows out;
   for (int32_t id : ids) {
-    linalg::SparseVector vec;
-    vec.dim = dim;
+    std::vector<int32_t> idx;
+    std::vector<float> val;
     for (int32_t j = 0; j < nnz; ++j) {
-      vec.idx.push_back(j);
-      vec.val.push_back(static_cast<float>(id) + 0.25f * j);
+      idx.push_back(j);
+      val.push_back(static_cast<float>(id) + 0.25f * j);
     }
-    out.emplace(id, std::move(vec));
+    out.Append(id, dim, idx.data(), val.data(), idx.size());
   }
   return out;
+}
+
+/// The union of `received`, a later body winning a repeated id.
+linalg::ActivationRows Merged(const ReceivedRows& received) {
+  std::vector<const linalg::ActivationRows*> parts;
+  for (const linalg::ActivationRows& rows : received) parts.push_back(&rows);
+  return linalg::MergeRows(parts);
+}
+
+/// The single wire chunk carrying `ids` of `rows` under `options`' codec.
+Bytes EncodeOne(const linalg::ActivationRows& rows,
+                const std::vector<int32_t>& ids,
+                const FsdOptions& options = FsdOptions{}) {
+  return EncodeRows(CollectRows(rows, ids), 0, WireCodecFromOptions(options))
+      .chunks[0]
+      .wire;
 }
 
 /// Harness: runs `body` inside FaaS handlers (one per worker id), giving
@@ -88,58 +106,58 @@ class ChannelTest : public ::testing::Test {
 };
 
 TEST_F(ChannelTest, QueueRoundtripBetweenWorkers) {
-  const linalg::ActivationMap rows = MakeRows({3, 7, 11}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 7, 11}, 16, 4);
   const std::vector<int32_t> ids = {3, 7, 11};
-  linalg::ActivationMap received;
+  linalg::ActivationRows received;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         received = std::move(*got);
       },
   });
   ASSERT_EQ(received.size(), 3u);
-  for (int32_t id : ids) EXPECT_EQ(received.at(id), rows.at(id));
+  EXPECT_EQ(received, rows);
 }
 
 TEST_F(ChannelTest, QueueChunksLargePayloads) {
   options_.max_message_bytes = 512;  // force many chunks
   std::vector<int32_t> ids;
   for (int32_t i = 0; i < 40; ++i) ids.push_back(i);
-  const linalg::ActivationMap rows = MakeRows(ids, 64, 48);
-  linalg::ActivationMap received;
+  const linalg::ActivationRows rows = MakeRows(ids, 64, 48);
+  linalg::ActivationRows received;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         EXPECT_GT(env->metrics->Layer(0).send_chunks, 5);
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         received = std::move(*got);
       },
   });
   ASSERT_EQ(received.size(), ids.size());
-  for (int32_t id : ids) EXPECT_EQ(received.at(id), rows.at(id));
+  EXPECT_EQ(received, rows);
 }
 
 TEST_F(ChannelTest, QueueEmptySendDeliversMarker) {
-  const linalg::ActivationMap empty;
+  const linalg::ActivationRows empty;
   static const std::vector<int32_t> ids = {5, 6};
   bool receiver_done = false;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel* channel) {
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, empty, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, empty, sends).ok());
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
         // Must terminate (marker received) rather than poll forever.
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         EXPECT_TRUE(got->empty());
         receiver_done = true;
@@ -149,32 +167,32 @@ TEST_F(ChannelTest, QueueEmptySendDeliversMarker) {
 }
 
 TEST_F(ChannelTest, QueueStashesOutOfPhaseMessages) {
-  const linalg::ActivationMap rows0 = MakeRows({1}, 8, 3);
-  const linalg::ActivationMap rows1 = MakeRows({2}, 8, 3);
+  const linalg::ActivationRows rows0 = MakeRows({1}, 8, 3);
+  const linalg::ActivationRows rows1 = MakeRows({2}, 8, 3);
   static const std::vector<int32_t> ids0 = {1};
   static const std::vector<int32_t> ids1 = {2};
-  linalg::ActivationMap got0, got1;
+  linalg::ActivationRows got0, got1;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel* channel) {
         // Send BOTH phases before the receiver starts phase 0: the phase-1
         // message lands mid-poll and must be stashed, not lost.
         std::vector<SendSpec> s0{{1, &ids0}};
         std::vector<SendSpec> s1{{1, &ids1}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows0, s0).ok());
-        ASSERT_TRUE(channel->SendPhase(env, 1, rows1, s1).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows0, s0).ok());
+        ASSERT_TRUE(channel->SendRows(env, 1, rows1, s1).ok());
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
         env->faas->SleepFor(1.0).ok();  // let both phases arrive
-        auto r0 = channel->ReceivePhase(env, 0, {0});
+        auto r0 = Recv(channel, env, 0, {0});
         ASSERT_TRUE(r0.ok());
         got0 = std::move(*r0);
-        auto r1 = channel->ReceivePhase(env, 1, {0});
+        auto r1 = Recv(channel, env, 1, {0});
         ASSERT_TRUE(r1.ok());
         got1 = std::move(*r1);
       },
   });
-  EXPECT_TRUE(got0.contains(1));
-  EXPECT_TRUE(got1.contains(2));
+  EXPECT_LT(got0.Find(1), got0.size());
+  EXPECT_LT(got1.Find(2), got1.size());
 }
 
 TEST_F(ChannelTest, QueueGreedyPackingReducesPublishes) {
@@ -191,7 +209,7 @@ TEST_F(ChannelTest, QueueGreedyPackingReducesPublishes) {
     fn.name = "sender";
     fn.memory_mb = 2048;
     fn.timeout_s = 60.0;
-    const linalg::ActivationMap rows = MakeRows({0}, 8, 2);
+    const linalg::ActivationRows rows = MakeRows({0}, 8, 2);
     static const std::vector<int32_t> ids = {0};
     fn.handler = [&](cloud::FaasContext* ctx) {
       QueueChannel channel;
@@ -202,7 +220,7 @@ TEST_F(ChannelTest, QueueGreedyPackingReducesPublishes) {
       env.metrics = &metrics;
       env.worker_id = 0;
       std::vector<SendSpec> sends{{1, &ids}, {2, &ids}, {3, &ids}};
-      FSD_CHECK_OK(channel.SendPhase(&env, 0, rows, sends));
+      FSD_CHECK_OK(channel.SendRows(&env, 0, rows, sends));
       publishes = metrics.Layer(0).publishes;
       ctx->set_result(Status::OK());
     };
@@ -216,27 +234,27 @@ TEST_F(ChannelTest, QueueGreedyPackingReducesPublishes) {
 }
 
 TEST_F(ChannelTest, ObjectRoundtripAndNulMarkers) {
-  const linalg::ActivationMap rows = MakeRows({4, 9}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({4, 9}, 16, 4);
   static const std::vector<int32_t> ids = {4, 9};
   static const std::vector<int32_t> empty_ids = {77};
-  linalg::ActivationMap received_data;
-  linalg::ActivationMap received_empty;
+  linalg::ActivationRows received_data;
+  linalg::ActivationRows received_empty;
   RunWorkers<ObjectChannel>({
       [&](WorkerEnv* env, ObjectChannel* channel) {
         std::vector<SendSpec> sends{{2, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
         EXPECT_EQ(env->metrics->Layer(0).puts_dat, 1);
       },
       [&](WorkerEnv* env, ObjectChannel* channel) {
         // Nothing to send: a 0-byte .nul marker goes out instead.
         std::vector<SendSpec> sends{{2, &empty_ids}};
-        linalg::ActivationMap nothing;
-        ASSERT_TRUE(channel->SendPhase(env, 0, nothing, sends).ok());
+        linalg::ActivationRows nothing;
+        ASSERT_TRUE(channel->SendRows(env, 0, nothing, sends).ok());
         EXPECT_EQ(env->metrics->Layer(0).puts_nul, 1);
         EXPECT_EQ(env->metrics->Layer(0).puts_dat, 0);
       },
       [&](WorkerEnv* env, ObjectChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0, 1});
+        auto got = Recv(channel, env, 0, {0, 1});
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         received_data = std::move(*got);
         // Source 1's .nul completed it without a GET.
@@ -245,7 +263,7 @@ TEST_F(ChannelTest, ObjectRoundtripAndNulMarkers) {
       },
   });
   ASSERT_EQ(received_data.size(), 2u);
-  EXPECT_EQ(received_data.at(4), rows.at(4));
+  EXPECT_EQ(received_data, rows);
   (void)received_empty;
 }
 
@@ -254,14 +272,14 @@ TEST_F(ChannelTest, ObjectNulDisabledFallsBackToEmptyDat) {
   static const std::vector<int32_t> empty_ids = {5};
   RunWorkers<ObjectChannel>({
       [&](WorkerEnv* env, ObjectChannel* channel) {
-        linalg::ActivationMap nothing;
+        linalg::ActivationRows nothing;
         std::vector<SendSpec> sends{{1, &empty_ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, nothing, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, nothing, sends).ok());
         EXPECT_EQ(env->metrics->Layer(0).puts_nul, 0);
         EXPECT_EQ(env->metrics->Layer(0).puts_dat, 1);  // empty .dat
       },
       [&](WorkerEnv* env, ObjectChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         EXPECT_TRUE(got->empty());
         // The ablation's cost: an extra GET for an empty file.
@@ -292,16 +310,16 @@ TEST_F(ChannelTest, ObjectScanBackoffBoundsListCalls) {
   // The receiver starts before the sender writes: it must re-scan a few
   // times (bounded by the back-off), not hammer LIST.
   static const std::vector<int32_t> ids = {1};
-  const linalg::ActivationMap rows = MakeRows({1}, 8, 2);
+  const linalg::ActivationRows rows = MakeRows({1}, 8, 2);
   int64_t lists = 0;
   RunWorkers<ObjectChannel>({
       [&](WorkerEnv* env, ObjectChannel* channel) {
         env->faas->SleepFor(0.5).ok();  // write late
         std::vector<SendSpec> sends{{1, &ids}};
-        ASSERT_TRUE(channel->SendPhase(env, 0, rows, sends).ok());
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
       },
       [&](WorkerEnv* env, ObjectChannel* channel) {
-        auto got = channel->ReceivePhase(env, 0, {0});
+        auto got = Recv(channel, env, 0, {0});
         ASSERT_TRUE(got.ok());
         lists = env->metrics->Layer(0).lists;
       },
@@ -318,22 +336,20 @@ TEST_F(ChannelTest, ObjectScanBackoffBoundsListCalls) {
 
 TEST_F(ChannelTest, QueueRejectsNonNumericSourceAttribute) {
   static const std::vector<int32_t> ids = {3};
-  const linalg::ActivationMap rows = MakeRows({3}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3}, 16, 4);
   Status status;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel*) {
         // A well-formed chunk whose "src" attribute is not a number.
         cloud::QueueMessage msg;
-        msg.body = EncodeRows(rows, ids, 0, WireCodecFromOptions(options_))
-                       .chunks[0]
-                       .wire;
+        msg.body = EncodeOne(rows, ids, options_);
         msg.attributes = {{"target", "1"}, {"src", "x"}, {"phase", "0"},
                           {"seq", "0"},    {"total", "1"}};
         env->cloud->pubsub().PublishBatch(
             QueueChannel::TopicName(0, options_), {std::move(msg)});
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
-        status = channel->ReceivePhase(env, 0, {0}).status();
+        status = Recv(channel, env, 0, {0}).status();
       },
   });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
@@ -341,29 +357,19 @@ TEST_F(ChannelTest, QueueRejectsNonNumericSourceAttribute) {
 
 TEST_F(ChannelTest, ObjectRejectsGarbledKeySource) {
   static const std::vector<int32_t> ids = {3};
-  const linalg::ActivationMap rows = MakeRows({3}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3}, 16, 4);
   Status status;
   RunWorkers<ObjectChannel>({
       [&](WorkerEnv* env, ObjectChannel*) {
         env->cloud->objects().Put(
             ObjectChannel::BucketName(1, options_), "0/1/x_1.dat",
-            EncodeRows(rows, ids, 0, WireCodecFromOptions(options_))
-                .chunks[0]
-                .wire);
+            std::make_shared<const Bytes>(EncodeOne(rows, ids, options_)));
       },
       [&](WorkerEnv* env, ObjectChannel* channel) {
-        status = channel->ReceivePhase(env, 0, {0}).status();
+        status = Recv(channel, env, 0, {0}).status();
       },
   });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-}
-
-/// The single wire chunk carrying `ids` of `rows` (default codec).
-Bytes EncodeOne(const linalg::ActivationMap& rows,
-                const std::vector<int32_t>& ids) {
-  return EncodeRows(rows, ids, 0, WireCodecFromOptions(FsdOptions{}))
-      .chunks[0]
-      .wire;
 }
 
 // A source's chunks must agree on its chunk count. Taking each chunk's
@@ -373,7 +379,7 @@ Bytes EncodeOne(const linalg::ActivationMap& rows,
 TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
   static const std::vector<int32_t> ids_a = {3};
   static const std::vector<int32_t> ids_b = {5};
-  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
   Status status;
   RunWorkers<QueueChannel>({
       [&](WorkerEnv* env, QueueChannel*) {
@@ -390,7 +396,7 @@ TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
             {message(ids_a, "0", "3"), message(ids_b, "1", "2")});
       },
       [&](WorkerEnv* env, QueueChannel* channel) {
-        status = channel->ReceivePhase(env, 0, {0}).status();
+        status = Recv(channel, env, 0, {0}).status();
       },
   });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
@@ -399,7 +405,7 @@ TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
 TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
   static const std::vector<int32_t> ids_a = {3};
   static const std::vector<int32_t> ids_b = {5};
-  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
   Status status;
   RunWorkers<KvChannel>({
       [&](WorkerEnv* env, KvChannel*) {
@@ -413,7 +419,7 @@ TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
                                   0, 1, 2, EncodeOne(rows, ids_b))));
       },
       [&](WorkerEnv* env, KvChannel* channel) {
-        status = channel->ReceivePhase(env, 0, {0}).status();
+        status = Recv(channel, env, 0, {0}).status();
       },
   });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
@@ -458,17 +464,17 @@ sim::OffloadStats RunOnPool(int compute_threads, const FsdOptions& options,
 TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
   // Row 5 arrives twice with different values; the second arrival wins and
   // counts once, exactly as two sequential DecodeRows calls would.
-  linalg::ActivationMap first = MakeRows({3, 5}, 16, 4);
-  linalg::ActivationMap second = MakeRows({5, 7}, 16, 2);
+  linalg::ActivationRows first = MakeRows({3, 5}, 16, 4);
+  linalg::ActivationRows second = MakeRows({5, 7}, 16, 2);
   const Bytes a = EncodeOne(first, {3, 5});
   const Bytes b = EncodeOne(second, {5, 7});
-  linalg::ActivationMap sequential;
+  linalg::ActivationRows sequential;
   ASSERT_TRUE(DecodeRows(a, &sequential).ok());
   ASSERT_TRUE(DecodeRows(b, &sequential).ok());
-  ASSERT_EQ(sequential.at(5), second.at(5));
+  ASSERT_EQ(sequential.ToMap().at(5), second.ToMap().at(5));
 
   for (const int pool : {0, 1, 4}) {
-    Result<linalg::ActivationMap> got = Status::Internal("never received");
+    Result<ReceivedRows> got = Status::Internal("never received");
     int64_t recv_rows = -1;
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
       PhaseReceiver receiver(env, 0, {0});
@@ -479,11 +485,11 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
         ASSERT_TRUE(receiver.Decode(std::move(bodies), 1).ok());
       }
       EXPECT_TRUE(receiver.done());
-      got = receiver.Finish();
+      got = receiver.FinishRows();
       recv_rows = receiver.metrics().recv_rows;
     });
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
-    EXPECT_EQ(*got, sequential) << "pool=" << pool;
+    EXPECT_EQ(Merged(*got), sequential) << "pool=" << pool;
     EXPECT_EQ(recv_rows, static_cast<int64_t>(sequential.size()))
         << "pool=" << pool;
   }
@@ -494,18 +500,17 @@ TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
   // next. FinishRows hands back the bodies unmerged in arrival order,
   // recv_rows counts the three distinct ids, and the row table the kernel
   // reads views the last arrival's row 5 (a local row still beats them).
-  const linalg::ActivationMap first = MakeRows({3, 5}, 16, 4);
-  const linalg::ActivationMap second = MakeRows({5, 7}, 16, 2);
-  const linalg::ActivationMap third = MakeRows({5, 9}, 16, 1);
+  const linalg::ActivationRows first = MakeRows({3, 5}, 16, 4);
+  const linalg::ActivationRows second = MakeRows({5, 7}, 16, 2);
+  const linalg::ActivationRows third = MakeRows({5, 9}, 16, 1);
   const Bytes a = EncodeOne(first, {3, 5});
   const Bytes b = EncodeOne(second, {5, 7});
   const Bytes c = EncodeOne(third, {5, 9});
-  linalg::ActivationMap sequential;
+  linalg::ActivationRows sequential;
   for (const Bytes* body : {&a, &b, &c}) {
     ASSERT_TRUE(DecodeRows(*body, &sequential).ok());
   }
-  const linalg::ActivationRows local =
-      linalg::ActivationRows::FromMap(MakeRows({9}, 16, 3));
+  const linalg::ActivationRows local = MakeRows({9}, 16, 3);
 
   for (const int pool : {0, 1, 4}) {
     Result<ReceivedRows> got = Status::Internal("never received");
@@ -523,10 +528,10 @@ TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
     });
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
     ASSERT_EQ(got->size(), 3u) << "pool=" << pool;
-    EXPECT_EQ((*got)[0].ToMap(), first) << "pool=" << pool;
-    EXPECT_EQ((*got)[1].ToMap(), second) << "pool=" << pool;
-    EXPECT_EQ((*got)[2].ToMap(), third) << "pool=" << pool;
-    EXPECT_EQ(MergeReceived(*got), sequential) << "pool=" << pool;
+    EXPECT_EQ((*got)[0], first) << "pool=" << pool;
+    EXPECT_EQ((*got)[1], second) << "pool=" << pool;
+    EXPECT_EQ((*got)[2], third) << "pool=" << pool;
+    EXPECT_EQ(Merged(*got), sequential) << "pool=" << pool;
     EXPECT_EQ(recv_rows, 4) << "pool=" << pool;  // ids 3, 5, 7, 9
 
     std::vector<linalg::RowView> table;
@@ -544,7 +549,7 @@ TEST(PhaseReceiverTest, RecvRowsCountsWideIdsOnce) {
   // Ids past the receiver's id bitmap (a hostile sender's) still count
   // once each across bodies.
   const int32_t wide = 1 << 23;
-  const linalg::ActivationMap rows = MakeRows({5, wide, wide + 1}, 16, 2);
+  const linalg::ActivationRows rows = MakeRows({5, wide, wide + 1}, 16, 2);
   const Bytes a = EncodeOne(rows, {5, wide});
   const Bytes b = EncodeOne(rows, {wide, wide + 1});
   int64_t recv_rows = -1;
@@ -561,11 +566,11 @@ TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
   // Three bodies in one window: valid, retagged, empty. Decode defers the
   // errors; Finish reports the retagged body's, the first in arrival order,
   // whatever the pool size.
-  const linalg::ActivationMap rows = MakeRows({3, 5}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
   const Bytes valid = EncodeOne(rows, {3, 5});
   Bytes retagged = valid;
   retagged[0] = 0xEE;  // no wire format uses this tag
-  linalg::ActivationMap scratch;
+  linalg::ActivationRows scratch;
   const Status expected = DecodeRows(retagged, &scratch);
   ASSERT_EQ(expected.code(), StatusCode::kDataLoss);
   ASSERT_NE(expected.ToString(), DecodeRows(Bytes{}, &scratch).ToString());
@@ -576,7 +581,7 @@ TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
       PhaseReceiver receiver(env, 0, {0});
       decoded = receiver.Decode({valid, retagged, Bytes{}}, 1);
-      finished = receiver.Finish().status();
+      finished = receiver.FinishRows().status();
     });
     EXPECT_TRUE(decoded.ok()) << decoded.ToString() << " pool=" << pool;
     EXPECT_EQ(finished.ToString(), expected.ToString()) << "pool=" << pool;
@@ -590,7 +595,7 @@ TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
   // they write into die; under ASan a missed join is a use-after-free.
   FsdOptions options;
   options.variant = Variant::kKv;
-  const linalg::ActivationMap rows = MakeRows({3, 5, 7}, 16, 4);
+  const linalg::ActivationRows rows = MakeRows({3, 5, 7}, 16, 4);
   Status status;
   const sim::OffloadStats stats = RunOnPool(
       /*compute_threads=*/1, options, [&](WorkerEnv* env) {
@@ -618,7 +623,7 @@ TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
         sim->ScheduleCallback(2.5, [&aborted]() { aborted = true; });
         KvChannel channel;
         // Source 1 never sends, so only the abort ends the receive.
-        status = channel.ReceivePhase(env, 0, {0, 1}).status();
+        status = Recv(&channel, env, 0, {0, 1}).status();
         released = true;
       });
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();

@@ -275,7 +275,7 @@ TEST_F(CloudTest, PubSubDeliveryBytesBilled) {
 TEST_F(CloudTest, ObjectPutBecomesVisibleAfterLatency) {
   ASSERT_TRUE(cloud_.objects().CreateBucket("b").ok());
   InProcess([&] {
-    auto put = cloud_.objects().Put("b", "k/x.dat", Bytes{1, 2});
+    auto put = cloud_.objects().Put("b", "k/x.dat", Shared(Bytes{1, 2}));
     ASSERT_TRUE(put.status.ok());
     // Immediately after the call the upload is still in flight.
     auto listing = cloud_.objects().List("b", "k/");
@@ -287,19 +287,41 @@ TEST_F(CloudTest, ObjectPutBecomesVisibleAfterLatency) {
     ASSERT_EQ(listing->size(), 1u);
     EXPECT_EQ((*listing)[0].key, "k/x.dat");
     EXPECT_EQ((*listing)[0].size, 2u);
-    auto body = cloud_.objects().GetBlocking("b", "k/x.dat");
-    ASSERT_TRUE(body.ok());
-    EXPECT_EQ(*body, (Bytes{1, 2}));
+    auto got = cloud_.objects().Get("b", "k/x.dat");
+    sim_.Hold(got.latency);
+    ASSERT_TRUE(got.status.ok());
+    EXPECT_EQ(*got.body, (Bytes{1, 2}));
   });
+}
+
+// Objects travel by reference: a GET hands back the very buffer that was
+// PUT, and it stays readable after its key is deleted. The buffer is
+// heap-sized, so ASan sees any read of a freed one.
+TEST_F(CloudTest, ObjectGetHandsBackThePutBuffer) {
+  ASSERT_TRUE(cloud_.objects().CreateBucket("b").ok());
+  SharedBytes body = Shared(Bytes(4096, 0x3c));
+  const Bytes* const put_buffer = body.get();
+  SharedBytes got;
+  InProcess([&] {
+    ASSERT_TRUE(cloud_.objects().Put("b", "k", std::move(body)).status.ok());
+    sim_.Hold(5.0);
+    auto outcome = cloud_.objects().Get("b", "k");
+    ASSERT_TRUE(outcome.status.ok());
+    got = std::move(outcome.body);
+    ASSERT_TRUE(cloud_.objects().Delete("b", "k").ok());
+  });
+  EXPECT_EQ(got.get(), put_buffer);
+  EXPECT_EQ(got.use_count(), 1);
+  EXPECT_EQ(*got, Bytes(4096, 0x3c));
 }
 
 TEST_F(CloudTest, ObjectListRespectsPrefix) {
   ASSERT_TRUE(cloud_.objects().CreateBucket("b").ok());
   InProcess([&] {
-    cloud_.objects().Put("b", "12/1/a.dat", Bytes{1});
-    cloud_.objects().Put("b", "12/1/b.dat", Bytes{1});
-    cloud_.objects().Put("b", "120/1/c.dat", Bytes{1});
-    cloud_.objects().Put("b", "2/1/d.dat", Bytes{1});
+    cloud_.objects().Put("b", "12/1/a.dat", Shared(Bytes{1}));
+    cloud_.objects().Put("b", "12/1/b.dat", Shared(Bytes{1}));
+    cloud_.objects().Put("b", "120/1/c.dat", Shared(Bytes{1}));
+    cloud_.objects().Put("b", "2/1/d.dat", Shared(Bytes{1}));
     sim_.Hold(5.0);
     auto listing = cloud_.objects().List("b", "12/1/");
     ASSERT_TRUE(listing.ok());
@@ -314,7 +336,7 @@ TEST_F(CloudTest, ObjectGetMissingFailsButBills) {
   InProcess([&] {
     const auto& line = cloud_.billing().line(BillingDimension::kObjectGet);
     const double before = line.quantity;
-    EXPECT_FALSE(cloud_.objects().GetBlocking("b", "nope").ok());
+    EXPECT_FALSE(cloud_.objects().Get("b", "nope").status.ok());
     EXPECT_EQ(line.quantity - before, 1.0);
   });
 }
@@ -325,8 +347,8 @@ TEST_F(CloudTest, ObjectRequestBilling) {
     const auto& puts = cloud_.billing().line(BillingDimension::kObjectPut);
     const auto& lists = cloud_.billing().line(BillingDimension::kObjectList);
     const double p0 = puts.quantity, l0 = lists.quantity;
-    cloud_.objects().Put("b", "x", Bytes{});
-    cloud_.objects().Put("b", "y", Bytes(1024 * 1024, 1));
+    cloud_.objects().Put("b", "x", Shared(Bytes{}));
+    cloud_.objects().Put("b", "y", Shared(Bytes(1024 * 1024, 1)));
     sim_.Hold(5.0);
     cloud_.objects().List("b", "").ok();
     EXPECT_EQ(puts.quantity - p0, 2.0);  // size-independent
@@ -337,7 +359,7 @@ TEST_F(CloudTest, ObjectRequestBilling) {
 TEST_F(CloudTest, ObjectDeleteRemoves) {
   ASSERT_TRUE(cloud_.objects().CreateBucket("b").ok());
   InProcess([&] {
-    cloud_.objects().Put("b", "x", Bytes{1});
+    cloud_.objects().Put("b", "x", Shared(Bytes{1}));
     sim_.Hold(5.0);
     ASSERT_TRUE(cloud_.objects().Delete("b", "x").ok());
     EXPECT_TRUE(cloud_.objects().List("b", "")->empty());

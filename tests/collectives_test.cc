@@ -14,17 +14,21 @@
 namespace fsd::core {
 namespace {
 
-linalg::ActivationMap MakeRows(std::vector<int32_t> ids, float value) {
-  linalg::ActivationMap out;
+/// Rows `ids` (ascending), each of width 4 with entries at 0 and 2.
+linalg::ActivationRows MakeRows(std::vector<int32_t> ids, float value) {
+  linalg::ActivationRows out;
+  const int32_t idx[] = {0, 2};
   for (int32_t id : ids) {
-    linalg::SparseVector vec;
-    vec.dim = 4;
-    vec.idx = {0, 2};
-    vec.val = {value, value * 2};
-    out.emplace(id, std::move(vec));
+    const float val[] = {value, value * 2};
+    out.Append(id, 4, idx, val, 2);
   }
   return out;
 }
+
+/// One through-root round on `phase` (the single-phase layout).
+PhaseBlock OnePhase(int32_t phase) { return PhaseBlock{phase, 1}; }
+
+constexpr CollectiveTopology kThroughRoot = CollectiveTopology::kThroughRoot;
 
 /// Typed test over both channel implementations.
 template <typename Channel>
@@ -82,19 +86,19 @@ using ChannelTypes = ::testing::Types<QueueChannel, ObjectChannel>;
 TYPED_TEST_SUITE(CollectivesTest, ChannelTypes);
 
 TYPED_TEST(CollectivesTest, SendRecvPointToPoint) {
-  const linalg::ActivationMap rows = MakeRows({1, 5}, 3.0f);
-  linalg::ActivationMap got;
+  const linalg::ActivationRows rows = MakeRows({1, 5}, 3.0f);
+  linalg::ActivationRows got;
   this->RunWorkers(2, [&](WorkerEnv* env, CommChannel* channel) {
     if (env->worker_id == 0) {
       ASSERT_TRUE(Send(channel, env, 0, 1, rows).ok());
     } else {
-      auto r = Recv(channel, env, 0, 0);
+      auto r = Recv(channel, env, 0, {0});
       ASSERT_TRUE(r.ok());
       got = std::move(*r);
     }
   });
   EXPECT_EQ(got.size(), 2u);
-  EXPECT_EQ(got.at(5), rows.at(5));
+  EXPECT_EQ(got.ToMap().at(5), rows.ToMap().at(5));
 }
 
 TYPED_TEST(CollectivesTest, BarrierSynchronizesEveryone) {
@@ -102,7 +106,8 @@ TYPED_TEST(CollectivesTest, BarrierSynchronizesEveryone) {
   const double stagger[] = {0.0, 0.5, 1.0, 2.0};
   this->RunWorkers(4, [&](WorkerEnv* env, CommChannel* channel) {
     env->faas->SleepFor(stagger[env->worker_id]).ok();
-    ASSERT_TRUE(Barrier(channel, env, 0, 4).ok());
+    ASSERT_TRUE(
+        Barrier(channel, env, kThroughRoot, OnePhase(0), OnePhase(1), 4).ok());
     release_times[env->worker_id] = env->cloud->sim()->Now();
   });
   // Nobody leaves the barrier before the last arrival (t = 2.0).
@@ -113,13 +118,13 @@ TYPED_TEST(CollectivesTest, ReduceGathersDisjointRowsAtRoot) {
   linalg::ActivationMap at_root;
   this->RunWorkers(3, [&](WorkerEnv* env, CommChannel* channel) {
     // Worker m owns rows {m, m+10}.
-    const linalg::ActivationMap mine =
+    const linalg::ActivationRows mine =
         MakeRows({env->worker_id, env->worker_id + 10},
                  static_cast<float>(env->worker_id + 1));
-    auto gathered = Reduce(channel, env, 0, 3, mine);
+    auto gathered = Reduce(channel, env, kThroughRoot, OnePhase(0), 3, mine);
     ASSERT_TRUE(gathered.ok());
     if (env->worker_id == 0) {
-      at_root = std::move(*gathered);
+      at_root = gathered->ToMap();
     } else {
       EXPECT_TRUE(gathered->empty());
     }
@@ -132,18 +137,18 @@ TYPED_TEST(CollectivesTest, ReduceGathersDisjointRowsAtRoot) {
 }
 
 TYPED_TEST(CollectivesTest, BroadcastDeliversRootRowsToAll) {
-  const linalg::ActivationMap rows = MakeRows({7}, 9.0f);
-  std::vector<linalg::ActivationMap> got(4);
+  const linalg::ActivationRows rows = MakeRows({7}, 9.0f);
+  std::vector<linalg::ActivationRows> got(4);
   this->RunWorkers(4, [&](WorkerEnv* env, CommChannel* channel) {
-    const linalg::ActivationMap payload =
-        env->worker_id == 0 ? rows : linalg::ActivationMap{};
-    auto r = Broadcast(channel, env, 0, 4, payload);
+    const linalg::ActivationRows payload =
+        env->worker_id == 0 ? rows : linalg::ActivationRows{};
+    auto r = Broadcast(channel, env, kThroughRoot, OnePhase(0), 4, payload);
     ASSERT_TRUE(r.ok());
     got[env->worker_id] = std::move(*r);
   });
   for (int32_t m = 0; m < 4; ++m) {
     ASSERT_EQ(got[m].size(), 1u) << "worker " << m;
-    EXPECT_EQ(got[m].at(7), rows.at(7));
+    EXPECT_EQ(got[m].ToMap().at(7), rows.ToMap().at(7));
   }
 }
 
@@ -157,8 +162,8 @@ TYPED_TEST(CollectivesTest, EveryTopologyMatchesThroughRootByteForByte) {
       CollectiveTopology::kThroughRoot, CollectiveTopology::kBinomialTree,
       CollectiveTopology::kRing};
   for (int32_t workers = 1; workers <= 9; ++workers) {
-    std::array<linalg::ActivationMap, 3> reduced;
-    std::array<std::vector<linalg::ActivationMap>, 3> bcast;
+    std::array<linalg::ActivationRows, 3> reduced;
+    std::array<std::vector<linalg::ActivationRows>, 3> bcast;
     for (size_t t = 0; t < 3; ++t) {
       const CollectiveTopology topology = kTopologies[t];
       this->options_.num_workers = workers;
@@ -170,7 +175,7 @@ TYPED_TEST(CollectivesTest, EveryTopologyMatchesThroughRootByteForByte) {
             const PhaseAllocator phases(0, 0,
                                         CollectiveRounds(topology, workers));
             // Worker m owns rows {m, m+100} with m-dependent values.
-            const linalg::ActivationMap mine =
+            const linalg::ActivationRows mine =
                 MakeRows({env->worker_id, env->worker_id + 100},
                          static_cast<float>(env->worker_id) + 0.5f);
             auto r = Reduce(ch, env, topology,
@@ -181,7 +186,7 @@ TYPED_TEST(CollectivesTest, EveryTopologyMatchesThroughRootByteForByte) {
             auto b = Broadcast(
                 ch, env, topology, phases.Block(CollectiveOp::kBroadcast),
                 workers,
-                env->worker_id == 0 ? *r : linalg::ActivationMap{});
+                env->worker_id == 0 ? *r : linalg::ActivationRows{});
             ASSERT_TRUE(b.ok()) << b.status().ToString();
             bcast[t][env->worker_id] = std::move(*b);
           });
@@ -201,13 +206,14 @@ TYPED_TEST(CollectivesTest, EveryTopologyMatchesThroughRootByteForByte) {
 }
 
 TYPED_TEST(CollectivesTest, SingleWorkerCollectivesAreNoOps) {
-  const linalg::ActivationMap rows = MakeRows({3}, 1.0f);
+  const linalg::ActivationRows rows = MakeRows({3}, 1.0f);
   this->RunWorkers(1, [&](WorkerEnv* env, CommChannel* channel) {
-    EXPECT_TRUE(Barrier(channel, env, 0, 1).ok());
-    auto reduced = Reduce(channel, env, 2, 1, rows);
+    EXPECT_TRUE(
+        Barrier(channel, env, kThroughRoot, OnePhase(0), OnePhase(1), 1).ok());
+    auto reduced = Reduce(channel, env, kThroughRoot, OnePhase(2), 1, rows);
     ASSERT_TRUE(reduced.ok());
     EXPECT_EQ(reduced->size(), 1u);
-    auto bcast = Broadcast(channel, env, 4, 1, rows);
+    auto bcast = Broadcast(channel, env, kThroughRoot, OnePhase(4), 1, rows);
     ASSERT_TRUE(bcast.ok());
     EXPECT_EQ(bcast->size(), 1u);
   });

@@ -32,21 +32,6 @@ TEST(Csr, CancellingDuplicatesDropped) {
   EXPECT_EQ(m.nnz(), 0);
 }
 
-TEST(Csr, RowBlockExtract) {
-  CsrMatrix m = CsrMatrix::FromTriplets(
-      4, 4, {{0, 0, 1.0f}, {1, 1, 2.0f}, {2, 2, 3.0f}, {3, 3, 4.0f}});
-  RowBlock block = RowBlock::Extract(m, {1, 3});
-  EXPECT_EQ(block.num_rows(), 2u);
-  EXPECT_EQ(block.nnz(), 2);
-  EXPECT_EQ(block.row_ids[0], 1);
-  int32_t seen_col = -1;
-  block.ForEachInRow(1, [&](int32_t c, float v) {
-    seen_col = c;
-    EXPECT_EQ(v, 4.0f);
-  });
-  EXPECT_EQ(seen_col, 3);
-}
-
 TEST(SparseVector, FromDenseAndAxpy) {
   const float dense[] = {0.0f, 1.5f, 0.0f, -2.0f};
   SparseVector v = SparseVector::FromDense(dense, 4);
@@ -56,6 +41,29 @@ TEST(SparseVector, FromDenseAndAxpy) {
   v.AxpyInto(2.0f, acc);
   EXPECT_EQ(acc[1], 3.0f);
   EXPECT_EQ(acc[3], -4.0f);
+}
+
+/// A kernel row table over the rows of `x`: `views` points into `rows`.
+struct RowTable {
+  RowTable(const ActivationMap& x, int32_t cols)
+      : rows(ActivationRows::FromMap(x)), views(static_cast<size_t>(cols)) {
+    rows.ViewInto(views);
+  }
+  RowTable(const RowTable&) = delete;
+  RowTable& operator=(const RowTable&) = delete;
+
+  ActivationRows rows;
+  std::vector<RowView> views;
+};
+
+/// LayerForwardAll over the rows of `x`, returned as a map.
+ActivationMap ForwardAll(const CsrMatrix& w, const ActivationMap& x,
+                         float bias, float relu_cap, int32_t batch,
+                         LayerForwardStats* stats = nullptr) {
+  const RowTable table(x, w.cols());
+  ActivationRows out;
+  LayerForwardAll(w, table.views, bias, relu_cap, batch, &out, stats);
+  return out.ToMap();
 }
 
 // ---------------------------------------------------------------------------
@@ -131,13 +139,7 @@ TEST_P(LayerForwardProperty, MatchesDenseReference) {
   const float bias = -0.25f;
   const float cap = 4.0f;
   LayerForwardStats stats;
-  ActivationMap out = LayerForwardAll(
-      w,
-      [&x](int32_t row) -> const SparseVector* {
-        auto it = x.find(row);
-        return it == x.end() ? nullptr : &it->second;
-      },
-      bias, cap, batch, &stats);
+  ActivationMap out = ForwardAll(w, x, bias, cap, batch, &stats);
 
   const std::vector<float> expected =
       DenseRef::Forward(w, x_dense, batch, bias, cap);
@@ -196,7 +198,7 @@ TEST(LayerForward, SubsetMatchesUnion) {
     auto it = x.find(row);
     return it == x.end() ? nullptr : &it->second;
   };
-  ActivationMap all = LayerForwardAll(w, provider, -0.1f, 32.0f, 4);
+  ActivationMap all = ForwardAll(w, x, -0.1f, 32.0f, 4);
   std::vector<int32_t> evens, odds;
   for (int32_t i = 0; i < n; ++i) ((i % 2 == 0) ? evens : odds).push_back(i);
   ActivationMap even_out = LayerForward(w, evens, provider, -0.1f, 32.0f, 4);
@@ -220,13 +222,7 @@ TEST(LayerForward, ReluClampAndThreshold) {
   row.idx = {0};
   row.val = {10.0f};
   x.emplace(0, row);
-  ActivationMap out = LayerForwardAll(
-      w,
-      [&x](int32_t r) -> const SparseVector* {
-        auto it = x.find(r);
-        return it == x.end() ? nullptr : &it->second;
-      },
-      0.0f, 32.0f, 1);
+  ActivationMap out = ForwardAll(w, x, 0.0f, 32.0f, 1);
   ASSERT_EQ(out.size(), 1u);                 // negative row ReLU'd away
   EXPECT_EQ(out.at(0).val[0], 32.0f);        // clamped
 }
@@ -265,20 +261,16 @@ TEST(LayerForward, KernelsProduceByteIdenticalOutputs) {
       }
       if (!row.empty()) x.emplace(j, std::move(row));
     }
-    auto provider = [&x](int32_t row) -> const SparseVector* {
-      auto it = x.find(row);
-      return it == x.end() ? nullptr : &it->second;
-    };
 
     SetLayerForwardKernel(ForwardKernel::kPortable);
     LayerForwardStats portable_stats;
     const ActivationMap portable =
-        LayerForwardAll(w, provider, -0.2f, 8.0f, batch, &portable_stats);
+        ForwardAll(w, x, -0.2f, 8.0f, batch, &portable_stats);
 
     SetLayerForwardKernel(ForwardKernel::kVectorized);
     LayerForwardStats vector_stats;
     const ActivationMap vectorized =
-        LayerForwardAll(w, provider, -0.2f, 8.0f, batch, &vector_stats);
+        ForwardAll(w, x, -0.2f, 8.0f, batch, &vector_stats);
     SetLayerForwardKernel(ForwardKernel::kAuto);
 
     ASSERT_EQ(portable.size(), vectorized.size()) << "trial " << trial;
@@ -314,9 +306,7 @@ TEST(LayerForward, KernelSelectionReportsName) {
 
 TEST(LayerForward, EmptyInputYieldsEmptyOutput) {
   const CsrMatrix w = CsrMatrix::FromTriplets(4, 4, {{0, 1, 1.0f}});
-  ActivationMap out = LayerForwardAll(
-      w, [](int32_t) -> const SparseVector* { return nullptr; }, -0.1f,
-      32.0f, 8);
+  ActivationMap out = ForwardAll(w, ActivationMap{}, -0.1f, 32.0f, 8);
   EXPECT_TRUE(out.empty());
 }
 
@@ -376,23 +366,22 @@ TEST(CountLayerMacs, MatchesKernelStatsExactly) {
       all_rows.push_back(i);
       if (i % 2 == 0) evens.push_back(i);
     }
+    const RowTable table(problem.x, problem.weights.cols());
     for (const std::vector<int32_t>* rows : {&all_rows, &evens}) {
-      const RowProvider provider = problem.Provider();
       const double predicted =
-          CountLayerMacs(problem.weights, *rows, provider);
+          CountLayerMacs(problem.weights, *rows, table.views);
       LayerForwardStats stats;
-      LayerForward(problem.weights, *rows, provider, -0.25f, 4.0f,
+      LayerForward(problem.weights, *rows, problem.Provider(), -0.25f, 4.0f,
                    problem.batch, &stats);
       EXPECT_EQ(predicted, stats.macs) << "seed " << seed;
     }
   }
   // Empty subset and empty input both price to zero.
   const RandomProblem problem = RandomProblem::Make(9, 16, 4, 2, 0.5);
-  EXPECT_EQ(CountLayerMacs(problem.weights, {}, problem.Provider()), 0.0);
+  const RowTable table(problem.x, problem.weights.cols());
+  EXPECT_EQ(CountLayerMacs(problem.weights, {}, table.views), 0.0);
   EXPECT_EQ(CountLayerMacs(problem.weights, {0, 1},
-                           [](int32_t) -> const SparseVector* {
-                             return nullptr;
-                           }),
+                           std::vector<RowView>(16)),
             0.0);
 }
 
@@ -411,9 +400,8 @@ TEST(LayerForward, ConcurrentCallsMatchSerialByteForByte) {
         RandomProblem::Make(100 + i, 128, 16, 8, 0.2));
   }
   for (int i = 0; i < kProblems; ++i) {
-    serial[i] = LayerForwardAll(problems[i].weights, problems[i].Provider(),
-                                -0.25f, 4.0f, problems[i].batch,
-                                &serial_stats[i]);
+    serial[i] = ForwardAll(problems[i].weights, problems[i].x, -0.25f, 4.0f,
+                           problems[i].batch, &serial_stats[i]);
   }
   std::vector<std::thread> threads;
   std::vector<int> mismatches(kProblems, 0);
@@ -421,9 +409,9 @@ TEST(LayerForward, ConcurrentCallsMatchSerialByteForByte) {
     threads.emplace_back([&, i]() {
       for (int r = 0; r < kRepeats; ++r) {
         LayerForwardStats stats;
-        const ActivationMap out = LayerForwardAll(
-            problems[i].weights, problems[i].Provider(), -0.25f, 4.0f,
-            problems[i].batch, &stats);
+        const ActivationMap out =
+            ForwardAll(problems[i].weights, problems[i].x, -0.25f, 4.0f,
+                       problems[i].batch, &stats);
         if (out != serial[i] || stats.macs != serial_stats[i].macs ||
             stats.output_nnz != serial_stats[i].output_nnz) {
           ++mismatches[i];
@@ -576,13 +564,13 @@ uint64_t PinnedDigest(int32_t batch) {
   for (int32_t i = 0; i < problem.weights.rows(); ++i) {
     if (i % 3 != 1) rows.push_back(i);
   }
-  const RowBlock block = RowBlock::Extract(problem.weights, rows);
+  const RowTable table(problem.x, problem.weights.cols());
   Fnv1a fnv;
   for (const auto& [bias, cap] : {std::pair{-0.25f, 4.0f},
                                   std::pair{-0.5f, 0.0f}}) {
     LayerForwardStats stats;
     const ActivationMap all =
-        LayerForwardAll(problem.weights, provider, bias, cap, batch, &stats);
+        ForwardAll(problem.weights, problem.x, bias, cap, batch, &stats);
     AddOutput(all, stats, &fnv);
     if (cap == 0.0f) {
       // The cancelling rows must reach the kernel: some touched lane sums
@@ -596,12 +584,14 @@ uint64_t PinnedDigest(int32_t batch) {
     const ActivationMap subset = LayerForward(problem.weights, rows, provider,
                                               bias, cap, batch, &stats);
     AddOutput(subset, stats, &fnv);
-    EXPECT_EQ(CountLayerMacs(problem.weights, rows, provider), stats.macs);
-    LayerForwardStats block_stats;
-    const ActivationMap from_block =
-        LayerForward(block, provider, bias, cap, batch, &block_stats);
-    EXPECT_EQ(from_block, subset);
-    AddOutput(from_block, block_stats, &fnv);
+    EXPECT_EQ(CountLayerMacs(problem.weights, rows, table.views), stats.macs);
+    LayerForwardStats flat_stats;
+    ActivationRows flat;
+    LayerForward(problem.weights, rows, table.views, bias, cap, batch, &flat,
+                 &flat_stats);
+    const ActivationMap from_flat = flat.ToMap();
+    EXPECT_EQ(from_flat, subset);
+    AddOutput(from_flat, flat_stats, &fnv);
   }
   return fnv.hash();
 }

@@ -372,9 +372,11 @@ TEST(SerializationProperty, PlanRowsAgreesWithEncodeRowsExactly) {
     // Mix present, absent and (via MakeRows dropping empties) inactive ids.
     std::vector<int32_t> ids = AllIds(source);
     ids.push_back(100000);  // never present
+    const linalg::ActivationRows flat = linalg::ActivationRows::FromMap(source);
+    const std::vector<RowRef> refs = CollectRows(flat, ids);
     for (const uint64_t cap : {uint64_t{0}, uint64_t{64}, uint64_t{700},
                                uint64_t{1} << 20}) {
-      const EncodePlan plan = PlanRows(source, ids, cap);
+      const EncodePlan plan = PlanRows(refs, cap);
       for (const WireCodec& codec : codecs) {
         const EncodeResult encoded = EncodeRows(source, ids, cap, codec);
         uint64_t raw_bytes = 0;
@@ -394,7 +396,8 @@ TEST(SerializationProperty, PlanRowsAgreesWithEncodeRowsExactly) {
 
 TEST(Serialization, PlanRowsEmptySendMatchesMarkerChunk) {
   const linalg::ActivationMap empty;
-  const EncodePlan plan = PlanRows(empty, {1, 2, 3}, 1024);
+  const EncodePlan plan =
+      PlanRows(CollectRows(linalg::ActivationRows{}, {1, 2, 3}), 1024);
   const EncodeResult encoded =
       EncodeRows(empty, {1, 2, 3}, 1024, LosslessCodec(true));
   ASSERT_EQ(encoded.chunks.size(), 1u);
