@@ -12,7 +12,7 @@
 #include "baselines/server.h"
 #include "cloud/cloud.h"
 #include "common/strings.h"
-#include "core/cost_model.h"
+#include "core/auto_config.h"
 #include "core/serving.h"
 #include "model/input_gen.h"
 
@@ -27,6 +27,8 @@ int main() {
     linalg::ActivationMap input;
     core::Variant recommended;
   };
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
   std::map<int32_t, Family> families;
   for (int32_t neurons : {1024, 4096}) {
     model::SparseDnnConfig mc;
@@ -40,14 +42,20 @@ int main() {
     ic.neurons = neurons;
     ic.batch = 96;
     auto input = model::GenerateInputBatch(ic);
-    core::FsdOptions probe_options;
-    const core::WorkloadEstimate estimate = core::EstimateWorkload(
-        *dnn, *partition, probe_options, /*activation_density=*/0.3,
-        ic.batch);
+    // Pick the variant on the live model, before it moves into the family.
+    core::AutoSelectRequest select;
+    select.dnn = &*dnn;
+    select.batch = ic.batch;
+    select.candidate_workers = {1, 12};
+    auto choice = core::AutoSelectConfiguration(cloud, select);
+    if (!choice.ok()) {
+      std::printf("auto-select failed: %s\n",
+                  choice.status().ToString().c_str());
+      return 1;
+    }
     families.emplace(neurons, Family{std::move(*dnn), std::move(*partition),
                                      std::move(*serial), std::move(*input),
-                                     core::RecommendVariant(*dnn, 12,
-                                                            estimate)});
+                                     choice->best.variant});
   }
 
   // A sporadic day: bursts in the morning, quiet afternoon, evening spike.
@@ -63,8 +71,6 @@ int main() {
 
   // Submit the whole day up front; the serving runtime executes each query
   // at its arrival time, overlapping whatever is in flight.
-  sim::Simulation sim;
-  cloud::CloudEnv cloud(&sim);
   core::ServingRuntime serving(&cloud);
   for (const Query& query : day) {
     const Family& family = families.at(query.neurons);

@@ -58,7 +58,10 @@ PubSubService::PublishOutcome PubSubService::PublishBatch(
     return outcome;
   }
   uint64_t total_bytes = 0;
-  for (const QueueMessage& m : messages) total_bytes += m.SizeBytes();
+  for (const QueueMessage& m : messages) {
+    FSD_CHECK(m.body != nullptr);
+    total_bytes += m.SizeBytes();
+  }
   if (total_bytes > kMaxPublishBytes) {
     outcome.status = Status::ResourceExhausted(
         "publish batch exceeds 256 KiB payload limit");
@@ -91,10 +94,10 @@ PubSubService::PublishOutcome PubSubService::PublishBatch(
                        static_cast<double>(m.SizeBytes()));
       const double delivery_at =
           api_latency + latency_->pubsub_fanout.Sample(&rng_, m.SizeBytes());
-      QueueMessage copy = m;
-      std::string queue_name = sub.queue_name;
-      sim_->ScheduleCallback(delivery_at, [this, queue_name,
-                                           msg = std::move(copy)]() mutable {
+      // Each matching queue gets its own message around the one shared
+      // body buffer.
+      sim_->ScheduleCallback(delivery_at, [this, queue_name = sub.queue_name,
+                                           msg = m]() mutable {
         // Delivery failures (deleted queue) are dropped, as in SNS.
         queues_->Deliver(queue_name, std::move(msg)).ok();
       });

@@ -5,7 +5,7 @@
 namespace fsd::cloud {
 
 uint64_t QueueMessage::SizeBytes() const {
-  uint64_t size = body.size();
+  uint64_t size = body->size();
   for (const auto& [key, value] : attributes) {
     size += key.size() + value.size() + 16;  // per-attribute envelope
   }
@@ -41,6 +41,7 @@ const QueueService::Queue* QueueService::Find(const std::string& name) const {
 }
 
 Status QueueService::Deliver(const std::string& name, QueueMessage message) {
+  FSD_CHECK(message.body != nullptr);
   Queue* queue = Find(name);
   if (queue == nullptr) return Status::NotFound("no such queue: " + name);
   message.id = next_message_id_++;
@@ -52,16 +53,6 @@ Status QueueService::Deliver(const std::string& name, QueueMessage message) {
   queue->arrival_signal->Fire();
   queue->arrival_signal = sim_->MakeSignal();
   return Status::OK();
-}
-
-Status QueueService::SendMessage(const std::string& name,
-                                 QueueMessage message) {
-  if (!queues_.contains(name)) {
-    return Status::NotFound("no such queue: " + name);
-  }
-  billing_->Record(BillingDimension::kQueueApiCall, 1);
-  sim_->Hold(latency_->queue_receive.Sample(&rng_, message.SizeBytes()));
-  return Deliver(name, std::move(message));
 }
 
 std::vector<QueueMessage> QueueService::Gather(Queue* queue, int limit,

@@ -7,7 +7,9 @@
 //  - at most 10 messages are returned per receive
 //  - consumers delete messages explicitly; undeleted messages reappear
 //    after the visibility timeout
-//  - every API call (receive, delete batch, direct send) is billed
+//  - every API call (receive, delete batch) is billed
+//  - bodies are shared immutable buffers: fan-out, receive and visibility-
+//    timeout redelivery hand out the published buffer, never a copy
 #ifndef FSD_CLOUD_QUEUE_H_
 #define FSD_CLOUD_QUEUE_H_
 
@@ -31,10 +33,11 @@ namespace fsd::cloud {
 constexpr int kMaxMessagesPerReceive = 10;
 
 /// A queue message: opaque body plus string attributes (used for routing
-/// metadata: source worker, layer, chunk counts).
+/// metadata: source worker, layer, chunk counts). The body must be set
+/// before the message is published or delivered.
 struct QueueMessage {
   uint64_t id = 0;  // assigned by the service
-  Bytes body;
+  SharedBytes body;
   std::map<std::string, std::string> attributes;
 
   uint64_t SizeBytes() const;
@@ -61,9 +64,6 @@ class QueueService {
   /// Service-side delivery (pub-sub fan-out): enqueues without billing a
   /// queue API call (the transfer was billed by the pub-sub service).
   Status Deliver(const std::string& name, QueueMessage message);
-
-  /// Direct producer send; bills one queue API call. Blocking (Holds).
-  Status SendMessage(const std::string& name, QueueMessage message);
 
   /// Receives up to `max_messages` (<=10). Blocking (Holds latency and, for
   /// long polls, up to `wait_s` while the queue is empty). wait_s == 0 is a

@@ -153,14 +153,10 @@ Status CheckChunkIndex(int64_t seq, int64_t total);
 
 /// A received chunk body, decoded in place: the buffer it arrived in and
 /// the offset its row wire starts at (past an inbox value's header). A
-/// backend that owns its body outright (a queue message, an object GET)
-/// hands it over whole at offset 0.
+/// queue message or an object GET carries the row wire alone, at offset 0.
 struct ReceivedBody {
   ReceivedBody(SharedBytes buffer, size_t offset)
       : buffer(std::move(buffer)), offset(offset) {}
-  /// Implicit: a backend that owns its body hands the bytes over whole.
-  ReceivedBody(Bytes owned)
-      : buffer(std::make_shared<const Bytes>(std::move(owned))) {}
 
   std::span<const uint8_t> wire() const {
     return std::span<const uint8_t>(*buffer).subspan(offset);

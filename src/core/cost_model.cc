@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
-#include <utility>
 
 #include "cloud/kvstore.h"
-#include "cloud/queue.h"
 #include "common/strings.h"
-#include "core/serialization.h"
 
 namespace fsd::core {
 
@@ -194,21 +190,9 @@ CostBreakdown PredictFromMetrics(const cloud::PricingConfig& pricing,
                         pricing, metrics),
           pricing, options, metrics);
     case Variant::kQueue: {
-      // Z: bytes delivered from pub-sub to queues. Measured runs carry the
-      // exact billed bytes (payload + per-message attribute envelope) in
-      // send_billed_bytes; hand-built metrics (unit tests, estimates) fall
-      // back to the mean-envelope approximation over the wire bytes — or,
-      // when only raw bytes were recorded, over the measured send-path
-      // compression ratio instead of the a-priori guess.
-      const double wire_bytes =
-          t.send_wire_bytes > 0
-              ? static_cast<double>(t.send_wire_bytes)
-              : static_cast<double>(t.send_raw_bytes) *
-                    MeasuredCompressRatio(t, options);
-      const double delivery_bytes =
-          t.send_billed_bytes > 0
-              ? static_cast<double>(t.send_billed_bytes)
-              : wire_bytes + static_cast<double>(t.send_chunks) * 96.0;
+      // Z: bytes delivered from pub-sub to queues — the billed bytes
+      // (payload + per-message attribute envelope) the run recorded.
+      const double delivery_bytes = static_cast<double>(t.send_billed_bytes);
       const double api_calls = static_cast<double>(t.polls + t.deletes);
       return ApplyTreeShare(
           AddModelReads(
@@ -229,22 +213,12 @@ CostBreakdown PredictFromMetrics(const cloud::PricingConfig& pricing,
               pricing, metrics),
           pricing, options, metrics);
     case Variant::kKv: {
-      // B: processed bytes, both directions. Measured runs carry the exact
-      // billed bytes (values incl. chunk headers, as pushed and as popped)
-      // in send/recv_billed_bytes; hand-built metrics fall back to wire
-      // bytes plus the ~3-byte (source, seq, total) header per chunk per
-      // direction. Node seconds are billed at namespace teardown, outside
-      // the per-run metrics, so they are not predicted here.
-      const double fallback_wire =
-          t.send_wire_bytes + t.recv_wire_bytes > 0
-              ? static_cast<double>(t.send_wire_bytes + t.recv_wire_bytes)
-              : 2.0 * static_cast<double>(t.send_raw_bytes) *
-                    MeasuredCompressRatio(t, options);
+      // B: processed bytes, both directions — the billed bytes (values
+      // incl. chunk headers, as pushed and as popped) the run recorded.
+      // Node seconds are billed at namespace teardown, outside the per-run
+      // metrics, so they are not predicted here.
       const double processed =
-          t.send_billed_bytes + t.recv_billed_bytes > 0
-              ? static_cast<double>(t.send_billed_bytes +
-                                    t.recv_billed_bytes)
-              : fallback_wire + static_cast<double>(t.send_chunks) * 6.0;
+          static_cast<double>(t.send_billed_bytes + t.recv_billed_bytes);
       return ApplyTreeShare(
           AddModelReads(
               KvCost(pricing, options.num_workers, metrics.mean_worker_s,
@@ -306,15 +280,6 @@ double EstimateWireRatio(const FsdOptions& options) {
   return (structure + values) / 6.0;
 }
 
-double MeasuredCompressRatio(const LayerMetrics& totals,
-                             const FsdOptions& options) {
-  if (totals.send_raw_bytes > 0 && totals.send_wire_bytes > 0) {
-    return static_cast<double>(totals.send_wire_bytes) /
-           static_cast<double>(totals.send_raw_bytes);
-  }
-  return EstimateWireRatio(options);
-}
-
 QuantBreakEvenEstimate EstimateQuantBreakEven(
     const cloud::PricingConfig& pricing,
     const cloud::ComputeModelConfig& compute, const FsdOptions& options,
@@ -355,79 +320,6 @@ QuantBreakEvenEstimate EstimateQuantBreakEven(
   est.cpu_dollars_added = cpu_s * memory_mb * pricing.faas_per_mb_second;
   est.net_saving = est.byte_dollars_saved - est.cpu_dollars_added;
   est.worthwhile = est.net_saving > 0.0;
-  return est;
-}
-
-WorkloadEstimate EstimateWorkload(const model::SparseDnn& dnn,
-                                  const part::ModelPartition& partition,
-                                  const FsdOptions& options,
-                                  double activation_density, int32_t batch) {
-  WorkloadEstimate est;
-  const double per_row_bytes =
-      static_cast<double>(EstimateRowBytes(static_cast<int64_t>(
-          std::max(1.0, activation_density * batch))));
-  const double compress_ratio = EstimateWireRatio(options);
-
-  int64_t pairs = 0;  // (source, target) pairs across layers
-  // Punching is mutual (one physical link per unordered pair), so the
-  // connection estimate collapses both directions onto one key — matching
-  // the fabric, which bills one kP2pConnection per pair.
-  std::set<std::pair<int32_t, int32_t>> distinct_pairs;
-  auto link_key = [](int32_t a, int32_t b) {
-    return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
-  };
-  int32_t source = 0;
-  for (const part::LayerComm& layer : partition.layers) {
-    source = 0;
-    for (const auto& sends : layer.send) {
-      pairs += static_cast<int64_t>(sends.size());
-      for (const part::SendEntry& entry : sends) {
-        distinct_pairs.insert(link_key(source, entry.peer));
-        const double rows_active =
-            static_cast<double>(entry.rows.size()) * activation_density;
-        const double bytes = rows_active * per_row_bytes * compress_ratio;
-        est.est_bytes_per_batch += bytes;
-        // Queue: chunks of max_message_bytes, billed per 64 KiB.
-        const double chunks = std::max(
-            1.0, std::ceil(bytes / static_cast<double>(
-                                       options.max_message_bytes)));
-        est.publish_chunks +=
-            std::max(chunks, std::ceil(bytes / (64.0 * 1024.0)));
-        est.delivery_bytes += bytes;
-        // Object: one PUT per pair; one GET per non-empty pair.
-        est.puts += 1.0;
-        est.gets += (rows_active >= 0.5) ? 1.0 : 0.0;
-        // KV: value-capped pushes plus the processed bytes (both
-        // directions pass through the cache).
-        est.kv_requests += std::max(
-            1.0, std::ceil(bytes / static_cast<double>(
-                                       options.kv_max_value_bytes)));
-        est.kv_processed_bytes += 2.0 * bytes;
-        // Direct: same value-capped chunking as KV (relayed chunks must
-        // fit the cache); bytes counted once — links bill at send only.
-        est.direct_messages += std::max(
-            1.0, std::ceil(bytes / static_cast<double>(
-                                       options.kv_max_value_bytes)));
-        est.direct_bytes += bytes;
-      }
-      ++source;
-    }
-  }
-  // The barrier + reduce tail also exercises every {m, root} pair.
-  for (int32_t m = 1; m < partition.num_parts; ++m) {
-    distinct_pairs.insert(link_key(m, 0));
-  }
-  est.direct_connections = static_cast<double>(distinct_pairs.size());
-  // Publishes can batch ~min(10, targets) messages; polls retrieve up to 10
-  // messages when saturated; both scale with pair count.
-  est.queue_api_calls = 2.2 * static_cast<double>(pairs) /
-                        static_cast<double>(cloud::kMaxMessagesPerReceive) *
-                        10.0 / 4.0;
-  // KV pops drain many values per call; ~one pop per pair covers waits.
-  est.kv_requests += 1.2 * static_cast<double>(pairs);
-  // LISTs: a few scans per worker-layer until peers publish.
-  est.lists = 1.8 * static_cast<double>(dnn.layers()) * partition.num_parts;
-  (void)pairs;
   return est;
 }
 
@@ -559,21 +451,6 @@ ThroughputEstimate EstimateSustainableThroughput(
                           est.queries_per_run / est.est_run_s;
   }
   return est;
-}
-
-Variant RecommendVariant(const model::SparseDnn& dnn, int32_t num_workers,
-                         const WorkloadEstimate& estimate) {
-  // §IV-C: single-instance execution when the model fits comfortably into
-  // the largest FaaS instance (10240 MB, with working-memory headroom).
-  const double model_gb =
-      static_cast<double>(dnn.WeightBytes()) / (1024.0 * 1024.0 * 1024.0);
-  if (num_workers <= 1 || model_gb < 4.0) return Variant::kSerial;
-  // Queue until data volumes consistently need multiple publishes per
-  // target (payload saturation); object storage beyond.
-  const double pairs = std::max(1.0, estimate.puts);
-  const double avg_bytes_per_pair = estimate.est_bytes_per_batch / pairs;
-  if (avg_bytes_per_pair < 2.0 * 256.0 * 1024.0) return Variant::kQueue;
-  return Variant::kObject;
 }
 
 }  // namespace fsd::core

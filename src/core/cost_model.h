@@ -1,5 +1,6 @@
 // Analytical cost model for distributed serverless inference (paper §IV,
-// Equations 1-7) plus the design recommender of §IV-C.
+// Equations 1-7) plus the a-priori estimators that AutoSelectConfiguration
+// (auto_config.h), the §IV-C design selector, ranks candidates with.
 //
 // Validation (paper §VI-F): predictions computed from run metrics are
 // compared against the billing ledger's "actual" charges — the simulation's
@@ -116,8 +117,8 @@ CostBreakdown PredictFromMetrics(const cloud::PricingConfig& pricing,
                                  int32_t memory_mb);
 
 /// A-priori model-read GET accounting for one query of a partitioned model
-/// under an expected partition-cache hit ratio (the cache-aware term of
-/// the recommender): cold serving pays `get_parts` multipart GETs per
+/// under an expected partition-cache hit ratio (the cache-aware a-priori
+/// term): cold serving pays `get_parts` multipart GETs per
 /// query; a warm fleet hitting the cache on a fraction `hit_ratio` of
 /// worker loads saves that fraction of them.
 struct ModelReadEstimate {
@@ -132,37 +133,9 @@ ModelReadEstimate EstimateModelReads(const cloud::PricingConfig& pricing,
                                      const part::ModelPartition& partition,
                                      double hit_ratio);
 
-/// A-priori workload estimate (before any execution): sizes the paper's
-/// S/Z/Q or V/R/L quantities from the partition maps and an expected
-/// activation density, for use by the recommender.
-struct WorkloadEstimate {
-  double publish_chunks = 0.0;
-  double delivery_bytes = 0.0;
-  double queue_api_calls = 0.0;
-  double puts = 0.0;
-  double gets = 0.0;
-  double lists = 0.0;
-  double kv_requests = 0.0;
-  double kv_processed_bytes = 0.0;
-  /// Direct variant: distinct unordered worker pairs that communicate
-  /// (punching is mutual — each punched pair bills exactly one
-  /// connection), value-capped messages, and the bytes they carry. The
-  /// caller splits messages/bytes between links and the KV relay by the
-  /// environment's punch-failure rate.
-  double direct_connections = 0.0;
-  double direct_messages = 0.0;
-  double direct_bytes = 0.0;
-  double est_bytes_per_batch = 0.0;
-};
-
-WorkloadEstimate EstimateWorkload(const model::SparseDnn& dnn,
-                                  const part::ModelPartition& partition,
-                                  const FsdOptions& options,
-                                  double activation_density, int32_t batch);
-
 /// A-priori FsdLz wire/raw ratio for activation payloads — the single
-/// constant every a-priori estimator shares. Runs with metrics use the
-/// measured ratio instead (MeasuredCompressRatio).
+/// constant every a-priori estimator shares. PredictFromMetrics needs no
+/// ratio: it reads the bytes a run actually billed.
 inline constexpr double kAprioriCompressRatio = 0.6;
 
 /// A-priori wire-bytes / lossless-raw-bytes ratio under the options' wire
@@ -171,11 +144,6 @@ inline constexpr double kAprioriCompressRatio = 0.6;
 /// ~2 structure bytes keep the lossless treatment while the 4 value bytes
 /// shrink to quant_bits/8 before entropy coding.
 double EstimateWireRatio(const FsdOptions& options);
-
-/// Measured send-path wire/raw ratio when the run's metrics carry both
-/// counters; falls back to the a-priori EstimateWireRatio otherwise.
-double MeasuredCompressRatio(const LayerMetrics& totals,
-                             const FsdOptions& options);
 
 /// CPU-seconds-vs-billed-bytes break-even for flipping the quantized wire
 /// mode on one query's activation traffic: the billed-byte dollars the
@@ -198,12 +166,6 @@ QuantBreakEvenEstimate EstimateQuantBreakEven(
     const cloud::ComputeModelConfig& compute, const FsdOptions& options,
     Variant variant, int32_t memory_mb, double raw_bytes_per_query,
     int32_t quant_bits);
-
-/// §IV-C design recommendation: serial for models that fit one instance,
-/// queue for growing parallelism at moderate volume, object storage once
-/// volumes saturate pub-sub payload limits.
-Variant RecommendVariant(const model::SparseDnn& dnn, int32_t num_workers,
-                         const WorkloadEstimate& estimate);
 
 /// Coarse analytic end-to-end latency estimate for one query: launch-tree
 /// depth, model-share load, and the per-layer compute/communication

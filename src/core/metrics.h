@@ -40,10 +40,10 @@ struct LayerMetrics {
   int64_t send_wire_bytes = 0;    ///< on-the-wire payload bytes
   /// Service-billed bytes as metered on the send side: pub-sub delivery
   /// bytes including the per-message attribute envelope (queue channel) or
-  /// pushed value bytes including the chunk header (KV channel). Lets the
-  /// cost model predict byte-metered dimensions exactly instead of via the
-  /// mean-envelope approximation. 0 for backends without a send-side
-  /// byte dimension (object storage bills per request).
+  /// pushed value bytes including the chunk header (KV channel, and the
+  /// direct channel's relay). The cost model prices byte-metered
+  /// dimensions from it directly. 0 only when nothing was sent on a
+  /// byte-metered dimension (object storage bills per request).
   int64_t send_billed_bytes = 0;
   int64_t publishes = 0;          ///< pub-sub publish API calls
   int64_t publish_chunks = 0;     ///< billed 64 KiB publish chunks

@@ -93,7 +93,8 @@ Status QueueChannel::SendRows(WorkerEnv* env, int32_t phase,
     const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
     for (int32_t seq = 0; seq < total; ++seq) {
       cloud::QueueMessage msg;
-      msg.body = std::move(encoded[s].chunks[seq].wire);
+      msg.body = std::make_shared<const Bytes>(
+          std::move(encoded[s].chunks[seq].wire));
       msg.attributes[kAttrTarget] = StrFormat("%d", sends[s].target);
       msg.attributes[kAttrSource] = StrFormat("%d", env->worker_id);
       msg.attributes[kAttrPhase] = StrFormat("%d", phase);
@@ -127,9 +128,9 @@ Result<ReceivedRows> QueueChannel::ReceiveRows(
     FSD_ASSIGN_OR_RETURN(const bool fresh,
                          receiver.Accept(msg.source, msg.seq, msg.total));
     if (!fresh) return Status::OK();
-    const uint64_t size = msg.body.size();
+    const uint64_t size = msg.body->size();
     std::vector<ReceivedBody> bodies;
-    bodies.emplace_back(std::move(msg.body));
+    bodies.emplace_back(std::move(msg.body), 0);
     return receiver.Decode(std::move(bodies), size);
   };
 

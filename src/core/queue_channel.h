@@ -54,7 +54,7 @@ class QueueChannel : public CommChannel {
     int32_t source = 0;
     int32_t seq = 0;
     int32_t total = 0;
-    Bytes body;
+    SharedBytes body;
   };
 
   /// Messages that arrived while receiving a different phase.

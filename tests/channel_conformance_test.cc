@@ -437,6 +437,59 @@ TEST_P(ChannelConformanceTest, BroadcastDeliversRootRowsToAll) {
   }
 }
 
+// The services bill every chunk a worker sends, so a worker's billed
+// counters never read 0 while it sent a chunk: the cost model reads them
+// directly. Each byte-metered backend bills at least the chunk wire plus
+// a non-empty frame per chunk (queue attributes, KV and relay value
+// headers); object storage bills one PUT per chunk.
+TEST_P(ChannelConformanceTest, EverySentChunkIsBilled) {
+  options_.max_message_bytes = 512;
+  options_.kv_max_value_bytes = 512;
+  constexpr int32_t kWorkers = 4;
+  std::vector<int32_t> ids;
+  for (int32_t i = 0; i < 24; ++i) ids.push_back(i);
+  std::vector<WorkerSpec> specs;
+  for (int32_t w = 0; w < kWorkers; ++w) {
+    specs.push_back({[&, w](WorkerEnv* env, CommChannel* channel) {
+      const linalg::ActivationRows rows =
+          MakeRows(ids, 64, 32, /*salt=*/static_cast<float>(w));
+      std::vector<SendSpec> sends{{(w + 1) % kWorkers, &ids}};
+      ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
+      ASSERT_TRUE(Recv(channel, env, 0, {(w + kWorkers - 1) % kWorkers}).ok());
+      const linalg::ActivationRows mine = MakeRows({w}, 8, 3);
+      ASSERT_TRUE(Reduce(channel, env, Topology(),
+                         Block(CollectiveOp::kReduce, kWorkers), kWorkers,
+                         mine)
+                      .ok());
+      ASSERT_TRUE(Broadcast(channel, env, Topology(),
+                            Block(CollectiveOp::kBroadcast, kWorkers),
+                            kWorkers, w == 0 ? mine : linalg::ActivationRows{})
+                      .ok());
+    }});
+  }
+  RunWorkers(std::move(specs));
+  ASSERT_EQ(metrics_.size(), static_cast<size_t>(kWorkers));
+  for (size_t w = 0; w < metrics_.size(); ++w) {
+    metrics_[w]->Finalize();
+    const LayerMetrics& t = metrics_[w]->totals;
+    EXPECT_GT(t.send_chunks, 0) << "worker " << w;
+    int64_t billed = 0;
+    switch (Backend()) {
+      case Variant::kQueue:
+      case Variant::kKv:
+        billed = t.send_billed_bytes;
+        break;
+      case Variant::kDirect:
+        billed = t.direct_billed_bytes + t.send_billed_bytes;
+        break;
+      default:
+        EXPECT_GE(t.puts_dat, t.send_chunks) << "worker " << w;
+        continue;
+    }
+    EXPECT_GE(billed, t.send_wire_bytes + t.send_chunks) << "worker " << w;
+  }
+}
+
 TEST_P(ChannelConformanceTest, AbortUnblocksPendingReceive) {
   // Worker 1 waits for a source that never sends; the abort flag (set when
   // a peer fails) must drain the receive promptly instead of letting it

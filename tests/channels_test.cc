@@ -53,6 +53,16 @@ Bytes EncodeOne(const linalg::ActivationRows& rows,
       .wire;
 }
 
+/// Whole-buffer received bodies, as a queue message or an object GET hands
+/// them to a PhaseReceiver.
+std::vector<ReceivedBody> Bodies(std::initializer_list<Bytes> wires) {
+  std::vector<ReceivedBody> out;
+  for (const Bytes& wire : wires) {
+    out.emplace_back(std::make_shared<const Bytes>(wire), 0);
+  }
+  return out;
+}
+
 /// Harness: runs `body` inside FaaS handlers (one per worker id), giving
 /// each a WorkerEnv bound to a fresh channel instance.
 class ChannelTest : public ::testing::Test {
@@ -342,7 +352,8 @@ TEST_F(ChannelTest, QueueRejectsNonNumericSourceAttribute) {
       [&](WorkerEnv* env, QueueChannel*) {
         // A well-formed chunk whose "src" attribute is not a number.
         cloud::QueueMessage msg;
-        msg.body = EncodeOne(rows, ids, options_);
+        msg.body =
+            std::make_shared<const Bytes>(EncodeOne(rows, ids, options_));
         msg.attributes = {{"target", "1"}, {"src", "x"}, {"phase", "0"},
                           {"seq", "0"},    {"total", "1"}};
         env->cloud->pubsub().PublishBatch(
@@ -386,7 +397,7 @@ TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
         auto message = [&](const std::vector<int32_t>& ids, const char* seq,
                            const char* total) {
           cloud::QueueMessage msg;
-          msg.body = EncodeOne(rows, ids);
+          msg.body = std::make_shared<const Bytes>(EncodeOne(rows, ids));
           msg.attributes = {{"target", "1"}, {"src", "0"}, {"phase", "0"},
                             {"seq", seq},    {"total", total}};
           return msg;
@@ -480,9 +491,7 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
       PhaseReceiver receiver(env, 0, {0});
       for (int32_t seq = 0; seq < 2; ++seq) {
         ASSERT_TRUE(*receiver.Accept(0, seq, 2));
-        std::vector<ReceivedBody> bodies;
-        bodies.emplace_back(seq == 0 ? a : b);
-        ASSERT_TRUE(receiver.Decode(std::move(bodies), 1).ok());
+        ASSERT_TRUE(receiver.Decode(Bodies({seq == 0 ? a : b}), 1).ok());
       }
       EXPECT_TRUE(receiver.done());
       got = receiver.FinishRows();
@@ -518,10 +527,10 @@ TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
       PhaseReceiver receiver(env, 0, {0});
       ASSERT_TRUE(*receiver.Accept(0, 0, 3));
-      ASSERT_TRUE(receiver.Decode({a}, 1).ok());
+      ASSERT_TRUE(receiver.Decode(Bodies({a}), 1).ok());
       ASSERT_TRUE(*receiver.Accept(0, 1, 3));
       ASSERT_TRUE(*receiver.Accept(0, 2, 3));
-      ASSERT_TRUE(receiver.Decode({b, c}, 1).ok());
+      ASSERT_TRUE(receiver.Decode(Bodies({b, c}), 1).ok());
       EXPECT_TRUE(receiver.done());
       got = receiver.FinishRows();
       recv_rows = receiver.metrics().recv_rows;
@@ -555,7 +564,7 @@ TEST(PhaseReceiverTest, RecvRowsCountsWideIdsOnce) {
   int64_t recv_rows = -1;
   RunOnPool(0, FsdOptions{}, [&](WorkerEnv* env) {
     PhaseReceiver receiver(env, 0, {0});
-    ASSERT_TRUE(receiver.Decode({a, b}, 1).ok());
+    ASSERT_TRUE(receiver.Decode(Bodies({a, b}), 1).ok());
     ASSERT_TRUE(receiver.FinishRows().ok());
     recv_rows = receiver.metrics().recv_rows;
   });
@@ -580,7 +589,7 @@ TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
     Status finished;
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
       PhaseReceiver receiver(env, 0, {0});
-      decoded = receiver.Decode({valid, retagged, Bytes{}}, 1);
+      decoded = receiver.Decode(Bodies({valid, retagged, Bytes{}}), 1);
       finished = receiver.FinishRows().status();
     });
     EXPECT_TRUE(decoded.ok()) << decoded.ToString() << " pool=" << pool;

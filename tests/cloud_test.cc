@@ -37,13 +37,13 @@ TEST_F(CloudTest, QueueDeliverAndLongPollReceive) {
   ASSERT_TRUE(cloud_.queues().CreateQueue("q").ok());
   InProcess([&] {
     QueueMessage msg;
-    msg.body = {1, 2, 3};
+    msg.body = Shared({1, 2, 3});
     msg.attributes["k"] = "v";
     ASSERT_TRUE(cloud_.queues().Deliver("q", msg).ok());
     auto got = cloud_.queues().Receive("q", 10, /*wait_s=*/5.0);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), 1u);
-    EXPECT_EQ((*got)[0].body, (Bytes{1, 2, 3}));
+    EXPECT_EQ(*(*got)[0].body, (Bytes{1, 2, 3}));
     EXPECT_EQ((*got)[0].attributes.at("k"), "v");
   });
 }
@@ -60,7 +60,7 @@ TEST_F(CloudTest, QueueLongPollBlocksUntilArrival) {
   sim_.AddProcess("producer", [&] {
     sim_.Hold(3.0);
     QueueMessage msg;
-    msg.body = {9};
+    msg.body = Shared({9});
     ASSERT_TRUE(cloud_.queues().Deliver("q", msg).ok());
   });
   sim_.Run();
@@ -88,7 +88,7 @@ TEST_F(CloudTest, QueueShortPollCanMissMessages) {
     // One message per backend shard.
     for (int i = 0; i < 8; ++i) {
       QueueMessage msg;
-      msg.body = {static_cast<uint8_t>(i)};
+      msg.body = Shared({static_cast<uint8_t>(i)});
       ASSERT_TRUE(cloud_.queues().Deliver("q", msg).ok());
     }
     // A short poll (wait 0) samples a subset of shards: across several
@@ -117,7 +117,7 @@ TEST_F(CloudTest, QueueVisibilityTimeoutRedelivers) {
   ASSERT_TRUE(cloud_.queues().CreateQueue("q", options).ok());
   InProcess([&] {
     QueueMessage msg;
-    msg.body = {42};
+    msg.body = Shared({42});
     ASSERT_TRUE(cloud_.queues().Deliver("q", msg).ok());
     auto first = cloud_.queues().Receive("q", 10, 1.0);
     ASSERT_EQ(first->size(), 1u);
@@ -135,7 +135,7 @@ TEST_F(CloudTest, QueueDeleteRemovesMessages) {
   ASSERT_TRUE(cloud_.queues().CreateQueue("q").ok());
   InProcess([&] {
     QueueMessage msg;
-    msg.body = {1};
+    msg.body = Shared({1});
     ASSERT_TRUE(cloud_.queues().Deliver("q", msg).ok());
     auto got = cloud_.queues().Receive("q", 10, 1.0);
     ASSERT_EQ(got->size(), 1u);
@@ -154,9 +154,7 @@ TEST_F(CloudTest, QueueBillsPerApiCall) {
     const double before = line.quantity;
     cloud_.queues().Receive("q", 10, 0.0).ok();
     cloud_.queues().Receive("q", 10, 0.0).ok();
-    QueueMessage m;
-    m.body = {1};
-    cloud_.queues().SendMessage("q", m).ok();
+    cloud_.queues().DeleteMessages("q", {}).ok();
     EXPECT_EQ(line.quantity - before, 3.0);
   });
 }
@@ -189,9 +187,9 @@ TEST_F(CloudTest, PubSubFilterPolicyRoutes) {
   ASSERT_TRUE(cloud_.pubsub().Subscribe("t", "qb", pb).ok());
   InProcess([&] {
     QueueMessage to_a, to_b;
-    to_a.body = {1};
+    to_a.body = Shared({1});
     to_a.attributes["target"] = "a";
-    to_b.body = {2};
+    to_b.body = Shared({2});
     to_b.attributes["target"] = "b";
     auto outcome = cloud_.pubsub().PublishBatch("t", {to_a, to_b});
     ASSERT_TRUE(outcome.status.ok());
@@ -200,9 +198,45 @@ TEST_F(CloudTest, PubSubFilterPolicyRoutes) {
     auto got_b = cloud_.queues().Receive("qb", 10, 0.5);
     ASSERT_EQ(got_a->size(), 1u);
     ASSERT_EQ(got_b->size(), 1u);
-    EXPECT_EQ((*got_a)[0].body, (Bytes{1}));
-    EXPECT_EQ((*got_b)[0].body, (Bytes{2}));
+    EXPECT_EQ(*(*got_a)[0].body, (Bytes{1}));
+    EXPECT_EQ(*(*got_b)[0].body, (Bytes{2}));
   });
+}
+
+// Queue bodies travel by reference: every subscribed queue, and a
+// visibility-timeout redelivery, hands back the very buffer that was
+// published. The buffer is heap-sized, so ASan sees any read of a freed one.
+TEST_F(CloudTest, QueueReceiveHandsBackThePublishedBuffer) {
+  QueueOptions options;
+  options.visibility_timeout_s = 5.0;
+  ASSERT_TRUE(cloud_.pubsub().CreateTopic("t").ok());
+  ASSERT_TRUE(cloud_.queues().CreateQueue("qa", options).ok());
+  ASSERT_TRUE(cloud_.queues().CreateQueue("qb", options).ok());
+  ASSERT_TRUE(cloud_.pubsub().Subscribe("t", "qa", FilterPolicy{}).ok());
+  ASSERT_TRUE(cloud_.pubsub().Subscribe("t", "qb", FilterPolicy{}).ok());
+  QueueMessage msg;
+  msg.body = Shared(Bytes(4096, 0x5a));
+  const Bytes* const published = msg.body.get();
+  SharedBytes redelivered;
+  InProcess([&] {
+    ASSERT_TRUE(
+        cloud_.pubsub().PublishBatch("t", {std::move(msg)}).status.ok());
+    sim_.Hold(2.0);  // let both fan-out deliveries land
+    auto got_a = cloud_.queues().Receive("qa", 10, 0.5);
+    auto got_b = cloud_.queues().Receive("qb", 10, 0.5);
+    ASSERT_EQ(got_a->size(), 1u);
+    ASSERT_EQ(got_b->size(), 1u);
+    EXPECT_EQ((*got_a)[0].body.get(), published);
+    EXPECT_EQ((*got_b)[0].body.get(), published);
+    ASSERT_TRUE(cloud_.queues().DeleteMessages("qb", {(*got_b)[0].id}).ok());
+    sim_.Hold(6.0);  // qa's message was not deleted: it reappears
+    auto again = cloud_.queues().Receive("qa", 10, 0.5);
+    ASSERT_EQ(again->size(), 1u);
+    EXPECT_EQ((*again)[0].id, (*got_a)[0].id);
+    redelivered = (*again)[0].body;
+  });
+  EXPECT_EQ(redelivered.get(), published);
+  EXPECT_EQ(*redelivered, Bytes(4096, 0x5a));
 }
 
 TEST_F(CloudTest, PubSubNoMatchDropsMessage) {
@@ -213,7 +247,7 @@ TEST_F(CloudTest, PubSubNoMatchDropsMessage) {
   ASSERT_TRUE(cloud_.pubsub().Subscribe("t", "q", policy).ok());
   InProcess([&] {
     QueueMessage msg;
-    msg.body = {1};
+    msg.body = Shared({1});
     msg.attributes["target"] = "y";  // no subscriber wants this
     ASSERT_TRUE(cloud_.pubsub().PublishBatch("t", {msg}).status.ok());
     sim_.Hold(2.0);
@@ -225,11 +259,11 @@ TEST_F(CloudTest, PubSubEnforcesBatchLimits) {
   ASSERT_TRUE(cloud_.pubsub().CreateTopic("t").ok());
   InProcess([&] {
     std::vector<QueueMessage> eleven(11);
-    for (auto& m : eleven) m.body = {1};
+    for (auto& m : eleven) m.body = Shared({1});
     EXPECT_FALSE(cloud_.pubsub().PublishBatch("t", eleven).status.ok());
 
     QueueMessage huge;
-    huge.body.assign(kMaxPublishBytes + 1, 0);
+    huge.body = Shared(Bytes(kMaxPublishBytes + 1, 0));
     EXPECT_TRUE(cloud_.pubsub()
                     .PublishBatch("t", {huge})
                     .status.IsResourceExhausted());
@@ -241,14 +275,14 @@ TEST_F(CloudTest, PubSubBillsIn64KiBIncrements) {
   ASSERT_TRUE(cloud_.pubsub().CreateTopic("t").ok());
   InProcess([&] {
     QueueMessage m1, m2;
-    m1.body.assign(100 * 1024, 0);  // 100 KiB
-    m2.body.assign(120 * 1024, 0);  // 120 KiB; batch ~220 KiB -> 4 chunks
+    m1.body = Shared(Bytes(100 * 1024, 0));  // 100 KiB
+    m2.body = Shared(Bytes(120 * 1024, 0));  // batch ~220 KiB -> 4 chunks
     auto outcome = cloud_.pubsub().PublishBatch("t", {m1, m2});
     ASSERT_TRUE(outcome.status.ok());
     EXPECT_EQ(outcome.billed_chunks, 4u);
 
     QueueMessage tiny;
-    tiny.body = {1};
+    tiny.body = Shared({1});
     EXPECT_EQ(cloud_.pubsub().PublishBatch("t", {tiny}).billed_chunks, 1u);
   });
 }
@@ -262,7 +296,7 @@ TEST_F(CloudTest, PubSubDeliveryBytesBilled) {
         cloud_.billing().line(BillingDimension::kPubSubDeliveryByte);
     const double before = line.quantity;
     QueueMessage m;
-    m.body.assign(1000, 7);
+    m.body = Shared(Bytes(1000, 7));
     ASSERT_TRUE(cloud_.pubsub().PublishBatch("t", {m}).status.ok());
     EXPECT_GE(line.quantity - before, 1000.0);
   });

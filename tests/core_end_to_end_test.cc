@@ -315,7 +315,7 @@ TEST(EndToEnd, WorkerTimeoutSurfacesDeadlineExceeded) {
 
 TEST(EndToEnd, CostModelPredictionMatchesLedger) {
   // The §VI-F validation, in miniature: predicted cost computed from run
-  // metrics must match the billing ledger's actuals for both channels.
+  // metrics must match the billing ledger's actuals for every channel.
   Workload w = MakeWorkload(384, 10, 16);
   part::ModelPartition partition = MakePartition(w.dnn, 5);
   for (Variant variant : {Variant::kQueue, Variant::kObject, Variant::kKv,
@@ -326,17 +326,14 @@ TEST(EndToEnd, CostModelPredictionMatchesLedger) {
     // model-read GET term (the share GETs each worker actually issued);
     // the ledger delta additionally contains (for KV, and for direct's
     // relay namespace) the node time billed at teardown, so compare with
-    // that removed. The direct channel's billed-byte counters are exact by
-    // construction, so hold it to the 0.1% acceptance bar.
+    // that removed. Every variant's counters mirror what the services
+    // billed, so each is held to the 0.1% acceptance bar.
     const double node_cost =
         report.billing.quantity(cloud::BillingDimension::kKvNodeSecond) *
         cloud::PricingConfig{}.kv_node_hourly / 3600.0;
     const double ledger_ipc = report.billing.comm_cost - node_cost;
-    const double comm_tolerance =
-        variant == Variant::kDirect
-            ? 0.001 * std::max(1e-9, ledger_ipc)
-            : 0.02 * std::max(1e-9, ledger_ipc) + 1e-7;
-    EXPECT_NEAR(report.predicted.communication, ledger_ipc, comm_tolerance)
+    EXPECT_NEAR(report.predicted.communication, ledger_ipc,
+                0.001 * std::max(1e-9, ledger_ipc))
         << VariantName(variant);
     // The model-read GETs in the metrics reconcile exactly with the
     // ledger: object GETs = channel GETs + share GETs.
