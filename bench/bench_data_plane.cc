@@ -13,16 +13,20 @@
 // Wall-clock keys (gated, smaller is worse): the quantized and FsdLz codec
 // throughputs, spmm_macs_per_sec for LayerForward over the partitions,
 // layer_step_rows_per_sec for a whole worker-layer step on the flat row
-// path, and partition_pins_per_sec for the offline hypergraph
-// partitioning step.
+// path, encode_sends_bytes_per_sec for one worker's layer-step sends
+// through the queue channel on a 3-thread offload pool, and
+// partition_pins_per_sec for the offline hypergraph partitioning step.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "cloud/cloud.h"
 #include "codec/quant.h"
 #include "common/check.h"
 #include "common/strings.h"
+#include "core/queue_channel.h"
 #include "core/serialization.h"
 #include "core/worker.h"
 #include "part/model_partition.h"
@@ -394,6 +398,83 @@ int main() {
   std::printf("worker-layer step (flat path): %.1f K rows/s\n",
               step_rows / step_s / 1e3);
   json.emplace_back("layer_step_rows_per_sec", step_rows / step_s);
+
+  // Wall-clock send encode through the channel: worker 0 of a P=8, N=1024,
+  // batch-8 layer step (perfbench's trace-queue shape) sends its input
+  // rows to the peers that read them, through the queue channel's SendRows
+  // in a simulation with a 3-thread offload pool. Raw bytes per wall
+  // second of the fastest of 3 sweeps, each timed for at least
+  // timed_min_s — the gated encode_sends_bytes_per_sec key (smaller is
+  // worse). Topics exist but no queue subscribes, so the publishes fan out
+  // to nothing and the sweeps pile no messages up.
+  {
+    const part::ModelPartition& send_partition = bench::GetPartition(
+        1024, 8, part::PartitionScheme::kHypergraph, scale);
+    model::InputConfig input_config;
+    input_config.neurons = 1024;
+    input_config.batch = 8;
+    input_config.seed = 11;
+    auto input = model::GenerateInputBatch(input_config);
+    FSD_CHECK_OK(input.status());
+    const linalg::ActivationRows source =
+        linalg::ActivationRows::FromMap(*input);
+    std::vector<core::SendSpec> sends;
+    for (const part::SendEntry& entry : send_partition.layers[0].send[0]) {
+      sends.push_back({entry.peer, &entry.rows});
+    }
+    FSD_CHECK(!sends.empty());
+
+    sim::SimTuning tuning;
+    tuning.compute_threads = 3;
+    sim::Simulation sim(tuning);
+    cloud::CloudEnv cloud(&sim);
+    core::FsdOptions options;
+    options.variant = core::Variant::kQueue;
+    options.num_workers = 8;
+    for (int32_t t = 0; t < options.num_topics; ++t) {
+      FSD_CHECK_OK(cloud.pubsub().CreateTopic(
+          core::QueueChannel::TopicName(t, options)));
+    }
+    core::WorkerMetrics metrics;
+    double best_rate = 0.0;
+    cloud::FaasFunctionConfig fn;
+    fn.name = "sender";
+    fn.memory_mb = 2048;
+    fn.timeout_s = cloud::kFaasMaxTimeoutS;
+    fn.handler = [&](cloud::FaasContext* ctx) {
+      core::WorkerEnv env;
+      env.faas = ctx;
+      env.cloud = &cloud;
+      env.options = &options;
+      env.metrics = &metrics;
+      core::QueueChannel channel;
+      const core::LayerMetrics& layer = metrics.Layer(0);
+      for (int sweep = 0; sweep < 3; ++sweep) {
+        const int64_t raw_before = layer.send_raw_bytes;
+        const auto sweep_start = std::chrono::steady_clock::now();
+        double sweep_s = 0.0;
+        while (sweep_s < timed_min_s) {
+          FSD_CHECK_OK(channel.SendRows(&env, 0, source, sends));
+          sweep_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - sweep_start)
+                        .count();
+        }
+        best_rate = std::max(
+            best_rate,
+            static_cast<double>(layer.send_raw_bytes - raw_before) / sweep_s);
+      }
+      ctx->set_result(Status::OK());
+    };
+    FSD_CHECK_OK(cloud.faas().RegisterFunction(fn));
+    sim.AddProcess("kickoff",
+                   [&cloud]() { cloud.faas().InvokeAsync("sender", {}); });
+    sim.Run();
+    FSD_CHECK(best_rate > 0.0);
+    std::printf("send encode through SendRows (%zu sends, 3 pool threads): "
+                "%.1f MB/s\n",
+                sends.size(), best_rate / 1e6);
+    json.emplace_back("encode_sends_bytes_per_sec", best_rate);
+  }
 
   // Wall-clock partitioner throughput: hypergraph pins per second of a
   // direct PartitionModel call on this workload's model, with the options

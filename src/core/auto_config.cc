@@ -178,16 +178,17 @@ Result<AutoSelectResult> AutoSelectConfiguration(
             break;
           }
           case Variant::kDirect: {
-            // Each communicating ordered pair punches one link; the
-            // environment's punch-failure fraction of traffic relays
-            // through the KV cache (requests + processed bytes + the relay
-            // namespace's standing node time for the run).
+            // Each communicating unordered pair punches one link, billed
+            // once whichever side connects first (the fabric keys links by
+            // the unordered pair); the environment's punch-failure fraction
+            // of traffic relays through the KV cache (requests + processed
+            // bytes + the relay namespace's standing node time for the run).
             const double relay = std::min(
                 1.0,
                 std::max(0.0, cloud.latency().p2p_punch_failure_rate));
             const double connections =
                 static_cast<double>(workers) *
-                std::min<double>(workers - 1, 10) * (1.0 - relay);
+                std::min<double>(workers - 1, 10) / 2.0 * (1.0 - relay);
             const double chunks = std::max(
                 pairs, total_bytes /
                            static_cast<double>(opts.kv_max_value_bytes));

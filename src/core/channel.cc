@@ -104,17 +104,24 @@ Result<std::vector<EncodeResult>> EncodeSends(
   metrics->offload_calls += 1;
   metrics->offload_virtual_s += makespan;
 
-  // The encode (varint packing + LZ/quant passes) runs under the charged
-  // window; all post-encode work (chunk accounting, framing, dispatch)
-  // follows the join.
+  // Each send's encode (varint packing + LZ/quant passes) is its own
+  // detached job under the charged window, so one phase's encodes spread
+  // over the pool; all post-encode work (chunk accounting, framing,
+  // dispatch) follows the join. The group is declared last so that, on any
+  // return, it joins before the slots its jobs write die.
   std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(env->faas->OffloadFor(makespan, [&]() {
-    for (size_t s = 0; s < sends.size(); ++s) {
-      if (skip[s]) continue;
-      encoded[s] = EncodeRows(rows[s], max_chunk_bytes,
-                              WireCodecFromOptions(options));
-    }
-  }));
+  const WireCodec codec = WireCodecFromOptions(options);
+  sim::Simulation* sim = env->cloud->sim();
+  sim::OffloadGroup encodes(sim);
+  for (size_t s = 0; s < sends.size(); ++s) {
+    if (skip[s]) continue;
+    sim->StartDetached(&encodes, [&, s]() {
+      encoded[s] = EncodeRows(rows[s], max_chunk_bytes, codec);
+    });
+  }
+  const Status slept = env->faas->SleepFor(makespan);
+  sim->JoinDetached(&encodes);
+  FSD_RETURN_IF_ERROR(slept);
   for (const EncodeResult& result : encoded) {
     for (const RowChunk& chunk : result.chunks) {
       metrics->send_chunks += 1;

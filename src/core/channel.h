@@ -114,14 +114,17 @@ Status TeardownChannelResources(cloud::CloudEnv* cloud,
 /// byte-identical whichever backend runs them.
 
 /// Plans, charges and encodes one phase's sends. Collects each send's rows
-/// once (CollectRows), counts send targets and mapped/active rows, charges
-/// the serialization CPU for the planned raw bytes split over the planned
-/// chunks on the IPC lanes, runs EncodeRows for every send under that
-/// window (FaasContext::OffloadFor: on a compute pool thread when the sim
-/// has compute_threads > 0, inline at the window's end otherwise), then
-/// accounts every chunk. With `skip_empty`, a send with no
-/// active rows is planned as one item but never encoded: its EncodeResult
-/// has no chunks (the object channel's .nul marker path).
+/// once (CollectRows), counts send targets and mapped/active rows, and
+/// charges the serialization CPU for the planned raw bytes split over the
+/// planned chunks on the IPC lanes. Each send's EncodeRows is its own
+/// detached job (sim::Simulation::StartDetached: on the offload pool when
+/// the sim has compute_threads > 0, inline at its start otherwise), so a
+/// phase's encodes spread over the pool while the worker sleeps out the
+/// charged window (FaasContext::SleepFor). The jobs are joined before
+/// anything returns, a deadline error included; then every chunk is
+/// accounted. With `skip_empty`, a send with no active rows is planned as
+/// one item but never encoded: its EncodeResult has no chunks (the object
+/// channel's .nul marker path).
 Result<std::vector<EncodeResult>> EncodeSends(
     WorkerEnv* env, LayerMetrics* metrics, const linalg::ActivationRows& source,
     const std::vector<SendSpec>& sends, uint64_t max_chunk_bytes,

@@ -396,26 +396,26 @@ void Simulation::JoinDetached(OffloadGroup* group) {
   if (pool == nullptr) return;  // no pool: every job ran at its start
   std::unique_lock<std::mutex> lock(pool->mutex);
   if (group->outstanding_ == 0) return;
-  // Help-first: take back every job of the group no pool thread claimed
-  // yet, rather than sleeping on work nobody started.
-  std::vector<std::function<void()>> mine;
-  auto kept = pool->queue.begin();
-  for (auto it = pool->queue.begin(); it != pool->queue.end(); ++it) {
-    if (it->group == group) {
-      mine.push_back(std::move(it->fn));
-    } else {
-      if (kept != it) *kept = std::move(*it);
-      ++kept;
-    }
+  // Help-first, one job at a time: run the group's oldest job no pool
+  // thread claimed yet, rather than sleeping on work nobody started, then
+  // look again. Taking every unclaimed job at once would leave the pool
+  // threads that are just waking with nothing of the group to run.
+  for (;;) {
+    auto it = std::find_if(pool->queue.begin(), pool->queue.end(),
+                           [group](const OffloadJob& job) {
+                             return job.group == group;
+                           });
+    if (it == pool->queue.end()) break;
+    std::function<void()> fn = std::move(it->fn);
+    pool->queue.erase(it);
+    --group->outstanding_;
+    ++pool->reclaimed;
+    lock.unlock();
+    fn();
+    lock.lock();
   }
-  pool->queue.erase(kept, pool->queue.end());
-  group->outstanding_ -= static_cast<int>(mine.size());
-  pool->reclaimed += mine.size();
-  lock.unlock();
-  for (std::function<void()>& fn : mine) fn();
   // Only claimed jobs are left; their completion (under the mutex) carries
   // the happens-before edge for what they wrote.
-  lock.lock();
   pool->idle_cv.wait(lock, [group] { return group->outstanding_ == 0; });
 }
 

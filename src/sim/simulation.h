@@ -234,8 +234,10 @@ class Simulation {
   /// charging virtual time: the caller charges the work analytically itself
   /// (as with Offload, the charge must not depend on what `fn` computes).
   /// With SimTuning::compute_threads == 0, or during teardown, `fn` runs
-  /// inline before the call returns; otherwise it is queued for the pool.
-  /// Every job counts in OffloadStats::calls, whatever the pool size.
+  /// inline before the call returns; otherwise it is queued for the pool,
+  /// behind every job queued before it, and runs on whichever pool thread
+  /// claims it first or on the joiner (see JoinDetached). Every job counts
+  /// in OffloadStats::calls, whatever the pool size.
   ///
   /// Determinism contract for `fn`: it may touch only its own slot (state
   /// that nothing else reads or writes until the join) and immutable
@@ -244,10 +246,12 @@ class Simulation {
   /// touch the Simulation and must not throw.
   void StartDetached(OffloadGroup* group, std::function<void()> fn);
 
-  /// Returns once every job of `group` has completed. Help-first: jobs no
-  /// pool thread has claimed yet run right here, on the caller's thread;
-  /// only claimed ones are waited for. Consumes no virtual time, and a
-  /// group with nothing outstanding returns at once.
+  /// Returns once every job of `group` has completed. Help-first, one job
+  /// at a time: the group's oldest job no pool thread has claimed yet runs
+  /// right here, on the caller's thread, then the queue is looked at
+  /// again, so pool threads that wake meanwhile take the rest of the group
+  /// in parallel; only claimed jobs are waited for. Consumes no virtual
+  /// time, and a group with nothing outstanding returns at once.
   void JoinDetached(OffloadGroup* group);
 
   /// Snapshot of the offload counters (see OffloadStats).

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/auto_config.h"
+#include "core/runtime.h"
+#include "model/input_gen.h"
 
 namespace fsd::core {
 namespace {
@@ -126,6 +130,63 @@ TEST_F(AutoConfigTest, LatencyWeightedWorkloadPicksDirect) {
   auto cheapest = AutoSelectConfiguration(cloud_, request);
   ASSERT_TRUE(cheapest.ok());
   EXPECT_EQ(cheapest->best.variant, Variant::kQueue);
+}
+
+TEST_F(AutoConfigTest, DirectConnectionFeeMatchesWhatARunBills) {
+  // The fabric bills one connection per communicating unordered pair, so
+  // the Direct candidate's connection term must land near what a run of
+  // that configuration bills. Pricing every other Direct term at zero
+  // leaves the connection fee as the candidate's whole communication cost.
+  const model::SparseDnn dnn = MakeModel(1024, 8);
+  model::InputConfig input_config;
+  input_config.neurons = 1024;
+  input_config.batch = 32;
+  auto input = model::GenerateInputBatch(input_config);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  cloud::CloudConfig fees_only;
+  fees_only.pricing.p2p_per_byte = 0.0;
+  fees_only.pricing.kv_per_request = 0.0;
+  fees_only.pricing.kv_per_processed_byte = 0.0;
+  fees_only.pricing.kv_node_hourly = 0.0;
+  const double per_connection = fees_only.pricing.p2p_per_connection;
+  for (const int32_t workers : {2, 4, 8}) {
+    auto partition = part::PartitionModel(dnn, workers, {});
+    ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+    sim::Simulation run_sim;
+    cloud::CloudEnv run_cloud(&run_sim);
+    InferenceRequest run;
+    run.dnn = &dnn;
+    run.partition = &*partition;
+    run.batches = {&*input};
+    run.options.variant = Variant::kDirect;
+    run.options.num_workers = workers;
+    auto report = RunInference(&run_cloud, run);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->status.ok()) << report->status.ToString();
+    const double billed =
+        report->billing.quantity(cloud::BillingDimension::kP2pConnection) *
+        per_connection;
+    ASSERT_GT(billed, 0.0) << "P=" << workers;
+
+    sim::Simulation price_sim;
+    cloud::CloudEnv priced(&price_sim, fees_only);
+    AutoSelectRequest request;
+    request.dnn = &dnn;
+    request.batch = input_config.batch;
+    request.candidate_workers = {workers};
+    auto result = AutoSelectConfiguration(priced, request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const auto direct =
+        std::find_if(result->ranking.begin(), result->ranking.end(),
+                     [](const ConfigCandidate& c) {
+                       return c.variant == Variant::kDirect;
+                     });
+    ASSERT_NE(direct, result->ranking.end());
+    EXPECT_NEAR(direct->predicted_cost.communication, billed, 0.1 * billed)
+        << "P=" << workers << ": predicted "
+        << direct->predicted_cost.communication / per_connection
+        << " connections, billed " << billed / per_connection;
+  }
 }
 
 TEST_F(AutoConfigTest, TopologyRecommendationTracksRootDrain) {

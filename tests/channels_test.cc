@@ -6,7 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "cloud/cloud.h"
 #include "codec/varint.h"
@@ -442,15 +445,16 @@ TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
 // size, errors included.
 
 /// Runs `body` inside one FaaS handler acting as worker 1, on a fresh cloud
-/// (KV namespace provisioned) whose simulation has `compute_threads`
-/// offload pool threads; returns the run's offload counters.
+/// (`options.variant`'s channel resources provisioned) whose simulation has
+/// `compute_threads` offload pool threads; returns the run's offload
+/// counters.
 sim::OffloadStats RunOnPool(int compute_threads, const FsdOptions& options,
                             const std::function<void(WorkerEnv*)>& body) {
   sim::SimTuning tuning;
   tuning.compute_threads = compute_threads;
   sim::Simulation sim(tuning);
   cloud::CloudEnv cloud(&sim);
-  FSD_CHECK_OK(KvChannel::Provision(&cloud, options));
+  FSD_CHECK_OK(ProvisionChannelResources(&cloud, options));
   WorkerMetrics metrics;
   cloud::FaasFunctionConfig fn;
   fn.name = "w1";
@@ -637,6 +641,147 @@ TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
       });
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
   EXPECT_GE(stats.reclaimed, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Detached encode: EncodeSends starts one offload job per send and joins
+// them after the charged window. Wire bytes, metrics and the event stream
+// must not depend on the pool size, and no error may return before the
+// join.
+
+/// A 7-send layer step of worker 1 on an 8-worker queue channel: 96 rows,
+/// each sent to two targets, under a chunk cap small enough that every
+/// send spans several chunks.
+struct SevenSendStep {
+  SevenSendStep() {
+    options.num_workers = 8;
+    options.max_message_bytes = 2048;
+    std::vector<int32_t> ids;
+    for (int32_t id = 0; id < 96; ++id) ids.push_back(id);
+    source = MakeRows(ids, 64, 24);
+    rows.resize(7);
+    for (const int32_t id : ids) {
+      rows[id % 7].push_back(id);
+      rows[(id + 3) % 7].push_back(id);
+    }
+    const int32_t targets[] = {0, 2, 3, 4, 5, 6, 7};
+    for (size_t s = 0; s < rows.size(); ++s) {
+      sends.push_back({targets[s], &rows[s]});
+    }
+  }
+
+  FsdOptions options;
+  linalg::ActivationRows source;
+  std::vector<std::vector<int32_t>> rows;
+  std::vector<SendSpec> sends;
+};
+
+/// The send-side LayerMetrics counters, exactly.
+std::string SendCounters(const LayerMetrics& m) {
+  return fsd::StrFormat(
+      "targets=%lld mapped=%lld active=%lld chunks=%lld raw=%lld wire=%lld "
+      "billed=%lld publishes=%lld publish_chunks=%lld serialize=%.17g "
+      "offload=%lld/%.17g",
+      static_cast<long long>(m.send_targets),
+      static_cast<long long>(m.send_rows_mapped),
+      static_cast<long long>(m.send_rows_active),
+      static_cast<long long>(m.send_chunks),
+      static_cast<long long>(m.send_raw_bytes),
+      static_cast<long long>(m.send_wire_bytes),
+      static_cast<long long>(m.send_billed_bytes),
+      static_cast<long long>(m.publishes),
+      static_cast<long long>(m.publish_chunks), m.serialize_s,
+      static_cast<long long>(m.offload_calls), m.offload_virtual_s);
+}
+
+TEST(ChannelEncodeSends, SevenSendStepIsIdenticalOnEveryPoolSize) {
+  const SevenSendStep step;
+  struct Outcome {
+    Status status = Status::Internal("never sent");
+    std::map<std::pair<int32_t, int32_t>, Bytes> wires;  // (target, seq)
+    std::string counters;
+    uint64_t events = 0;
+  };
+  std::vector<Outcome> outcomes;
+  for (const int pool : {0, 1, 4}) {
+    Outcome& out = outcomes.emplace_back();
+    RunOnPool(pool, step.options, [&](WorkerEnv* env) {
+      QueueChannel channel;
+      out.status = channel.SendRows(env, 0, step.source, step.sends);
+      // Read every chunk back off its target's queue, as published.
+      for (const SendSpec& send : step.sends) {
+        const std::string queue =
+            QueueChannel::QueueName(send.target, step.options);
+        for (;;) {
+          auto got = env->cloud->queues().Receive(queue, 10, 1.0);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          if (got->empty()) break;
+          for (const cloud::QueueMessage& msg : *got) {
+            auto seq = ParseFrameInt(msg.attributes.at("seq"));
+            ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+            out.wires[{send.target, *seq}] = *msg.body;
+          }
+        }
+      }
+      out.counters = SendCounters(env->metrics->Layer(0));
+      out.events = env->cloud->sim()->events_dispatched();
+    });
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString() << " pool=" << pool;
+  }
+  const Outcome& inline_run = outcomes[0];
+  // Every send spans several chunks, and every chunk arrived.
+  EXPECT_GT(inline_run.wires.size(), 2 * step.sends.size());
+  EXPECT_NE(inline_run.counters.find(fsd::StrFormat(
+                "chunks=%zu ", inline_run.wires.size())),
+            std::string::npos)
+      << inline_run.counters;
+  for (size_t i = 1; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].wires, inline_run.wires) << "run " << i;
+    EXPECT_EQ(outcomes[i].counters, inline_run.counters) << "run " << i;
+    EXPECT_EQ(outcomes[i].events, inline_run.events) << "run " << i;
+  }
+}
+
+TEST(ChannelEncodeSends, DeadlineErrorReturnsOnlyAfterEveryEncodeJoined) {
+  // The handler is already past its runtime cap, and the only pool thread
+  // is pinned until SendRows has returned. The seven queued encodes write
+  // into slots on EncodeSends' stack, so they can only have run by being
+  // reclaimed by its join before the DeadlineExceeded return. Under ASan,
+  // an encode left to run after the return is a use-after-scope.
+  const SevenSendStep step;
+  Status status;
+  sim::OffloadStats at_return;
+  bool pin_saw_release = false;
+  const sim::OffloadStats stats = RunOnPool(
+      /*compute_threads=*/1, step.options, [&](WorkerEnv* env) {
+        sim::Simulation* sim = env->cloud->sim();
+        sim->Hold(601.0);  // past the handler's 600 s cap
+        std::atomic<bool> released{false};
+        sim::OffloadGroup pin(sim);
+        sim->StartDetached(&pin, [&]() {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!released.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          pin_saw_release = released.load();
+        });
+        QueueChannel channel;
+        status = channel.SendRows(env, 0, step.source, step.sends);
+        at_return = sim->offload_stats();
+        released = true;
+        sim->JoinDetached(&pin);
+      });
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+      << status.ToString();
+  EXPECT_TRUE(pin_saw_release);
+  EXPECT_EQ(at_return.calls, 8u);  // the pin and one encode per send
+  EXPECT_EQ(at_return.reclaimed, 7u);
+  // The pin ran on the pool thread, or on the joiner if that thread had
+  // not woken by the release; no encode was left for the pool.
+  EXPECT_EQ(stats.pool_runs + stats.reclaimed, 8u);
+  EXPECT_GE(stats.reclaimed, 7u);
 }
 
 Bytes InboxHeader(uint64_t source, uint64_t seq, uint64_t total) {

@@ -684,6 +684,64 @@ TEST(Simulation, JoinReclaimsUnclaimedDetachedJobs) {
   EXPECT_GE(stats.reclaimed, 3u);
 }
 
+TEST(Simulation, JoinReclaimsOneJobAtATime) {
+  // The only pool thread is pinned by a job of another group until job A
+  // of the group has started. The join reclaims A alone and runs it; A
+  // waits until B has started, which only the pool thread, freed by A's
+  // start, can do. A join that took A and B back together would run B
+  // after A on its own thread, and A's bounded wait would expire.
+  SimTuning tuning;
+  tuning.compute_threads = 1;
+  Simulation sim(tuning);
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_started{false};
+  bool pin_saw_a = false;
+  bool a_saw_b = false;
+  std::thread::id body_thread;
+  std::thread::id pin_thread;
+  std::thread::id a_thread;
+  std::thread::id b_thread;
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return flag.load();
+  };
+  sim.AddProcess("p", [&]() {
+    body_thread = std::this_thread::get_id();
+    OffloadGroup pin(&sim);
+    sim.StartDetached(&pin, [&]() {
+      pin_thread = std::this_thread::get_id();
+      pin_saw_a = wait_for(a_started);
+    });
+    OffloadGroup group(&sim);
+    sim.StartDetached(&group, [&]() {
+      a_thread = std::this_thread::get_id();
+      a_started = true;
+      a_saw_b = wait_for(b_started);
+    });
+    sim.StartDetached(&group, [&]() {
+      b_thread = std::this_thread::get_id();
+      b_started = true;
+    });
+    sim.JoinDetached(&group);
+    sim.JoinDetached(&pin);
+  });
+  sim.Run();
+  EXPECT_TRUE(pin_saw_a);
+  EXPECT_TRUE(a_saw_b);
+  EXPECT_EQ(a_thread, body_thread);
+  EXPECT_EQ(b_thread, pin_thread);
+  EXPECT_NE(b_thread, body_thread);
+  const OffloadStats stats = sim.offload_stats();
+  EXPECT_EQ(stats.calls, 3u);
+  EXPECT_EQ(stats.pool_runs, 2u);
+  EXPECT_EQ(stats.reclaimed, 1u);
+  EXPECT_EQ(stats.pool_runs + stats.reclaimed + stats.solo, stats.calls);
+}
+
 TEST(Simulation, TeardownWithDetachedJobsOutstanding) {
   // Destruction while a blocked process has detached jobs both running
   // (one per pool thread) and still queued, on both tiers: the drain waits
