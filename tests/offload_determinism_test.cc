@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cloud/cloud.h"
+#include "common/strings.h"
 #include "core/serving.h"
 #include "model/input_gen.h"
 #include "model/reference.h"
@@ -62,7 +63,46 @@ struct Artifacts {
   std::string ledger;
   uint64_t events = 0;
   uint64_t offload_calls = 0;  // wall-clock side; NOT part of the compare
+  /// Every receive-side LayerMetrics field of every worker and layer of
+  /// every query, most of which never reach Summary(). Pinned separately.
+  std::string receive_counters;
 };
+
+/// One line per layer: the receive-side counters, doubles at full
+/// precision so any change in a charged window shows.
+std::string ReceiveCounters(int query, const RunMetrics& metrics) {
+  std::string out;
+  for (const WorkerMetrics& worker : metrics.workers) {
+    for (size_t k = 0; k < worker.layers.size(); ++k) {
+      const LayerMetrics& m = worker.layers[k];
+      out += StrFormat(
+          "q%d w%d l%zu polls=%lld empty_polls=%lld deletes=%lld "
+          "msgs_received=%lld lists=%lld gets=%lld kv_pops=%lld "
+          "kv_empty_pops=%lld direct_pops=%lld direct_empty_pops=%lld "
+          "nul_skipped=%lld redundant_skipped=%lld recv_wire_bytes=%lld "
+          "recv_billed_bytes=%lld recv_rows=%lld recv_wait_s=%.17g "
+          "deserialize_s=%.17g offload_calls=%lld "
+          "offload_virtual_s=%.17g\n",
+          query, worker.worker_id, k, static_cast<long long>(m.polls),
+          static_cast<long long>(m.empty_polls),
+          static_cast<long long>(m.deletes),
+          static_cast<long long>(m.msgs_received),
+          static_cast<long long>(m.lists), static_cast<long long>(m.gets),
+          static_cast<long long>(m.kv_pops),
+          static_cast<long long>(m.kv_empty_pops),
+          static_cast<long long>(m.direct_pops),
+          static_cast<long long>(m.direct_empty_pops),
+          static_cast<long long>(m.nul_skipped),
+          static_cast<long long>(m.redundant_skipped),
+          static_cast<long long>(m.recv_wire_bytes),
+          static_cast<long long>(m.recv_billed_bytes),
+          static_cast<long long>(m.recv_rows), m.recv_wait_s,
+          m.deserialize_s, static_cast<long long>(m.offload_calls),
+          m.offload_virtual_s);
+    }
+  }
+  return out;
+}
 
 FsdOptions FleetOptions(Variant variant, int32_t quant_bits) {
   FsdOptions options;
@@ -100,6 +140,8 @@ Artifacts RunFleet(const Workload& w, const FsdOptions& options,
         << outcome.report.status.ToString();
     artifacts.outputs.push_back(outcome.report.outputs);
     artifacts.query_metrics.push_back(outcome.report.metrics.Summary());
+    artifacts.receive_counters += ReceiveCounters(
+        static_cast<int>(artifacts.outputs.size()), outcome.report.metrics);
   }
   artifacts.fleet_summary = report->fleet.Summary();
   artifacts.ledger = cloud.billing().ToString();
@@ -188,22 +230,39 @@ TEST(OffloadDeterminism, QuantizedWireByteIdenticalAcrossPoolSizes) {
 // Refactors of the channel paths must leave every digest unchanged; a change
 // that means to move virtual time or billing re-pins them on purpose.
 
-uint64_t ArtifactDigest(const Artifacts& artifacts) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto add = [&hash](std::string_view bytes) {
+/// FNV-1a over length-prefixed byte strings.
+class Fnv1a {
+ public:
+  void Add(std::string_view bytes) {
     const uint64_t size = bytes.size();
     for (size_t i = 0; i < sizeof(size); ++i) {
-      hash = (hash ^ ((size >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+      hash_ = (hash_ ^ ((size >> (8 * i)) & 0xff)) * 0x100000001b3ull;
     }
     for (const char c : bytes) {
-      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
     }
-  };
-  for (const std::string& summary : artifacts.query_metrics) add(summary);
-  add(artifacts.fleet_summary);
-  add(artifacts.ledger);
-  add(std::to_string(artifacts.events));
-  return hash;
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t ArtifactDigest(const Artifacts& artifacts) {
+  Fnv1a digest;
+  for (const std::string& summary : artifacts.query_metrics) {
+    digest.Add(summary);
+  }
+  digest.Add(artifacts.fleet_summary);
+  digest.Add(artifacts.ledger);
+  digest.Add(std::to_string(artifacts.events));
+  return digest.hash();
+}
+
+uint64_t ReceiveDigest(const Artifacts& artifacts) {
+  Fnv1a digest;
+  digest.Add(artifacts.receive_counters);
+  return digest.hash();
 }
 
 struct PinnedCase {
@@ -211,6 +270,7 @@ struct PinnedCase {
   FsdOptions options;
   cloud::CloudConfig cloud;
   uint64_t digest;
+  uint64_t recv_digest;  ///< ReceiveDigest
 };
 
 std::vector<PinnedCase> PinnedCases() {
@@ -231,6 +291,12 @@ std::vector<PinnedCase> PinnedCases() {
       {0x2c5b2da0e7dd4a9full, 0x1214870343817dd5ull, 0x94a4ec5e13524848ull},
       {0x43753c4910560736ull, 0x216cca1695ddfaccull, 0xf61bcc01269faecaull},
   };
+  const uint64_t matrix_recv_digests[4][3] = {
+      {0xc17a410dd607554eull, 0x8575a42a19ce0080ull, 0xebec44effab761d1ull},
+      {0x78b330619a0910d7ull, 0xbedc04aae972977dull, 0xca7bfc2239f822d5ull},
+      {0x00e5a6d29f9b6ecdull, 0x8a6d2a49471d1e27ull, 0xf685783a344bb6fcull},
+      {0xeedd1d32d76f5fb5ull, 0xebbdeed36e4ba907ull, 0x19d913b2c495c0ddull},
+  };
   std::vector<PinnedCase> cases;
   for (int b = 0; b < 4; ++b) {
     for (int t = 0; t < 3; ++t) {
@@ -239,33 +305,35 @@ std::vector<PinnedCase> PinnedCases() {
       cases.push_back(
           {std::string(backends[b].name) + "/" +
                std::string(CollectiveTopologyName(topologies[t])),
-           options, {}, matrix_digests[b][t]});
+           options, {}, matrix_digests[b][t], matrix_recv_digests[b][t]});
     }
   }
   struct PunchCase {
     const char* name;
     double failure_rate;
     uint64_t digest;
+    uint64_t recv_digest;
   };
-  const PunchCase punches[] = {{"1.0", 1.0, 0xa5a750bb188b3009ull},
-                               {"0.5", 0.5, 0xab805d466fee2152ull}};
+  const PunchCase punches[] = {
+      {"1.0", 1.0, 0xa5a750bb188b3009ull, 0x6697d8ab6f015032ull},
+      {"0.5", 0.5, 0xab805d466fee2152ull, 0x7c9818a318557ad6ull}};
   for (const PunchCase& punch : punches) {
     cloud::CloudConfig config;
     config.latency.p2p_punch_failure_rate = punch.failure_rate;
     cases.push_back({std::string("direct/punch_failure=") + punch.name,
-                     FleetOptions(Variant::kDirect, 0), config,
-                     punch.digest});
+                     FleetOptions(Variant::kDirect, 0), config, punch.digest,
+                     punch.recv_digest});
   }
   FsdOptions queue_ungreedy = FleetOptions(Variant::kQueue, 0);
   queue_ungreedy.greedy_packing = false;
   cases.push_back({"queue/greedy_packing=false", queue_ungreedy, {},
-                   0x1e4abd41cf51392eull});
+                   0x1e4abd41cf51392eull, 0x6498895a2023e8f7ull});
   FsdOptions object_no_nul = FleetOptions(Variant::kObject, 0);
   object_no_nul.nul_markers = false;
   cases.push_back({"object/nul_markers=false", object_no_nul, {},
-                   0xb665cc0ab49ee265ull});
+                   0xb665cc0ab49ee265ull, 0xc74260ede012fb4eull});
   cases.push_back({"kv/quant_bits=8", FleetOptions(Variant::kKv, 8), {},
-                   0xc0cca5729783ceeeull});
+                   0xc0cca5729783ceeeull, 0x4fa87ab573779eecull});
   return cases;
 }
 
@@ -283,6 +351,22 @@ TEST(OffloadDeterminism, ArtifactsMatchPinnedDigests) {
     }
     EXPECT_EQ(ArtifactDigest(run), pinned.digest)
         << pinned.name << ": 0x" << std::hex << ArtifactDigest(run);
+  }
+}
+
+// The receive loop's counters, pinned per case: polls, pops, LISTs and GETs,
+// skips, billed and wire bytes, and every charged deserialization window.
+// Most never reach Summary(), so ArtifactsMatchPinnedDigests cannot see
+// them move.
+TEST(OffloadDeterminism, ReceiveCountersMatchPinnedDigests) {
+  const Workload w = MakeWorkload(256, 8, 16, 4);
+  for (const PinnedCase& pinned : PinnedCases()) {
+    const Artifacts run =
+        RunFleet(w, pinned.options, /*compute_threads=*/0, pinned.cloud);
+    EXPECT_NE(run.receive_counters.find(" recv_rows="), std::string::npos)
+        << pinned.name;
+    EXPECT_EQ(ReceiveDigest(run), pinned.recv_digest)
+        << pinned.name << ": 0x" << std::hex << ReceiveDigest(run);
   }
 }
 
