@@ -5,9 +5,10 @@
 // Scale: the paper runs L=120-layer networks on 10,000-sample batches on
 // real AWS hardware. Virtual-time results are hardware-independent, but the
 // real sparse kernels behind them are CPU-bound, so the default "quick"
-// scale trims depth/batch (documented per bench and in EXPERIMENTS.md) while
-// preserving every relationship the paper reports. Set FSD_BENCH_SCALE=paper
-// for full-depth runs.
+// scale trims depth/batch (documented per bench and in bench/README.md's
+// "FSD_BENCH_SCALE tiers" section). Not every relationship the paper reports
+// holds at that scale; ROADMAP.md lists the ones that fail. Set
+// FSD_BENCH_SCALE=paper for full-depth runs.
 #ifndef FSD_BENCH_BENCH_COMMON_H_
 #define FSD_BENCH_BENCH_COMMON_H_
 
@@ -48,7 +49,7 @@ struct ScaleConfig {
   /// Table II would be hidden); smaller widths shrink further since their
   /// shapes ("fewer workers win") are batch-robust.
   int32_t BatchFor(int32_t neurons) const {
-    if (paper_scale) return 2048;  // still below 10k; see EXPERIMENTS.md
+    if (paper_scale) return 2048;  // still below 10k; see bench/README.md
     if (tiny) return 32;
     if (neurons >= 65536) return 192;
     if (neurons >= 16384) return 768;

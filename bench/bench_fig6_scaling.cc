@@ -22,7 +22,7 @@ int main() {
   bench::PrintHeader(
       "FIGURE 6 — Per-sample runtime and cost of FSD-Inf-Queue / "
       "FSD-Inf-Object vs workers",
-      StrFormat("layers/batch per N are scale-reduced (see EXPERIMENTS.md); "
+      StrFormat("layers/batch per N are scale-reduced (see bench/README.md); "
                 "paper_scale=%d",
                 scale.paper_scale ? 1 : 0));
 

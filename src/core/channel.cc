@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <deque>
+#include <iterator>
 #include <system_error>
 
 #include "common/strings.h"
@@ -45,6 +47,41 @@ int64_t CountDistinctIds(const ReceivedRows& received) {
   std::sort(ids.begin(), ids.end());
   return std::unique(ids.begin(), ids.end()) - ids.begin();
 }
+
+/// Takes `chunk` into the receive's progress, completing its source once
+/// all its chunks arrived. Returns false, counting a redundant skip, when
+/// the source is not pending or that chunk was already taken. DataLoss when
+/// the chunk's total differs from its source's first chunk: the source
+/// could otherwise complete with chunks missing, or never.
+Result<bool> Accept(const ReceivedChunk& chunk, PendingSources* pending,
+                    LayerMetrics* metrics) {
+  auto it = pending->find(chunk.source);
+  if (it == pending->end()) {
+    ++metrics->redundant_skipped;  // a completed source
+    return false;
+  }
+  SourceProgress& progress = it->second;
+  if (progress.expected != -1 && progress.expected != chunk.total) {
+    return Status::DataLoss(
+        StrFormat("source %d sent chunk %d of %d after announcing %d chunks",
+                  chunk.source, chunk.seq, chunk.total, progress.expected));
+  }
+  if (!progress.taken.insert(chunk.seq).second) {
+    ++metrics->redundant_skipped;  // a redelivery
+    return false;
+  }
+  progress.expected = chunk.total;
+  if (std::ssize(progress.taken) == progress.expected) pending->erase(it);
+  return true;
+}
+
+/// One received chunk and what its detached decode writes. Only that job
+/// touches the slot until the join.
+struct DecodeSlot {
+  ReceivedChunk chunk;
+  linalg::ActivationRows rows;
+  Status status;
+};
 
 }  // namespace
 
@@ -174,76 +211,83 @@ Status CheckChunkIndex(int64_t seq, int64_t total) {
   return Status::OK();
 }
 
-PhaseReceiver::PhaseReceiver(WorkerEnv* env, int32_t phase,
-                             const std::vector<int32_t>& sources)
-    : env_(env),
-      metrics_(&env->metrics->Layer(phase)),
-      start_(env->cloud->sim()->Now()),
-      decodes_(env->cloud->sim()) {
-  for (int32_t s : sources) pending_.emplace(s, Progress{});
-}
+Result<ReceivedRows> CommChannel::ReceiveRows(
+    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
+  if (sources.empty()) return ReceivedRows{};
+  // Resolved past the early return: it grows the worker's layer list.
+  LayerMetrics& metrics = env->metrics->Layer(phase);
+  sim::Simulation* sim = env->cloud->sim();
+  const double start = sim->Now();
+  PendingSources pending;
+  for (const int32_t source : sources) pending[source];
+  // Arrival order. A deque: appending never moves a slot a job still
+  // writes into.
+  std::deque<DecodeSlot> slots;
+  // Declared after the slots, so on any return it joins the decodes before
+  // the slots die.
+  sim::OffloadGroup decodes(sim);
 
-Status PhaseReceiver::CheckRunning() const {
-  FSD_RETURN_IF_ERROR(env_->CheckAbort());
-  return env_->faas->CheckDeadline();
-}
-
-Result<bool> PhaseReceiver::Accept(int32_t source, int32_t seq,
-                                   int32_t total) {
-  auto it = pending_.find(source);
-  if (it != pending_.end() && it->second.expected != -1 &&
-      it->second.expected != total) {
-    return Status::DataLoss(
-        StrFormat("source %d sent chunk %d of %d after announcing %d chunks",
-                  source, seq, total, it->second.expected));
+  for (bool first = true; !pending.empty(); first = false) {
+    FSD_RETURN_IF_ERROR(env->CheckAbort());
+    FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
+    FSD_ASSIGN_OR_RETURN(PollResult poll,
+                         PollStep(env, phase, pending, first));
+    for (DecodeWindow& window : poll.windows) {
+      size_t accepted = 0;
+      uint64_t accepted_bytes = 0;
+      for (ReceivedChunk& chunk : window.chunks) {
+        FSD_ASSIGN_OR_RETURN(const bool fresh,
+                             Accept(chunk, &pending, &metrics));
+        if (!fresh) continue;
+        ++accepted;
+        accepted_bytes += chunk.size();
+        metrics.recv_wire_bytes += static_cast<int64_t>(chunk.size());
+        // Each decode runs detached, on a pool thread while this process
+        // polls on (inline when the sim has no pool); its rows are first
+        // read after the join. The body stays in its slot until the receive
+        // returns: freeing it on the pool thread, which did not allocate
+        // it, raised peak RSS through glibc's per-thread caches.
+        DecodeSlot& slot = slots.emplace_back(std::move(chunk));
+        sim->StartDetached(&decodes, [&slot]() {
+          slot.status = DecodeRows(slot.chunk.wire(), &slot.rows);
+        });
+      }
+      if (window.charge == DecodeWindow::Charge::kAcceptedIfAny &&
+          accepted == 0) {
+        continue;
+      }
+      const uint64_t charged = window.charge == DecodeWindow::Charge::kFixed
+                                   ? window.bytes
+                                   : accepted_bytes;
+      const double deser_s = static_cast<double>(charged) /
+                             env->cloud->compute().deserialize_bytes_per_s;
+      const double window_s = window.extra_s + deser_s;
+      metrics.deserialize_s += deser_s;
+      if (accepted > 0) {
+        metrics.offload_calls += 1;
+        metrics.offload_virtual_s += window_s;
+      }
+      FSD_RETURN_IF_ERROR(env->faas->SleepFor(window_s));
+    }
+    for (const int32_t source : poll.completed) {
+      if (pending.erase(source) > 0) ++metrics.nul_skipped;
+    }
+    if (poll.acknowledge) FSD_RETURN_IF_ERROR(poll.acknowledge());
+    if (poll.backoff_s > 0.0 && !pending.empty()) {
+      FSD_RETURN_IF_ERROR(env->faas->SleepFor(poll.backoff_s));
+    }
   }
-  if (it == pending_.end() || !taken_.insert({source, seq}).second) {
-    ++metrics_->redundant_skipped;  // completed source or a redelivery
-    return false;
-  }
-  it->second.expected = total;
-  if (++it->second.got == it->second.expected) pending_.erase(it);
-  return true;
-}
 
-bool PhaseReceiver::Complete(int32_t source) {
-  return pending_.erase(source) > 0;
-}
-
-Status PhaseReceiver::Decode(std::vector<ReceivedBody> bodies,
-                             uint64_t charged_bytes, double extra_s) {
-  const double deser_s = static_cast<double>(charged_bytes) /
-                         env_->cloud->compute().deserialize_bytes_per_s;
-  const double window_s = extra_s + deser_s;
-  metrics_->deserialize_s += deser_s;
-  if (!bodies.empty()) {
-    metrics_->offload_calls += 1;
-    metrics_->offload_virtual_s += window_s;
-  }
-  // The charge depends only on byte counts and the rows are first read at
-  // Finish, so each decode runs detached: on a pool thread while this
-  // process polls on (inline here when the sim has no pool).
-  for (ReceivedBody& body : bodies) {
-    metrics_->recv_wire_bytes += static_cast<int64_t>(body.size());
-    DecodeSlot& slot = slots_.emplace_back(std::move(body));
-    // The body stays in its slot until the receiver dies. Freeing it on
-    // the pool thread, which did not allocate it, raised peak RSS through
-    // glibc's per-thread caches.
-    env_->cloud->sim()->StartDetached(&decodes_, [&slot]() {
-      slot.status = DecodeRows(slot.body.wire(), &slot.rows);
-    });
-  }
-  return env_->faas->SleepFor(window_s);
-}
-
-Result<ReceivedRows> PhaseReceiver::FinishRows() {
-  metrics_->recv_wait_s += env_->cloud->sim()->Now() - start_;
-  env_->cloud->sim()->JoinDetached(&decodes_);
-  for (const DecodeSlot& slot : slots_) FSD_RETURN_IF_ERROR(slot.status);
+  // Every source is complete: join the decodes and hand over their rows,
+  // one ActivationRows per body in arrival order. A decode error surfaces
+  // only here, for every pool size: the first in arrival order.
+  metrics.recv_wait_s += sim->Now() - start;
+  sim->JoinDetached(&decodes);
+  for (const DecodeSlot& slot : slots) FSD_RETURN_IF_ERROR(slot.status);
   ReceivedRows received;
-  received.reserve(slots_.size());
-  for (DecodeSlot& slot : slots_) received.push_back(std::move(slot.rows));
-  metrics_->recv_rows += CountDistinctIds(received);
+  received.reserve(slots.size());
+  for (DecodeSlot& slot : slots) received.push_back(std::move(slot.rows));
+  metrics.recv_rows += CountDistinctIds(received);
   return received;
 }
 

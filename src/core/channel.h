@@ -6,10 +6,12 @@
 // (FSD-Inf-Direct: NAT-punched links with a KV relay). The serial variant
 // performs no communication and has no channel.
 //
-// The backends share one send/receive path declared below: EncodeSends and
-// DispatchOnLanes on the send side, PhaseReceiver on the receive side. A
-// backend adds only what it alone knows: resource naming and provisioning,
-// message framing, the poll call, and its own billing counters.
+// The backends share one send/receive path: EncodeSends and DispatchOnLanes
+// on the send side, and on the receive side one loop, CommChannel::
+// ReceiveRows, which runs a backend's poll step until every source is
+// complete. A backend adds only what it alone knows: resource naming and
+// provisioning, message framing, the service call of its send and of its
+// poll step, and its own billing counters.
 //
 // The channel moves *phases* of activation rows. Phases 0..L-1 carry the
 // x^{k-1} exchanges feeding each layer k; collective operations (barrier,
@@ -21,7 +23,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,7 +38,6 @@
 #include "core/metrics.h"
 #include "core/serialization.h"
 #include "linalg/spmm.h"
-#include "sim/simulation.h"
 
 namespace fsd::core {
 
@@ -72,6 +72,65 @@ struct SendSpec {
 /// carry (an honest phase never repeats one: each row has one owner).
 using ReceivedRows = std::vector<linalg::ActivationRows>;
 
+/// One framed chunk a poll step delivered: chunk `seq` of `total` from
+/// `source`, decoded in place from the buffer it arrived in, its row wire
+/// starting at `offset` (past an inbox value's header; 0 for a queue
+/// message or an object GET, which carry the row wire alone).
+struct ReceivedChunk {
+  int32_t source = 0;
+  int32_t seq = 0;
+  int32_t total = 0;
+  SharedBytes buffer;
+  size_t offset = 0;
+
+  std::span<const uint8_t> wire() const {
+    return std::span<const uint8_t>(*buffer).subspan(offset);
+  }
+  size_t size() const { return buffer->size() - offset; }
+};
+
+/// A pending source's progress: its announced chunk count (-1 until its
+/// first chunk) and the chunks taken so far.
+struct SourceProgress {
+  int32_t expected = -1;
+  std::set<int32_t> taken;
+};
+
+/// The sources a receive still waits on, as its poll steps read them.
+using PendingSources = std::map<int32_t, SourceProgress>;
+
+/// One deserialization window of a poll step: the chunks it delivers, in
+/// arrival order, and what it charges. The receive loop accepts each chunk
+/// (dropping, as redundant_skipped, a chunk of a complete source or one
+/// already taken), then sleeps the window out while the bodies decode.
+struct DecodeWindow {
+  /// Where the charge comes from: each backend keeps its own placement.
+  enum class Charge {
+    kAcceptedIfAny,  ///< accepted body bytes; no window if none (queue)
+    kAccepted,       ///< accepted body bytes; a window even if none (KV)
+    kFixed,          ///< `bytes` + `extra_s` (direct: popped bytes, empty
+                     ///< pops too; object: fetched bytes + GET makespan)
+  };
+
+  std::vector<ReceivedChunk> chunks;
+  Charge charge = Charge::kFixed;
+  uint64_t bytes = 0;  ///< kFixed: charged at the deserialize rate
+  double extra_s = 0.0;
+};
+
+/// What one poll step hands the receive loop, taken in this order.
+struct PollResult {
+  std::vector<DecodeWindow> windows;
+  /// Sources that had nothing to send (object .nul markers).
+  std::vector<int32_t> completed;
+  /// Run after the windows: the queue channel deletes the round's messages,
+  /// as Algorithm 1 deletes what it processed.
+  std::function<Status()> acknowledge;
+  /// Slept unless the round completed the phase (the object re-LIST
+  /// back-off).
+  double backoff_s = 0.0;
+};
+
 class CommChannel {
  public:
   virtual ~CommChannel() = default;
@@ -88,8 +147,20 @@ class CommChannel {
   /// Blocks until every worker in `sources` has delivered its phase data;
   /// returns the decoded bodies in arrival order. Sources with nothing to
   /// send deliver an explicit empty marker (empty chunk / ".nul" object).
-  virtual Result<ReceivedRows> ReceiveRows(
-      WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) = 0;
+  /// One loop for every backend: each round checks abort and deadline and
+  /// takes one PollStep; each accepted body decodes as a detached job, and
+  /// the first decode error in arrival order surfaces once all are joined.
+  Result<ReceivedRows> ReceiveRows(WorkerEnv* env, int32_t phase,
+                                   const std::vector<int32_t>& sources);
+
+ protected:
+  /// One round of ReceiveRows: the backend's service call, its framing
+  /// parsed into chunks or completions, and its own receive counters.
+  /// `pending` holds the sources not yet complete; `first` marks a
+  /// receive's first round.
+  virtual Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
+                                      const PendingSources& pending,
+                                      bool first) = 0;
 };
 
 /// Builds the channel implementation for a variant (nullptr for kSerial,
@@ -153,98 +224,6 @@ Result<int32_t> ParseFrameInt(std::string_view text);
 /// DataLoss unless `seq` names one of `total` >= 1 chunks. A header that
 /// fails this could never complete its source.
 Status CheckChunkIndex(int64_t seq, int64_t total);
-
-/// A received chunk body, decoded in place: the buffer it arrived in and
-/// the offset its row wire starts at (past an inbox value's header). A
-/// queue message or an object GET carries the row wire alone, at offset 0.
-struct ReceivedBody {
-  ReceivedBody(SharedBytes buffer, size_t offset)
-      : buffer(std::move(buffer)), offset(offset) {}
-
-  std::span<const uint8_t> wire() const {
-    return std::span<const uint8_t>(*buffer).subspan(offset);
-  }
-  size_t size() const { return buffer->size() - offset; }
-
-  SharedBytes buffer;
-  size_t offset = 0;
-};
-
-/// One ReceiveRows call's shared state: the sources still pending, with
-/// (source, seq) dedup of redelivered chunks, the bodies being decoded, and
-/// the recv_wait_s clock. Construct it only after the `sources.empty()`
-/// early return: it resolves the phase's LayerMetrics, which grows the
-/// worker's layer list.
-///
-/// Decode starts each body's row decode as a detached job on the
-/// simulation's offload pool (sim::Simulation::StartDetached) and Finish
-/// joins them, so decoding overlaps the rest of the receive. A decode error
-/// therefore surfaces at Finish, after the phase's remaining chunks
-/// arrived, for every pool size. The destructor joins any jobs still out,
-/// which covers the early error returns of a poll loop.
-class PhaseReceiver {
- public:
-  PhaseReceiver(WorkerEnv* env, int32_t phase,
-                const std::vector<int32_t>& sources);
-
-  LayerMetrics& metrics() { return *metrics_; }
-  bool done() const { return pending_.empty(); }
-  bool pending(int32_t source) const { return pending_.contains(source); }
-
-  /// The abort and deadline checks at the top of every poll round.
-  Status CheckRunning() const;
-
-  /// Takes chunk `seq` of `total` from `source`, completing the source once
-  /// all its chunks arrived. Returns false, counting a redundant skip, when
-  /// the source is not pending or that chunk was already taken. DataLoss
-  /// when `total` differs from the source's first chunk: the source could
-  /// otherwise complete with chunks missing, or never.
-  Result<bool> Accept(int32_t source, int32_t seq, int32_t total);
-
-  /// Completes a pending source that had nothing to send (a .nul marker);
-  /// returns whether it was pending.
-  bool Complete(int32_t source);
-
-  /// Charges one deserialization window of `charged_bytes` at the
-  /// deserialize rate plus `extra_s` (the object channel's GET makespan),
-  /// and starts decoding each of `bodies` as a detached job; the rows are
-  /// ready at Finish. The window is taken even when `bodies` is empty; it
-  /// is then a plain wait.
-  Status Decode(std::vector<ReceivedBody> bodies, uint64_t charged_bytes,
-                double extra_s = 0.0);
-
-  /// Stops the recv_wait_s clock, joins the decodes and hands over their
-  /// rows, one ActivationRows per body in arrival order. Counts the
-  /// distinct row ids received into recv_rows. Returns the first decode
-  /// error in arrival order.
-  Result<ReceivedRows> FinishRows();
-
- private:
-  struct Progress {
-    int32_t expected = -1;  // unknown until the source's first chunk
-    int32_t got = 0;
-  };
-
-  /// One body and what its detached decode writes. Only that job touches
-  /// the slot until the join.
-  struct DecodeSlot {
-    ReceivedBody body;
-    linalg::ActivationRows rows;
-    Status status;
-  };
-
-  WorkerEnv* env_;
-  LayerMetrics* metrics_;
-  double start_;
-  std::map<int32_t, Progress> pending_;
-  std::set<std::pair<int32_t, int32_t>> taken_;
-  /// Arrival order. A deque: appending never moves a slot a job still
-  /// writes into.
-  std::deque<DecodeSlot> slots_;
-  /// Declared after slots_, so its destructor joins the decodes before the
-  /// slots die.
-  sim::OffloadGroup decodes_;
-};
 
 /// ---- phase-id layout shared by workers and collectives ----
 /// A batch's phase budget is `layers` layer-exchange phases followed by

@@ -1,7 +1,6 @@
 #include "core/direct_channel.h"
 
 #include <functional>
-#include <map>
 
 #include "common/strings.h"
 #include "core/kv_channel.h"
@@ -119,84 +118,60 @@ Status DirectChannel::SendRows(WorkerEnv* env, int32_t phase,
                          std::move(calls));
 }
 
-Result<ReceivedRows> DirectChannel::ReceiveRows(
-    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return ReceivedRows{};
+Result<PollResult> DirectChannel::PollStep(WorkerEnv* env, int32_t phase,
+                                          const PendingSources& pending,
+                                          bool first) {
   const FsdOptions& options = *env->options;
-  PhaseReceiver receiver(env, phase, sources);
-  LayerMetrics& metrics = receiver.metrics();
+  LayerMetrics& metrics = env->metrics->Layer(phase);
   const std::string session = SessionName(options);
-  const std::string relay = RelayNamespaceName(options);
   const std::string inbox = KvChannel::InboxKey(phase, env->worker_id);
-
+  if (first) relay_turn_ = false;
   // Punch outcomes are deterministic per ordered pair, so the receiver
-  // knows up front which sources must relay (Connect is idempotent and
-  // punching is mutual — asking from this side costs nothing extra). The
-  // loop below then only ever blocks on an inbox that can still deliver:
-  // fully-punched phases never touch the KV relay, and once every punched
-  // source completed, the fabric pop (which nothing will ever feed again)
-  // is skipped instead of burning its full wait before each relay pop.
-  std::map<int32_t, bool> punched;
-  int32_t punched_pending = 0;
-  int32_t relay_pending = 0;
-  for (int32_t s : sources) {
-    FSD_ASSIGN_OR_RETURN(punched[s],
-                         EnsureLink(env, &metrics, session, s, env->worker_id));
-    ++(punched[s] ? punched_pending : relay_pending);
-  }
-
-  // Header decode and per-source bookkeeping (the poll loop's control
-  // state) stay inline; each pop's row decode runs under one window charged
-  // on every popped byte, empty pops included.
-  auto consume = [&](std::vector<SharedBytes> values,
-                     bool relayed) -> Status {
-    uint64_t popped_bytes = 0;
-    std::vector<ReceivedBody> bodies;
-    for (SharedBytes& value : values) {
-      popped_bytes += value->size();
-      if (relayed) {
-        // Relay pops bill the full value, header included — the cache
-        // meters what it moved, not what the receiver could use.
-        metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
-      }
-      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
-                           DecodeInboxValue(std::move(value)));
-      FSD_ASSIGN_OR_RETURN(
-          const bool fresh,
-          receiver.Accept(decoded.source, decoded.seq, decoded.total));
-      if (!fresh) continue;
-      bodies.push_back(std::move(decoded.body));
-      if (!receiver.pending(decoded.source)) {
-        --(punched[decoded.source] ? punched_pending : relay_pending);
-      }
-    }
-    return receiver.Decode(std::move(bodies), popped_bytes);
-  };
-
-  while (!receiver.done()) {
-    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
-    if (punched_pending > 0) {
-      FSD_ASSIGN_OR_RETURN(
-          std::vector<SharedBytes> values,
-          env->cloud->p2p().BlockingPopAll(session, inbox,
-                                           cloud::kMaxValuesPerPop,
-                                           options.direct_poll_wait_s));
-      ++metrics.direct_pops;
-      if (values.empty()) ++metrics.direct_empty_pops;
-      FSD_RETURN_IF_ERROR(consume(std::move(values), /*relayed=*/false));
-    }
-    if (receiver.done() || relay_pending == 0) continue;
-
-    FSD_RETURN_IF_ERROR(env->CheckAbort());
+  // knows which pending sources must relay (Connect is idempotent and
+  // punching is mutual: asking from this side costs nothing extra). Only
+  // ever block on an inbox that can still deliver: fully-punched phases
+  // never touch the KV relay, and once every punched source completed, the
+  // fabric pop (which nothing will ever feed again) is skipped instead of
+  // burning its full wait before each relay pop. While both can deliver,
+  // fabric and relay pops alternate so neither path starves the other.
+  bool punched_pending = false;
+  bool relay_pending = false;
+  for (const auto& [source, progress] : pending) {
     FSD_ASSIGN_OR_RETURN(
-        std::vector<SharedBytes> relayed,
-        env->cloud->kv().BlockingPopAll(relay, inbox, cloud::kMaxValuesPerPop,
-                                        options.kv_poll_wait_s));
-    ++metrics.kv_pops;
-    if (relayed.empty()) ++metrics.kv_empty_pops;
-    FSD_RETURN_IF_ERROR(consume(std::move(relayed), /*relayed=*/true));
+        const bool punched,
+        EnsureLink(env, &metrics, session, source, env->worker_id));
+    (punched ? punched_pending : relay_pending) = true;
   }
-  return receiver.FinishRows();
+  const bool relay = relay_pending && (relay_turn_ || !punched_pending);
+  relay_turn_ = !relay;
+
+  std::vector<SharedBytes> values;
+  if (relay) {
+    FSD_ASSIGN_OR_RETURN(
+        values, env->cloud->kv().BlockingPopAll(
+                    RelayNamespaceName(options), inbox,
+                    cloud::kMaxValuesPerPop, options.kv_poll_wait_s));
+    ++metrics.kv_pops;
+    if (values.empty()) ++metrics.kv_empty_pops;
+  } else {
+    FSD_ASSIGN_OR_RETURN(
+        values, env->cloud->p2p().BlockingPopAll(session, inbox,
+                                                 cloud::kMaxValuesPerPop,
+                                                 options.direct_poll_wait_s));
+    ++metrics.direct_pops;
+    if (values.empty()) ++metrics.direct_empty_pops;
+  }
+  // Every pop, empty or not, takes one window charged on every popped byte.
+  PollResult poll;
+  FSD_ASSIGN_OR_RETURN(DecodeWindow window,
+                       DecodeInboxPop(std::move(values)));
+  if (relay) {
+    // Relay pops bill the full values, headers included: the cache meters
+    // what it moved, not what the receiver could use.
+    metrics.recv_billed_bytes += static_cast<int64_t>(window.bytes);
+  }
+  poll.windows.push_back(std::move(window));
+  return poll;
 }
 
 }  // namespace fsd::core

@@ -21,9 +21,10 @@
 //
 // Fabric and relay inboxes share KvChannel::InboxKey's "p{phase}/w{target}".
 //
-// Receive path: the worker blocking-pops its fabric inbox; when any
-// expected source's link to it failed to punch, it alternates fabric and
-// relay pops so neither path can starve the other.
+// Receive path: each poll step blocking-pops the fabric inbox, or the relay
+// inbox once the pending sources that punched are done; while both can
+// deliver, steps alternate so neither path starves the other. Both pops
+// parse values with KV's DecodeInboxPop, under CommChannel::ReceiveRows.
 #ifndef FSD_CORE_DIRECT_CHANNEL_H_
 #define FSD_CORE_DIRECT_CHANNEL_H_
 
@@ -56,9 +57,16 @@ class DirectChannel : public CommChannel {
                   const linalg::ActivationRows& source,
                   const std::vector<SendSpec>& sends) override;
 
-  Result<ReceivedRows> ReceiveRows(
-      WorkerEnv* env, int32_t phase,
-      const std::vector<int32_t>& sources) override;
+ protected:
+  /// One blocking pop of the fabric inbox or of the relay inbox.
+  Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
+                              const PendingSources& pending,
+                              bool first) override;
+
+ private:
+  /// Whether this receive's next pop is the relay's, while both paths can
+  /// deliver.
+  bool relay_turn_ = false;
 };
 
 }  // namespace fsd::core

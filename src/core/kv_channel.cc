@@ -20,19 +20,37 @@ Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
   return out;
 }
 
-Result<DecodedInboxValue> DecodeInboxValue(SharedBytes value) {
+Result<ReceivedChunk> DecodeInboxValue(SharedBytes value) {
   ByteReader reader(*value);
   int32_t header[3];  // source, seq, total
   for (int32_t& field : header) {
-    FSD_ASSIGN_OR_RETURN(const uint64_t raw, codec::GetVarint64(&reader));
+    Result<uint64_t> read = codec::GetVarint64(&reader);
+    if (!read.ok()) {
+      // A truncated header reads past the value's end (OutOfRange); the
+      // value is what is broken.
+      return Status::DataLoss("bad inbox value header: " +
+                              read.status().message());
+    }
+    const uint64_t raw = *read;
     if (raw > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
       return Status::DataLoss("inbox value header field exceeds int32");
     }
     field = static_cast<int32_t>(raw);
   }
   FSD_RETURN_IF_ERROR(CheckChunkIndex(header[1], header[2]));
-  return DecodedInboxValue{header[0], header[1], header[2],
-                           ReceivedBody(std::move(value), reader.position())};
+  return ReceivedChunk{header[0], header[1], header[2], std::move(value),
+                       reader.position()};
+}
+
+Result<DecodeWindow> DecodeInboxPop(std::vector<SharedBytes> values) {
+  DecodeWindow window;
+  for (SharedBytes& value : values) {
+    window.bytes += value->size();
+    FSD_ASSIGN_OR_RETURN(ReceivedChunk chunk,
+                         DecodeInboxValue(std::move(value)));
+    window.chunks.push_back(std::move(chunk));
+  }
+  return window;
 }
 
 std::string KvChannel::NamespaceName(const FsdOptions& options) {
@@ -99,48 +117,32 @@ Status KvChannel::SendRows(WorkerEnv* env, int32_t phase,
                          std::move(pushes));
 }
 
-Result<ReceivedRows> KvChannel::ReceiveRows(
-    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return ReceivedRows{};
+Result<PollResult> KvChannel::PollStep(WorkerEnv* env, int32_t phase,
+                                      const PendingSources& /*pending*/,
+                                      bool /*first*/) {
   const FsdOptions& options = *env->options;
-  PhaseReceiver receiver(env, phase, sources);
-  LayerMetrics& metrics = receiver.metrics();
-
-  const std::string ns = NamespaceName(options);
-  const std::string inbox = InboxKey(phase, env->worker_id);
-  while (!receiver.done()) {
-    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
-    FSD_ASSIGN_OR_RETURN(
-        std::vector<SharedBytes> values,
-        env->cloud->kv().BlockingPopAll(ns, inbox, cloud::kMaxValuesPerPop,
-                                        options.kv_poll_wait_s));
-    ++metrics.kv_pops;
-    if (values.empty()) {
-      ++metrics.kv_empty_pops;
-      continue;
-    }
-    // Header decode and per-source bookkeeping (the poll loop's control
-    // state) stay inline; the pop's row decode runs under one window
-    // charged on the accepted body bytes.
-    uint64_t accepted_bytes = 0;
-    std::vector<ReceivedBody> bodies;
-    for (SharedBytes& value : values) {
-      // Processed bytes the pop was billed for: the full value, header
-      // included — counted before any skip, because the service meters
-      // what it moved, not what the receiver could use.
-      metrics.recv_billed_bytes += static_cast<int64_t>(value->size());
-      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded,
-                           DecodeInboxValue(std::move(value)));
-      FSD_ASSIGN_OR_RETURN(
-          const bool fresh,
-          receiver.Accept(decoded.source, decoded.seq, decoded.total));
-      if (!fresh) continue;
-      accepted_bytes += decoded.body.size();
-      bodies.push_back(std::move(decoded.body));
-    }
-    FSD_RETURN_IF_ERROR(receiver.Decode(std::move(bodies), accepted_bytes));
+  LayerMetrics& metrics = env->metrics->Layer(phase);
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<SharedBytes> values,
+      env->cloud->kv().BlockingPopAll(NamespaceName(options),
+                                      InboxKey(phase, env->worker_id),
+                                      cloud::kMaxValuesPerPop,
+                                      options.kv_poll_wait_s));
+  ++metrics.kv_pops;
+  PollResult poll;
+  if (values.empty()) {
+    ++metrics.kv_empty_pops;
+    return poll;
   }
-  return receiver.FinishRows();
+  FSD_ASSIGN_OR_RETURN(DecodeWindow window,
+                       DecodeInboxPop(std::move(values)));
+  // The pop billed the full values, headers included: the service meters
+  // what it moved, not what the receiver could use. The window charges the
+  // accepted bodies alone.
+  metrics.recv_billed_bytes += static_cast<int64_t>(window.bytes);
+  window.charge = DecodeWindow::Charge::kAccepted;
+  poll.windows.push_back(std::move(window));
+  return poll;
 }
 
 }  // namespace fsd::core

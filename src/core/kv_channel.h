@@ -14,10 +14,11 @@
 // "p{phase}/w{target}" in the run's namespace. Pushes are dispatched on the
 // worker's IPC lanes and overlap the subsequent compute.
 //
-// Receive path: the worker blocking-pops its own inbox list. Pops are
-// destructive, so there is no delete call; phases have dedicated lists, so
-// there is no cross-phase stash either. Per-source chunk counts ride in the
-// value headers, and PhaseReceiver drops any duplicate (source, seq).
+// Receive path: the poll step blocking-pops the worker's own inbox list and
+// parses each value's header (DecodeInboxPop); CommChannel::ReceiveRows
+// runs it until every source is complete and drops any duplicate (source,
+// seq). Pops are destructive, so there is no delete call; phases have
+// dedicated lists, so there is no cross-phase stash either.
 #ifndef FSD_CORE_KV_CHANNEL_H_
 #define FSD_CORE_KV_CHANNEL_H_
 
@@ -35,16 +36,15 @@ namespace fsd::core {
 Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
                        Bytes wire);
 
-struct DecodedInboxValue {
-  int32_t source = 0;
-  int32_t seq = 0;
-  int32_t total = 0;
-  ReceivedBody body;  ///< the chunk wire, read in place inside the value
-};
+/// Parses one inbox value into a chunk read in place. DataLoss on a
+/// truncated value, a header field above INT32_MAX, or a (seq, total) that
+/// could never complete its source.
+Result<ReceivedChunk> DecodeInboxValue(SharedBytes value);
 
-/// DataLoss on a truncated value, a header field above INT32_MAX, or a
-/// (seq, total) that could never complete its source.
-Result<DecodedInboxValue> DecodeInboxValue(SharedBytes value);
+/// Parses one pop's inbox values, in pop order, into a kFixed decode window
+/// charged on every popped byte (headers and redundant values included).
+/// The KV and direct channels' poll steps share it.
+Result<DecodeWindow> DecodeInboxPop(std::vector<SharedBytes> values);
 
 class KvChannel : public CommChannel {
  public:
@@ -71,9 +71,11 @@ class KvChannel : public CommChannel {
                   const linalg::ActivationRows& source,
                   const std::vector<SendSpec>& sends) override;
 
-  Result<ReceivedRows> ReceiveRows(
-      WorkerEnv* env, int32_t phase,
-      const std::vector<int32_t>& sources) override;
+ protected:
+  /// One blocking pop of the worker's inbox list.
+  Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
+                              const PendingSources& pending,
+                              bool first) override;
 };
 
 }  // namespace fsd::core

@@ -80,64 +80,55 @@ Status ObjectChannel::SendRows(WorkerEnv* env, int32_t phase,
                          std::move(puts));
 }
 
-Result<ReceivedRows> ObjectChannel::ReceiveRows(
-    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return ReceivedRows{};
+Result<PollResult> ObjectChannel::PollStep(WorkerEnv* env, int32_t phase,
+                                          const PendingSources& pending,
+                                          bool /*first*/) {
   const FsdOptions& options = *env->options;
-  PhaseReceiver receiver(env, phase, sources);
-  LayerMetrics& metrics = receiver.metrics();
-
+  LayerMetrics& metrics = env->metrics->Layer(phase);
   const std::string bucket = BucketName(env->worker_id, options);
-  const std::string prefix = StrFormat("%d/%d/", phase, env->worker_id);
-  while (!receiver.done()) {
-    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
-    FSD_ASSIGN_OR_RETURN(std::vector<cloud::ObjectMeta> handles,
-                         env->cloud->objects().List(bucket, prefix));
-    ++metrics.lists;
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<cloud::ObjectMeta> handles,
+      env->cloud->objects().List(
+          bucket, StrFormat("%d/%d/", phase, env->worker_id)));
+  ++metrics.lists;
 
-    // Decide which handles to fetch this round. A ".nul" completes its
-    // source without a GET; sources already received are not read again.
-    std::vector<std::string> to_get;
-    for (const cloud::ObjectMeta& meta : handles) {
-      FSD_ASSIGN_OR_RETURN(const int32_t source, KeySource(meta.key));
-      if (meta.key.ends_with(".nul")) {
-        if (receiver.Complete(source)) ++metrics.nul_skipped;
-        continue;
-      }
-      FSD_ASSIGN_OR_RETURN(const bool fresh,
-                           receiver.Accept(source, /*seq=*/0, /*total=*/1));
-      if (fresh) to_get.push_back(meta.key);
+  // Decide which handles to fetch this round. A ".nul" completes its
+  // source without a GET; sources already received are not read again.
+  PollResult poll;
+  std::vector<std::pair<int32_t, const std::string*>> to_get;
+  for (const cloud::ObjectMeta& meta : handles) {
+    FSD_ASSIGN_OR_RETURN(const int32_t source, KeySource(meta.key));
+    if (meta.key.ends_with(".nul")) {
+      poll.completed.push_back(source);
+    } else if (pending.contains(source)) {
+      to_get.emplace_back(source, &meta.key);
+    } else {
+      ++metrics.redundant_skipped;
     }
-    if (to_get.empty()) {
-      // Nothing new this scan; brief back-off before re-listing keeps the
-      // LIST count (and cost) down, as in the paper's optimization.
-      if (!receiver.done()) {
-        FSD_RETURN_IF_ERROR(
-            env->faas->SleepFor(options.object_scan_interval_s));
-      }
-      continue;
-    }
-
-    // Parallel GETs on the IPC lanes. Fetches stay inline (they drive the
-    // poll loop); the round's row decode runs under one window of the GET
-    // makespan plus the deserialization charge.
-    std::vector<double> latencies;
-    std::vector<ReceivedBody> bodies;
-    uint64_t got_bytes = 0;
-    for (const std::string& key : to_get) {
-      cloud::ObjectStore::GetOutcome got =
-          env->cloud->objects().Get(bucket, key);
-      ++metrics.gets;
-      if (!got.status.ok()) return got.status;
-      latencies.push_back(got.latency);
-      got_bytes += got.body->size();
-      bodies.emplace_back(std::move(got.body), 0);
-    }
-    FSD_RETURN_IF_ERROR(receiver.Decode(
-        std::move(bodies), got_bytes,
-        sim::ParallelMakespan(latencies, options.io_lanes)));
   }
-  return receiver.FinishRows();
+  if (to_get.empty()) {
+    // Nothing new this scan; brief back-off before re-listing keeps the
+    // LIST count (and cost) down, as in the paper's optimization.
+    poll.backoff_s = options.object_scan_interval_s;
+    return poll;
+  }
+
+  // Parallel GETs on the IPC lanes. The round's row decode runs under one
+  // window of the GET makespan plus the fetched bytes.
+  DecodeWindow& window = poll.windows.emplace_back();
+  std::vector<double> latencies;
+  for (const auto& [source, key] : to_get) {
+    cloud::ObjectStore::GetOutcome got =
+        env->cloud->objects().Get(bucket, *key);
+    ++metrics.gets;
+    if (!got.status.ok()) return got.status;
+    latencies.push_back(got.latency);
+    window.bytes += got.body->size();
+    window.chunks.push_back(
+        ReceivedChunk{source, /*seq=*/0, /*total=*/1, std::move(got.body)});
+  }
+  window.extra_s = sim::ParallelMakespan(latencies, options.io_lanes);
+  return poll;
 }
 
 }  // namespace fsd::core

@@ -6,10 +6,11 @@
 // arbitrarily large, so no chunking is needed. PUTs ride the worker's IPC
 // lanes and overlap with compute.
 //
-// Receive path: the worker repeatedly LISTs its own prefix
-// "{phase}/{m}/" in bucket-{m % num_buckets}; ".nul" names complete a
-// source without a GET, already-received sources are skipped (no redundant
-// reads), and remaining ".dat" objects are fetched on parallel lanes.
+// Receive path: each poll step LISTs the worker's own prefix "{phase}/{m}/"
+// in bucket-{m % num_buckets}; ".nul" names complete a source without a
+// GET, already-received sources are skipped (no redundant reads), and
+// remaining ".dat" objects are fetched on parallel lanes. A round with
+// nothing to fetch asks CommChannel::ReceiveRows for a re-LIST back-off.
 #ifndef FSD_CORE_OBJECT_CHANNEL_H_
 #define FSD_CORE_OBJECT_CHANNEL_H_
 
@@ -39,9 +40,11 @@ class ObjectChannel : public CommChannel {
                   const linalg::ActivationRows& source,
                   const std::vector<SendSpec>& sends) override;
 
-  Result<ReceivedRows> ReceiveRows(
-      WorkerEnv* env, int32_t phase,
-      const std::vector<int32_t>& sources) override;
+ protected:
+  /// One LIST of the worker's prefix, then GETs of the fresh ".dat"s.
+  Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
+                              const PendingSources& pending,
+                              bool first) override;
 };
 
 }  // namespace fsd::core

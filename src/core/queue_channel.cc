@@ -116,71 +116,64 @@ Status QueueChannel::SendRows(WorkerEnv* env, int32_t phase,
                          std::move(publishes));
 }
 
-Result<ReceivedRows> QueueChannel::ReceiveRows(
-    WorkerEnv* env, int32_t phase, const std::vector<int32_t>& sources) {
-  if (sources.empty()) return ReceivedRows{};
-  const FsdOptions& options = *env->options;
-  PhaseReceiver receiver(env, phase, sources);
-  LayerMetrics& metrics = receiver.metrics();
-
-  // Each consumed message is decoded under its own deserialization window.
-  auto consume = [&](ParsedMessage& msg) -> Status {
-    FSD_ASSIGN_OR_RETURN(const bool fresh,
-                         receiver.Accept(msg.source, msg.seq, msg.total));
-    if (!fresh) return Status::OK();
-    const uint64_t size = msg.body->size();
-    std::vector<ReceivedBody> bodies;
-    bodies.emplace_back(std::move(msg.body), 0);
-    return receiver.Decode(std::move(bodies), size);
+Result<PollResult> QueueChannel::PollStep(WorkerEnv* env, int32_t phase,
+                                         const PendingSources& /*pending*/,
+                                         bool /*first*/) {
+  // Each message of this phase is decoded under its own window; a
+  // redelivery takes none.
+  PollResult poll;
+  auto take = [&poll](ReceivedChunk chunk) {
+    poll.windows.push_back(
+        {{std::move(chunk)}, DecodeWindow::Charge::kAcceptedIfAny});
   };
-
-  // Drain the stash first: chunks for this phase may have arrived while we
-  // were receiving an earlier phase.
+  // Drain the stash first: chunks for this phase may have arrived while an
+  // earlier phase was received. Only another phase's receive fills it, so
+  // it can only hold this phase's chunks on a receive's first round.
   if (auto it = stash_.find(phase); it != stash_.end()) {
-    for (ParsedMessage& msg : it->second) {
-      FSD_RETURN_IF_ERROR(consume(msg));
-    }
+    for (ReceivedChunk& chunk : it->second) take(std::move(chunk));
     stash_.erase(it);
+    return poll;
   }
 
+  const FsdOptions& options = *env->options;
+  LayerMetrics& metrics = env->metrics->Layer(phase);
   const std::string my_queue = QueueName(env->worker_id, options);
-  while (!receiver.done()) {
-    FSD_RETURN_IF_ERROR(receiver.CheckRunning());
-    FSD_ASSIGN_OR_RETURN(
-        std::vector<cloud::QueueMessage> messages,
-        env->cloud->queues().Receive(my_queue, cloud::kMaxMessagesPerReceive,
-                                     options.poll_wait_s));
-    ++metrics.polls;
-    if (messages.empty()) {
-      ++metrics.empty_polls;
-      continue;
-    }
-    metrics.msgs_received += static_cast<int64_t>(messages.size());
-    std::vector<uint64_t> to_delete;
-    for (cloud::QueueMessage& msg : messages) {
-      to_delete.push_back(msg.id);
-      // A missing attribute reads as "", which fails the parse too.
-      auto field = [&msg](const char* key) {
-        return ParseFrameInt(msg.attributes[key]);
-      };
-      ParsedMessage parsed;
-      FSD_ASSIGN_OR_RETURN(const int32_t msg_phase, field(kAttrPhase));
-      FSD_ASSIGN_OR_RETURN(parsed.source, field(kAttrSource));
-      FSD_ASSIGN_OR_RETURN(parsed.seq, field(kAttrSeq));
-      FSD_ASSIGN_OR_RETURN(parsed.total, field(kAttrTotal));
-      FSD_RETURN_IF_ERROR(CheckChunkIndex(parsed.seq, parsed.total));
-      parsed.body = std::move(msg.body);
-      if (msg_phase != phase) {
-        stash_[msg_phase].push_back(std::move(parsed));
-        continue;
-      }
-      FSD_RETURN_IF_ERROR(consume(parsed));
-    }
-    FSD_RETURN_IF_ERROR(
-        env->cloud->queues().DeleteMessages(my_queue, to_delete));
-    ++metrics.deletes;
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<cloud::QueueMessage> messages,
+      env->cloud->queues().Receive(my_queue, cloud::kMaxMessagesPerReceive,
+                                   options.poll_wait_s));
+  ++metrics.polls;
+  if (messages.empty()) {
+    ++metrics.empty_polls;
+    return poll;
   }
-  return receiver.FinishRows();
+  metrics.msgs_received += static_cast<int64_t>(messages.size());
+  std::vector<uint64_t> to_delete;
+  for (cloud::QueueMessage& msg : messages) {
+    to_delete.push_back(msg.id);
+    // A missing attribute reads as "", which fails the parse too.
+    auto field = [&msg](const char* key) {
+      return ParseFrameInt(msg.attributes[key]);
+    };
+    FSD_ASSIGN_OR_RETURN(const int32_t msg_phase, field(kAttrPhase));
+    FSD_ASSIGN_OR_RETURN(const int32_t source, field(kAttrSource));
+    FSD_ASSIGN_OR_RETURN(const int32_t seq, field(kAttrSeq));
+    FSD_ASSIGN_OR_RETURN(const int32_t total, field(kAttrTotal));
+    FSD_RETURN_IF_ERROR(CheckChunkIndex(seq, total));
+    ReceivedChunk chunk{source, seq, total, std::move(msg.body)};
+    if (msg_phase != phase) {
+      stash_[msg_phase].push_back(std::move(chunk));
+    } else {
+      take(std::move(chunk));
+    }
+  }
+  // Delete the round's messages once their windows were taken.
+  poll.acknowledge = [env, &metrics, my_queue,
+                      to_delete = std::move(to_delete)]() {
+    ++metrics.deletes;
+    return env->cloud->queues().DeleteMessages(my_queue, to_delete);
+  };
+  return poll;
 }
 
 }  // namespace fsd::core

@@ -9,11 +9,12 @@
 // serialization CPU, while the publish API calls run on parallel lanes that
 // overlap the subsequent local compute.
 //
-// Receive path: the worker long-polls its own queue (up to 10 messages per
-// receive), stashes messages belonging to other phases (a fast upstream
-// worker may already be sending layer k+1), and deletes consumed messages;
-// PhaseReceiver drops redeliveries. Per-source chunk counts ride in message
-// attributes so the worker knows when a source is complete.
+// Receive path: each poll step long-polls the worker's own queue (up to 10
+// messages per receive), stashes chunks of other phases (a fast upstream
+// worker may already be sending layer k+1) for that phase's first step,
+// and deletes consumed messages once their windows ran. Per-source chunk
+// counts ride in message attributes; CommChannel::ReceiveRows drops
+// redeliveries and stops once every source is complete.
 #ifndef FSD_CORE_QUEUE_CHANNEL_H_
 #define FSD_CORE_QUEUE_CHANNEL_H_
 
@@ -45,20 +46,16 @@ class QueueChannel : public CommChannel {
                   const linalg::ActivationRows& source,
                   const std::vector<SendSpec>& sends) override;
 
-  Result<ReceivedRows> ReceiveRows(
-      WorkerEnv* env, int32_t phase,
-      const std::vector<int32_t>& sources) override;
+ protected:
+  /// One long poll of the worker's queue; a receive's first round drains
+  /// the stash instead when it holds this phase's chunks.
+  Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
+                              const PendingSources& pending,
+                              bool first) override;
 
  private:
-  struct ParsedMessage {
-    int32_t source = 0;
-    int32_t seq = 0;
-    int32_t total = 0;
-    SharedBytes body;
-  };
-
-  /// Messages that arrived while receiving a different phase.
-  std::map<int32_t, std::vector<ParsedMessage>> stash_;
+  /// Chunks that arrived while receiving a different phase.
+  std::map<int32_t, std::vector<ReceivedChunk>> stash_;
 };
 
 }  // namespace fsd::core

@@ -1,6 +1,7 @@
 // Direct unit tests of the communication channels, below the worker layer:
 // chunking, publish packing, empty-send markers, cross-phase stashing, the
-// object channel's .nul/redundant-read optimizations, and checked framing.
+// object channel's .nul/redundant-read optimizations, checked framing, and
+// the one receive loop every backend's poll step runs under.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "codec/varint.h"
 #include "core/channel.h"
 #include "core/collectives.h"
+#include "core/direct_channel.h"
 #include "core/kv_channel.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
@@ -54,16 +56,6 @@ Bytes EncodeOne(const linalg::ActivationRows& rows,
   return EncodeRows(CollectRows(rows, ids), 0, WireCodecFromOptions(options))
       .chunks[0]
       .wire;
-}
-
-/// Whole-buffer received bodies, as a queue message or an object GET hands
-/// them to a PhaseReceiver.
-std::vector<ReceivedBody> Bodies(std::initializer_list<Bytes> wires) {
-  std::vector<ReceivedBody> out;
-  for (const Bytes& wire : wires) {
-    out.emplace_back(std::make_shared<const Bytes>(wire), 0);
-  }
-  return out;
 }
 
 /// Harness: runs `body` inside FaaS handlers (one per worker id), giving
@@ -416,44 +408,17 @@ TEST_F(ChannelTest, QueueRejectsChunksThatDisagreeOnTheirTotal) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
 }
 
-TEST_F(ChannelTest, KvRejectsChunksThatDisagreeOnTheirTotal) {
-  static const std::vector<int32_t> ids_a = {3};
-  static const std::vector<int32_t> ids_b = {5};
-  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
-  Status status;
-  RunWorkers<KvChannel>({
-      [&](WorkerEnv* env, KvChannel*) {
-        const std::string ns = KvChannel::NamespaceName(options_);
-        const std::string inbox = KvChannel::InboxKey(0, 1);
-        env->cloud->kv().Push(ns, inbox,
-                              std::make_shared<const Bytes>(EncodeInboxValue(
-                                  0, 0, 3, EncodeOne(rows, ids_a))));
-        env->cloud->kv().Push(ns, inbox,
-                              std::make_shared<const Bytes>(EncodeInboxValue(
-                                  0, 1, 2, EncodeOne(rows, ids_b))));
-      },
-      [&](WorkerEnv* env, KvChannel* channel) {
-        status = Recv(channel, env, 0, {0}).status();
-      },
-  });
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Detached decode: PhaseReceiver::Decode starts one offload job per body and
-// Finish joins them. Results must match sequential decoding for every pool
-// size, errors included.
-
 /// Runs `body` inside one FaaS handler acting as worker 1, on a fresh cloud
-/// (`options.variant`'s channel resources provisioned) whose simulation has
-/// `compute_threads` offload pool threads; returns the run's offload
-/// counters.
+/// (`config`, with `options.variant`'s channel resources provisioned) whose
+/// simulation has `compute_threads` offload pool threads; returns the run's
+/// offload counters.
 sim::OffloadStats RunOnPool(int compute_threads, const FsdOptions& options,
-                            const std::function<void(WorkerEnv*)>& body) {
+                            const std::function<void(WorkerEnv*)>& body,
+                            const cloud::CloudConfig& config = {}) {
   sim::SimTuning tuning;
   tuning.compute_threads = compute_threads;
   sim::Simulation sim(tuning);
-  cloud::CloudEnv cloud(&sim);
+  cloud::CloudEnv cloud(&sim, config);
   FSD_CHECK_OK(ProvisionChannelResources(&cloud, options));
   WorkerMetrics metrics;
   cloud::FaasFunctionConfig fn;
@@ -476,6 +441,154 @@ sim::OffloadStats RunOnPool(int compute_threads, const FsdOptions& options,
   return sim.offload_stats();
 }
 
+// The KV channel and both of the direct channel's pops, fabric and relay,
+// parse the same inbox value header, so each rejects hostile framing alike.
+
+/// Where source 0's inbox values for worker 1 land.
+enum class Inbox { kKv, kDirectFabric, kDirectRelay };
+
+const char* InboxName(Inbox inbox) {
+  switch (inbox) {
+    case Inbox::kKv: return "kv";
+    case Inbox::kDirectFabric: return "direct fabric";
+    case Inbox::kDirectRelay: return "direct relay";
+  }
+  return "?";
+}
+
+/// Puts `values` where source 0's sends to worker 1 land in phase 0 (the KV
+/// inbox list; on the direct channel, a link no punch fails on, or the
+/// relay inbox when every punch fails), then receives phase 0 from source 0
+/// as worker 1. Returns the receive's status; `layer` gets its counters.
+Status ReceiveInboxValues(Inbox inbox, const std::vector<Bytes>& values,
+                          LayerMetrics* layer) {
+  FsdOptions options;
+  options.variant = inbox == Inbox::kKv ? Variant::kKv : Variant::kDirect;
+  cloud::CloudConfig config;
+  config.latency.p2p_punch_failure_rate =
+      inbox == Inbox::kDirectRelay ? 1.0 : 0.0;
+  Status status = Status::Internal("never received");
+  RunOnPool(
+      0, options,
+      [&](WorkerEnv* env) {
+        cloud::CloudEnv* cloud = env->cloud;
+        const std::string key = KvChannel::InboxKey(0, 1);
+        const std::string session = DirectChannel::SessionName(options);
+        for (const Bytes& value : values) {
+          SharedBytes shared = std::make_shared<const Bytes>(value);
+          switch (inbox) {
+            case Inbox::kKv:
+              cloud->kv().Push(KvChannel::NamespaceName(options), key,
+                               shared);
+              break;
+            case Inbox::kDirectFabric:
+              ASSERT_TRUE(cloud->p2p().Connect(session, 0, 1).punched);
+              ASSERT_TRUE(
+                  cloud->p2p().Send(session, 0, 1, key, shared).status.ok());
+              break;
+            case Inbox::kDirectRelay:
+              cloud->kv().Push(DirectChannel::RelayNamespaceName(options),
+                               key, shared);
+              break;
+          }
+        }
+        std::unique_ptr<CommChannel> channel =
+            MakeCommChannel(options.variant);
+        status = channel->ReceiveRows(env, 0, {0}).status();
+        *layer = env->metrics->Layer(0);
+      },
+      config);
+  return status;
+}
+
+// A source's chunks must agree on its chunk count, on every inbox.
+TEST(InboxChannel, RejectsChunksThatDisagreeOnTheirTotal) {
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
+  const std::vector<Bytes> values = {
+      EncodeInboxValue(0, 0, 3, EncodeOne(rows, {3})),
+      EncodeInboxValue(0, 1, 2, EncodeOne(rows, {5}))};
+  for (const Inbox inbox :
+       {Inbox::kKv, Inbox::kDirectFabric, Inbox::kDirectRelay}) {
+    LayerMetrics layer;
+    const Status status = ReceiveInboxValues(inbox, values, &layer);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+        << InboxName(inbox) << ": " << status.ToString();
+    // The values were read off the inbox under test.
+    EXPECT_EQ(layer.direct_pops > 0, inbox == Inbox::kDirectFabric)
+        << InboxName(inbox);
+    EXPECT_EQ(layer.kv_pops > 0, inbox != Inbox::kDirectFabric)
+        << InboxName(inbox);
+  }
+}
+
+TEST(InboxChannel, RejectsATruncatedHeader) {
+  const Bytes truncated[] = {
+      {},            // no header at all
+      {0x00, 0x80},  // seq's varint runs past the end
+      {0x00, 0x00},  // no total
+  };
+  for (const Inbox inbox :
+       {Inbox::kKv, Inbox::kDirectFabric, Inbox::kDirectRelay}) {
+    for (const Bytes& value : truncated) {
+      LayerMetrics layer;
+      const Status status = ReceiveInboxValues(inbox, {value}, &layer);
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << InboxName(inbox) << " " << value.size()
+          << " bytes: " << status.ToString();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The receive loop: CommChannel::ReceiveRows accepts each poll step's chunks
+// and starts one detached decode per accepted body; the decodes are joined
+// once every source is complete. Results must match sequential decoding for
+// every pool size, errors included.
+
+/// A channel whose poll steps hand back scripted rounds, in order: the
+/// receive loop with no service behind it.
+class ScriptedChannel : public CommChannel {
+ public:
+  explicit ScriptedChannel(std::vector<PollResult> rounds)
+      : rounds_(std::move(rounds)) {}
+
+  std::string_view name() const override { return "scripted"; }
+  Status SendRows(WorkerEnv*, int32_t, const linalg::ActivationRows&,
+                  const std::vector<SendSpec>&) override {
+    return Status::Unimplemented("a scripted channel only receives");
+  }
+  size_t polls() const { return polls_; }
+
+ protected:
+  Result<PollResult> PollStep(WorkerEnv*, int32_t, const PendingSources&,
+                              bool) override {
+    if (polls_ == rounds_.size()) {
+      return Status::Internal("scripted rounds exhausted");
+    }
+    return std::move(rounds_[polls_++]);
+  }
+
+ private:
+  std::vector<PollResult> rounds_;
+  size_t polls_ = 0;
+};
+
+/// One round of a single window charging one byte: source 0's chunks
+/// `first_seq`, `first_seq` + 1, ... of `total`, one per wire, each read
+/// whole as a queue message or an object GET hands it over.
+PollResult Round(int32_t first_seq, int32_t total,
+                 std::initializer_list<Bytes> wires) {
+  PollResult round;
+  DecodeWindow& window = round.windows.emplace_back();
+  window.bytes = 1;
+  int32_t seq = first_seq;
+  for (const Bytes& wire : wires) {
+    window.chunks.push_back(
+        ReceivedChunk{0, seq++, total, std::make_shared<const Bytes>(wire)});
+  }
+  return round;
+}
+
 TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
   // Row 5 arrives twice with different values; the second arrival wins and
   // counts once, exactly as two sequential DecodeRows calls would.
@@ -491,17 +604,15 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
   for (const int pool : {0, 1, 4}) {
     Result<ReceivedRows> got = Status::Internal("never received");
     int64_t recv_rows = -1;
+    size_t polls = 0;
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
-      PhaseReceiver receiver(env, 0, {0});
-      for (int32_t seq = 0; seq < 2; ++seq) {
-        ASSERT_TRUE(*receiver.Accept(0, seq, 2));
-        ASSERT_TRUE(receiver.Decode(Bodies({seq == 0 ? a : b}), 1).ok());
-      }
-      EXPECT_TRUE(receiver.done());
-      got = receiver.FinishRows();
-      recv_rows = receiver.metrics().recv_rows;
+      ScriptedChannel channel({Round(0, 2, {a}), Round(1, 2, {b})});
+      got = channel.ReceiveRows(env, 0, {0});
+      polls = channel.polls();
+      recv_rows = env->metrics->Layer(0).recv_rows;
     });
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
+    EXPECT_EQ(polls, 2u) << "pool=" << pool;  // done after both chunks
     EXPECT_EQ(Merged(*got), sequential) << "pool=" << pool;
     EXPECT_EQ(recv_rows, static_cast<int64_t>(sequential.size()))
         << "pool=" << pool;
@@ -510,7 +621,7 @@ TEST(PhaseReceiverTest, LaterBodyWinsARepeatedRowId) {
 
 TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
   // Row 5 arrives in three bodies: alone in one window, then twice in the
-  // next. FinishRows hands back the bodies unmerged in arrival order,
+  // next. The receive hands back the bodies unmerged in arrival order,
   // recv_rows counts the three distinct ids, and the row table the kernel
   // reads views the last arrival's row 5 (a local row still beats them).
   const linalg::ActivationRows first = MakeRows({3, 5}, 16, 4);
@@ -528,18 +639,15 @@ TEST(PhaseReceiverTest, FlatRowsLetTheLatestArrivalWinInTheRowTable) {
   for (const int pool : {0, 1, 4}) {
     Result<ReceivedRows> got = Status::Internal("never received");
     int64_t recv_rows = -1;
+    size_t polls = 0;
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
-      PhaseReceiver receiver(env, 0, {0});
-      ASSERT_TRUE(*receiver.Accept(0, 0, 3));
-      ASSERT_TRUE(receiver.Decode(Bodies({a}), 1).ok());
-      ASSERT_TRUE(*receiver.Accept(0, 1, 3));
-      ASSERT_TRUE(*receiver.Accept(0, 2, 3));
-      ASSERT_TRUE(receiver.Decode(Bodies({b, c}), 1).ok());
-      EXPECT_TRUE(receiver.done());
-      got = receiver.FinishRows();
-      recv_rows = receiver.metrics().recv_rows;
+      ScriptedChannel channel({Round(0, 3, {a}), Round(1, 3, {b, c})});
+      got = channel.ReceiveRows(env, 0, {0});
+      polls = channel.polls();
+      recv_rows = env->metrics->Layer(0).recv_rows;
     });
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " pool=" << pool;
+    EXPECT_EQ(polls, 2u) << "pool=" << pool;  // done after all three
     ASSERT_EQ(got->size(), 3u) << "pool=" << pool;
     EXPECT_EQ((*got)[0], first) << "pool=" << pool;
     EXPECT_EQ((*got)[1], second) << "pool=" << pool;
@@ -567,17 +675,17 @@ TEST(PhaseReceiverTest, RecvRowsCountsWideIdsOnce) {
   const Bytes b = EncodeOne(rows, {wide, wide + 1});
   int64_t recv_rows = -1;
   RunOnPool(0, FsdOptions{}, [&](WorkerEnv* env) {
-    PhaseReceiver receiver(env, 0, {0});
-    ASSERT_TRUE(receiver.Decode(Bodies({a, b}), 1).ok());
-    ASSERT_TRUE(receiver.FinishRows().ok());
-    recv_rows = receiver.metrics().recv_rows;
+    ScriptedChannel channel({Round(0, 2, {a, b})});
+    ASSERT_TRUE(channel.ReceiveRows(env, 0, {0}).ok());
+    recv_rows = env->metrics->Layer(0).recv_rows;
   });
   EXPECT_EQ(recv_rows, 3);
 }
 
 TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
-  // Three bodies in one window: valid, retagged, empty. Decode defers the
-  // errors; Finish reports the retagged body's, the first in arrival order,
+  // Three bodies in one window: valid, retagged, empty. The decodes defer
+  // their errors, so the receive polls on for the phase's last chunk; it
+  // then reports the retagged body's error, the first in arrival order,
   // whatever the pool size.
   const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
   const Bytes valid = EncodeOne(rows, {3, 5});
@@ -589,23 +697,24 @@ TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
   ASSERT_NE(expected.ToString(), DecodeRows(Bytes{}, &scratch).ToString());
 
   for (const int pool : {0, 1, 4}) {
-    Status decoded = Status::Internal("never decoded");
+    size_t polls = 0;
     Status finished;
     RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
-      PhaseReceiver receiver(env, 0, {0});
-      decoded = receiver.Decode(Bodies({valid, retagged, Bytes{}}), 1);
-      finished = receiver.FinishRows().status();
+      ScriptedChannel channel(
+          {Round(0, 4, {valid, retagged, Bytes{}}), Round(3, 4, {valid})});
+      finished = channel.ReceiveRows(env, 0, {0}).status();
+      polls = channel.polls();
     });
-    EXPECT_TRUE(decoded.ok()) << decoded.ToString() << " pool=" << pool;
+    EXPECT_EQ(polls, 2u) << "pool=" << pool;
     EXPECT_EQ(finished.ToString(), expected.ToString()) << "pool=" << pool;
   }
 }
 
 TEST(PhaseReceiverTest, EarlyExitJoinsDecodesBeforeTheirBuffersDie) {
   // An aborted receive returns while its decodes are still queued: the only
-  // pool thread is pinned until after the receive returned. The receiver's
-  // destructor must join them (here by reclaiming them) before the slots
-  // they write into die; under ASan a missed join is a use-after-free.
+  // pool thread is pinned until after the receive returned. The receive
+  // loop must join them (here by reclaiming them) before the slots they
+  // write into die; under ASan a missed join is a use-after-free.
   FsdOptions options;
   options.variant = Variant::kKv;
   const linalg::ActivationRows rows = MakeRows({3, 5, 7}, 16, 4);
@@ -801,8 +910,8 @@ TEST(InboxValue, RejectsHeadersThatNameNoRealChunk) {
   EXPECT_EQ(ok->seq, 1);
   EXPECT_EQ(ok->total, 3);
   // The body is read in place: a view into the popped value, not a copy.
-  EXPECT_EQ(ok->body.buffer, value);
-  EXPECT_EQ(Bytes(ok->body.wire().begin(), ok->body.wire().end()), Bytes{0});
+  EXPECT_EQ(ok->buffer, value);
+  EXPECT_EQ(Bytes(ok->wire().begin(), ok->wire().end()), Bytes{0});
 
   const Bytes bad[] = {
       InboxHeader((1ull << 32) + 1, 0, 1),  // would narrow to worker 1
