@@ -103,16 +103,16 @@ ShareDistributor* ServingRuntime::EnsureShareDistributor() {
 
 Result<std::string> ServingRuntime::EnsureWorkerFunction(
     const FsdOptions& options) {
-  // %g keeps the timeout exact in the key: queries whose timeouts merely
-  // round to the same integer must NOT share a function (the registered
-  // config's timeout is what the FaaS service enforces). The partition-
-  // cache budget is part of the key too: an instance's cache is created
-  // with the budget of whichever run touches it first, so queries with
-  // different budgets (a budget-ablation workload) must not share warm
+  // %.17g keeps the timeout exact in the key: queries whose timeouts
+  // merely round to the same digits must NOT share a function (the
+  // registered config's timeout is what the FaaS service enforces). The
+  // partition-cache budget is part of the key too: an instance's cache is
+  // created with the budget of whichever run touches it first, so queries
+  // with different budgets (a budget-ablation workload) must not share warm
   // instances or their cache accounting would describe the wrong budget.
   const std::string group =
       options_.share_functions
-          ? StrFormat("w-m%d-t%g-b%llu", options.worker_memory_mb,
+          ? StrFormat("w-m%d-t%.17g-b%llu", options.worker_memory_mb,
                       options.worker_timeout_s,
                       static_cast<unsigned long long>(
                           options.partition_cache

@@ -238,6 +238,29 @@ TEST(Serving, BurstArrivalsReuseWarmInstances) {
   ASSERT_TRUE(cold_report.ok()) << cold_report.status().ToString();
   EXPECT_EQ(cold_report->fleet.cold_starts, 2 * kPerBurst * kWorkers);
   EXPECT_DOUBLE_EQ(cold_report->fleet.cold_start_ratio, 1.0);
+
+  // A timeout that differs only past %g's sixth significant digit is a
+  // different function: the second burst, at 899.9996 s (which %g prints
+  // as 900, and which the provider's 900 s cap allows), must start cold.
+  ASSERT_EQ(request.options.worker_timeout_s, 900.0);
+  InferenceRequest shorter = request;
+  shorter.options.worker_timeout_s = 899.9996;
+  sim::Simulation timeout_sim;
+  cloud::CloudEnv timeout_cloud(&timeout_sim);
+  ServingRuntime timeout_serving(&timeout_cloud);
+  for (int q = 0; q < 2 * kPerBurst; ++q) {
+    ASSERT_TRUE(
+        timeout_serving.Submit(q < kPerBurst ? request : shorter, arrivals[q])
+            .ok());
+  }
+  auto timeout_report = timeout_serving.Drain();
+  ASSERT_TRUE(timeout_report.ok()) << timeout_report.status().ToString();
+  ASSERT_EQ(timeout_report->fleet.failed, 0);
+  for (int q = kPerBurst; q < 2 * kPerBurst; ++q) {
+    EXPECT_EQ(timeout_report->queries[q].report.metrics.cold_starts, kWorkers)
+        << "query " << q << " at timeout 899.9996";
+  }
+  EXPECT_EQ(timeout_report->fleet.cold_starts, 2 * kPerBurst * kWorkers);
 }
 
 TEST(Serving, StopOnFailureAbortsInFlightQueries) {
