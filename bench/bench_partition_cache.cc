@@ -9,9 +9,11 @@
 // its (family, partition, version) share skips the read outright.
 //
 // Asserted shapes:
-//  - warm-hit queries beat cache-off on p50 end-to-end latency
+//  - cache hits cut the workers' summed model-load time (every scale)
+//  - warm-hit queries beat cache-off on p50 end-to-end latency (quick
+//    scale and up)
 //  - the workload's projected daily cost drops (fewer GETs + less billed
-//    runtime)
+//    runtime; quick scale and up)
 //  - the cost model's predicted object-GET savings (measured hit counts x
 //    C_S3(Get)) validate against the billing ledger's cache-off vs
 //    cache-on GET delta to < 0.1% (the §VI-F methodology applied to the
@@ -36,6 +38,7 @@ struct ModeResult {
   double cost = 0.0;
   double hit_ratio = 0.0;
   double object_gets = 0.0;      ///< whole-workload ledger GETs
+  double model_load_s = 0.0;     ///< summed over every query's workers
   int64_t model_gets_saved = 0;  ///< GETs skipped by cache hits
   int64_t model_bytes_saved = 0;
   bool outputs_ok = true;
@@ -66,6 +69,9 @@ ModeResult RunMode(const bench::Workload& workload,
     FSD_CHECK_OK(outcome.report.status);
     result.outputs_ok &= outcome.report.outputs.size() == 1 &&
                          outcome.report.outputs[0] == workload.expected;
+    for (const core::WorkerMetrics& worker : outcome.report.metrics.workers) {
+      result.model_load_s += worker.model_load_s;
+    }
   }
   result.p50_s = report->fleet.latency_p50_s;
   result.p95_s = report->fleet.latency_p95_s;
@@ -147,6 +153,8 @@ int main() {
       "%.1f saved (%s/query)\n",
       100.0 * on.hit_ratio, estimate.get_parts, estimate.gets_saved,
       HumanDollars(estimate.savings).c_str());
+  std::printf("model load %.3fs -> %.3fs summed over workers\n",
+              off.model_load_s, on.model_load_s);
   std::printf("p50 speedup %.2fx, daily cost %.2fx cheaper, outputs %s\n",
               off.p50_s / on.p50_s, off.daily_cost / on.daily_cost,
               (off.outputs_ok && on.outputs_ok) ? "IDENTICAL" : "MISMATCH");
@@ -163,12 +171,20 @@ int main() {
        {"p50_speedup", off.p50_s / on.p50_s},
        {"get_savings_rel_err", rel_err}});
 
-  // The acceptance claims, asserted.
+  // The acceptance claims, asserted. A query waits for its slowest worker,
+  // and at tiny scale (8 queries) nearly every query still has a worker
+  // that missed, so the cache moves its p50 and billed runtime by less than
+  // the sampled service latencies move them between two runs: as
+  // everywhere in bench/, those shapes are only asserted at quick scale and
+  // up. The summed model-load time is the cache's own effect.
   FSD_CHECK(off.outputs_ok);
   FSD_CHECK(on.outputs_ok);
   FSD_CHECK_GT(on.hit_ratio, 0.0);
-  FSD_CHECK_LT(on.p50_s, off.p50_s);
-  FSD_CHECK_LT(on.daily_cost, off.daily_cost);
+  FSD_CHECK_LT(on.model_load_s, off.model_load_s);
+  if (!scale.tiny) {
+    FSD_CHECK_LT(on.p50_s, off.p50_s);
+    FSD_CHECK_LT(on.daily_cost, off.daily_cost);
+  }
   FSD_CHECK_GT(ledger_gets_saved, 0.0);
   FSD_CHECK_LT(rel_err, 0.001);
 

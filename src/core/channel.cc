@@ -232,38 +232,33 @@ Result<ReceivedRows> CommChannel::ReceiveRows(
     FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
     FSD_ASSIGN_OR_RETURN(PollResult poll,
                          PollStep(env, phase, pending, first));
-    for (DecodeWindow& window : poll.windows) {
-      size_t accepted = 0;
-      uint64_t accepted_bytes = 0;
-      for (ReceivedChunk& chunk : window.chunks) {
-        FSD_ASSIGN_OR_RETURN(const bool fresh,
-                             Accept(chunk, &pending, &metrics));
-        if (!fresh) continue;
-        ++accepted;
-        accepted_bytes += chunk.size();
-        metrics.recv_wire_bytes += static_cast<int64_t>(chunk.size());
-        // Each decode runs detached, on a pool thread while this process
-        // polls on (inline when the sim has no pool); its rows are first
-        // read after the join. The body stays in its slot until the receive
-        // returns: freeing it on the pool thread, which did not allocate
-        // it, raised peak RSS through glibc's per-thread caches.
-        DecodeSlot& slot = slots.emplace_back(std::move(chunk));
-        sim->StartDetached(&decodes, [&slot]() {
-          slot.status = DecodeRows(slot.chunk.wire(), &slot.rows);
-        });
-      }
-      if (window.charge == DecodeWindow::Charge::kAcceptedIfAny &&
-          accepted == 0) {
-        continue;
-      }
-      const uint64_t charged = window.charge == DecodeWindow::Charge::kFixed
-                                   ? window.bytes
-                                   : accepted_bytes;
-      const double deser_s = static_cast<double>(charged) /
+    bool accepted = false;
+    uint64_t accepted_bytes = 0;
+    for (ReceivedChunk& chunk : poll.chunks) {
+      FSD_ASSIGN_OR_RETURN(const bool fresh,
+                           Accept(chunk, &pending, &metrics));
+      if (!fresh) continue;
+      accepted = true;
+      accepted_bytes += chunk.size();
+      metrics.recv_wire_bytes += static_cast<int64_t>(chunk.size());
+      // Each decode runs detached, on a pool thread while this process
+      // polls on (inline when the sim has no pool); its rows are first read
+      // after the join. The body stays in its slot until the receive
+      // returns: freeing it on the pool thread, which did not allocate it,
+      // raised peak RSS through glibc's per-thread caches.
+      DecodeSlot& slot = slots.emplace_back(std::move(chunk));
+      sim->StartDetached(&decodes, [&slot]() {
+        slot.status = DecodeRows(slot.chunk.wire(), &slot.rows);
+      });
+    }
+    // The round's one window: its service time plus the accepted bodies'
+    // deserialization. Redundant chunks are never charged.
+    if (accepted || poll.service_s > 0.0) {
+      const double deser_s = static_cast<double>(accepted_bytes) /
                              env->cloud->compute().deserialize_bytes_per_s;
-      const double window_s = window.extra_s + deser_s;
+      const double window_s = poll.service_s + deser_s;
       metrics.deserialize_s += deser_s;
-      if (accepted > 0) {
+      if (accepted) {
         metrics.offload_calls += 1;
         metrics.offload_virtual_s += window_s;
       }
@@ -271,10 +266,6 @@ Result<ReceivedRows> CommChannel::ReceiveRows(
     }
     for (const int32_t source : poll.completed) {
       if (pending.erase(source) > 0) ++metrics.nul_skipped;
-    }
-    if (poll.acknowledge) FSD_RETURN_IF_ERROR(poll.acknowledge());
-    if (poll.backoff_s > 0.0 && !pending.empty()) {
-      FSD_RETURN_IF_ERROR(env->faas->SleepFor(poll.backoff_s));
     }
   }
 

@@ -9,9 +9,10 @@
 // The backends share one send/receive path: EncodeSends and DispatchOnLanes
 // on the send side, and on the receive side one loop, CommChannel::
 // ReceiveRows, which runs a backend's poll step until every source is
-// complete. A backend adds only what it alone knows: resource naming and
-// provisioning, message framing, the service call of its send and of its
-// poll step, and its own billing counters.
+// complete and charges every round's deserialization by one rule. A
+// backend adds only what it alone knows: resource naming and provisioning,
+// message framing, the service calls of its send and of its poll step, and
+// its own billing counters.
 //
 // The channel moves *phases* of activation rows. Phases 0..L-1 carry the
 // x^{k-1} exchanges feeding each layer k; collective operations (barrier,
@@ -99,36 +100,14 @@ struct SourceProgress {
 /// The sources a receive still waits on, as its poll steps read them.
 using PendingSources = std::map<int32_t, SourceProgress>;
 
-/// One deserialization window of a poll step: the chunks it delivers, in
-/// arrival order, and what it charges. The receive loop accepts each chunk
-/// (dropping, as redundant_skipped, a chunk of a complete source or one
-/// already taken), then sleeps the window out while the bodies decode.
-struct DecodeWindow {
-  /// Where the charge comes from: each backend keeps its own placement.
-  enum class Charge {
-    kAcceptedIfAny,  ///< accepted body bytes; no window if none (queue)
-    kAccepted,       ///< accepted body bytes; a window even if none (KV)
-    kFixed,          ///< `bytes` + `extra_s` (direct: popped bytes, empty
-                     ///< pops too; object: fetched bytes + GET makespan)
-  };
-
-  std::vector<ReceivedChunk> chunks;
-  Charge charge = Charge::kFixed;
-  uint64_t bytes = 0;  ///< kFixed: charged at the deserialize rate
-  double extra_s = 0.0;
-};
-
-/// What one poll step hands the receive loop, taken in this order.
+/// What one poll step hands the receive loop: the chunks its round
+/// delivered, in arrival order; the sources it found complete without a
+/// chunk (object .nul markers); and the service time of the round's reads
+/// that the poll call itself did not take (the object GET makespan).
 struct PollResult {
-  std::vector<DecodeWindow> windows;
-  /// Sources that had nothing to send (object .nul markers).
+  std::vector<ReceivedChunk> chunks;
   std::vector<int32_t> completed;
-  /// Run after the windows: the queue channel deletes the round's messages,
-  /// as Algorithm 1 deletes what it processed.
-  std::function<Status()> acknowledge;
-  /// Slept unless the round completed the phase (the object re-LIST
-  /// back-off).
-  double backoff_s = 0.0;
+  double service_s = 0.0;
 };
 
 class CommChannel {
@@ -150,14 +129,19 @@ class CommChannel {
   /// One loop for every backend: each round checks abort and deadline and
   /// takes one PollStep; each accepted body decodes as a detached job, and
   /// the first decode error in arrival order surfaces once all are joined.
+  /// One deserialization rule for every backend: a round takes at most one
+  /// window, of its service_s plus its accepted body bytes at the
+  /// deserialize rate. The window is slept when the round accepted a body
+  /// or has service time; it counts one offload call only when a body was
+  /// accepted.
   Result<ReceivedRows> ReceiveRows(WorkerEnv* env, int32_t phase,
                                    const std::vector<int32_t>& sources);
 
  protected:
-  /// One round of ReceiveRows: the backend's service call, its framing
-  /// parsed into chunks or completions, and its own receive counters.
-  /// `pending` holds the sources not yet complete; `first` marks a
-  /// receive's first round.
+  /// One round of ReceiveRows: the backend's service calls (its poll, and
+  /// its deletes or back-off), its framing parsed into chunks or
+  /// completions, and its own receive counters. `pending` holds the sources
+  /// not yet complete; `first` marks a receive's first round.
   virtual Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,
                                       const PendingSources& pending,
                                       bool first) = 0;

@@ -161,16 +161,14 @@ Result<PollResult> DirectChannel::PollStep(WorkerEnv* env, int32_t phase,
     ++metrics.direct_pops;
     if (values.empty()) ++metrics.direct_empty_pops;
   }
-  // Every pop, empty or not, takes one window charged on every popped byte.
   PollResult poll;
-  FSD_ASSIGN_OR_RETURN(DecodeWindow window,
-                       DecodeInboxPop(std::move(values)));
+  FSD_ASSIGN_OR_RETURN(const uint64_t popped,
+                       DecodeInboxPop(std::move(values), &poll.chunks));
   if (relay) {
     // Relay pops bill the full values, headers included: the cache meters
     // what it moved, not what the receiver could use.
-    metrics.recv_billed_bytes += static_cast<int64_t>(window.bytes);
+    metrics.recv_billed_bytes += static_cast<int64_t>(popped);
   }
-  poll.windows.push_back(std::move(window));
   return poll;
 }
 

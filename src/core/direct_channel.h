@@ -24,7 +24,10 @@
 // Receive path: each poll step blocking-pops the fabric inbox, or the relay
 // inbox once the pending sources that punched are done; while both can
 // deliver, steps alternate so neither path starves the other. Both pops
-// parse values with KV's DecodeInboxPop, under CommChannel::ReceiveRows.
+// parse values with KV's DecodeInboxPop, and a relay pop bills its popped
+// bytes as a KV pop does. CommChannel::ReceiveRows charges each round one
+// window on the bodies it accepted: inbox headers, redundant values and
+// empty pops are not charged.
 #ifndef FSD_CORE_DIRECT_CHANNEL_H_
 #define FSD_CORE_DIRECT_CHANNEL_H_
 

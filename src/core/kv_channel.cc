@@ -42,15 +42,16 @@ Result<ReceivedChunk> DecodeInboxValue(SharedBytes value) {
                        reader.position()};
 }
 
-Result<DecodeWindow> DecodeInboxPop(std::vector<SharedBytes> values) {
-  DecodeWindow window;
+Result<uint64_t> DecodeInboxPop(std::vector<SharedBytes> values,
+                                std::vector<ReceivedChunk>* chunks) {
+  uint64_t popped = 0;
   for (SharedBytes& value : values) {
-    window.bytes += value->size();
+    popped += value->size();
     FSD_ASSIGN_OR_RETURN(ReceivedChunk chunk,
                          DecodeInboxValue(std::move(value)));
-    window.chunks.push_back(std::move(chunk));
+    chunks->push_back(std::move(chunk));
   }
-  return window;
+  return popped;
 }
 
 std::string KvChannel::NamespaceName(const FsdOptions& options) {
@@ -129,19 +130,13 @@ Result<PollResult> KvChannel::PollStep(WorkerEnv* env, int32_t phase,
                                       cloud::kMaxValuesPerPop,
                                       options.kv_poll_wait_s));
   ++metrics.kv_pops;
+  if (values.empty()) ++metrics.kv_empty_pops;
   PollResult poll;
-  if (values.empty()) {
-    ++metrics.kv_empty_pops;
-    return poll;
-  }
-  FSD_ASSIGN_OR_RETURN(DecodeWindow window,
-                       DecodeInboxPop(std::move(values)));
+  FSD_ASSIGN_OR_RETURN(const uint64_t popped,
+                       DecodeInboxPop(std::move(values), &poll.chunks));
   // The pop billed the full values, headers included: the service meters
-  // what it moved, not what the receiver could use. The window charges the
-  // accepted bodies alone.
-  metrics.recv_billed_bytes += static_cast<int64_t>(window.bytes);
-  window.charge = DecodeWindow::Charge::kAccepted;
-  poll.windows.push_back(std::move(window));
+  // what it moved, not what the receiver could use.
+  metrics.recv_billed_bytes += static_cast<int64_t>(popped);
   return poll;
 }
 

@@ -15,10 +15,12 @@
 // worker's IPC lanes and overlap the subsequent compute.
 //
 // Receive path: the poll step blocking-pops the worker's own inbox list and
-// parses each value's header (DecodeInboxPop); CommChannel::ReceiveRows
-// runs it until every source is complete and drops any duplicate (source,
-// seq). Pops are destructive, so there is no delete call; phases have
-// dedicated lists, so there is no cross-phase stash either.
+// parses each value's header (DecodeInboxPop); the pop bills every popped
+// byte, headers included. CommChannel::ReceiveRows runs it until every
+// source is complete, drops any duplicate (source, seq), and charges the
+// round one window on the bodies it accepted. Pops are destructive, so
+// there is no delete call; phases have dedicated lists, so there is no
+// cross-phase stash either.
 #ifndef FSD_CORE_KV_CHANNEL_H_
 #define FSD_CORE_KV_CHANNEL_H_
 
@@ -41,10 +43,11 @@ Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
 /// could never complete its source.
 Result<ReceivedChunk> DecodeInboxValue(SharedBytes value);
 
-/// Parses one pop's inbox values, in pop order, into a kFixed decode window
-/// charged on every popped byte (headers and redundant values included).
-/// The KV and direct channels' poll steps share it.
-Result<DecodeWindow> DecodeInboxPop(std::vector<SharedBytes> values);
+/// Parses one pop's inbox values, in pop order, onto `chunks` and returns
+/// the popped byte total (headers and redundant values included), which a
+/// KV pop bills. The KV and direct channels' poll steps share it.
+Result<uint64_t> DecodeInboxPop(std::vector<SharedBytes> values,
+                                std::vector<ReceivedChunk>* chunks);
 
 class KvChannel : public CommChannel {
  public:

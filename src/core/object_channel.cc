@@ -96,10 +96,12 @@ Result<PollResult> ObjectChannel::PollStep(WorkerEnv* env, int32_t phase,
   // source without a GET; sources already received are not read again.
   PollResult poll;
   std::vector<std::pair<int32_t, const std::string*>> to_get;
+  size_t pending_nuls = 0;
   for (const cloud::ObjectMeta& meta : handles) {
     FSD_ASSIGN_OR_RETURN(const int32_t source, KeySource(meta.key));
     if (meta.key.ends_with(".nul")) {
       poll.completed.push_back(source);
+      pending_nuls += pending.contains(source);
     } else if (pending.contains(source)) {
       to_get.emplace_back(source, &meta.key);
     } else {
@@ -108,14 +110,16 @@ Result<PollResult> ObjectChannel::PollStep(WorkerEnv* env, int32_t phase,
   }
   if (to_get.empty()) {
     // Nothing new this scan; brief back-off before re-listing keeps the
-    // LIST count (and cost) down, as in the paper's optimization.
-    poll.backoff_s = options.object_scan_interval_s;
+    // LIST count (and cost) down, as in the paper's optimization. No
+    // back-off once the listed .nuls complete the phase.
+    if (pending_nuls < pending.size()) {
+      FSD_RETURN_IF_ERROR(env->faas->SleepFor(options.object_scan_interval_s));
+    }
     return poll;
   }
 
-  // Parallel GETs on the IPC lanes. The round's row decode runs under one
-  // window of the GET makespan plus the fetched bytes.
-  DecodeWindow& window = poll.windows.emplace_back();
+  // Parallel GETs on the IPC lanes; the receive loop charges their
+  // makespan, with the fetched bodies' decode, as the round's window.
   std::vector<double> latencies;
   for (const auto& [source, key] : to_get) {
     cloud::ObjectStore::GetOutcome got =
@@ -123,11 +127,10 @@ Result<PollResult> ObjectChannel::PollStep(WorkerEnv* env, int32_t phase,
     ++metrics.gets;
     if (!got.status.ok()) return got.status;
     latencies.push_back(got.latency);
-    window.bytes += got.body->size();
-    window.chunks.push_back(
+    poll.chunks.push_back(
         ReceivedChunk{source, /*seq=*/0, /*total=*/1, std::move(got.body)});
   }
-  window.extra_s = sim::ParallelMakespan(latencies, options.io_lanes);
+  poll.service_s = sim::ParallelMakespan(latencies, options.io_lanes);
   return poll;
 }
 

@@ -9,8 +9,11 @@
 // Receive path: each poll step LISTs the worker's own prefix "{phase}/{m}/"
 // in bucket-{m % num_buckets}; ".nul" names complete a source without a
 // GET, already-received sources are skipped (no redundant reads), and
-// remaining ".dat" objects are fetched on parallel lanes. A round with
-// nothing to fetch asks CommChannel::ReceiveRows for a re-LIST back-off.
+// remaining ".dat" objects are fetched on parallel lanes; their makespan is
+// the round's service time, which CommChannel::ReceiveRows charges in the
+// round's one window with the fetched bodies. A round with nothing to
+// fetch sleeps the re-LIST back-off itself, unless its ".nul" markers
+// complete the phase.
 #ifndef FSD_CORE_OBJECT_CHANNEL_H_
 #define FSD_CORE_OBJECT_CHANNEL_H_
 

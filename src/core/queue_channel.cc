@@ -119,18 +119,12 @@ Status QueueChannel::SendRows(WorkerEnv* env, int32_t phase,
 Result<PollResult> QueueChannel::PollStep(WorkerEnv* env, int32_t phase,
                                          const PendingSources& /*pending*/,
                                          bool /*first*/) {
-  // Each message of this phase is decoded under its own window; a
-  // redelivery takes none.
-  PollResult poll;
-  auto take = [&poll](ReceivedChunk chunk) {
-    poll.windows.push_back(
-        {{std::move(chunk)}, DecodeWindow::Charge::kAcceptedIfAny});
-  };
   // Drain the stash first: chunks for this phase may have arrived while an
   // earlier phase was received. Only another phase's receive fills it, so
   // it can only hold this phase's chunks on a receive's first round.
+  PollResult poll;
   if (auto it = stash_.find(phase); it != stash_.end()) {
-    for (ReceivedChunk& chunk : it->second) take(std::move(chunk));
+    poll.chunks = std::move(it->second);
     stash_.erase(it);
     return poll;
   }
@@ -164,15 +158,14 @@ Result<PollResult> QueueChannel::PollStep(WorkerEnv* env, int32_t phase,
     if (msg_phase != phase) {
       stash_[msg_phase].push_back(std::move(chunk));
     } else {
-      take(std::move(chunk));
+      poll.chunks.push_back(std::move(chunk));
     }
   }
-  // Delete the round's messages once their windows were taken.
-  poll.acknowledge = [env, &metrics, my_queue,
-                      to_delete = std::move(to_delete)]() {
-    ++metrics.deletes;
-    return env->cloud->queues().DeleteMessages(my_queue, to_delete);
-  };
+  // Delete the round's messages once they all parsed, as Algorithm 1
+  // deletes what it processed; a failed delete still counts.
+  ++metrics.deletes;
+  FSD_RETURN_IF_ERROR(
+      env->cloud->queues().DeleteMessages(my_queue, to_delete));
   return poll;
 }
 

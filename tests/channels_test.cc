@@ -573,17 +573,16 @@ class ScriptedChannel : public CommChannel {
   size_t polls_ = 0;
 };
 
-/// One round of a single window charging one byte: source 0's chunks
-/// `first_seq`, `first_seq` + 1, ... of `total`, one per wire, each read
-/// whole as a queue message or an object GET hands it over.
+/// One round delivering source 0's chunks `first_seq`, `first_seq` + 1, ...
+/// of `total`, one per wire, each read whole as a queue message or an
+/// object GET hands it over, after `service_s` of service time.
 PollResult Round(int32_t first_seq, int32_t total,
-                 std::initializer_list<Bytes> wires) {
+                 std::initializer_list<Bytes> wires, double service_s = 0.0) {
   PollResult round;
-  DecodeWindow& window = round.windows.emplace_back();
-  window.bytes = 1;
+  round.service_s = service_s;
   int32_t seq = first_seq;
   for (const Bytes& wire : wires) {
-    window.chunks.push_back(
+    round.chunks.push_back(
         ReceivedChunk{0, seq++, total, std::make_shared<const Bytes>(wire)});
   }
   return round;
@@ -707,6 +706,117 @@ TEST(PhaseReceiverTest, FinishReturnsTheFirstCorruptBodysError) {
     });
     EXPECT_EQ(polls, 2u) << "pool=" << pool;
     EXPECT_EQ(finished.ToString(), expected.ToString()) << "pool=" << pool;
+  }
+}
+
+// The deserialization rule: a round takes at most one window, of its
+// service time plus its accepted body bytes at the deserialize rate. The
+// window is slept when the round accepted a body or has service time, and
+// counts one offload call only when a body was accepted.
+
+/// What one scripted receive of source 0 charged: its layer counters, the
+/// virtual time it took, the kernel events it dispatched, and the
+/// deserialize rate it ran under.
+struct ScriptedReceive {
+  LayerMetrics layer;
+  double elapsed_s = 0.0;
+  uint64_t events = 0;
+  double bytes_per_s = 0.0;
+};
+
+ScriptedReceive ReceiveScripted(int pool, std::vector<PollResult> rounds) {
+  ScriptedReceive out;
+  const size_t scripted = rounds.size();
+  RunOnPool(pool, FsdOptions{}, [&](WorkerEnv* env) {
+    sim::Simulation* sim = env->cloud->sim();
+    out.bytes_per_s = env->cloud->compute().deserialize_bytes_per_s;
+    const double start = sim->Now();
+    const uint64_t events = sim->events_dispatched();
+    ScriptedChannel channel(std::move(rounds));
+    const Status status = channel.ReceiveRows(env, 0, {0}).status();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(channel.polls(), scripted);
+    out.elapsed_s = sim->Now() - start;
+    out.events = sim->events_dispatched() - events;
+    out.layer = env->metrics->Layer(0);
+  });
+  return out;
+}
+
+TEST(ChannelReceiveWindow, ChargesServicePlusAcceptedBytesOncePerRound) {
+  const linalg::ActivationRows rows = MakeRows({3, 5, 7}, 16, 4);
+  const Bytes a = EncodeOne(rows, {3});
+  const Bytes b = EncodeOne(rows, {5});
+  const Bytes c = EncodeOne(rows, {7});
+  for (const int pool : {0, 1, 4}) {
+    // Two bodies and 0.25 s of service in the first round, one body in the
+    // second: two windows, two offload calls.
+    const ScriptedReceive got = ReceiveScripted(
+        pool, {Round(0, 3, {a, b}, /*service_s=*/0.25), Round(2, 3, {c})});
+    const double first_deser =
+        static_cast<double>(a.size() + b.size()) / got.bytes_per_s;
+    const double second_deser =
+        static_cast<double>(c.size()) / got.bytes_per_s;
+    const double windows = (0.25 + first_deser) + second_deser;
+    EXPECT_EQ(got.layer.offload_calls, 2) << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(got.layer.offload_virtual_s, windows) << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(got.layer.deserialize_s, first_deser + second_deser)
+        << "pool=" << pool;
+    // Elapsed virtual time is a difference of two clock readings.
+    EXPECT_NEAR(got.elapsed_s, windows, 1e-12) << "pool=" << pool;
+    EXPECT_NEAR(got.layer.recv_wait_s, windows, 1e-12) << "pool=" << pool;
+    EXPECT_EQ(got.layer.recv_wire_bytes,
+              static_cast<int64_t>(a.size() + b.size() + c.size()))
+        << "pool=" << pool;
+  }
+}
+
+TEST(ChannelReceiveWindow, AllRedundantRoundTakesNoWindow) {
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
+  const Bytes a = EncodeOne(rows, {3});
+  const Bytes b = EncodeOne(rows, {5});
+  for (const int pool : {0, 1, 4}) {
+    const ScriptedReceive plain =
+        ReceiveScripted(pool, {Round(0, 2, {a}), Round(1, 2, {b})});
+    // The same receive with a middle round redelivering chunk 0.
+    const ScriptedReceive redundant = ReceiveScripted(
+        pool, {Round(0, 2, {a}), Round(0, 2, {a}), Round(1, 2, {b})});
+    EXPECT_EQ(redundant.layer.redundant_skipped, 1) << "pool=" << pool;
+    EXPECT_EQ(redundant.layer.offload_calls, 2) << "pool=" << pool;
+    EXPECT_EQ(redundant.layer.offload_calls, plain.layer.offload_calls)
+        << "pool=" << pool;
+    EXPECT_EQ(redundant.layer.offload_virtual_s,
+              plain.layer.offload_virtual_s)
+        << "pool=" << pool;
+    EXPECT_EQ(redundant.layer.deserialize_s, plain.layer.deserialize_s)
+        << "pool=" << pool;
+    EXPECT_EQ(redundant.elapsed_s, plain.elapsed_s) << "pool=" << pool;
+    // Not even a zero-length sleep: the kernel saw the same events.
+    EXPECT_EQ(redundant.events, plain.events) << "pool=" << pool;
+  }
+}
+
+TEST(ChannelReceiveWindow, ServiceTimeIsSleptWithoutAnAcceptedBody) {
+  const linalg::ActivationRows rows = MakeRows({3, 5}, 16, 4);
+  const Bytes a = EncodeOne(rows, {3});
+  const Bytes b = EncodeOne(rows, {5});
+  for (const int pool : {0, 1, 4}) {
+    // Between the two bodies: a round with service time and no chunk, and
+    // one with service time and only a redelivery.
+    const ScriptedReceive got = ReceiveScripted(
+        pool, {Round(0, 2, {a}), Round(0, 2, {}, /*service_s=*/0.125),
+               Round(0, 2, {a}, /*service_s=*/0.0625), Round(1, 2, {b})});
+    const double a_deser = static_cast<double>(a.size()) / got.bytes_per_s;
+    const double b_deser = static_cast<double>(b.size()) / got.bytes_per_s;
+    EXPECT_NEAR(got.elapsed_s, a_deser + 0.125 + 0.0625 + b_deser, 1e-12)
+        << "pool=" << pool;
+    // Only the rounds that accepted a body are offload calls.
+    EXPECT_EQ(got.layer.offload_calls, 2) << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(got.layer.offload_virtual_s, a_deser + b_deser)
+        << "pool=" << pool;
+    EXPECT_DOUBLE_EQ(got.layer.deserialize_s, a_deser + b_deser)
+        << "pool=" << pool;
+    EXPECT_EQ(got.layer.redundant_skipped, 1) << "pool=" << pool;
   }
 }
 
