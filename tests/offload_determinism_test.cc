@@ -286,16 +286,16 @@ std::vector<PinnedCase> PinnedCases() {
                                            CollectiveTopology::kBinomialTree,
                                            CollectiveTopology::kRing};
   const uint64_t matrix_digests[4][3] = {
-      {0xe4023603c781a7eaull, 0x646c811fb190f669ull, 0x94615829d1bf7b03ull},
+      {0x7cdcd8fc9a092e94ull, 0xee5eefb7d9aac555ull, 0x047e28939b22d638ull},
       {0x7a8f74253e01d205ull, 0xc3a89b7e0ee8df0aull, 0x5e3950d16b2b24aeull},
       {0x2c5b2da0e7dd4a9full, 0x1214870343817dd5ull, 0x94a4ec5e13524848ull},
       {0x43753c4910560736ull, 0x216cca1695ddfaccull, 0xf61bcc01269faecaull},
   };
   const uint64_t matrix_recv_digests[4][3] = {
-      {0xc17a410dd607554eull, 0x8575a42a19ce0080ull, 0xebec44effab761d1ull},
+      {0x7eccc875cfe921e1ull, 0xe660a620c4def1f8ull, 0xe6ad9976986705a9ull},
       {0x78b330619a0910d7ull, 0xbedc04aae972977dull, 0xca7bfc2239f822d5ull},
       {0x00e5a6d29f9b6ecdull, 0x8a6d2a49471d1e27ull, 0xf685783a344bb6fcull},
-      {0xeedd1d32d76f5fb5ull, 0xebbdeed36e4ba907ull, 0x19d913b2c495c0ddull},
+      {0x1ced6c739226c7b4ull, 0x298c145d291908efull, 0xeb14932468262d8dull},
   };
   std::vector<PinnedCase> cases;
   for (int b = 0; b < 4; ++b) {
@@ -315,8 +315,8 @@ std::vector<PinnedCase> PinnedCases() {
     uint64_t recv_digest;
   };
   const PunchCase punches[] = {
-      {"1.0", 1.0, 0xa5a750bb188b3009ull, 0x6697d8ab6f015032ull},
-      {"0.5", 0.5, 0xab805d466fee2152ull, 0x7c9818a318557ad6ull}};
+      {"1.0", 1.0, 0xf71c5504d28a8de2ull, 0x00e5a6d29f9b6ecdull},
+      {"0.5", 0.5, 0xab805d466fee2152ull, 0x24485ccb65c9e302ull}};
   for (const PunchCase& punch : punches) {
     cloud::CloudConfig config;
     config.latency.p2p_punch_failure_rate = punch.failure_rate;
@@ -327,7 +327,7 @@ std::vector<PinnedCase> PinnedCases() {
   FsdOptions queue_ungreedy = FleetOptions(Variant::kQueue, 0);
   queue_ungreedy.greedy_packing = false;
   cases.push_back({"queue/greedy_packing=false", queue_ungreedy, {},
-                   0x1e4abd41cf51392eull, 0x6498895a2023e8f7ull});
+                   0xc1265d0c3d449a14ull, 0xb8cb1d095f9eff58ull});
   FsdOptions object_no_nul = FleetOptions(Variant::kObject, 0);
   object_no_nul.nul_markers = false;
   cases.push_back({"object/nul_markers=false", object_no_nul, {},

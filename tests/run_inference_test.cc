@@ -129,10 +129,10 @@ TEST(RunInferencePinned, ReportsMatchPinnedDigests) {
   };
   const PinnedCase cases[] = {
       {"serial", Variant::kSerial, 1, 0xcfbcac28421b1c55ull},
-      {"queue", Variant::kQueue, 5, 0x0e20f6acf4c48d87ull},
+      {"queue", Variant::kQueue, 5, 0xa695b520b5d6f988ull},
       {"object", Variant::kObject, 5, 0x82c804c6815507c1ull},
       {"kv", Variant::kKv, 5, 0xa18a026f36e1b235ull},
-      {"direct", Variant::kDirect, 5, 0xfd9a2d673056886cull},
+      {"direct", Variant::kDirect, 5, 0x1a598ee6575ae1c7ull},
   };
   const Workload w = MakeWorkload(384, 10, 16);
   for (const PinnedCase& pinned : cases) {
