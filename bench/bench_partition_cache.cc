@@ -171,12 +171,14 @@ int main() {
        {"p50_speedup", off.p50_s / on.p50_s},
        {"get_savings_rel_err", rel_err}});
 
-  // The acceptance claims, asserted. A query waits for its slowest worker,
-  // and at tiny scale (8 queries) nearly every query still has a worker
-  // that missed, so the cache moves its p50 and billed runtime by less than
-  // the sampled service latencies move them between two runs: as
-  // everywhere in bench/, those shapes are only asserted at quick scale and
-  // up. The summed model-load time is the cache's own effect.
+  // The acceptance claims, asserted. A query waits for its slowest worker.
+  // At tiny scale (8 queries) the instances have cached few shares yet, so
+  // nearly every query still has a worker that missed, and the cache moves
+  // p50 and billed runtime by less than the sampled service latencies move
+  // them between the two runs: cache-on wins each in only 14 of the seeds
+  // 40-59. At the quick scale it won both at every seed tried (40-49), so
+  // they are asserted from there up, and CI runs this bench at that scale.
+  // The summed model-load time is the cache's own effect.
   FSD_CHECK(off.outputs_ok);
   FSD_CHECK(on.outputs_ok);
   FSD_CHECK_GT(on.hit_ratio, 0.0);

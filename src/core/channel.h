@@ -102,8 +102,9 @@ using PendingSources = std::map<int32_t, SourceProgress>;
 
 /// What one poll step hands the receive loop: the chunks its round
 /// delivered, in arrival order; the sources it found complete without a
-/// chunk (object .nul markers); and the service time of the round's reads
-/// that the poll call itself did not take (the object GET makespan).
+/// chunk (object .nul markers); and the service time the round still owes
+/// that the poll call itself did not take (the object GET makespan, or its
+/// re-LIST back-off when nothing was fresh).
 struct PollResult {
   std::vector<ReceivedChunk> chunks;
   std::vector<int32_t> completed;
@@ -139,7 +140,7 @@ class CommChannel {
 
  protected:
   /// One round of ReceiveRows: the backend's service calls (its poll, and
-  /// its deletes or back-off), its framing parsed into chunks or
+  /// the queue's deletes), its framing parsed into chunks or
   /// completions, and its own receive counters. `pending` holds the sources
   /// not yet complete; `first` marks a receive's first round.
   virtual Result<PollResult> PollStep(WorkerEnv* env, int32_t phase,

@@ -110,10 +110,11 @@ Result<PollResult> ObjectChannel::PollStep(WorkerEnv* env, int32_t phase,
   }
   if (to_get.empty()) {
     // Nothing new this scan; brief back-off before re-listing keeps the
-    // LIST count (and cost) down, as in the paper's optimization. No
-    // back-off once the listed .nuls complete the phase.
+    // LIST count (and cost) down, as in the paper's optimization. The
+    // receive loop sleeps it as the round's window. No back-off once the
+    // listed .nuls complete the phase.
     if (pending_nuls < pending.size()) {
-      FSD_RETURN_IF_ERROR(env->faas->SleepFor(options.object_scan_interval_s));
+      poll.service_s = options.object_scan_interval_s;
     }
     return poll;
   }

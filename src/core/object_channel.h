@@ -12,8 +12,8 @@
 // remaining ".dat" objects are fetched on parallel lanes; their makespan is
 // the round's service time, which CommChannel::ReceiveRows charges in the
 // round's one window with the fetched bodies. A round with nothing to
-// fetch sleeps the re-LIST back-off itself, unless its ".nul" markers
-// complete the phase.
+// fetch hands over the re-LIST back-off as its service time instead,
+// unless its ".nul" markers complete the phase.
 #ifndef FSD_CORE_OBJECT_CHANNEL_H_
 #define FSD_CORE_OBJECT_CHANNEL_H_
 

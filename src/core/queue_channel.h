@@ -12,11 +12,13 @@
 // Receive path: each poll step long-polls the worker's own queue (up to 10
 // messages per receive), stashes chunks of other phases (a fast upstream
 // worker may already be sending layer k+1) for that phase's first step,
-// and deletes the round's messages once they all parsed (a parse failure
-// leaves them for redelivery). Per-source chunk counts ride in message
-// attributes; CommChannel::ReceiveRows drops redeliveries, charges the
-// round one window on the bodies it accepted, and stops once every source
-// is complete.
+// and deletes the round's messages once their framing attributes all
+// parsed (a framing failure leaves them for redelivery; a chunk the
+// receive loop then rejects, e.g. for a total that disagrees with its
+// source's earlier chunks, is already deleted). Per-source chunk counts
+// ride in message attributes; CommChannel::ReceiveRows drops redeliveries,
+// charges the round one window on the bodies it accepted, and stops once
+// every source is complete.
 #ifndef FSD_CORE_QUEUE_CHANNEL_H_
 #define FSD_CORE_QUEUE_CHANNEL_H_
 

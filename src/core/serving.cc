@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -103,17 +104,23 @@ ShareDistributor* ServingRuntime::EnsureShareDistributor() {
 
 Result<std::string> ServingRuntime::EnsureWorkerFunction(
     const FsdOptions& options) {
-  // %.17g keeps the timeout exact in the key: queries whose timeouts
-  // merely round to the same digits must NOT share a function (the
-  // registered config's timeout is what the FaaS service enforces). The
-  // partition-cache budget is part of the key too: an instance's cache is
-  // created with the budget of whichever run touches it first, so queries
-  // with different budgets (a budget-ablation workload) must not share warm
-  // instances or their cache accounting would describe the wrong budget.
+  // The key spells the timeout in its shortest round-trip form, so it is
+  // exact: queries whose timeouts merely round to the same digits must NOT
+  // share a function (the registered config's timeout is what the FaaS
+  // service enforces). The partition-cache budget is part of the key too:
+  // an instance's cache is created with the budget of whichever run
+  // touches it first, so queries with different budgets (a budget-ablation
+  // workload) must not share warm instances or their cache accounting
+  // would describe the wrong budget.
+  char timeout[32];  // a double's shortest form needs at most 24
+  const char* timeout_end =
+      std::to_chars(timeout, timeout + sizeof(timeout),
+                    options.worker_timeout_s)
+          .ptr;
   const std::string group =
       options_.share_functions
-          ? StrFormat("w-m%d-t%.17g-b%llu", options.worker_memory_mb,
-                      options.worker_timeout_s,
+          ? StrFormat("w-m%d-t%.*s-b%llu", options.worker_memory_mb,
+                      static_cast<int>(timeout_end - timeout), timeout,
                       static_cast<unsigned long long>(
                           options.partition_cache
                               ? options.partition_cache_budget_bytes

@@ -801,8 +801,9 @@ TEST(ChannelReceiveWindow, ServiceTimeIsSleptWithoutAnAcceptedBody) {
   const Bytes a = EncodeOne(rows, {3});
   const Bytes b = EncodeOne(rows, {5});
   for (const int pool : {0, 1, 4}) {
-    // Between the two bodies: a round with service time and no chunk, and
-    // one with service time and only a redelivery.
+    // Between the two bodies: a round with service time and no chunk (as
+    // the object channel's re-LIST back-off is), and one with service time
+    // and only a redelivery.
     const ScriptedReceive got = ReceiveScripted(
         pool, {Round(0, 2, {a}), Round(0, 2, {}, /*service_s=*/0.125),
                Round(0, 2, {a}, /*service_s=*/0.0625), Round(1, 2, {b})});
