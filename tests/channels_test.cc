@@ -335,6 +335,33 @@ TEST_F(ChannelTest, ObjectScanBackoffBoundsListCalls) {
   EXPECT_LT(lists, 100);
 }
 
+TEST_F(ChannelTest, ObjectScanBackoffIsSleptBetweenScans) {
+  // A long back-off spaces the scans out: each empty scan sleeps it as the
+  // round's window, which is no offload call. Without it the receiver
+  // would LIST back to back (about 20 scans over the wait).
+  options_.object_scan_interval_s = 0.25;
+  static const std::vector<int32_t> ids = {1};
+  const linalg::ActivationRows rows = MakeRows({1}, 8, 2);
+  int64_t lists = 0;
+  int64_t offload_calls = 0;
+  RunWorkers<ObjectChannel>({
+      [&](WorkerEnv* env, ObjectChannel* channel) {
+        env->faas->SleepFor(0.5).ok();  // write late
+        std::vector<SendSpec> sends{{1, &ids}};
+        ASSERT_TRUE(channel->SendRows(env, 0, rows, sends).ok());
+      },
+      [&](WorkerEnv* env, ObjectChannel* channel) {
+        auto got = Recv(channel, env, 0, {0});
+        ASSERT_TRUE(got.ok());
+        lists = env->metrics->Layer(0).lists;
+        offload_calls = env->metrics->Layer(0).offload_calls;
+      },
+  });
+  EXPECT_GT(lists, 1);
+  EXPECT_LE(lists, 5);
+  EXPECT_EQ(offload_calls, 1);  // the round that fetched the body
+}
+
 // ---------------------------------------------------------------------------
 // Framing fields are checked: a garbled or out-of-range header is DataLoss,
 // never a silently wrong source or a source that can never complete.
