@@ -1,10 +1,12 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <span>
 
+#include "codec/crc32.h"
 #include "codec/quant.h"
 #include "codec/varint.h"
 
@@ -19,6 +21,14 @@ constexpr uint8_t kCompressedTag = 1;
 /// never negotiable — while the values block carries the bounded-error
 /// quantized floats.
 constexpr uint8_t kQuantizedTag = 2;
+/// Byte-plane wire mode, the compressed lossless layout for chunks whose
+/// values are noisy: [tag][varint LZ length][u32 CRC-32 of the raw part]
+/// [FsdLz container: count and row structure, then byte 3 (sign and high
+/// exponent bits) of every value][raw part: bytes 0-2 of every value,
+/// three per value in value order]. The low bytes of computed floats are
+/// close to random, so LZ gains almost nothing on them and spends most of
+/// its time there; they travel raw, checked by their own CRC.
+constexpr uint8_t kPlaneTag = 3;
 
 constexpr uint64_t kInt32Max =
     static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
@@ -55,6 +65,68 @@ void WrapLossless(const Bytes& raw, bool compress,
   }
 }
 
+/// Whether at least 1/8 of the values of `rows` repeat the low 24 bits of
+/// the value before them. Such chunks (saturated rows, all-1.0 inputs)
+/// keep the whole-payload LZ of kCompressedTag, which codes the repeats as
+/// matches; the rest take the byte-plane layout.
+bool RepeatsLowBytes(std::span<const RowRef> rows) {
+  uint64_t values = 0;
+  uint64_t repeats = 0;
+  uint32_t prev = ~uint32_t{0};  // matches no 24-bit value
+  for (const RowRef& ref : rows) {
+    for (int32_t j = 0; j < ref.row.nnz; ++j) {
+      const uint32_t low = std::bit_cast<uint32_t>(ref.row.val[j]) & 0xFFFFFF;
+      repeats += low == prev;
+      prev = low;
+    }
+    values += static_cast<uint64_t>(ref.row.nnz);
+  }
+  return repeats * 8 >= values;
+}
+
+/// Encodes `rows` in the kPlaneTag layout into `wire`; returns the raw
+/// (lossless-equivalent) size, structure plus four bytes per value.
+uint64_t EncodePlanes(std::span<const RowRef> rows,
+                      const codec::LzOptions& lz, Bytes* wire) {
+  Bytes packed_input;  // structure, then the exponent plane
+  codec::PutVarint64(&packed_input, rows.size());
+  size_t values = 0;
+  for (const RowRef& ref : rows) {
+    EncodeRowStructure(ref, &packed_input);
+    values += static_cast<size_t>(ref.row.nnz);
+  }
+  const size_t structure = packed_input.size();
+  size_t at = structure;
+  packed_input.resize(at + values);
+  for (const RowRef& ref : rows) {
+    for (int32_t j = 0; j < ref.row.nnz; ++j) {
+      packed_input[at++] = static_cast<uint8_t>(
+          std::bit_cast<uint32_t>(ref.row.val[j]) >> 24);
+    }
+  }
+  const Bytes packed = codec::LzCompress(packed_input, lz);
+  wire->push_back(kPlaneTag);
+  codec::PutVarint64(wire, packed.size());
+  const size_t crc_at = wire->size();
+  AppendRaw(wire, uint32_t{0});
+  wire->insert(wire->end(), packed.begin(), packed.end());
+  const size_t low_at = wire->size();
+  wire->resize(low_at + 3 * values);
+  uint8_t* low = wire->data() + low_at;
+  for (const RowRef& ref : rows) {
+    for (int32_t j = 0; j < ref.row.nnz; ++j) {
+      const uint32_t bits = std::bit_cast<uint32_t>(ref.row.val[j]);
+      low[0] = static_cast<uint8_t>(bits);
+      low[1] = static_cast<uint8_t>(bits >> 8);
+      low[2] = static_cast<uint8_t>(bits >> 16);
+      low += 3;
+    }
+  }
+  const uint32_t crc = codec::Crc32(wire->data() + low_at, 3 * values);
+  std::memcpy(wire->data() + crc_at, &crc, sizeof(crc));
+  return structure + 4 * values;
+}
+
 /// Inverse of WrapLossless over a byte span. An uncompressed payload is
 /// returned in place; a compressed one is decompressed into `*storage`.
 Result<std::span<const uint8_t>> UnwrapLossless(const uint8_t* data,
@@ -73,11 +145,12 @@ Result<std::span<const uint8_t>> UnwrapLossless(const uint8_t* data,
 
 /// Appends the rows of decoded structure+values payloads to `out`. When
 /// `values` is non-null the rows' values come from it sequentially
-/// (quantized mode); otherwise they follow each row's indices inline
-/// (lossless mode). Sets `*ordered` false when a row id does not exceed
+/// (quantized and byte-plane modes); otherwise they follow each row's
+/// indices inline (lossless mode). With `whole`, bytes left after the last
+/// row are DataLoss. Sets `*ordered` false when a row id does not exceed
 /// the id before it.
 Status AppendParsedRows(std::span<const uint8_t> payload,
-                        const std::vector<float>* values,
+                        const std::vector<float>* values, bool whole,
                         linalg::ActivationRows* out, bool* ordered) {
   ByteReader reader(payload.data(), payload.size());
   FSD_ASSIGN_OR_RETURN(uint64_t count, codec::GetVarint64(&reader));
@@ -121,7 +194,7 @@ Status AppendParsedRows(std::span<const uint8_t> payload,
     }
     if (values != nullptr) {
       if (next_value + nnz > values->size()) {
-        return Status::DataLoss("quantized values underrun");
+        return Status::DataLoss("values underrun");
       }
       out->val.insert(out->val.end(), values->begin() + next_value,
                       values->begin() + next_value + nnz);
@@ -139,7 +212,10 @@ Status AppendParsedRows(std::span<const uint8_t> payload,
     out->offsets.push_back(out->nnz());
   }
   if (values != nullptr && next_value != values->size()) {
-    return Status::DataLoss("quantized values overrun");
+    return Status::DataLoss("values overrun");
+  }
+  if (whole && !reader.exhausted()) {
+    return Status::DataLoss("bytes after the last row");
   }
   return Status::OK();
 }
@@ -147,11 +223,12 @@ Status AppendParsedRows(std::span<const uint8_t> payload,
 /// Parses payloads into `out` (AppendParsedRows), leaving `out` as it was
 /// on error and restoring the id order when the payload broke it.
 Status ParseRows(std::span<const uint8_t> payload,
-                 const std::vector<float>* values,
+                 const std::vector<float>* values, bool whole,
                  linalg::ActivationRows* out) {
   const size_t before = out->size();
   bool ordered = true;
-  const Status status = AppendParsedRows(payload, values, out, &ordered);
+  const Status status =
+      AppendParsedRows(payload, values, whole, out, &ordered);
   if (!status.ok()) {
     out->Truncate(before);
     // A failed first row leaves a lone offsets[0] behind.
@@ -161,6 +238,43 @@ Status ParseRows(std::span<const uint8_t> payload,
   if (out->empty()) out->clear();
   if (!ordered) out->SortKeepingLatest();
   return Status::OK();
+}
+
+/// Decodes a kPlaneTag chunk. The raw part holds three bytes per value,
+/// which sets the value count, so the exponent plane is the last that
+/// many bytes of the LZ payload and the row structure is what precedes it.
+Status DecodePlanes(std::span<const uint8_t> wire,
+                    linalg::ActivationRows* out) {
+  ByteReader reader(wire.data() + 1, wire.size() - 1);
+  FSD_ASSIGN_OR_RETURN(uint64_t packed_len, codec::GetVarint64(&reader));
+  FSD_ASSIGN_OR_RETURN(uint32_t crc, reader.Read<uint32_t>());
+  if (packed_len > reader.remaining()) {
+    return Status::DataLoss("byte-plane LZ part overruns chunk");
+  }
+  const uint8_t* packed = wire.data() + 1 + reader.position();
+  const uint8_t* low = packed + packed_len;
+  const size_t low_size = reader.remaining() - packed_len;
+  if (low_size % 3 != 0) {
+    return Status::DataLoss("byte-plane raw part is not 3 bytes per value");
+  }
+  if (codec::Crc32(low, low_size) != crc) {
+    return Status::DataLoss("byte-plane raw part CRC mismatch");
+  }
+  FSD_ASSIGN_OR_RETURN(Bytes payload, codec::LzDecompress(packed, packed_len));
+  const size_t count = low_size / 3;
+  if (payload.size() < count) {
+    return Status::DataLoss("byte-plane exponent plane shorter than values");
+  }
+  const size_t structure = payload.size() - count;
+  const uint8_t* high = payload.data() + structure;
+  std::vector<float> values(count);
+  for (size_t k = 0; k < count; ++k, low += 3) {
+    values[k] = std::bit_cast<float>(
+        uint32_t{low[0]} | uint32_t{low[1]} << 8 | uint32_t{low[2]} << 16 |
+        uint32_t{high[k]} << 24);
+  }
+  return ParseRows(std::span<const uint8_t>(payload.data(), structure),
+                   &values, /*whole=*/true, out);
 }
 
 using RowRefs = std::vector<RowRef>;
@@ -313,6 +427,10 @@ EncodeResult EncodeRows(std::span<const RowRef> rows, uint64_t max_chunk_bytes,
       chunk.quant_bits = codec.quant_bits;
       chunk.quant_values = static_cast<int64_t>(values.size());
       chunk.quant_err_max = qstats.max_rel_err;
+    } else if (codec.compress && !RepeatsLowBytes(rows.subspan(i, j - i))) {
+      chunk.nnz = SumNnz(rows.subspan(i, j - i));
+      chunk.raw_bytes = EncodePlanes(rows.subspan(i, j - i), codec.lz,
+                                     &chunk.wire);
     } else {
       Bytes raw;
       codec::PutVarint64(&raw, static_cast<uint64_t>(j - i));
@@ -365,12 +483,13 @@ Status DecodeRows(std::span<const uint8_t> wire,
     FSD_ASSIGN_OR_RETURN(
         std::vector<float> values,
         codec::QuantDecompress(wire.subspan(pos + structure_len)));
-    return ParseRows(structure, &values, out);
+    return ParseRows(structure, &values, /*whole=*/false, out);
   }
+  if (wire[0] == kPlaneTag) return DecodePlanes(wire, out);
   Bytes storage;
   FSD_ASSIGN_OR_RETURN(std::span<const uint8_t> payload,
                        UnwrapLossless(wire.data(), wire.size(), &storage));
-  return ParseRows(payload, nullptr, out);
+  return ParseRows(payload, nullptr, /*whole=*/false, out);
 }
 
 Status DecodeRows(std::span<const uint8_t> wire,

@@ -5,6 +5,20 @@
 // into size-capped chunks using the paper's number-of-nonzeros heuristic
 // ("we use the total NNZ over the rows to be communicated to estimate the
 // number of byte strings required", §III-C1).
+//
+// A compressed lossless chunk takes one of two layouts, picked per chunk:
+//   - whole-payload LZ (tag 1): the uncompressed payload (row count, then
+//     per row its structure and raw float values) in one FsdLz container;
+//   - byte planes (tag 3): the row count and structure, then byte 3 (sign
+//     and high exponent bits) of every value, in one FsdLz container;
+//     bytes 0-2 of every value follow raw, under a CRC-32 in the chunk
+//     header.
+// The low bytes of computed activations are close to random, so LZ gains
+// almost nothing on them and spends most of its time there. The rule:
+// when at least 1/8 of a chunk's values repeat the low 24 bits of the
+// value before them (saturated rows, all-1.0 inputs), LZ codes the
+// repeats as matches and the chunk keeps tag 1; otherwise it takes tag 3.
+// Raw bytes, chunk boundaries and PlanRows do not depend on the layout.
 #ifndef FSD_CORE_SERIALIZATION_H_
 #define FSD_CORE_SERIALIZATION_H_
 

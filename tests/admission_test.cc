@@ -527,7 +527,7 @@ TEST(SchedulerPinned, ShedLowestPriorityEdfWithQuotas) {
   const ServingReport report = ReplayPinned(trace, options);
   EXPECT_GT(report.fleet.shed, 0);
   EXPECT_GT(report.fleet.rejected, 0);
-  EXPECT_EQ(SchedulerDigest(report), 0xa9da1e657dfea3eeull)
+  EXPECT_EQ(SchedulerDigest(report), 0xe96a89a148e201adull)
       << "0x" << std::hex << SchedulerDigest(report);
 }
 
@@ -542,7 +542,7 @@ TEST(SchedulerPinned, RejectNewFifoWithWaitBound) {
   const ServingReport report = ReplayPinned(trace, options);
   EXPECT_EQ(report.fleet.shed, 0);
   EXPECT_GT(report.fleet.rejected, 0);
-  EXPECT_EQ(SchedulerDigest(report), 0x3158d5e8f116327cull)
+  EXPECT_EQ(SchedulerDigest(report), 0x10e96672ef9c4f09ull)
       << "0x" << std::hex << SchedulerDigest(report);
 }
 
@@ -562,7 +562,7 @@ TEST(SchedulerPinned, QuotasWithAdmissionControlOff) {
     EXPECT_NE(outcome.reject_reason.find("quota"), std::string::npos)
         << outcome.reject_reason;
   }
-  EXPECT_EQ(SchedulerDigest(report), 0xd7784ee618bd4737ull)
+  EXPECT_EQ(SchedulerDigest(report), 0xd6800b6a5a8a4f20ull)
       << "0x" << std::hex << SchedulerDigest(report);
 }
 

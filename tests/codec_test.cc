@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <tuple>
@@ -878,6 +880,64 @@ std::vector<Bytes> RowPayloads(int32_t neurons, int32_t batch, int parts,
   return payloads;
 }
 
+/// A byte-plane row chunk (tag 3) from its parts, written from the format
+/// alone: tag, varint LZ length, CRC-32 of the raw part (`crc` when given),
+/// the LZ part, the raw part.
+Bytes PlaneWire(const Bytes& packed, const Bytes& low,
+                std::optional<uint32_t> crc = std::nullopt) {
+  Bytes wire = {3};
+  PutVarint64(&wire, packed.size());
+  AppendRaw(&wire, crc.value_or(Crc32(low.data(), low.size())));
+  wire.insert(wire.end(), packed.begin(), packed.end());
+  wire.insert(wire.end(), low.begin(), low.end());
+  return wire;
+}
+
+/// The byte planes of a lossless row payload (a tag-0 body): the structure
+/// with byte 3 of every value after it (`*payload`, the LZ part's
+/// content), and bytes 0-2 of every value (`*low`). Rows keep the body's
+/// order, repeats included. False when the body does not parse.
+bool SplitPlanes(const Bytes& body, Bytes* payload, Bytes* low) {
+  ByteReader reader(body);
+  Bytes high;
+  payload->clear();
+  low->clear();
+  auto copy = [&]() -> std::optional<uint64_t> {
+    auto value = GetVarint64(&reader);
+    if (!value.ok()) return std::nullopt;
+    PutVarint64(payload, *value);
+    return *value;
+  };
+  const std::optional<uint64_t> count = copy();
+  if (!count) return false;
+  for (uint64_t r = 0; r < *count; ++r) {
+    std::optional<uint64_t> nnz;
+    if (!copy() || !(nnz = copy()) || !copy()) return false;
+    if (*nnz > reader.remaining()) return false;
+    for (uint64_t p = 0; p < *nnz; ++p) {
+      if (!copy()) return false;
+    }
+    for (uint64_t p = 0; p < *nnz; ++p) {
+      auto bits = reader.Read<uint32_t>();
+      if (!bits.ok()) return false;
+      high.push_back(static_cast<uint8_t>(*bits >> 24));
+      for (int k = 0; k < 3; ++k) {
+        low->push_back(static_cast<uint8_t>(*bits >> (8 * k)));
+      }
+    }
+  }
+  payload->insert(payload->end(), high.begin(), high.end());
+  return true;
+}
+
+/// The tag-3 chunk of a parsable tag-0 body, as the encoder lays it out.
+std::optional<Bytes> PlanesOf(const Bytes& body) {
+  Bytes payload;
+  Bytes low;
+  if (!SplitPlanes(body, &payload, &low)) return std::nullopt;
+  return PlaneWire(LzCompress(payload), low);
+}
+
 TEST(LzDifferential, GoldenCorpusAndRowPayloads) {
   std::vector<Bytes> inputs;
   for (const Shape shape : kShapes) {
@@ -964,6 +1024,14 @@ TEST(LzDifferential, SeededDamagedContainers) {
     add_base(payload);
   }
   ASSERT_EQ(bases.size(), 40u);
+  // The LZ parts of byte-plane row chunks: structure, then exponent bytes.
+  for (const Bytes& body : RowPayloads(1024, 16, 4, 6)) {
+    Bytes payload;
+    Bytes low;
+    if (bases.size() == 48) break;
+    if (SplitPlanes(body, &payload, &low)) add_base(payload);
+  }
+  ASSERT_EQ(bases.size(), 48u);
   Rng rng(2026);
   int cases = 0;
   for (size_t b = 0; b < bases.size(); ++b) {
@@ -1001,7 +1069,7 @@ TEST(LzDifferential, SeededDamagedContainers) {
           << "base " << b << " size " << size;
     }
   }
-  EXPECT_GT(cases, 8000);
+  EXPECT_GT(cases, 9000);
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,7 +1093,33 @@ Result<linalg::ActivationMap> ReferenceRowDecode(const Bytes& wire,
   Bytes payload;
   std::vector<float> values;
   const bool quantized = wire[0] == 2;
-  if (quantized) {
+  const bool planes = wire[0] == 3;
+  if (planes) {
+    ByteReader reader(wire.data() + 1, wire.size() - 1);
+    FSD_ASSIGN_OR_RETURN(uint64_t packed_len, GetVarint64(&reader));
+    FSD_ASSIGN_OR_RETURN(uint32_t crc, reader.Read<uint32_t>());
+    if (packed_len > reader.remaining()) {
+      return Status::DataLoss("LZ part overruns chunk");
+    }
+    FSD_ASSIGN_OR_RETURN(Bytes packed, reader.ReadBytes(packed_len));
+    FSD_ASSIGN_OR_RETURN(Bytes low, reader.ReadBytes(reader.remaining()));
+    if (low.size() % 3 != 0) return Status::DataLoss("raw part length");
+    if (Crc32(low.data(), low.size()) != crc) {
+      return Status::DataLoss("raw part CRC");
+    }
+    FSD_ASSIGN_OR_RETURN(payload, LzDecompress(packed));
+    const size_t count = low.size() / 3;
+    if (payload.size() < count) return Status::DataLoss("short plane");
+    const size_t high = payload.size() - count;
+    for (size_t k = 0; k < count; ++k) {
+      uint32_t bits = static_cast<uint32_t>(payload[high + k]) << 24;
+      for (int b = 0; b < 3; ++b) {
+        bits |= static_cast<uint32_t>(low[3 * k + b]) << (8 * b);
+      }
+      values.push_back(std::bit_cast<float>(bits));
+    }
+    payload.resize(high);
+  } else if (quantized) {
     ByteReader reader(wire.data() + 1, wire.size() - 1);
     FSD_ASSIGN_OR_RETURN(uint64_t structure_len, GetVarint64(&reader));
     const size_t pos = 1 + reader.position();
@@ -1059,7 +1153,7 @@ Result<linalg::ActivationMap> ReferenceRowDecode(const Bytes& wire,
       row.idx.push_back(static_cast<int32_t>(prev));
     }
     for (uint64_t p = 0; p < nnz; ++p) {
-      if (quantized) {
+      if (quantized || planes) {
         if (next_value >= values.size()) return Status::DataLoss("under");
         row.val.push_back(values[next_value++]);
       } else {
@@ -1072,9 +1166,10 @@ Result<linalg::ActivationMap> ReferenceRowDecode(const Bytes& wire,
     }
     out[static_cast<int32_t>(id)] = std::move(row);
   }
-  if (quantized && next_value != values.size()) {
+  if ((quantized || planes) && next_value != values.size()) {
     return Status::DataLoss("over");
   }
+  if (planes && !reader.exhausted()) return Status::DataLoss("trailing");
   return out;
 }
 
@@ -1135,10 +1230,18 @@ TEST(FlatDecode, AgreesWithMapDecodeOverTheGoldenCorpus) {
   for (Bytes& payload : RowPayloads(1024, 8, 8, 3)) {
     bodies.push_back(std::move(payload));
   }
+  RowDecodeTally plane_tally;
   for (const Bytes& body : bodies) {
     ASSERT_TRUE(RowDecodersAgree(Tagged(0, body), &tally));
     ASSERT_TRUE(RowDecodersAgree(Tagged(1, LzCompress(body)), &tally));
     ASSERT_TRUE(RowDecodersAgree(Tagged(7, body), &tally));
+    // The body as a byte-plane LZ part, under a raw part of arbitrary
+    // bytes; and, when it parses as rows, laid out as byte planes.
+    const Bytes low(body.begin(), body.begin() + 3 * (body.size() / 7));
+    ASSERT_TRUE(RowDecodersAgree(PlaneWire(LzCompress(body), low), &tally));
+    if (const std::optional<Bytes> planes = PlanesOf(body)) {
+      ASSERT_TRUE(RowDecodersAgree(*planes, &plane_tally));
+    }
   }
   // Hand-made chunks: ids out of order, a repeated id, mixed dims and an
   // empty row; each resolves as sequential map assignments do.
@@ -1159,12 +1262,15 @@ TEST(FlatDecode, AgreesWithMapDecodeOverTheGoldenCorpus) {
   }
   ASSERT_TRUE(RowDecodersAgree(Tagged(0, raw), &tally));
   ASSERT_TRUE(RowDecodersAgree(Tagged(1, LzCompress(raw)), &tally));
+  ASSERT_TRUE(RowDecodersAgree(*PlanesOf(raw), &plane_tally));
   for (size_t keep = 1; keep < raw.size(); ++keep) {
     ASSERT_TRUE(RowDecodersAgree(
         Tagged(0, Bytes(raw.begin(), raw.begin() + keep)), &tally));
   }
   EXPECT_GT(tally.ok_with_rows, 10);
   EXPECT_GE(tally.reordered, 1);
+  EXPECT_GT(plane_tally.ok_with_rows, 10);
+  EXPECT_GE(plane_tally.reordered, 1);
 }
 
 TEST(FlatDecode, AgreesWithMapDecodeOverDamagedContainers) {
@@ -1225,6 +1331,95 @@ TEST(FlatDecode, AgreesWithMapDecodeOverDamagedContainers) {
   }
   EXPECT_GT(tally.cases, 3000);
   EXPECT_GT(tally.ok_with_rows, 20);
+}
+
+TEST(FlatDecode, AgreesWithMapDecodeOverDamagedBytePlaneChunks) {
+  // Byte-plane chunks of real row payloads, each checked against the
+  // encoder's own layout, then damaged: cuts at every offset of the first
+  // base (a sample of the rest), seeded bit flips, and edits of each field
+  // the layout adds.
+  RowDecodeTally tally;
+  Rng rng(2028);
+  int bases = 0;
+  int matched_encoder = 0;
+  for (const Bytes& body : RowPayloads(1024, 16, 4, 3)) {
+    if (bases == 8) break;
+    Bytes payload;
+    Bytes low;
+    if (!SplitPlanes(body, &payload, &low) || low.empty()) continue;
+    ++bases;
+    const Bytes packed = LzCompress(payload);
+    const Bytes wire = PlaneWire(packed, low);
+    linalg::ActivationMap rows;
+    ASSERT_TRUE(core::DecodeRows(Tagged(0, body), &rows).ok());
+    std::vector<int32_t> ids;
+    for (const auto& [id, row] : rows) ids.push_back(id);
+    const Bytes encoded =
+        core::EncodeRows(rows, ids, 0, core::LosslessCodec(true))
+            .chunks[0]
+            .wire;
+    if (encoded[0] == 3) {
+      ASSERT_EQ(encoded, wire) << "base " << bases;
+      ++matched_encoder;
+    }
+    ASSERT_TRUE(RowDecodersAgree(wire, &tally));
+    for (size_t keep = 0; keep < wire.size(); ++keep) {
+      if (bases > 1 && keep > 64 && keep + 64 < wire.size() &&
+          rng.NextBounded(wire.size()) > 40) {
+        continue;
+      }
+      ASSERT_TRUE(
+          RowDecodersAgree(Bytes(wire.begin(), wire.begin() + keep), &tally))
+          << "base " << bases << " keep " << keep;
+    }
+    for (int i = 0; i < 60; ++i) {
+      Bytes damaged = wire;
+      const size_t bit = rng.NextBounded(damaged.size() * 8);
+      damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_TRUE(RowDecodersAgree(damaged, &tally))
+          << "base " << bases << " flip " << bit;
+    }
+    // LZ lengths that cut into, overrun or wildly overrun the chunk.
+    Bytes length_field;
+    PutVarint64(&length_field, packed.size());
+    for (const uint64_t len :
+         {uint64_t{0}, packed.size() - 1, packed.size() + 1,
+          packed.size() + low.size(), packed.size() + low.size() + 1,
+          uint64_t{1} << 40}) {
+      Bytes edited = {3};
+      PutVarint64(&edited, len);
+      edited.insert(edited.end(), wire.begin() + 1 + length_field.size(),
+                    wire.end());
+      ASSERT_TRUE(RowDecodersAgree(edited, &tally))
+          << "base " << bases << " length " << len;
+    }
+    // Raw parts not a multiple of 3 bytes, under their true CRC.
+    for (const size_t cut : {size_t{1}, size_t{2}, size_t{4}}) {
+      ASSERT_TRUE(RowDecodersAgree(
+          PlaneWire(packed, Bytes(low.begin(), low.end() - cut)), &tally))
+          << "base " << bases << " raw cut " << cut;
+    }
+    Bytes longer = low;
+    longer.push_back(0);
+    ASSERT_TRUE(RowDecodersAgree(PlaneWire(packed, longer), &tally));
+    // Exponent planes one value short and one value long.
+    ASSERT_TRUE(RowDecodersAgree(
+        PlaneWire(LzCompress(Bytes(payload.begin(), payload.end() - 1)), low),
+        &tally));
+    Bytes extra = payload;
+    extra.push_back(0x3f);
+    ASSERT_TRUE(RowDecodersAgree(PlaneWire(LzCompress(extra), low), &tally));
+    // Flipped CRC bits.
+    const uint32_t crc = Crc32(low.data(), low.size());
+    for (const int bit : {0, 9, 31}) {
+      ASSERT_TRUE(
+          RowDecodersAgree(PlaneWire(packed, low, crc ^ (1u << bit)), &tally));
+    }
+  }
+  EXPECT_EQ(bases, 8);
+  EXPECT_GE(matched_encoder, 4);
+  EXPECT_GT(tally.cases, 3000);
+  EXPECT_GE(tally.ok_with_rows, 8);
 }
 
 TEST(CodecConcurrency, ThreadsMatchSerialOutputs) {

@@ -286,16 +286,16 @@ std::vector<PinnedCase> PinnedCases() {
                                            CollectiveTopology::kBinomialTree,
                                            CollectiveTopology::kRing};
   const uint64_t matrix_digests[4][3] = {
-      {0x7cdcd8fc9a092e94ull, 0xee5eefb7d9aac555ull, 0x047e28939b22d638ull},
-      {0x7a8f74253e01d205ull, 0xc3a89b7e0ee8df0aull, 0x5e3950d16b2b24aeull},
-      {0x2c5b2da0e7dd4a9full, 0x1214870343817dd5ull, 0x94a4ec5e13524848ull},
-      {0x43753c4910560736ull, 0x216cca1695ddfaccull, 0xf61bcc01269faecaull},
+      {0x71e6f5e7060f0bd0ull, 0xf6deec0eaf8c234cull, 0x411edc3fcc40a123ull},
+      {0xf1bfb7ae6801c681ull, 0xed765c114302c6caull, 0x616a0ad613db96abull},
+      {0x99e0961fa971ca71ull, 0x56e4332de9e53addull, 0xb1cf00626c00467full},
+      {0x75ae539be524adf2ull, 0x4541f1f4feed1fd9ull, 0xf91fbb82abe5256full},
   };
   const uint64_t matrix_recv_digests[4][3] = {
-      {0x7eccc875cfe921e1ull, 0xe660a620c4def1f8ull, 0xe6ad9976986705a9ull},
-      {0x78b330619a0910d7ull, 0xbedc04aae972977dull, 0xca7bfc2239f822d5ull},
-      {0x00e5a6d29f9b6ecdull, 0x8a6d2a49471d1e27ull, 0xf685783a344bb6fcull},
-      {0x1ced6c739226c7b4ull, 0x298c145d291908efull, 0xeb14932468262d8dull},
+      {0x9b43406470a3b2ecull, 0x51f48a54025e43e1ull, 0x5cc09271753b1aa6ull},
+      {0x1549ec827166acd7ull, 0x856f47492739c655ull, 0xf8113774eea7ade9ull},
+      {0x83f16254bcc59c74ull, 0x388f619f9d0da0b8ull, 0xc1bf438327d48971ull},
+      {0xbb852d80ea75a0b9ull, 0xa73802112626b254ull, 0x61536326685018feull},
   };
   std::vector<PinnedCase> cases;
   for (int b = 0; b < 4; ++b) {
@@ -315,8 +315,8 @@ std::vector<PinnedCase> PinnedCases() {
     uint64_t recv_digest;
   };
   const PunchCase punches[] = {
-      {"1.0", 1.0, 0xf71c5504d28a8de2ull, 0x00e5a6d29f9b6ecdull},
-      {"0.5", 0.5, 0xab805d466fee2152ull, 0x24485ccb65c9e302ull}};
+      {"1.0", 1.0, 0x2d0ec9660789ca46ull, 0x83f16254bcc59c74ull},
+      {"0.5", 0.5, 0x6b6ecdd4e24c119bull, 0xddec191dcf2be260ull}};
   for (const PunchCase& punch : punches) {
     cloud::CloudConfig config;
     config.latency.p2p_punch_failure_rate = punch.failure_rate;
@@ -327,11 +327,11 @@ std::vector<PinnedCase> PinnedCases() {
   FsdOptions queue_ungreedy = FleetOptions(Variant::kQueue, 0);
   queue_ungreedy.greedy_packing = false;
   cases.push_back({"queue/greedy_packing=false", queue_ungreedy, {},
-                   0xc1265d0c3d449a14ull, 0xb8cb1d095f9eff58ull});
+                   0x6b11dfba674d3c1dull, 0x9ecfd4fc9e975f21ull});
   FsdOptions object_no_nul = FleetOptions(Variant::kObject, 0);
   object_no_nul.nul_markers = false;
   cases.push_back({"object/nul_markers=false", object_no_nul, {},
-                   0xb665cc0ab49ee265ull, 0xc74260ede012fb4eull});
+                   0x02dec8ddd6501500ull, 0x016bfca956548c40ull});
   cases.push_back({"kv/quant_bits=8", FleetOptions(Variant::kKv, 8), {},
                    0xc0cca5729783ceeeull, 0x4fa87ab573779eecull});
   return cases;

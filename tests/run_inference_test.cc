@@ -129,10 +129,10 @@ TEST(RunInferencePinned, ReportsMatchPinnedDigests) {
   };
   const PinnedCase cases[] = {
       {"serial", Variant::kSerial, 1, 0xcfbcac28421b1c55ull},
-      {"queue", Variant::kQueue, 5, 0xa695b520b5d6f988ull},
-      {"object", Variant::kObject, 5, 0x82c804c6815507c1ull},
-      {"kv", Variant::kKv, 5, 0xa18a026f36e1b235ull},
-      {"direct", Variant::kDirect, 5, 0x1a598ee6575ae1c7ull},
+      {"queue", Variant::kQueue, 5, 0x152ee6fe14044dcaull},
+      {"object", Variant::kObject, 5, 0x02385c1565203b9cull},
+      {"kv", Variant::kKv, 5, 0xa88b84ea6040036aull},
+      {"direct", Variant::kDirect, 5, 0x00aae18173c2f923ull},
   };
   const Workload w = MakeWorkload(384, 10, 16);
   for (const PinnedCase& pinned : cases) {
